@@ -36,9 +36,22 @@ reproduce the naive algorithms' results — selected nodes, objective,
 iteration count, and reported extras are bit-identical, which
 ``tests/core/test_kernel_differential.py`` enforces property-wise.
 
-Total cost: O(E log E) for the sort, O((V + E) · (m + log E)) for the
-reverse replay — effectively linearithmic, versus the reference's
-quadratic-in-edges loop.
+Total cost of a peel: O(E log E) for the sort, O((V + E) · (m + log E))
+for the reverse replay, versus the reference's quadratic-in-edges loop.
+The bandwidth-floor procedure needs no peel: one union-find pass over the
+links that meet the floor, then the ``m`` best candidates of each
+component that holds at least ``m`` — O(V + E) plus O(c log m) per
+component of ``c`` candidates.
+
+Every procedure ends by scoring the ``m`` chosen nodes (``_finish``): the
+minimum CPU fraction and both pairwise bandwidth minima.  On a forest —
+the shape of the paper's LANs — :meth:`TopologyGraph.path` answers from
+the graph's forest index in O(depth), the way back is the same links
+reversed, and one walk per unordered pair yields both minima:
+O(m² · depth) per selection after one O(V) index build per graph.  On a
+graph with a cycle each ordered pair is a BFS, O(m² · (V + E)) — what a
+forest paid too before the index, four BFS runs per pair, which at 1000
+hosts was over half of a cold selection.
 """
 
 from __future__ import annotations
@@ -50,10 +63,9 @@ from ..topology.graph import Link, Node, TopologyGraph
 from .metrics import (
     DEFAULT_REFERENCES,
     References,
+    _pairwise_minima,
     link_bandwidth_fraction,
     min_cpu_fraction,
-    min_pairwise_bandwidth,
-    min_pairwise_bandwidth_fraction,
     node_compute_fraction,
 )
 from .types import ExtrasKey, NoFeasibleSelection, Selection
@@ -251,17 +263,19 @@ def _finish(
     names: list[str],
     refs: References,
     *,
-    objective: float,
+    objective: Optional[float],
     algorithm: str,
     iterations: int,
     extras: Optional[dict] = None,
 ) -> Selection:
+    """Score the chosen set; ``objective=None`` is its pairwise bandwidth."""
+    bw_fraction, bw_bps = _pairwise_minima(graph, names, refs)
     return Selection(
         nodes=names,
-        objective=objective,
+        objective=bw_bps if objective is None else objective,
         min_cpu_fraction=min_cpu_fraction(graph, names, refs),
-        min_bw_fraction=min_pairwise_bandwidth_fraction(graph, names, refs),
-        min_bw_bps=min_pairwise_bandwidth(graph, names),
+        min_bw_fraction=bw_fraction,
+        min_bw_bps=bw_bps,
         algorithm=algorithm,
         iterations=iterations,
         extras=extras or {},
@@ -385,12 +399,11 @@ def kernel_select_max_bandwidth(
 
     selected = [name for _, name in state.topm[best_root]]
     iterations = min(t_max + 1, k)
-    min_bw = min_pairwise_bandwidth(graph, selected)
     return _finish(
         graph,
         selected,
         refs,
-        objective=min_bw,
+        objective=None,
         algorithm="max-bandwidth",
         iterations=iterations,
     )
@@ -407,28 +420,52 @@ def kernel_select_with_bandwidth_floor(
     """Bandwidth-floor selection without copying or mutating the graph.
 
     Components of the floor-filtered graph come from one union-find pass
-    over the surviving links; each feasible component contributes its
-    top-``m`` pick and the best ``(mincpu, names)`` wins — ``names``
-    breaking ties exactly like the naive reference.
+    over the surviving links; each component with at least ``m``
+    candidates contributes its ``m`` best and the best ``(mincpu,
+    names)`` wins — ``names`` breaking ties exactly like the naive
+    reference.
     """
     if floor_bps < 0:
         raise ValueError(f"floor must be non-negative, got {floor_bps}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    state = _PeelState(graph, m, refs, eligible, track_scores=False)
+    # Union-find over node positions, path halving written out in each
+    # loop: a find() call per endpoint would double the cost of the pass.
+    index = {name: i for i, name in enumerate(graph.node_names())}
+    parent = list(range(len(index)))
     for link in graph.links():
         if link.available >= floor_bps:
-            state.add_edge(link.u, link.v, 0.0)
+            a = index[link.u]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            b = index[link.v]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
 
-    best: Optional[tuple[float, tuple[str, ...]]] = None
-    for i in range(len(state.parent)):
-        if state.parent[i] != i or state.count[i] < m:
+    # Candidates of each component as (-fraction, name) keys: the m
+    # smallest are the ranking top_compute_nodes() gives the reference.
+    keys: dict[int, list[tuple[float, str]]] = {}
+    for a, node in enumerate(graph.nodes()):
+        if node.is_compute and (eligible is None or eligible(node)):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            keys.setdefault(a, []).append(
+                (-node_compute_fraction(node, refs), node.name)
+            )
+
+    best: Optional[tuple[float, list[str]]] = None
+    for candidates in keys.values():
+        if len(candidates) < m:
             continue
-        top = state.topm[i]
-        mincpu = -top[m - 1][0]
-        names = tuple(name for _, name in top)
+        top = heapq.nsmallest(m, candidates)
+        mincpu = -top[-1][0]
+        names = [name for _, name in top]
         if best is None or mincpu > best[0] or (
-            mincpu == best[0] and list(names) < list(best[1])
+            mincpu == best[0] and names < best[1]
         ):
             best = (mincpu, names)
     if best is None:
@@ -439,7 +476,7 @@ def kernel_select_with_bandwidth_floor(
     mincpu, names = best
     return _finish(
         graph,
-        list(names),
+        names,
         refs,
         objective=mincpu,
         algorithm="bandwidth-floor",

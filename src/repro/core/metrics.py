@@ -16,6 +16,7 @@ between any pair of selected nodes (bottleneck path).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -114,6 +115,38 @@ def min_cpu_fraction(
     )
 
 
+def _pairwise_minima(
+    graph: TopologyGraph, nodes: Sequence[str], refs: References
+) -> tuple[float, float]:
+    """``(fraction, bps)``: both pairwise minima from one walk per path.
+
+    Every ordered pair contributes each hop's availability *towards* the
+    next node, in bps and as a fraction of the reference link (of the
+    hop's own peak without one).  In a forest the route back is the same
+    links reversed, so each unordered pair is walked once and a hop
+    counts ``Link.available``, the minimum of its two directions.
+    """
+    names = list(nodes)
+    fraction = bps = float("inf")
+    if len(names) < 2:
+        return fraction, bps
+    symmetric = graph.is_acyclic()
+    pairs = itertools.combinations if symmetric else itertools.permutations
+    ref_bw = refs.link_bandwidth
+    for src, dst in pairs(names, 2):
+        path = graph.path(src, dst)
+        if path is None:
+            return 0.0, 0.0
+        for x, y in zip(path, path[1:]):
+            link = graph.link(x, y)
+            bw = link.available if symmetric else link.available_towards(y)
+            bps = min(bps, bw)
+            fraction = min(
+                fraction, bw / (link.maxbw if ref_bw is None else ref_bw)
+            )
+    return fraction, bps
+
+
 def min_pairwise_bandwidth(graph: TopologyGraph, nodes: Sequence[str]) -> float:
     """Minimum available bandwidth (bps) between any pair in ``nodes``.
 
@@ -121,16 +154,7 @@ def min_pairwise_bandwidth(graph: TopologyGraph, nodes: Sequence[str]) -> float:
     two nodes and ``0`` if any pair is disconnected.  This is the
     communication objective Figure 2 maximizes.
     """
-    names = list(nodes)
-    best = float("inf")
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            bw = graph.path_available_bandwidth(a, b)
-            rev = graph.path_available_bandwidth(b, a)
-            best = min(best, bw, rev)
-            if best == 0.0:
-                return 0.0
-    return best
+    return _pairwise_minima(graph, nodes, DEFAULT_REFERENCES)[1]
 
 
 def min_pairwise_bandwidth_fraction(
@@ -145,22 +169,7 @@ def min_pairwise_bandwidth_fraction(
     ``bwfactor`` and the minimum fraction along the bottleneck hop is used
     (homogeneous capacities make the two formulations identical).
     """
-    names = list(nodes)
-    best = float("inf")
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            for src, dst in ((a, b), (b, a)):
-                path = graph.path(src, dst)
-                if path is None:
-                    return 0.0
-                for x, y in zip(path, path[1:]):
-                    link = graph.link(x, y)
-                    if refs.link_bandwidth is None:
-                        frac = link.available_towards(y) / link.maxbw
-                    else:
-                        frac = link.available_towards(y) / refs.link_bandwidth
-                    best = min(best, frac)
-    return best
+    return _pairwise_minima(graph, nodes, refs)[0]
 
 
 def minresource(

@@ -139,9 +139,12 @@ class SnapshotCache:
 class RouteCache:
     """Memoized routed channel sets for one snapshot epoch.
 
-    :func:`repro.service.route_edges` runs one BFS per ordered node pair —
-    O(m² · (V+E)) per admission attempt, and the service used to pay it
-    twice (claim verification, then again inside ``reserve``).  Routes
+    :func:`repro.service.route_edges` asks for one path per ordered node
+    pair — O(m² · depth) on a forest, where
+    :meth:`~repro.topology.TopologyGraph.path` reads the graph's forest
+    index, and a BFS each, O(m² · (V+E)), on a graph with a cycle and no
+    routing table — and the service used to pay it twice per admission
+    attempt (claim verification, then again inside ``reserve``).  Routes
     depend only on topology *structure*, which capacity claims never touch,
     so within a snapshot epoch every pairwise path is computed at most
     once and every node *set* resolves to its channel union from the

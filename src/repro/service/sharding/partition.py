@@ -300,23 +300,17 @@ def reassemble(plan: ShardPlan) -> TopologyGraph:
     :func:`graph_fingerprint` of the result equals the original's — the
     partition loses no node, link, or capacity bit.
     """
-    def _install(g: TopologyGraph, link: Link) -> None:
-        # add_link() would collapse the per-direction availabilities;
-        # install an exact copy the way subgraph() does.
-        copied = link.copy()
-        g._links[copied.key] = copied
-        g._adj[copied.u][copied.v] = copied
-        g._adj[copied.v][copied.u] = copied
-
+    # add_link() would collapse the per-direction availabilities; attach
+    # exact copies the way subgraph() does.
     g = TopologyGraph()
     for shard in range(plan.k):
         sub = plan.subgraph(shard)
         for node in sub.nodes():
             g.add_node(node.copy())
         for link in sub.links():
-            _install(g, link)
+            g._attach_link(link.copy())
     for link in plan.trunk_links():
-        _install(g, link)
+        g._attach_link(link.copy())
     return g
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Literal, Optional, Union
 
 __all__ = [
     "NodeKind",
@@ -209,6 +209,10 @@ class Link:
         )
 
 
+#: ``(parent, depth)`` per node of a forest; roots have no ``parent`` entry.
+_ForestIndex = tuple[dict[str, str], dict[str, int]]
+
+
 class TopologyGraph:
     """A mutable logical topology graph of nodes and links.
 
@@ -217,10 +221,22 @@ class TopologyGraph:
     operations (copy, remove, components) simple and allocation-light.
     """
 
+    #: Forest index behind :meth:`path` and :meth:`is_acyclic`: ``None``
+    #: until first asked for and after any structural change, ``False``
+    #: when the graph has a cycle, else ``(parent, depth)`` per node.  A
+    #: class-level default so graphs pickled before the index existed load.
+    _forest: Union[None, Literal[False], _ForestIndex] = None
+
     def __init__(self) -> None:
         self._nodes: dict[str, Node] = {}
         self._links: dict[frozenset, Link] = {}
         self._adj: dict[str, dict[str, Link]] = {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The index is derived and rebuilt on demand: do not ship it.
+        state = self.__dict__.copy()
+        state.pop("_forest", None)
+        return state
 
     # -- construction -------------------------------------------------------
     def add_node(self, node: Node) -> Node:
@@ -229,6 +245,7 @@ class TopologyGraph:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._adj[node.name] = {}
+        self._forest = None
         return node
 
     def add_compute(
@@ -269,13 +286,23 @@ class TopologyGraph:
         key = frozenset((u, v))
         if key in self._links:
             raise ValueError(f"duplicate link {u!r}--{v!r}")
-        link = Link(
+        return self._attach_link(Link(
             u=u, v=v, maxbw=maxbw, latency=latency,
             available_fwd=available, attrs=attrs,
-        )
-        self._links[key] = link
-        self._adj[u][v] = link
-        self._adj[v][u] = link
+        ))
+
+    def _attach_link(self, link: Link) -> Link:
+        """Insert a prebuilt link between two known, unlinked nodes.
+
+        The one place a link enters the graph (and the forest index is
+        dropped for it): :meth:`add_link`, :meth:`copy`,
+        :meth:`subgraph`, deserialization and shard reassembly, which
+        must keep per-direction availabilities ``add_link`` cannot take.
+        """
+        self._links[link.key] = link
+        self._adj[link.u][link.v] = link
+        self._adj[link.v][link.u] = link
+        self._forest = None
         return link
 
     def remove_link(self, u: str, v: str) -> Link:
@@ -286,6 +313,7 @@ class TopologyGraph:
             raise KeyError(f"no link {u!r}--{v!r}")
         del self._adj[u][v]
         del self._adj[v][u]
+        self._forest = None
         return link
 
     def remove_node(self, name: str) -> Node:
@@ -296,6 +324,7 @@ class TopologyGraph:
         for neighbor in list(self._adj[name]):
             self.remove_link(name, neighbor)
         del self._adj[name]
+        self._forest = None
         return node
 
     # -- access --------------------------------------------------------------
@@ -401,21 +430,65 @@ class TopologyGraph:
             return True
         return len(self.component_of(next(iter(self._nodes)))) == len(self._nodes)
 
+    def _forest_index(self) -> Optional[_ForestIndex]:
+        """``(parent, depth)`` of every node when the graph is a forest.
+
+        ``None`` when it has a cycle.  Built on first use by one BFS in
+        insertion order (roots have depth 0 and no ``parent`` entry) and
+        kept until the structure changes; availabilities and loads are
+        not part of it.
+        """
+        index = self._forest
+        if index is None:
+            index = self._forest = self._build_forest_index()
+        return index or None
+
+    def _build_forest_index(self) -> Union[Literal[False], _ForestIndex]:
+        # A forest has exactly num_nodes - num_components edges; with
+        # more than num_nodes - 1 there is a cycle whatever the count.
+        if len(self._links) >= len(self._nodes) > 0:
+            return False
+        adj = self._adj
+        parent: dict[str, str] = {}
+        depth: dict[str, int] = {}
+        components = 0
+        for root in self._nodes:
+            if root in depth:
+                continue
+            components += 1
+            depth[root] = 0
+            queue = deque([root])
+            while queue:
+                cur = queue.popleft()
+                below = depth[cur] + 1
+                for nxt in adj[cur]:
+                    if nxt not in depth:
+                        depth[nxt] = below
+                        parent[nxt] = cur
+                        queue.append(nxt)
+        if len(self._links) != len(self._nodes) - components:
+            return False
+        return parent, depth
+
     def is_acyclic(self) -> bool:
         """True if the graph contains no cycles (it is a forest)."""
-        # A forest has exactly num_nodes - num_components edges.
-        return self.num_links == self.num_nodes - len(self.connected_components())
+        return self._forest_index() is not None
 
     def path(self, src: str, dst: str) -> Optional[list[str]]:
         """A shortest path (node names, inclusive) from ``src`` to ``dst``.
 
-        BFS with insertion-order tie-breaking, so results are deterministic.
-        In an acyclic graph this is *the* unique path.  Returns ``None`` when
-        the nodes are disconnected.
+        In an acyclic graph this is *the* unique path, read off the forest
+        index by walking both ends up to their lowest common ancestor in
+        O(depth).  A graph with a cycle is searched by BFS with
+        insertion-order tie-breaking, so results are deterministic.
+        Returns ``None`` when the nodes are disconnected.
         """
         for name in (src, dst):
             if name not in self._nodes:
                 raise KeyError(f"no node {name!r}")
+        index = self._forest_index()
+        if index is not None:
+            return self._forest_path(index, src, dst)
         if src == dst:
             return [src]
         parent: dict[str, str] = {src: src}
@@ -434,6 +507,34 @@ class TopologyGraph:
                     return out
                 queue.append(nxt)
         return None
+
+    @staticmethod
+    def _forest_path(
+        index: _ForestIndex, src: str, dst: str
+    ) -> Optional[list[str]]:
+        parent, depth = index
+        up, down = [src], [dst]
+        a, b = src, dst
+        da, db = depth[a], depth[b]
+        while da > db:
+            a = parent[a]
+            up.append(a)
+            da -= 1
+        while db > da:
+            b = parent[b]
+            down.append(b)
+            db -= 1
+        while a != b:
+            if da == 0:
+                return None  # two different roots
+            a = parent[a]
+            b = parent[b]
+            up.append(a)
+            down.append(b)
+            da -= 1
+        down.pop()  # the common ancestor, already last in ``up``
+        down.reverse()
+        return up + down
 
     def path_links(self, path: list[str]) -> list[Link]:
         """The links along a node path."""
@@ -471,10 +572,7 @@ class TopologyGraph:
         for node in self._nodes.values():
             g.add_node(node.copy())
         for link in self._links.values():
-            copied = link.copy()
-            g._links[copied.key] = copied
-            g._adj[copied.u][copied.v] = copied
-            g._adj[copied.v][copied.u] = copied
+            g._attach_link(link.copy())
         return g
 
     def subgraph(self, names: Iterable[str]) -> "TopologyGraph":
@@ -489,10 +587,7 @@ class TopologyGraph:
                 g.add_node(self._nodes[name].copy())
         for link in self._links.values():
             if link.u in keep and link.v in keep:
-                copied = link.copy()
-                g._links[copied.key] = copied
-                g._adj[copied.u][copied.v] = copied
-                g._adj[copied.v][copied.u] = copied
+                g._attach_link(link.copy())
         return g
 
     def min_bandwidth_link(

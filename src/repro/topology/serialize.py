@@ -77,9 +77,7 @@ def from_dict(data: dict[str, Any]) -> TopologyGraph:
             raise ValueError(f"link references unknown node: {link!r}")
         if g.has_link(link.u, link.v):
             raise ValueError(f"duplicate link in input: {link!r}")
-        g._links[link.key] = link
-        g._adj[link.u][link.v] = link
-        g._adj[link.v][link.u] = link
+        g._attach_link(link)
     g.validate()
     return g
 

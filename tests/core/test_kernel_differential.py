@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import NoFeasibleSelection, References
+from repro.core.types import node_is_selectable
 from repro.core.kernel import (
     kernel_select_balanced,
     kernel_select_max_bandwidth,
@@ -37,16 +38,16 @@ def _outcome(fn, *args, **kwargs):
         return ("infeasible", str(e))
     except ValueError as e:
         return ("valueerror", str(e))
-    return (
-        sel.nodes,
-        sel.objective,
-        sel.min_cpu_fraction,
-        sel.min_bw_fraction,
-        sel.min_bw_bps,
-        sel.algorithm,
-        sel.iterations,
-        sel.extras,
-    )
+    return {
+        "nodes": sel.nodes,
+        "objective": sel.objective,
+        "min_cpu_fraction": sel.min_cpu_fraction,
+        "min_bw_fraction": sel.min_bw_fraction,
+        "min_bw_bps": sel.min_bw_bps,
+        "algorithm": sel.algorithm,
+        "iterations": sel.iterations,
+        "extras": sel.extras,
+    }
 
 
 def _assert_identical(kernel_fn, reference_fn, *args, **kwargs):
@@ -138,25 +139,50 @@ def test_max_bandwidth_matches_reference(
     )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     n=st.integers(2, 16),
     switches=st.integers(1, 6),
     quantize=st.booleans(),
     drop=st.integers(0, 2),
-    m=st.integers(1, 6),
-    floor_mbps=st.sampled_from([0.0, 25.0, 50.0, 75.0, 200.0]),
+    m=st.integers(0, 6),
+    floor_mbps=st.sampled_from([-1.0, 0.0, 25.0, 50.0, 75.0, 200.0]),
+    floor_link=st.one_of(st.none(), st.integers(0, 40)),
     refs_i=st.integers(0, len(REFS) - 1),
+    equal_cpu=st.booleans(),
+    restrict=st.booleans(),
+    unhealthy=st.integers(0, 3),
 )
 def test_bandwidth_floor_matches_reference(
-    seed, n, switches, quantize, drop, m, floor_mbps, refs_i
+    seed, n, switches, quantize, drop, m, floor_mbps, floor_link, refs_i,
+    equal_cpu, restrict, unhealthy,
 ):
+    # quantize=False leaves every link with unequal directions.
     g = build_graph(seed, n, switches, quantize, drop)
+    hosts = g.compute_nodes()
+    if equal_cpu:
+        # Only the name tie-break separates candidates and components.
+        for node in hosts:
+            node.load_average = 1.0
+    for i, node in enumerate(hosts[:unhealthy]):
+        node.attrs["down" if i % 2 else "unmonitorable"] = True
+    links = list(g.links())
+    floor_bps = floor_mbps * Mbps
+    if floor_link is not None and links:
+        # Exactly a link's availability: that link must survive.
+        floor_bps = links[floor_link % len(links)].available
+
+    def eligible(node):
+        return node_is_selectable(node) and (
+            not restrict or node.name.endswith(("0", "1", "2"))
+        )
+
     _assert_identical(
         kernel_select_with_bandwidth_floor,
         reference_select_with_bandwidth_floor,
-        g, m, floor_bps=floor_mbps * Mbps, refs=REFS[refs_i],
+        g, m, floor_bps=floor_bps, refs=REFS[refs_i],
+        eligible=eligible if restrict or unhealthy else None,
     )
 
 

@@ -1,6 +1,8 @@
 """Tests for resource metrics and objective evaluators."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     References,
@@ -11,8 +13,12 @@ from repro.core import (
     minresource,
     node_compute_fraction,
 )
-from repro.topology import Link, Node, TopologyGraph, dumbbell, star
+from repro.topology import (
+    Link, Node, TopologyGraph, dumbbell, grid, random_tree, star,
+)
 from repro.units import Mbps
+
+from ..oracles import bfs_path
 
 
 class TestReferences:
@@ -138,3 +144,51 @@ class TestSetObjectives:
         # §3.3: bidirectional capacity is min over directions.
         assert min_pairwise_bandwidth(g, ["l0", "r0"]) == 10 * Mbps
         assert minresource(g, ["l0", "r0"]) == pytest.approx(0.1)
+
+
+def _pairwise_oracle(g, names, link_bandwidth):
+    """Both pairwise minima the long way: a BFS route per ordered pair,
+    every hop counted in its own direction."""
+    fraction = bps = float("inf")
+    for a in names:
+        for b in names:
+            if a == b:
+                continue
+            path = bfs_path(g, a, b)
+            if path is None:
+                return 0.0, 0.0
+            for x, y in zip(path, path[1:]):
+                link = g.link(x, y)
+                bw = link.available_towards(y)
+                bps = min(bps, bw)
+                fraction = min(fraction, bw / (link_bandwidth or link.maxbw))
+    return fraction, bps
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cyclic=st.booleans(),
+    drop=st.integers(0, 2),
+    k=st.integers(0, 5),
+    link_bandwidth=st.sampled_from([None, 60 * Mbps]),
+)
+def test_pairwise_minima_match_per_direction_bfs(
+    seed, cyclic, drop, k, link_bandwidth
+):
+    # On a forest each unordered pair is walked once and a hop counts
+    # the smaller of its two directions; the values must not change.
+    rng = np.random.default_rng(seed)
+    g = grid(3, 3) if cyclic else random_tree(12, 4, rng, bandwidth=100 * Mbps)
+    for link in g.links():
+        link.available_fwd = float(rng.uniform(1, 100)) * Mbps
+        link.available_rev = float(rng.uniform(1, 100)) * Mbps
+    for link in list(g.links())[:drop]:
+        g.remove_link(link.u, link.v)
+    hosts = [n.name for n in g.compute_nodes()]
+    names = [str(n) for n in rng.choice(hosts, size=min(k, len(hosts)),
+                                        replace=False)]
+    refs = References(link_bandwidth=link_bandwidth)
+    want = _pairwise_oracle(g, names, link_bandwidth)
+    assert min_pairwise_bandwidth_fraction(g, names, refs) == want[0]
+    assert min_pairwise_bandwidth(g, names) == want[1]

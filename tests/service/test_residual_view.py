@@ -19,7 +19,7 @@ from repro.service import (
     SelectionService,
     StageTimer,
 )
-from repro.topology import dumbbell, star
+from repro.topology import RoutingTable, dumbbell, grid, star
 from repro.topology.residual import residual_graph
 from repro.units import Mbps
 
@@ -130,12 +130,23 @@ class TestEpochMemoization:
     def test_route_cache_matches_route_edges(self):
         from repro.service import route_edges
 
-        g = dumbbell(3, 3)
+        g = dumbbell(3, 3)  # a forest: paths come from the forest index
         cache = RouteCache(g)
         nodes = ["l0", "l1", "r0"]
         assert cache.edges_for(nodes) == route_edges(g, nodes)
         assert cache.edges_for(nodes) == route_edges(g, nodes)  # memo hit
         assert cache.hits == 1 and cache.misses == 1
+
+    @pytest.mark.parametrize("routed", [False, True])
+    def test_route_cache_matches_route_edges_on_cyclic_graph(self, routed):
+        from repro.service import route_edges
+
+        g = grid(3, 3)
+        routing = RoutingTable(g) if routed else None
+        nodes = ["g0-0", "g1-2", "g2-1"]
+        want = route_edges(g, nodes, routing)
+        assert want
+        assert RouteCache(g, routing).edges_for(nodes) == want
 
     def test_schedule_cache_clean_reuse_and_dirty_merge(self):
         from repro.core.kernel import peel_order

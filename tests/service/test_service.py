@@ -5,6 +5,7 @@ the fault-eviction tests build the full simulated rig (cluster +
 collector + Remos + injector) to prove the crash path end to end.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import ApplicationSpec
@@ -13,8 +14,10 @@ from repro.faults import FaultInjector, NodeCrash
 from repro.network import Cluster
 from repro.remos import Collector, RemosAPI
 from repro.service import Decision, Priority, SelectionService
-from repro.topology import dumbbell, star
+from repro.topology import TopologyGraph, dumbbell, random_tree, star
 from repro.units import Mbps
+
+from ..oracles import bfs_path
 
 
 @pytest.fixture
@@ -259,3 +262,47 @@ class TestMetrics:
     def test_status_unknown_raises(self, service):
         with pytest.raises(KeyError):
             service.status("ghost")
+
+
+class TestForestIndexBitIdentity:
+    """The path index changes no placement: a churning service answers
+    the same with ``TopologyGraph.path`` swapped for the BFS it replaced."""
+
+    @staticmethod
+    def _churn(ops=120, window=8):
+        rng = np.random.default_rng(0)
+        g = random_tree(200, 40, rng, bandwidth=100 * Mbps)
+        for link in g.links():
+            link.available_fwd = float(rng.uniform(5, 100)) * Mbps
+            link.available_rev = float(rng.uniform(5, 100)) * Mbps
+        for node in g.compute_nodes():
+            node.load_average = float(rng.uniform(0, 0.5))
+        svc = SelectionService(g, snapshot_ttl=1e9, lease_s=60.0,
+                               queue_limit=0)
+        live, grants = [], []
+        for i in range(ops):
+            app = f"app-{i}"
+            grant = svc.request(app, spec(3 + i % 4), cpu_fraction=0.1,
+                                bw_bps=1 * Mbps)
+            sel = grant.selection
+            grants.append((grant.status, sel and (
+                sel.nodes, sel.objective, sel.min_cpu_fraction,
+                sel.min_bw_fraction, sel.min_bw_bps,
+            )))
+            if grant.admitted:
+                live.append(app)
+                if len(live) > window:
+                    svc.release(live.pop(0))
+            svc.renew(live[i % len(live)])
+            if i % 16 == 15:
+                svc.advance(1.0)
+                svc.tick()
+        svc.check_invariants()
+        assert svc.active_apps() == sorted(live)
+        return grants, svc.ledger.claims_fingerprint()
+
+    def test_churn_stream_is_identical_under_the_bfs_oracle(self, monkeypatch):
+        indexed = self._churn()
+        assert all(status == Decision.ADMITTED for status, _ in indexed[0])
+        monkeypatch.setattr(TopologyGraph, "path", bfs_path)
+        assert self._churn() == indexed

@@ -1,6 +1,9 @@
 """Unit tests for the topology graph structure."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology import (
     Link,
@@ -8,10 +11,14 @@ from repro.topology import (
     NodeKind,
     TopologyGraph,
     cpu_fraction,
+    from_json,
     load_from_cpu_fraction,
     star,
+    to_json,
 )
 from repro.units import Mbps
+
+from ..oracles import bfs_path
 
 
 @pytest.fixture
@@ -275,3 +282,115 @@ class TestViews:
         ours = sorted(map(sorted, small_tree.connected_components()))
         theirs = sorted(map(sorted, nx.connected_components(G)))
         assert ours == theirs
+
+
+def _assert_paths_match_bfs(g: TopologyGraph) -> None:
+    """Every answer the forest index gives equals the BFS it replaced."""
+    names = g.node_names()
+    for a in names:
+        for b in names:
+            assert g.path(a, b) == bfs_path(g, a, b), (a, b)
+    assert g.is_acyclic() == (
+        g.num_links == g.num_nodes - len(g.connected_components())
+    )
+    for pair in (("ghost", "ghost"), ("ghost", names[0]), (names[0], "ghost")):
+        with pytest.raises(KeyError):
+            g.path(*pair)
+
+
+def _build(order, parents, extra) -> TopologyGraph:
+    """Nodes inserted in ``order``; node ``i`` hangs under ``parents[i]``
+    (an earlier index, ``None`` starts a new component) plus ``extra``
+    links, which may close cycles."""
+    g = TopologyGraph()
+    for i in order:
+        g.add_compute(f"n{i}")
+    links = [(p, i) for i, p in enumerate(parents) if p is not None] + extra
+    for u, v in links:
+        if u != v and not g.has_link(f"n{u}", f"n{v}"):
+            g.add_link(f"n{u}", f"n{v}", 100 * Mbps)
+    return g
+
+
+@st.composite
+def _graphs(draw, max_extra):
+    n = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(n)))
+    parents = [None] + [
+        draw(st.one_of(st.none(), st.integers(0, i - 1))) for i in range(1, n)
+    ]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    extra = draw(st.lists(pair, max_size=max_extra))
+    return _build(order, parents, extra)
+
+
+class TestForestIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(g=_graphs(max_extra=0))
+    def test_forests(self, g):
+        assert g.is_acyclic()
+        _assert_paths_match_bfs(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_graphs(max_extra=4))
+    def test_graphs_with_cycles(self, g):
+        _assert_paths_match_bfs(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=_graphs(max_extra=2),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from([
+                    "add_link", "remove_link", "remove_node", "add_node",
+                    "copy", "subgraph", "json", "pickle",
+                ]),
+                st.integers(0, 99),
+                st.integers(0, 99),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_survives_any_interleaving_of_changes(self, g, ops):
+        # Asking for paths between changes builds the index each time,
+        # so a change that forgot to drop it answers from a stale one.
+        _assert_paths_match_bfs(g)
+        fresh = 0
+        for op, i, j in ops:
+            names = g.node_names()
+            a, b = names[i % len(names)], names[j % len(names)]
+            links = list(g.links())
+            if op == "add_link":
+                if a != b and not g.has_link(a, b):
+                    g.add_link(a, b, 100 * Mbps)
+            elif op == "remove_link":
+                if links:
+                    link = links[i % len(links)]
+                    g.remove_link(link.u, link.v)
+            elif op == "remove_node":
+                if len(names) > 1:
+                    g.remove_node(a)
+            elif op == "add_node":
+                fresh += 1
+                g.add_compute(f"new{fresh}")
+            elif op == "copy":
+                g = g.copy()
+            elif op == "subgraph":
+                g = g.subgraph([n for k, n in enumerate(names)
+                                if k == 0 or (k + i) % 3])
+            elif op == "json":
+                g = from_json(to_json(g))
+            else:
+                g = pickle.loads(pickle.dumps(g))
+            _assert_paths_match_bfs(g)
+
+    def test_index_is_not_pickled_and_defaults_on_old_pickles(self, small_tree):
+        assert small_tree.path("a", "d") == ["a", "sw0", "sw1", "d"]
+        state = small_tree.__getstate__()
+        assert set(state) == {"_nodes", "_links", "_adj"}
+        # A graph pickled before the index existed has no such attribute.
+        old = TopologyGraph.__new__(TopologyGraph)
+        old.__dict__.update(state)
+        assert old.path("a", "d") == ["a", "sw0", "sw1", "d"]
+        old.remove_link("sw0", "sw1")
+        assert old.path("a", "d") is None
