@@ -22,7 +22,7 @@ root (committed) and a table to ``benchmarks/out/sharded.txt``.
 The ``--parallel`` arm benchmarks the multi-core data plane instead:
 the same wave-of-batches workload through ``executor="inproc"`` vs a
 process worker pool (``executor="process"``, one worker per shard),
-with a probe fan-out on/off ablation, measuring aggregate requests/s.
+measuring aggregate requests/s.
 It always gates bit-identity (a 1-worker process router must produce
 exactly the in-process grants for an identical serial stream) and, on
 runners with >= 4 cores, gates the pool at >= 2x in-process throughput
@@ -80,7 +80,7 @@ FULL_SHARDS = [1, 4, 16]
 QUICK_HOSTS = [1000]
 QUICK_SHARDS = [1, 4]
 
-#: The --parallel grid (inproc vs process pool, fan-out on/off).
+#: The --parallel grid (inproc vs process pool).
 PAR_HOSTS = [1000, 4000, 10000]
 PAR_SHARDS = [4, 8, 16]
 PAR_QUICK_HOSTS = [1000]
@@ -345,7 +345,6 @@ def _router_for_arm(graph, shards: int, arm: str,
     return ShardRouter(
         graph, shards=shards, plan=plan, snapshot_ttl=1e9, lease_s=1e9,
         executor="process", workers=shards,
-        probe_fanout=(arm != "process_nofanout"),
     )
 
 
@@ -354,9 +353,9 @@ def drive_waves(router: ShardRouter, shards: int, waves: int,
     """Admission in waves: one ``admit_batch`` + one spread=2 request
     per wave, releasing the previous wave; returns throughput figures.
 
-    The batch scatter-gathers across all shard workers at once (the
-    parallel win being measured) and the cross-shard request exercises
-    the probe fan-out; the identical wave stream is derived from
+    The batch goes to the least-loaded shard as one envelope, the
+    cross-shard request exercises the probe and commit fan-out, and the
+    releases are posted; the identical wave stream is derived from
     ``seed`` alone so every arm faces the same work.
     """
     rng = np.random.default_rng(seed + 2)
@@ -448,19 +447,16 @@ def bit_identity_gate(hosts: int, shards: int, n_requests: int,
     """Assert the process executor reproduces in-process grants exactly."""
     graph = build_graph(hosts, seed=seed)
     streams = {}
-    for label, arm, workers, fanout in (
-        ("inproc", "inproc", None, True),
-        ("process-w1", "process", 1, True),
-        ("process-wK", "process", shards, True),
-        ("process-wK-nofanout", "process", shards, False),
+    for label, workers in (
+        ("inproc", None), ("process-w1", 1), ("process-wK", shards),
     ):
-        if arm == "inproc":
+        if workers is None:
             router = ShardRouter(graph, shards=shards,
                                  snapshot_ttl=1e9, lease_s=1e9)
         else:
             router = ShardRouter(
                 graph, shards=shards, snapshot_ttl=1e9, lease_s=1e9,
-                executor="process", workers=workers, probe_fanout=fanout,
+                executor="process", workers=workers,
             )
         streams[label] = grant_stream(router, n_requests, seed)
         router.close()
@@ -486,7 +482,7 @@ def bit_identity_gate(hosts: int, shards: int, n_requests: int,
 
 
 def run_parallel(hosts_list, shards_list, waves: int, seed: int) -> dict:
-    arms = ["inproc", "process", "process_nofanout"]
+    arms = ["inproc", "process"]
     results: dict = {
         "cpus": os.cpu_count(),
         "hosts": hosts_list,
@@ -525,8 +521,7 @@ def run_parallel(hosts_list, shards_list, waves: int, seed: int) -> dict:
                 )
             rows.append(row)
     results["table"] = format_table(
-        ["hosts", "shards", "inproc (req/s)", "process (req/s)",
-         "process, no fan-out (req/s)"],
+        ["hosts", "shards", "inproc (req/s)", "process (req/s)"],
         rows,
         title=(
             f"Multi-core shard data plane throughput "

@@ -70,6 +70,8 @@ from ..service import (
 from .partition import ShardPlan, partition_topology, repartition
 from .trunk import TrunkLedger
 from .workers import (
+    WORKER_ERRORS_HELP,
+    WORKER_ERRORS_METRIC,
     InprocShard,
     PinnedNodes,
     ProcessShard,
@@ -150,21 +152,16 @@ class ShardRouter:
         router.  ``"process"`` runs them in a
         :class:`~repro.service.sharding.ShardWorkerPool` of
         ``multiprocessing`` workers (``repro-serve --workers N``):
-        cross-shard probes fan out to all candidate workers
-        concurrently, and :meth:`admit_batch` scatter-gathers per-shard
-        sub-batches across the pool.  Requires a static
-        :class:`TopologyGraph` provider; grants for an identical serial
-        request stream are bit-identical to ``"inproc"`` regardless of
-        worker count.
+        cross-shard probes and commits fan out to their workers
+        concurrently, a sub-batch is one envelope, releases are posted
+        (acked later, see :meth:`ShardWorkerPool.drain`).  Requires a
+        static :class:`TopologyGraph` provider; grants for an identical
+        request stream, serial or batched, are bit-identical to
+        ``"inproc"`` regardless of worker count.
     workers:
         Worker process count for the process executor (default: one per
         shard, clamped to ``[1, shards]``); shard ``i`` runs in worker
         ``i % workers``.
-    probe_fanout:
-        Process executor only: speculatively fan the cross-shard probe
-        plan out to every candidate worker in parallel before the exact
-        (and bit-identical) serial assembly consumes the results.
-        ``False`` probes serially — the benchmark ablation arm.
 
     Remaining keyword arguments mirror :class:`SelectionService`.  Shard
     services always run with ``queue_limit=0``: the router rejects what
@@ -192,7 +189,6 @@ class ShardRouter:
         repartition_threshold: float = 0.25,
         executor: str = "inproc",
         workers: Optional[int] = None,
-        probe_fanout: bool = True,
     ) -> None:
         if executor not in ("inproc", "process"):
             raise ValueError(
@@ -237,7 +233,6 @@ class ShardRouter:
         self._wal_snapshot_every = int(wal_snapshot_every)
         self.executor = executor
         self.requested_workers = workers
-        self.probe_fanout = bool(probe_fanout)
         #: The worker pool (process executor only).
         self._pool: Optional[ShardWorkerPool] = None
         #: Router-maintained live sub-grant count per shard (process
@@ -456,6 +451,10 @@ class ShardRouter:
             reg.counter("repro_shard_worker_restarts_total",
                         "Crashed shard workers restarted in place.",
                         fn=lambda: float(self._pool.restarts))
+            for site in ("startup", "posted_ack"):
+                reg.counter(WORKER_ERRORS_METRIC, WORKER_ERRORS_HELP,
+                            labels={"site": site},
+                            fn=(lambda s=site: float(self._pool.errors[s])))
         for shard in range(self.plan.k):
             labels = {"shard": str(shard)}
             reg.counter(
@@ -580,25 +579,30 @@ class ShardRouter:
                     dead_subs.update(payload)
                 else:
                     # Worker died mid-tick and was restarted from its WAL
-                    # (or empty, if non-durable); the holds() resync below
-                    # reaps anything the restart lost.
+                    # (or empty, if non-durable); the resync below reaps
+                    # anything the restart lost.
                     restarted = restarted | {shard}
+            if self._pool.tracer is not None:
+                # Bring home spans buffered by untraced worker ops since
+                # the last clock movement (metrics scrapes, pings).
+                self._pool.drain_spans()
         else:
             for handle in self._shards:
                 dead_subs.update(handle.tick())
-        if self._pool is not None and self._pool.tracer is not None:
-            # Bring home spans buffered by untraced worker ops since the
-            # last clock movement (metrics scrapes, pings).
-            self._pool.drain_spans()
         self._last_tick_now = now
         self.trunk.expire(now)
+        #: What each restarted shard still holds (recovered, or nothing).
+        held = {
+            shard: self._shards[shard].reservation_map()
+            for shard in sorted(restarted)
+        }
         expired = []
         for app_id, grant in list(self._active.items()):
             alive = []
             for shard, sub in grant.parts.items():
                 if sub in dead_subs:
                     continue
-                if shard in restarted and not self._shards[shard].holds(sub):
+                if shard in held and sub not in held[shard]:
                     continue
                 alive.append(shard)
             if len(alive) == len(grant.parts):
@@ -630,6 +634,10 @@ class ShardRouter:
         for sub in dead_subs:
             shard = int(sub.rsplit("@", 1)[1])
             self._sub_count[shard] = max(0, self._sub_count[shard] - 1)
+        if self._pool is not None:
+            # The fan-out read every posted ack on its way; an error
+            # among them is raised now that the books are settled.
+            self._pool.drain()
         return sorted(expired)
 
     # -- the request path ------------------------------------------------------
@@ -693,19 +701,12 @@ class ShardRouter:
         :meth:`check_invariants` asserts it.
         """
         if self._pool is not None:
-            return sorted(
-                range(self.plan.k),
-                key=lambda s: (
-                    self._sub_count[s] / max(1, self._shard_hosts[s]),
-                    s,
-                ),
-            )
+            live = self._sub_count
+        else:
+            live = [h.active for h in self._shards]
         return sorted(
             range(self.plan.k),
-            key=lambda s: (
-                self._shards[s].active / max(1, self._shard_hosts[s]),
-                s,
-            ),
+            key=lambda s: (live[s] / max(1, self._shard_hosts[s]), s),
         )
 
     def _request_inner(
@@ -792,13 +793,10 @@ class ShardRouter:
         ``ValueError`` with nothing admitted); admission is not — see
         :meth:`SelectionService.admit_batch`.
 
-        Under the process executor the batch is instead scattered
-        round-robin across shards in headroom order and each sub-batch
-        admitted concurrently by its worker; anything a worker refuses
-        (or loses to a crash) falls back to the exact serial path.  The
-        partitions differ from the waterfall's, so per-request outcomes
-        may legitimately differ between executors here — the
-        bit-identity guarantee covers the serial :meth:`request` path.
+        Both executors run this same loop — a shard's sub-batch is one
+        call in-process and one envelope to its worker — so the grants
+        are bit-identical between them.  A worker that dies mid-batch
+        has its sub-batch moved on to the next shard.
         """
         batch = list(iter_batch(requests))
         if not batch:
@@ -815,83 +813,24 @@ class ShardRouter:
         self.metrics.batches += 1
         self.metrics.batch_requests += len(batch)
         grants: dict[str, PlacementGrant] = {}
-        if self._pool is not None:
-            pending = self._admit_batch_scatter(batch, grants)
-        else:
-            pending = list(batch)
-            for shard in self._shard_order():
-                if not pending:
-                    break
-                sub_batch = [
-                    replace(b, app_id=f"{b.app_id}@{shard}")
-                    for b in pending
-                ]
-                sub_grants = self._shards[shard].admit_batch(sub_batch)
-                still_pending = []
-                for b, g in zip(pending, sub_grants):
-                    if g.admitted:
-                        grant = PlacementGrant(
-                            app_id=b.app_id,
-                            status=Decision.ADMITTED,
-                            selection=g.selection,
-                            shards=(shard,),
-                            parts={shard: g.app_id},
-                        )
-                        self._commit(b.app_id, grant)
-                        self.metrics.routed_local += 1
-                        grants[b.app_id] = grant
-                    else:
-                        still_pending.append(b)
-                pending = still_pending
-        for b in pending:
-            # No single shard could host it — the serial path can still
-            # split it across shards (or produce the rejection reason).
-            grants[b.app_id] = self._request_inner(
-                b.app_id, b.spec, b.cpu_fraction, b.bw_bps, b.priority, 1,
-            )
-        return [grants[b.app_id] for b in batch]
-
-    def _admit_batch_scatter(
-        self,
-        batch: list[BatchRequest],
-        grants: dict[str, PlacementGrant],
-    ) -> list[BatchRequest]:
-        """Scatter ``batch`` round-robin over shards and gather grants.
-
-        One concurrent :meth:`SelectionService.admit_batch` RPC per
-        shard (workers on different cores admit their sub-batches in
-        parallel).  Admitted requests are committed into ``grants``;
-        the remainder — refused, or lost to a worker crash — is
-        returned in arrival order for the serial fallback.
-        """
-        order = self._shard_order()
-        buckets: dict[int, list[BatchRequest]] = {s: [] for s in order}
-        for i, b in enumerate(batch):
-            buckets[order[i % len(order)]].append(b)
-        calls = []
-        call_shards = []
-        for shard in order:
-            if not buckets[shard]:
-                continue
+        pending = list(batch)
+        for shard in self._shard_order():
+            if not pending:
+                break
             sub_batch = [
-                replace(b, app_id=f"{b.app_id}@{shard}")
-                for b in buckets[shard]
+                replace(b, app_id=f"{b.app_id}@{shard}") for b in pending
             ]
-            calls.append((shard, "admit_batch", (sub_batch,), {}))
-            call_shards.append(shard)
-        replies = self._pool.call_many(calls)
-        pending: list[BatchRequest] = []
-        for shard, (kind, payload) in zip(call_shards, replies):
-            if kind != "ok":
-                # The worker died mid-batch and was replaced.  A durable
-                # replacement may have recovered sub-leases committed
-                # before the crash — evict them so the serial retry
-                # starts clean (a fresh replacement simply holds none).
-                for b in buckets[shard]:
-                    self._release_sub(shard, f"{b.app_id}@{shard}", "evict")
-                pending.extend(buckets[shard])
+            try:
+                sub_grants = self._shards[shard].admit_batch(sub_batch)
+            except WorkerCrashError:
+                # A durable replacement may have recovered sub-leases
+                # committed before the crash — evict them, so the next
+                # shard (or the serial fallback) starts clean.
+                for b in sub_batch:
+                    self._release_sub(shard, b.app_id, "evict")
                 continue
-            for b, g in zip(buckets[shard], payload):
+            still_pending = []
+            for b, g in zip(pending, sub_grants):
                 if g.admitted:
                     grant = PlacementGrant(
                         app_id=b.app_id,
@@ -904,10 +843,15 @@ class ShardRouter:
                     self.metrics.routed_local += 1
                     grants[b.app_id] = grant
                 else:
-                    pending.append(b)
-        index = {b.app_id: i for i, b in enumerate(batch)}
-        pending.sort(key=lambda b: index[b.app_id])
-        return pending
+                    still_pending.append(b)
+            pending = still_pending
+        for b in pending:
+            # No single shard could host it — the serial path can still
+            # split it across shards (or produce the rejection reason).
+            grants[b.app_id] = self._request_inner(
+                b.app_id, b.spec, b.cpu_fraction, b.bw_bps, b.priority, 1,
+            )
+        return [grants[b.app_id] for b in batch]
 
     @staticmethod
     def _splittable(spec: ApplicationSpec) -> bool:
@@ -990,10 +934,9 @@ class ShardRouter:
         this cache reproduces the unfanned walk bit-for-bit; any probe
         that fails (or any worker that crashes) just drops the
         speculation and the loop falls back to its own serial RPCs.
-        Returns ``{}`` under the in-process executor or when fan-out
-        is disabled.
+        Returns ``{}`` under the in-process executor.
         """
-        if self._pool is None or not self.probe_fanout:
+        if self._pool is None:
             return {}
         sizes: list[tuple[int, int]] = []
         remaining = spec.num_nodes
@@ -1091,25 +1034,41 @@ class ShardRouter:
         committed: list[tuple[int, str]] = []
         parts: dict[int, str] = {}
         selections: dict[int, Selection] = {}
+        claim = {"cpu_fraction": cpu_fraction, "bw_bps": bw_bps,
+                 "priority": priority}
+        subs = [
+            (shard, f"{app_id}@{shard}", replace(
+                spec, num_nodes=size,
+                eligible=PinnedNodes(frozenset(probed.nodes)),
+            ))
+            for shard, size, probed in split
+        ]
         try:
-            for shard, size, probed in split:
-                sub = f"{app_id}@{shard}"
-                g = self._shards[shard].request(
-                    sub,
-                    replace(
-                        spec, num_nodes=size,
-                        eligible=PinnedNodes(frozenset(probed.nodes)),
-                    ),
-                    cpu_fraction=cpu_fraction, bw_bps=bw_bps,
-                    priority=priority,
+            if self._pool is not None:
+                # Out together: different workers commit concurrently.
+                replies = self._pool.call_many([
+                    (shard, "request", (sub, pinned), claim)
+                    for shard, sub, pinned in subs
+                ])
+            else:
+                replies = (
+                    ("ok", self._shards[shard].request(sub, pinned, **claim))
+                    for shard, sub, pinned in subs
                 )
-                if not g.admitted:
-                    raise _CommitAbort(
-                        f"shard {shard} refused at commit: {g.reason}"
-                    )
-                committed.append((shard, sub))
-                parts[shard] = sub
-                selections[shard] = g.selection
+            failure: Optional[Exception] = None
+            for (shard, sub, _pinned), (kind, g) in zip(subs, replies):
+                if kind == "ok" and g.admitted:
+                    committed.append((shard, sub))
+                    parts[shard] = sub
+                    selections[shard] = g.selection
+                    continue
+                failure = g if kind == "err" else _CommitAbort(
+                    f"shard {shard} refused at commit: {g.reason}"
+                )
+                if self._pool is None:
+                    break  # in-process commits are made one at a time
+            if failure is not None:
+                raise failure
             nodes = [
                 name for shard, _sub in committed
                 for name in selections[shard].nodes
@@ -1164,24 +1123,18 @@ class ShardRouter:
         )
 
     # -- lease lifecycle -------------------------------------------------------
-    def _release_sub(self, shard: int, sub: str, kind: str) -> bool:
-        """Release one sub-lease if the shard still holds it.
+    def _release_sub(self, shard: int, sub: str, kind: str) -> None:
+        """Release one sub-lease, if the shard still holds it.
 
-        Tolerates one worker crash: the restarted worker either
-        recovered the lease from its WAL (released on retry) or lost
-        it (nothing left to release).  Returns whether a lease was
-        actually released.  Does not touch ``_sub_count`` — callers
-        own the composite bookkeeping.
+        "Not held" is the shard's ``KeyError``.  Under the pool the
+        release is posted: a restarted worker gets it replayed, having
+        either recovered the lease from its WAL or nothing to release.
+        Does not touch ``_sub_count`` — callers own that bookkeeping.
         """
-        for _attempt in range(2):
-            try:
-                if not self._shards[shard].holds(sub):
-                    return False
-                self._shards[shard].release(sub, kind=kind)
-                return True
-            except WorkerCrashError:
-                continue
-        return False
+        try:
+            self._shards[shard].release(sub, kind=kind)
+        except KeyError:
+            pass
 
     def release(self, app_id: str, *, kind: str = "release") -> PlacementGrant:
         """Give back every sub-lease and the trunk claim for ``app_id``.
@@ -1228,12 +1181,13 @@ class ShardRouter:
             try:
                 self._shards[shard].renew(sub, extend=lease)
             except WorkerCrashError:
-                if not self._shards[shard].holds(sub):
+                try:  # once more, against the restarted worker
+                    self._shards[shard].renew(sub, extend=lease)
+                except KeyError:
                     raise KeyError(
                         f"sub-lease {sub!r} for {app_id!r} was lost to a "
                         "worker crash; the next tick() reaps the composite"
                     ) from None
-                self._shards[shard].renew(sub, extend=lease)
         if self.trunk.holds(app_id):
             self.trunk.renew(app_id, self.now, lease)
         self.metrics.renewed += 1
@@ -1309,6 +1263,8 @@ class ShardRouter:
         """Every shard's ledger + overlay invariants, trunk caps, and the
         intra/trunk claim partition (no shard ever claims a trunk
         channel; the trunk never claims an intra-shard channel)."""
+        if self._pool is not None:
+            self._pool.drain()
         for shard, handle in enumerate(self._shards):
             handle.check_invariants()
             for key, dst in handle.edge_claims():
@@ -1373,6 +1329,8 @@ class ShardRouter:
 
     def flush_state(self) -> None:
         """Compacted snapshots for every shard WAL + the trunk WAL."""
+        if self._pool is not None:
+            self._pool.drain()
         for handle in self._shards:
             handle.flush_state()
         self.trunk.flush_state()
@@ -1382,26 +1340,28 @@ class ShardRouter:
         under the process executor this also shuts the worker pool
         down (flush + join), harvesting final per-shard stats first so
         :meth:`metrics_snapshot` keeps answering afterwards."""
-        if self._pool is not None:
-            if not self._pool.closed:
-                try:
-                    self.metrics_snapshot()
-                    # Final federation pass: post-close scrapes (e.g.
-                    # --dump-metrics after shutdown) serve the last
-                    # harvested worker series.
-                    self._harvest_shard_metrics()
-                    # Refresh the per-shard gauge caches too, so the
-                    # callback instruments report final figures.
-                    for shard in range(self.plan.k):
-                        self._monotone_shard_requests(shard)
-                        _ = self._shards[shard].active
-                except RuntimeError:  # pragma: no cover - race with close
-                    pass
-            self._pool.close()
-        else:
-            for handle in self._shards:
-                handle.close()
-        self.trunk.close()
+        try:
+            if self._pool is not None:
+                if not self._pool.closed:
+                    try:
+                        self.metrics_snapshot()
+                        # Final federation pass: post-close scrapes (e.g.
+                        # --dump-metrics after shutdown) serve the last
+                        # harvested worker series.
+                        self._harvest_shard_metrics()
+                        # Refresh the per-shard gauge caches too, so the
+                        # callback instruments report final figures.
+                        for shard in range(self.plan.k):
+                            self._monotone_shard_requests(shard)
+                            _ = self._shards[shard].active
+                    except RuntimeError:  # pragma: no cover - close race
+                        pass
+                self._pool.close()  # raises a posted release's error ack
+            else:
+                for handle in self._shards:
+                    handle.close()
+        finally:
+            self.trunk.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,18 +10,24 @@ by a small pickled command protocol mapped 1:1 onto the
 :class:`~repro.service.api.PlacementBackend` surface (``request`` /
 ``admit_batch`` / ``release`` / ``renew`` / ``tick`` / ``status`` /
 ``metrics_snapshot`` / ``flush_state``, plus the pool-internal ops the
-router's scatter-gather needs: ``probe``, ``holds``,
-``reservation_map``, ``edge_claims``, ``stats``, ``ping``, …).
+router's routing and recovery need: ``probe``, ``reservation_map``,
+``edge_claims``, ``stats``, ``ping``, …).
 
 Design points:
 
 * **Transport** — one duplex :func:`multiprocessing.Pipe` per worker,
-  strict request/reply with per-worker sequence numbers.  A worker
-  executes its commands serially in arrival order; *different* workers
-  run concurrently, which is where fan-out probes and scatter-gathered
-  batches get their parallelism.  A :class:`threading.Lock` serializes
-  pool access so a metrics-scrape thread can never interleave frames
-  with the request path.
+  one reply per envelope, in pipe order.  A worker executes its
+  commands serially in arrival order; *different* workers run
+  concurrently, which is where fan-out probes and paired cross-shard
+  commits get their parallelism.  Each worker's unacked envelopes sit
+  in one FIFO (``_WorkerProc.unacked``): an *awaited* envelope's caller
+  blocks for its reply, a *posted* one (``call_many(wait=False)`` — the
+  router's releases) is sent now and its ack read before the next
+  awaited reply from that worker, at the latest by
+  :meth:`ShardWorkerPool.drain`.  At most ``_MAX_UNACKED`` envelopes
+  are outstanding per worker, so neither pipe buffer can fill.  A
+  :class:`threading.RLock` keeps a metrics-scrape thread from ever
+  interleaving frames with the request path.
 * **Clock** — every command envelope carries the router's ``now``; the
   worker fast-forwards its shared manual clock before dispatching, so
   lease expiry inside a worker agrees exactly with the router's
@@ -47,12 +53,15 @@ Design points:
   :class:`~repro.obs.metrics.MetricsFederation`.
 * **Crash recovery** — workers answer health pings, and a dead worker
   (detected by a broken pipe or a failed liveness check before send) is
-  restarted in place.  With a ``state_dir``, each shard's service
-  recovers its ledger from its own WAL directory
+  restarted in place as a new *incarnation*.  With a ``state_dir``,
+  each shard's service recovers its ledger from its own WAL directory
   (``state_dir/shard-i``) through the existing ``recover_ledger`` path,
-  so no *committed* lease is lost; the call that was in flight when the
-  worker died raises :class:`WorkerCrashError` and the router settles
-  it as a rejection.  Without a ``state_dir`` a restarted worker comes
+  so no *committed* lease is lost.  Every envelope the dead incarnation
+  left unacked is settled by the restart, never waited for: awaited
+  ones raise :class:`WorkerCrashError` (the router settles the request
+  as a rejection), posted ones are replayed to the replacement in
+  order (``release`` is idempotent — "not held" is a ``KeyError`` ack,
+  which is ignored).  Without a ``state_dir`` a restarted worker comes
   back empty and the router's next tick reaps the orphaned composites.
 """
 
@@ -61,7 +70,9 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import os
+import pickle
 import threading
+from collections import Counter, deque
 from typing import Any, Optional, Sequence
 
 from ...core.spec import ApplicationSpec
@@ -83,14 +94,19 @@ logger = logging.getLogger("repro.service.sharding")
 #: Seconds between liveness checks while waiting on a worker reply.
 _POLL_S = 0.2
 
-#: The command vocabulary — the PlacementBackend surface plus the
-#: pool-internal introspection ops the router's routing/recovery needs.
-_OPS = frozenset({
-    "request", "probe", "admit_batch", "release", "renew", "tick",
-    "status", "metrics_snapshot", "flush_state", "holds",
-    "reservation_map", "edge_claims", "active", "stats",
-    "check_invariants", "ping", "metrics_state", "drain_spans",
-})
+#: Unacked envelopes allowed per worker before the pool reads the oldest
+#: reply.  A release and its ack are a few hundred bytes each way, span
+#: batch included, so neither pipe buffer comes near full: the worker can
+#: always write its acks, so it never stops reading commands.
+_MAX_UNACKED = 32
+
+#: Ops that may be posted.  A posted envelope is replayed when its worker
+#: restarts, so the op must be idempotent.
+_POSTABLE_OPS = frozenset({"release"})
+
+#: ``repro_shard_worker_errors_total`` — one series per ``site`` label.
+WORKER_ERRORS_METRIC = "repro_shard_worker_errors_total"
+WORKER_ERRORS_HELP = "Errors caught at a shard-worker boundary, by site."
 
 #: Ops that must never carry trace context.  These run from metrics
 #: scrape threads or maintenance sweeps — the main thread's span stack
@@ -99,7 +115,7 @@ _OPS = frozenset({
 #: corrupt its tree.  Their spans (if any) come home via ``drain_spans``.
 _UNTRACED_OPS = frozenset({
     "stats", "metrics_state", "metrics_snapshot", "ping", "drain_spans",
-    "check_invariants",
+    "check_invariants", "close",
 })
 
 
@@ -135,28 +151,17 @@ class PinnedNodes:
 
 # -- the worker side ---------------------------------------------------------
 
+#: Ops that are the shard service's own methods, arguments and all.
+_SERVICE_OPS = frozenset({
+    "request", "probe", "admit_batch", "release", "renew", "tick",
+    "status", "metrics_snapshot", "flush_state", "check_invariants",
+})
+
+
 def _dispatch(service: SelectionService, op: str, args: tuple, kwargs: dict):
     """Apply one command to one shard's service; returns the payload."""
-    if op == "request":
-        return service.request(*args, **kwargs)
-    if op == "probe":
-        return service.probe(*args, **kwargs)
-    if op == "admit_batch":
-        return service.admit_batch(args[0])
-    if op == "release":
-        return service.release(*args, **kwargs)
-    if op == "renew":
-        return service.renew(*args, **kwargs)
-    if op == "tick":
-        return service.tick()
-    if op == "status":
-        return service.status(*args)
-    if op == "metrics_snapshot":
-        return service.metrics_snapshot()
-    if op == "flush_state":
-        return service.flush_state()
-    if op == "holds":
-        return args[0] in service.ledger.reservations
+    if op in _SERVICE_OPS:
+        return getattr(service, op)(*args, **kwargs)
     if op == "reservation_map":
         return {
             app_id: (list(r.nodes), r.granted_at)
@@ -174,13 +179,19 @@ def _dispatch(service: SelectionService, op: str, args: tuple, kwargs: dict):
             "active_leases": service.ledger.active,
             "stages": service.metrics.stage_summaries(),
         }
-    if op == "check_invariants":
-        return service.check_invariants()
     if op == "ping":
         return os.getpid()
     if op == "metrics_state":
         return service.registry.dump_state()
     raise ValueError(f"unknown worker op {op!r}")
+
+
+def _count_error(service: SelectionService, site: str) -> None:
+    """Worker-side error sites count in the shard's own registry, which
+    the router federates under its ``shard=`` label."""
+    service.registry.counter(
+        WORKER_ERRORS_METRIC, WORKER_ERRORS_HELP, labels={"site": site}
+    ).inc()
 
 
 def _worker_main(
@@ -235,11 +246,14 @@ def _worker_main(
             ("hello", {s: services[s].recovery for s in shard_ids},
              os.getpid())
         )
-    except Exception as exc:  # construction failed: report, don't hang
+    except Exception as exc:
+        # Boundary: whatever construction raised is reported to the
+        # parent, which counts it (site="startup") and raises.
         try:
             conn.send(("fail", repr(exc), os.getpid()))
-        finally:
-            return
+        except OSError:
+            pass  # the parent is gone: nobody left to tell
+        return
     while True:
         try:
             msg = conn.recv()
@@ -278,23 +292,46 @@ def _worker_main(
                 payload = _dispatch(services[shard], op, args, kwargs)
             reply = (seq, "ok", payload, spans)
         except Exception as exc:
+            # Boundary: the op's error crosses the pipe to its caller
+            # (or, for a posted op, to the next drain).
+            _count_error(services[shard], "dispatch")
             reply = (seq, "err", exc, spans)
         try:
             conn.send(reply)
-        except Exception:
-            # The payload (or exception) didn't pickle — degrade to a
-            # transportable error instead of killing the worker.
+        except (pickle.PicklingError, TypeError, AttributeError):
+            # The payload (or exception) didn't pickle — nothing was
+            # written yet, so degrade to a transportable error instead
+            # of killing the worker.
+            _count_error(services[shard], "reply_pickle")
             conn.send((seq, "err", RuntimeError(
                 f"unpicklable worker reply for op {op!r}"
             ), spans))
     for service in services.values():
         try:
             service.close()
-        except Exception:  # pragma: no cover - best-effort shutdown
-            pass
+        except (OSError, ValueError) as exc:  # pragma: no cover
+            logger.warning("shard service close failed at exit: %r", exc)
 
 
 # -- the router side ---------------------------------------------------------
+
+class _Envelope:
+    """One command on the wire, from send until its reply is read."""
+
+    __slots__ = ("shard", "op", "args", "kwargs", "posted", "seq",
+                 "incarnation", "ctx", "sent_at", "reply")
+
+    def __init__(self, shard: int, op: str, args: tuple, kwargs: dict,
+                 posted: bool) -> None:
+        self.shard, self.op, self.args, self.kwargs = shard, op, args, kwargs
+        #: Posted: nobody blocks for the reply; its ack is read in passing.
+        self.posted = posted
+        self.seq = self.incarnation = 0
+        #: Trace context, and send time on the router tracer's timeline.
+        self.ctx = self.sent_at = None
+        #: ``(status, payload)`` once settled (awaited envelopes only).
+        self.reply: Optional[tuple[str, Any]] = None
+
 
 class _WorkerProc:
     """Bookkeeping for one live worker process (pool-internal)."""
@@ -304,13 +341,15 @@ class _WorkerProc:
         self.shards = shards
         self.proc = None
         self.conn = None
-        self.seq = 0
         self.pid: Optional[int] = None
-        #: seq -> (trace ctx, send time on the router tracer's timeline,
-        #: shard) for in-flight commands; ``call_many`` pipelines several
-        #: commands to one worker before reading any reply, so the
-        #: stitching metadata must be per-seq, not per-worker.
-        self.inflight: dict[int, tuple] = {}
+        #: Which process this is, counting restarts; ``seq`` restarts
+        #: from zero with each, so ``(incarnation, seq)`` names an
+        #: envelope and a reply is only ever matched within one.
+        self.incarnation = 0
+        self.seq = 0
+        #: Envelopes sent to this incarnation and not yet replied to, in
+        #: pipe order — which is the order the replies arrive in.
+        self.unacked: deque[_Envelope] = deque()
 
 
 class ShardWorkerPool:
@@ -381,6 +420,11 @@ class ShardWorkerPool:
         )
         self._lock = threading.RLock()
         self.restarts = 0
+        #: Parent-side error sites (``startup``, ``posted_ack``) of
+        #: ``repro_shard_worker_errors_total{site=}``.
+        self.errors: Counter[str] = Counter()
+        #: Error acks of posted envelopes, raised by :meth:`drain`.
+        self._ack_errors: list[BaseException] = []
         #: Shards whose worker restarted since the router last synced
         #: (drained by :meth:`take_restarted_shards`).
         self._restarted_shards: set[int] = set()
@@ -418,9 +462,10 @@ class ShardWorkerPool:
         proc.start()
         child.close()
         w.proc, w.conn, w.seq = proc, parent, 0
-        w.inflight.clear()  # replies for the old incarnation never come
+        w.incarnation += 1
         while not parent.poll(_POLL_S):
             if not proc.is_alive():
+                self.errors["startup"] += 1
                 raise RuntimeError(
                     f"shard worker {w.worker_id} died during startup "
                     f"(exit code {proc.exitcode})"
@@ -428,6 +473,7 @@ class ShardWorkerPool:
         kind, payload, pid = parent.recv()
         if kind != "hello":
             proc.join(timeout=5.0)
+            self.errors["startup"] += 1
             raise RuntimeError(
                 f"shard worker {w.worker_id} failed to start: {payload}"
             )
@@ -436,24 +482,39 @@ class ShardWorkerPool:
             self.recoveries.update(payload)
 
     def _restart(self, w: _WorkerProc, why: str) -> None:
-        """Replace a dead worker; durable shards recover from their WALs."""
+        """Replace a dead worker; durable shards recover from their WALs.
+
+        Everything in ``w.unacked`` went to the dead incarnation, whose
+        replies will never come, so it is settled here: awaited envelopes
+        fail with :class:`WorkerCrashError`, posted ones are replayed to
+        the replacement in their original order, ahead of anything later.
+        """
         try:
             w.conn.close()
-        except Exception:
+        except OSError:
             pass
         if w.proc.is_alive():  # wedged rather than dead: reap it
             w.proc.terminate()
         w.proc.join(timeout=10.0)
-        if self._closed:  # shutting down: reap, don't respawn
-            return
-        self._spawn(w, initial=False)
-        self.restarts += 1
-        self._restarted_shards.update(w.shards)
-        logger.warning(
-            "shard worker %d (%s) restarted: shards %s recovered%s",
-            w.worker_id, why, list(w.shards),
-            "" if self._state_dirs[w.shards[0]] else " (no WAL: empty)",
+        crash = WorkerCrashError(
+            f"worker {w.worker_id} (incarnation {w.incarnation}) died "
+            f"with the command unanswered: {why}"
         )
+        stale, w.unacked = w.unacked, deque()
+        if not self._closed:  # shutting down: reap, don't respawn
+            self._spawn(w, initial=False)
+            self.restarts += 1
+            self._restarted_shards.update(w.shards)
+            logger.warning(
+                "shard worker %d (%s) restarted: shards %s recovered%s",
+                w.worker_id, why, list(w.shards),
+                "" if self._state_dirs[w.shards[0]] else " (no WAL: empty)",
+            )
+        for env in stale:
+            if env.posted and not self._closed:
+                self._transmit(w, env)
+            else:
+                env.reply = ("err", crash)
 
     def take_restarted_shards(self) -> set[int]:
         """Shards restarted since the last call (router resync hook)."""
@@ -504,53 +565,63 @@ class ShardWorkerPool:
         return out
 
     def close(self) -> None:
-        """Flush and stop every worker (idempotent)."""
+        """Flush and stop every worker (idempotent); once they are all
+        down, raises what :meth:`drain` would have."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             for w in self._procs:
-                try:
-                    w.seq += 1
-                    w.conn.send((w.seq, float(self._clock()), w.shards[0],
-                                 "close", (), {}, None))
-                    self._recv(w, w.seq)
-                except (WorkerCrashError, OSError):
-                    pass
+                # Posted acks come home ahead of the close reply; a
+                # worker found dead is reaped, not respawned.
+                self._await(w, self._send(w, w.shards[0], "close", (), {}))
                 try:
                     w.conn.close()
-                except Exception:
+                except OSError:
                     pass
                 w.proc.join(timeout=10.0)
                 if w.proc.is_alive():  # pragma: no cover - stuck worker
                     w.proc.terminate()
                     w.proc.join(timeout=5.0)
+            self.drain()
 
     # -- transport ------------------------------------------------------------
-    def _send(self, w: _WorkerProc, shard: int, op: str,
-              args: tuple, kwargs: dict) -> int:
+    def _send(self, w: _WorkerProc, shard: int, op: str, args: tuple,
+              kwargs: dict, *, posted: bool = False) -> _Envelope:
         if not w.proc.is_alive():
             # Died between calls: restart *before* sending, so the call
             # itself proceeds against the recovered worker.
             self._restart(w, "found dead before send")
-        w.seq += 1
-        ctx = None
-        if self.tracer is not None and op not in _UNTRACED_OPS:
-            ctx = self.tracer.context()
-        try:
-            w.conn.send((w.seq, float(self._clock()), shard, op,
-                         args, kwargs, ctx))
-        except (BrokenPipeError, OSError) as exc:
-            self._restart(w, f"send failed ({exc})")
-            raise WorkerCrashError(
-                f"worker {w.worker_id} died before accepting "
-                f"{op!r} for shard {shard}"
-            ) from exc
+        while len(w.unacked) >= _MAX_UNACKED:
+            self._collect(w)
+        env = _Envelope(shard, op, args, kwargs, posted)
         if self.tracer is not None:
-            w.inflight[w.seq] = (ctx, self.tracer._now(), shard)
-        return w.seq
+            if op not in _UNTRACED_OPS:
+                env.ctx = self.tracer.context()
+            env.sent_at = self.tracer._now()
+        self._transmit(w, env)
+        return env
 
-    def _recv(self, w: _WorkerProc, seq: int):
+    def _transmit(self, w: _WorkerProc, env: _Envelope) -> None:
+        """Write ``env`` to ``w``'s live incarnation and queue it."""
+        w.seq += 1
+        env.seq, env.incarnation = w.seq, w.incarnation
+        try:
+            w.conn.send((env.seq, float(self._clock()), env.shard, env.op,
+                         env.args, env.kwargs, env.ctx))
+        except OSError as exc:
+            # Queued all the same, so that the restart settles it like
+            # any other envelope the dead incarnation never answered.
+            w.unacked.append(env)
+            self._restart(w, f"send failed ({exc})")
+            return
+        w.unacked.append(env)
+
+    def _collect(self, w: _WorkerProc) -> None:
+        """Read the reply to ``w``'s oldest unacked envelope — or, when
+        the worker is found dead instead, restart it, which settles
+        that envelope along with every other one."""
+        env = w.unacked[0]
         while True:
             try:
                 if w.conn.poll(_POLL_S):
@@ -558,36 +629,41 @@ class ShardWorkerPool:
                     break
             except (EOFError, OSError) as exc:
                 self._restart(w, f"recv failed ({exc})")
-                raise WorkerCrashError(
-                    f"worker {w.worker_id} died mid-command"
-                ) from exc
+                return
             if not w.proc.is_alive():
                 # SIGKILL with forked siblings holding the pipe ends
                 # never delivers EOF; the liveness check catches it.
                 if w.conn.poll(0):
                     continue
                 self._restart(w, "found dead awaiting reply")
-                raise WorkerCrashError(
-                    f"worker {w.worker_id} died mid-command"
-                )
-        assert reply_seq == seq, (
-            f"worker {w.worker_id} protocol desync: "
-            f"reply {reply_seq} != expected {seq}"
+                return
+        w.unacked.popleft()
+        assert (env.incarnation, env.seq) == (w.incarnation, reply_seq), (
+            f"worker {w.worker_id} protocol desync: reply {reply_seq} of "
+            f"incarnation {w.incarnation} != expected {env.seq} of "
+            f"incarnation {env.incarnation}"
         )
-        if self.tracer is not None:
-            ctx, sent_at, shard = w.inflight.pop(seq, (None, None, None))
-            if spans:
-                extra = {"pid": w.pid}
-                if ctx is not None:
-                    # Only a traced envelope pins a shard; an untraced
-                    # drain batch may mix spans from several shards.
-                    extra["shard"] = shard
-                self.tracer.adopt(
-                    spans, parent=ctx, base_s=sent_at, **extra,
-                )
-        if status == "err":
-            raise payload
-        return payload
+        if spans and self.tracer is not None:
+            extra = {"pid": w.pid}
+            if env.ctx is not None:
+                # Only a traced envelope pins a shard; an untraced
+                # drain batch may mix spans from several shards.
+                extra["shard"] = env.shard
+            self.tracer.adopt(
+                spans, parent=env.ctx, base_s=env.sent_at, **extra,
+            )
+        if not env.posted:
+            env.reply = (status, payload)
+        elif status == "err" and not isinstance(payload, KeyError):
+            # KeyError is "not held": already released, or lost with a
+            # non-durable worker.  Anything else waits for the drain.
+            self.errors["posted_ack"] += 1
+            self._ack_errors.append(payload)
+
+    def _await(self, w: _WorkerProc, env: _Envelope) -> tuple[str, Any]:
+        while env.reply is None:
+            self._collect(w)
+        return env.reply
 
     def call(self, shard: int, op: str, *args, **kwargs):
         """One synchronous command against ``shard``'s service."""
@@ -595,8 +671,11 @@ class ShardWorkerPool:
             raise RuntimeError("worker pool is closed")
         with self._lock:
             w = self._by_shard[shard]
-            seq = self._send(w, shard, op, args, kwargs)
-            return self._recv(w, seq)
+            status, payload = self._await(
+                w, self._send(w, shard, op, args, kwargs))
+        if status == "err":
+            raise payload
+        return payload
 
     def drain_spans(self) -> int:
         """Collect leftover worker spans (untraced-op residue) from
@@ -615,7 +694,7 @@ class ShardWorkerPool:
         return total
 
     def call_many(
-        self, calls: Sequence[tuple]
+        self, calls: Sequence[tuple], *, wait: bool = True
     ) -> list[tuple[str, Any]]:
         """Fan a batch of commands out across the workers concurrently.
 
@@ -626,37 +705,37 @@ class ShardWorkerPool:
         order, ``("ok", payload)`` or ``("err", exception)`` — a crashed
         worker yields ``WorkerCrashError`` entries for its pending calls
         rather than failing the whole fan-out.
+
+        ``wait=False`` *posts* the commands (``_POSTABLE_OPS`` only) and
+        returns ``[]`` at once: each ack is read in pipe order before
+        the next awaited reply from its worker, a ``KeyError`` ack is
+        ignored, and any other error ack is raised by :meth:`drain`.
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
+        if not wait and any(c[1] not in _POSTABLE_OPS for c in calls):
+            raise ValueError(
+                f"only {sorted(_POSTABLE_OPS)} can be posted: a posted "
+                "envelope is replayed after a worker restart"
+            )
         with self._lock:
-            results: list[Optional[tuple[str, Any]]] = [None] * len(calls)
-            sent: dict[int, list[tuple[int, int]]] = {}  # wid -> [(i, seq)]
-            for i, (shard, op, args, kwargs) in enumerate(calls):
+            sent = []
+            for shard, op, args, kwargs in calls:
                 w = self._by_shard[shard]
-                try:
-                    seq = self._send(w, shard, op, args, kwargs)
-                except WorkerCrashError as exc:
-                    results[i] = ("err", exc)
-                    continue
-                sent.setdefault(w.worker_id, []).append((i, seq))
-            by_id = {w.worker_id: w for w in self._procs}
-            for worker_id, pending in sent.items():
-                w = by_id[worker_id]
-                crashed: Optional[WorkerCrashError] = None
-                for i, seq in pending:
-                    if crashed is not None:
-                        results[i] = ("err", crashed)
-                        continue
-                    try:
-                        results[i] = ("ok", self._recv(w, seq))
-                    except WorkerCrashError as exc:
-                        crashed = exc
-                        results[i] = ("err", exc)
-                    except Exception as exc:  # worker-side op error
-                        results[i] = ("err", exc)
-            # Every slot is filled: send failures above, replies here.
-            return results  # type: ignore[return-value]
+                sent.append((w, self._send(w, shard, op, args, kwargs,
+                                           posted=not wait)))
+            return [self._await(w, env) for w, env in sent] if wait else []
+
+    def drain(self) -> None:
+        """Read every posted envelope's ack; raise the first error ack
+        (other than ``KeyError``) seen since the last drain."""
+        with self._lock:
+            for w in self._procs:
+                while w.unacked:
+                    self._collect(w)
+            if self._ack_errors:
+                errors, self._ack_errors = self._ack_errors, []
+                raise errors[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -666,16 +745,64 @@ class ShardWorkerPool:
 
 
 # -- shard handles -----------------------------------------------------------
-#
-# The router talks to its shards through these two interchangeable
-# handle types — the same narrow surface whether the shard's service is
-# an object in this process or a worker on another core.
 
-class InprocShard:
-    """The in-process executor's handle: direct calls, zero overhead."""
+class _ShardHandle:
+    """The router's view of one shard, each method one worker op: the
+    same surface whether ``_call`` reaches an object in this process or
+    a worker on another core."""
+
+    def _call(self, op: str, *args, **kwargs):
+        raise NotImplementedError
+
+    def request(self, app_id: str, spec: ApplicationSpec, **kwargs
+                ) -> PlacementGrant:
+        return self._call("request", app_id, spec, **kwargs)
+
+    def probe(self, spec: ApplicationSpec, *, cpu_fraction: float = 0.0,
+              bw_bps: float = 0.0) -> Optional[Selection]:
+        return self._call(
+            "probe", spec, cpu_fraction=cpu_fraction, bw_bps=bw_bps
+        )
+
+    def admit_batch(self, batch: Sequence[BatchRequest]
+                    ) -> list[PlacementGrant]:
+        return self._call("admit_batch", list(batch))
+
+    def release(self, app_id: str, *, kind: str = "release") -> None:
+        """``KeyError`` when the shard does not hold ``app_id``."""
+        self._call("release", app_id, kind=kind)
+
+    def renew(self, app_id: str, *, extend: Optional[float] = None
+              ) -> PlacementGrant:
+        return self._call("renew", app_id, extend=extend)
+
+    def reservation_map(self) -> dict[str, tuple[list[str], float]]:
+        return self._call("reservation_map")
+
+    def edge_claims(self) -> list:
+        return self._call("edge_claims")
+
+    def stats(self) -> dict:
+        return self._call("stats")
+
+    def metrics_state(self) -> list[dict]:
+        return self._call("metrics_state")
+
+    def check_invariants(self) -> None:
+        self._call("check_invariants")
+
+    def flush_state(self) -> None:
+        self._call("flush_state")
+
+
+class InprocShard(_ShardHandle):
+    """The in-process executor's handle: direct calls on the service."""
 
     def __init__(self, service: SelectionService) -> None:
         self.service = service
+
+    def _call(self, op: str, *args, **kwargs):
+        return _dispatch(self.service, op, args, kwargs)
 
     @property
     def recovery(self):
@@ -685,47 +812,17 @@ class InprocShard:
     def active(self) -> int:
         return self.service.ledger.active
 
+    # The serial hot path (k ticks and one request per routed request)
+    # stays a direct call.
+    def tick(self) -> list[str]:
+        return self.service.tick()
+
     def request(self, app_id: str, spec: ApplicationSpec, **kwargs
                 ) -> PlacementGrant:
         return self.service.request(app_id, spec, **kwargs)
 
-    def probe(self, spec: ApplicationSpec, *, cpu_fraction: float = 0.0,
-              bw_bps: float = 0.0) -> Optional[Selection]:
-        return self.service.probe(
-            spec, cpu_fraction=cpu_fraction, bw_bps=bw_bps
-        )
-
-    def admit_batch(self, batch: Sequence[BatchRequest]
-                    ) -> list[PlacementGrant]:
-        return self.service.admit_batch(batch)
-
-    def release(self, app_id: str, *, kind: str = "release"
-                ) -> PlacementGrant:
-        return self.service.release(app_id, kind=kind)
-
-    def renew(self, app_id: str, *, extend: Optional[float] = None
-              ) -> PlacementGrant:
-        return self.service.renew(app_id, extend=extend)
-
-    def tick(self) -> list[str]:
-        return self.service.tick()
-
-    def status(self, app_id: str) -> PlacementGrant:
-        return self.service.status(app_id)
-
-    def holds(self, app_id: str) -> bool:
-        return app_id in self.service.ledger.reservations
-
-    def reservation_map(self) -> dict[str, tuple[list[str], float]]:
-        return {
-            app_id: (list(r.nodes), r.granted_at)
-            for app_id, r in self.service.ledger.reservations.items()
-        }
-
-    def edge_claims(self) -> list:
-        return list(self.service.ledger.edge_claims())
-
     def stats(self) -> dict:
+        # The in-process per-shard schema has no stage table.
         return {
             "requests": self.service.metrics.requests,
             "admitted": self.service.metrics.admitted,
@@ -736,23 +833,11 @@ class InprocShard:
     def requests_total(self) -> int:
         return self.service.metrics.requests
 
-    def metrics_snapshot(self) -> dict:
-        return self.service.metrics_snapshot()
-
-    def metrics_state(self) -> list[dict]:
-        return self.service.registry.dump_state()
-
-    def check_invariants(self) -> None:
-        self.service.check_invariants()
-
-    def flush_state(self) -> None:
-        self.service.flush_state()
-
     def close(self) -> None:
         self.service.close()
 
 
-class ProcessShard:
+class ProcessShard(_ShardHandle):
     """The process executor's handle: the same surface over the pool."""
 
     def __init__(self, pool: ShardWorkerPool, shard: int) -> None:
@@ -763,6 +848,9 @@ class ProcessShard:
         self._last_active = 0
         self._last_requests = 0
 
+    def _call(self, op: str, *args, **kwargs):
+        return self.pool.call(self.shard, op, *args, **kwargs)
+
     @property
     def recovery(self):
         return self.pool.recoveries.get(self.shard)
@@ -770,67 +858,19 @@ class ProcessShard:
     @property
     def active(self) -> int:
         if not self.pool.closed:
-            self._last_active = self.pool.call(self.shard, "active")
+            self._last_active = self._call("active")
         return self._last_active
 
-    def request(self, app_id: str, spec: ApplicationSpec, **kwargs
-                ) -> PlacementGrant:
-        return self.pool.call(self.shard, "request", app_id, spec, **kwargs)
-
-    def probe(self, spec: ApplicationSpec, *, cpu_fraction: float = 0.0,
-              bw_bps: float = 0.0) -> Optional[Selection]:
-        return self.pool.call(
-            self.shard, "probe", spec,
-            cpu_fraction=cpu_fraction, bw_bps=bw_bps,
+    def release(self, app_id: str, *, kind: str = "release") -> None:
+        """Posted: "not held" is no error here, any other is the drain's."""
+        self.pool.call_many(
+            [(self.shard, "release", (app_id,), {"kind": kind})], wait=False
         )
-
-    def admit_batch(self, batch: Sequence[BatchRequest]
-                    ) -> list[PlacementGrant]:
-        return self.pool.call(self.shard, "admit_batch", list(batch))
-
-    def release(self, app_id: str, *, kind: str = "release"
-                ) -> PlacementGrant:
-        return self.pool.call(self.shard, "release", app_id, kind=kind)
-
-    def renew(self, app_id: str, *, extend: Optional[float] = None
-              ) -> PlacementGrant:
-        return self.pool.call(self.shard, "renew", app_id, extend=extend)
-
-    def tick(self) -> list[str]:
-        return self.pool.call(self.shard, "tick")
-
-    def status(self, app_id: str) -> PlacementGrant:
-        return self.pool.call(self.shard, "status", app_id)
-
-    def holds(self, app_id: str) -> bool:
-        return self.pool.call(self.shard, "holds", app_id)
-
-    def reservation_map(self) -> dict[str, tuple[list[str], float]]:
-        return self.pool.call(self.shard, "reservation_map")
-
-    def edge_claims(self) -> list:
-        return self.pool.call(self.shard, "edge_claims")
-
-    def stats(self) -> dict:
-        return self.pool.call(self.shard, "stats")
 
     def requests_total(self) -> int:
         if not self.pool.closed:
-            self._last_requests = self.pool.call(
-                self.shard, "stats")["requests"]
+            self._last_requests = self.stats()["requests"]
         return self._last_requests
-
-    def metrics_snapshot(self) -> dict:
-        return self.pool.call(self.shard, "metrics_snapshot")
-
-    def metrics_state(self) -> list[dict]:
-        return self.pool.call(self.shard, "metrics_state")
-
-    def check_invariants(self) -> None:
-        self.pool.call(self.shard, "check_invariants")
-
-    def flush_state(self) -> None:
-        self.pool.call(self.shard, "flush_state")
 
     def close(self) -> None:
         """No-op: the pool owns worker shutdown (see ``pool.close()``)."""

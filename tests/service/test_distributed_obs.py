@@ -112,6 +112,33 @@ class TestStitchedTraces:
                 lineage.append(node["name"])
             assert any(name.startswith("worker.") for name in lineage)
 
+    def test_posted_release_spans_are_stitched_when_acked(self):
+        """A release is posted: its worker spans come home with the ack,
+        after the caller's span has closed, and still join its tree."""
+        tracer = Tracer()
+        router = _router(tracer=tracer)
+        try:
+            worker_pids = set(router.pool.pids().values())
+            grant = router.request(
+                "app", ApplicationSpec(num_nodes=4), cpu_fraction=0.2,
+                spread=2, bw_bps=Mbps,
+            )
+            assert grant.admitted
+            with tracer.span("client.release") as client:
+                router.release("app")
+            assert not [s for s in tracer.spans
+                        if s["name"] == "worker.release"]
+            router.check_invariants()  # drains the acks
+        finally:
+            router.close()
+        released = [s for s in tracer.spans if s["name"] == "worker.release"]
+        assert sorted(s["attrs"]["shard"] for s in released) == sorted(
+            grant.shards)
+        for span in released:
+            assert span["trace"] == client.trace_id
+            assert span["parent"] == client.span_id
+            assert span["attrs"]["pid"] in worker_pids
+
     def test_untraced_router_ships_no_spans(self):
         router = _router(tracer=None)
         try:

@@ -8,8 +8,10 @@ a non-durable crash genuinely lost.
 
 import os
 import signal
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.spec import ApplicationSpec
@@ -19,8 +21,8 @@ from repro.service import (
     ShardRouter,
     WorkerCrashError,
 )
-from repro.service.sharding.workers import PinnedNodes
-from repro.topology import two_campus
+from repro.service.sharding.workers import _MAX_UNACKED, PinnedNodes
+from repro.topology import random_tree, two_campus
 from repro.units import Mbps
 
 
@@ -66,6 +68,57 @@ def _drive(router, n=20):
     return out
 
 
+_HEAVY_WAVE = 6
+
+
+def _wave_graph():
+    rng = np.random.default_rng(7)
+    g = random_tree(400, 80, rng, bandwidth=100 * Mbps)
+    for node in g.compute_nodes():
+        node.load_average = float(rng.uniform(0, 0.5))
+    return g
+
+
+def _drive_waves(router, waves=12):
+    """``admit_batch`` of 32 (sizes 3..6), one ``spread=2`` request with
+    a trunk claim, release of the previous wave.  Wave ``_HEAVY_WAVE``
+    claims whole nodes and adds one request wider than any shard."""
+    rng = np.random.default_rng(11)
+    out, prev = [], []
+    for w in range(waves):
+        heavy = w == _HEAVY_WAVE
+        batch = [
+            BatchRequest(app_id=f"w{w}-{j}",
+                         spec=ApplicationSpec(num_nodes=int(m)),
+                         cpu_fraction=0.6 if heavy else 0.1)
+            for j, m in enumerate(rng.integers(3, 7, size=32))
+        ]
+        if heavy:
+            batch.append(BatchRequest(
+                app_id=f"w{w}-wide", spec=ApplicationSpec(num_nodes=140),
+                cpu_fraction=0.1,
+            ))
+        grants = router.admit_batch(batch)
+        grants.append(router.request(
+            f"w{w}-x", ApplicationSpec(num_nodes=6), cpu_fraction=0.1,
+            bw_bps=0.5 * Mbps, spread=2,
+        ))
+        out.extend(
+            (g.app_id, g.status,
+             tuple(g.selection.nodes) if g.selection else None, g.shards)
+            for g in grants
+        )
+        for app in prev:
+            router.release(app)
+        prev = [g.app_id for g in grants if g.admitted]
+    router.check_invariants()
+    for app in prev:
+        router.release(app)
+    router.check_invariants()
+    assert router.trunk.active == 0 and router.active_apps() == []
+    return out
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_process_matches_inproc(self, workers):
@@ -76,34 +129,29 @@ class TestBitIdentity:
         assert _drive(r_pool) == expected
         r_pool.close()
 
-    def test_fanout_ablation_identical(self):
-        r_on = _pool_router(probe_fanout=True)
-        r_off = _pool_router(probe_fanout=False)
-        assert _drive(r_on) == _drive(r_off)
-        r_on.close()
-        r_off.close()
-
-    def test_admit_batch_scatter_all_admitted(self):
-        r_in = _router()
-        r_pool = _pool_router()
-        batch = [
-            BatchRequest(app_id=f"b{i}", spec=ApplicationSpec(num_nodes=2),
-                         cpu_fraction=0.1)
-            for i in range(6)
-        ]
-        in_grants = r_in.admit_batch(batch)
-        pool_grants = r_pool.admit_batch(batch)
-        # The scatter partitions differently from the waterfall, so only
-        # the outcome set is pinned: same admissions, valid placements.
-        assert [g.admitted for g in in_grants] == [True] * 6
-        assert [g.admitted for g in pool_grants] == [True] * 6
-        for g in pool_grants:
-            shard = g.shards[0]
-            assert set(g.selection.nodes) <= r_pool.plan.shards[shard]
-        r_in.check_invariants()
-        r_pool.check_invariants()
+    def test_admit_batch_waves_match_inproc(self):
+        """The ``workers_10k`` wave shape: the batch path grants what
+        ``executor="inproc"`` grants, field for field, at any worker
+        count — including where the waterfall leaves the first shard."""
+        graph = _wave_graph()
+        r_in = ShardRouter(graph, shards=4, snapshot_ttl=1e9, lease_s=1e9)
+        expected = _drive_waves(r_in)
         r_in.close()
-        r_pool.close()
+        heavy = {
+            app: shards for app, _status, _nodes, shards in expected
+            if app.startswith(f"w{_HEAVY_WAVE}-") and not app.endswith("-x")
+        }
+        # The heavy batch overflows its first shard into a second one, and
+        # the request no shard can host alone takes the serial fallback.
+        assert len({s for s in heavy.values() if len(s) == 1}) >= 2
+        assert len(heavy[f"w{_HEAVY_WAVE}-wide"]) == 2
+        for workers in (1, 2):
+            r_pool = ShardRouter(
+                graph, shards=4, snapshot_ttl=1e9, lease_s=1e9,
+                executor="process", workers=workers,
+            )
+            assert _drive_waves(r_pool) == expected
+            r_pool.close()
 
 
 class TestValidation:
@@ -194,6 +242,150 @@ class TestPool:
         text = r.registry.expose_text()
         assert "repro_shard_workers 2" in text
         assert "repro_shard_worker_restarts_total 0" in text
+        r.close()
+
+
+def _bounded(fn, timeout=30.0):
+    """Run ``fn`` on a daemon thread; its result, or fail if it hangs."""
+    done = []
+    thread = threading.Thread(target=lambda: done.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert done, f"still blocked after {timeout:g} s"
+    return done[0]
+
+
+def _kill(router, worker):
+    proc = router.pool._procs[worker].proc
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(timeout=5.0)
+    assert not proc.is_alive()
+
+
+class TestProtocol:
+    def test_call_many_survives_death_between_two_sends(self):
+        """The second send restarts the worker; the first send's reply
+        belongs to the dead incarnation and must not be waited for."""
+        r = _pool_router(shards=4, workers=2)
+        pool = r.pool
+        victim = pool.worker_of(0)
+        assert pool.worker_of(2) == victim
+        old_pid = pool.pids()[victim]
+        real_send, sends = pool._send, []
+
+        def send_then_kill(w, shard, *args, **kwargs):
+            out = real_send(w, shard, *args, **kwargs)
+            sends.append(shard)
+            if sends == [0]:
+                _kill(r, victim)
+            return out
+
+        pool._send = send_then_kill
+        (kind0, err), (kind2, pid) = _bounded(lambda: pool.call_many(
+            [(0, "ping", (), {}), (2, "ping", (), {})]
+        ))
+        del pool._send
+        assert kind0 == "err" and isinstance(err, WorkerCrashError)
+        assert kind2 == "ok" and pid == pool.pids()[victim] != old_pid
+        assert pool.restarts == 1
+        r.close()
+
+    def test_posting_past_the_bound_does_not_deadlock(self):
+        r = _pool_router(shards=2, workers=1)
+        pool = r.pool
+        ghosts = [(0, "release", (f"ghost{i}@0",), {}) for i in range(4000)]
+        assert _bounded(
+            lambda: pool.call_many(ghosts, wait=False)
+        ) == []
+        assert 0 < len(pool._procs[0].unacked) <= _MAX_UNACKED
+        pool.drain()  # every ack was KeyError: "not held" is not an error
+        assert not pool._procs[0].unacked
+        r.check_invariants()
+        r.close()
+
+    def test_only_idempotent_ops_can_be_posted(self):
+        r = _pool_router()
+        with pytest.raises(ValueError, match="can be posted"):
+            r.pool.call_many([(0, "tick", (), {})], wait=False)
+        r.close()
+
+    def test_posted_error_ack_surfaces_at_the_next_drain(self):
+        r = _pool_router(shards=2, workers=2)
+        assert r.request("a", ApplicationSpec(num_nodes=2),
+                         cpu_fraction=0.1).admitted
+        r._shards[0].release("a@0", kind="bogus")
+        # The request path reads the ack in passing and keeps going ...
+        assert r.request("b", ApplicationSpec(num_nodes=2),
+                         cpu_fraction=0.1).admitted
+        # ... the drain raises it, once.
+        with pytest.raises(ValueError, match="unknown release kind"):
+            r.check_invariants()
+        r.check_invariants()
+        text = r.registry.expose_text()
+        assert ('repro_shard_worker_errors_total{site="posted_ack"} 1'
+                in text)
+        assert ('repro_shard_worker_errors_total{shard="0",site="dispatch"} 1'
+                in text)
+        r.close()
+
+
+class TestPostedReleasesUnderFailure:
+    def _admit(self, router, n=6):
+        for i in range(n):
+            assert router.request(
+                f"app{i}", ApplicationSpec(num_nodes=2), cpu_fraction=0.1,
+                spread=2 if i % 3 == 0 else 1,
+                bw_bps=2 * Mbps if i % 3 == 0 else 0.0,
+            ).admitted
+
+    @pytest.mark.parametrize("stopped", [True, False])
+    def test_durable_restart_replays_posted_releases(self, tmp_path, stopped):
+        """``stopped``: the worker never saw the releases (replay applies
+        them); otherwise it logged them and died with the acks unread
+        (replay finds them not held)."""
+        r = _pool_router(shards=2, workers=2, state_dir=str(tmp_path))
+        self._admit(r)
+        victim = r.pool.worker_of(0)
+        released = [a for a in r.active_apps()
+                    if 0 in r.status(a).shards][:3]
+        assert released
+        if stopped:
+            os.kill(r.pool.pids()[victim], signal.SIGSTOP)
+        for app in released:
+            r.release(app)
+        if not stopped:
+            time.sleep(0.3)
+        assert r.pool._procs[victim].unacked
+        _kill(r, victim)
+        kept = set(r.active_apps())
+        assert r.tick() == []
+        assert r.pool.restarts == 1
+        assert set(r.active_apps()) == kept and len(kept) == 6 - len(released)
+        held = set(r._shards[0].reservation_map())
+        assert not held & {f"{app}@0" for app in released}
+        assert held == {f"{a}@0" for a in kept if 0 in r.status(a).shards}
+        r.check_invariants()
+        for app in sorted(kept):
+            r.release(app)
+        r.check_invariants()
+        r.close()
+
+    def test_nondurable_tick_reaps_exactly_the_lost_composites(self):
+        r = _pool_router(shards=2, workers=2)
+        self._admit(r)
+        victim = r.pool.worker_of(0)
+        on_victim = [a for a in r.active_apps() if 0 in r.status(a).shards]
+        released, lost = on_victim[:2], on_victim[2:]
+        assert released and lost and len(on_victim) < 6
+        os.kill(r.pool.pids()[victim], signal.SIGSTOP)
+        for app in released:
+            r.release(app)
+        _kill(r, victim)
+        assert r.tick() == sorted(lost)
+        assert set(r.active_apps()) == (
+            {f"app{i}" for i in range(6)} - set(on_victim)
+        )
+        r.check_invariants()
         r.close()
 
 
