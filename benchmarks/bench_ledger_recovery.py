@@ -2,16 +2,16 @@
 
 Two questions, one harness:
 
-1. **What does durability cost the hot path?**  The same warm-cache
-   request/release cycle as ``bench_service_hotpath.py`` runs twice on
-   the same topology with the same background holds — once in-memory,
-   once with a :class:`~repro.service.LedgerWal` attached (two JSONL
-   appends per cycle).  Acceptance gate: the WAL-enabled cycle stays
-   within **1.15x of the committed 366 us warm cycle** (the pre-overhaul
-   service baseline ``bench_service_hotpath.py`` carries forward) — the
-   durable control plane must not give back what the O(Δ) overlay work
-   bought.  The same-run in-memory/WAL ratio and the ratio against the
-   committed ``BENCH_service_hotpath.json`` figures are recorded too.
+1. **What does durability cost the hot path?**  The warm-cache
+   request/release cycle (the tenant shape of ``benchmarks/e2e``'s
+   ``repeat_1k``, at 33 hosts) runs twice on the same topology with the
+   same background holds — once in-memory, once with a
+   :class:`~repro.service.LedgerWal` attached (two JSONL appends per
+   cycle).  Acceptance gate: the WAL-enabled cycle stays within
+   **1.15x of the 366 us warm cycle** recorded for the pre-overhaul
+   service — the durable control plane must not give back what the
+   O(Δ) overlay work bought.  The same-run in-memory/WAL ratio is
+   recorded too.
 
 2. **How fast does a crashed service come back?**  Ledgers with N live
    leases (plus renew/release churn writing ~1.5 N WAL records) are
@@ -59,10 +59,9 @@ from repro.topology import random_tree  # noqa: E402
 from repro.units import Mbps  # noqa: E402
 
 JSON_PATH = REPO_ROOT / "BENCH_ledger_recovery.json"
-HOTPATH_JSON = REPO_ROOT / "BENCH_service_hotpath.json"
 REPORT_PATH = REPO_ROOT / "benchmarks" / "out" / "ledger_recovery.txt"
 
-#: Hot-path arm: same shape as bench_service_hotpath's 33-host point.
+#: Hot-path arm: the warm-cycle tenant shape on a 33-host tree.
 HOT_NODES = 33
 M = 4
 CPU_CLAIM = 0.35
@@ -78,7 +77,7 @@ REPLAY_REPEATS = 3
 
 #: The committed warm request/release cycle (us) on the 33-host testbed
 #: before the durability work — the baseline the acceptance gate is
-#: anchored to (see bench_service_hotpath.py's baseline note).
+#: anchored to (PR 4's recorded figure; see README "service hot path").
 REFERENCE_WARM_CYCLE_US = 366.0
 
 
@@ -238,17 +237,6 @@ def bench_replay(lease_counts: list[int], seed: int) -> list[dict]:
 
 def run(lease_counts: list[int], n_cycles: int, seed: int) -> dict:
     hot = bench_hot_path(n_cycles, seed)
-    if HOTPATH_JSON.exists():
-        committed = json.loads(HOTPATH_JSON.read_text())
-        ref = next(
-            (e for e in committed.get("entries", [])
-             if e["nodes"] == HOT_NODES), None,
-        )
-        if ref is not None:
-            hot["committed_warm_cycle_us"] = ref["incremental_us"]
-            hot["wal_vs_committed_ratio"] = (
-                hot["wal_us"] / ref["incremental_us"]
-            )
     replay = bench_replay(lease_counts, seed)
     results = {
         "seed": seed,

@@ -18,8 +18,8 @@ Two properties keep the tracer viable on the admission hot path:
 - **A null tracer** (:data:`NULL_TRACER`): tracing is off by default,
   and the disabled path is a singleton whose ``span()`` returns a shared
   no-op span — no allocation, no id bookkeeping, no buffering.  The
-  hot-path budget (``benchmarks/bench_service_hotpath.py``) holds the
-  disabled overhead under 5% and the enabled overhead under 15%.
+  hot-path budget is disabled overhead under 5% and enabled overhead
+  under 15% (DESIGN.md §12 says where it is measured).
 
 Spans serialize to JSONL (one JSON object per line, see
 :meth:`Tracer.write_jsonl`); the ``repro-trace`` CLI

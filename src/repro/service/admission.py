@@ -19,7 +19,32 @@ from typing import Optional
 
 from ..core.spec import ApplicationSpec
 
-__all__ = ["AdmissionQueue", "Decision", "Priority", "SelectionRequest"]
+__all__ = [
+    "AdmissionQueue",
+    "Decision",
+    "Priority",
+    "SelectionRequest",
+    "plain_spec",
+]
+
+
+def plain_spec(spec: ApplicationSpec) -> bool:
+    """Whether ``spec`` is a fixed node count with no floor, bound or
+    structure of its own.
+
+    Only then can a request's claims stand in as its selection floors
+    (the spec admits at most one floor), and only then does the spec
+    keep its meaning when the batch planner packs it greedily or the
+    shard router cuts its node count across shards.
+    """
+    return (
+        spec.min_bandwidth_bps is None
+        and spec.min_cpu_fraction is None
+        and spec.max_latency_s is None
+        and not spec.account_simultaneous_streams
+        and not spec.groups
+        and spec.num_nodes_range is None
+    )
 
 
 class Priority:

@@ -60,6 +60,35 @@ def _slack(*magnitudes: float) -> float:
     return _EPS * max(1.0, *(abs(m) for m in magnitudes))
 
 
+def _subtract(claims: dict, keys: Iterable, amount: float) -> list:
+    """Take ``amount`` off each ``claims[key]``; a remainder within slack
+    of zero deletes the entry.  Returns the deleted keys."""
+    dropped = []
+    for key in keys:
+        claimed = claims[key]
+        remaining = claimed - amount
+        if remaining <= _slack(claimed):
+            del claims[key]
+            dropped.append(key)
+        else:
+            claims[key] = remaining
+    return dropped
+
+
+def _credit(
+    reservation: Reservation, node_claims: dict, edge_claims: dict
+) -> list:
+    """Return ``reservation``'s claims to the given tallies, in place.
+
+    The one copy of the release arithmetic: :meth:`ReservationLedger.release`
+    runs it on the ledger's own tallies, :meth:`claims_without` on trial
+    copies.  Returns the channels whose claim collapsed to nothing.
+    """
+    if reservation.cpu_fraction > 0.0:  # zero claims were never recorded
+        _subtract(node_claims, reservation.nodes, reservation.cpu_fraction)
+    return _subtract(edge_claims, reservation.edges, reservation.bw_bps)
+
+
 #: Stale deadline-heap entries tolerated before :meth:`release`/
 #: :meth:`renew` trigger a compaction.  Below this the lazy-deletion
 #: arithmetic is cheaper than rebuilding; beyond it (and once stale
@@ -287,22 +316,8 @@ class ReservationLedger:
             reservation = self.reservations.pop(app_id)
         except KeyError:
             raise KeyError(f"no reservation for {app_id!r}") from None
-        if reservation.cpu_fraction > 0.0:  # zero claims were never recorded
-            for name in reservation.nodes:
-                claimed = self._node_claims[name]
-                remaining = claimed - reservation.cpu_fraction
-                if remaining <= _slack(claimed):
-                    del self._node_claims[name]
-                else:
-                    self._node_claims[name] = remaining
-        for edge in reservation.edges:
-            claimed = self._edge_claims[edge]
-            remaining = claimed - reservation.bw_bps
-            if remaining <= _slack(claimed):
-                del self._edge_claims[edge]
-                del self._edge_caps[edge]
-            else:
-                self._edge_claims[edge] = remaining
+        for edge in _credit(reservation, self._node_claims, self._edge_claims):
+            del self._edge_caps[edge]
         # The deadline heap entry stays behind (lazy deletion): expire()
         # discards it because the app_id no longer resolves to a live
         # reservation with that deadline.
@@ -471,14 +486,30 @@ class ReservationLedger:
         )
 
     # -- the residual-capacity view -------------------------------------------
-    def apply(self, graph: TopologyGraph) -> TopologyGraph:
+    def claims_without(
+        self, reservations: Iterable[Reservation] = ()
+    ) -> tuple[dict[str, float], dict[DirectedEdge, float]]:
+        """``(node_claims, edge_claims)`` copies as they would read after
+        releasing ``reservations`` in order — :meth:`release`'s own
+        arithmetic, so trial feasibility equals post-release feasibility
+        bit for bit."""
+        nodes, edges = dict(self._node_claims), dict(self._edge_claims)
+        for reservation in reservations:
+            _credit(reservation, nodes, edges)
+        return nodes, edges
+
+    def apply(
+        self, graph: TopologyGraph, without: Iterable[Reservation] = ()
+    ) -> TopologyGraph:
         """Debit all recorded claims from a snapshot (returns a copy).
 
         This is the capacity view the service plugs into
         :class:`repro.core.NodeSelector` (its ``view`` parameter): every
-        selection runs on what is actually left after earlier admissions.
+        selection runs on what is actually left after earlier admissions
+        — or, with ``without``, what would be left once those leases
+        were released (preemption and migration trials).
         """
-        return residual_graph(graph, self._node_claims, self._edge_claims)
+        return residual_graph(graph, *self.claims_without(without))
 
     # -- introspection ----------------------------------------------------------
     def node_claim(self, name: str) -> float:

@@ -9,8 +9,7 @@ Surfaced by ``repro-serve`` and ``benchmarks/bench_service_throughput.py``.
 admission stage (snapshot fetch, residual view, select, claim-verify,
 ledger commit) in a timer, and :meth:`ServiceMetrics.snapshot` reports
 per-stage p50/p95/p99 latencies so a regression in any one stage is
-visible without re-running a profiler (``repro-serve --profile``,
-``benchmarks/bench_service_hotpath.py``).
+visible without re-running a profiler (``repro-serve --profile``).
 
 Both classes are kept as thin, fast adapters over plain Python numbers;
 :meth:`ServiceMetrics.bind` re-exports every counter into a
@@ -27,8 +26,6 @@ keys is a breaking change guarded by
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 __all__ = ["ServiceMetrics", "StageTimer"]
 
@@ -98,69 +95,59 @@ STAGES = (
 )
 
 
-@dataclass
+#: Every integer counter, ``name -> help``, in the frozen snapshot
+#: order.  One row is the whole declaration: the attribute (zeroed in
+#: ``__init__``), the ``repro_service_<name>_total`` registry export
+#: and the snapshot key all come from it.
+COUNTERS = {
+    "requests": "Selection requests received.",
+    "admitted": "Requests granted a reservation.",
+    "queued": "Requests parked in the admission queue.",
+    "rejected": "Requests rejected outright.",
+    "released": "Leases released by their holder.",
+    "renewed": "Lease renewals.",
+    "expired": "Leases reclaimed after missed renewals.",
+    "evicted": "Leases reclaimed because a reserved node crashed.",
+    # Immediately, or clamped to a grace deadline.
+    "preempted": "Leases preempted for gold admissions.",
+    "admitted_from_queue": "Queued requests admitted later.",
+    "queue_displaced": "Queued requests displaced by priority.",
+    # No capacity was returned since the request's last failed attempt.
+    "drain_skipped": "Queue drains skipped by the epoch gate.",
+    "view_rebuilds": "Residual-view rebuilds.",
+    "select_memo_hits": "Admissions answered from the selection memo.",
+    # A subset of select_memo_hits.
+    "select_memo_negative_hits": (
+        "Selection-memo hits on memoized infeasibility."
+    ),
+    # The routed_*/trunk_* rows stay 0 on an unsharded service.
+    "routed_local": "Requests admitted wholly inside one shard.",
+    "routed_cross": "Requests admitted across shards via the trunk.",
+    "trunk_rejections": "Cross-shard requests refused for trunk capacity.",
+    "batches": "admit_batch calls (arrival batches admitted).",
+    "batch_requests": "Requests that arrived inside a batch.",
+    "batch_planned": "Batch requests placed by the greedy batch planner.",
+    "batch_fallbacks": "Batch requests that fell back to serial admission.",
+    "push_events": "Collector staleness push events received.",
+    "migrations": "Leases proactively migrated off degrading nodes.",
+}
+
+
 class ServiceMetrics:
-    """Counters over the life of one :class:`~repro.service.SelectionService`."""
+    """Counters over the life of one :class:`~repro.service.SelectionService`:
+    one plain ``int`` attribute per :data:`COUNTERS` row."""
 
-    requests: int = 0
-    admitted: int = 0
-    queued: int = 0
-    rejected: int = 0
-    released: int = 0
-    renewed: int = 0
-    #: Leases reclaimed because the holder stopped renewing.
-    expired: int = 0
-    #: Leases reclaimed because a fault event crashed a reserved node.
-    evicted: int = 0
-    #: Leases preempted (immediately or clamped to a grace deadline) to
-    #: admit an otherwise-infeasible gold request.
-    preempted: int = 0
-    #: Queued requests admitted later, when capacity freed up.
-    admitted_from_queue: int = 0
-    #: Queued requests displaced by higher-priority arrivals.
-    queue_displaced: int = 0
-    #: Queued requests *not* re-attempted because no capacity was
-    #: returned since their last failed attempt (residual-epoch gate).
-    drain_skipped: int = 0
-    #: Residual overlays rebuilt because the snapshot epoch moved.
-    view_rebuilds: int = 0
-    #: Admission attempts answered from the per-view selection memo.
-    select_memo_hits: int = 0
-    #: Subset of :attr:`select_memo_hits` answered by the *negative*
-    #: cache (a memoized infeasibility, not a memoized placement).
-    select_memo_negative_hits: int = 0
-    #: Requests a :class:`~repro.service.ShardRouter` admitted wholly
-    #: inside one shard (always 0 on an unsharded service).
-    routed_local: int = 0
-    #: Requests admitted across shards via the trunk.
-    routed_cross: int = 0
-    #: Cross-shard requests refused for trunk capacity.
-    trunk_rejections: int = 0
-    #: ``admit_batch`` calls (each amortizes one snapshot fetch + peel
-    #: schedule across the whole arrival batch).
-    batches: int = 0
-    #: Individual requests that arrived inside a batch.
-    batch_requests: int = 0
-    #: Batch requests placed by the greedy batch planner (the amortized
-    #: fast path, vs a full serial admission pipeline run).
-    batch_planned: int = 0
-    #: Batch requests the planner could not place that fell back to the
-    #: exact serial admission pipeline.
-    batch_fallbacks: int = 0
-    #: Collector push events (staleness transitions) received.
-    push_events: int = 0
-    #: Live leases proactively migrated off degrading nodes.
-    migrations: int = 0
-    #: Preempted-lease counts keyed by the victim's priority class
-    #: (feeds ``repro_service_preemptions_total{class=...}``; not part
-    #: of the flat snapshot schema).
-    preempted_by_class: dict = field(default_factory=dict)
-    #: Per-stage latency timers (see :data:`STAGES`), populated lazily.
-    stages: dict = field(default_factory=dict)
-    #: Live gauges merged in by :meth:`snapshot`.
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
+        for name in COUNTERS:
+            setattr(self, name, 0)
+        #: Preempted-lease counts keyed by the victim's priority class
+        #: (feeds ``repro_service_preemptions_total{class=...}``; not part
+        #: of the flat snapshot schema).
+        self.preempted_by_class: dict = {}
+        #: Per-stage latency timers (see :data:`STAGES`), populated lazily.
+        self.stages: dict = {}
+        #: Live gauges merged in by :meth:`snapshot`.
+        self.extras: dict = {}
         # Registry mirror state; None until bind() is called.
         self._registry = None
         self._stage_histograms: dict = {}
@@ -172,55 +159,17 @@ class ServiceMetrics:
         bumping plain ints — and the registry reads them at collection
         time.  Stage durations additionally feed
         ``repro_service_stage_duration_seconds{stage=...}`` histograms
-        from :meth:`observe_stage` onward.
+        from :meth:`observe_stage` onward (samples observed before
+        ``bind()`` are summarized, not replayed).
         """
         self._registry = registry
-        help_by_name = {
-            "requests": "Selection requests received.",
-            "admitted": "Requests granted a reservation.",
-            "queued": "Requests parked in the admission queue.",
-            "rejected": "Requests rejected outright.",
-            "released": "Leases released by their holder.",
-            "renewed": "Lease renewals.",
-            "expired": "Leases reclaimed after missed renewals.",
-            "evicted": "Leases reclaimed because a reserved node crashed.",
-            "preempted": "Leases preempted for gold admissions.",
-            "admitted_from_queue": "Queued requests admitted later.",
-            "queue_displaced": "Queued requests displaced by priority.",
-            "drain_skipped": "Queue drains skipped by the epoch gate.",
-            "view_rebuilds": "Residual-view rebuilds.",
-            "select_memo_hits": "Admissions answered from the selection memo.",
-            "select_memo_negative_hits": (
-                "Selection-memo hits on memoized infeasibility."
-            ),
-            "routed_local": "Requests admitted wholly inside one shard.",
-            "routed_cross": "Requests admitted across shards via the trunk.",
-            "trunk_rejections": (
-                "Cross-shard requests refused for trunk capacity."
-            ),
-            "batches": "admit_batch calls (arrival batches admitted).",
-            "batch_requests": "Requests that arrived inside a batch.",
-            "batch_planned": (
-                "Batch requests placed by the greedy batch planner."
-            ),
-            "batch_fallbacks": (
-                "Batch requests that fell back to serial admission."
-            ),
-            "push_events": "Collector staleness push events received.",
-            "migrations": (
-                "Leases proactively migrated off degrading nodes."
-            ),
-        }
-        for attr, help_text in help_by_name.items():
+        for attr, help_text in COUNTERS.items():
             registry.counter(
                 f"repro_service_{attr}_total", help_text,
                 fn=(lambda a=attr: float(getattr(self, a))),
             )
-        for name, timer in self.stages.items():
+        for name in self.stages:
             self._stage_histograms[name] = self._stage_histogram(name)
-            # Samples observed before bind() are summarized, not replayed;
-            # only count/sum carry over is skipped deliberately — the
-            # histogram documents post-bind behaviour.
 
     def _stage_histogram(self, name: str):
         return self._registry.histogram(
@@ -256,32 +205,7 @@ class ServiceMetrics:
         (stage-timer histograms nested under ``"stages"``; an SLO
         evaluation — :meth:`repro.obs.slo.SloMonitor.evaluate` — nests
         under ``"slo"`` when the caller passes one)."""
-        out = {
-            "requests": self.requests,
-            "admitted": self.admitted,
-            "queued": self.queued,
-            "rejected": self.rejected,
-            "released": self.released,
-            "renewed": self.renewed,
-            "expired": self.expired,
-            "evicted": self.evicted,
-            "preempted": self.preempted,
-            "admitted_from_queue": self.admitted_from_queue,
-            "queue_displaced": self.queue_displaced,
-            "drain_skipped": self.drain_skipped,
-            "view_rebuilds": self.view_rebuilds,
-            "select_memo_hits": self.select_memo_hits,
-            "select_memo_negative_hits": self.select_memo_negative_hits,
-            "routed_local": self.routed_local,
-            "routed_cross": self.routed_cross,
-            "trunk_rejections": self.trunk_rejections,
-            "batches": self.batches,
-            "batch_requests": self.batch_requests,
-            "batch_planned": self.batch_planned,
-            "batch_fallbacks": self.batch_fallbacks,
-            "push_events": self.push_events,
-            "migrations": self.migrations,
-        }
+        out = {name: getattr(self, name) for name in COUNTERS}
         if queue is not None:
             out["queue_depth"] = len(queue)
         if cache is not None:

@@ -4,8 +4,8 @@
 copies the whole snapshot and re-debits every claim, even though one
 admission or release only touches the handful of nodes and channels in
 *that* reservation.  At 33 hosts the copy is noise; at 1000+ it
-dominates the request/release cycle (see ROADMAP's selection-kernel
-profiling item and ``benchmarks/bench_service_hotpath.py``).
+dominates the request/release cycle (README "Service hot-path
+performance" keeps the measured 33 → 1000-host table).
 
 :class:`ResidualView` keeps **one** debited copy alive for as long as
 the underlying snapshot does, and moves it in place:

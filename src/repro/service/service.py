@@ -27,9 +27,13 @@ ledger events instead of rebuilding a residual graph per attempt, and it
 carries epoch-keyed route and peel-schedule memoization for the
 selection kernel.  The overlay lives exactly one snapshot epoch
 (:attr:`SnapshotCache.epoch`) and is rebuilt whenever the epoch or the
-known-down node set moves.  ``incremental=False`` restores the naive
-rebuild path — kept as the benchmark's comparison arm
-(``benchmarks/bench_service_hotpath.py``).
+known-down node set moves.
+
+Every walker — serial admission, :meth:`~SelectionService.probe`,
+``admit_batch``'s planner, preemption planning, push migration — is a
+caller of one read-only placement (``_place``) and one commit tail
+(``_commit``); the naive rebuild those are checked against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -54,9 +58,14 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SloMonitor
 from ..obs.trace import NULL_TRACER
 from ..topology.graph import TopologyGraph
-from ..topology.residual import residual_graph
 from ..topology.routing import RoutingTable
-from .admission import AdmissionQueue, Decision, Priority, SelectionRequest
+from .admission import (
+    AdmissionQueue,
+    Decision,
+    Priority,
+    SelectionRequest,
+    plain_spec,
+)
 from .api import BatchRequest, PlacementGrant, iter_batch
 from .cache import SnapshotCache
 from .ledger import (
@@ -64,7 +73,6 @@ from .ledger import (
     LedgerError,
     Reservation,
     ReservationLedger,
-    _slack,
     route_edges,
 )
 from .metrics import ServiceMetrics
@@ -131,7 +139,7 @@ class _StaticProvider:
         return self._graph
 
 
-class _ManualClock:
+class ManualClock:
     """A hand-advanced clock for static providers and offline replay."""
 
     def __init__(self) -> None:
@@ -141,16 +149,32 @@ class _ManualClock:
         return self.now
 
 
-def _resolve_clock(provider) -> Callable[[], float]:
-    """Best time source for ``provider``: its simulator, else wall clock."""
-    collector = getattr(provider, "collector", None)
-    if collector is not None:  # a RemosAPI
-        sim = collector.cluster.sim
-        return lambda: sim.now
-    sim = getattr(provider, "sim", None)
-    if sim is not None:  # a Cluster (oracle provider)
-        return lambda: sim.now
-    return time.monotonic
+def resolve_provider(provider, clock: Optional[Callable[[], float]] = None):
+    """``(provider, clock, manual_clock)`` for a service or router.
+
+    A bare :class:`TopologyGraph` becomes a static provider on a
+    hand-advanced :class:`ManualClock` (also returned as
+    ``manual_clock``, else ``None``); any other provider follows its
+    simulator, else wall time.  An explicit ``clock`` always wins.
+    """
+    manual_clock = None
+    if isinstance(provider, TopologyGraph):
+        provider = _StaticProvider(provider)
+        if clock is None:
+            clock = manual_clock = ManualClock()
+    if clock is None:
+        collector = getattr(provider, "collector", None)
+        if collector is not None:  # a RemosAPI
+            sim = collector.cluster.sim
+        else:  # a Cluster (oracle provider), if anything
+            sim = getattr(provider, "sim", None)
+        clock = (lambda: sim.now) if sim is not None else time.monotonic
+    return provider, clock, manual_clock
+
+
+def _untimed(_name: str, start: float, **_attrs) -> float:
+    """The stage hook of a walker that keeps no stage timers."""
+    return start
 
 
 class SelectionService:
@@ -180,11 +204,6 @@ class SelectionService:
         when it has one, else a manual clock for static graphs).
     exclude_unhealthy:
         Passed through to the underlying :class:`NodeSelector`.
-    incremental:
-        Use the O(Δ) :class:`ResidualView` overlay on the admission hot
-        path (default).  ``False`` rebuilds the residual graph from the
-        ledger on every attempt — the pre-overhaul behaviour, kept as
-        the benchmark comparison arm.
     tracer:
         A :class:`repro.obs.Tracer` for per-request trace trees.  Default
         is the shared null tracer (tracing off, near-zero overhead).
@@ -230,7 +249,6 @@ class SelectionService:
         routing: Optional[RoutingTable] = None,
         clock: Optional[Callable[[], float]] = None,
         exclude_unhealthy: bool = True,
-        incremental: bool = True,
         tracer=None,
         registry: Optional[MetricsRegistry] = None,
         state_dir: Optional[str] = None,
@@ -245,15 +263,7 @@ class SelectionService:
             raise ValueError(
                 f"preempt_grace_s cannot be negative: {preempt_grace_s}"
             )
-        self._manual_clock: Optional[_ManualClock] = None
-        if isinstance(provider, TopologyGraph):
-            provider = _StaticProvider(provider)
-        if clock is None:
-            if isinstance(provider, _StaticProvider):
-                self._manual_clock = _ManualClock()
-                clock = self._manual_clock
-            else:
-                clock = _resolve_clock(provider)
+        provider, clock, self._manual_clock = resolve_provider(provider, clock)
         self.provider = provider
         self.clock = clock
         self.lease_s = float(lease_s)
@@ -290,9 +300,8 @@ class SelectionService:
         #: only notices a dead host after missed polls, but the service
         #: must not place work there in the meantime.
         self._known_down: set[str] = set()
-        self.incremental = bool(incremental)
-        #: The live residual overlay (incremental mode), valid for one
-        #: snapshot epoch; rebuilt lazily by :meth:`_residual`.
+        #: The live residual overlay, valid for one snapshot epoch;
+        #: rebuilt lazily by :meth:`_residual`.
         self._view: Optional[ResidualView] = None
         self._view_key: Optional[tuple] = None
         #: Bumped whenever the known-down set changes — part of the view
@@ -656,15 +665,7 @@ class SelectionService:
         actually host the claim instead of failing admission afterwards.
         """
         spec = req.spec
-        plain = (
-            spec.min_bandwidth_bps is None
-            and spec.min_cpu_fraction is None
-            and spec.max_latency_s is None
-            and not spec.account_simultaneous_streams
-            and not spec.groups
-            and spec.num_nodes_range is None
-        )
-        if not plain:
+        if not plain_spec(spec):
             return spec
         if req.bw_bps > 0:
             return replace(spec, min_bandwidth_bps=req.bw_bps)
@@ -672,16 +673,19 @@ class SelectionService:
             return replace(spec, min_cpu_fraction=req.cpu_fraction)
         return spec
 
-    def _capacity_view(self, graph: TopologyGraph) -> TopologyGraph:
+    def _capacity_view(
+        self, graph: TopologyGraph, without: Sequence[Reservation] = ()
+    ) -> TopologyGraph:
         """Residual capacity plus injector-reported crashes (a copy).
 
-        The naive O(V+E) path: full graph copy and re-debit of every
-        claim.  The hot path uses :meth:`_residual` instead; this remains
-        as the selector's implicit ``view`` (spec-only ``select()``
-        callers outside the admission pipeline) and as the
-        ``incremental=False`` comparison arm.
+        The naive O(V+E) rebuild: full graph copy and re-debit of every
+        claim.  The hot path runs on :meth:`_residual`'s overlay; this
+        is the selector's implicit ``view`` (spec-only ``select()``
+        callers outside the admission pipeline) and, with ``without``,
+        the *trial* residual preemption planning and migration place
+        on: capacity as it would read once those leases were released.
         """
-        g = self.ledger.apply(graph)
+        g = self.ledger.apply(graph, without)
         for name in self._known_down:
             if g.has_node(name):
                 g.node(name).attrs["down"] = True
@@ -696,14 +700,9 @@ class SelectionService:
             self._residual_epoch += 1
 
     def _residual(self, base: TopologyGraph) -> TopologyGraph:
-        """The residual graph admission runs on, O(Δ)-maintained.
-
-        Incremental mode returns the live overlay, rebuilding it only
-        when the snapshot epoch or the known-down set moved; naive mode
-        rebuilds from the ledger every call.
-        """
-        if not self.incremental:
-            return self._capacity_view(base)
+        """The residual graph admission runs on, O(Δ)-maintained: the
+        live overlay, rebuilt only when the snapshot epoch or the
+        known-down set moved."""
         key = (self.cache.epoch, self._down_epoch)
         if (
             self._view is None
@@ -727,34 +726,167 @@ class SelectionService:
     def _verify_claims(
         self,
         req: SelectionRequest,
-        residual: TopologyGraph,
-        nodes: tuple[str, ...],
-    ):
-        """Check the claims fit residual capacity; returns the routed
-        channel set (``None`` when infeasible or no bandwidth claim)."""
+        graph: TopologyGraph,
+        nodes: Sequence[str],
+        view: Optional[ResidualView] = None,
+    ) -> tuple[bool, Optional[set]]:
+        """Check the claims fit ``graph``'s capacity on ``nodes``;
+        returns ``(fits, edges)`` — the routed channel set, ``None``
+        when infeasible or no bandwidth claim.  ``view`` is the overlay
+        ``graph`` belongs to (its route cache answers); a trial graph
+        routes on itself."""
         for name in nodes:
-            if residual.node(name).cpu + _EPS < req.cpu_fraction:
+            if graph.node(name).cpu + _EPS < req.cpu_fraction:
                 return False, None
         edges = None
         if req.bw_bps > 0:
-            if self.incremental and self._view is not None:
-                edges = self._view.routes.edges_for(nodes)
+            if view is not None:
+                edges = view.routes.edges_for(nodes)
             else:
-                edges = route_edges(residual, nodes, self.routing)
+                edges = route_edges(graph, nodes, self.routing)
             for key, dst in edges:
-                link = residual.link(*tuple(key))
+                link = graph.link(*tuple(key))
                 if link.available_towards(dst) + _EPS < req.bw_bps:
                     return False, None
         return True, edges
 
-    def _try_admit(self, req: SelectionRequest) -> Optional[Grant]:
-        """One admission attempt on current residual capacity.
+    def _place(
+        self,
+        req: SelectionRequest,
+        graph: TopologyGraph,
+        view: Optional[ResidualView] = None,
+        *,
+        memo: bool = False,
+        stage=_untimed,
+    ) -> tuple[Optional[Selection], Optional[set], str]:
+        """The one read-only placement every walker runs.
 
-        Each pipeline stage is timed into :attr:`ServiceMetrics.stages`
-        (``repro-serve --profile`` and the hot-path benchmark read the
-        p50/p95/p99 summaries); with tracing on, the same timestamps
-        become ``stage.*`` spans under a ``service.admit`` span.
+        Effective spec → (memo lookup) → select → claim-verify on
+        ``graph``: the live overlay (pass its ``view``) or a trial
+        residual.  Returns ``(selection, edges, reason)`` with
+        ``selection`` ``None`` and ``reason`` set when infeasible;
+        nothing is debited or recorded on the request.
+
+        ``memo`` consults and feeds the view's selection memo: within
+        one view a selection is a pure function of the spec and the
+        exact claim state (the snapshot and down set are fixed for the
+        view's lifetime), infeasibility included.  ``stage`` receives
+        the ``select`` / ``claim_verify`` stage boundaries.  Serial
+        admission passes both; probes and trials neither.
         """
+        spec = self._effective_spec(req)
+        start = perf_counter()
+        selection = None
+        cached = _MISS
+        if memo:
+            selections = view.selections
+            sel_key = (repr(spec), self.ledger.claims_fingerprint())
+            cached = selections.get(sel_key, _MISS)
+        if cached is _MISS:
+            try:
+                selection = self.selector.select(spec, graph)
+            except NoFeasibleSelection as exc:
+                reason = f"no feasible selection: {exc}"
+                attrs = {"infeasible": str(exc)}
+            if memo:
+                if len(selections) >= _SELECTION_MEMO_LIMIT:
+                    selections.clear()
+                selections[sel_key] = (
+                    None if selection is None else _copy_selection(selection)
+                )
+        else:
+            view.selection_hits += 1
+            self.metrics.select_memo_hits += 1
+            if cached is None:  # proven infeasible at this claim state
+                self.metrics.select_memo_negative_hits += 1
+                reason = "no feasible selection on residual capacity"
+                attrs = {"memo": "negative-hit"}
+            else:
+                selection = _copy_selection(cached)
+        if selection is None:
+            stage("select", start, **attrs)
+            return None, None, reason
+        start = stage("select", start, nodes=len(selection.nodes))
+        fits, edges = self._verify_claims(req, graph, selection.nodes, view)
+        stage("claim_verify", start)
+        if not fits:
+            return None, None, (
+                "claims exceed residual capacity on the selected set"
+            )
+        return selection, edges, ""
+
+    def _commit(
+        self,
+        req: SelectionRequest,
+        selection: Selection,
+        edges,
+        base: TopologyGraph,
+        stage=_untimed,
+    ) -> Optional[Grant]:
+        """The one commit tail: reserve a verified placement, grant it.
+
+        A :class:`LedgerError` — claims fit measured availability but
+        not the ledger caps, e.g. measured idle capacity on an already
+        fully-claimed node — is treated exactly like infeasibility
+        (``None``, with ``req.last_reason`` saying so).
+        """
+        start = perf_counter()
+        try:
+            reservation = self.ledger.reserve(
+                req.app_id,
+                selection.nodes,
+                cpu_fraction=req.cpu_fraction,
+                bw_bps=req.bw_bps,
+                graph=base,
+                now=self.now,
+                lease_s=self.lease_s,
+                routing=self.routing,
+                priority=req.priority,
+                edges=edges,
+            )
+        except LedgerError as exc:
+            stage("ledger_commit", start, error=str(exc))
+            req.last_reason = f"ledger caps exceeded: {exc}"
+            return None
+        stage("ledger_commit", start)
+        explain_record = None
+        if req.explain:
+            from ..obs.explain import explain_selection
+
+            age = self.cache.age
+            explain_record = explain_selection(
+                self._view.graph,
+                selection,
+                refs=References(
+                    compute_priority=req.spec.compute_priority,
+                    comm_priority=req.spec.comm_priority,
+                ),
+                snapshot_epoch=self.cache.epoch,
+                snapshot_age_s=age if age != float("inf") else None,
+            )
+            selection.extras[ExtrasKey.EXPLAIN] = explain_record
+        return Grant(
+            app_id=req.app_id,
+            status=Decision.ADMITTED,
+            selection=selection,
+            reservation=reservation,
+            explain=explain_record,
+        )
+
+    def _stage(self, name: str, start: float, **attrs) -> float:
+        """Close pipeline stage ``name``, opened at ``start``: feed its
+        :attr:`ServiceMetrics.stages` timer (``repro-serve --profile``
+        reads the p50/p95/p99 summaries) and, with tracing on, a
+        ``stage.*`` span.  Returns the end time, the next stage's start."""
+        end = perf_counter()
+        self.metrics.observe_stage(name, end - start)
+        if self.tracer.enabled:
+            self.tracer.record(f"stage.{name}", start, end, **attrs)
+        return end
+
+    def _try_admit(self, req: SelectionRequest) -> Optional[Grant]:
+        """One admission attempt on current residual capacity: place on
+        the live overlay (memo, stage timers, spans), then commit."""
         tracer = self.tracer
         if not tracer.enabled:
             return self._try_admit_inner(req)
@@ -770,124 +902,19 @@ class SelectionService:
             return grant
 
     def _try_admit_inner(self, req: SelectionRequest) -> Optional[Grant]:
-        observe = self.metrics.observe_stage
-        traced = self.tracer.enabled
-        record = self.tracer.record
-        t0 = perf_counter()
+        stage = self._stage
+        start = perf_counter()
         base = self.cache.topology()
-        t1 = perf_counter()
-        observe("snapshot_fetch", t1 - t0)
+        start = stage("snapshot_fetch", start)
         residual = self._residual(base)
-        t2 = perf_counter()
-        observe("residual_view", t2 - t1)
-        if traced:
-            record("stage.snapshot_fetch", t0, t1)
-            record("stage.residual_view", t1, t2)
-        spec = self._effective_spec(req)
-        # Within one view, a selection is a pure function of the spec and
-        # the exact claim state (the snapshot and down set are fixed for
-        # the view's lifetime) — memoize it, including infeasibility.
-        memo = sel_key = None
-        if self.incremental and self._view is not None:
-            memo = self._view.selections
-            sel_key = (repr(spec), self.ledger.claims_fingerprint())
-        cached = _MISS if memo is None else memo.get(sel_key, _MISS)
-        if cached is None:  # proven infeasible at this exact claim state
-            self._view.selection_hits += 1
-            self.metrics.select_memo_hits += 1
-            self.metrics.select_memo_negative_hits += 1
-            t3 = perf_counter()
-            observe("select", t3 - t2)
-            if traced:
-                record("stage.select", t2, t3, memo="negative-hit")
-            req.last_reason = "no feasible selection on residual capacity"
-            return None
-        if cached is not _MISS:
-            self._view.selection_hits += 1
-            self.metrics.select_memo_hits += 1
-            selection = _copy_selection(cached)
-        else:
-            try:
-                selection = self.selector.select(spec, residual)
-            except NoFeasibleSelection as exc:
-                if memo is not None:
-                    if len(memo) >= _SELECTION_MEMO_LIMIT:
-                        memo.clear()
-                    memo[sel_key] = None
-                t3 = perf_counter()
-                observe("select", t3 - t2)
-                if traced:
-                    record("stage.select", t2, t3, infeasible=str(exc))
-                req.last_reason = f"no feasible selection: {exc}"
-                return None
-            if memo is not None:
-                if len(memo) >= _SELECTION_MEMO_LIMIT:
-                    memo.clear()
-                memo[sel_key] = _copy_selection(selection)
-        t3 = perf_counter()
-        observe("select", t3 - t2)
-        # Verify the claims themselves fit on residual capacity.
-        fits, edges = self._verify_claims(req, residual, selection.nodes)
-        t4 = perf_counter()
-        observe("claim_verify", t4 - t3)
-        if traced:
-            record("stage.select", t2, t3, nodes=len(selection.nodes))
-            record("stage.claim_verify", t3, t4)
-        if not fits:
-            req.last_reason = (
-                "claims exceed residual capacity on the selected set"
-            )
-            return None
-        try:
-            reservation = self.ledger.reserve(
-                req.app_id,
-                selection.nodes,
-                cpu_fraction=req.cpu_fraction,
-                bw_bps=req.bw_bps,
-                graph=base,
-                now=self.now,
-                lease_s=self.lease_s,
-                routing=self.routing,
-                priority=req.priority,
-                edges=edges,
-            )
-        except LedgerError as exc:
-            # Claims fit measured availability but not the ledger caps
-            # (e.g. measured idle capacity on an already fully-claimed
-            # node).  Admission treats it exactly like infeasibility.
-            t5 = perf_counter()
-            observe("ledger_commit", t5 - t4)
-            if traced:
-                record("stage.ledger_commit", t4, t5, error=str(exc))
-            req.last_reason = f"ledger caps exceeded: {exc}"
-            return None
-        t5 = perf_counter()
-        observe("ledger_commit", t5 - t4)
-        if traced:
-            record("stage.ledger_commit", t4, t5)
-        explain_record = None
-        if req.explain:
-            from ..obs.explain import explain_selection
-
-            age = self.cache.age
-            explain_record = explain_selection(
-                residual,
-                selection,
-                refs=References(
-                    compute_priority=spec.compute_priority,
-                    comm_priority=spec.comm_priority,
-                ),
-                snapshot_epoch=self.cache.epoch,
-                snapshot_age_s=age if age != float("inf") else None,
-            )
-            selection.extras[ExtrasKey.EXPLAIN] = explain_record
-        return Grant(
-            app_id=req.app_id,
-            status=Decision.ADMITTED,
-            selection=selection,
-            reservation=reservation,
-            explain=explain_record,
+        stage("residual_view", start)
+        selection, edges, reason = self._place(
+            req, residual, self._view, memo=True, stage=stage
         )
+        if selection is None:
+            req.last_reason = reason
+            return None
+        return self._commit(req, selection, edges, base, stage)
 
     def probe(
         self,
@@ -899,18 +926,17 @@ class SelectionService:
         """Read-only admission check: the selection this service *would*
         admit right now, or ``None`` when the request is infeasible.
 
-        Runs the same snapshot → residual → select → claim-verify
-        pipeline as :meth:`request` but commits nothing: no ledger
-        mutation, no queueing, no outcome, no counters.  Because the
-        selector is deterministic, an immediately following
-        :meth:`request` with the same spec and claims admits exactly the
-        probed selection (no other mutation intervening).  The shard
-        router's two-phase cross-shard grant probes every shard first,
-        so a composite admission that cannot complete never has partial
-        claims to roll back.
+        Runs the same placement as :meth:`request` on the live overlay
+        but commits nothing: no ledger mutation, no queueing, no
+        outcome, no counters, no memo.  Because the selector is
+        deterministic, an immediately following :meth:`request` with
+        the same spec and claims admits exactly the probed selection
+        (no other mutation intervening).  The shard router's two-phase
+        cross-shard grant probes every shard first, so a composite
+        admission that cannot complete never has partial claims to roll
+        back.
         """
-        base = self.cache.topology()
-        residual = self._residual(base)
+        residual = self._residual(self.cache.topology())
         req = SelectionRequest(
             app_id="__probe__",
             spec=spec,
@@ -918,34 +944,18 @@ class SelectionService:
             bw_bps=bw_bps,
             submitted_at=self.now,
         )
-        spec_eff = self._effective_spec(req)
-        try:
-            selection = self.selector.select(spec_eff, residual)
-        except NoFeasibleSelection:
-            return None
-        fits, _edges = self._verify_claims(req, residual, tuple(selection.nodes))
-        return selection if fits else None
+        return self._place(req, residual, self._view)[0]
 
     # -- batched admission --------------------------------------------------------
     def _plannable(self, req: SelectionRequest) -> bool:
-        """Whether the greedy batch planner may place this request.
-
-        Mirrors :meth:`_effective_spec`'s plain-spec test: anything
-        carrying its own floors or structural constraints runs the exact
-        serial pipeline instead (the planner only understands claim
-        floors on plain fixed-size specs).
-        """
-        spec = req.spec
+        """Whether the greedy batch planner may place this request: it
+        only understands claim floors on plain fixed-size specs, so
+        anything else (or a request wanting provenance) runs the exact
+        serial pipeline instead."""
         return (
-            self.incremental
-            and not req.explain
-            and spec.min_bandwidth_bps is None
-            and spec.min_cpu_fraction is None
-            and spec.max_latency_s is None
-            and not spec.account_simultaneous_streams
-            and not spec.groups
-            and spec.eligible is None
-            and spec.num_nodes_range is None
+            not req.explain
+            and req.spec.eligible is None
+            and plain_spec(req.spec)
         )
 
     def admit_batch(self, requests: Sequence[BatchRequest]) -> list[Grant]:
@@ -1033,28 +1043,6 @@ class SelectionService:
             + r.bw_bps * len(r.edges) / 1e8
         )
 
-    def _feasible_on(self, req: SelectionRequest, trial: TopologyGraph) -> bool:
-        """Would ``req`` be admissible on the ``trial`` residual graph?
-
-        Runs the same select + claim-verify pipeline as admission, but
-        read-only: nothing is debited, memoized, or recorded.
-        """
-        spec = self._effective_spec(req)
-        try:
-            selection = self.selector.select(spec, trial)
-        except NoFeasibleSelection:
-            return False
-        for name in selection.nodes:
-            if trial.node(name).cpu + _EPS < req.cpu_fraction:
-                return False
-        if req.bw_bps > 0:
-            edges = route_edges(trial, selection.nodes, self.routing)
-            for key, dst in edges:
-                link = trial.link(*tuple(key))
-                if link.available_towards(dst) + _EPS < req.bw_bps:
-                    return False
-        return True
-
     def _plan_preemption(
         self, req: SelectionRequest, base: TopologyGraph
     ) -> Optional[list[Reservation]]:
@@ -1063,20 +1051,18 @@ class SelectionService:
         Candidates are every non-gold lease not already winding down,
         ordered bronze before silver and cheapest first within a class.
         Victims are accumulated greedily: after each addition the request
-        is re-checked on a *trial* residual graph with the victims'
-        claims subtracted — using the exact float arithmetic
-        :meth:`ReservationLedger.release` will use, so trial feasibility
-        equals post-eviction feasibility.  Returns ``None`` when even
-        evicting every candidate leaves the request infeasible (nothing
-        is evicted uselessly).
+        is re-placed on a *trial* residual with the victims' claims
+        credited back by :meth:`ReservationLedger.release`'s own
+        arithmetic, so trial feasibility equals post-eviction
+        feasibility.  Returns ``None`` when even evicting every
+        candidate leaves the request infeasible (nothing is evicted
+        uselessly).
         """
         candidates = [
             r for r in self.ledger.reservations.values()
             if r.priority != Priority.GOLD
             and r.app_id not in self._preempt_pending
         ]
-        if not candidates:
-            return None
         candidates.sort(
             key=lambda r: (
                 -Priority.RANK[r.priority],
@@ -1084,32 +1070,10 @@ class SelectionService:
                 r.app_id,
             )
         )
-        trial_nodes = dict(self.ledger._node_claims)
-        trial_edges = dict(self.ledger._edge_claims)
-        victims: list[Reservation] = []
-        for r in candidates:
-            victims.append(r)
-            # Mirror release()'s subtraction exactly: same "remaining
-            # below slack collapses to deletion" rule, same order.
-            for name in r.nodes:
-                claimed = trial_nodes[name]
-                remaining = claimed - r.cpu_fraction
-                if remaining <= _slack(claimed):
-                    del trial_nodes[name]
-                else:
-                    trial_nodes[name] = remaining
-            for edge in r.edges:
-                claimed = trial_edges[edge]
-                remaining = claimed - r.bw_bps
-                if remaining <= _slack(claimed):
-                    del trial_edges[edge]
-                else:
-                    trial_edges[edge] = remaining
-            trial = residual_graph(base, trial_nodes, trial_edges)
-            for name in self._known_down:
-                if trial.has_node(name):
-                    trial.node(name).attrs["down"] = True
-            if self._feasible_on(req, trial):
+        for n in range(1, len(candidates) + 1):
+            victims = candidates[:n]
+            trial = self._capacity_view(base, without=victims)
+            if self._place(req, trial)[0] is not None:
                 return victims
         return None
 
@@ -1395,12 +1359,13 @@ class SelectionService:
     def _migrate_lease(self, app_id: str, node: str) -> bool:
         """Move ``app_id``'s lease off degrading ``node`` (best effort).
 
-        Evaluates the advisor on a *trial* residual view with this
-        app's own claims credited back (the service-level analogue of
-        the paper's self-footprint correction — what a re-admission
-        would actually run against), then release-and-readmit pinned to
-        the advisor's candidate.  Any failure leaves the lease exactly
-        as it was: an unmovable lease simply waits for crash eviction.
+        Evaluates the advisor on a *trial* residual with this app's own
+        claims credited back by release()'s arithmetic (the
+        service-level analogue of the paper's self-footprint correction
+        — what a re-admission would actually run against), then
+        release-and-readmit pinned to the advisor's candidate.  Any
+        failure leaves the lease exactly as it was: an unmovable lease
+        simply waits for crash eviction.
         """
         r = self.ledger.reservations.get(app_id)
         if r is None:
@@ -1409,29 +1374,7 @@ class SelectionService:
         if spec is None:
             spec = ApplicationSpec(num_nodes=len(r.nodes))
         base = self.cache.topology()  # fresh: the event invalidated it
-        # Credit this app's claims back with release()'s exact
-        # arithmetic (see _plan_preemption) so advisor feasibility
-        # equals re-admission feasibility.
-        trial_nodes = dict(self.ledger._node_claims)
-        trial_edges = dict(self.ledger._edge_claims)
-        for name in r.nodes:
-            claimed = trial_nodes[name]
-            remaining = claimed - r.cpu_fraction
-            if remaining <= _slack(claimed):
-                del trial_nodes[name]
-            else:
-                trial_nodes[name] = remaining
-        for edge in r.edges:
-            claimed = trial_edges[edge]
-            remaining = claimed - r.bw_bps
-            if remaining <= _slack(claimed):
-                del trial_edges[edge]
-            else:
-                trial_edges[edge] = remaining
-        trial = residual_graph(base, trial_nodes, trial_edges)
-        for name in self._known_down:
-            if trial.has_node(name):
-                trial.node(name).attrs["down"] = True
+        trial = self._capacity_view(base, without=[r])
         from ..core.migration import SelfFootprint
 
         try:
@@ -1503,8 +1446,7 @@ class SelectionService:
 
     @property
     def view(self) -> Optional[ResidualView]:
-        """The live residual overlay (``None`` before the first request
-        or in ``incremental=False`` mode)."""
+        """The live residual overlay (``None`` before the first request)."""
         return self._view
 
     def metrics_snapshot(self) -> dict:
@@ -1609,49 +1551,19 @@ class _BatchPlanner:
         for entry in deferred:
             heapq.heappush(heap, entry)
 
-        def restore() -> None:
-            for name in chosen:
-                heapq.heappush(heap, (-graph.node(name).cpu, name))
-
-        if len(chosen) < m:
-            restore()
-            req.last_reason = "batch planner found no feasible placement"
-            return None
-        edges = None
-        if req.bw_bps > 0:
-            edges = view.routes.edges_for(chosen)
-            for key, dst in edges:
-                link = graph.link(*tuple(key))
-                if link.available_towards(dst) + _EPS < req.bw_bps:
-                    restore()
-                    req.last_reason = (
-                        "batch planner found no feasible placement"
-                    )
-                    return None
-        try:
-            reservation = service.ledger.reserve(
-                req.app_id, chosen,
-                cpu_fraction=req.cpu_fraction, bw_bps=req.bw_bps,
-                graph=self.base, now=service.now,
-                lease_s=service.lease_s, routing=service.routing,
-                priority=req.priority, edges=edges,
-            )
-        except LedgerError:
-            restore()
-            req.last_reason = "batch planner claim refused by ledger"
-            return None
-        # The ledger listener already debited the overlay in place;
-        # re-rank the chosen nodes at their post-commit availability.
-        restore()
-        selection = Selection(
-            nodes=list(chosen),
-            objective=min(avails),
-            min_cpu_fraction=min(avails),
-            algorithm="batch-greedy",
-        )
-        return Grant(
-            app_id=req.app_id,
-            status=Decision.ADMITTED,
-            selection=selection,
-            reservation=reservation,
-        )
+        grant = None
+        if len(chosen) == m:
+            fits, edges = service._verify_claims(req, graph, chosen, view)
+            if fits:
+                selection = Selection(
+                    nodes=list(chosen),
+                    objective=min(avails),
+                    min_cpu_fraction=min(avails),
+                    algorithm="batch-greedy",
+                )
+                grant = service._commit(req, selection, edges, self.base)
+        # On a commit the ledger listener already debited the overlay in
+        # place: re-rank the chosen nodes at their current availability.
+        for name in chosen:
+            heapq.heappush(heap, (-graph.node(name).cpu, name))
+        return grant

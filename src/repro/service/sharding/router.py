@@ -54,7 +54,7 @@ from ...obs.metrics import MetricsFederation, MetricsRegistry
 from ...obs.slo import SloMonitor
 from ...obs.trace import NULL_TRACER
 from ...topology.graph import TopologyGraph
-from ..admission import Decision, Priority
+from ..admission import Decision, Priority, plain_spec
 from ..api import BatchRequest, PlacementGrant, iter_batch
 from ..cache import RouteCache
 from ..ledger import LedgerError
@@ -63,9 +63,7 @@ from ..service import (
     _METRIC_BY_RELEASE_KIND,
     _STATUS_BY_RELEASE_KIND,
     SelectionService,
-    _ManualClock,
-    _resolve_clock,
-    _StaticProvider,
+    resolve_provider,
 )
 from .partition import ShardPlan, partition_topology, repartition
 from .trunk import TrunkLedger
@@ -180,7 +178,6 @@ class ShardRouter:
         cpu_cap: float = 1.0,
         clock=None,
         exclude_unhealthy: bool = True,
-        incremental: bool = True,
         tracer=None,
         registry: Optional[MetricsRegistry] = None,
         state_dir: Optional[str] = None,
@@ -195,21 +192,13 @@ class ShardRouter:
                 f"unknown executor {executor!r}; "
                 "expected 'inproc' or 'process'"
             )
-        self._manual_clock: Optional[_ManualClock] = None
-        if isinstance(provider, TopologyGraph):
-            provider = _StaticProvider(provider)
-        if executor == "process" and not isinstance(provider, _StaticProvider):
+        if executor == "process" and not isinstance(provider, TopologyGraph):
             raise ValueError(
                 "executor='process' requires a static TopologyGraph "
                 "provider: worker clocks follow the router's envelope "
                 "timestamps, not a live simulator"
             )
-        if clock is None:
-            if isinstance(provider, _StaticProvider):
-                self._manual_clock = _ManualClock()
-                clock = self._manual_clock
-            else:
-                clock = _resolve_clock(provider)
+        provider, clock, self._manual_clock = resolve_provider(provider, clock)
         self.provider = provider
         self.clock = clock
         self.lease_s = float(lease_s)
@@ -251,7 +240,6 @@ class ShardRouter:
             snapshot_ttl=snapshot_ttl,
             cpu_cap=cpu_cap,
             exclude_unhealthy=exclude_unhealthy,
-            incremental=incremental,
         )
         #: The full topology, captured once: structure-only uses (trunk
         #: routing, link capacities) never change within a deployment.
@@ -853,23 +841,6 @@ class ShardRouter:
             )
         return [grants[b.app_id] for b in batch]
 
-    @staticmethod
-    def _splittable(spec: ApplicationSpec) -> bool:
-        """Cross-shard splitting supports plain fixed-size specs only.
-
-        Groups, node-count ranges, latency bounds, stream accounting,
-        and explicit floors all couple the node set globally; splitting
-        them per shard would silently change their meaning.
-        """
-        return (
-            not spec.groups
-            and spec.num_nodes_range is None
-            and spec.max_latency_s is None
-            and not spec.account_simultaneous_streams
-            and spec.min_bandwidth_bps is None
-            and spec.min_cpu_fraction is None
-        )
-
     def _plan_split(
         self,
         spec: ApplicationSpec,
@@ -976,7 +947,9 @@ class ShardRouter:
         order: list[int],
     ) -> PlacementGrant:
         """Phase 1 (probe, read-only) + phase 2 (commit) of a split grant."""
-        if not self._splittable(spec):
+        # Anything but a plain spec couples the node set globally;
+        # splitting it per shard would silently change its meaning.
+        if not plain_spec(spec):
             return PlacementGrant(
                 app_id=app_id, status=Decision.REJECTED,
                 reason=(

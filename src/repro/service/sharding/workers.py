@@ -79,7 +79,7 @@ from ...core.spec import ApplicationSpec
 from ...core.types import Selection
 from ...obs.trace import Tracer
 from ..api import BatchRequest, PlacementGrant
-from ..service import SelectionService, _ManualClock
+from ..service import ManualClock, SelectionService
 
 __all__ = [
     "InprocShard",
@@ -220,7 +220,7 @@ def _worker_main(
     reply; untraced-op leftovers accumulate until a ``drain_spans`` or
     the close envelope flushes them.
     """
-    clock = _ManualClock()
+    clock = ManualClock()
     clock.now = start_now
     tracer = Tracer() if trace_enabled else None
     services: dict[int, SelectionService] = {}
@@ -367,8 +367,7 @@ class ShardWorkerPool:
         envelope so worker-side lease expiry agrees with the router.
     service_kwargs:
         Per-shard :class:`SelectionService` keyword arguments
-        (``snapshot_ttl``, ``cpu_cap``, ``exclude_unhealthy``,
-        ``incremental``).
+        (``snapshot_ttl``, ``cpu_cap``, ``exclude_unhealthy``).
     state_dir:
         Durability root; shard ``i`` logs under ``state_dir/shard-i``.
         Restarted workers recover from these directories.

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from repro.service import SelectionService
 from repro.topology import TopologyGraph
 
 
@@ -32,3 +33,21 @@ def bfs_path(graph: TopologyGraph, src: str, dst: str) -> Optional[list[str]]:
                 return out
             queue.append(nxt)
     return None
+
+
+def naive_rebuild_service(*args, **kwargs) -> SelectionService:
+    """The admission hot path as it was before the O(Δ) overlay: every
+    attempt drops the live view and places on ``ledger.apply()``'s
+    from-scratch rebuild, so no in-place delta, memo entry, cached route
+    or peel schedule outlives one attempt."""
+    service = SelectionService(*args, **kwargs)
+    overlay = service._residual
+
+    def rebuild(base: TopologyGraph) -> TopologyGraph:
+        service._view = None
+        overlay(base)
+        service._view.graph = service._capacity_view(base)
+        return service._view.graph
+
+    service._residual = rebuild
+    return service

@@ -1,0 +1,109 @@
+"""Seam contract for the end-to-end harness (``benchmarks/e2e/trace.py``).
+
+The harness shadows methods on live instances to record its per-layer
+spans; a refactor that renames a seam, or stops calling it through the
+instance, silently zeroes a per-layer column that only the benchmark's
+own CI job would notice.  This drives every op the workloads use through
+a wrapped service and a wrapped in-process router and asserts each seam
+still fires.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from repro.core import ApplicationSpec
+from repro.service import BatchRequest, SelectionService, ShardRouter
+from repro.topology import dumbbell, two_campus
+from repro.units import Mbps
+
+_TRACE_PY = Path(__file__).resolve().parents[2] / "benchmarks/e2e/trace.py"
+
+#: ``layer:entry`` names the per-layer columns are computed from.
+SEAMS = {
+    "service.residual_view:_residual",
+    "service.residual_view:apply_delta",
+    "core.selector:select",
+    "service.cache:topology",
+    "service.cache:edges_for",
+    "service.ledger:reserve",
+    "service.wal:append",
+    "service.service:probe",
+    "sharding.trunk:reserve",
+}
+
+#: Registry names ``workloads.py`` reads the kernel counters from.
+KERNEL_COUNTERS = {
+    "repro_kernel_peel_schedule_reuses_total",
+    "repro_kernel_peel_schedule_adjusts_total",
+    "repro_kernel_peel_schedule_builds_total",
+    "repro_kernel_route_cache_hits_total",
+    "repro_kernel_route_cache_misses_total",
+}
+
+
+def _load_trace():
+    spec = importlib.util.spec_from_file_location("e2e_trace", _TRACE_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _drive(backend, tag):
+    """request / admit_batch / renew / tick / release, as the workloads do."""
+    claims = {"cpu_fraction": 0.1, "bw_bps": 1 * Mbps}
+    assert backend.request(
+        f"{tag}-a", ApplicationSpec(num_nodes=2), **claims
+    ).admitted
+    grants = backend.admit_batch([
+        BatchRequest(f"{tag}-b{i}", ApplicationSpec(num_nodes=2), **claims)
+        for i in range(3)
+    ])
+    assert all(g.admitted for g in grants)
+    backend.renew(f"{tag}-a")
+    backend.tick()
+    backend.release(f"{tag}-a")
+
+
+def test_every_harness_seam_still_fires(tmp_path):
+    trace = _load_trace()
+    rec = trace.SpanRecorder()
+    rec.on = True
+
+    svc = SelectionService(
+        dumbbell(4, 4), snapshot_ttl=1e9, state_dir=str(tmp_path / "svc")
+    )
+    trace.install_service(rec, svc)
+    _drive(svc, "svc")
+    # Admits and probes alike reach the overlay through ``svc._residual``.
+    for op in (
+        lambda: svc.probe(ApplicationSpec(num_nodes=2),
+                          cpu_fraction=0.1, bw_bps=1 * Mbps),
+        lambda: svc.request("svc-c", ApplicationSpec(num_nodes=2)),
+    ):
+        before = sum(entry == "_residual" for _, entry, *_ in rec.spans)
+        assert op() is not None
+        after = sum(entry == "_residual" for _, entry, *_ in rec.spans)
+        assert after == before + 1
+    snap = svc.metrics_snapshot()
+    assert snap["view_rebuilds"] == 1
+    assert "select_memo_hits" in snap
+    assert snap["stages"]["select"]["count"] >= 2
+    assert KERNEL_COUNTERS <= {
+        item["name"] for item in svc.registry.dump_state()
+    }
+
+    router = ShardRouter(
+        two_campus(fast_hosts=6, slow_hosts=6), shards=2, snapshot_ttl=1e9
+    )
+    trace.install_router(rec, router)
+    _drive(router, "rt")
+    assert router.request(
+        "rt-spread", ApplicationSpec(num_nodes=2),
+        cpu_fraction=0.1, bw_bps=1 * Mbps, spread=2,
+    ).admitted
+    assert len(router.services) == 2
+
+    fired = {f"{layer}:{entry}" for layer, entry, *_ in rec.spans}
+    assert SEAMS <= fired, sorted(SEAMS - fired)
+    rec.uninstall()
+    svc.close()

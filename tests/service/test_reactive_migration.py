@@ -127,6 +127,32 @@ class TestProactiveMigration:
         assert victim in service.ledger.reservations["app"].nodes
 
 
+    def test_bandwidth_only_lease_never_raises_into_the_collector(self):
+        # A zero-CPU lease records no node claim; crediting it back for
+        # the advisor's trial must not look one up.  Any exception here
+        # would escape the collector's subscriber loop via sim.run().
+        sim, cluster, collector, api, service, injector = make_rig()
+        service.enable_push(collector)
+        sim.run(until=3.0)
+        grant = service.request(
+            "app", ApplicationSpec(num_nodes=2), bw_bps=1e6,
+        )
+        assert grant.admitted
+        before = service.ledger.reservations["app"]
+        victim = grant.selection.nodes[0]
+        injector.schedule([
+            AgentOutage(device=victim, at=sim.now + 0.5, duration=1e6),
+        ])
+        sim.run(until=sim.now + 6.0)
+        assert service.metrics.push_events >= 1
+        after = service.ledger.reservations["app"]
+        if service.metrics.migrations:
+            assert victim not in after.nodes
+        else:
+            assert after == before  # left exactly as it was
+        service.check_invariants()
+
+
 class TestPushLifecycle:
     def test_enable_twice_raises(self):
         sim, cluster, collector, api, service, injector = make_rig()

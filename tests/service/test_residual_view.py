@@ -17,11 +17,14 @@ from repro.service import (
     ResidualView,
     RouteCache,
     SelectionService,
+    ShardRouter,
     StageTimer,
 )
 from repro.topology import RoutingTable, dumbbell, grid, star
 from repro.topology.residual import residual_graph
 from repro.units import Mbps
+
+from ..oracles import naive_rebuild_service
 
 
 def spec(n=2):
@@ -189,27 +192,43 @@ class TestEpochMemoization:
         assert service.metrics.view_rebuilds == 2
         service.check_invariants()
 
+    @staticmethod
+    def _stream(service):
+        """One contended request/release stream; returns its outcomes."""
+        claims = {"cpu_fraction": 0.3, "bw_bps": 4 * Mbps}
+        grants = [service.request(f"a{i}", spec(2), **claims)
+                  for i in range(6)]
+        service.release("a0")
+        grants.append(service.request("z", spec(3), **claims))
+        service.check_invariants()
+        return [
+            (g.status, g.selection.nodes if g.admitted else None)
+            for g in grants
+        ]
+
     def test_incremental_and_naive_grants_identical(self):
         g = dumbbell(4, 4)
         inc = SelectionService(g, snapshot_ttl=1e9)
-        naive = SelectionService(g, snapshot_ttl=1e9, incremental=False)
-        for i in range(6):
-            gi = inc.request(f"a{i}", spec(2),
-                             cpu_fraction=0.3, bw_bps=4 * Mbps)
-            gn = naive.request(f"a{i}", spec(2),
-                               cpu_fraction=0.3, bw_bps=4 * Mbps)
-            assert gi.status == gn.status
-            if gi.admitted:
-                assert gi.selection.nodes == gn.selection.nodes
-        inc.release("a0")
-        naive.release("a0")
-        gi = inc.request("z", spec(3), cpu_fraction=0.3, bw_bps=4 * Mbps)
-        gn = naive.request("z", spec(3), cpu_fraction=0.3, bw_bps=4 * Mbps)
-        assert gi.status == gn.status
-        if gi.admitted:
-            assert gi.selection.nodes == gn.selection.nodes
-        inc.check_invariants()
-        assert naive.view is None  # naive mode never builds an overlay
+        naive = naive_rebuild_service(g, snapshot_ttl=1e9)
+        outcomes = self._stream(inc)
+        assert outcomes == self._stream(naive)
+        # The oracle really rebuilt per attempt; the overlay never did.
+        assert inc.metrics.view_rebuilds == 1
+        assert naive.metrics.view_rebuilds == len(outcomes)
+
+    @pytest.mark.parametrize("backend", [SelectionService, ShardRouter])
+    def test_rebuild_arm_is_not_a_constructor_flag(self, backend):
+        with pytest.raises(TypeError):
+            backend(dumbbell(4, 4), incremental=False)
+
+    def test_traced_and_untraced_grants_identical(self):
+        from repro.obs import Tracer
+
+        g = dumbbell(4, 4)
+        plain = SelectionService(g, snapshot_ttl=1e9)
+        traced = SelectionService(g, snapshot_ttl=1e9, tracer=Tracer())
+        assert self._stream(plain) == self._stream(traced)
+        assert traced.tracer.spans
 
     def test_selection_memo_hits_on_repeat_state(self):
         service = SelectionService(star(6), snapshot_ttl=1e9)
