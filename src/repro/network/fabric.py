@@ -130,6 +130,12 @@ class Fabric:
         self._settle()
         return self._octets[cid]
 
+    def octet_counters(self) -> dict[ChannelId, float]:
+        """Every channel's cumulative byte counter, settled to now: what
+        one SNMP walk over a device's interfaces reads (read-only)."""
+        self._settle()
+        return self._octets
+
     def used_bandwidth(self, cid: ChannelId) -> float:
         """Sum of flow rates currently crossing the channel (bps)."""
         return sum(

@@ -214,15 +214,15 @@ def _peel_sequence(
 def _staleness(graph, nodes, snapshot_age_s: Optional[float]) -> dict:
     """Measurement-health provenance for the inputs the decision read.
 
-    Per-resource ``age_s`` attributes are collected where the snapshot
-    carries them (:meth:`repro.remos.RemosAPI.topology` annotates them);
+    Per-resource sample ages are collected where the snapshot carries
+    them (:meth:`repro.topology.TopologyGraph.node_age`);
     stale/unmonitorable marks are reported graph-wide — an excluded node
     shapes the decision exactly by being excluded.
     """
     node_ages = {}
     for name in nodes:
         if graph.has_node(name):
-            age = graph.node(name).attrs.get("age_s")
+            age = graph.node_age(name)
             if age is not None:
                 node_ages[name] = _num(age)
     link_ages = {}
@@ -238,7 +238,7 @@ def _staleness(graph, nodes, snapshot_age_s: Optional[float]) -> dict:
                 continue
             seen.add(link.key)
             tag = f"{link.u}--{link.v}"
-            age = link.attrs.get("age_s")
+            age = graph.link_age(u, v)
             if age is not None:
                 link_ages[tag] = _num(age)
             if link.attrs.get("stale"):

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from ..network.cluster import Cluster
 from ..network.fairshare import max_min_fair
 from ..obs.trace import NULL_TRACER
-from ..topology.graph import TopologyGraph
+from ..topology.graph import Measurement, TopologyGraph
 from .collector import Collector
 from .predictor import LastValue, Predictor
 
@@ -135,10 +135,18 @@ class RemosAPI:
         self.predictor = predictor or LastValue()
         self.degraded = degraded
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Full topology sweeps answered (every :meth:`topology` call walks
-        #: all hosts and links).  The selection service's snapshot cache is
+        #: Topology queries answered, each with a whole annotated graph
+        #: (derived in full the first time, then as a patch of the
+        #: previous answer).  The selection service's snapshot cache is
         #: judged against this counter.
         self.topology_sweeps = 0
+        #: The previous answer and where it read the collector's change
+        #: log up to.  ``_lineage`` names this handle in its snapshots'
+        #: provenance (a token: a pickled snapshot must not drag the
+        #: collector along).
+        self._lineage = object()
+        self._snapshot: Optional[TopologyGraph] = None
+        self._cursor = -1
 
     @property
     def cluster(self) -> Cluster:
@@ -148,19 +156,19 @@ class RemosAPI:
     def current(self) -> "RemosAPI":
         """A view answering from *current* conditions (last measurement)."""
         return RemosAPI(self.collector, predictor=LastValue(),
-                        degraded=self.degraded)
+                        degraded=self.degraded, tracer=self.tracer)
 
     def windowed(self, seconds: float) -> "RemosAPI":
         """A view answering from a fixed window of history (mean)."""
         from .predictor import SlidingMean
         return RemosAPI(self.collector, predictor=SlidingMean(seconds),
-                        degraded=self.degraded)
+                        degraded=self.degraded, tracer=self.tracer)
 
     def forecast(self, alpha: float = 0.3) -> "RemosAPI":
         """A view answering with an EWMA estimate of future availability."""
         from .predictor import Ewma
         return RemosAPI(self.collector, predictor=Ewma(alpha),
-                        degraded=self.degraded)
+                        degraded=self.degraded, tracer=self.tracer)
 
     # -- node-level queries ------------------------------------------------------
     def node_info(self, name: str) -> NodeInfo:
@@ -199,16 +207,10 @@ class RemosAPI:
 
     def link_info(self, u: str, v: str) -> LinkInfo:
         """Capacity, measured utilization, latency and health for one link."""
-        graph = self.cluster.graph
-        link = graph.link(u, v)
-        if link.attrs.get("duplex") == "half":
-            cids = [(link.key, "shared")]
-            util = self._channel_utilization(cids[0])
-            fwd = rev = util
-        else:
-            cids = [(link.key, link.v), (link.key, link.u)]
-            fwd = self._channel_utilization(cids[0])
-            rev = self._channel_utilization(cids[1])
+        link = self.cluster.graph.link(u, v)
+        cids = _channels(link)
+        fwd = self._channel_utilization(cids[0])
+        rev = self._channel_utilization(cids[-1]) if len(cids) > 1 else fwd
         statuses = [self.collector.channel_status(cid) for cid in cids]
         age = max(s.age_s for s in statuses)
         stale = any(s.stale for s in statuses)
@@ -238,41 +240,68 @@ class RemosAPI:
         bandwidth per direction.  Under a non-optimistic degraded policy,
         nodes whose monitoring went stale additionally carry
         ``attrs["unmonitorable"] = True`` so health-aware selection
-        (:class:`repro.core.NodeSelector`) can exclude them.
+        (:class:`repro.core.NodeSelector`) can exclude them, and stale
+        links ``attrs["stale"] = True``.
 
-        Measurement provenance rides along: every node and link whose
-        sample age is finite carries ``attrs["age_s"]``, which the
-        explain surface (:mod:`repro.obs.explain`) reports as the
-        staleness of the inputs a selection decision read.
+        The answer costs what changed, not what exists: the first query
+        derives every node and link, each later one only the resources
+        the collector's change log names since, swapped into a
+        structure-sharing patch of the previous answer
+        (:meth:`TopologyGraph.replaced`) — a new graph with the values a
+        from-scratch sweep would give.  Generations share node and link
+        objects, so snapshots are **read-only**: debit or mark a
+        :meth:`~TopologyGraph.copy`.  (A predictor that reads history
+        rather than the newest sample re-derives everything each time.)
+
+        Provenance rides along as :attr:`TopologyGraph.measurement`:
+        what this answer replaced (a consumer holding the previous one
+        re-bases instead of rebuilding) and the sample ages
+        (:meth:`TopologyGraph.node_age` / :meth:`~TopologyGraph.link_age`),
+        which the explain surface reports as the staleness of a
+        decision's inputs and :meth:`export_snapshot` writes out as
+        ``attrs["age_s"]``.
         """
         if self.tracer.enabled:
             with self.tracer.span(
                 "remos.topology", policy=self.degraded
             ) as span:
-                g, stale_count = self._topology_inner()
-                span.set(stale_resources=stale_count)
+                g = self._sweep()
+                span.set(stale_resources=sum(
+                    bool(n.attrs.get("unmonitorable")) for n in g.nodes()
+                ) + sum(bool(l.attrs.get("stale")) for l in g.links()))
                 return g
-        g, _stale = self._topology_inner()
-        return g
+        return self._sweep()
 
-    def _topology_inner(self) -> tuple[TopologyGraph, int]:
+    def _sweep(self) -> TopologyGraph:
         self.topology_sweeps += 1
-        g = self.cluster.graph.copy()
+        collector = self.collector
+        physical = self.cluster.graph
+        self._cursor, moved = collector.changes_since(self._cursor)
+        if type(self.predictor) is not LastValue:
+            moved = None  # any new sample can move a forecast from history
+        if self._snapshot is None or moved is None:
+            g = physical.copy()
+            hosts = frozenset(self.cluster.hosts)
+            links = frozenset(link.key for link in physical.links())
+        else:
+            hosts = frozenset(r for r in moved if type(r) is str)
+            links = frozenset(moved) - hosts
+            g = self._snapshot.replaced(
+                [physical.node(name).copy() for name in hosts],
+                [physical.link(*key).copy() for key in links],
+            )
         mark = self.degraded != DegradedPolicy.OPTIMISTIC
-        stale_count = 0
-        for name in self.cluster.hosts:
+        for name in hosts:
             info = self.node_info(name)
             node = g.node(name)
             node.load_average = (
                 info.load_average if info.load_average != float("inf")
                 else _UNMONITORABLE_LOAD
             )
-            if info.age_s != float("inf"):
-                node.attrs["age_s"] = info.age_s
             if mark and info.stale:
                 node.attrs["unmonitorable"] = True
-                stale_count += 1
-        for link in g.links():
+        for key in links:
+            link = g.link(*key)
             info = self.link_info(link.u, link.v)
             link.set_available(
                 min(link.maxbw, info.available_fwd_bps), direction=link.v
@@ -280,12 +309,30 @@ class RemosAPI:
             link.set_available(
                 min(link.maxbw, info.available_rev_bps), direction=link.u
             )
-            if info.age_s != float("inf"):
-                link.attrs["age_s"] = info.age_s
             if mark and info.stale:
                 link.attrs["stale"] = True
-                stale_count += 1
-        return g, stale_count
+        # Ages are one number per round, not a stamp per resource: every
+        # agent the round reached was sampled at ``round_at``.
+        late = {}
+        for r in collector.late_resources():
+            if type(r) is str:
+                late[r] = collector.host_status(r).age_s
+            elif r[0] not in late:
+                late[r[0]] = max(
+                    collector.channel_status(cid).age_s
+                    for cid in _channels(physical.link(*r[0]))
+                )
+        first = self._snapshot is None
+        g.measurement = Measurement(
+            source=self._lineage,
+            generation=self.topology_sweeps,
+            nodes=None if first else hosts,
+            links=None if first else links,
+            age_s=self.cluster.sim.now - collector.round_at,
+            late=late,
+        )
+        self._snapshot = g
+        return g
 
     def export_snapshot(self) -> dict:
         """The current topology snapshot as a JSON-safe dict.
@@ -351,6 +398,14 @@ class RemosAPI:
             rates = max_min_fair(flows, capacities)
             quotes.update(rates)
         return [quotes[i] for i in range(len(pairs))]
+
+
+def _channels(link) -> list:
+    """A link's channel ids: ``u -> v`` then ``v -> u``, or the one
+    shared channel of a half-duplex link."""
+    if link.attrs.get("duplex") == "half":
+        return [(link.key, "shared")]
+    return [(link.key, link.v), (link.key, link.u)]
 
 
 #: Load average stood in for "infinite" on unmonitorable nodes in topology

@@ -23,6 +23,13 @@ crosses the staleness threshold in either direction —
 ``channel-fresh`` for link channels.  The selection service's reactive
 pipeline (``SelectionService.enable_push``) rides this instead of
 discovering degradation at snapshot-fetch time.
+
+And *changes* are logged — a sample differing in value from the one
+before it, a first sample, a staleness crossing — in a bounded log each
+consumer reads from its own cursor (:meth:`Collector.changes_since`),
+beside the one time a round sampled at (:attr:`Collector.round_at`) and
+the few resources it does not hold for (:meth:`Collector.late_resources`),
+so that :meth:`RemosAPI.topology` re-derives only what a round moved.
 """
 
 from __future__ import annotations
@@ -41,6 +48,10 @@ from .snmp import AgentTimeout, InterfaceRecord, build_agents
 __all__ = ["Collector", "ResourceStatus"]
 
 Sample = tuple[float, float]
+
+#: The change log holds at most this many entries per monitored resource;
+#: a consumer that fell further behind is told so and re-reads everything.
+_CHANGE_LOG_DEPTH = 4
 
 #: Tolerance on the implied rate when validating a wrapped counter delta:
 #: anything above this multiple of the interface speed is a reset, not a
@@ -143,6 +154,19 @@ class Collector:
             cid: 0 for cid in self._reporters
         }
         self._host_misses: dict[str, int] = {name: 0 for name in self.host_agents}
+        #: Sim time of the newest round's first pass over the agents: when
+        #: every resource was last sampled, :meth:`late_resources` aside.
+        self.round_at = float("-inf")
+        #: Hosts and channels whose newest sample may not be from
+        #: ``round_at``: their agent missed the round, or answered a retry.
+        self._late: set = set()
+        #: The change log: host names and link keys (graph terms) in
+        #: ingest order, ``_changes[0]`` being entry ``_changes_base``.
+        self._changes: list = []
+        self._changes_base = 0
+        self._changes_limit = _CHANGE_LOG_DEPTH * (
+            len(self._reporters) + len(self.host_agents)
+        )
         #: Staleness transitions detected during the current poll round,
         #: delivered to subscribers when the round closes.
         self._pending_events: list[tuple[str, object]] = []
@@ -229,8 +253,13 @@ class Collector:
                 callback(now, kind, target)
 
     def _finish_round(self, wall_start: float, failed: int) -> None:
-        """Per-round telemetry: sweep-latency histogram and a poll span."""
+        """Close a round: deliver events, trim the change log, then the
+        sweep-latency histogram and a poll span."""
         self._flush_events()
+        if len(self._changes) > self._changes_limit:
+            drop = len(self._changes) // 2
+            del self._changes[:drop]
+            self._changes_base += drop
         wall_end = perf_counter()
         if self._poll_hist is not None:
             self._poll_hist.observe(wall_end - wall_start)
@@ -250,33 +279,35 @@ class Collector:
         plausible wrap: drop the interval — there is no way to know how
         many octets the reboot swallowed).
         """
-        prev = self._raw.get(rec.channel)
-        self._raw[rec.channel] = (rec.timestamp, rec.out_octets)
+        channel, speed_bps, out_octets, timestamp, counter_max = rec
+        prev = self._raw.get(channel)
+        self._raw[channel] = (timestamp, out_octets)
         if prev is None:
             return
         t0, octets0 = prev
-        dt = rec.timestamp - t0
+        dt = timestamp - t0
         if dt <= 0:
             return
-        delta = rec.out_octets - octets0
+        delta = out_octets - octets0
         if delta < 0:
             wrapped = None
-            if rec.counter_max is not None and octets0 <= rec.counter_max:
-                wrapped = delta + rec.counter_max
-                if (
-                    wrapped * BITS_PER_BYTE / dt
-                    > rec.speed_bps * _WRAP_RATE_SLACK
-                ):
+            if counter_max is not None and octets0 <= counter_max:
+                wrapped = delta + counter_max
+                if wrapped * BITS_PER_BYTE / dt > speed_bps * _WRAP_RATE_SLACK:
                     wrapped = None  # too fast to be a wrap: a reset
             if wrapped is None:
                 self.dropped_samples += 1
                 return
             delta = wrapped
             self.wrap_disambiguations += 1
-        util = min(delta * BITS_PER_BYTE / dt, rec.speed_bps)
-        self._util.setdefault(
-            rec.channel, deque(maxlen=self.history)
-        ).append((rec.timestamp, util))
+        util = min(delta * BITS_PER_BYTE / dt, speed_bps)
+        history = self._util.get(channel)
+        if history is None:
+            history = self._util[channel] = deque(maxlen=self.history)
+            self._changes.append(channel[0])
+        elif history[-1][1] != util:
+            self._changes.append(channel[0])
+        history.append((timestamp, util))
 
     def _poll_subset(
         self, iface_names, host_names
@@ -287,6 +318,15 @@ class Collector:
         counters; failures are only reported — the caller decides whether
         the round is over (and misses should be counted) or a retry is due.
         """
+        # Anything this pass samples carries ``sim.now``; whatever the
+        # round's first pass does not reach keeps an older time.
+        on_round = self.cluster.sim.now == self.round_at
+        late = self._late
+        changes = self._changes
+        pending = self._pending_events
+        stale_after = self.stale_after
+        misses = self._channel_misses
+        ingest = self._ingest_record
         seen: set[ChannelId] = set()
         failed_iface: list[str] = []
         failed_host: list[str] = []
@@ -297,43 +337,63 @@ class Collector:
             except AgentTimeout:
                 self.failed_polls += 1
                 failed_iface.append(name)
+                if on_round:
+                    late.update(agent.interfaces)
                 continue
             for rec in records:
-                if self._channel_misses[rec.channel] >= self.stale_after:
-                    self._pending_events.append(
-                        ("channel-fresh", rec.channel)
-                    )
-                self._channel_misses[rec.channel] = 0
-                if rec.channel in seen:
+                channel = rec[0]
+                if misses[channel] >= stale_after:
+                    pending.append(("channel-fresh", channel))
+                    changes.append(channel[0])
+                misses[channel] = 0
+                if channel in seen:
                     continue  # half-duplex channels reported by both ends
-                seen.add(rec.channel)
-                self._ingest_record(rec)
+                seen.add(channel)
+                ingest(rec)
+                if not on_round:
+                    late.add(channel)
+                elif late:
+                    late.discard(channel)
+        misses = self._host_misses
         for name in host_names:
             agent = self.host_agents[name]
             try:
-                t, load = agent.read()
+                sample = agent.read()
             except AgentTimeout:
                 self.failed_polls += 1
                 failed_host.append(name)
+                if on_round:
+                    late.add(name)
                 continue
-            self._load[name].append((t, load))
-            if self._host_misses[name] >= self.stale_after:
-                self._pending_events.append(("host-fresh", name))
-            self._host_misses[name] = 0
+            history = self._load[name]
+            if not history or history[-1][1] != sample[1]:
+                changes.append(name)
+            history.append(sample)
+            if misses[name] >= stale_after:
+                pending.append(("host-fresh", name))
+                changes.append(name)
+            misses[name] = 0
+            if not on_round:
+                late.add(name)
+            elif late:
+                late.discard(name)
         return failed_iface, failed_host
 
     def _count_misses(self, failed_iface: list[str], failed_host: list[str]) -> None:
         """Close a poll round: charge a miss to every un-sampled resource."""
-        dead = set(failed_iface)
-        for cid, reporters in self._reporters.items():
-            if reporters <= dead:
-                self._channel_misses[cid] += 1
-                if self._channel_misses[cid] == self.stale_after:
-                    self._pending_events.append(("channel-stale", cid))
+        if failed_iface:
+            dead = set(failed_iface)
+            for cid, reporters in self._reporters.items():
+                if reporters <= dead:
+                    self._channel_misses[cid] += 1
+                    if self._channel_misses[cid] == self.stale_after:
+                        self._pending_events.append(("channel-stale", cid))
+                        self._changes.append(cid[0])
         for name in failed_host:
             self._host_misses[name] += 1
             if self._host_misses[name] == self.stale_after:
                 self._pending_events.append(("host-stale", name))
+                self._changes.append(name)
 
     def poll_once(self) -> list[str]:
         """One synchronous poll round of every agent (also used by tests).
@@ -343,6 +403,7 @@ class Collector:
         (:meth:`_run`) retries those before charging misses instead.
         """
         wall_start = perf_counter()
+        self.round_at = self.cluster.sim.now
         failed_iface, failed_host = self._poll_subset(
             self.iface_agents, self.host_agents
         )
@@ -355,7 +416,7 @@ class Collector:
     def _run(self):
         sim = self.cluster.sim
         while True:
-            round_start = sim.now
+            self.round_at = round_start = sim.now
             wall_start = perf_counter()
             failed_iface, failed_host = self._poll_subset(
                 self.iface_agents, self.host_agents
@@ -403,6 +464,28 @@ class Collector:
             default=float("-inf"),
         )
         return self.cluster.sim.now - newest
+
+    # -- change surface ---------------------------------------------------------
+    def changes_since(self, cursor: int) -> tuple[int, Optional[list]]:
+        """What moved since a consumer last looked: ``(cursor, moved)``.
+
+        ``moved`` lists the compute nodes (names) and links (keys) that,
+        after the call that returned ``cursor``, got a sample differing
+        in value from the one before it, got their first sample, or
+        crossed the staleness threshold either way (ingest order,
+        duplicates possible).  Start from ``-1``.  ``moved`` is ``None``
+        when the bounded log no longer reaches back to ``cursor``:
+        assume everything moved.
+        """
+        start = cursor - self._changes_base
+        end = self._changes_base + len(self._changes)
+        return end, (self._changes[start:] if start >= 0 else None)
+
+    def late_resources(self) -> frozenset:
+        """Hosts (names) and channels (ids) whose newest sample may be
+        from another time than :attr:`round_at` — ask
+        :meth:`host_status` / :meth:`channel_status` for those."""
+        return frozenset(self._late)
 
     # -- health surface ---------------------------------------------------------
     def host_status(self, host: str) -> ResourceStatus:

@@ -21,8 +21,7 @@ Agents also model the ways real SNMP daemons misbehave:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..network.cluster import Cluster
 from ..network.fabric import ChannelId
@@ -40,8 +39,7 @@ class AgentTimeout(Exception):
     """An SNMP request went unanswered (crashed node, drop, or overload)."""
 
 
-@dataclass(frozen=True)
-class InterfaceRecord:
+class InterfaceRecord(NamedTuple):
     """One interface counter reading (an SNMP GET response).
 
     ``counter_max`` is the counter modulus in octets (``2**counter_bits``)
@@ -57,10 +55,14 @@ class InterfaceRecord:
 
 
 class _FaultyAgent:
-    """Shared unreliability state: a silence window set by fault injection."""
+    """Shared unreliability state: a silence window set by fault injection
+    and, on a compute node, the host whose crash takes the agent down."""
 
-    def __init__(self) -> None:
+    def __init__(self, cluster: Cluster, device: str) -> None:
+        self.cluster = cluster
         self.silent_until = float("-inf")
+        #: Network devices have no host: they are always up in this model.
+        self._host = cluster.hosts.get(device)
 
     def silence_for(self, seconds: float) -> None:
         """Make the agent unresponsive for ``seconds`` from now."""
@@ -73,7 +75,7 @@ class _FaultyAgent:
         now = self.cluster.sim.now
         if now < self.silent_until:
             raise AgentTimeout(f"agent on {device!r} not responding")
-        if not self.cluster.node_is_up(device):
+        if self._host is not None and not self._host.up:
             raise AgentTimeout(f"agent on {device!r} unreachable (node down)")
 
 
@@ -99,8 +101,7 @@ class InterfaceAgent(_FaultyAgent):
         device: str,
         counter_bits: Optional[int] = None,
     ) -> None:
-        super().__init__()
-        self.cluster = cluster
+        super().__init__(cluster, device)
         self.device = device
         self.counter_bits = counter_bits
         self._channels: list[ChannelId] = []
@@ -135,25 +136,22 @@ class InterfaceAgent(_FaultyAgent):
         for cid in self._channels:
             self._base[cid] = fab.octet_counter(cid)
 
-    def _export(self, raw: float, cid: ChannelId) -> float:
-        octets = raw - self._base[cid]
-        wrap = self.counter_max
-        if wrap is not None:
-            octets %= wrap
-        return octets
-
     def read(self) -> list[InterfaceRecord]:
         """Poll all interfaces (one SNMP walk)."""
         self._check_reachable(self.device)
         fab = self.cluster.fabric
+        capacity, octets = fab.capacity, fab.octet_counters()
         now = self.cluster.sim.now
+        base = self._base
+        wrap = self.counter_max
         return [
             InterfaceRecord(
-                channel=cid,
-                speed_bps=fab.capacity(cid),
-                out_octets=self._export(fab.octet_counter(cid), cid),
-                timestamp=now,
-                counter_max=self.counter_max,
+                cid,
+                capacity(cid),
+                octets[cid] - base[cid] if wrap is None
+                else (octets[cid] - base[cid]) % wrap,
+                now,
+                wrap,
             )
             for cid in self._channels
         ]
@@ -163,17 +161,14 @@ class HostAgent(_FaultyAgent):
     """Per-host agent exporting the load average (rstat/host-MIB style)."""
 
     def __init__(self, cluster: Cluster, host: str) -> None:
-        super().__init__()
-        self.cluster = cluster
+        cluster.host(host)  # KeyError for anything but a compute node
+        super().__init__(cluster, host)
         self.host = host
 
     def read(self) -> tuple[float, float]:
         """(timestamp, load_average) for the host."""
         self._check_reachable(self.host)
-        return (
-            self.cluster.sim.now,
-            self.cluster.host(self.host).load_average,
-        )
+        return self.cluster.sim.now, self._host.load_average
 
 
 def build_agents(

@@ -15,12 +15,14 @@ subpackage is the long-running layer that makes concurrent use sound:
   and explicit admit/queue/reject outcomes (:class:`Decision`) instead of
   silent degradation.
 - :class:`SnapshotCache` — TTL memoization plus same-instant coalescing
-  of the expensive Remos topology sweep, invalidated on fault events;
-  its :attr:`~SnapshotCache.epoch` keys the hot path's memoization.
+  of the Remos topology sweep, invalidated on fault events; the hot
+  path revalidates its memoization when :attr:`~SnapshotCache.epoch`
+  moves.
 - :class:`ResidualView` — the O(Δ) mutable residual overlay the ledger
-  updates in place, carrying per-epoch :class:`RouteCache` and
-  :class:`PeelScheduleCache` memoization for the selection kernel;
-  bit-identical to a from-scratch rebuild by construction.
+  updates in place and a measured snapshot re-bases over what it
+  replaced, carrying :class:`RouteCache` and :class:`PeelScheduleCache`
+  memoization for the selection kernel; bit-identical to a from-scratch
+  rebuild by construction.
 - :class:`LedgerWal` (:mod:`repro.service.wal`) — durability: a JSONL
   write-ahead log of every ledger mutation plus periodic compacted
   snapshots, replayed by :meth:`ReservationLedger.recover` into a

@@ -19,13 +19,15 @@ front of a :class:`~repro.core.NodeSelector`:
   pre-crash snapshot for up to a TTL.
 
 Every sweep and every invalidation advances :attr:`SnapshotCache.epoch`,
-the generation counter the rest of the hot path keys its memoization on:
+the generation counter the rest of the hot path revalidates on.  When
+the new snapshot names what differs from the one the overlay stands on
+(:attr:`TopologyGraph.measurement`), the overlay is re-based:
 :class:`RouteCache` (routed channel sets per node set — pure topology
-*structure*, unchanged by capacity claims) and :class:`PeelScheduleCache`
-(the kernel's pre-sorted peel schedules, reused across requests with
-claim-touched edges re-merged as a delta).  Both live exactly as long as
-one snapshot epoch: the service rebuilds them whenever the epoch moves,
-which is precisely when a TTL refresh sweeps or a fault event fires.
+*structure*, unchanged by claims and measurements alike) is kept and
+:class:`PeelScheduleCache` (the kernel's pre-sorted peel schedules,
+reused across requests with claim-touched edges re-merged as a delta)
+re-inserts the moved links; otherwise, and after any invalidation, both
+are rebuilt with the overlay.
 
 Callers must treat the returned graph as shared and immutable — debit
 views (:class:`repro.service.ResidualView`) copy it anyway.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left, insort
 from typing import Callable, Collection, Optional, Sequence
 
 from ..core.kernel import peel_order
@@ -103,16 +106,19 @@ class SnapshotCache:
                 if age == 0.0:
                     self.coalesced += 1
                 return self._graph
+        if self.tracer.enabled:
+            with self.tracer.span("snapshot.sweep", epoch=self.epoch + 1):
+                graph = self.provider.topology()
+        else:
+            graph = self.provider.topology()
+        # Counted only once there is a graph to show for it: a sweep
+        # that raised leaves the previous snapshot and its epoch standing.
+        self._graph = graph
+        self._taken_at = now
         self.misses += 1
         self.sweeps += 1
         self.epoch += 1
-        if self.tracer.enabled:
-            with self.tracer.span("snapshot.sweep", epoch=self.epoch):
-                self._graph = self.provider.topology()
-        else:
-            self._graph = self.provider.topology()
-        self._taken_at = now
-        return self._graph
+        return graph
 
     def invalidate(self) -> None:
         """Drop the cached snapshot (next query sweeps afresh)."""
@@ -137,7 +143,7 @@ class SnapshotCache:
 
 
 class RouteCache:
-    """Memoized routed channel sets for one snapshot epoch.
+    """Memoized routed channel sets for one topology structure.
 
     :func:`repro.service.route_edges` asks for one path per ordered node
     pair — O(m² · depth) on a forest, where
@@ -145,14 +151,15 @@ class RouteCache:
     index, and a BFS each, O(m² · (V+E)), on a graph with a cycle and no
     routing table — and the service used to pay it twice per admission
     attempt (claim verification, then again inside ``reserve``).  Routes
-    depend only on topology *structure*, which capacity claims never touch,
-    so within a snapshot epoch every pairwise path is computed at most
-    once and every node *set* resolves to its channel union from the
-    per-pair memo.
+    depend only on topology *structure*, which neither capacity claims
+    nor fresh measurements touch, so every pairwise path is computed at
+    most once and every node *set* resolves to its channel union from
+    the per-pair memo.
 
     The cache answers for any graph sharing the base snapshot's structure
-    (the residual overlay is a same-structure copy); the service discards
-    it with the overlay whenever the snapshot epoch moves.
+    (the residual overlay is a same-structure copy, and so is the next
+    snapshot a re-base moves the overlay to); the service discards it
+    only with the overlay, on a rebuild.
     """
 
     def __init__(
@@ -247,7 +254,7 @@ def _entry_key(entry: tuple[float, Link]) -> tuple[float, tuple[str, str]]:
 
 
 class PeelScheduleCache:
-    """Memoized kernel peel schedules for one snapshot epoch.
+    """Memoized kernel peel schedules against the base snapshot.
 
     The incremental kernel's first step is sorting every link into peel
     order — O(E log E) per selection, paid per admission attempt even
@@ -264,15 +271,21 @@ class PeelScheduleCache:
     schedule :func:`repro.core.kernel.peel_order` would build from the
     residual graph — the kernel's bit-identical guarantee is preserved.
 
+    The same order lets :meth:`rebase` repair the base schedules when
+    the snapshot moves on, by bisection.
+
     Instances are handed to the kernel through the
     ``peel_schedule_provider`` graph hook (see :mod:`repro.core.kernel`)
-    and discarded with the residual overlay when the snapshot epoch
-    moves.
+    and discarded with the residual overlay when it is rebuilt.
     """
 
     def __init__(self, base: TopologyGraph) -> None:
         self.base = base
-        self._schedules: dict[tuple, list[tuple[float, Link]]] = {}
+        #: ``(kind, reference bandwidth) -> (metric, base schedule)``; the
+        #: metric is a pure function of the key, kept to re-score with.
+        self._schedules: dict[
+            tuple, tuple[Callable[[Link], float], list[tuple[float, Link]]]
+        ] = {}
         self.reused = 0
         self.adjusted = 0
         self.builds = 0
@@ -301,11 +314,13 @@ class PeelScheduleCache:
         snapshot's).  Keys absent from the snapshot are ignored, exactly
         as the residual debit ignores them.
         """
-        base_sched = self._schedules.get(self._key(kind, refs))
-        if base_sched is None:
+        cached = self._schedules.get(self._key(kind, refs))
+        if cached is None:
             self.builds += 1
             base_sched = peel_order(self.base, metric)
-            self._schedules[self._key(kind, refs)] = base_sched
+            self._schedules[self._key(kind, refs)] = (metric, base_sched)
+        else:
+            base_sched = cached[1]
         dirty = {
             key for key in dirty_keys
             if len(key) == 2 and residual.has_link(*tuple(key))
@@ -322,6 +337,26 @@ class PeelScheduleCache:
         ]
         touched.sort(key=_entry_key)
         return list(heapq.merge(clean, touched, key=_entry_key))
+
+    def rebase(self, base: TopologyGraph, moved: Collection[frozenset]) -> None:
+        """Adopt ``base``, a same-structure snapshot differing from the
+        current one in the ``moved`` links only: each cached schedule
+        drops a moved link at its old key and re-inserts it at its new
+        one — O(D log E) comparisons — leaving exactly the list
+        :func:`peel_order` would sort from ``base``.  A schedule most of
+        whose links moved is forgotten and sorted afresh on demand."""
+        old, self.base = self.base, base
+        for key, (metric, sched) in list(self._schedules.items()):
+            if len(moved) * 4 > len(sched):
+                del self._schedules[key]
+                continue
+            for u, v in map(tuple, moved):
+                was = old.link(u, v)
+                del sched[bisect_left(
+                    sched, _entry_key((metric(was), was)), key=_entry_key
+                )]
+                now = base.link(u, v)
+                insort(sched, (metric(now), now), key=_entry_key)
 
     def provider(
         self,

@@ -7,8 +7,8 @@ admission or release only touches the handful of nodes and channels in
 dominates the request/release cycle (README "Service hot-path
 performance" keeps the measured 33 → 1000-host table).
 
-:class:`ResidualView` keeps **one** debited copy alive for as long as
-the underlying snapshot does, and moves it in place:
+:class:`ResidualView` keeps **one** debited copy alive across claims
+and across snapshots, and moves it in place:
 
 - the service subscribes it to the ledger, so every grant, release,
   renewal expiry, and crash eviction triggers :meth:`apply_delta` —
@@ -23,23 +23,28 @@ the underlying snapshot does, and moves it in place:
   (enforced by :meth:`assert_matches_rebuild`, wired into
   ``ledger.check_invariants(view=...)`` and a hypothesis property
   test);
-- the overlay carries the epoch's memoization with it: a
+- the overlay carries its memoization with it: a
   :class:`~repro.service.cache.RouteCache` (routes are pure structure —
-  claims never touch them) and a
+  neither claims nor measurements touch them) and a
   :class:`~repro.service.cache.PeelScheduleCache` exposed to the kernel
   through the ``peel_schedule_provider`` graph hook, so selections
   against the view skip the O(E log E) re-sort when the ledger's dirty
-  link set is small.
+  link set is small;
+- a new snapshot that says which resources it replaced
+  (:attr:`TopologyGraph.measurement`; ``RemosAPI.topology()`` does) is
+  adopted by :meth:`rebase`: the same recompute-from-base over those
+  nodes and links only, routes kept, peel schedules repaired.
 
-A view is valid for exactly one snapshot epoch.  The service rebuilds
-it whenever :attr:`SnapshotCache.epoch` moves (TTL refresh or fault
-invalidation) or the known-down node set changes; it never tries to
-patch the overlay across a snapshot boundary.
+The service rebuilds the view only when it has no such delta to go by —
+the first snapshot, a provider that publishes none (static graph,
+cluster oracle, a shard's subgraph), one that skipped a generation —
+and after :meth:`SnapshotCache.invalidate` or a change of the
+known-down node set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from ..topology.graph import TopologyGraph, load_from_cpu_fraction
 from ..topology.residual import (
@@ -101,11 +106,12 @@ class ResidualView:
         #: In-place updates applied since construction (for metrics).
         self.deltas = 0
         #: Selection memo: ``(spec repr, ledger claims fingerprint) ->
-        #: Selection | None`` (``None`` = proven infeasible).  Within one
-        #: view a selection is a pure function of the spec and the exact
-        #: claim state — the snapshot and down set are fixed for the
-        #: view's lifetime — so identical keys must yield bit-identical
-        #: selections.  Maintained by the service; bounded there.
+        #: Selection | None`` (``None`` = proven infeasible).  On one
+        #: base a selection is a pure function of the spec and the exact
+        #: claim state — the down set is fixed for the view's lifetime —
+        #: so identical keys must yield bit-identical selections;
+        #: :meth:`rebase` empties it.  Maintained by the service; bounded
+        #: there.
         self.selections: dict = {}
         self.selection_hits = 0
 
@@ -157,6 +163,37 @@ class ResidualView:
         self.refresh_nodes(reservation.nodes)
         self.refresh_edges(reservation.edges)
 
+    def rebase(
+        self,
+        base: TopologyGraph,
+        nodes: Collection[str],
+        links: Collection[frozenset],
+    ) -> None:
+        """Adopt ``base``: a snapshot of the same structure that differs
+        from the current one in ``nodes`` and ``links`` (keys) only.
+
+        Those are recomputed from the new base and the ledger's current
+        totals, as a claim's delta is, and take the new base's attrs
+        (health marks); the rest, the route cache included, stands.  The
+        selection memo is valid for one base and is emptied.  The result
+        equals a view built on ``base`` from scratch
+        (:meth:`assert_matches_rebuild`).
+        """
+        self.schedules.rebase(base, links)
+        self.base = self.routes.graph = base
+        self.graph.measurement = base.measurement
+        self.selections.clear()
+        for name in nodes:
+            attrs = dict(base.node(name).attrs)
+            if name in self._down:
+                attrs["down"] = True
+            self.graph.node(name).attrs = attrs
+        self.refresh_nodes(nodes)
+        for key in links:
+            u, v = key
+            self.graph.link(u, v).attrs = dict(base.link(u, v).attrs)
+        self.refresh_edges((key, dst) for key in links for dst in key)
+
     def on_ledger_event(self, kind: str, reservation: Reservation) -> None:
         """Ledger subscription hook (``subscribe(view.on_ledger_event)``)."""
         del kind  # grant and release apply identically
@@ -191,7 +228,9 @@ class ResidualView:
         to a from-scratch :func:`residual_graph` rebuild.
 
         Every float is compared with ``==`` — the overlay's contract is
-        exact equality with the rebuild, not approximate agreement.
+        exact equality with the rebuild, not approximate agreement —
+        and so are the attrs (health marks among them) and the sample
+        ages, which a re-base has to carry over.
         """
         rebuilt = residual_graph(
             self.base, self.ledger.node_claims(), self.ledger.edge_claims()
@@ -213,6 +252,12 @@ class ResidualView:
                 f"node {node.name!r}: overlay down-flag "
                 f"{mine.attrs.get('down')!r} != expected {expected_down!r}"
             )
+            got = _sans_down(mine.attrs), self.graph.node_age(node.name)
+            want = _sans_down(node.attrs), rebuilt.node_age(node.name)
+            assert got == want, (
+                f"node {node.name!r}: overlay attrs/age {got!r} != "
+                f"rebuild {want!r}"
+            )
         assert self.graph.num_links == rebuilt.num_links, (
             "overlay link set drifted from snapshot"
         )
@@ -226,9 +271,19 @@ class ResidualView:
                 f"link {link.u}--{link.v} rev: overlay "
                 f"{mine.available_rev!r} != rebuild {link.available_rev!r}"
             )
+            got = mine.attrs, self.graph.link_age(link.u, link.v)
+            want = link.attrs, rebuilt.link_age(link.u, link.v)
+            assert got == want, (
+                f"link {link.u}--{link.v}: overlay attrs/age {got!r} != "
+                f"rebuild {want!r}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ResidualView {self.graph.num_nodes} nodes, "
             f"{len(self._down)} down, {self.deltas} deltas applied>"
         )
+
+
+def _sans_down(attrs: dict) -> dict:
+    return {k: v for k, v in attrs.items() if k != "down"}

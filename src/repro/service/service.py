@@ -25,9 +25,10 @@ The request/release hot path is O(Δ), not O(V+E): a
 :class:`~repro.service.ResidualView` overlay is debited in place by
 ledger events instead of rebuilding a residual graph per attempt, and it
 carries epoch-keyed route and peel-schedule memoization for the
-selection kernel.  The overlay lives exactly one snapshot epoch
-(:attr:`SnapshotCache.epoch`) and is rebuilt whenever the epoch or the
-known-down node set moves.
+selection kernel.  A new snapshot that names what it replaced
+(:attr:`TopologyGraph.measurement`) is adopted by re-basing the overlay
+over just that; the overlay is rebuilt only when there is no such delta,
+after a cache invalidation, or when the known-down node set moves.
 
 Every walker — serial admission, :meth:`~SelectionService.probe`,
 ``admit_batch``'s planner, preemption planning, push migration — is a
@@ -300,8 +301,9 @@ class SelectionService:
         #: only notices a dead host after missed polls, but the service
         #: must not place work there in the meantime.
         self._known_down: set[str] = set()
-        #: The live residual overlay, valid for one snapshot epoch;
-        #: rebuilt lazily by :meth:`_residual`.
+        #: The live residual overlay, re-based or rebuilt lazily by
+        #: :meth:`_residual`; ``_view_key`` is the ``(snapshot epoch,
+        #: invalidations, down epoch)`` it is current for.
         self._view: Optional[ResidualView] = None
         self._view_key: Optional[tuple] = None
         #: Bumped whenever the known-down set changes — part of the view
@@ -701,27 +703,36 @@ class SelectionService:
 
     def _residual(self, base: TopologyGraph) -> TopologyGraph:
         """The residual graph admission runs on, O(Δ)-maintained: the
-        live overlay, rebuilt only when the snapshot epoch or the
-        known-down set moved."""
-        key = (self.cache.epoch, self._down_epoch)
+        live overlay, moved to a new snapshot by re-basing over what the
+        snapshot says it replaced, and rebuilt only without such a delta
+        or when an invalidation or the known-down set intervened."""
+        view = self._view
+        key = (self.cache.epoch, self.cache.invalidations, self._down_epoch)
+        if view is not None and view.base is base and self._view_key == key:
+            return view.graph
+        moved = None
         if (
-            self._view is None
-            or self._view_key != key
-            or self._view.base is not base
+            view is not None
+            and self._view_key[1:] == key[1:]
+            and base.measurement is not None
         ):
-            if self._view is not None:
+            moved = base.measurement.delta_from(view.base.measurement)
+        if moved is not None:
+            view.rebase(base, *moved)
+        else:
+            if view is not None:
                 # The retiring view's cache counters feed the registry's
                 # monotone kernel totals.
-                self._harvest_view_stats(self._view)
-            self._view = ResidualView(
+                self._harvest_view_stats(view)
+            view = self._view = ResidualView(
                 base, self.ledger,
                 down=self._known_down, routing=self.routing,
             )
-            self._view_key = key
             self.metrics.view_rebuilds += 1
-            # A fresh snapshot can carry newly measured capacity.
-            self._residual_epoch += 1
-        return self._view.graph
+        self._view_key = key
+        # A fresh snapshot can carry newly measured capacity.
+        self._residual_epoch += 1
+        return view.graph
 
     def _verify_claims(
         self,
@@ -767,10 +778,11 @@ class SelectionService:
         ``selection`` ``None`` and ``reason`` set when infeasible;
         nothing is debited or recorded on the request.
 
-        ``memo`` consults and feeds the view's selection memo: within
-        one view a selection is a pure function of the spec and the
-        exact claim state (the snapshot and down set are fixed for the
-        view's lifetime), infeasibility included.  ``stage`` receives
+        ``memo`` consults and feeds the view's selection memo: on one
+        base snapshot a selection is a pure function of the spec and
+        the exact claim state (the down set is fixed for the view's
+        lifetime, and a re-base empties the memo), infeasibility
+        included.  ``stage`` receives
         the ``select`` / ``claim_verify`` stage boundaries.  Serial
         admission passes both; probes and trials neither.
         """
@@ -1007,10 +1019,10 @@ class SelectionService:
         for i, req in enumerate(reqs):
             grant = None
             if i > 0 and self._plannable(req):
-                if planner is None or planner.view is not self._view:
-                    # First planned request, or the view was rebuilt
-                    # mid-batch (a serial fallback swept a fresh
-                    # snapshot) — (re)build the candidate pool.
+                if planner is None or planner.outdated():
+                    # First planned request, or the view was rebuilt or
+                    # re-based mid-batch (a serial fallback swept a
+                    # fresh snapshot) — (re)build the candidate pool.
                     planner = _BatchPlanner(self)
                 t0 = perf_counter()
                 grant = planner.try_admit(req)
@@ -1489,11 +1501,12 @@ class _BatchPlanner:
     the claim arithmetic, so its grants respect exactly the caps the
     serial path would.
 
-    The planner is valid for one residual view; ``try_admit`` returns
-    ``None`` (serial fallback) whenever the service's view was rebuilt
-    underneath it, whenever no feasible placement exists, or when the
-    ledger refuses the claim — the caller then runs the exact pipeline,
-    which also produces the authoritative rejection reason.
+    The planner is valid for one residual view on one base snapshot;
+    ``try_admit`` returns ``None`` (serial fallback) whenever the
+    service's view was rebuilt or re-based underneath it, whenever no
+    feasible placement exists, or when the ledger refuses the claim —
+    the caller then runs the exact pipeline, which also produces the
+    authoritative rejection reason.
     """
 
     def __init__(self, service: SelectionService) -> None:
@@ -1510,11 +1523,20 @@ class _BatchPlanner:
         ]
         heapq.heapify(self._heap)
 
+    def outdated(self) -> bool:
+        """Whether the candidate pool was ranked on another overlay, or
+        on this one before it moved to another snapshot (measured
+        capacity may have *grown*, which the lazy heap cannot see)."""
+        return (
+            self.service._view is not self.view
+            or self.view.base is not self.base
+        )
+
     def try_admit(self, req: SelectionRequest) -> Optional[Grant]:
         service = self.service
         view = self.view
-        if service._view is not view:
-            return None  # view rebuilt mid-batch; caller rebuilds us
+        if self.outdated():
+            return None  # view moved mid-batch; caller rebuilds us
         m = req.spec.num_nodes
         need = req.cpu_fraction
         caps = service.ledger._node_claims

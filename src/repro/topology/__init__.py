@@ -21,6 +21,7 @@ from .builders import (
 )
 from .graph import (
     Link,
+    Measurement,
     Node,
     NodeKind,
     TopologyGraph,
@@ -34,6 +35,7 @@ from .serialize import from_dict, from_json, to_dict, to_dot, to_json
 __all__ = [
     "DirectedEdge",
     "Link",
+    "Measurement",
     "Node",
     "NodeKind",
     "RoutedView",

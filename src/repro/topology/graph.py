@@ -21,13 +21,23 @@ supported: a link may carry distinct available bandwidths per direction, and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Literal, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Literal,
+    Mapping,
+    Optional,
+    Union,
+)
 
 __all__ = [
     "NodeKind",
     "Node",
     "Link",
+    "Measurement",
     "TopologyGraph",
     "cpu_fraction",
     "load_from_cpu_fraction",
@@ -209,6 +219,55 @@ class Link:
         )
 
 
+@dataclass(frozen=True)
+class Measurement:
+    """Provenance of a measured snapshot (:attr:`TopologyGraph.measurement`).
+
+    A sweeper that answers each query with a patch of its previous
+    snapshot (:meth:`repro.remos.RemosAPI.topology`) says here what the
+    patch replaced, so a consumer holding the previous generation can
+    move to this one by recomputing only that; and how old the samples
+    are, so ages need not be stamped on every node and link of every
+    generation.  Immutable, and free of references to any other
+    generation: holding a snapshot never keeps its ancestors alive.
+
+    ``source`` identifies the sweeper (by identity) and ``generation``
+    counts its sweeps.  ``nodes`` / ``links`` are the node names and
+    link keys whose object differs from generation ``generation - 1`` of
+    the same source; both ``None`` when that is not known (a first
+    sweep, a subgraph).  ``age_s`` is the age of every measured
+    resource's newest sample except those in ``late`` (node name or
+    link key -> its own age; ``inf``: never sampled).
+    """
+
+    source: object
+    generation: int
+    nodes: Optional[frozenset]
+    links: Optional[frozenset]
+    age_s: float
+    late: Mapping[Any, float]
+
+    def delta_from(
+        self, held: Optional["Measurement"]
+    ) -> Optional[tuple[frozenset, frozenset]]:
+        """``(nodes, links)`` to recompute when moving from the snapshot
+        measured as ``held`` to this one; ``None`` unless this is the
+        same source's very next generation."""
+        if (
+            held is None
+            or self.nodes is None
+            or held.source is not self.source
+            or held.generation + 1 != self.generation
+        ):
+            return None
+        return self.nodes, self.links
+
+    def age(self, key: Any) -> Optional[float]:
+        """Sample age of node name / link key ``key`` (``None``: never)."""
+        age = self.late.get(key, self.age_s)
+        return None if age == float("inf") else age
+
+
 #: ``(parent, depth)`` per node of a forest; roots have no ``parent`` entry.
 _ForestIndex = tuple[dict[str, str], dict[str, int]]
 
@@ -226,6 +285,10 @@ class TopologyGraph:
     #: when the graph has a cycle, else ``(parent, depth)`` per node.  A
     #: class-level default so graphs pickled before the index existed load.
     _forest: Union[None, Literal[False], _ForestIndex] = None
+
+    #: Set on snapshots a measuring provider answers with; ``None`` on
+    #: built, loaded and oracle graphs.  Copies carry it along.
+    measurement: Optional[Measurement] = None
 
     def __init__(self) -> None:
         self._nodes: dict[str, Node] = {}
@@ -347,6 +410,26 @@ class TopologyGraph:
 
     def has_link(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self._links
+
+    def node_age(self, name: str) -> Optional[float]:
+        """Seconds since compute node ``name`` was last sampled.
+
+        Read off :attr:`measurement` on a measured snapshot, else the
+        node's ``attrs["age_s"]`` (how serialized snapshots carry it);
+        ``None`` when there is no sample to speak of.
+        """
+        node = self.node(name)
+        if self.measurement is not None and node.is_compute:
+            return self.measurement.age(name)
+        return node.attrs.get("age_s")
+
+    def link_age(self, u: str, v: str) -> Optional[float]:
+        """Seconds since the link's counters were last sampled (the
+        older of its channels); see :meth:`node_age`."""
+        link = self.link(u, v)
+        if self.measurement is not None:
+            return self.measurement.age(link.key)
+        return link.attrs.get("age_s")
 
     def nodes(self) -> Iterator[Node]:
         """Iterate all nodes (insertion order)."""
@@ -573,6 +656,40 @@ class TopologyGraph:
             g.add_node(node.copy())
         for link in self._links.values():
             g._attach_link(link.copy())
+        g.measurement = self.measurement
+        return g
+
+    def replaced(
+        self, nodes: Iterable[Node] = (), links: Iterable[Link] = ()
+    ) -> "TopologyGraph":
+        """A same-structure graph with ``nodes`` / ``links`` swapped in.
+
+        Each given node replaces the one of its name and each link the
+        one between its endpoints (both must exist).  Everything else —
+        the other node and link objects, adjacency rows no replaced
+        link touches, the forest index — is *shared* with this graph,
+        which is not modified: O(V + E) pointer copies plus the
+        replacements, no node or link copied.  Meant for immutable
+        snapshots; mutating a shared object shows in both graphs.
+        """
+        g = TopologyGraph()
+        g._nodes = dict(self._nodes)
+        g._links = dict(self._links)
+        g._adj = adj = dict(self._adj)
+        g._forest = self._forest
+        for node in nodes:
+            if node.name not in g._nodes:
+                raise KeyError(f"no node {node.name!r}")
+            g._nodes[node.name] = node
+        for link in links:
+            key = link.key
+            if key not in g._links:
+                raise KeyError(f"no link {link.u!r}--{link.v!r}")
+            g._links[key] = link
+            for a, b in ((link.u, link.v), (link.v, link.u)):
+                if adj[a] is self._adj[a]:
+                    adj[a] = dict(adj[a])
+                adj[a][b] = link
         return g
 
     def subgraph(self, names: Iterable[str]) -> "TopologyGraph":
@@ -588,6 +705,9 @@ class TopologyGraph:
         for link in self._links.values():
             if link.u in keep and link.v in keep:
                 g._attach_link(link.copy())
+        if self.measurement is not None:
+            # Ages still hold; the delta names resources outside ``keep``.
+            g.measurement = replace(self.measurement, nodes=None, links=None)
         return g
 
     def min_bandwidth_link(

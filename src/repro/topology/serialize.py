@@ -18,6 +18,14 @@ __all__ = ["to_dict", "from_dict", "to_json", "from_json", "to_dot"]
 _SCHEMA_VERSION = 1
 
 
+def _with_age(attrs: dict[str, Any], age) -> dict[str, Any]:
+    """``attrs`` with the sample age a measured snapshot keeps beside
+    the graph (:attr:`TopologyGraph.measurement`) written back in."""
+    if age is None or attrs.get("age_s") == age:
+        return attrs
+    return {**attrs, "age_s": age}
+
+
 def to_dict(graph: TopologyGraph) -> dict[str, Any]:
     """A plain-dict snapshot of the graph (JSON-safe)."""
     return {
@@ -28,7 +36,7 @@ def to_dict(graph: TopologyGraph) -> dict[str, Any]:
                 "kind": n.kind,
                 "load_average": n.load_average,
                 "compute_capacity": n.compute_capacity,
-                "attrs": n.attrs,
+                "attrs": _with_age(n.attrs, graph.node_age(n.name)),
             }
             for n in graph.nodes()
         ],
@@ -40,7 +48,7 @@ def to_dict(graph: TopologyGraph) -> dict[str, Any]:
                 "latency": l.latency,
                 "available_fwd": l.available_fwd,
                 "available_rev": l.available_rev,
-                "attrs": l.attrs,
+                "attrs": _with_age(l.attrs, graph.link_age(l.u, l.v)),
             }
             for l in graph.links()
         ],

@@ -4,9 +4,13 @@ import pytest
 
 from repro.des import Simulator
 from repro.network import Cluster
+from repro.obs import Tracer
 from repro.remos import Collector, Ewma, RemosAPI, build_agents
 from repro.topology import TopologyGraph, dumbbell, star
+from repro.network.fairshare import max_min_fair
 from repro.units import MB, Mbps
+
+from ..oracles import assert_same_snapshot, full_sweep_topology
 
 
 @pytest.fixture
@@ -121,6 +125,54 @@ class TestCollector:
         assert len(collector.load_history("l0")) <= collector.history
 
 
+class TestChangeLog:
+    def test_logs_value_changes_first_samples_and_crossings(self, rig):
+        sim, g, cluster, collector, api = rig
+        cursor, moved = collector.changes_since(-1)
+        assert moved is None  # before the log began: assume everything
+        sim.run(until=0.5)  # the round at t=0: every host's first sample
+        cursor, moved = collector.changes_since(cursor)
+        assert set(moved) == set(cluster.hosts)
+        sim.run(until=2.5)  # second readings: every link's first sample
+        cursor, moved = collector.changes_since(cursor)
+        assert set(moved) == {link.key for link in g.links()}
+        cluster.compute("l0", 1e9)
+        sim.run(until=4.5)
+        cursor, moved = collector.changes_since(cursor)
+        assert moved == ["l0"]  # the idle rest repeated their values
+        sim.run(until=6.5)
+        again, moved = collector.changes_since(cursor)
+        assert moved == ["l0"] and again == cursor + 1
+        assert collector.changes_since(again) == (again, [])
+
+    def test_log_is_bounded_and_says_when_it_fell_behind(self, rig):
+        sim, g, cluster, collector, api = rig
+        cluster.compute("l0", 1e9)  # one entry a round, for ever
+        sim.run(until=10.0)
+        cursor, _ = collector.changes_since(-1)
+        sim.run(until=2000.0)
+        assert len(collector._changes) <= collector._changes_limit
+        assert collector.changes_since(cursor)[1] is None
+        assert_same_snapshot(api.topology(), full_sweep_topology(api))
+
+    def test_round_time_and_late_resources(self, rig):
+        sim, g, cluster, collector, api = rig
+        sim.run(until=4.5)
+        assert collector.round_at == 4.0
+        assert collector.late_resources() == frozenset()
+        collector.host_agents["l1"].silence_for(1.8)  # misses 6.0, not 6.5
+        sim.run(until=6.2)
+        assert collector.round_at == 6.0
+        assert collector.late_resources() == {"l1"}
+        assert api.topology().node_age("l1") == pytest.approx(2.2)
+        sim.run(until=7.0)  # the retry at 6.5 landed: sampled off the round
+        assert collector.late_resources() == {"l1"}
+        snap = api.topology()
+        assert snap.node_age("l1") == 0.5 and snap.node_age("l0") == 1.0
+        sim.run(until=8.5)
+        assert collector.late_resources() == frozenset()
+
+
 class TestRemosAPI:
     def test_node_load_before_any_poll_is_zero(self):
         sim = Simulator()
@@ -178,6 +230,30 @@ class TestRemosAPI:
         quotes = api.flows_query([("l0", "r0"), ("l1", "r1")])
         assert quotes[0] == pytest.approx(50 * Mbps, rel=1e-3)
         assert quotes[1] == pytest.approx(50 * Mbps, rel=1e-3)
+
+    def test_flows_query_quotes_survive_patched_sweeps(self, rig):
+        """Each query is one (cheap, patched) sweep; what it quotes is
+        what the full sweep's availabilities would have it quote."""
+        sim, g, cluster, collector, api = rig
+        cluster.transfer("l0", "r0", 10000 * MB)
+        pairs = [("l0", "r0"), ("l1", "r1"), ("l1", "l0"), ("r1", "r0")]
+        for until in (5.0, 9.0, 13.0):
+            sim.run(until=until)
+            quotes = api.flows_query(pairs)
+            oracle = full_sweep_topology(api)
+
+            def fair(src, dst):
+                path = cluster.routing.route(src, dst)
+                return [(frozenset((a, b)), b) for a, b in zip(path, path[1:])]
+
+            flows = {i: fair(*pair) for i, pair in enumerate(pairs)}
+            caps = {
+                cid: oracle.link(*tuple(cid[0])).available_towards(cid[1])
+                for route in flows.values() for cid in route
+            }
+            want = max_min_fair(flows, caps)
+            assert quotes == [want[i] for i in range(len(pairs))]
+        assert api.topology_sweeps == 3
 
     def test_flow_query_self_and_disconnected(self):
         sim = Simulator()
@@ -242,6 +318,29 @@ class TestQueryLevels:
         smooth = api.forecast(alpha=0.1).node_load("l0")
         assert current > window > 0
         assert current > smooth > 0
+
+    def test_views_keep_the_tracer_and_their_own_patch_state(self, rig):
+        sim, g, cluster, collector, _ = rig
+        tracer = Tracer()
+        api = RemosAPI(collector, tracer=tracer)
+        cluster.compute("l0", 1e9)
+        sim.run(until=9.0)
+        views = [api.current(), api.windowed(30.0), api.forecast()]
+        for view in views:
+            assert view.tracer is tracer
+            assert_same_snapshot(view.topology(), full_sweep_topology(view))
+        sim.run(until=15.0)
+        for view in views:  # second answers: patches, each from its own cursor
+            assert_same_snapshot(view.topology(), full_sweep_topology(view))
+            assert view.topology_sweeps == 2
+        assert api.topology_sweeps == 0
+        spans = [s for s in tracer.spans if s["name"] == "remos.topology"]
+        assert len(spans) == 6
+        assert {s["attrs"]["stale_resources"] for s in spans} == {0}
+        collector.host_agents["r1"].silence_for(60.0)
+        sim.run(until=30.0)
+        views[0].topology()
+        assert tracer.spans[-1]["attrs"]["stale_resources"] == 1
 
     def test_current_equals_default(self, rig):
         sim, g, cluster, collector, api = rig

@@ -161,3 +161,25 @@ class TestSnapshotCache:
     def test_negative_ttl_rejected(self):
         with pytest.raises(ValueError):
             SnapshotCache(_CountingProvider(star(4)), ttl=-1.0, clock=_Clock())
+
+    def test_failed_sweep_publishes_no_epoch(self):
+        """The epoch names a snapshot: one that never arrived gets none."""
+
+        class FailsOnce(_CountingProvider):
+            def topology(self):
+                if self.sweeps == 1:
+                    self.sweeps += 1
+                    raise RuntimeError("collector unreachable")
+                return super().topology()
+
+        clock = _Clock()
+        cache = SnapshotCache(FailsOnce(star(4)), ttl=5.0, clock=clock)
+        first = cache.topology()
+        before = (cache.epoch, cache.misses, cache.sweeps)
+        clock.now = 6.0
+        with pytest.raises(RuntimeError):
+            cache.topology()
+        assert (cache.epoch, cache.misses, cache.sweeps) == before
+        assert cache.age == pytest.approx(6.0)  # still the first snapshot's
+        assert cache.topology() is first  # the static graph, swept again
+        assert cache.epoch == before[0] + 1 and cache.age == 0.0

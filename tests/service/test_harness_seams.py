@@ -12,6 +12,9 @@ import importlib.util
 from pathlib import Path
 
 from repro.core import ApplicationSpec
+from repro.des import Simulator
+from repro.network import Cluster
+from repro.remos import Collector, RemosAPI
 from repro.service import BatchRequest, SelectionService, ShardRouter
 from repro.topology import dumbbell, two_campus
 from repro.units import Mbps
@@ -107,3 +110,55 @@ def test_every_harness_seam_still_fires(tmp_path):
     assert SEAMS <= fired, sorted(SEAMS - fired)
     rec.uninstall()
     svc.close()
+
+
+def test_seams_survive_a_long_lived_view():
+    """The harness re-wraps a view's seams only when the view *object*
+    changes.  A Remos-backed service now keeps one view across poll
+    rounds, re-based; its seams — and the time the re-base takes — must
+    still be recorded after the second sweep."""
+    trace = _load_trace()
+    rec = trace.SpanRecorder()
+    rec.on = True
+    sim = Simulator()
+    cluster = Cluster(sim, dumbbell(4, 4))
+    api = RemosAPI(Collector(cluster, period=5.0))
+    svc = SelectionService(api, snapshot_ttl=5.0, lease_s=120.0)
+    trace.install_service(rec, svc)
+    rec.wrap(api, "topology", "remos.api")
+    cluster.compute("l0", 1e9)
+
+    view = routes = None
+    rebased_inside = []  # the innermost recorded span around each re-base
+    for round_no in range(3):
+        sim.run(until=sim.now + 6.0)
+        rec.op = round_no
+        assert svc.request(
+            f"app-{round_no}", ApplicationSpec(num_nodes=2),
+            cpu_fraction=0.1, bw_bps=1 * Mbps,
+        ).admitted
+        if view is None:
+            view, routes = svc.view, svc.view.routes
+            rebase = view.rebase
+
+            def spy(*args):
+                rebased_inside.append(rec.spans[rec._stack[-1]][1])
+                rebase(*args)
+
+            view.rebase = spy
+        assert svc.view is view and view.routes is routes
+        fired = {
+            f"{layer}:{entry}" for layer, entry, *_rest, op in rec.spans
+            if op == round_no
+        }
+        assert {
+            "service.residual_view:_residual",
+            "service.residual_view:apply_delta",
+            "service.cache:edges_for",
+            "service.cache:topology",
+            "remos.api:topology",
+        } <= fired, (round_no, sorted(fired))
+    assert rebased_inside == ["_residual", "_residual"]
+    assert api.topology_sweeps == svc.cache.sweeps == 3
+    assert svc.metrics_snapshot()["view_rebuilds"] == 1
+    rec.uninstall()

@@ -3,14 +3,20 @@
 Covers the hot-path overhaul end to end: overlay/rebuild bit-identity
 through the full lease lifecycle, base-value restoration on release,
 tolerance of claims on absent resources, incremental-vs-naive service
-equivalence, view invalidation on snapshot-epoch moves, the heap-driven
-lazy-deletion expiry, the residual-epoch drain gate, and the per-stage
+equivalence, view re-base versus rebuild on snapshot-epoch moves, the
+heap-driven lazy-deletion expiry, the residual-epoch drain gate, and the per-stage
 latency timers surfaced by ``ServiceMetrics``.
 """
 
 import pytest
 
 from repro.core import ApplicationSpec
+from repro.core.kernel import peel_order
+from repro.core.metrics import DEFAULT_REFERENCES
+from repro.des import Simulator
+from repro.faults import FaultInjector
+from repro.network import Cluster
+from repro.remos import Collector, RemosAPI
 from repro.service import (
     PeelScheduleCache,
     ReservationLedger,
@@ -152,7 +158,6 @@ class TestEpochMemoization:
         assert RouteCache(g, routing).edges_for(nodes) == want
 
     def test_schedule_cache_clean_reuse_and_dirty_merge(self):
-        from repro.core.kernel import peel_order
         from repro.core.metrics import References
 
         g = dumbbell(3, 3)
@@ -180,6 +185,8 @@ class TestEpochMemoization:
         assert cache.adjusted == 1
 
     def test_view_rebuilt_when_snapshot_epoch_moves(self):
+        """No delta to go by (a static graph publishes none), an
+        invalidation, a change of the known-down set: rebuilt."""
         service = SelectionService(dumbbell(4, 4), snapshot_ttl=5.0)
         service.request("a", spec(2), cpu_fraction=0.2)
         first = service.view
@@ -190,7 +197,89 @@ class TestEpochMemoization:
         service.request("c", spec(2), cpu_fraction=0.2)
         assert service.view is not first  # epoch moved: rebuilt
         assert service.metrics.view_rebuilds == 2
+        service.advance(6.0)  # TTL lapse on a provider without deltas
+        service.request("d", spec(2), cpu_fraction=0.2)
+        assert service.metrics.view_rebuilds == 3
         service.check_invariants()
+
+        sim, cluster, api, measured = self._measured_service()
+        injector = FaultInjector(cluster, api.collector)
+        measured.attach_injector(injector)
+        sim.run(until=6.0)
+        measured.request("a", spec(2), cpu_fraction=0.2)
+        first = measured.view
+        injector.crash_node("r3")  # down set moves (and invalidates)
+        sim.run(until=12.0)
+        measured.request("b", spec(2), cpu_fraction=0.2)
+        assert measured.view is not first
+        first = measured.view
+        measured.cache.invalidate()
+        sim.run(until=18.0)
+        measured.request("c", spec(2), cpu_fraction=0.2)
+        assert measured.view is not first
+        assert measured.metrics.view_rebuilds == 3
+        measured.check_invariants()
+
+    @staticmethod
+    def _measured_service():
+        sim = Simulator()
+        cluster = Cluster(sim, dumbbell(4, 4))
+        api = RemosAPI(Collector(cluster, period=5.0))
+        return sim, cluster, api, SelectionService(api, snapshot_ttl=5.0)
+
+    def test_view_rebased_when_only_measurements_move(self):
+        """A measurement-only epoch move keeps the view object — routes
+        and all — on a new base, with the memo of the old base dropped."""
+        sim, cluster, api, service = self._measured_service()
+        sim.run(until=6.0)
+        service.request("a", spec(2))
+        first, routes, base = service.view, service.view.routes, service.view.base
+        placed = service.status("a").selection.nodes
+        service.release("a")
+        assert first.selections
+        epoch = service.cache.epoch
+        cluster.compute(placed[0], 1e9)  # what a's memo entry sits on
+        sim.run(until=40.0)
+        # Same spec, same (empty) claim state: a memo hit, were the memo
+        # still that of the snapshot in which placed[0] was idle.
+        again = service.request("a2", spec(2))
+        assert placed[0] not in again.selection.nodes
+        assert service.cache.epoch == epoch + 1
+        assert service.view is first and first.routes is routes
+        assert first.base is not base and first.base is service.cache.topology()
+        assert service.metrics.select_memo_hits == 0
+        assert service.metrics.view_rebuilds == 1
+        assert api.topology_sweeps == 2
+        service.check_invariants()
+
+    def test_schedule_cache_repairs_moved_links(self):
+        g0 = dumbbell(4, 4)
+
+        def metric(link):
+            return link.available
+
+        cache = PeelScheduleCache(g0)
+        refs = DEFAULT_REFERENCES
+        cache.schedule("available", refs, metric, g0, ())
+        moved = [g0.link("l1", "sw-left"), g0.link("sw-left", "sw-right")]
+        changed = []
+        for link, bw in zip(moved, (3 * Mbps, 99 * Mbps)):
+            link = link.copy()
+            link.set_available(bw, direction=link.u)
+            changed.append(link)
+        g1 = g0.replaced(links=changed)
+        cache.rebase(g1, {link.key for link in changed})
+        got = cache.schedule("available", refs, metric, g1, ())
+        assert cache.builds == 1 and cache.reused == 2
+        assert [(f, l.u, l.v) for f, l in got] == [
+            (f, l.u, l.v) for f, l in peel_order(g1, metric)
+        ]
+        assert all(l is g1.link(l.u, l.v) for _f, l in got)
+        # Most links moved: forgotten, and sorted afresh on demand.
+        g2 = g1.replaced(links=[l.copy() for l in g1.links()])
+        cache.rebase(g2, {l.key for l in g2.links()})
+        cache.schedule("available", refs, metric, g2, ())
+        assert cache.builds == 2
 
     @staticmethod
     def _stream(service):

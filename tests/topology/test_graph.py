@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.topology import (
     Link,
+    Measurement,
     Node,
     NodeKind,
     TopologyGraph,
@@ -270,6 +271,75 @@ class TestViews:
     def test_subgraph_unknown_node(self, small_tree):
         with pytest.raises(KeyError):
             small_tree.subgraph(["a", "ghost"])
+
+    def test_replaced_shares_everything_it_was_not_given(self, small_tree):
+        small_tree.path("a", "d")  # builds the forest index
+        node = small_tree.node("a").copy()
+        node.load_average = 3.0
+        link = small_tree.link("sw0", "sw1").copy()
+        link.set_available(5 * Mbps, direction="sw1")
+        patched = small_tree.replaced([node], [link])
+        assert patched.node("a") is node and patched.link("sw1", "sw0") is link
+        assert link in patched.incident_links("sw0")
+        assert link in patched.incident_links("sw1")
+        assert patched.path_available_bandwidth("a", "d") == 5 * Mbps
+        # The original is as it was; the rest is the same objects.
+        assert small_tree.node("a").load_average == 0.0
+        assert small_tree.path_available_bandwidth("a", "d") == 100 * Mbps
+        assert patched.node("b") is small_tree.node("b")
+        assert patched.link("a", "sw0") is small_tree.link("a", "sw0")
+        assert patched._adj["a"] is small_tree._adj["a"]
+        assert patched._adj["sw0"] is not small_tree._adj["sw0"]
+        assert patched._forest is small_tree._forest is not None
+        assert patched.node_names() == small_tree.node_names()
+        patched.validate()
+        # Structure is its own: growing the patch does not grow the source.
+        patched.add_compute("e")
+        patched.add_link("e", "sw1", 100 * Mbps)
+        assert not small_tree.has_node("e") and small_tree.path("a", "d")
+        assert patched.path("a", "e") == ["a", "sw0", "sw1", "e"]
+
+    def test_replaced_rejects_strangers(self, small_tree):
+        with pytest.raises(KeyError):
+            small_tree.replaced([Node("ghost")])
+        with pytest.raises(KeyError):
+            small_tree.replaced(links=[Link("a", "b", 100 * Mbps)])
+
+    def test_sample_ages_ride_beside_the_graph(self, small_tree):
+        small_tree.node("a").attrs["age_s"] = 7.0  # a loaded snapshot's way
+        assert small_tree.node_age("a") == 7.0
+        assert small_tree.node_age("b") is None
+        assert small_tree.link_age("a", "sw0") is None
+        key = small_tree.link("a", "sw0").key
+        small_tree.measurement = Measurement(
+            source=object(), generation=4, nodes=frozenset({"a"}),
+            links=frozenset(), age_s=2.5,
+            late={"b": 9.0, "c": float("inf"), key: 4.0},
+        )
+        assert small_tree.node_age("a") == 2.5
+        assert small_tree.node_age("b") == 9.0
+        assert small_tree.node_age("c") is None  # never sampled
+        assert small_tree.node_age("sw0") is None  # not a measured resource
+        assert small_tree.link_age("sw0", "a") == 4.0
+        assert small_tree.link_age("sw0", "sw1") == 2.5
+        # Copies keep the ages; a subgraph keeps them but not the delta.
+        assert small_tree.copy().measurement is small_tree.measurement
+        sub = small_tree.subgraph(["a", "b", "sw0"]).measurement
+        assert (sub.nodes, sub.links, sub.age_s) == (None, None, 2.5)
+        held = small_tree.measurement
+        newer = Measurement(held.source, 5, frozenset(), frozenset(), 0.0, {})
+        assert newer.delta_from(held) == (frozenset(), frozenset())
+        assert sub.delta_from(held) is None  # a subgraph publishes none
+        assert held.delta_from(newer) is None
+        assert newer.delta_from(None) is None
+        other = Measurement(object(), 5, frozenset(), frozenset(), 0.0, {})
+        assert other.delta_from(held) is None
+        # Serialized, ages are plain attrs again.
+        loaded = from_json(to_json(small_tree))
+        assert loaded.measurement is None
+        assert loaded.node("b").attrs["age_s"] == 9.0
+        assert loaded.link_age("sw0", "sw1") == 2.5
+        assert "age_s" not in loaded.node("c").attrs
 
     def test_networkx_cross_check_components(self, small_tree):
         """Our component finder agrees with networkx on a mutated graph."""
