@@ -464,6 +464,13 @@ class MetricsFederation:
                     name, self.label, source,
                 )
 
+    def read(self, source, name: str) -> float:
+        """The merged value of ``source``'s unlabeled counter or gauge
+        ``name`` as of the last :meth:`ingest` (0.0 before the first)."""
+        key = (name, ((self.label, str(source)),))
+        inst = self.registry._instruments.get(key)
+        return inst.read() if inst is not None else 0.0
+
     def _ingest_counter(self, key: tuple, name: str, item: dict,
                         labels: dict) -> None:
         inst = self.registry.counter(

@@ -14,9 +14,9 @@ headroom, worker restarts, and active SLO burn::
          admit_latency burn 0.2x/300s 0.1x/3600s
 
 ``--watch N`` re-fetches and redraws every N seconds (URL sources).
-The parser is deliberately small: only the ``name{labels} value`` line
-shape the repo's own :meth:`MetricsRegistry.expose_text` emits (plus
-comments), which the promtext validator already gates in CI.
+Sample lines are read by the validator's own
+:func:`repro.obs.promtext.parse_sample_line`, so what CI gates is what
+the viewer sees.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import sys
 import time
 import urllib.request
 from typing import Iterable, Optional
+
+from .promtext import parse_sample_line
 
 __all__ = ["build_parser", "main", "parse_exposition", "render_status"]
 
@@ -37,30 +39,13 @@ def parse_exposition(
 ) -> list[tuple[str, dict, float]]:
     """Parse exposition text into ``(name, labels, value)`` samples.
 
-    Comment/blank lines are skipped; malformed lines are dropped rather
-    than fatal (``repro-top`` is a viewer, not a validator — that's
-    :mod:`repro.obs.promtext`'s job).
+    Comment, blank and malformed lines — whatever
+    :func:`~repro.obs.promtext.parse_sample_line` does not read as a
+    sample — are dropped rather than fatal (``repro-top`` is a viewer,
+    not a validator — that's :mod:`repro.obs.promtext`'s job).
     """
-    samples: list[tuple[str, dict, float]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            if "{" in line:
-                name, rest = line.split("{", 1)
-                label_text, value_text = rest.rsplit("}", 1)
-                labels = {}
-                for part in label_text.split('",'):
-                    key, raw = part.split("=", 1)
-                    labels[key.strip()] = raw.strip().strip('"')
-            else:
-                name, value_text = line.rsplit(None, 1)
-                labels = {}
-            samples.append((name.strip(), labels, float(value_text)))
-        except ValueError:
-            continue
-    return samples
+    parsed = map(parse_sample_line, text.splitlines())
+    return [sample[:3] for sample in parsed if sample is not None]
 
 
 class _View:

@@ -228,54 +228,9 @@ def _demo_ops(n: int, nodes: int, cpu: float, bw_mbps: float) -> list[dict]:
     ]
 
 
-def _run_op(service, op: dict) -> dict:
-    """Apply one workload operation; returns a JSON-safe outcome record."""
-    kind = op.get("op", "request")
-    record: dict = {"at": service.now, "op": kind}
-    if kind == "tick":
-        record["expired"] = service.tick()
-        return record
-    app = op.get("app")
-    if not app:
-        raise ValueError(f"operation needs an 'app' id: {op!r}")
-    record["app"] = app
-    if kind == "request":
-        spec = ApplicationSpec(
-            num_nodes=int(op.get("nodes", 1)),
-            objective=op.get("objective", Objective.BALANCED),
-        )
-        kwargs = dict(
-            cpu_fraction=float(op.get("cpu", 0.0)),
-            bw_bps=float(op.get("bw_mbps", 0.0)) * Mbps,
-            priority=op.get("priority", Priority.SILVER),
-        )
-        if "spread" in op:
-            # Fault-domain spread is a router-only knob.
-            if not isinstance(service, ShardRouter):
-                raise ValueError(
-                    f"'spread' requires --shards > 1: {op!r}"
-                )
-            kwargs["spread"] = int(op["spread"])
-        grant = service.request(app, spec, **kwargs)
-        record["status"] = grant.status
-        if grant.selection is not None:
-            record["nodes"] = grant.selection.nodes
-        if grant.reason:
-            record["reason"] = grant.reason
-    elif kind == "release":
-        record["status"] = service.release(app).status
-    elif kind == "renew":
-        renewed = service.renew(app)
-        record["status"] = "renewed"
-        if renewed.reservation is not None:  # router grants carry none
-            record["expires_at"] = renewed.reservation.expires_at
-    else:
-        raise ValueError(f"unknown op {kind!r} in {op!r}")
-    return record
-
-
-def _batch_request(op: dict) -> BatchRequest:
-    """One workload request op as a :class:`BatchRequest`."""
+def _parse_request(op: dict) -> BatchRequest:
+    """One workload request op: its spec and claims (``spread``, a
+    router-only knob no batch carries, stays with the caller)."""
     app = op.get("app")
     if not app:
         raise ValueError(f"operation needs an 'app' id: {op!r}")
@@ -289,6 +244,58 @@ def _batch_request(op: dict) -> BatchRequest:
         bw_bps=float(op.get("bw_mbps", 0.0)) * Mbps,
         priority=op.get("priority", Priority.SILVER),
     )
+
+
+def _grant_record(service, grant) -> dict:
+    """The JSON-safe outcome record of one request's grant."""
+    record = {
+        "at": service.now, "op": "request",
+        "app": grant.app_id, "status": grant.status,
+    }
+    if grant.selection is not None:
+        record["nodes"] = grant.selection.nodes
+    if grant.reason:
+        record["reason"] = grant.reason
+    return record
+
+
+def _run_op(service, op: dict) -> dict:
+    """Apply one workload operation; returns a JSON-safe outcome record."""
+    kind = op.get("op", "request")
+    if kind == "request":
+        req = _parse_request(op)
+        kwargs = dict(
+            cpu_fraction=req.cpu_fraction, bw_bps=req.bw_bps,
+            priority=req.priority,
+        )
+        if "spread" in op:
+            # Fault-domain spread is a router-only knob.
+            if not isinstance(service, ShardRouter):
+                raise ValueError(
+                    f"'spread' requires --shards > 1: {op!r}"
+                )
+            kwargs["spread"] = int(op["spread"])
+        return _grant_record(
+            service, service.request(req.app_id, req.spec, **kwargs)
+        )
+    record: dict = {"at": service.now, "op": kind}
+    if kind == "tick":
+        record["expired"] = service.tick()
+        return record
+    app = op.get("app")
+    if not app:
+        raise ValueError(f"operation needs an 'app' id: {op!r}")
+    record["app"] = app
+    if kind == "release":
+        record["status"] = service.release(app).status
+    elif kind == "renew":
+        renewed = service.renew(app)
+        record["status"] = "renewed"
+        if renewed.reservation is not None:  # router grants carry none
+            record["expires_at"] = renewed.reservation.expires_at
+    else:
+        raise ValueError(f"unknown op {kind!r} in {op!r}")
+    return record
 
 
 def _serve_async(
@@ -331,17 +338,8 @@ def _serve_async(
         if not batch:
             return
         _advance_to(max(float(op.get("at", service.now)) for op in batch))
-        grants = service.admit_batch([_batch_request(op) for op in batch])
-        for grant in grants:
-            record = {
-                "at": service.now, "op": "request",
-                "app": grant.app_id, "status": grant.status,
-            }
-            if grant.selection is not None:
-                record["nodes"] = grant.selection.nodes
-            if grant.reason:
-                record["reason"] = grant.reason
-            outcomes.append(record)
+        grants = service.admit_batch([_parse_request(op) for op in batch])
+        outcomes.extend(_grant_record(service, grant) for grant in grants)
 
     async def _runner() -> None:
         loop = asyncio.get_running_loop()

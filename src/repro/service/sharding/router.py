@@ -70,9 +70,8 @@ from .trunk import TrunkLedger
 from .workers import (
     WORKER_ERRORS_HELP,
     WORKER_ERRORS_METRIC,
-    InprocShard,
+    InprocExecutor,
     PinnedNodes,
-    ProcessShard,
     ShardWorkerPool,
     WorkerCrashError,
 )
@@ -145,21 +144,24 @@ class ShardRouter:
         Cross-shard traffic fraction beyond which
         :meth:`maybe_repartition` recuts the topology.
     executor:
-        The shard data plane.  ``"inproc"`` (default) runs every shard's
-        service inside this process — bit-identical to the pre-executor
-        router.  ``"process"`` runs them in a
+        Where the shard services run.  The router reaches them through
+        one call surface (``call`` / ``call_many`` / ``tick_all`` /
+        ``sync`` / ``drain`` / ``close``) whichever it is: ``"inproc"``
+        (default) answers it inside this process
+        (:class:`~repro.service.sharding.workers.InprocExecutor`),
+        ``"process"`` with a
         :class:`~repro.service.sharding.ShardWorkerPool` of
-        ``multiprocessing`` workers (``repro-serve --workers N``):
-        cross-shard probes and commits fan out to their workers
-        concurrently, a sub-batch is one envelope, releases are posted
-        (acked later, see :meth:`ShardWorkerPool.drain`).  Requires a
-        static :class:`TopologyGraph` provider; grants for an identical
-        request stream, serial or batched, are bit-identical to
-        ``"inproc"`` regardless of worker count.
+        ``multiprocessing`` workers (``repro-serve --workers N``), where
+        cross-shard probes and commits run on their workers
+        concurrently, a sub-batch is one envelope and releases are
+        posted (acked later, see :meth:`ShardWorkerPool.drain`).  The
+        pool requires a static :class:`TopologyGraph` provider; grants
+        for an identical request stream, serial or batched, are
+        bit-identical between the two regardless of worker count.
     workers:
         Worker process count for the process executor (default: one per
         shard, clamped to ``[1, shards]``); shard ``i`` runs in worker
-        ``i % workers``.
+        ``i % workers``.  ``ValueError`` with ``executor="inproc"``.
 
     Remaining keyword arguments mirror :class:`SelectionService`.  Shard
     services always run with ``queue_limit=0``: the router rejects what
@@ -198,6 +200,11 @@ class ShardRouter:
                 "provider: worker clocks follow the router's envelope "
                 "timestamps, not a live simulator"
             )
+        if workers is not None and executor != "process":
+            raise ValueError(
+                f"workers={workers!r} needs executor=\"process\": the "
+                "in-process executor has no workers to count"
+            )
         provider, clock, self._manual_clock = resolve_provider(provider, clock)
         self.provider = provider
         self.clock = clock
@@ -212,29 +219,24 @@ class ShardRouter:
         #: worker-restart sweeps, surfaced via ``metrics_snapshot()``.
         self.slo = SloMonitor(clock=self.clock)
         self._slo_restarts_seen = 0
-        #: ``shard -> [offset, last]`` for the per-shard request counter:
-        #: a restarted worker reports from zero again, so the exposition
-        #: folds the last-seen value into an offset to stay monotone.
-        self._shard_requests_base: dict[int, list[float]] = {}
         self.repartition_threshold = float(repartition_threshold)
         self._state_dir = state_dir
         self._wal_fsync = bool(wal_fsync)
         self._wal_snapshot_every = int(wal_snapshot_every)
         self.executor = executor
         self.requested_workers = workers
-        #: The worker pool (process executor only).
+        #: The worker pool: ``_exec`` again when that is one, else
+        #: ``None`` (for what only a pool has — see :attr:`pool`).
         self._pool: Optional[ShardWorkerPool] = None
-        #: Router-maintained live sub-grant count per shard (process
-        #: executor only — the in-process executor reads the ledgers
-        #: directly).  Kept exact by the commit/release/tick paths and
-        #: asserted against the workers in :meth:`check_invariants`.
+        #: Live sub-grant count per shard — the router's only source for
+        #: it (shard ordering, ``repro_shard_active_leases``).  Shard
+        #: services never admit, expire or migrate anything except
+        #: inside a router-issued command, so the commit/release/tick
+        #: paths keep it exact; :meth:`check_invariants` asserts it
+        #: against every shard.
         self._sub_count: dict[int, int] = {}
-        #: Clock reading at the last worker-pool tick fan-out; a repeat
-        #: tick at the same instant cannot expire anything new, so the
-        #: per-request tick skips the RPC round entirely.
-        self._last_tick_now: Optional[float] = None
-        #: Last harvested per-shard stats, served after pool shutdown.
-        self._final_per_shard: Optional[dict] = None
+        #: ``per_shard`` as last read; served once the executor is closed.
+        self._per_shard: dict = {}
         #: Per-shard SelectionService kwargs reused across repartitions.
         self._service_kwargs = dict(
             snapshot_ttl=snapshot_ttl,
@@ -280,9 +282,11 @@ class ShardRouter:
             for shard in range(plan.k)
         ]
         self._sub_count = {shard: 0 for shard in range(plan.k)}
+        #: Per-shard facts fixed by the plan, reported in ``per_shard``.
+        self._shard_facts = [{"hosts": n} for n in self._shard_hosts]
         if self.executor == "process":
             self._services: Optional[list[SelectionService]] = None
-            self._pool = ShardWorkerPool(
+            self._exec = self._pool = ShardWorkerPool(
                 plan,
                 workers=(
                     self.requested_workers
@@ -296,9 +300,8 @@ class ShardRouter:
                 wal_snapshot_every=self._wal_snapshot_every,
                 tracer=self.tracer if self.tracer.enabled else None,
             )
-            self._shards: list = [
-                ProcessShard(self._pool, shard) for shard in range(plan.k)
-            ]
+            for shard, facts in enumerate(self._shard_facts):
+                facts["worker"] = self._pool.worker_of(shard)
         else:
             self._services = []
             for shard in range(plan.k):
@@ -317,7 +320,7 @@ class ShardRouter:
                     wal_snapshot_every=self._wal_snapshot_every,
                     **self._service_kwargs,
                 ))
-            self._shards = [InprocShard(s) for s in self._services]
+            self._exec = InprocExecutor(self._services)
         trunk_dir = (
             os.path.join(self._state_dir, "trunk")
             if self._state_dir else None
@@ -344,11 +347,20 @@ class ShardRouter:
         """The worker pool (``None`` with the in-process executor)."""
         return self._pool
 
+    def _fan_out(self, op: str) -> list[tuple[str, object]]:
+        """``op`` on every shard at once; one reply per shard, in order."""
+        return self._exec.call_many(
+            [(shard, op, (), {}) for shard in range(self.plan.k)]
+        )
+
     def _recover_composites(self) -> None:
         """Rebuild composite grants from recovered shard + trunk leases."""
         if self._state_dir is None:
             return
-        reservation_maps = [h.reservation_map() for h in self._shards]
+        reservation_maps = [
+            self._exec.call(shard, "reservation_map")
+            for shard in range(self.plan.k)
+        ]
         parts_by_app: dict[str, dict[int, str]] = {}
         for shard, reservations in enumerate(reservation_maps):
             self._sub_count[shard] = len(reservations)
@@ -381,7 +393,7 @@ class ShardRouter:
             # Never restart behind the recovered grants (mirrors the
             # single service's manual-clock fast-forward).
             self._manual_clock.now = latest
-        reports = [h.recovery for h in self._shards] + [self.trunk.recovery]
+        reports = [*self._exec.recoveries.values(), self.trunk.recovery]
         reports = [r for r in reports if r is not None]
         self.recovery = _RouterRecovery(
             leases=len(self._active),
@@ -398,10 +410,10 @@ class ShardRouter:
     def _bind_registry(self) -> None:
         """Export ``repro_shard_*`` instruments (callback-backed).
 
-        Per-shard callbacks read through ``self._shards`` dynamically,
-        so a repartition (same k, fresh shard handles) needs no
-        rebinding; under the process executor each scrape issues one
-        RPC per shard (serialized by the pool's transport lock).
+        Per-shard callbacks read the router's own books, which a
+        repartition (same k) rebuilds in place, so it needs no
+        rebinding; the one thing a scrape asks the shards is the
+        collect hook's ``metrics_state`` — k calls for k shards.
         """
         reg = self.registry
         reg.gauge("repro_shard_count", "Shards behind the router.",
@@ -448,32 +460,19 @@ class ShardRouter:
             reg.counter(
                 "repro_shard_requests_total",
                 "Sub-requests attempted per shard.", labels=labels,
-                fn=(lambda s=shard: self._monotone_shard_requests(s)),
+                fn=(lambda s=shard: self._federation.read(
+                    s, "repro_service_requests_total")),
             )
             reg.gauge(
                 "repro_shard_active_leases",
                 "Live sub-grants per shard.", labels=labels,
-                fn=(lambda s=shard: float(self._shards[s].active)),
+                fn=(lambda s=shard: float(self._sub_count[s])),
             )
             reg.gauge(
                 "repro_shard_hosts",
                 "Compute nodes per shard.", labels=labels,
                 fn=(lambda s=shard: float(self._shard_hosts[s])),
             )
-
-    def _monotone_shard_requests(self, shard: int) -> float:
-        """Per-shard request counter that survives worker restarts.
-
-        A killed worker comes back with fresh in-memory stats; folding
-        the last-seen value into an offset keeps the exported counter
-        monotone, matching the federation's restart semantics.
-        """
-        raw = float(self._shards[shard].requests_total())
-        base = self._shard_requests_base.setdefault(shard, [0.0, 0.0])
-        if raw < base[1]:
-            base[0] += base[1]
-        base[1] = raw
-        return base[0] + raw
 
     def _trunk_min_headroom(self) -> float:
         """Worst remaining-capacity fraction over claimed trunk channels."""
@@ -499,19 +498,12 @@ class ShardRouter:
         stage counters — labeled ``shard=`` and kept monotone across
         worker restarts by the federation baselines.
         """
-        if self._pool is not None:
-            if self._pool.closed:
-                return  # close() already did the final harvest
-            replies = self._pool.call_many([
-                (shard, "metrics_state", (), {})
-                for shard in range(self.plan.k)
-            ])
-            for shard, (kind, payload) in enumerate(replies):
-                if kind == "ok":
-                    self._federation.ingest(shard, payload)
-        else:
-            for shard, handle in enumerate(self._shards):
-                self._federation.ingest(shard, handle.metrics_state())
+        if self._exec.closed:
+            return  # close() already did the final harvest
+        replies = self._fan_out("metrics_state")
+        for shard, (kind, payload) in enumerate(replies):
+            if kind == "ok":
+                self._federation.ingest(shard, payload)
 
     # -- time ------------------------------------------------------------------
     @property
@@ -533,55 +525,32 @@ class ShardRouter:
     def tick(self) -> list[str]:
         """Expire lapsed leases in every shard + the trunk; returns the
         composite apps whose grants lapsed."""
-        restarted: frozenset[int] | set[int] = frozenset()
-        if self._pool is not None:
-            # Local liveness sweep first (waitpid, no RPCs): a worker
-            # that died since the last command is replaced *now*, so its
-            # lost (non-durable) leases are reaped this tick instead of
-            # whenever traffic next routes its way.
-            self._pool.reap_dead()
-            restarted = self._pool.take_restarted_shards()
-            if self._pool.restarts > self._slo_restarts_seen:
-                self.slo.observe_restart(
-                    self._pool.restarts - self._slo_restarts_seen
-                )
-                self._slo_restarts_seen = self._pool.restarts
-        if (
-            self._pool is not None
-            and not restarted
-            and self._last_tick_now == self.now
-        ):
-            # Static clock hasn't moved and no worker was replaced since
-            # the last tick: the per-shard expiry fan-out is a no-op, so
-            # skip the k round-trips that dominate hot-path latency.
-            self.trunk.expire(self.now)
-            return []
-        now = self.now
-        dead_subs: set[str] = set()
-        if self._pool is not None:
-            replies = self._pool.call_many(
-                [(shard, "tick", (), {}) for shard in range(self.plan.k)]
+        # Whoever died since the last command is replaced *now*, so its
+        # lost (non-durable) leases are reaped this tick instead of
+        # whenever traffic next routes its way.
+        restarted = self._exec.sync()
+        if self._exec.restarts > self._slo_restarts_seen:
+            self.slo.observe_restart(
+                self._exec.restarts - self._slo_restarts_seen
             )
-            for shard, (kind, payload) in enumerate(replies):
-                if kind == "ok":
-                    dead_subs.update(payload)
-                else:
-                    # Worker died mid-tick and was restarted from its WAL
-                    # (or empty, if non-durable); the resync below reaps
-                    # anything the restart lost.
-                    restarted = restarted | {shard}
-            if self._pool.tracer is not None:
-                # Bring home spans buffered by untraced worker ops since
-                # the last clock movement (metrics scrapes, pings).
-                self._pool.drain_spans()
-        else:
-            for handle in self._shards:
-                dead_subs.update(handle.tick())
-        self._last_tick_now = now
+            self._slo_restarts_seen = self._exec.restarts
+        now = self.now
+        replies = self._exec.tick_all(force=bool(restarted))
         self.trunk.expire(now)
+        if replies is None:  # no shard can have changed since the last
+            return []
+        dead_subs: set[str] = set()
+        for shard, (kind, payload) in enumerate(replies):
+            if kind == "ok":
+                dead_subs.update(payload)
+            else:
+                # Worker died mid-tick and was restarted from its WAL
+                # (or empty, if non-durable); the resync below reaps
+                # anything the restart lost.
+                restarted = restarted | {shard}
         #: What each restarted shard still holds (recovered, or nothing).
         held = {
-            shard: self._shards[shard].reservation_map()
+            shard: self._exec.call(shard, "reservation_map")
             for shard in sorted(restarted)
         }
         expired = []
@@ -622,10 +591,9 @@ class ShardRouter:
         for sub in dead_subs:
             shard = int(sub.rsplit("@", 1)[1])
             self._sub_count[shard] = max(0, self._sub_count[shard] - 1)
-        if self._pool is not None:
-            # The fan-out read every posted ack on its way; an error
-            # among them is raised now that the books are settled.
-            self._pool.drain()
+        # The fan-out read every posted ack on its way; an error among
+        # them is raised now that the books are settled.
+        self._exec.drain()
         return sorted(expired)
 
     # -- the request path ------------------------------------------------------
@@ -679,19 +647,9 @@ class ShardRouter:
         return grant
 
     def _shard_order(self) -> list[int]:
-        """Shards by load headroom: least-loaded (per host) first.
-
-        Under the process executor the per-shard live count comes from
-        the router's own ``_sub_count`` mirror instead of a k-way RPC
-        fan-out per request; shard services never admit, expire, or
-        migrate anything on their own (the static clock only advances
-        inside router-issued commands), so the mirror is exact — and
-        :meth:`check_invariants` asserts it.
-        """
-        if self._pool is not None:
-            live = self._sub_count
-        else:
-            live = [h.active for h in self._shards]
+        """Shards by load headroom: least-loaded (per host) first, by
+        the router's own live count (``_sub_count``) — no shard is asked."""
+        live = self._sub_count
         return sorted(
             range(self.plan.k),
             key=lambda s: (live[s] / max(1, self._shard_hosts[s]), s),
@@ -712,8 +670,8 @@ class ShardRouter:
             for shard in order:
                 sub = f"{app_id}@{shard}"
                 try:
-                    g = self._shards[shard].request(
-                        sub, spec,
+                    g = self._exec.call(
+                        shard, "request", sub, spec,
                         cpu_fraction=cpu_fraction, bw_bps=bw_bps,
                         priority=priority,
                     )
@@ -809,7 +767,7 @@ class ShardRouter:
                 replace(b, app_id=f"{b.app_id}@{shard}") for b in pending
             ]
             try:
-                sub_grants = self._shards[shard].admit_batch(sub_batch)
+                sub_grants = self._exec.call(shard, "admit_batch", sub_batch)
             except WorkerCrashError:
                 # A durable replacement may have recovered sub-leases
                 # committed before the crash — evict them, so the next
@@ -875,8 +833,9 @@ class ShardRouter:
                     selection = probed[shard, size]
                 else:
                     sub_spec = replace(spec, num_nodes=size)
-                    selection = self._shards[shard].probe(
-                        sub_spec, cpu_fraction=cpu_fraction, bw_bps=bw_bps
+                    selection = self._exec.call(
+                        shard, "probe", sub_spec,
+                        cpu_fraction=cpu_fraction, bw_bps=bw_bps,
                     )
                 if selection is not None:
                     split.append((shard, size, selection))
@@ -905,7 +864,8 @@ class ShardRouter:
         this cache reproduces the unfanned walk bit-for-bit; any probe
         that fails (or any worker that crashes) just drops the
         speculation and the loop falls back to its own serial RPCs.
-        Returns ``{}`` under the in-process executor.
+        Returns ``{}`` under the in-process executor: speculation only
+        pays where calls overlap.
         """
         if self._pool is None:
             return {}
@@ -1017,17 +977,11 @@ class ShardRouter:
             for shard, size, probed in split
         ]
         try:
-            if self._pool is not None:
-                # Out together: different workers commit concurrently.
-                replies = self._pool.call_many([
-                    (shard, "request", (sub, pinned), claim)
-                    for shard, sub, pinned in subs
-                ])
-            else:
-                replies = (
-                    ("ok", self._shards[shard].request(sub, pinned, **claim))
-                    for shard, sub, pinned in subs
-                )
+            # Out together: different workers commit concurrently.
+            replies = self._exec.call_many([
+                (shard, "request", (sub, pinned), claim)
+                for shard, sub, pinned in subs
+            ])
             failure: Optional[Exception] = None
             for (shard, sub, _pinned), (kind, g) in zip(subs, replies):
                 if kind == "ok" and g.admitted:
@@ -1038,8 +992,6 @@ class ShardRouter:
                 failure = g if kind == "err" else _CommitAbort(
                     f"shard {shard} refused at commit: {g.reason}"
                 )
-                if self._pool is None:
-                    break  # in-process commits are made one at a time
             if failure is not None:
                 raise failure
             nodes = [
@@ -1099,15 +1051,14 @@ class ShardRouter:
     def _release_sub(self, shard: int, sub: str, kind: str) -> None:
         """Release one sub-lease, if the shard still holds it.
 
-        "Not held" is the shard's ``KeyError``.  Under the pool the
-        release is posted: a restarted worker gets it replayed, having
-        either recovered the lease from its WAL or nothing to release.
-        Does not touch ``_sub_count`` — callers own that bookkeeping.
+        Posted: "not held" (the shard's ``KeyError``) is no error, and
+        a restarted worker gets the release replayed, having either
+        recovered the lease from its WAL or nothing to release.  Does
+        not touch ``_sub_count`` — callers own that bookkeeping.
         """
-        try:
-            self._shards[shard].release(sub, kind=kind)
-        except KeyError:
-            pass
+        self._exec.call_many(
+            [(shard, "release", (sub,), {"kind": kind})], wait=False
+        )
 
     def release(self, app_id: str, *, kind: str = "release") -> PlacementGrant:
         """Give back every sub-lease and the trunk claim for ``app_id``.
@@ -1152,10 +1103,10 @@ class ShardRouter:
         lease = self.lease_s if extend is None else float(extend)
         for shard, sub in grant.parts.items():
             try:
-                self._shards[shard].renew(sub, extend=lease)
+                self._exec.call(shard, "renew", sub, extend=lease)
             except WorkerCrashError:
                 try:  # once more, against the restarted worker
-                    self._shards[shard].renew(sub, extend=lease)
+                    self._exec.call(shard, "renew", sub, extend=lease)
                 except KeyError:
                     raise KeyError(
                         f"sub-lease {sub!r} for {app_id!r} was lost to a "
@@ -1183,7 +1134,7 @@ class ShardRouter:
                 "keyed to the old shard layout)"
             )
         if self._active or self.trunk.active or any(
-            h.active for h in self._shards
+            self._sub_count.values()
         ):
             raise RuntimeError(
                 "repartition requires every grant released first"
@@ -1199,8 +1150,7 @@ class ShardRouter:
         )
         if new_plan is self.plan:
             return False
-        for handle in self._shards:
-            handle.close()
+        self._exec.close()
         old_trunk = len(self.plan.trunk_keys)
         self.plan = new_plan
         self._build_shards()
@@ -1233,63 +1183,62 @@ class ShardRouter:
         return sorted(self._active)
 
     def check_invariants(self) -> None:
-        """Every shard's ledger + overlay invariants, trunk caps, and the
+        """Every shard's ledger + overlay invariants, trunk caps, the
         intra/trunk claim partition (no shard ever claims a trunk
-        channel; the trunk never claims an intra-shard channel)."""
-        if self._pool is not None:
-            self._pool.drain()
-        for shard, handle in enumerate(self._shards):
-            handle.check_invariants()
-            for key, dst in handle.edge_claims():
+        channel; the trunk never claims an intra-shard channel) and the
+        router's live count against what each shard holds."""
+        self._exec.drain()
+        for shard in range(self.plan.k):
+            self._exec.call(shard, "check_invariants")
+            for key, dst in self._exec.call(shard, "edge_claims"):
                 assert key not in self.plan.trunk_keys, (
                     f"shard {shard} claimed trunk channel "
                     f"{sorted(key)} towards {dst!r}"
                 )
-            if self._pool is not None:
-                live = handle.active
-                assert self._sub_count[shard] == live, (
-                    f"router sub-lease mirror for shard {shard} drifted: "
-                    f"{self._sub_count[shard]} counted, {live} live"
-                )
+            live = len(self._exec.call(shard, "reservation_map"))
+            assert self._sub_count[shard] == live, (
+                f"router sub-lease count for shard {shard} drifted: "
+                f"{self._sub_count[shard]} counted, {live} live"
+            )
         self.trunk.check_invariants()
+
+    def _refresh_extras(self) -> None:
+        """The router's additions to the flat snapshot schema."""
+        extras = self.metrics.extras
+        extras["shard_count"] = self.plan.k
+        extras["cross_shard_fraction"] = self.cross_fraction
+        extras["trunk_active_reservations"] = self.trunk.active
+        extras["trunk_channels_claimed"] = len(self.trunk.edge_claims())
+        if self._pool is not None:
+            extras["workers"] = self._pool.workers
+            extras["worker_restarts"] = self._pool.restarts
+
+    def _read_per_shard(self) -> dict:
+        """``per_shard``: every shard's own ``metrics_snapshot``, cut
+        down to one schema, plus the plan's facts about the shard.  A
+        closed executor is not asked; the last reading stands."""
+        if not self._exec.closed:
+            self._per_shard = {}
+            for shard, (kind, snap) in enumerate(
+                self._fan_out("metrics_snapshot")
+            ):
+                if kind != "ok":  # its worker died under the question
+                    snap = {}
+                self._per_shard[str(shard)] = {
+                    "requests": snap.get("requests", 0),
+                    "admitted": snap.get("admitted", 0),
+                    "rejected": snap.get("rejected", 0),
+                    "active_leases": int(snap.get("active_reservations", 0)),
+                    "stages": snap.get("stages", {}),
+                    **self._shard_facts[shard],
+                }
+        return self._per_shard
 
     def metrics_snapshot(self) -> dict:
         """The frozen flat schema plus ``per_shard`` nested gauges."""
-        self.metrics.extras["shard_count"] = self.plan.k
-        self.metrics.extras["cross_shard_fraction"] = self.cross_fraction
-        self.metrics.extras["trunk_active_reservations"] = self.trunk.active
-        self.metrics.extras["trunk_channels_claimed"] = (
-            len(self.trunk.edge_claims())
-        )
-        if self._pool is not None:
-            self.metrics.extras["workers"] = self._pool.workers
-            self.metrics.extras["worker_restarts"] = self._pool.restarts
+        self._refresh_extras()
         out = self.metrics.snapshot(slo=self.slo.evaluate(self.now))
-        per_shard = {}
-        if self._pool is not None:
-            if self._pool.closed:
-                # Final stats were harvested by close(); serve those so
-                # post-shutdown reporting (the CLI summary) still works.
-                out["per_shard"] = self._final_per_shard or {}
-                return out
-            replies = self._pool.call_many(
-                [(shard, "stats", (), {}) for shard in range(self.plan.k)]
-            )
-            for shard, (kind, payload) in enumerate(replies):
-                stats = payload if kind == "ok" else {
-                    "requests": 0, "admitted": 0, "rejected": 0,
-                    "active_leases": 0, "stages": {},
-                }
-                stats["hosts"] = self._shard_hosts[shard]
-                stats["worker"] = self._pool.worker_of(shard)
-                per_shard[str(shard)] = stats
-            self._final_per_shard = per_shard
-        else:
-            for shard, handle in enumerate(self._shards):
-                stats = handle.stats()
-                stats["hosts"] = self._shard_hosts[shard]
-                per_shard[str(shard)] = stats
-        out["per_shard"] = per_shard
+        out["per_shard"] = self._read_per_shard()
         return out
 
     # -- durability ------------------------------------------------------------
@@ -1302,37 +1251,21 @@ class ShardRouter:
 
     def flush_state(self) -> None:
         """Compacted snapshots for every shard WAL + the trunk WAL."""
-        if self._pool is not None:
-            self._pool.drain()
-        for handle in self._shards:
-            handle.flush_state()
+        self._exec.drain()
+        for shard in range(self.plan.k):
+            self._exec.call(shard, "flush_state")
         self.trunk.flush_state()
 
     def close(self) -> None:
-        """Flush final snapshots and detach every WAL (idempotent);
-        under the process executor this also shuts the worker pool
-        down (flush + join), harvesting final per-shard stats first so
-        :meth:`metrics_snapshot` keeps answering afterwards."""
+        """Flush final snapshots, detach every WAL and shut the executor
+        down (idempotent), reading ``per_shard`` and the shard
+        registries one last time first so :meth:`metrics_snapshot` and
+        scrapes keep answering afterwards."""
         try:
-            if self._pool is not None:
-                if not self._pool.closed:
-                    try:
-                        self.metrics_snapshot()
-                        # Final federation pass: post-close scrapes (e.g.
-                        # --dump-metrics after shutdown) serve the last
-                        # harvested worker series.
-                        self._harvest_shard_metrics()
-                        # Refresh the per-shard gauge caches too, so the
-                        # callback instruments report final figures.
-                        for shard in range(self.plan.k):
-                            self._monotone_shard_requests(shard)
-                            _ = self._shards[shard].active
-                    except RuntimeError:  # pragma: no cover - close race
-                        pass
-                self._pool.close()  # raises a posted release's error ack
-            else:
-                for handle in self._shards:
-                    handle.close()
+            if not self._exec.closed:
+                self._read_per_shard()
+                self._harvest_shard_metrics()
+            self._exec.close()  # raises a posted release's error ack
         finally:
             self.trunk.close()
 

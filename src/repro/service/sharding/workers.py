@@ -9,9 +9,15 @@ isolation and zero aggregate throughput.  This module supplies the
 by a small pickled command protocol mapped 1:1 onto the
 :class:`~repro.service.api.PlacementBackend` surface (``request`` /
 ``admit_batch`` / ``release`` / ``renew`` / ``tick`` / ``status`` /
-``metrics_snapshot`` / ``flush_state``, plus the pool-internal ops the
-router's routing and recovery need: ``probe``, ``reservation_map``,
-``edge_claims``, ``stats``, ``ping``, …).
+``metrics_snapshot`` / ``flush_state`` / ``probe`` /
+``check_invariants`` — a shard's own service methods — plus four ops
+answered beside them: ``reservation_map``, ``edge_claims``, ``ping``,
+``metrics_state``).  The pool's call surface — :meth:`~ShardWorkerPool.call`,
+:meth:`~ShardWorkerPool.call_many`, :meth:`~ShardWorkerPool.tick_all`,
+:meth:`~ShardWorkerPool.sync`, :meth:`~ShardWorkerPool.drain`,
+:meth:`~ShardWorkerPool.close` — is the *only* way the router reaches a
+shard; :class:`InprocExecutor` answers the same surface over services
+in the router's own process.
 
 Design points:
 
@@ -47,9 +53,9 @@ Design points:
   tree (:meth:`Tracer.adopt`) with ``shard=``/``pid=`` attribution.
   Ops that run off the request path (metrics scrapes, pings) are never
   traced (``_UNTRACED_OPS``); spans they buffer anyway drift home via
-  the ``drain_spans`` op on ``tick()`` and on close.  Worker metrics
-  federate the same way: the ``metrics_state`` op dumps the shard
-  services' registries for the router-side
+  the ``drain_spans`` op after every tick fan-out and on close.
+  Worker metrics federate the same way: the ``metrics_state`` op dumps
+  the shard services' registries for the router-side
   :class:`~repro.obs.metrics.MetricsFederation`.
 * **Crash recovery** — workers answer health pings, and a dead worker
   (detected by a broken pipe or a failed liveness check before send) is
@@ -75,16 +81,12 @@ import threading
 from collections import Counter, deque
 from typing import Any, Optional, Sequence
 
-from ...core.spec import ApplicationSpec
-from ...core.types import Selection
 from ...obs.trace import Tracer
-from ..api import BatchRequest, PlacementGrant
 from ..service import ManualClock, SelectionService
 
 __all__ = [
-    "InprocShard",
+    "InprocExecutor",
     "PinnedNodes",
-    "ProcessShard",
     "ShardWorkerPool",
     "WorkerCrashError",
 ]
@@ -114,7 +116,7 @@ WORKER_ERRORS_HELP = "Errors caught at a shard-worker boundary, by site."
 #: scrape's worker span under an unrelated in-flight request would
 #: corrupt its tree.  Their spans (if any) come home via ``drain_spans``.
 _UNTRACED_OPS = frozenset({
-    "stats", "metrics_state", "metrics_snapshot", "ping", "drain_spans",
+    "metrics_state", "metrics_snapshot", "ping", "drain_spans",
     "check_invariants", "close",
 })
 
@@ -169,16 +171,6 @@ def _dispatch(service: SelectionService, op: str, args: tuple, kwargs: dict):
         }
     if op == "edge_claims":
         return list(service.ledger.edge_claims())
-    if op == "active":
-        return service.ledger.active
-    if op == "stats":
-        return {
-            "requests": service.metrics.requests,
-            "admitted": service.metrics.admitted,
-            "rejected": service.metrics.rejected,
-            "active_leases": service.ledger.active,
-            "stages": service.metrics.stage_summaries(),
-        }
     if op == "ping":
         return os.getpid()
     if op == "metrics_state":
@@ -425,8 +417,10 @@ class ShardWorkerPool:
         #: Error acks of posted envelopes, raised by :meth:`drain`.
         self._ack_errors: list[BaseException] = []
         #: Shards whose worker restarted since the router last synced
-        #: (drained by :meth:`take_restarted_shards`).
+        #: (drained by :meth:`sync`).
         self._restarted_shards: set[int] = set()
+        #: Clock reading at the last :meth:`tick_all` fan-out.
+        self._last_tick_now: Optional[float] = None
         #: Per-shard recovery reports from the initial spawn handshake.
         self.recoveries: dict[int, Any] = {}
         self._closed = False
@@ -515,26 +509,43 @@ class ShardWorkerPool:
             else:
                 env.reply = ("err", crash)
 
-    def take_restarted_shards(self) -> set[int]:
-        """Shards restarted since the last call (router resync hook)."""
-        out, self._restarted_shards = self._restarted_shards, set()
-        return out
+    def sync(self) -> set[int]:
+        """Restart any worker found dead right now; returns the shards
+        restarted, by this sweep or by any send or receive, since the
+        last call.
 
-    def reap_dead(self) -> None:
-        """Restart any worker found dead right now.
-
-        A pure local liveness sweep (``waitpid``, no RPC round-trips) —
-        cheap enough for the router to run on every :meth:`tick`, so a
-        crashed worker is replaced (and its durable shards recovered)
-        even when no request happens to route to it.  Replaced shards
-        surface through :meth:`take_restarted_shards` as usual.
+        A local liveness sweep (``waitpid``, no round-trips) — cheap
+        enough for the router to run on every tick, so a crashed worker
+        is replaced (and its durable shards recovered) even when no
+        request happens to route to it.
         """
         with self._lock:
-            if self._closed:
-                return
-            for w in self._procs:
-                if not w.proc.is_alive():
-                    self._restart(w, "found dead in liveness sweep")
+            if not self._closed:
+                for w in self._procs:
+                    if not w.proc.is_alive():
+                        self._restart(w, "found dead in liveness sweep")
+            out, self._restarted_shards = self._restarted_shards, set()
+        return out
+
+    def tick_all(
+        self, force: bool = False
+    ) -> Optional[list[tuple[str, Any]]]:
+        """One ``tick`` per shard, as :meth:`call_many` replies them —
+        or ``None`` without sending anything: worker clocks move only
+        with envelopes, so a repeat at the same instant can expire
+        nothing new unless a restart (``force``) may have lost leases.
+        """
+        now = self._clock()
+        if not force and now == self._last_tick_now:
+            return None
+        replies = self.call_many(
+            [(shard, "tick", (), {}) for shard in range(self.plan.k)]
+        )
+        # Bring home spans buffered by untraced worker ops since the
+        # last clock movement (metrics scrapes, pings).
+        self.drain_spans()
+        self._last_tick_now = now
+        return replies
 
     @property
     def closed(self) -> bool:
@@ -743,133 +754,53 @@ class ShardWorkerPool:
         )
 
 
-# -- shard handles -----------------------------------------------------------
+# -- the same surface, in this process -----------------------------------------
 
-class _ShardHandle:
-    """The router's view of one shard, each method one worker op: the
-    same surface whether ``_call`` reaches an object in this process or
-    a worker on another core."""
+class InprocExecutor:
+    """The pool's call surface over shard services in the caller's process.
 
-    def _call(self, op: str, *args, **kwargs):
-        raise NotImplementedError
+    Nothing here can die or lag: ``sync`` finds nobody restarted,
+    ``tick_all`` ticks every service every time, a posted call runs now
+    (``KeyError`` — "not held" — is its only ignored error) and ``drain``
+    has nothing to read.  Every op goes through :func:`_dispatch`, which
+    looks the method up on the service at call time, so a wrapper
+    shadowing one on the instance still fires.
+    """
 
-    def request(self, app_id: str, spec: ApplicationSpec, **kwargs
-                ) -> PlacementGrant:
-        return self._call("request", app_id, spec, **kwargs)
+    restarts = 0
 
-    def probe(self, spec: ApplicationSpec, *, cpu_fraction: float = 0.0,
-              bw_bps: float = 0.0) -> Optional[Selection]:
-        return self._call(
-            "probe", spec, cpu_fraction=cpu_fraction, bw_bps=bw_bps
-        )
+    def __init__(self, services: Sequence[SelectionService]) -> None:
+        self.services = list(services)
+        self.recoveries = {i: s.recovery for i, s in enumerate(self.services)}
+        self.closed = False
 
-    def admit_batch(self, batch: Sequence[BatchRequest]
-                    ) -> list[PlacementGrant]:
-        return self._call("admit_batch", list(batch))
+    def call(self, shard: int, op: str, *args, **kwargs):
+        return _dispatch(self.services[shard], op, args, kwargs)
 
-    def release(self, app_id: str, *, kind: str = "release") -> None:
-        """``KeyError`` when the shard does not hold ``app_id``."""
-        self._call("release", app_id, kind=kind)
+    def call_many(
+        self, calls: Sequence[tuple], *, wait: bool = True
+    ) -> list[tuple[str, Any]]:
+        replies = []
+        for shard, op, args, kwargs in calls:
+            try:
+                payload = _dispatch(self.services[shard], op, args, kwargs)
+                replies.append(("ok", payload))
+            except Exception as exc:
+                if not wait and not isinstance(exc, KeyError):
+                    raise
+                replies.append(("err", exc))
+        return replies if wait else []
 
-    def renew(self, app_id: str, *, extend: Optional[float] = None
-              ) -> PlacementGrant:
-        return self._call("renew", app_id, extend=extend)
+    def sync(self) -> frozenset:
+        return frozenset()
 
-    def reservation_map(self) -> dict[str, tuple[list[str], float]]:
-        return self._call("reservation_map")
+    def tick_all(self, force: bool = False) -> list[tuple[str, Any]]:
+        return [("ok", service.tick()) for service in self.services]
 
-    def edge_claims(self) -> list:
-        return self._call("edge_claims")
-
-    def stats(self) -> dict:
-        return self._call("stats")
-
-    def metrics_state(self) -> list[dict]:
-        return self._call("metrics_state")
-
-    def check_invariants(self) -> None:
-        self._call("check_invariants")
-
-    def flush_state(self) -> None:
-        self._call("flush_state")
-
-
-class InprocShard(_ShardHandle):
-    """The in-process executor's handle: direct calls on the service."""
-
-    def __init__(self, service: SelectionService) -> None:
-        self.service = service
-
-    def _call(self, op: str, *args, **kwargs):
-        return _dispatch(self.service, op, args, kwargs)
-
-    @property
-    def recovery(self):
-        return self.service.recovery
-
-    @property
-    def active(self) -> int:
-        return self.service.ledger.active
-
-    # The serial hot path (k ticks and one request per routed request)
-    # stays a direct call.
-    def tick(self) -> list[str]:
-        return self.service.tick()
-
-    def request(self, app_id: str, spec: ApplicationSpec, **kwargs
-                ) -> PlacementGrant:
-        return self.service.request(app_id, spec, **kwargs)
-
-    def stats(self) -> dict:
-        # The in-process per-shard schema has no stage table.
-        return {
-            "requests": self.service.metrics.requests,
-            "admitted": self.service.metrics.admitted,
-            "rejected": self.service.metrics.rejected,
-            "active_leases": self.service.ledger.active,
-        }
-
-    def requests_total(self) -> int:
-        return self.service.metrics.requests
+    def drain(self) -> None:
+        pass
 
     def close(self) -> None:
-        self.service.close()
-
-
-class ProcessShard(_ShardHandle):
-    """The process executor's handle: the same surface over the pool."""
-
-    def __init__(self, pool: ShardWorkerPool, shard: int) -> None:
-        self.pool = pool
-        self.shard = shard
-        # Last-seen figures so registry callback gauges stay readable
-        # after close() (post-shutdown --dump-metrics / scrapes).
-        self._last_active = 0
-        self._last_requests = 0
-
-    def _call(self, op: str, *args, **kwargs):
-        return self.pool.call(self.shard, op, *args, **kwargs)
-
-    @property
-    def recovery(self):
-        return self.pool.recoveries.get(self.shard)
-
-    @property
-    def active(self) -> int:
-        if not self.pool.closed:
-            self._last_active = self._call("active")
-        return self._last_active
-
-    def release(self, app_id: str, *, kind: str = "release") -> None:
-        """Posted: "not held" is no error here, any other is the drain's."""
-        self.pool.call_many(
-            [(self.shard, "release", (app_id,), {"kind": kind})], wait=False
-        )
-
-    def requests_total(self) -> int:
-        if not self.pool.closed:
-            self._last_requests = self.stats()["requests"]
-        return self._last_requests
-
-    def close(self) -> None:
-        """No-op: the pool owns worker shutdown (see ``pool.close()``)."""
+        for service in self.services:
+            service.close()
+        self.closed = True

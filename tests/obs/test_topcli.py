@@ -49,6 +49,25 @@ class TestParse:
         assert samples == [("repro_x", {}, 1.0)]
 
 
+    def test_escaped_quote_and_comma_inside_a_label_value(self):
+        samples = parse_exposition(
+            'repro_shard_worker_errors_total{site="a\\",b",shard="0"} 2\n'
+        )
+        assert samples == [(
+            "repro_shard_worker_errors_total",
+            {"site": 'a",b', "shard": "0"}, 2.0,
+        )]
+
+    def test_trailing_timestamp_is_not_the_value(self):
+        samples = parse_exposition(
+            'repro_shard_hosts{shard="0"} 3 1700000000\nrepro_x 4 1700000000\n'
+        )
+        assert samples == [
+            ("repro_shard_hosts", {"shard": "0"}, 3.0),
+            ("repro_x", {}, 4.0),
+        ]
+
+
 class TestRender:
     def test_full_status_view(self):
         lines = render_status(parse_exposition(EXPOSITION))

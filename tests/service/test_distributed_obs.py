@@ -17,6 +17,7 @@ import pytest
 from repro.core.spec import ApplicationSpec
 from repro.obs import Tracer
 from repro.obs.promtext import validate
+from repro.obs.topcli import parse_exposition
 from repro.service import ShardRouter
 from repro.topology import two_campus
 from repro.units import Mbps
@@ -206,6 +207,63 @@ class TestFederatedExposition:
             if k.startswith('repro_service_requests_total{shard=')
         )
         assert shard_requests >= 5
+
+    def test_scrape_costs_one_envelope_per_shard_and_one_set_of_books(self):
+        """One ``expose_text()`` asks each shard one thing, and the
+        router-level per-shard series are read from that same answer
+        (requests) or the router's own count (live leases) — so they
+        cannot drift from the federated shard series, restart or not."""
+        def series(text, name, **labels):
+            return {
+                int(ls["shard"]): v
+                for n, ls, v in parse_exposition(text)
+                if n == name and "shard" in ls
+                and all(ls.get(k) == w for k, w in labels.items())
+            }
+
+        def check_books(text):
+            requests = series(text, "repro_shard_requests_total")
+            assert set(requests) == set(range(4))
+            assert requests == series(text, "repro_service_requests_total")
+            assert series(text, "repro_shard_active_leases") == series(
+                text, "repro_ledger_active_leases", **{"class": "all"}
+            )
+            return requests
+
+        router = _router()
+        pool, sent = router.pool, []
+        call, call_many = pool.call, pool.call_many
+        pool.call = lambda shard, op, *a, **kw: (
+            sent.append(op), call(shard, op, *a, **kw))[1]
+        pool.call_many = lambda calls, **kw: (
+            sent.extend(c[1] for c in calls), call_many(calls, **kw))[1]
+        try:
+            for i in range(6):
+                assert router.request(
+                    f"app{i}", ApplicationSpec(num_nodes=2),
+                    cpu_fraction=0.1, spread=2 if i == 5 else 1,
+                ).admitted
+            del sent[:]
+            text = router.registry.expose_text()
+            assert sent == ["metrics_state"] * 4
+            before = check_books(text)
+            assert sum(before.values()) >= 6
+
+            victim = pool.worker_of(0)
+            os.kill(pool.pids()[victim], signal.SIGKILL)
+            time.sleep(0.1)
+            router.tick()  # restarts the worker, reaps what it lost
+            assert pool.restarts == 1
+            router.request("after", ApplicationSpec(num_nodes=2),
+                           cpu_fraction=0.1)
+            after = check_books(router.registry.expose_text())
+            assert all(after[s] >= before[s] for s in before)
+            assert sum(after.values()) > sum(before.values())
+        finally:
+            router.close()
+        del sent[:]
+        assert check_books(router.registry.expose_text()) == after
+        assert sent == []
 
     def test_scrape_is_fresh_without_tick(self):
         # The collect hook harvests on every expose_text(): a request

@@ -4,12 +4,14 @@ The harness shadows methods on live instances to record its per-layer
 spans; a refactor that renames a seam, or stops calling it through the
 instance, silently zeroes a per-layer column that only the benchmark's
 own CI job would notice.  This drives every op the workloads use through
-a wrapped service and a wrapped in-process router and asserts each seam
-still fires.
+a wrapped service, a wrapped in-process router and a wrapped worker-pool
+router and asserts each seam still fires.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from repro.core import ApplicationSpec
 from repro.des import Simulator
@@ -104,12 +106,51 @@ def test_every_harness_seam_still_fires(tmp_path):
         "rt-spread", ApplicationSpec(num_nodes=2),
         cpu_fraction=0.1, bw_bps=1 * Mbps, spread=2,
     ).admitted
-    assert len(router.services) == 2
+    assert router.pool is None and len(router.services) == 2
 
     fired = {f"{layer}:{entry}" for layer, entry, *_ in rec.spans}
     assert SEAMS <= fired, sorted(SEAMS - fired)
     rec.uninstall()
     svc.close()
+
+
+def test_pool_seams_fire_under_a_worker_pool_router():
+    """``workers_10k``'s ``sharding.workers`` columns come from wrappers
+    on the pool instance: every way the router reaches a worker must go
+    through ``pool.call`` / ``pool.call_many`` as looked up on it."""
+    trace = _load_trace()
+    rec = trace.SpanRecorder()
+    rec.on = True
+    router = ShardRouter(
+        two_campus(fast_hosts=6, slow_hosts=6), shards=2, snapshot_ttl=1e9,
+        executor="process", workers=2,
+    )
+    try:
+        with pytest.raises(RuntimeError, match="remote"):
+            router.services
+        trace.install_router(rec, router)
+        _drive(router, "pl")
+        assert router.request(
+            "pl-spread", ApplicationSpec(num_nodes=2),
+            cpu_fraction=0.1, bw_bps=1 * Mbps, spread=2,
+        ).admitted
+        router.advance(1.0)
+        router.tick()
+        fired = {f"{layer}:{entry}" for layer, entry, *_ in rec.spans}
+        assert {
+            "sharding.workers:call", "sharding.workers:call_many",
+            "sharding.router:request", "sharding.trunk:reserve",
+        } <= fired, sorted(fired)
+        for op in ("request", "admit_batch", "probe", "release", "tick"):
+            assert rec.counts[f"rpc.{op}"] > 0, (op, dict(rec.counts))
+        # The tick after advance() is a fan-out; the repeat at the same
+        # instant is answered inside the pool and sends nothing.
+        ticks = rec.counts["rpc.tick"]
+        router.tick()
+        assert rec.counts["rpc.tick"] == ticks
+    finally:
+        rec.uninstall()
+        router.close()
 
 
 def test_seams_survive_a_long_lived_view():

@@ -139,17 +139,56 @@ class TestLiveServiceSnapshot:
             assert list(summary) == STAGE_SUMMARY_KEYS
 
 
+#: Keys of every ``per_shard`` entry; the pool adds ``worker``.
+PER_SHARD_KEYS = [
+    "requests", "admitted", "rejected", "active_leases", "stages", "hosts",
+]
+
+
+def _served_router(executor):
+    router = ShardRouter(
+        two_campus(fast_hosts=4, slow_hosts=4), shards=2, executor=executor
+    )
+    router.request("app", ApplicationSpec(num_nodes=2), cpu_fraction=0.2)
+    router.request("wide", ApplicationSpec(num_nodes=4), spread=2)
+    return router
+
+
 class TestRouterSnapshotAndExposition:
     def test_router_snapshot_nests_slo_before_stages(self):
-        router = ShardRouter(two_campus(fast_hosts=4, slow_hosts=4), shards=2)
-        router.request("app", ApplicationSpec(num_nodes=2), cpu_fraction=0.2)
-        snap = router.metrics_snapshot()
-        keys = list(snap)
-        assert keys.index("slo") < keys.index("stages") < keys.index(
-            "per_shard"
-        )
-        assert list(snap["slo"]["objectives"]) == SLO_OBJECTIVES
-        router.close()
+        for executor in ("inproc", "process"):
+            router = _served_router(executor)
+            snap = router.metrics_snapshot()
+            keys = list(snap)
+            assert keys.index("slo") < keys.index("stages") < keys.index(
+                "per_shard"
+            )
+            assert list(snap["slo"]["objectives"]) == SLO_OBJECTIVES
+            router.close()
+
+    def test_per_shard_is_one_schema_under_both_executors(self):
+        per_shard = {}
+        for executor in ("inproc", "process"):
+            router = _served_router(executor)
+            before = router.metrics_snapshot()["per_shard"]
+            router.close()
+            assert router.metrics_snapshot()["per_shard"] == before
+            per_shard[executor] = before
+        assert list(per_shard["inproc"]) == list(per_shard["process"])
+        for shard, stats in per_shard["inproc"].items():
+            remote = per_shard["process"][shard]
+            assert list(stats) == PER_SHARD_KEYS
+            assert list(remote) == PER_SHARD_KEYS + ["worker"]
+            # Same stream, same state machine: only the timings differ.
+            assert {k: stats[k] for k in PER_SHARD_KEYS if k != "stages"} == {
+                k: remote[k] for k in PER_SHARD_KEYS if k != "stages"
+            }
+            assert stats["requests"] >= 1 and stats["active_leases"] >= 1
+            assert list(stats["stages"]) == list(remote["stages"])
+            assert "select" in stats["stages"]
+            for summary in (*stats["stages"].values(),
+                            *remote["stages"].values()):
+                assert list(summary) == STAGE_SUMMARY_KEYS
 
     def test_exposition_carries_shard_labeled_instruments(self):
         # The router registry federates every shard service's registry

@@ -451,6 +451,20 @@ class TestAsyncServe:
         assert len(payload["outcomes"]) == 6
         assert payload["metrics"]["batches"] >= 1
 
+    @pytest.mark.parametrize("sharded", [[], ["--shards", "2"]])
+    def test_async_batches_of_one_match_the_serial_outcomes(
+            self, topo_file, capsys, sharded):
+        """Serial and async runs parse a request op and record its grant
+        through the same two functions, so the outcomes are equal."""
+        argv = [topo_file, "--demo", "20", "--nodes", "3", "--cpu", "0.4",
+                "--format", "json", *sharded]
+        assert main(argv) == 0
+        serial = json.loads(capsys.readouterr().out)["outcomes"]
+        assert main([*argv, "--async", "--batch-max", "1"]) == 0
+        batched = json.loads(capsys.readouterr().out)["outcomes"]
+        assert len(serial) == 20 and batched == serial
+        assert {"admitted"} < {o["status"] for o in serial}
+
     def test_async_sigterm_drains_accepted_work(self, topo_file):
         proc = subprocess.Popen(
             [

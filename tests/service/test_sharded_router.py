@@ -1,9 +1,12 @@
 """Tests for the shard router (service.sharding.router)."""
 
+import os
+import signal
+
 import pytest
 
 from repro.core.spec import ApplicationSpec, GroupSpec
-from repro.service import Decision, ShardRouter
+from repro.service import Decision, PlacementGrant, ShardRouter
 from repro.topology import dumbbell, grid, two_campus
 from repro.units import Mbps
 
@@ -141,6 +144,124 @@ class TestAbortLeavesNoTrace:
         r.check_invariants()
 
 
+    # The defensive commit rollback: every probe passed, a pinned
+    # commit fails all the same.  Unreachable while probes are sound and
+    # workers stay up, so both tests break one of those on purpose.
+    @staticmethod
+    def _four_shards_two_loaded(**kwargs):
+        """Shards 1 and 3 hold one lease each; the one-host shards 0 and
+        2 are empty, so a ``spread=2`` request splits over those two."""
+        r = ShardRouter(
+            two_campus(fast_hosts=8, slow_hosts=8), shards=4, **kwargs
+        )
+        for app in ("a1", "a3"):
+            assert r.request(app, ApplicationSpec(num_nodes=2),
+                             cpu_fraction=0.2, bw_bps=1 * Mbps).admitted
+        assert r._sub_count == {0: 0, 1: 1, 2: 0, 3: 1}
+        assert r._shard_order() == [0, 2, 1, 3]
+        return r
+
+    @staticmethod
+    def _assert_aborted_without_trace(r, grant, claims, before):
+        assert grant.status == Decision.REJECTED
+        assert "cross-shard commit aborted" in grant.reason
+        for (held, claimed), (was_held, was_claimed) in zip(
+            claims(), before[0]
+        ):
+            assert held == was_held
+            # Slack-exact, as release() is.
+            assert claimed == pytest.approx(was_claimed)
+        assert r.trunk.claims_fingerprint() == before[1]
+        assert r._sub_count == before[2]
+        assert r.active_apps() == ["a1", "a3"]
+        r.check_invariants()
+
+    def test_refused_pinned_commit_rolls_back_every_part(self):
+        r = self._four_shards_two_loaded()
+
+        def claims():
+            return [
+                (sorted(s.ledger.reservations), {
+                    key: value
+                    for part in s.ledger.claims_fingerprint()
+                    for key, value in part
+                })
+                for s in r.services
+            ]
+
+        before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
+        pinned = []
+        for svc in r.services:
+            def request(app_id, spec, *, _real=svc.request, **kw):
+                if spec.eligible is None:
+                    return _real(app_id, spec, **kw)
+                pinned.append(app_id)
+                if len(pinned) == 2:  # the probe said yes; say no
+                    return PlacementGrant(
+                        app_id=app_id, status=Decision.REJECTED,
+                        reason="refused for the test",
+                    )
+                return _real(app_id, spec, **kw)
+            svc.request = request
+        g = r.request("x", ApplicationSpec(num_nodes=3), cpu_fraction=0.2,
+                      bw_bps=1 * Mbps, spread=3)
+        # Every part is attempted, as under the pool; the two that
+        # committed (before and after the refusal) are both released.
+        assert pinned == ["x@0", "x@2", "x@1"]
+        self._assert_aborted_without_trace(r, g, claims, before)
+        for svc in r.services:
+            del svc.request
+        assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
+                         bw_bps=1 * Mbps, spread=2).admitted
+        r.check_invariants()
+
+    def test_worker_death_mid_commit_rolls_back_the_surviving_part(self):
+        r = self._four_shards_two_loaded(executor="process", workers=2)
+        pool = r.pool
+        victim = pool.worker_of(0)
+        assert pool.worker_of(2) == victim  # both parts, one worker
+
+        def claims():
+            out = []
+            for shard in range(4):
+                snap = pool.call(shard, "metrics_snapshot")
+                out.append((sorted(pool.call(shard, "reservation_map")), {
+                    "channels": len(pool.call(shard, "edge_claims")),
+                    "node_claim": snap["mean_node_claim"],
+                    "edge_claim": snap["mean_edge_claim_fraction"],
+                }))
+            return out
+
+        before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
+        real_send, pinned = pool._send, []
+
+        def send_then_kill(w, shard, op, args, kwargs, **kw):
+            env = real_send(w, shard, op, args, kwargs, **kw)
+            if op == "request" and args[1].eligible is not None:
+                pinned.append(args[0])
+                if len(pinned) == 1:
+                    # Between the two sends of the commit fan-out: the
+                    # second restarts the worker, so the first part's
+                    # reply never comes and the second commits alone.
+                    proc = w.proc
+                    os.kill(proc.pid, signal.SIGKILL)
+                    proc.join(timeout=5.0)
+            return env
+
+        pool._send = send_then_kill
+        try:
+            g = r.request("x", ApplicationSpec(num_nodes=2),
+                          cpu_fraction=0.2, bw_bps=1 * Mbps, spread=2)
+        finally:
+            del pool._send
+        assert pinned == ["x@0", "x@2"] and pool.restarts == 1
+        self._assert_aborted_without_trace(r, g, claims, before)
+        assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
+                         bw_bps=1 * Mbps, spread=2).admitted
+        r.check_invariants()
+        r.close()
+
+
 class TestLifecycle:
     def test_release_unknown_app_raises(self):
         r = _router()
@@ -239,7 +360,8 @@ class TestMetrics:
         assert set(snap["per_shard"]) == {"0", "1"}
         for stats in snap["per_shard"].values():
             assert set(stats) == {
-                "requests", "admitted", "rejected", "active_leases", "hosts",
+                "requests", "admitted", "rejected", "active_leases", "stages",
+                "hosts",
             }
 
     def test_registry_exposition_includes_shard_family(self):

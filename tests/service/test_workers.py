@@ -179,6 +179,10 @@ class TestValidation:
             r.maybe_repartition()
         r.close()
 
+    def test_workers_without_the_process_executor_rejected(self):
+        with pytest.raises(ValueError, match='executor="process"'):
+            ShardRouter(_graph(), shards=2, workers=2)
+
     def test_workers_clamped_to_shard_count(self):
         r = _pool_router(workers=64)
         assert r.pool.workers == 2
@@ -313,7 +317,9 @@ class TestProtocol:
         r = _pool_router(shards=2, workers=2)
         assert r.request("a", ApplicationSpec(num_nodes=2),
                          cpu_fraction=0.1).admitted
-        r._shards[0].release("a@0", kind="bogus")
+        r.pool.call_many(
+            [(0, "release", ("a@0",), {"kind": "bogus"})], wait=False
+        )
         # The request path reads the ack in passing and keeps going ...
         assert r.request("b", ApplicationSpec(num_nodes=2),
                          cpu_fraction=0.1).admitted
@@ -361,7 +367,7 @@ class TestPostedReleasesUnderFailure:
         assert r.tick() == []
         assert r.pool.restarts == 1
         assert set(r.active_apps()) == kept and len(kept) == 6 - len(released)
-        held = set(r._shards[0].reservation_map())
+        held = set(r.pool.call(0, "reservation_map"))
         assert not held & {f"{app}@0" for app in released}
         assert held == {f"{a}@0" for a in kept if 0 in r.status(a).shards}
         r.check_invariants()
