@@ -51,14 +51,12 @@ from .metrics import ServiceMetrics, StageTimer
 from .residual_view import ResidualView
 from .service import Grant, SelectionService
 from .sharding import (
-    ShardGrant,
     ShardPlan,
     ShardRouter,
     ShardWorkerPool,
     TrunkLedger,
     WorkerCrashError,
     partition_topology,
-    repartition,
 )
 from .wal import LedgerWal, RecoveryReport, WalCorruptError, WalError
 
@@ -82,7 +80,6 @@ __all__ = [
     "SelectionRequest",
     "SelectionService",
     "ServiceMetrics",
-    "ShardGrant",
     "ShardPlan",
     "ShardRouter",
     "ShardWorkerPool",
@@ -94,6 +91,5 @@ __all__ = [
     "WalError",
     "iter_batch",
     "partition_topology",
-    "repartition",
     "route_edges",
 ]

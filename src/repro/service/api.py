@@ -12,7 +12,6 @@ This module collapses the split:
 * :class:`PlacementGrant` — the single frozen result/status record.  The
   shard fields (``shards``, ``parts``, ``trunk``) default to empty, so a
   plain service grant and a router composite grant are the same type.
-  ``ShardGrant`` remains importable as a deprecated alias.
 * :class:`BatchRequest` — one element of an :meth:`admit_batch` arrival
   batch (app id + spec + claims + priority).
 * :class:`PlacementBackend` — the structural protocol both backends

@@ -97,10 +97,6 @@ class SnapshotCache:
         now = self.clock()
         if self._graph is not None:
             age = now - self._taken_at
-            if age == 0.0 and self.ttl == 0.0:
-                self.hits += 1
-                self.coalesced += 1
-                return self._graph
             if age <= self.ttl:
                 self.hits += 1
                 if age == 0.0:

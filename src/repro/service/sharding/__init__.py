@@ -9,27 +9,22 @@ request API (:mod:`.router`).  ``repro-serve --shards K`` and
 
 from .partition import (
     ShardPlan,
-    cross_traffic_fraction,
     graph_fingerprint,
     partition_topology,
     reassemble,
-    repartition,
 )
-from .router import ShardGrant, ShardRouter
+from .router import ShardRouter
 from .trunk import TrunkLedger
 from .workers import PinnedNodes, ShardWorkerPool, WorkerCrashError
 
 __all__ = [
     "PinnedNodes",
-    "ShardGrant",
     "ShardPlan",
     "ShardRouter",
     "ShardWorkerPool",
     "TrunkLedger",
     "WorkerCrashError",
-    "cross_traffic_fraction",
     "graph_fingerprint",
     "partition_topology",
     "reassemble",
-    "repartition",
 ]

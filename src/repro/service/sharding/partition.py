@@ -23,30 +23,25 @@ BFS spanning tree:
   tree edge is the uplink itself), so LAN membership stays intact and
   host-switch edges never become trunk edges.
 
-:func:`repartition` is the dynamic half (after the decentralized
-resource mapping / dynamic balanced graph partitioning lines of work):
-given observed pairwise traffic, it keeps the current plan while the
-cross-shard traffic fraction stays under a threshold and otherwise
-re-seeds the cut from rotated offsets, returning the candidate with the
-least cross traffic.
+The cut is static: the logical topology is an input (paper §2.2), and a
+router keeps one plan for its whole life (its ledgers and WAL
+directories are keyed to it).  Re-cutting under live traffic is dynamic
+balanced graph partitioning with a migration cost (arXiv:2304.10350) —
+parked in ROADMAP, and not something this module has a stub for.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Mapping
 
 from ...topology.graph import Link, TopologyGraph
 
 __all__ = [
     "ShardPlan",
-    "cross_traffic_fraction",
     "graph_fingerprint",
     "partition_topology",
     "reassemble",
-    "repartition",
 ]
 
 
@@ -135,18 +130,14 @@ class ShardPlan:
         )
 
 
-def _pick_root(graph: TopologyGraph, seed_offset: int) -> str:
-    """The spanning-tree root, preferring network nodes.
+def _pick_root(graph: TopologyGraph) -> str:
+    """The spanning-tree root: the first network node.
 
     Rooting at a switch anchors subnet-shaped cuts on tree/campus
     topologies; switchless shapes (grid/torus) fall back to any node.
-    ``seed_offset`` rotates the choice so :func:`repartition` can
-    explore alternative cuts deterministically.
     """
     candidates = [n.name for n in graph.network_nodes()]
-    if not candidates:
-        candidates = graph.node_names()
-    return candidates[seed_offset % len(candidates)]
+    return candidates[0] if candidates else graph.node_names()[0]
 
 
 def _spanning_tree(
@@ -166,9 +157,7 @@ def _spanning_tree(
     return parent, order
 
 
-def _grow_regions(
-    graph: TopologyGraph, k: int, seed_offset: int
-) -> dict[str, int]:
+def _grow_regions(graph: TopologyGraph, k: int) -> dict[str, int]:
     """Balanced connected partition by subtree cutting.
 
     Over a BFS spanning tree, repeatedly cut off the subtree whose size
@@ -184,7 +173,7 @@ def _grow_regions(
     one central region absorbs nearly the whole graph — a 10k-host
     random tree cut 16 ways left one shard holding 78% of the hosts.)
     """
-    root = _pick_root(graph, seed_offset)
+    root = _pick_root(graph)
     parent, order = _spanning_tree(graph, root)
     children: dict[str, list[str]] = {name: [] for name in order}
     for name in order[1:]:
@@ -247,13 +236,11 @@ def _pull_leaves(graph: TopologyGraph, shard_of: dict[str, int]) -> None:
             counts[theirs] += 1
 
 
-def partition_topology(
-    graph: TopologyGraph, k: int, *, seed_offset: int = 0
-) -> ShardPlan:
+def partition_topology(graph: TopologyGraph, k: int) -> ShardPlan:
     """Cut ``graph`` into ``k`` connected shards plus their trunk edges.
 
     Raises ``ValueError`` when the graph is disconnected or ``k`` is out
-    of range.  Deterministic for a given ``(graph, k, seed_offset)``.
+    of range.  Deterministic for a given ``(graph, k)``.
     """
     if k < 1:
         raise ValueError(f"need at least one shard: k={k}")
@@ -273,7 +260,7 @@ def partition_topology(
         )
         plan.validate()
         return plan
-    shard_of = _grow_regions(graph, k, seed_offset)
+    shard_of = _grow_regions(graph, k)
     _pull_leaves(graph, shard_of)
     members: list[set[str]] = [set() for _ in range(k)]
     for name, shard in shard_of.items():
@@ -313,53 +300,3 @@ def reassemble(plan: ShardPlan) -> TopologyGraph:
         g._attach_link(link.copy())
     return g
 
-
-def cross_traffic_fraction(
-    plan: ShardPlan, pair_traffic: Mapping[tuple[str, str], float]
-) -> float:
-    """Fraction of observed pairwise traffic that crosses shards.
-
-    ``pair_traffic`` maps (unordered) node-name pairs to weights — the
-    router accumulates one entry per node pair of every admitted grant.
-    Pairs naming unknown nodes are ignored; 0.0 when nothing was
-    observed.
-    """
-    total = cross = 0.0
-    for (a, b), weight in pair_traffic.items():
-        sa = plan.shard_of.get(a)
-        sb = plan.shard_of.get(b)
-        if sa is None or sb is None:
-            continue
-        total += weight
-        if sa != sb:
-            cross += weight
-    return cross / total if total else 0.0
-
-
-def repartition(
-    plan: ShardPlan,
-    pair_traffic: Mapping[tuple[str, str], float],
-    *,
-    threshold: float = 0.25,
-    candidates: int = 4,
-) -> ShardPlan:
-    """Recut when cross-shard traffic exceeds ``threshold``.
-
-    Returns ``plan`` itself (same object) while the observed cross-shard
-    traffic fraction is at most ``threshold``.  Otherwise generates up to
-    ``candidates`` alternative cuts from rotated seed offsets and returns
-    the one with the least cross traffic — which may still be the
-    current plan if no rotation beats it.
-    """
-    if not 0 <= threshold <= 1:
-        raise ValueError(f"threshold must be in [0, 1]: {threshold}")
-    if cross_traffic_fraction(plan, pair_traffic) <= threshold:
-        return plan
-    best = plan
-    best_fraction = cross_traffic_fraction(plan, pair_traffic)
-    for offset in range(1, candidates + 1):
-        candidate = partition_topology(plan.graph, plan.k, seed_offset=offset)
-        fraction = cross_traffic_fraction(candidate, pair_traffic)
-        if fraction < best_fraction:
-            best, best_fraction = candidate, fraction
-    return best

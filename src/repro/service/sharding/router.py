@@ -37,6 +37,12 @@ durable router (``state_dir=``) recovers composite grants from the
 per-shard WALs plus the trunk WAL.  ``repro-serve --shards K`` and
 ``run_multi_tenant(shards=K)`` expose the router through the existing
 entry points.
+
+A router is fixed at birth: :attr:`ShardRouter.plan` is set once, and
+the shard ledgers and WAL directories are keyed to it for the router's
+life.  Either executor builds the shard services through the one
+:func:`~repro.service.sharding.workers.build_shard_services`, from the
+one ``service_kwargs`` dict and ``state_dirs`` map made here.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ...core.spec import ApplicationSpec
 from ...core.types import Selection
@@ -65,7 +71,7 @@ from ..service import (
     SelectionService,
     resolve_provider,
 )
-from .partition import ShardPlan, partition_topology, repartition
+from .partition import ShardPlan, partition_topology
 from .trunk import TrunkLedger
 from .workers import (
     WORKER_ERRORS_HELP,
@@ -76,7 +82,7 @@ from .workers import (
     WorkerCrashError,
 )
 
-__all__ = ["ShardGrant", "ShardRouter"]
+__all__ = ["ShardRouter"]
 
 logger = logging.getLogger("repro.service.sharding")
 
@@ -86,14 +92,6 @@ _EPS = 1e-9
 
 class _CommitAbort(Exception):
     """A commit-phase admission diverged from its probe (defensive only)."""
-
-
-#: Deprecated alias.  The router's composite grant merged into the
-#: unified :class:`~repro.service.api.PlacementGrant` with the
-#: PlacementBackend redesign (DESIGN.md §15) — same fields, same
-#: semantics (``shards``/``parts``/``trunk`` simply stay empty on the
-#: single-service backend).  Import :class:`PlacementGrant` instead.
-ShardGrant = PlacementGrant
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,8 @@ class ShardRouter:
         Number of shards to cut the topology into (ignored when ``plan``
         is given).
     plan:
-        A precomputed :class:`ShardPlan` (optional).
+        A precomputed :class:`ShardPlan` (optional).  Either way the
+        plan is fixed for the router's life.
     spread (per-request, on :meth:`request`):
         Minimum number of shards a placement must span — fault-domain
         spread.  ``1`` (default) prefers a single shard.
@@ -140,9 +139,6 @@ class ShardRouter:
         Durability root.  Shard ``i`` logs under ``state_dir/shard-i``,
         the trunk ledger under ``state_dir/trunk``; a restarted router
         recovers every composite grant from those WALs.
-    repartition_threshold:
-        Cross-shard traffic fraction beyond which
-        :meth:`maybe_repartition` recuts the topology.
     executor:
         Where the shard services run.  The router reaches them through
         one call surface (``call`` / ``call_many`` / ``tick_all`` /
@@ -185,7 +181,6 @@ class ShardRouter:
         state_dir: Optional[str] = None,
         wal_fsync: bool = False,
         wal_snapshot_every: int = 256,
-        repartition_threshold: float = 0.25,
         executor: str = "inproc",
         workers: Optional[int] = None,
     ) -> None:
@@ -219,36 +214,26 @@ class ShardRouter:
         #: worker-restart sweeps, surfaced via ``metrics_snapshot()``.
         self.slo = SloMonitor(clock=self.clock)
         self._slo_restarts_seen = 0
-        self.repartition_threshold = float(repartition_threshold)
-        self._state_dir = state_dir
-        self._wal_fsync = bool(wal_fsync)
-        self._wal_snapshot_every = int(wal_snapshot_every)
         self.executor = executor
-        self.requested_workers = workers
         #: The worker pool: ``_exec`` again when that is one, else
         #: ``None`` (for what only a pool has — see :attr:`pool`).
         self._pool: Optional[ShardWorkerPool] = None
-        #: Live sub-grant count per shard — the router's only source for
-        #: it (shard ordering, ``repro_shard_active_leases``).  Shard
-        #: services never admit, expire or migrate anything except
-        #: inside a router-issued command, so the commit/release/tick
-        #: paths keep it exact; :meth:`check_invariants` asserts it
-        #: against every shard.
-        self._sub_count: dict[int, int] = {}
+        self._services: Optional[list[SelectionService]] = None
         #: ``per_shard`` as last read; served once the executor is closed.
         self._per_shard: dict = {}
-        #: Per-shard SelectionService kwargs reused across repartitions.
-        self._service_kwargs = dict(
-            snapshot_ttl=snapshot_ttl,
-            cpu_cap=cpu_cap,
-            exclude_unhealthy=exclude_unhealthy,
-        )
         #: The full topology, captured once: structure-only uses (trunk
         #: routing, link capacities) never change within a deployment.
         self._full = provider.topology()
         if plan is None:
             plan = partition_topology(self._full, shards)
         self.plan = plan
+        #: Live sub-grant count per shard — the router's only source for
+        #: it (shard ordering, ``repro_shard_active_leases``).  Shard
+        #: services never admit, expire or migrate anything except
+        #: inside a router-issued command, so the commit/release/tick
+        #: paths keep it exact; :meth:`check_invariants` asserts it
+        #: against every shard.
+        self._sub_count = {shard: 0 for shard in range(plan.k)}
         #: Full-graph route memo for cross-shard trunk-channel lookup.
         self.routes = RouteCache(self._full)
         self.metrics = ServiceMetrics()
@@ -256,12 +241,25 @@ class ShardRouter:
         self.outcomes: dict[str, PlacementGrant] = {}
         #: Admitted composites still holding capacity.
         self._active: dict[str, PlacementGrant] = {}
-        #: Observed pairwise traffic (unordered node pairs -> weight),
-        #: feeding the repartition trigger.
-        self._pair_traffic: dict[tuple[str, str], float] = {}
         self.recovery: Optional[_RouterRecovery] = None
-        self._build_shards()
-        self._recover_composites()
+        wal = {
+            "wal_fsync": bool(wal_fsync),
+            "wal_snapshot_every": int(wal_snapshot_every),
+        }
+        self._build_shards(workers, state_dir, {
+            "snapshot_ttl": snapshot_ttl,
+            "cpu_cap": cpu_cap,
+            "exclude_unhealthy": exclude_unhealthy,
+            "queue_limit": 0,
+            **wal,
+        })
+        self.trunk = TrunkLedger(
+            plan.trunk_keys,
+            state_dir=os.path.join(state_dir, "trunk") if state_dir else None,
+            **wal,
+        )
+        if state_dir is not None:
+            self._recover_composites()
         self.metrics.bind(self.registry)
         self._bind_registry()
         self.slo.bind(self.registry)
@@ -272,65 +270,49 @@ class ShardRouter:
         self.registry.add_collect_hook(self._harvest_shard_metrics)
 
     # -- construction ----------------------------------------------------------
-    def _build_shards(self) -> None:
+    def _build_shards(
+        self, workers: Optional[int], state_dir: Optional[str],
+        service_kwargs: dict,
+    ) -> None:
+        """Start the executor, which builds every shard's service."""
         plan = self.plan
-        self._shard_hosts: list[int] = [
-            sum(
-                1 for name in plan.shards[shard]
-                if self._full.node(name).is_compute
-            )
-            for shard in range(plan.k)
-        ]
-        self._sub_count = {shard: 0 for shard in range(plan.k)}
         #: Per-shard facts fixed by the plan, reported in ``per_shard``.
-        self._shard_facts = [{"hosts": n} for n in self._shard_hosts]
+        self._shard_facts = [
+            {"hosts": sum(
+                1 for name in members if self._full.node(name).is_compute
+            )}
+            for members in plan.shards
+        ]
+        build = dict(
+            clock=self.clock,
+            tracer=self.tracer,
+            lease_s=self.lease_s,
+            service_kwargs=service_kwargs,
+            state_dirs={
+                shard: (
+                    os.path.join(state_dir, f"shard-{shard}")
+                    if state_dir else None
+                )
+                for shard in range(plan.k)
+            },
+        )
         if self.executor == "process":
-            self._services: Optional[list[SelectionService]] = None
             self._exec = self._pool = ShardWorkerPool(
-                plan,
-                workers=(
-                    self.requested_workers
-                    if self.requested_workers is not None else plan.k
-                ),
-                clock=self.clock,
-                lease_s=self.lease_s,
-                service_kwargs=self._service_kwargs,
-                state_dir=self._state_dir,
-                wal_fsync=self._wal_fsync,
-                wal_snapshot_every=self._wal_snapshot_every,
-                tracer=self.tracer if self.tracer.enabled else None,
+                {shard: plan.subgraph(shard) for shard in range(plan.k)},
+                workers=plan.k if workers is None else workers,
+                **build,
             )
             for shard, facts in enumerate(self._shard_facts):
                 facts["worker"] = self._pool.worker_of(shard)
         else:
-            self._services = []
-            for shard in range(plan.k):
-                sub_dir = (
-                    os.path.join(self._state_dir, f"shard-{shard}")
-                    if self._state_dir else None
-                )
-                self._services.append(SelectionService(
-                    _ShardProvider(self.provider, plan.shards[shard]),
-                    lease_s=self.lease_s,
-                    queue_limit=0,
-                    clock=self.clock,
-                    tracer=self.tracer,
-                    state_dir=sub_dir,
-                    wal_fsync=self._wal_fsync,
-                    wal_snapshot_every=self._wal_snapshot_every,
-                    **self._service_kwargs,
-                ))
-            self._exec = InprocExecutor(self._services)
-        trunk_dir = (
-            os.path.join(self._state_dir, "trunk")
-            if self._state_dir else None
-        )
-        self.trunk = TrunkLedger(
-            plan.trunk_keys,
-            state_dir=trunk_dir,
-            wal_fsync=self._wal_fsync,
-            wal_snapshot_every=self._wal_snapshot_every,
-        )
+            self._exec = InprocExecutor(
+                {
+                    shard: _ShardProvider(self.provider, members)
+                    for shard, members in enumerate(plan.shards)
+                },
+                **build,
+            )
+            self._services = self._exec.services
 
     @property
     def services(self) -> list[SelectionService]:
@@ -355,8 +337,6 @@ class ShardRouter:
 
     def _recover_composites(self) -> None:
         """Rebuild composite grants from recovered shard + trunk leases."""
-        if self._state_dir is None:
-            return
         reservation_maps = [
             self._exec.call(shard, "reservation_map")
             for shard in range(self.plan.k)
@@ -410,10 +390,9 @@ class ShardRouter:
     def _bind_registry(self) -> None:
         """Export ``repro_shard_*`` instruments (callback-backed).
 
-        Per-shard callbacks read the router's own books, which a
-        repartition (same k) rebuilds in place, so it needs no
-        rebinding; the one thing a scrape asks the shards is the
-        collect hook's ``metrics_state`` — k calls for k shards.
+        Per-shard callbacks read the router's own books; the one thing
+        a scrape asks the shards is the collect hook's
+        ``metrics_state`` — k calls for k shards.
         """
         reg = self.registry
         reg.gauge("repro_shard_count", "Shards behind the router.",
@@ -471,7 +450,7 @@ class ShardRouter:
             reg.gauge(
                 "repro_shard_hosts",
                 "Compute nodes per shard.", labels=labels,
-                fn=(lambda s=shard: float(self._shard_hosts[s])),
+                fn=(lambda s=shard: float(self._shard_facts[s]["hosts"])),
             )
 
     def _trunk_min_headroom(self) -> float:
@@ -649,10 +628,10 @@ class ShardRouter:
     def _shard_order(self) -> list[int]:
         """Shards by load headroom: least-loaded (per host) first, by
         the router's own live count (``_sub_count``) — no shard is asked."""
-        live = self._sub_count
+        live, facts = self._sub_count, self._shard_facts
         return sorted(
             range(self.plan.k),
-            key=lambda s: (live[s] / max(1, self._shard_hosts[s]), s),
+            key=lambda s: (live[s] / max(1, facts[s]["hosts"]), s),
         )
 
     def _request_inner(
@@ -676,6 +655,7 @@ class ShardRouter:
                         priority=priority,
                     )
                 except WorkerCrashError as exc:
+                    self._give_back([(shard, sub)])
                     self.metrics.rejected += 1
                     grant = PlacementGrant(
                         app_id=app_id, status=Decision.REJECTED,
@@ -715,13 +695,6 @@ class ShardRouter:
         self.outcomes[app_id] = grant
         for shard in grant.parts:
             self._sub_count[shard] += 1
-        nodes = grant.selection.nodes
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                pair = (a, b) if a <= b else (b, a)
-                self._pair_traffic[pair] = (
-                    self._pair_traffic.get(pair, 0.0) + 1.0
-                )
 
     # -- batched admission -----------------------------------------------------
     def admit_batch(
@@ -769,11 +742,8 @@ class ShardRouter:
             try:
                 sub_grants = self._exec.call(shard, "admit_batch", sub_batch)
             except WorkerCrashError:
-                # A durable replacement may have recovered sub-leases
-                # committed before the crash — evict them, so the next
-                # shard (or the serial fallback) starts clean.
-                for b in sub_batch:
-                    self._release_sub(shard, b.app_id, "evict")
+                # The next shard (or the serial fallback) starts clean.
+                self._give_back((shard, b.app_id) for b in sub_batch)
                 continue
             still_pending = []
             for b, g in zip(pending, sub_grants):
@@ -827,7 +797,7 @@ class ShardRouter:
             # Leave at least one node for every shard still needed.
             still_needed = max(0, min_parts - len(split) - 1)
             size = min(cap, remaining - still_needed,
-                       self._shard_hosts[shard])
+                       self._shard_facts[shard]["hosts"])
             while size >= 1:
                 if (shard, size) in probed:
                     selection = probed[shard, size]
@@ -876,7 +846,7 @@ class ShardRouter:
                 break
             still_needed = max(0, min_parts - len(sizes) - 1)
             size = min(cap, remaining - still_needed,
-                       self._shard_hosts[shard])
+                       self._shard_facts[shard]["hosts"])
             if size < 1:
                 continue
             sizes.append((shard, size))
@@ -976,12 +946,12 @@ class ShardRouter:
             ))
             for shard, size, probed in split
         ]
+        # Out together: different workers commit concurrently.
+        replies = self._exec.call_many([
+            (shard, "request", (sub, pinned), claim)
+            for shard, sub, pinned in subs
+        ])
         try:
-            # Out together: different workers commit concurrently.
-            replies = self._exec.call_many([
-                (shard, "request", (sub, pinned), claim)
-                for shard, sub, pinned in subs
-            ])
             failure: Optional[Exception] = None
             for (shard, sub, _pinned), (kind, g) in zip(subs, replies):
                 if kind == "ok" and g.admitted:
@@ -1023,8 +993,11 @@ class ShardRouter:
             # Unreachable when probes are sound and workers stay up;
             # kept so neither a bug nor a mid-commit crash can ever
             # leak partial claims.
-            for shard, sub in committed:
-                self._release_sub(shard, sub, "release")
+            self._give_back(
+                (shard, sub)
+                for (shard, sub, _pinned), (kind, g) in zip(subs, replies)
+                if kind == "err" or g.admitted
+            )
             logger.error(
                 "cross-shard commit for %r aborted after probe success "
                 "(%s); partial claims released", app_id, exc,
@@ -1059,6 +1032,16 @@ class ShardRouter:
         self._exec.call_many(
             [(shard, "release", (sub,), {"kind": kind})], wait=False
         )
+
+    def _give_back(self, sent: Iterable[tuple[int, str]]) -> None:
+        """The one release rule of every aborted admission: whatever
+        sub-request the router sent and did not get a refusal for, it
+        posts a release for — the shard admitted it, or its worker died
+        before answering and a durable replacement recovers the lease
+        if the commit reached the WAL.  Never held: :meth:`_release_sub`.
+        """
+        for shard, sub in sent:
+            self._release_sub(shard, sub, "evict")
 
     def release(self, app_id: str, *, kind: str = "release") -> PlacementGrant:
         """Give back every sub-lease and the trunk claim for ``app_id``.
@@ -1116,50 +1099,6 @@ class ShardRouter:
             self.trunk.renew(app_id, self.now, lease)
         self.metrics.renewed += 1
         return grant
-
-    # -- repartitioning --------------------------------------------------------
-    def maybe_repartition(self) -> bool:
-        """Recut the topology if cross-shard traffic crossed the threshold.
-
-        A *cold* operation: every grant must be released first (shard
-        services, their residual views, and the trunk ledger are rebuilt
-        from the new plan), and durable routers must drain and restart
-        instead (the on-disk WALs are keyed to the old shard layout).
-        Returns ``True`` when the plan changed.
-        """
-        if self._pool is not None:
-            raise RuntimeError(
-                "repartition is not supported under the process "
-                "executor; drain and restart (worker state dirs are "
-                "keyed to the old shard layout)"
-            )
-        if self._active or self.trunk.active or any(
-            self._sub_count.values()
-        ):
-            raise RuntimeError(
-                "repartition requires every grant released first"
-            )
-        if self._state_dir is not None:
-            raise RuntimeError(
-                "repartition of a durable router is not supported; "
-                "drain and restart with a fresh state dir instead"
-            )
-        new_plan = repartition(
-            self.plan, self._pair_traffic,
-            threshold=self.repartition_threshold,
-        )
-        if new_plan is self.plan:
-            return False
-        self._exec.close()
-        old_trunk = len(self.plan.trunk_keys)
-        self.plan = new_plan
-        self._build_shards()
-        self._pair_traffic.clear()
-        logger.info(
-            "repartitioned: %d shards, trunk %d -> %d links",
-            new_plan.k, old_trunk, len(new_plan.trunk_keys),
-        )
-        return True
 
     # -- introspection ---------------------------------------------------------
     @property

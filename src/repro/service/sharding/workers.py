@@ -17,7 +17,8 @@ answered beside them: ``reservation_map``, ``edge_claims``, ``ping``,
 :meth:`~ShardWorkerPool.sync`, :meth:`~ShardWorkerPool.drain`,
 :meth:`~ShardWorkerPool.close` — is the *only* way the router reaches a
 shard; :class:`InprocExecutor` answers the same surface over services
-in the router's own process.
+in the router's own process, and :func:`build_shard_services` is the
+one place either of them constructs a shard's service.
 
 Design points:
 
@@ -64,11 +65,12 @@ Design points:
   (``state_dir/shard-i``) through the existing ``recover_ledger`` path,
   so no *committed* lease is lost.  Every envelope the dead incarnation
   left unacked is settled by the restart, never waited for: awaited
-  ones raise :class:`WorkerCrashError` (the router settles the request
-  as a rejection), posted ones are replayed to the replacement in
-  order (``release`` is idempotent — "not held" is a ``KeyError`` ack,
-  which is ignored).  Without a ``state_dir`` a restarted worker comes
-  back empty and the router's next tick reaps the orphaned composites.
+  ones raise :class:`WorkerCrashError` (the router rejects the request
+  and posts a release for what the replacement may have recovered of
+  it), posted ones are replayed to the replacement in order
+  (``release`` is idempotent — "not held" is an ignored ``KeyError``
+  ack).  Without a ``state_dir`` a restarted worker comes back empty
+  and the router's next tick reaps the orphaned composites.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ import os
 import pickle
 import threading
 from collections import Counter, deque
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from ...obs.trace import Tracer
 from ..service import ManualClock, SelectionService
@@ -186,24 +188,50 @@ def _count_error(service: SelectionService, site: str) -> None:
     ).inc()
 
 
+def build_shard_services(
+    sources: Mapping[int, Any],
+    *,
+    clock,
+    tracer,
+    lease_s: float,
+    service_kwargs: dict,
+    state_dirs: Mapping[int, Optional[str]],
+) -> dict[int, SelectionService]:
+    """The one place a shard's service is constructed, for both executors.
+
+    ``sources[shard]`` is the shard's topology source: the router's
+    restricted provider in-process, the induced subgraph in a worker.
+    ``service_kwargs`` is the router's one dict of service settings;
+    a durable shard recovers its ledger from ``state_dirs[shard]``
+    exactly as a restarted single service would.
+    """
+    return {
+        shard: SelectionService(
+            source,
+            lease_s=lease_s,
+            clock=clock,
+            tracer=tracer,
+            state_dir=state_dirs[shard],
+            **service_kwargs,
+        )
+        for shard, source in sources.items()
+    }
+
+
 def _worker_main(
     conn,
-    worker_id: int,
-    shard_ids: Sequence[int],
-    graphs: dict,
-    service_kwargs: dict,
-    lease_s: float,
-    state_dirs: dict,
+    sources: dict,
+    build: dict,
     start_now: float,
     trace_enabled: bool = False,
 ) -> None:
     """One worker process: build the shard services, serve commands.
 
-    ``graphs`` maps shard id -> that shard's induced subgraph (inherited
-    for free under ``fork``, pickled once under ``spawn``).  Durable
-    shards recover their ledgers from ``state_dirs[shard]`` exactly as a
-    restarted single service would; the shared manual clock starts at
-    ``start_now`` and never runs behind a recovered grant.
+    ``sources`` maps shard id -> that shard's induced subgraph
+    (inherited for free under ``fork``, pickled once under ``spawn``)
+    and ``build`` holds the rest of :func:`build_shard_services`'
+    keywords; the shared manual clock starts at ``start_now`` and never
+    runs behind a recovered grant.
 
     With ``trace_enabled``, a single buffered :class:`Tracer` is shared
     by every shard service (commands are serial, so spans never
@@ -215,18 +243,10 @@ def _worker_main(
     clock = ManualClock()
     clock.now = start_now
     tracer = Tracer() if trace_enabled else None
-    services: dict[int, SelectionService] = {}
     try:
-        for shard in shard_ids:
-            services[shard] = SelectionService(
-                graphs[shard],
-                lease_s=lease_s,
-                queue_limit=0,
-                clock=clock,
-                state_dir=state_dirs.get(shard),
-                tracer=tracer,
-                **service_kwargs,
-            )
+        services = build_shard_services(
+            sources, clock=clock, tracer=tracer, **build
+        )
         recovered = [
             r.granted_at
             for service in services.values()
@@ -235,7 +255,7 @@ def _worker_main(
         if recovered:
             clock.now = max(clock.now, max(recovered))
         conn.send(
-            ("hello", {s: services[s].recovery for s in shard_ids},
+            ("hello", {s: svc.recovery for s, svc in services.items()},
              os.getpid())
         )
     except Exception as exc:
@@ -347,64 +367,43 @@ class _WorkerProc:
 class ShardWorkerPool:
     """The process executor: shard services spread across N workers.
 
-    Parameters
+    Parameters (those of :class:`InprocExecutor`, plus ``workers``)
     ----------
-    plan:
-        The router's :class:`~repro.service.sharding.ShardPlan`; shard
-        ``i`` runs in worker ``i % workers``.
+    sources:
+        Shard id -> its induced subgraph (forked workers inherit them,
+        spawned workers get theirs pickled at startup); shard ``i``
+        runs in worker ``i % workers``.
     workers:
-        Worker process count (clamped to ``[1, plan.k]``).
+        Worker process count (clamped to ``[1, len(sources)]``).
     clock:
         The router's clock callable — stamped into every command
         envelope so worker-side lease expiry agrees with the router.
-    service_kwargs:
-        Per-shard :class:`SelectionService` keyword arguments
-        (``snapshot_ttl``, ``cpu_cap``, ``exclude_unhealthy``).
-    state_dir:
-        Durability root; shard ``i`` logs under ``state_dir/shard-i``.
-        Restarted workers recover from these directories.
     tracer:
-        The router's :class:`~repro.obs.trace.Tracer`, or ``None`` when
-        tracing is off.  When set, workers run buffered tracers, traced
-        envelopes carry the caller's span context, and every reply's
-        span batch is stitched into this tracer with ``shard``/``pid``
-        attribution.  The disabled path ships no context and touches no
-        per-seq metadata.
+        The router's tracer.  When it is enabled, workers run buffered
+        tracers, traced envelopes carry the caller's span context, and
+        every reply's span batch is stitched into it with
+        ``shard``/``pid`` attribution; otherwise :attr:`tracer` is
+        ``None`` and no context or per-seq metadata is kept.
+    build:
+        The rest of :func:`build_shard_services`' keywords, handed to it
+        in each worker at first spawn and at every restart — which is
+        how a restarted worker recovers its shards from ``state_dirs``.
     """
 
     def __init__(
         self,
-        plan,
+        sources: Mapping[int, Any],
         *,
         workers: int,
         clock,
-        lease_s: float,
-        service_kwargs: dict,
-        state_dir: Optional[str] = None,
-        wal_fsync: bool = False,
-        wal_snapshot_every: int = 256,
-        tracer: Optional[Tracer] = None,
+        tracer,
+        **build,
     ) -> None:
-        self.plan = plan
-        self.workers = max(1, min(int(workers), plan.k))
+        self._sources = sources
+        self._build = build
+        self.workers = max(1, min(int(workers), len(sources)))
         self._clock = clock
-        self.tracer = tracer
-        self._lease_s = float(lease_s)
-        self._service_kwargs = dict(service_kwargs)
-        self._service_kwargs["wal_fsync"] = bool(wal_fsync)
-        self._service_kwargs["wal_snapshot_every"] = int(wal_snapshot_every)
-        self._state_dirs = {
-            shard: (
-                os.path.join(state_dir, f"shard-{shard}")
-                if state_dir else None
-            )
-            for shard in range(plan.k)
-        }
-        #: Shard subgraphs, computed once (forked workers inherit them;
-        #: spawned workers get them pickled at startup).
-        self._graphs = {
-            shard: plan.subgraph(shard) for shard in range(plan.k)
-        }
+        self.tracer: Optional[Tracer] = tracer if tracer.enabled else None
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context(
             "fork" if "fork" in methods else "spawn"
@@ -427,7 +426,7 @@ class ShardWorkerPool:
         self._procs: list[_WorkerProc] = []
         for worker_id in range(self.workers):
             shards = tuple(
-                s for s in range(plan.k) if s % self.workers == worker_id
+                s for s in sorted(sources) if s % self.workers == worker_id
             )
             w = _WorkerProc(worker_id, shards)
             self._procs.append(w)
@@ -442,11 +441,8 @@ class ShardWorkerPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
-                child, w.worker_id, w.shards,
-                {s: self._graphs[s] for s in w.shards},
-                self._service_kwargs, self._lease_s,
-                {s: self._state_dirs[s] for s in w.shards},
-                float(self._clock()),
+                child, {s: self._sources[s] for s in w.shards},
+                self._build, float(self._clock()),
                 self.tracer is not None,
             ),
             name=f"repro-shard-worker-{w.worker_id}",
@@ -501,7 +497,8 @@ class ShardWorkerPool:
             logger.warning(
                 "shard worker %d (%s) restarted: shards %s recovered%s",
                 w.worker_id, why, list(w.shards),
-                "" if self._state_dirs[w.shards[0]] else " (no WAL: empty)",
+                "" if self._build["state_dirs"][w.shards[0]]
+                else " (no WAL: empty)",
             )
         for env in stale:
             if env.posted and not self._closed:
@@ -539,7 +536,7 @@ class ShardWorkerPool:
         if not force and now == self._last_tick_now:
             return None
         replies = self.call_many(
-            [(shard, "tick", (), {}) for shard in range(self.plan.k)]
+            [(shard, "tick", (), {}) for shard in sorted(self._sources)]
         )
         # Bring home spans buffered by untraced worker ops since the
         # last clock movement (metrics scrapes, pings).
@@ -750,7 +747,7 @@ class ShardWorkerPool:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ShardWorkerPool workers={self.workers} "
-            f"shards={self.plan.k} restarts={self.restarts}>"
+            f"shards={len(self._sources)} restarts={self.restarts}>"
         )
 
 
@@ -769,9 +766,11 @@ class InprocExecutor:
 
     restarts = 0
 
-    def __init__(self, services: Sequence[SelectionService]) -> None:
-        self.services = list(services)
-        self.recoveries = {i: s.recovery for i, s in enumerate(self.services)}
+    def __init__(self, sources: Mapping[int, Any], **build) -> None:
+        """``build``: :func:`build_shard_services`' keywords, unchanged."""
+        built = build_shard_services(sources, **build)
+        self.services = [built[shard] for shard in range(len(built))]
+        self.recoveries = {s: svc.recovery for s, svc in built.items()}
         self.closed = False
 
     def call(self, shard: int, op: str, *args, **kwargs):

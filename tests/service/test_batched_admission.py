@@ -17,9 +17,7 @@ from repro.service import (
     BatchRequest,
     Decision,
     PlacementBackend,
-    PlacementGrant,
     SelectionService,
-    ShardGrant,
     ShardRouter,
 )
 from repro.topology import dumbbell
@@ -240,9 +238,6 @@ class TestUnifiedApi:
         assert isinstance(make_service(), PlacementBackend)
         router = ShardRouter(make_graph(hosts=16), shards=2)
         assert isinstance(router, PlacementBackend)
-
-    def test_shard_grant_is_the_placement_grant(self):
-        assert ShardGrant is PlacementGrant
 
     def test_service_release_kinds(self):
         service = make_service()

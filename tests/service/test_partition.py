@@ -3,12 +3,9 @@
 import pytest
 
 from repro.service.sharding import (
-    ShardPlan,
-    cross_traffic_fraction,
     graph_fingerprint,
     partition_topology,
     reassemble,
-    repartition,
 )
 from repro.topology import (
     balanced_tree,
@@ -64,12 +61,6 @@ class TestPartitionTopology:
         assert a.shard_of == b.shard_of
         assert a.trunk_keys == b.trunk_keys
 
-    def test_seed_offset_changes_the_cut_deterministically(self):
-        g = grid(5, 5)
-        a = partition_topology(g, 3, seed_offset=1)
-        b = partition_topology(g, 3, seed_offset=1)
-        assert a.shard_of == b.shard_of
-
     def test_validation_errors(self):
         g = dumbbell(2, 2)
         with pytest.raises(ValueError):
@@ -112,38 +103,3 @@ class TestReassemble:
         next(iter(h.links())).available_fwd *= 0.5
         assert graph_fingerprint(h) != fp
 
-
-class TestRepartition:
-    def _plan(self) -> ShardPlan:
-        return partition_topology(grid(5, 5), 2)
-
-    def test_below_threshold_keeps_the_same_object(self):
-        plan = self._plan()
-        members = sorted(plan.shards[0])
-        traffic = {(members[0], members[1]): 10.0}
-        assert repartition(plan, traffic, threshold=0.25) is plan
-
-    def test_above_threshold_recuts(self):
-        plan = self._plan()
-        # All observed traffic crosses the current boundary.
-        a = sorted(plan.shards[0])[0]
-        b = sorted(plan.shards[1])[0]
-        traffic = {(a, b) if a <= b else (b, a): 10.0}
-        new = repartition(plan, traffic, threshold=0.1)
-        new.validate()
-        assert cross_traffic_fraction(new, traffic) <= cross_traffic_fraction(
-            plan, traffic
-        )
-
-    def test_empty_traffic_is_zero_fraction(self):
-        plan = self._plan()
-        assert cross_traffic_fraction(plan, {}) == 0.0
-        assert repartition(plan, {}, threshold=0.0) is plan
-
-    def test_unknown_nodes_ignored(self):
-        plan = self._plan()
-        assert cross_traffic_fraction(plan, {("zz", "yy"): 5.0}) == 0.0
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            repartition(self._plan(), {}, threshold=1.5)

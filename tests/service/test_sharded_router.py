@@ -2,12 +2,13 @@
 
 import os
 import signal
+from collections import deque
 
 import pytest
 
 from repro.core.spec import ApplicationSpec, GroupSpec
 from repro.service import Decision, PlacementGrant, ShardRouter
-from repro.topology import dumbbell, grid, two_campus
+from repro.topology import dumbbell, two_campus
 from repro.units import Mbps
 
 
@@ -315,25 +316,48 @@ class TestSingleShardEquivalence:
 
 class TestDurability:
     def test_composite_survives_restart(self, tmp_path):
-        state = str(tmp_path / "router")
+        """One stream, ``close()``, reopen on the same ``state_dir`` —
+        once per executor.  Both build their shard services through the
+        one builder, so both recover the same books."""
         g = two_campus(fast_hosts=6, slow_hosts=6)
-        r1 = ShardRouter(g, shards=2, state_dir=state)
-        r1.request("x", ApplicationSpec(num_nodes=4), cpu_fraction=0.2,
-                   bw_bps=1 * Mbps, spread=2)
-        fps = _all_fingerprints(r1)
-        nodes = sorted(r1.status("x").selection.nodes)
-        r1.close()
-        r2 = ShardRouter(g, shards=2, state_dir=state)
-        assert r2.recovery is not None and r2.recovery.leases == 1
-        recovered = r2.status("x")
-        assert recovered.admitted and recovered.cross_shard
-        assert sorted(recovered.selection.nodes) == nodes
-        assert _all_fingerprints(r2) == fps
-        # The recovered grant is fully operational.
-        r2.renew("x")
-        r2.release("x")
-        r2.check_invariants()
-        r2.close()
+
+        def books(r):
+            return (
+                r.active_apps(),
+                [r._exec.call(s, "reservation_map") for s in range(r.k)],
+                r.trunk.claims_fingerprint(),
+            )
+
+        recovered = {}
+        for executor in ("inproc", "process"):
+            kwargs = dict(shards=2, executor=executor,
+                          state_dir=str(tmp_path / executor))
+            r1 = ShardRouter(g, **kwargs)
+            r1.request("x", ApplicationSpec(num_nodes=4), cpu_fraction=0.2,
+                       bw_bps=1 * Mbps, spread=2)
+            for i in range(3):
+                r1.request(f"app{i}", ApplicationSpec(num_nodes=2),
+                           cpu_fraction=0.1)
+            r1.release("app0")
+            before = books(r1)
+            fps = _all_fingerprints(r1) if executor == "inproc" else None
+            nodes = sorted(r1.status("x").selection.nodes)
+            r1.close()
+            r2 = ShardRouter(g, **kwargs)
+            assert r2.recovery is not None and r2.recovery.leases == 3
+            got = r2.status("x")
+            assert got.admitted and got.cross_shard
+            assert sorted(got.selection.nodes) == nodes
+            assert books(r2) == before
+            if fps is not None:
+                assert _all_fingerprints(r2) == fps
+            # The recovered grant is fully operational.
+            r2.renew("x")
+            r2.release("x")
+            r2.check_invariants()
+            r2.close()
+            recovered[executor] = before
+        assert recovered["inproc"] == recovered["process"]
 
     def test_clock_fast_forwards_past_recovered_grants(self, tmp_path):
         state = str(tmp_path / "router")
@@ -373,42 +397,38 @@ class TestMetrics:
         assert "repro_shard_routed_local_total 1" in text
 
 
-class TestRepartition:
-    def test_refuses_with_live_grants(self):
-        r = _router()
-        r.request("a", ApplicationSpec(num_nodes=2))
-        with pytest.raises(RuntimeError, match="released first"):
-            r.maybe_repartition()
+@pytest.mark.parametrize("executor", ["inproc", "process"])
+def test_router_keeps_no_per_request_books(executor):
+    """Admit/release cycles with fresh ``app_id``s and distinct node
+    sets leave every container on the router at its warm size: only
+    ``outcomes`` (the standing answer per application) remembers them."""
+    r = _router(executor=executor)
 
-    def test_refuses_when_durable(self, tmp_path):
-        r = _router(state_dir=str(tmp_path / "r"))
-        with pytest.raises(RuntimeError, match="durable"):
-            r.maybe_repartition()
-        r.close()
+    def cycle(i):
+        local = r.request(f"l{i}", ApplicationSpec(num_nodes=2 + i % 4),
+                          cpu_fraction=0.1)
+        cross = r.request(f"x{i}", ApplicationSpec(num_nodes=2 + i % 5),
+                          cpu_fraction=0.1, bw_bps=1 * Mbps, spread=2)
+        assert local.admitted and cross.admitted and cross.trunk is not None
+        r.release(f"l{i}")
+        r.release(f"x{i}")
 
-    def test_below_threshold_is_a_noop(self):
-        r = _router()
-        r.request("a", ApplicationSpec(num_nodes=2))
-        r.release("a")
-        assert r.maybe_repartition() is False
+    def sizes():
+        return {
+            name: len(value) for name, value in vars(r).items()
+            if isinstance(value, (dict, list, set, deque))
+            and name != "outcomes"
+        }
 
-    def test_recut_when_traffic_crosses(self):
-        r = ShardRouter(grid(5, 5), shards=2,
-                        repartition_threshold=0.05)
-        # Force cross-shard traffic, then drain.
-        for i in range(3):
-            g = r.request(f"w{i}", ApplicationSpec(num_nodes=14), spread=2)
-            assert g.admitted
-            r.release(f"w{i}")
-        old_plan = r.plan
-        changed = r.maybe_repartition()
-        if changed:
-            assert r.plan is not old_plan
-            r.plan.validate()
-        # Router keeps working on the (possibly) new plan either way.
-        g = r.request("after", ApplicationSpec(num_nodes=4))
-        assert g.admitted
-        r.check_invariants()
+    cycle(0)
+    warm = sizes()
+    assert {"_active", "_sub_count"} <= set(warm)
+    for i in range(1, 201):
+        cycle(i)
+    assert sizes() == warm
+    assert len(r.outcomes) == 402
+    r.check_invariants()
+    r.close()
 
 
 class TestAdvanceGuards:

@@ -20,6 +20,7 @@ from repro.service import (
     Decision,
     ShardRouter,
     WorkerCrashError,
+    partition_topology,
 )
 from repro.service.sharding.workers import _MAX_UNACKED, PinnedNodes
 from repro.topology import random_tree, two_campus
@@ -173,11 +174,12 @@ class TestValidation:
             r.services
         r.close()
 
-    def test_repartition_refused(self):
-        r = _pool_router()
-        with pytest.raises(RuntimeError, match="repartition"):
-            r.maybe_repartition()
-        r.close()
+    def test_removed_repartition_knobs_are_type_errors(self):
+        """The plan is fixed for a router's life: nothing re-cuts it."""
+        with pytest.raises(TypeError, match="repartition_threshold"):
+            _router(repartition_threshold=0.1)
+        with pytest.raises(TypeError, match="seed_offset"):
+            partition_topology(_graph(), 2, seed_offset=1)
 
     def test_workers_without_the_process_executor_rejected(self):
         with pytest.raises(ValueError, match='executor="process"'):
@@ -443,6 +445,58 @@ class TestCrashRecovery:
         g = r.request("fresh", ApplicationSpec(num_nodes=2),
                       cpu_fraction=0.1)
         assert g.admitted
+        r.close()
+
+    @pytest.mark.parametrize("spread", [1, 2])
+    def test_lost_reply_orphans_no_durable_sub_lease(self, tmp_path, spread):
+        """The shard commits ``app@shard`` to its WAL, then its worker
+        dies with the reply unread: the router answers REJECTED, so the
+        lease the replacement recovers must be given back.  ``spread=1``
+        loses the local path's reply, ``spread=2`` the first of the
+        paired pinned commits'."""
+        r = _pool_router(shards=2, workers=2, state_dir=str(tmp_path),
+                         lease_s=1e9)
+        pool = r.pool
+        trunk = r.trunk.claims_fingerprint()
+        real_call, real_many = pool.call, pool.call_many
+        lost = []
+
+        def lose_reply(shard):
+            _kill(r, pool.worker_of(shard))
+            lost.append(shard)
+            return WorkerCrashError(f"reply from shard {shard} lost")
+
+        def call(shard, op, *args, **kwargs):
+            out = real_call(shard, op, *args, **kwargs)
+            if op == "request":
+                raise lose_reply(shard)
+            return out
+
+        def call_many(calls, **kwargs):
+            replies = real_many(calls, **kwargs)
+            if calls[0][1] == "request":
+                assert [kind for kind, _ in replies] == ["ok", "ok"]
+                replies[0] = ("err", lose_reply(calls[0][0]))
+            return replies
+
+        def ask():
+            return r.request("a", ApplicationSpec(num_nodes=2),
+                             cpu_fraction=0.1, bw_bps=1 * Mbps, spread=spread)
+
+        pool.call, pool.call_many = call, call_many
+        try:
+            grant = _bounded(ask)
+        finally:
+            del pool.call, pool.call_many
+        assert grant.status == Decision.REJECTED and len(lost) == 1
+        r.tick()
+        r.check_invariants()
+        assert pool.restarts == 1
+        assert [pool.call(s, "reservation_map") for s in range(2)] == [{}, {}]
+        assert r._sub_count == {0: 0, 1: 0}
+        assert r.trunk.claims_fingerprint() == trunk
+        assert ask().admitted
+        r.check_invariants()
         r.close()
 
     def test_router_restart_recovers_from_worker_wals(self, tmp_path):
