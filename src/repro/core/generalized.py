@@ -66,8 +66,8 @@ def select_with_bandwidth_floor(
     that constraint".  Every edge whose available bandwidth is below the
     floor is ignored — any surviving component guarantees the floor between
     all of its nodes — and the component whose best ``m`` nodes have the
-    highest minimum CPU fraction wins.  Runs as a single union-find pass
-    (:func:`repro.core.kernel.kernel_select_with_bandwidth_floor`).
+    highest minimum CPU fraction wins.  Runs as a best-first walk of the
+    candidates (:func:`repro.core.kernel.kernel_select_with_bandwidth_floor`).
     """
     return kernel_select_with_bandwidth_floor(
         graph, m, floor_bps=floor_bps, refs=refs, eligible=eligible

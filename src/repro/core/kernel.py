@@ -38,10 +38,16 @@ iteration count, and reported extras are bit-identical, which
 
 Total cost of a peel: O(E log E) for the sort, O((V + E) · (m + log E))
 for the reverse replay, versus the reference's quadratic-in-edges loop.
-The bandwidth-floor procedure needs no peel: one union-find pass over the
-links that meet the floor, then the ``m`` best candidates of each
-component that holds at least ``m`` — O(V + E) plus O(c log m) per
-component of ``c`` candidates.
+The bandwidth-floor procedure needs no peel, and no pass over the graph
+either: it walks the compute nodes best first (:class:`ComputeRanking` —
+kept on the graph by whoever moves its loads in place, re-keyed lazily
+for the names they marked; ranked on the spot, O(V log V), for a bare
+graph) and files each under its component of the floor-filtered graph
+(:meth:`TopologyGraph.floor_components`: a climb of the forest index,
+O(depth); one union-find pass, O(V + E), on a graph with a cycle).  The
+first component to hold ``m`` wins, so a selection costs O(k · depth) for
+the ``k`` candidates reached — ``k = m`` when the best nodes share a
+component, O(V) when nothing is feasible.  Nothing is kept per floor.
 
 Every procedure ends by scoring the ``m`` chosen nodes (``_finish``): the
 minimum CPU fraction and both pairwise bandwidth minima.  On a forest —
@@ -56,6 +62,7 @@ hosts was over half of a cold selection.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from typing import Callable, Optional
 
@@ -71,6 +78,7 @@ from .metrics import (
 from .types import ExtrasKey, NoFeasibleSelection, Selection
 
 __all__ = [
+    "ComputeRanking",
     "peel_order",
     "kernel_select_balanced",
     "kernel_select_max_bandwidth",
@@ -409,6 +417,57 @@ def kernel_select_max_bandwidth(
     )
 
 
+class ComputeRanking:
+    """A graph's compute nodes, best first: the sorted ``(-fraction,
+    name)`` keys :func:`repro.core.compute.top_compute_nodes` ranks by.
+
+    Whoever moves the graph's loads in place keeps one on
+    ``graph.compute_ranking`` and :meth:`mark`s the names it touched;
+    nothing is paid until :meth:`keys` is next read, which re-keys just
+    those.  The keys are for one ``refs.node_capacity`` at a time:
+    reading with another re-ranks everything.
+    """
+
+    def __init__(self, graph: TopologyGraph) -> None:
+        self.graph = graph
+        self._keys: Optional[list[tuple[float, str]]] = None
+        self._key_of: dict[str, tuple[float, str]] = {}
+        #: The keys are fractions of this ``refs.node_capacity``.
+        self.refs = DEFAULT_REFERENCES
+        self._dirty: set[str] = set()
+        #: ``mark(names)``: their load (may have) changed.
+        self.mark = self._dirty.update
+
+    @staticmethod
+    def of(graph: TopologyGraph, refs: References) -> list[tuple[float, str]]:
+        """The keys of ``graph``'s kept ranking, else ranked on the spot."""
+        return (graph.compute_ranking or ComputeRanking(graph)).keys(refs)
+
+    def keys(self, refs: References) -> list[tuple[float, str]]:
+        """The sorted keys, current.  The list is live: do not mutate
+        it, and do not hold it across a change to the graph."""
+        graph, keys, key_of = self.graph, self._keys, self._key_of
+        if keys is None or refs.node_capacity != self.refs.node_capacity:
+            self.refs = refs
+            key_of = self._key_of = {
+                node.name: (-node_compute_fraction(node, refs), node.name)
+                for node in graph.nodes() if node.is_compute
+            }
+            keys = self._keys = sorted(key_of.values())
+        else:
+            for name in self._dirty:
+                old = key_of.get(name)
+                if old is None:
+                    continue  # not a compute node of this graph
+                new = (-node_compute_fraction(graph.node(name), refs), name)
+                if new != old:
+                    del keys[bisect.bisect_left(keys, old)]
+                    bisect.insort(keys, new)
+                    key_of[name] = new
+        self._dirty.clear()
+        return keys
+
+
 def kernel_select_with_bandwidth_floor(
     graph: TopologyGraph,
     m: int,
@@ -419,64 +478,41 @@ def kernel_select_with_bandwidth_floor(
 ) -> Selection:
     """Bandwidth-floor selection without copying or mutating the graph.
 
-    Components of the floor-filtered graph come from one union-find pass
-    over the surviving links; each component with at least ``m``
-    candidates contributes its ``m`` best and the best ``(mincpu,
-    names)`` wins — ``names`` breaking ties exactly like the naive
-    reference.
+    Candidates are walked best first (:class:`ComputeRanking`) and filed
+    under their component of the floor-filtered graph
+    (:meth:`TopologyGraph.floor_components`).  The first component to
+    hold ``m`` has the largest achievable ``mincpu`` — its ``m``-th key
+    is the one just reached; the walk goes on through the keys of that
+    same fraction only, for the components that complete on it too, and
+    the smallest ``names`` wins the tie exactly like the naive reference.
     """
     if floor_bps < 0:
         raise ValueError(f"floor must be non-negative, got {floor_bps}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    # Union-find over node positions, path halving written out in each
-    # loop: a find() call per endpoint would double the cost of the pass.
-    index = {name: i for i, name in enumerate(graph.node_names())}
-    parent = list(range(len(index)))
-    for link in graph.links():
-        if link.available >= floor_bps:
-            a = index[link.u]
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            b = index[link.v]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a < b:
-                parent[b] = a
-            else:
-                parent[a] = b
-
-    # Candidates of each component as (-fraction, name) keys: the m
-    # smallest are the ranking top_compute_nodes() gives the reference.
-    keys: dict[int, list[tuple[float, str]]] = {}
-    for a, node in enumerate(graph.nodes()):
-        if node.is_compute and (eligible is None or eligible(node)):
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            keys.setdefault(a, []).append(
-                (-node_compute_fraction(node, refs), node.name)
-            )
-
-    best: Optional[tuple[float, list[str]]] = None
-    for candidates in keys.values():
-        if len(candidates) < m:
-            continue
-        top = heapq.nsmallest(m, candidates)
-        mincpu = -top[-1][0]
-        names = [name for _, name in top]
-        if best is None or mincpu > best[0] or (
-            mincpu == best[0] and names < best[1]
+    component = graph.floor_components(floor_bps)
+    found: dict = {}
+    best: Optional[list[str]] = None
+    mincpu = 0.0
+    for neg, name in ComputeRanking.of(graph, refs):
+        if best is not None and -neg != mincpu:
+            break
+        names = found.setdefault(component(name), [])
+        if len(names) == m or not (
+            eligible is None or eligible(graph.node(name))
         ):
-            best = (mincpu, names)
+            continue
+        names.append(name)
+        if len(names) == m and (best is None or names < best):
+            best, mincpu = names, -neg
     if best is None:
         raise NoFeasibleSelection(
             f"no component of {m} compute nodes meets a "
             f"{floor_bps / 1e6:.1f} Mbps pairwise floor"
         )
-    mincpu, names = best
     return _finish(
         graph,
-        names,
+        best,
         refs,
         objective=mincpu,
         algorithm="bandwidth-floor",

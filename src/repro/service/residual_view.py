@@ -29,7 +29,11 @@ and across snapshots, and moves it in place:
   :class:`~repro.service.cache.PeelScheduleCache` exposed to the kernel
   through the ``peel_schedule_provider`` graph hook, so selections
   against the view skip the O(E log E) re-sort when the ledger's dirty
-  link set is small;
+  link set is small, and a :class:`~repro.core.kernel.ComputeRanking`
+  on the ``compute_ranking`` hook — the candidates best first, for the
+  bandwidth-floor procedure and the batch planner to walk.  A node
+  update only names what moved; the next selection to read the ranking
+  re-keys it, so a cycle the selection memo answers pays nothing;
 - a new snapshot that says which resources it replaced
   (:attr:`TopologyGraph.measurement`; ``RemosAPI.topology()`` does) is
   adopted by :meth:`rebase`: the same recompute-from-base over those
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Optional
 
+from ..core.kernel import ComputeRanking
 from ..topology.graph import TopologyGraph, load_from_cpu_fraction
 from ..topology.residual import (
     _MIN_RESIDUAL_CPU,
@@ -100,6 +105,9 @@ class ResidualView:
         self.graph.peel_schedule_provider = self.schedules.provider(
             self.graph, ledger.claimed_link_keys
         )
+        # The other kernel hook: refresh_nodes() names what moved, the
+        # next reader (floor procedure, batch planner) re-keys it.
+        self.ranking = self.graph.compute_ranking = ComputeRanking(self.graph)
         self._down: set[str] = set()
         for name in down:
             self.mark_down(name)
@@ -116,7 +124,7 @@ class ResidualView:
         self.selection_hits = 0
 
     # -- O(Δ) updates ---------------------------------------------------------
-    def refresh_nodes(self, names: Iterable[str]) -> None:
+    def refresh_nodes(self, names: Collection[str]) -> None:
         """Reset each node to base capacity minus its current total claim.
 
         Mirrors :func:`residual_graph` exactly: no claim restores the
@@ -124,6 +132,7 @@ class ResidualView:
         load from the base CPU fraction.  Names absent from the snapshot
         are ignored (crashed/removed — their capacity is gone anyway).
         """
+        self.ranking.mark(names)
         for name in names:
             if not self.graph.has_node(name):
                 continue
@@ -140,17 +149,18 @@ class ResidualView:
     def refresh_edges(self, edges: Iterable[DirectedEdge]) -> None:
         """Reset each directed channel from base availability and the
         ledger's current total claim (absent links ignored)."""
+        mine, base = self.graph.link_by_key, self.base.link_by_key
         for key, dst in edges:
-            ends = tuple(key)
-            if len(ends) != 2 or not self.graph.has_link(*ends):
+            link = mine(key)
+            if link is None:
                 continue
-            base_avail = self.base.link(*ends).available_towards(dst)
+            base_avail = base(key).available_towards(dst)
             claim = self.ledger.edge_claim((key, dst))
             if claim <= 0.0:
                 remaining = base_avail
             else:
                 remaining = max(base_avail - claim, 0.0)
-            self.graph.link(*ends).set_available(remaining, direction=dst)
+            link.set_available(remaining, direction=dst)
 
     def apply_delta(self, reservation: Reservation) -> None:
         """Fold one reservation's grant or release into the overlay.
@@ -276,6 +286,11 @@ class ResidualView:
             assert got == want, (
                 f"link {link.u}--{link.v}: overlay attrs/age {got!r} != "
                 f"rebuild {want!r}"
+            )
+        refs = self.ranking.refs
+        assert ComputeRanking.of(self.graph, refs) == \
+            ComputeRanking.of(rebuilt, refs), (
+                "kept compute ranking drifted from the rebuild's"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

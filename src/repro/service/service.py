@@ -39,14 +39,14 @@ caller of one read-only placement (``_place``) and one commit tail
 
 from __future__ import annotations
 
-import heapq
 import logging
 import time
 from dataclasses import replace
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
-from ..core.metrics import References
+from ..core.kernel import ComputeRanking
+from ..core.metrics import DEFAULT_REFERENCES, References
 from ..core.selector import NodeSelector
 from ..core.spec import ApplicationSpec
 from ..core.types import (
@@ -1492,14 +1492,14 @@ class _BatchPlanner:
     """Claim-aware greedy packer for :meth:`SelectionService.admit_batch`.
 
     One exact selection per batch is enough to validate the snapshot;
-    the remaining plain requests are placed by a lazy max-heap over
-    residual CPU availability, reading the *live* overlay the ledger
-    debits in place after each commit.  Per request: O(m log V) heap
-    pops with stale-entry re-ranking, one connectivity memo probe per
-    chosen node, and the same ledger ``reserve`` every serial admission
-    ends in — the planner only replaces the O(E log E) selection, never
-    the claim arithmetic, so its grants respect exactly the caps the
-    serial path would.
+    the remaining plain requests are placed by walking the *live*
+    overlay's compute ranking (:class:`~repro.core.kernel.ComputeRanking`,
+    the one the floor procedure reads, re-keyed by each commit's ledger
+    event) best first.  Per request: the candidates down to the ``m``-th
+    that fits, one connectivity memo probe per chosen node, and the same
+    ledger ``reserve`` every serial admission ends in — the planner only
+    replaces the selection, never the claim arithmetic, so its grants
+    respect exactly the caps the serial path would.
 
     The planner is valid for one residual view on one base snapshot;
     ``try_admit`` returns ``None`` (serial fallback) whenever the
@@ -1516,17 +1516,11 @@ class _BatchPlanner:
         self.base = base
         self.view = service._view
         assert self.view is not None
-        self._heap = [
-            (-node.cpu, node.name)
-            for node in self.view.graph.nodes()
-            if node.is_compute and node_is_selectable(node)
-        ]
-        heapq.heapify(self._heap)
 
     def outdated(self) -> bool:
-        """Whether the candidate pool was ranked on another overlay, or
-        on this one before it moved to another snapshot (measured
-        capacity may have *grown*, which the lazy heap cannot see)."""
+        """Whether the service moved to another overlay, or this one to
+        another snapshot (commits must name the snapshot they were
+        planned on)."""
         return (
             self.service._view is not self.view
             or self.view.base is not self.base
@@ -1542,50 +1536,31 @@ class _BatchPlanner:
         caps = service.ledger._node_claims
         cap = service.ledger.cpu_cap
         graph = view.graph
-        heap = self._heap
         chosen: list[str] = []
-        avails: list[float] = []
-        deferred: list[tuple[float, str]] = []
-        while heap and len(chosen) < m:
-            neg, name = heapq.heappop(heap)
-            if not graph.has_node(name):
-                continue  # snapshot lost the node; drop the entry
-            node = graph.node(name)
-            if not node_is_selectable(node):
-                continue  # went down this epoch; drop for good
-            avail = node.cpu
-            if avail < -neg - 1e-12:
-                # Stale entry (a commit debited this node since it was
-                # pushed) — re-rank it at its current availability.
-                heapq.heappush(heap, (-avail, name))
-                continue
+        avail = 0.0
+        for neg, name in ComputeRanking.of(graph, DEFAULT_REFERENCES):
+            avail = -neg
+            if avail + _EPS < need:
+                break  # best first: nobody further down has it either
             if (
-                avail + _EPS < need
-                or caps.get(name, 0.0) + need > cap + _EPS
+                caps.get(name, 0.0) + need > cap + _EPS
+                or not node_is_selectable(graph.node(name))
                 or (chosen and not view.routes.connected(chosen[0], name))
             ):
-                # Infeasible *for this request only* — keep it around
-                # for the rest of the batch.
-                deferred.append((-avail, name))
                 continue
             chosen.append(name)
-            avails.append(avail)
-        for entry in deferred:
-            heapq.heappush(heap, entry)
-
-        grant = None
-        if len(chosen) == m:
-            fits, edges = service._verify_claims(req, graph, chosen, view)
-            if fits:
-                selection = Selection(
-                    nodes=list(chosen),
-                    objective=min(avails),
-                    min_cpu_fraction=min(avails),
-                    algorithm="batch-greedy",
-                )
-                grant = service._commit(req, selection, edges, self.base)
-        # On a commit the ledger listener already debited the overlay in
-        # place: re-rank the chosen nodes at their current availability.
-        for name in chosen:
-            heapq.heappush(heap, (-graph.node(name).cpu, name))
-        return grant
+            if len(chosen) == m:
+                break
+        if len(chosen) < m:
+            return None
+        fits, edges = service._verify_claims(req, graph, chosen, view)
+        if not fits:
+            return None
+        selection = Selection(  # best first: the last chosen is the worst
+            nodes=chosen,
+            objective=avail,
+            min_cpu_fraction=avail,
+            algorithm="batch-greedy",
+        )
+        # The commit's ledger event re-ranks the chosen for the next call.
+        return service._commit(req, selection, edges, self.base)

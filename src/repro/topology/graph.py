@@ -290,15 +290,22 @@ class TopologyGraph:
     #: built, loaded and oracle graphs.  Copies carry it along.
     measurement: Optional[Measurement] = None
 
+    #: A :class:`repro.core.kernel.ComputeRanking` kept by whoever moves
+    #: this graph's loads in place (the service's residual overlay), for
+    #: selections to read; ``None``: they rank on the spot.  Derived
+    #: state like the forest index: copies and pickles do not carry it.
+    compute_ranking: Any = None
+
     def __init__(self) -> None:
         self._nodes: dict[str, Node] = {}
         self._links: dict[frozenset, Link] = {}
         self._adj: dict[str, dict[str, Link]] = {}
 
     def __getstate__(self) -> dict[str, Any]:
-        # The index is derived and rebuilt on demand: do not ship it.
+        # Derived state, rebuilt on demand: do not ship it.
         state = self.__dict__.copy()
         state.pop("_forest", None)
+        state.pop("compute_ranking", None)
         return state
 
     # -- construction -------------------------------------------------------
@@ -404,6 +411,10 @@ class TopologyGraph:
             return self._links[frozenset((u, v))]
         except KeyError:
             raise KeyError(f"no link {u!r}--{v!r}") from None
+
+    def link_by_key(self, key: frozenset) -> Optional[Link]:
+        """The link whose :attr:`Link.key` is ``key`` (``None``: absent)."""
+        return self._links.get(key)
 
     def has_node(self, name: str) -> bool:
         return name in self._nodes
@@ -618,6 +629,47 @@ class TopologyGraph:
         down.pop()  # the common ancestor, already last in ``up``
         down.reverse()
         return up + down
+
+    def floor_components(self, floor_bps: float) -> Callable[[str], Any]:
+        """``name -> component id`` in the graph that keeps only the links
+        with ``available >= floor_bps``: equal ids, connected nodes.
+
+        For one selection, on the availabilities of the moment.  On a
+        forest nothing is built: the id is the component's topmost node,
+        found by climbing the forest index while the link up meets the
+        floor — O(depth), every node on the trail remembered.  A graph
+        with a cycle pays one union-find pass over its links up front.
+        """
+        index = self._forest_index()
+        if index is None:
+            root_of = {name: name for name in self._nodes}
+
+            def find(name: str) -> str:
+                while root_of[name] != name:  # path halving
+                    root_of[name] = name = root_of[root_of[name]]
+                return name
+
+            for link in self._links.values():
+                if link.available >= floor_bps:
+                    root_of[find(link.u)] = find(link.v)
+            return find
+        parent, adj = index[0], self._adj
+        top: dict[str, str] = {}
+
+        def climb(name: str) -> str:
+            trail = []
+            while (root := top.get(name)) is None:
+                trail.append(name)
+                up = parent.get(name)
+                if up is None or adj[name][up].available < floor_bps:
+                    root = name
+                    break
+                name = up
+            for below in trail:
+                top[below] = root
+            return root
+
+        return climb
 
     def path_links(self, path: list[str]) -> list[Link]:
         """The links along a node path."""

@@ -1,0 +1,362 @@
+"""Bandwidth-floor selection on a moving ledger: kept ranking == nothing kept.
+
+The floor kernel walks the residual overlay's kept
+:class:`~repro.core.kernel.ComputeRanking` best first and finds each
+candidate's floor-component by climbing the forest index (union-find on
+a graph with a cycle).  Three arms must agree after every step of a
+generated history — grants, releases, renewals, expiries, health marks,
+measured re-bases, eligibility predicates, a switch of the reference
+node capacity — on a tree and on a cyclic grid:
+
+1. the kernel on the live overlay (kept ranking, lazily re-keyed);
+2. the same kernel on a fresh ``residual_graph()`` rebuild (no ranking:
+   built on the spot);
+3. ``reference_select_with_bandwidth_floor`` on that rebuild.
+
+Floors are drawn both far from every link and exactly at (one ulp around)
+a claimed link's residual availability, and re-asked after the claim
+state moved, so links cross the floor in both directions between
+selections.  A second test bounds the work with exact counts.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import References
+from repro.core import kernel
+from repro.core.kernel import kernel_select_with_bandwidth_floor
+from repro.core.reference import reference_select_with_bandwidth_floor
+from repro.core.types import node_is_selectable
+from repro.service import LedgerError, ReservationLedger, ResidualView
+from repro.service.sharding import PinnedNodes
+from repro.topology import TopologyGraph, grid, random_tree
+from repro.topology.residual import residual_graph
+from repro.units import Mbps
+
+from ..core.test_kernel_differential import _outcome as outcome
+
+REFS = [References(), References(node_capacity=1.0),
+        References(node_capacity=2.5)]
+
+
+def small_tree():
+    """Nine hosts under three switches; loads on a three-value grid so
+    equal CPU fractions across components are the common case."""
+    rng = np.random.default_rng(5)
+    g = random_tree(9, 3, rng, bandwidth=100 * Mbps)
+    _contend(g, rng)
+    return g
+
+
+def cyclic_grid():
+    rng = np.random.default_rng(6)
+    g = grid(3, 3, bandwidth=100 * Mbps)
+    _contend(g, rng)
+    return g
+
+
+def _contend(g, rng):
+    for link in g.links():
+        link.available_fwd = float(rng.integers(1, 5)) * 20 * Mbps
+        link.available_rev = float(rng.integers(1, 5)) * 20 * Mbps
+    for node in g.compute_nodes():
+        node.load_average = float(rng.integers(0, 3)) * 0.5
+        node.compute_capacity = float(rng.integers(1, 3))
+
+
+class Rig:
+    """A snapshot, a ledger and its subscribed overlay, driven by hand."""
+
+    def __init__(self, base) -> None:
+        self.ledger = ReservationLedger()
+        self.view = ResidualView(base, self.ledger)
+        self.ledger.subscribe(self.view.on_ledger_event)
+        self.hosts = sorted(n.name for n in base.compute_nodes())
+        self.now = 0.0
+        self.apps = 0
+        self.floor = 1 * Mbps  # the last "at a link" floor, re-askable
+
+    # -- the three arms --------------------------------------------------------
+    def rebuilt(self):
+        view = self.view
+        g = residual_graph(
+            view.base, self.ledger.node_claims(), self.ledger.edge_claims()
+        )
+        for name in view.down:
+            g.node(name).attrs["down"] = True
+        assert g.compute_ranking is None
+        return g
+
+    def select(self, query):
+        m, floor, who, refs = query
+        floor = self.resolve_floor(floor)
+        kwargs = dict(floor_bps=floor, refs=REFS[refs],
+                      eligible=self.eligible(who))
+        rebuilt = self.rebuilt()
+        live = outcome(kernel_select_with_bandwidth_floor,
+                       self.view.graph, m, **kwargs)
+        cold = outcome(kernel_select_with_bandwidth_floor,
+                       rebuilt, m, **kwargs)
+        naive = outcome(reference_select_with_bandwidth_floor,
+                        rebuilt, m, **kwargs)
+        assert live == cold == naive, (query, floor)
+        self.view.assert_matches_rebuild()
+        return live
+
+    def resolve_floor(self, floor) -> float:
+        kind, arg = floor
+        if kind == "far":
+            return arg * Mbps
+        if kind == "again":
+            return self.floor
+        # Exactly at (``ulps`` off) a claimed link's residual availability.
+        which, ulps = arg
+        keys = sorted(map(sorted, self.ledger.claimed_link_keys()))
+        links = (
+            [self.view.graph.link(*k) for k in keys]
+            or list(self.view.graph.links())
+        )
+        at = links[which % len(links)].available
+        for _ in range(abs(ulps)):
+            at = math.nextafter(at, math.inf if ulps > 0 else 0.0)
+        self.floor = at
+        return at
+
+    def eligible(self, who):
+        kind, arg = who
+        if kind == "anyone":
+            return None
+        if kind == "healthy":
+            return node_is_selectable
+        if kind == "pinned":
+            pin = PinnedNodes(self.hosts[i % len(self.hosts)] for i in arg)
+            return lambda node: node_is_selectable(node) and pin(node)
+        return lambda node: (
+            node_is_selectable(node) and node.compute_capacity != arg
+        )
+
+    # -- the history -----------------------------------------------------------
+    def apply(self, action) -> None:
+        kind, *args = action
+        ledger, view = self.ledger, self.view
+        live = sorted(ledger.reservations)
+        if kind == "request":
+            query, cpu, bw = args
+            picked = self.select(query)
+            if isinstance(picked, dict):
+                self.apps += 1
+                try:
+                    ledger.reserve(
+                        f"app-{self.apps}", picked["nodes"],
+                        cpu_fraction=cpu, bw_bps=bw * Mbps, graph=view.base,
+                        now=self.now, lease_s=10.0,
+                    )
+                except LedgerError:
+                    pass  # over a cap: the ledger is unchanged
+        elif kind == "release" and live:
+            ledger.release(live[args[0] % len(live)])
+        elif kind == "renew" and live:
+            ledger.renew(live[args[0] % len(live)], self.now, 10.0)
+        elif kind == "advance":
+            self.now += args[0]
+            ledger.expire(self.now)
+        elif kind == "down":
+            view.mark_down(self.hosts[args[0] % len(self.hosts)])
+        elif kind == "up":
+            view.mark_up(self.hosts[args[0] % len(self.hosts)])
+        elif kind == "rebase":
+            self.rebase(*args)
+
+    def rebase(self, loads, bandwidths) -> None:
+        """A measured snapshot: same structure, some loads and some
+        availabilities moved (either way), named to the overlay."""
+        base = self.view.base
+        nodes, links = [], []
+        for i, load in loads:
+            node = base.node(self.hosts[i % len(self.hosts)]).copy()
+            node.load_average = load
+            nodes.append(node)
+        every = list(base.links())
+        for i, fwd, rev in bandwidths:
+            link = every[i % len(every)].copy()
+            link.available_fwd, link.available_rev = fwd * Mbps, rev * Mbps
+            links.append(link)
+        # Later duplicates win, as in a dict of replacements.
+        nodes = list({n.name: n for n in nodes}.values())
+        links = list({l.key: l for l in links}.values())
+        self.view.rebase(
+            base.replaced(nodes, links),
+            {n.name for n in nodes}, {l.key for l in links},
+        )
+
+
+index = st.integers(0, 63)
+floors = st.one_of(
+    st.tuples(st.just("far"), st.sampled_from([0.0, 1.0, 30.0, 50.0, 500.0])),
+    st.tuples(st.just("at"),
+              st.tuples(index, st.sampled_from([-1, 0, 0, 1]))),
+    st.tuples(st.just("again"), st.none()),
+)
+eligibles = st.one_of(
+    st.tuples(st.just("anyone"), st.none()),
+    st.tuples(st.just("healthy"), st.none()),
+    st.tuples(st.just("pinned"), st.lists(index, min_size=1, max_size=6)),
+    st.tuples(st.just("not-capacity"), st.sampled_from([1.0, 2.0])),
+)
+queries = st.tuples(
+    st.integers(1, 5), floors, eligibles, st.sampled_from([0, 0, 0, 1, 2])
+)
+actions = st.one_of(
+    st.tuples(st.just("request"), queries,
+              st.sampled_from([0.0, 0.1, 0.25]),
+              st.sampled_from([0.0, 5.0, 20.0])),
+    st.tuples(st.just("release"), index),
+    st.tuples(st.just("renew"), index),
+    st.tuples(st.just("advance"), st.sampled_from([1.0, 4.0, 11.0])),
+    st.tuples(st.just("down"), index),
+    st.tuples(st.just("up"), index),
+    st.tuples(
+        st.just("rebase"),
+        st.lists(st.tuples(index, st.sampled_from([0.0, 0.5, 1.0, 1.5])),
+                 max_size=3),
+        st.lists(st.tuples(index, st.sampled_from([20.0, 40.0, 60.0, 80.0]),
+                           st.sampled_from([20.0, 40.0, 60.0, 80.0])),
+                 max_size=3),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    build=st.sampled_from([small_tree, cyclic_grid]),
+    history=st.lists(st.tuples(actions, queries), min_size=1, max_size=30),
+)
+def test_live_overlay_equals_rebuild_and_reference(build, history):
+    rig = Rig(build())
+    assert rig.view.graph.is_acyclic() == (build is small_tree)
+    for action, query in history:
+        rig.apply(action)
+        rig.select(query)
+    rig.ledger.check_invariants(view=rig.view)
+
+
+@pytest.mark.parametrize("build", [small_tree, cyclic_grid])
+def test_a_link_crosses_a_standing_floor_both_ways(build):
+    """The case the history must not miss, pinned down by hand."""
+    rig = Rig(build())
+    everyone = ("healthy", None)
+    first = rig.select((3, ("far", 1.0), everyone, 0))
+    rig.apply(("request", (3, ("far", 1.0), everyone, 0), 0.25, 5.0))
+    assert rig.ledger.active == 1
+    # A floor exactly at a claimed link: it meets the floor now ...
+    at = rig.select((3, ("at", (0, 0)), everyone, 0))
+    key = sorted(map(sorted, rig.ledger.claimed_link_keys()))[0]
+    link = rig.view.graph.link(*key)
+    assert link.available == rig.floor
+    # ... a second claim over the same hosts takes it below ...
+    rig.apply(("request", (3, ("far", 1.0), ("pinned", [
+        rig.hosts.index(n) for n in first["nodes"]
+    ]), 0), 0.1, 5.0))
+    assert rig.ledger.active == 2 and link.available < rig.floor
+    rig.select((3, ("again", None), everyone, 0))
+    # ... and releasing it brings the link back above.
+    rig.apply(("release", 1))
+    assert link.available == rig.floor
+    assert rig.select((3, ("again", None), everyone, 0)) == at
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_components_completing_on_one_fraction_tie_break_by_names(cyclic):
+    """Two floor-components reach ``m`` on the same CPU fraction, and the
+    one the walk completes *second* has the smaller names: the walk must
+    go on through the tied keys, and ``names`` must decide."""
+    g = TopologyGraph()
+    for switch, hosts in (("s0", ["h0", "h3", "h5"]), ("s1", ["h1", "h2"])):
+        g.add_network(switch)
+        for host in hosts:
+            g.add_compute(host, load_average=0.5)
+            g.add_link(host, switch, 100 * Mbps)
+    g.node("h5").load_average = 1.0  # a worse key past the tie: not reached
+    g.add_link("s0", "s1", 100 * Mbps, available=10 * Mbps)
+    if cyclic:
+        g.add_link("h1", "h2", 100 * Mbps)
+    rig = Rig(g)
+    asked = []
+
+    def eligible(node):
+        asked.append(node.name)
+        return True
+
+    rig.eligible = lambda who: eligible
+    picked = rig.select((2, ("far", 50.0), None, 0))
+    assert picked["nodes"] == ["h0", "h3"]  # walk order: h0 h1 h2* h3*
+    # Three arms, two of them walking: nobody looked past the tie.
+    assert asked.count("h5") == 1 and asked.count("h3") == 3
+    # One claim later the tie is gone and the other component wins.
+    rig.ledger.reserve("a", ["h0"], cpu_fraction=0.1, bw_bps=0.0,
+                       graph=g, now=0.0, lease_s=10.0)
+    assert rig.select((2, ("far", 50.0), None, 0))["nodes"] == ["h1", "h2"]
+    rig.ledger.release("a")
+    assert rig.select((2, ("far", 50.0), None, 0)) == picked
+
+
+def test_work_is_bounded_by_the_walk_not_the_graph(monkeypatch):
+    """1 000 hosts and a floor every link meets whatever is claimed on
+    it (one component): a selection asks ``eligible`` about the ``m``
+    nodes it picks (it was all 1 000) and re-keys the nodes the ledger
+    touched since the last one, nothing else."""
+    rng = np.random.default_rng(0)
+    base = random_tree(1000, 200, rng, bandwidth=100 * Mbps)
+    for link in base.links():
+        link.available_fwd = float(rng.uniform(5, 100)) * Mbps
+        link.available_rev = float(rng.uniform(5, 100)) * Mbps
+    for node in base.compute_nodes():
+        node.load_average = float(rng.uniform(0, 0.5))
+    ledger = ReservationLedger()
+    view = ResidualView(base, ledger)
+    ledger.subscribe(view.on_ledger_event)
+
+    asked, keyed = [], []
+    fraction = kernel.node_compute_fraction
+
+    def counting_fraction(node, refs):
+        keyed.append(node.name)
+        return fraction(node, refs)
+
+    def eligible(node):
+        asked.append(node.name)
+        return True
+
+    def select(m):
+        del asked[:], keyed[:]
+        return kernel_select_with_bandwidth_floor(
+            view.graph, m, floor_bps=0.0, eligible=eligible,
+        )
+
+    select(3)  # the one full ranking, before the counting starts
+    monkeypatch.setattr(kernel, "node_compute_fraction", counting_fraction)
+    touched: set[str] = set()
+    live: list[str] = []
+    for step in range(100):
+        m = 3 + step % 4
+        sel = select(m)
+        assert len(asked) == m <= 2 * m and asked == sel.nodes
+        assert sorted(keyed) == sorted(touched)
+        ledger.reserve(
+            f"app-{step}", sel.nodes, cpu_fraction=0.1, bw_bps=1 * Mbps,
+            graph=base, now=0.0, lease_s=1e9,
+        )
+        touched = set(sel.nodes)
+        live.append(f"app-{step}")
+        if len(live) > 8:
+            touched |= set(ledger.release(live.pop(0)).nodes)
+
+    select(3)  # re-keys what the last step touched
+    lease = ledger.release(live.pop(0))
+    select(3)
+    assert sorted(keyed) == sorted(lease.nodes)
+    view.assert_matches_rebuild()
