@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..des.events import Event
 from ..des.simulator import Simulator
 from ..topology.graph import TopologyGraph
@@ -36,11 +38,12 @@ class Flow:
 
     ``done`` fires with the flow's elapsed transfer time when the last byte
     drains.  ``rate`` is the currently allocated bandwidth (bps).
+    ``index`` holds the octet-counter slots of ``channels``.
     """
 
     __slots__ = (
         "fid", "src", "dst", "size_bytes", "remaining_bytes",
-        "channels", "rate", "done", "started_at",
+        "channels", "index", "rate", "done", "started_at",
     )
 
     def __init__(
@@ -50,6 +53,7 @@ class Flow:
         dst: str,
         size_bytes: float,
         channels: list[ChannelId],
+        index: np.ndarray,
         done: Event,
         started_at: float,
     ) -> None:
@@ -59,6 +63,7 @@ class Flow:
         self.size_bytes = float(size_bytes)
         self.remaining_bytes = float(size_bytes)
         self.channels = channels
+        self.index = index
         self.rate = 0.0
         self.done = done
         self.started_at = started_at
@@ -96,17 +101,17 @@ class Fabric:
         self._flows: dict[int, Flow] = {}
         self._next_fid = 0
         self._capacities: dict[ChannelId, float] = {}
-        self._octets: dict[ChannelId, float] = {}
         for link in graph.links():
             if link.attrs.get("duplex") == "half":
-                cid = (link.key, "shared")
-                self._capacities[cid] = link.maxbw
-                self._octets[cid] = 0.0
+                self._capacities[(link.key, "shared")] = link.maxbw
             else:
                 for dst in (link.u, link.v):
-                    cid = (link.key, dst)
-                    self._capacities[cid] = link.maxbw
-                    self._octets[cid] = 0.0
+                    self._capacities[(link.key, dst)] = link.maxbw
+        #: channel -> its slot in the octet-counter column
+        self._index: dict[ChannelId, int] = {
+            cid: i for i, cid in enumerate(self._capacities)
+        }
+        self._octets = np.zeros(len(self._index))
         self._last_settle = sim.now
         self._wake: Optional[Event] = None
 
@@ -125,14 +130,23 @@ class Fabric:
     def capacity(self, cid: ChannelId) -> float:
         return self._capacities[cid]
 
+    def capacities(self) -> dict[ChannelId, float]:
+        """Every channel's capacity in bps (read-only)."""
+        return self._capacities
+
+    def channel_index(self, cid: ChannelId) -> int:
+        """The channel's slot in :meth:`octet_counters`."""
+        return self._index[cid]
+
     def octet_counter(self, cid: ChannelId) -> float:
         """Cumulative bytes carried by the channel (SNMP ifOutOctets-like)."""
         self._settle()
-        return self._octets[cid]
+        return float(self._octets[self._index[cid]])
 
-    def octet_counters(self) -> dict[ChannelId, float]:
-        """Every channel's cumulative byte counter, settled to now: what
-        one SNMP walk over a device's interfaces reads (read-only)."""
+    def octet_counters(self) -> np.ndarray:
+        """Every channel's cumulative byte counter, settled to now, as
+        one column indexed by :meth:`channel_index`: what an SNMP walk
+        over the devices' interfaces reads (read-only)."""
         self._settle()
         return self._octets
 
@@ -228,7 +242,10 @@ class Fabric:
             self._settle()
             fid = self._next_fid
             self._next_fid += 1
-            flow = Flow(fid, src, dst, size_bytes, channels, done, start)
+            index = np.array(
+                [self._index[cid] for cid in channels], dtype=np.intp
+            )
+            flow = Flow(fid, src, dst, size_bytes, channels, index, done, start)
             self._flows[fid] = flow
             self._reallocate()
 
@@ -243,11 +260,13 @@ class Fabric:
         elapsed = now - self._last_settle
         if elapsed <= 0:
             return
+        octets = self._octets
         for flow in self._flows.values():
             moved_bytes = flow.rate * elapsed / BITS_PER_BYTE
             flow.remaining_bytes -= moved_bytes
-            for cid in flow.channels:
-                self._octets[cid] += moved_bytes
+            # A route crosses a channel once, so the fancy-indexed add
+            # is one add per channel, flow by flow as before.
+            octets[flow.index] += moved_bytes
         self._last_settle = now
 
     #: Flows with less than this many bytes left are complete.

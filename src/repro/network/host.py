@@ -105,18 +105,16 @@ class Host:
         self._load_avg = 0.0
         self._wake: Optional[Event] = None
         self._busy_time = 0.0  # integrated seconds with >=1 task (utilization)
-        self._up = True
+        #: False while the host is crashed (:meth:`fail` / :meth:`recover`
+        #: write it; a plain attribute, so a poll of every host's agent
+        #: reads it without a call).
+        self.up = True
 
     # -- public API ----------------------------------------------------------
     @property
     def active_tasks(self) -> int:
         """Number of runnable tasks right now."""
         return len(self._tasks)
-
-    @property
-    def up(self) -> bool:
-        """False while the host is crashed."""
-        return self._up
 
     def fail(self) -> None:
         """Crash the host: abort all running tasks, refuse new work.
@@ -125,10 +123,10 @@ class Host:
         ``InterruptedError`` (defused, so unobserved tasks don't take the
         kernel down — background jobs on a crashed machine just vanish).
         """
-        if not self._up:
+        if not self.up:
             return
         self._settle()
-        self._up = False
+        self.up = False
         for task in list(self._tasks):
             self._abort(task)
         # A dead machine has an empty run queue; freeze the load average at
@@ -137,15 +135,21 @@ class Host:
 
     def recover(self) -> None:
         """Bring a crashed host back up (fresh boot: empty queue, zero load)."""
-        if self._up:
+        if self.up:
             return
-        self._up = True
+        self.up = True
         self._last_settle = self.sim.now
         self._load_avg = 0.0
 
     @property
     def load_average(self) -> float:
         """Damped run-queue length, updated to the current instant."""
+        if self._load_avg == 0.0 and not self._tasks:
+            # Idle and fully decayed.  Settling an empty run queue at
+            # load 0.0 gives ``0 + (0.0 - 0) * decay``: 0.0 whatever the
+            # interval, and nothing else moves — so it can wait for the
+            # next settle, which will cover this interval too.
+            return 0.0
         self._settle()
         return self._load_avg
 
@@ -179,7 +183,7 @@ class Host:
         """
         if ops < 0:
             raise ValueError(f"ops must be non-negative, got {ops}")
-        if not self._up:
+        if not self.up:
             raise HostDownError(f"host {self.name!r} is down")
         self._settle()
         task = ComputeTask(self, ops)

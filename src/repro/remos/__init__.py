@@ -1,9 +1,11 @@
 """Remos — the network-information query substrate (paper §2.2).
 
 A faithful model of the Remos LAN implementation: simulated SNMP agents on
-every device export octet counters and host load; a polling collector turns
-counter deltas into utilization history; and :class:`RemosAPI` answers flow
-queries and logical-topology queries through a pluggable forecast policy.
+every device export octet counters and host load (laid out as one interface
+table and walked as columns); a polling collector turns counter deltas into
+utilization history (ring matrices, one column per resource); and
+:class:`RemosAPI` answers flow queries and logical-topology queries through
+a pluggable forecast policy.
 The selection framework (:class:`repro.core.NodeSelector`) consumes a
 ``RemosAPI`` directly as its topology provider.
 """
@@ -22,6 +24,7 @@ from .snmp import (
     HostAgent,
     InterfaceAgent,
     InterfaceRecord,
+    InterfaceTable,
     build_agents,
 )
 
@@ -33,6 +36,7 @@ __all__ = [
     "HostAgent",
     "InterfaceAgent",
     "InterfaceRecord",
+    "InterfaceTable",
     "LastValue",
     "LinkInfo",
     "NodeInfo",

@@ -30,24 +30,43 @@ consumer reads from its own cursor (:meth:`Collector.changes_since`),
 beside the one time a round sampled at (:attr:`Collector.round_at`) and
 the few resources it does not hold for (:meth:`Collector.late_resources`),
 so that :meth:`RemosAPI.topology` re-derives only what a round moved.
+
+**A round is array passes, not a loop over readings.**  The agents are
+walked as columns (:meth:`~repro.remos.snmp.InterfaceTable.walk`,
+:func:`~repro.remos.snmp.walk_hosts`) and everything the collector keeps
+per resource is a column too: the last raw reading, the consecutive
+misses, and ``history`` rows of ``(time, value)`` ring matrices, one
+column per channel and one per host.  A pass dedupes half-duplex
+reports, resets misses, takes ``delta`` and ``dt`` against the raw
+columns, clamps ``delta * 8 / dt`` to ``ifSpeed`` (read only where
+``delta != 0``), compares with the newest kept value and writes one ring
+row.  What stays scalar is what is rare or ordered: a negative delta
+goes through the wrap-or-reset rule one row at a time, and events and
+change-log entries are appended row by row, in the order the agents
+were walked, for the rows that have one.  The history accessors answer
+with a read-only view of a ring column.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
+
+import numpy as np
 
 from ..network.cluster import Cluster
 from ..network.fabric import ChannelId
 from ..obs.trace import NULL_TRACER
 from ..units import BITS_PER_BYTE
-from .snmp import AgentTimeout, InterfaceRecord, build_agents
+from .snmp import HostAgent, InterfaceTable, walk_hosts
 
 __all__ = ["Collector", "ResourceStatus"]
 
 Sample = tuple[float, float]
+
+_NEVER = float("-inf")
 
 #: The change log holds at most this many entries per monitored resource;
 #: a consumer that fell further behind is told so and re-reads everything.
@@ -57,6 +76,104 @@ _CHANGE_LOG_DEPTH = 4
 #: anything above this multiple of the interface speed is a reset, not a
 #: wrap (real monitors use the same plausibility test).
 _WRAP_RATE_SLACK = 1.25
+
+
+class _Ring:
+    """``depth`` newest ``(time, value)`` samples of each of ``width``
+    series: two ``(depth x width)`` matrices written round-robin per
+    column, ``count[col]`` samples ever written, and each column's
+    newest value once more as a contiguous column (``newest``,
+    meaningless where ``count == 0``)."""
+
+    def __init__(self, depth: int, width: int) -> None:
+        self.depth = depth
+        self.times = np.zeros((depth, width))
+        self.values = np.zeros((depth, width))
+        self.count = np.zeros(width, dtype=np.int64)
+        self.newest = np.zeros(width)
+
+    def newest_time(self, col: int) -> float:
+        """When ``col`` was last written (-inf: never)."""
+        count = self.count.item(col)
+        if not count:
+            return _NEVER
+        return self.times.item((count - 1) % self.depth, col)
+
+    def append(self, cols: np.ndarray, now: float, values: np.ndarray):
+        """One new sample, taken at ``now``, on each of ``cols``
+        (distinct); returns which of them it changed the newest value of
+        (a first sample counts)."""
+        count = self.count[cols]
+        changed = (count == 0) | (self.newest[cols] != values)
+        self.newest[cols] = values
+        self.count[cols] = count + 1
+        slot = count % self.depth
+        if len(slot) and (slot == slot[0]).all():
+            # Series sampled every round fill in step: one matrix row.
+            self.times[slot[0]][cols] = now
+            self.values[slot[0]][cols] = values
+        else:
+            self.times[slot, cols] = now
+            self.values[slot, cols] = values
+        return changed
+
+    def samples(self, col: int) -> list[Sample]:
+        """Column ``col`` unrolled: its kept samples, oldest first."""
+        count = self.count.item(col)
+        out = []
+        for matrix in (self.times, self.values):
+            if count <= self.depth:
+                out.append(matrix[:count, col].tolist())
+            else:
+                oldest = count % self.depth
+                out.append(
+                    matrix[oldest:, col].tolist()
+                    + matrix[:oldest, col].tolist()
+                )
+        return list(zip(*out))
+
+
+class _History(Sequence):
+    """One ring column as the ``[(t, value), ...]`` list it stands for,
+    oldest first: length, index, slice, iteration and ``==`` against a
+    list.  ``history[-1]`` is two element reads, nothing is copied until
+    something iterates.  Read-only, and a view: it follows the ring, so
+    ``list()`` it to keep it across a poll round."""
+
+    __slots__ = ("_ring", "_col")
+
+    def __init__(self, ring: _Ring, col: int) -> None:
+        self._ring = ring
+        self._col = col
+
+    def __len__(self) -> int:
+        return min(self._ring.count.item(self._col), self._ring.depth)
+
+    def __getitem__(self, i):
+        ring, col = self._ring, self._col
+        if isinstance(i, slice):
+            return ring.samples(col)[i]
+        count = ring.count.item(col)
+        n = min(count, ring.depth)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("history index out of range")
+        slot = (count - n + i) % ring.depth
+        return ring.times.item(slot, col), ring.values.item(slot, col)
+
+    def __iter__(self):
+        return iter(self._ring.samples(self._col))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._ring.samples(self._col) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._ring.samples(self._col))
 
 
 @dataclass(frozen=True)
@@ -134,26 +251,30 @@ class Collector:
         self.max_retries = max_retries
         self.backoff = float(backoff)
         self.stale_after = stale_after
-        self.iface_agents, self.host_agents = build_agents(
-            cluster, counter_bits=counter_bits
-        )
-        #: channel -> deque of (t, utilization_bps) derived samples
-        self._util: dict[ChannelId, deque[Sample]] = {}
-        #: channel -> last raw (t, octets) reading, for delta computation
-        self._raw: dict[ChannelId, tuple[float, float]] = {}
-        #: host -> deque of (t, load_average)
-        self._load: dict[str, deque[Sample]] = {
-            name: deque(maxlen=history) for name in self.host_agents
+        table = InterfaceTable(cluster, counter_bits=counter_bits)
+        #: Every device's interface agent, as rows of one table.
+        self._table = table
+        self.iface_agents = table.agents
+        self.host_agents = {
+            name: HostAgent(cluster, name) for name in cluster.hosts
         }
-        #: channel -> devices whose interface agent reports it
-        self._reporters: dict[ChannelId, set[str]] = {}
-        for name, agent in self.iface_agents.items():
-            for cid in agent.interfaces:
-                self._reporters.setdefault(cid, set()).add(name)
-        self._channel_misses: dict[ChannelId, int] = {
-            cid: 0 for cid in self._reporters
+        channels = len(table.channel_ids)
+        #: (history x channels) derived (t, utilization_bps) samples
+        self._util = _Ring(history, channels)
+        #: per channel, the last raw (t, octets) reading, for the deltas
+        self._raw_t = np.full(channels, _NEVER)
+        self._raw_octets = np.zeros(channels)
+        self._channel_misses = np.zeros(channels, dtype=np.int64)
+        #: Whether some channel has two reporters (a half-duplex link).
+        self._shared = len(table.row_channels) > channels
+        #: host -> its column; (history x hosts) (t, load_average) samples
+        self._host_names = tuple(self.host_agents)
+        self._host_index = {
+            name: i for i, name in enumerate(self._host_names)
         }
-        self._host_misses: dict[str, int] = {name: 0 for name in self.host_agents}
+        self._load = _Ring(history, len(self._host_names))
+        self._host_misses = np.zeros(len(self._host_names), dtype=np.int64)
+        self._all_hosts = np.arange(len(self._host_names), dtype=np.intp)
         #: Sim time of the newest round's first pass over the agents: when
         #: every resource was last sampled, :meth:`late_resources` aside.
         self.round_at = float("-inf")
@@ -165,7 +286,7 @@ class Collector:
         self._changes: list = []
         self._changes_base = 0
         self._changes_limit = _CHANGE_LOG_DEPTH * (
-            len(self._reporters) + len(self.host_agents)
+            channels + len(self.host_agents)
         )
         #: Staleness transitions detected during the current poll round,
         #: delivered to subscribers when the round closes.
@@ -271,44 +392,6 @@ class Collector:
             )
 
     # -- polling --------------------------------------------------------------
-    def _ingest_record(self, rec: InterfaceRecord) -> None:
-        """Fold one counter reading into the utilization history.
-
-        Handles wrap (delta recovered modulo ``counter_max`` when the
-        implied rate stays plausible) and reset (negative delta with no
-        plausible wrap: drop the interval — there is no way to know how
-        many octets the reboot swallowed).
-        """
-        channel, speed_bps, out_octets, timestamp, counter_max = rec
-        prev = self._raw.get(channel)
-        self._raw[channel] = (timestamp, out_octets)
-        if prev is None:
-            return
-        t0, octets0 = prev
-        dt = timestamp - t0
-        if dt <= 0:
-            return
-        delta = out_octets - octets0
-        if delta < 0:
-            wrapped = None
-            if counter_max is not None and octets0 <= counter_max:
-                wrapped = delta + counter_max
-                if wrapped * BITS_PER_BYTE / dt > speed_bps * _WRAP_RATE_SLACK:
-                    wrapped = None  # too fast to be a wrap: a reset
-            if wrapped is None:
-                self.dropped_samples += 1
-                return
-            delta = wrapped
-            self.wrap_disambiguations += 1
-        util = min(delta * BITS_PER_BYTE / dt, speed_bps)
-        history = self._util.get(channel)
-        if history is None:
-            history = self._util[channel] = deque(maxlen=self.history)
-            self._changes.append(channel[0])
-        elif history[-1][1] != util:
-            self._changes.append(channel[0])
-        history.append((timestamp, util))
-
     def _poll_subset(
         self, iface_names, host_names
     ) -> tuple[list[str], list[str]]:
@@ -320,78 +403,159 @@ class Collector:
         """
         # Anything this pass samples carries ``sim.now``; whatever the
         # round's first pass does not reach keeps an older time.
-        on_round = self.cluster.sim.now == self.round_at
-        late = self._late
-        changes = self._changes
-        pending = self._pending_events
-        stale_after = self.stale_after
-        misses = self._channel_misses
-        ingest = self._ingest_record
-        seen: set[ChannelId] = set()
-        failed_iface: list[str] = []
-        failed_host: list[str] = []
-        for name in iface_names:
-            agent = self.iface_agents[name]
-            try:
-                records = agent.read()
-            except AgentTimeout:
-                self.failed_polls += 1
-                failed_iface.append(name)
-                if on_round:
-                    late.update(agent.interfaces)
-                continue
-            for rec in records:
-                channel = rec[0]
-                if misses[channel] >= stale_after:
-                    pending.append(("channel-fresh", channel))
-                    changes.append(channel[0])
-                misses[channel] = 0
-                if channel in seen:
-                    continue  # half-duplex channels reported by both ends
-                seen.add(channel)
-                ingest(rec)
-                if not on_round:
-                    late.add(channel)
-                elif late:
-                    late.discard(channel)
-        misses = self._host_misses
-        for name in host_names:
-            agent = self.host_agents[name]
-            try:
-                sample = agent.read()
-            except AgentTimeout:
-                self.failed_polls += 1
-                failed_host.append(name)
-                if on_round:
-                    late.add(name)
-                continue
-            history = self._load[name]
-            if not history or history[-1][1] != sample[1]:
-                changes.append(name)
-            history.append(sample)
-            if misses[name] >= stale_after:
-                pending.append(("host-fresh", name))
-                changes.append(name)
-            misses[name] = 0
-            if not on_round:
-                late.add(name)
-            elif late:
-                late.discard(name)
+        now = self.cluster.sim.now
+        on_round = now == self.round_at
+        failed_iface = self._poll_interfaces(iface_names, now, on_round)
+        failed_host = self._poll_hosts(host_names, now, on_round)
+        self.failed_polls += len(failed_iface) + len(failed_host)
         return failed_iface, failed_host
+
+    def _poll_interfaces(self, names, now: float, on_round: bool) -> list[str]:
+        """Walk the named interface agents and fold the counters that
+        came back into the utilization history.
+
+        Handles wrap (delta recovered modulo ``counter_max`` when the
+        implied rate stays plausible) and reset (negative delta with no
+        plausible wrap: drop the interval — there is no way to know how
+        many octets the reboot swallowed).
+        """
+        table = self._table
+        failed, rows, octets = table.walk(names, now)
+        late = self._late
+        if failed or late or not on_round:
+            dead = set(failed)
+            for name in names:
+                interfaces = table.agents[name].interfaces
+                if name not in dead:
+                    if not on_round:
+                        late.update(interfaces)
+                    elif late:
+                        late.difference_update(interfaces)
+                elif on_round:
+                    late.update(interfaces)
+        if not len(rows):
+            return failed
+        chan = table.channel[rows]
+        if self._shared:
+            # Half-duplex channels are reported by both ends: keep the
+            # first report of each channel in this pass.
+            keep = np.sort(np.unique(chan, return_index=True)[1])
+            rows, chan, octets = rows[keep], chan[keep], octets[keep]
+        misses = self._channel_misses
+        fresh = misses[chan] >= self.stale_after
+        misses[chan] = 0
+        dt = now - self._raw_t[chan]
+        before = self._raw_octets[chan]
+        delta = octets - before
+        self._raw_t[chan] = now
+        self._raw_octets[chan] = octets
+        # A first reading has nothing to difference against (dt is inf).
+        sampled = (dt > 0) & (dt < np.inf)
+        negative = np.flatnonzero(sampled & (delta < 0))
+        if len(negative):
+            self._wrap_or_reset(rows, before, dt, delta, sampled, negative)
+        at = np.flatnonzero(sampled)
+        delta, dt = delta[at], dt[at]
+        util = np.zeros(len(at))
+        moved = np.flatnonzero(delta)
+        if len(moved):
+            util[moved] = np.minimum(
+                delta[moved] * BITS_PER_BYTE / dt[moved],
+                table.speeds(rows[at[moved]].tolist()),
+            )
+        changed = np.zeros(len(rows), dtype=bool)
+        changed[at] = self._util.append(chan[at], now, util)
+        noted = np.flatnonzero(fresh | changed)
+        if len(noted):
+            ids = table.channel_ids
+            for c, is_fresh, is_changed in zip(
+                chan[noted].tolist(),
+                fresh[noted].tolist(),
+                changed[noted].tolist(),
+            ):
+                channel = ids[c]
+                if is_fresh:
+                    self._pending_events.append(("channel-fresh", channel))
+                    self._changes.append(channel[0])
+                if is_changed:
+                    self._changes.append(channel[0])
+        return failed
+
+    def _wrap_or_reset(self, rows, before, dt, delta, sampled, negative):
+        """The rare rows whose counter went backwards (from ``before``),
+        one at a time: ``delta`` recovered in place for a wrap,
+        ``sampled`` cleared for a reset."""
+        counter_max = self._table.counter_max
+        speeds = self._table.speeds(rows[negative].tolist())
+        for j, speed_bps in zip(negative.tolist(), speeds):
+            wrapped = None
+            if counter_max is not None and before.item(j) <= counter_max:
+                wrapped = delta.item(j) + counter_max
+                rate = wrapped * BITS_PER_BYTE / dt.item(j)
+                if rate > speed_bps * _WRAP_RATE_SLACK:
+                    wrapped = None  # too fast to be a wrap: a reset
+            if wrapped is None:
+                self.dropped_samples += 1
+                sampled[j] = False
+            else:
+                delta[j] = wrapped
+                self.wrap_disambiguations += 1
+
+    def _poll_hosts(self, names, now: float, on_round: bool) -> list[str]:
+        """Poll the named host agents and fold the load averages that
+        came back into the load history."""
+        failed, answered, loads = walk_hosts(self.host_agents, names, now)
+        late = self._late
+        if not on_round:
+            late.update(answered)
+        else:
+            if late:
+                late.difference_update(answered)
+            late.update(failed)
+        if not answered:
+            return failed
+        if names is self.host_agents and not failed:
+            cols = self._all_hosts
+        else:
+            index = self._host_index
+            cols = np.array([index[name] for name in answered], dtype=np.intp)
+        changed = self._load.append(cols, now, np.array(loads, dtype=float))
+        misses = self._host_misses
+        fresh = misses[cols] >= self.stale_after
+        misses[cols] = 0
+        for j in np.flatnonzero(changed | fresh).tolist():
+            name = answered[j]
+            if changed[j]:
+                self._changes.append(name)
+            if fresh[j]:
+                self._pending_events.append(("host-fresh", name))
+                self._changes.append(name)
+        return failed
 
     def _count_misses(self, failed_iface: list[str], failed_host: list[str]) -> None:
         """Close a poll round: charge a miss to every un-sampled resource."""
         if failed_iface:
-            dead = set(failed_iface)
-            for cid, reporters in self._reporters.items():
-                if reporters <= dead:
-                    self._channel_misses[cid] += 1
-                    if self._channel_misses[cid] == self.stale_after:
-                        self._pending_events.append(("channel-stale", cid))
-                        self._changes.append(cid[0])
+            # A channel went un-sampled iff every agent reporting it is
+            # among the failed: count its rows in their slices.
+            table = self._table
+            agents = table.agents
+            chans, counts = np.unique(
+                np.concatenate(
+                    [table.channel[agents[name].rows] for name in failed_iface]
+                ),
+                return_counts=True,
+            )
+            dead = chans[counts == table.reporters[chans]]
+            misses = self._channel_misses
+            misses[dead] += 1
+            for c in dead[misses[dead] == self.stale_after].tolist():
+                channel = table.channel_ids[c]
+                self._pending_events.append(("channel-stale", channel))
+                self._changes.append(channel[0])
         for name in failed_host:
-            self._host_misses[name] += 1
-            if self._host_misses[name] == self.stale_after:
+            i = self._host_index[name]
+            self._host_misses[i] += 1
+            if self._host_misses[i] == self.stale_after:
                 self._pending_events.append(("host-stale", name))
                 self._changes.append(name)
 
@@ -442,28 +606,29 @@ class Collector:
             yield sim.timeout(max(self.period - spent, self.period * 0.1))
 
     # -- query surface ----------------------------------------------------------
-    def utilization_history(self, channel: ChannelId) -> list[Sample]:
-        """(t, bps) utilization samples for a channel, oldest first."""
-        return list(self._util.get(channel, ()))
+    def utilization_history(self, channel: ChannelId) -> Sequence[Sample]:
+        """(t, bps) utilization samples for a channel, oldest first: a
+        read-only view of the collector's own store (``list()`` it to
+        keep it across a poll round)."""
+        col = self._table.channel_number.get(channel)
+        return [] if col is None else _History(self._util, col)
 
-    def load_history(self, host: str) -> list[Sample]:
-        """(t, load_average) samples for a compute node, oldest first."""
+    def load_history(self, host: str) -> Sequence[Sample]:
+        """(t, load_average) samples for a compute node, oldest first
+        (a read-only view, as :meth:`utilization_history`)."""
         try:
-            return list(self._load[host])
+            return _History(self._load, self._host_index[host])
         except KeyError:
             raise KeyError(f"no monitored host {host!r}") from None
 
     def channels(self) -> list[ChannelId]:
         """All channels with at least one derived utilization sample."""
-        return list(self._util)
+        ids = self._table.channel_ids
+        return [ids[c] for c in np.flatnonzero(self._util.count).tolist()]
 
     def age(self) -> float:
         """Seconds since the newest completed poll (staleness indicator)."""
-        newest = max(
-            (t for t, _o in self._raw.values()),
-            default=float("-inf"),
-        )
-        return self.cluster.sim.now - newest
+        return self.cluster.sim.now - float(self._raw_t.max(initial=_NEVER))
 
     # -- change surface ---------------------------------------------------------
     def changes_since(self, cursor: int) -> tuple[int, Optional[list]]:
@@ -491,27 +656,27 @@ class Collector:
     def host_status(self, host: str) -> ResourceStatus:
         """Sample age and staleness of one compute node's load series."""
         try:
-            missed = self._host_misses[host]
+            col = self._host_index[host]
         except KeyError:
             raise KeyError(f"no monitored host {host!r}") from None
-        history = self._load[host]
-        age = (
-            self.cluster.sim.now - history[-1][0] if history else float("inf")
-        )
+        missed = self._host_misses.item(col)
         return ResourceStatus(
-            age_s=age, missed_polls=missed, stale=missed >= self.stale_after
+            age_s=self.cluster.sim.now - self._load.newest_time(col),
+            missed_polls=missed,
+            stale=missed >= self.stale_after,
         )
 
     def channel_status(self, channel: ChannelId) -> ResourceStatus:
         """Sample age and staleness of one channel's counter series."""
         try:
-            missed = self._channel_misses[channel]
+            col = self._table.channel_number[channel]
         except KeyError:
             raise KeyError(f"no monitored channel {channel!r}") from None
-        last = self._raw.get(channel)
-        age = self.cluster.sim.now - last[0] if last else float("inf")
+        missed = self._channel_misses.item(col)
         return ResourceStatus(
-            age_s=age, missed_polls=missed, stale=missed >= self.stale_after
+            age_s=self.cluster.sim.now - self._raw_t.item(col),
+            missed_polls=missed,
+            stale=missed >= self.stale_after,
         )
 
     def host_stale(self, host: str) -> bool:
@@ -520,17 +685,12 @@ class Collector:
 
     def stale_hosts(self) -> list[str]:
         """All currently unmonitorable compute nodes, sorted."""
-        return sorted(
-            name
-            for name, missed in self._host_misses.items()
-            if missed >= self.stale_after
-        )
+        stale = np.flatnonzero(self._host_misses >= self.stale_after)
+        return sorted(self._host_names[i] for i in stale.tolist())
 
     def stale_resources(self) -> int:
         """Total stale resources (hosts + channels), for the gauge."""
-        return sum(
-            1 for m in self._host_misses.values() if m >= self.stale_after
-        ) + sum(
-            1 for m in self._channel_misses.values()
-            if m >= self.stale_after
+        return int(
+            np.count_nonzero(self._host_misses >= self.stale_after)
+            + np.count_nonzero(self._channel_misses >= self.stale_after)
         )

@@ -5,10 +5,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.remos import DegradedPolicy, RemosAPI
+from repro.network.fabric import ChannelId
+from repro.remos import AgentTimeout, Collector, DegradedPolicy, RemosAPI
 from repro.remos.api import _UNMONITORABLE_LOAD
+from repro.remos.collector import _WRAP_RATE_SLACK, ResourceStatus
+from repro.remos.snmp import InterfaceRecord
 from repro.service import SelectionService
 from repro.topology import TopologyGraph
+from repro.units import BITS_PER_BYTE
 
 
 def bfs_path(graph: TopologyGraph, src: str, dst: str) -> Optional[list[str]]:
@@ -109,3 +113,199 @@ def assert_same_snapshot(got: TopologyGraph, want: TopologyGraph) -> None:
 
 def _sans_age(attrs: dict) -> dict:
     return {k: v for k, v in attrs.items() if k != "age_s"}
+
+
+class scalar_collector(Collector):
+    """The collector as it was before the walk went columnar: one
+    ``agent.read()`` per device, one ``InterfaceRecord`` per counter
+    folded through ``_ingest_record``, a ``deque`` of ``(t, value)``
+    tuples per resource, dicts for everything else.  Same constructor,
+    same surface; everything the shipped collector keeps in columns is
+    re-kept here the old way, so the two share only the round loop, the
+    change-log cursor and event delivery."""
+
+    def __init__(self, cluster, *args, **kwargs) -> None:
+        super().__init__(cluster, *args, **kwargs)
+        history = self.history
+        #: channel -> deque of (t, utilization_bps) derived samples
+        self._util = {}
+        #: channel -> last raw (t, octets) reading, for delta computation
+        self._raw = {}
+        #: host -> deque of (t, load_average)
+        self._load = {
+            name: deque(maxlen=history) for name in self.host_agents
+        }
+        #: channel -> devices whose interface agent reports it
+        self._reporters: dict[ChannelId, set[str]] = {}
+        for name, agent in self.iface_agents.items():
+            for cid in agent.interfaces:
+                self._reporters.setdefault(cid, set()).add(name)
+        self._channel_misses = {cid: 0 for cid in self._reporters}
+        self._host_misses = {name: 0 for name in self.host_agents}
+
+    # -- polling --------------------------------------------------------------
+    def _ingest_record(self, rec: InterfaceRecord) -> None:
+        channel, speed_bps, out_octets, timestamp, counter_max = rec
+        prev = self._raw.get(channel)
+        self._raw[channel] = (timestamp, out_octets)
+        if prev is None:
+            return
+        t0, octets0 = prev
+        dt = timestamp - t0
+        if dt <= 0:
+            return
+        delta = out_octets - octets0
+        if delta < 0:
+            wrapped = None
+            if counter_max is not None and octets0 <= counter_max:
+                wrapped = delta + counter_max
+                if wrapped * BITS_PER_BYTE / dt > speed_bps * _WRAP_RATE_SLACK:
+                    wrapped = None  # too fast to be a wrap: a reset
+            if wrapped is None:
+                self.dropped_samples += 1
+                return
+            delta = wrapped
+            self.wrap_disambiguations += 1
+        util = min(delta * BITS_PER_BYTE / dt, speed_bps)
+        history = self._util.get(channel)
+        if history is None:
+            history = self._util[channel] = deque(maxlen=self.history)
+            self._changes.append(channel[0])
+        elif history[-1][1] != util:
+            self._changes.append(channel[0])
+        history.append((timestamp, util))
+
+    def _poll_subset(self, iface_names, host_names):
+        on_round = self.cluster.sim.now == self.round_at
+        late = self._late
+        changes = self._changes
+        pending = self._pending_events
+        stale_after = self.stale_after
+        misses = self._channel_misses
+        ingest = self._ingest_record
+        seen: set[ChannelId] = set()
+        failed_iface: list[str] = []
+        failed_host: list[str] = []
+        for name in iface_names:
+            agent = self.iface_agents[name]
+            try:
+                records = agent.read()
+            except AgentTimeout:
+                self.failed_polls += 1
+                failed_iface.append(name)
+                if on_round:
+                    late.update(agent.interfaces)
+                continue
+            for rec in records:
+                channel = rec[0]
+                if misses[channel] >= stale_after:
+                    pending.append(("channel-fresh", channel))
+                    changes.append(channel[0])
+                misses[channel] = 0
+                if channel in seen:
+                    continue  # half-duplex channels reported by both ends
+                seen.add(channel)
+                ingest(rec)
+                if not on_round:
+                    late.add(channel)
+                elif late:
+                    late.discard(channel)
+        misses = self._host_misses
+        for name in host_names:
+            agent = self.host_agents[name]
+            try:
+                sample = agent.read()
+            except AgentTimeout:
+                self.failed_polls += 1
+                failed_host.append(name)
+                if on_round:
+                    late.add(name)
+                continue
+            history = self._load[name]
+            if not history or history[-1][1] != sample[1]:
+                changes.append(name)
+            history.append(sample)
+            if misses[name] >= stale_after:
+                pending.append(("host-fresh", name))
+                changes.append(name)
+            misses[name] = 0
+            if not on_round:
+                late.add(name)
+            elif late:
+                late.discard(name)
+        return failed_iface, failed_host
+
+    def _count_misses(self, failed_iface, failed_host) -> None:
+        if failed_iface:
+            dead = set(failed_iface)
+            for cid, reporters in self._reporters.items():
+                if reporters <= dead:
+                    self._channel_misses[cid] += 1
+                    if self._channel_misses[cid] == self.stale_after:
+                        self._pending_events.append(("channel-stale", cid))
+                        self._changes.append(cid[0])
+        for name in failed_host:
+            self._host_misses[name] += 1
+            if self._host_misses[name] == self.stale_after:
+                self._pending_events.append(("host-stale", name))
+                self._changes.append(name)
+
+    # -- query surface ----------------------------------------------------------
+    def utilization_history(self, channel):
+        return list(self._util.get(channel, ()))
+
+    def load_history(self, host):
+        try:
+            return list(self._load[host])
+        except KeyError:
+            raise KeyError(f"no monitored host {host!r}") from None
+
+    def channels(self):
+        return list(self._util)
+
+    def age(self) -> float:
+        newest = max(
+            (t for t, _o in self._raw.values()),
+            default=float("-inf"),
+        )
+        return self.cluster.sim.now - newest
+
+    # -- health surface ---------------------------------------------------------
+    def host_status(self, host):
+        try:
+            missed = self._host_misses[host]
+        except KeyError:
+            raise KeyError(f"no monitored host {host!r}") from None
+        history = self._load[host]
+        age = (
+            self.cluster.sim.now - history[-1][0] if history else float("inf")
+        )
+        return ResourceStatus(
+            age_s=age, missed_polls=missed, stale=missed >= self.stale_after
+        )
+
+    def channel_status(self, channel):
+        try:
+            missed = self._channel_misses[channel]
+        except KeyError:
+            raise KeyError(f"no monitored channel {channel!r}") from None
+        last = self._raw.get(channel)
+        age = self.cluster.sim.now - last[0] if last else float("inf")
+        return ResourceStatus(
+            age_s=age, missed_polls=missed, stale=missed >= self.stale_after
+        )
+
+    def stale_hosts(self):
+        return sorted(
+            name
+            for name, missed in self._host_misses.items()
+            if missed >= self.stale_after
+        )
+
+    def stale_resources(self) -> int:
+        return sum(
+            1 for m in self._host_misses.values() if m >= self.stale_after
+        ) + sum(
+            1 for m in self._channel_misses.values()
+            if m >= self.stale_after
+        )

@@ -1,0 +1,298 @@
+"""The columnar collector answers exactly what the scalar one did.
+
+The shipped :class:`~repro.remos.Collector` walks its agents as columns
+and keeps its histories in ring matrices; ``oracles.scalar_collector``
+is the collector as it was — one ``agent.read()`` per device, one record
+at a time through ``_ingest_record``, a deque of tuples per resource.
+One generated history drives both, each over its own copy of the same
+deterministic cluster, and after every step everything a caller can see
+must be **equal** (``==`` on floats, no tolerance): the arithmetic is
+the same arithmetic in the same order, only batched.
+
+The second half is the cost gate: a round's *Python-level call count*
+(``sys.setprofile``, so no wall clock) is bounded by the number of
+hosts and does not grow with the number of channels.
+"""
+
+import sys
+
+import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
+
+from repro.des.simulator import Simulator
+from repro.network.cluster import Cluster
+from repro.remos import Collector
+from repro.topology import dumbbell, random_tree
+from repro.units import MB, Mbps
+
+from ..oracles import scalar_collector
+
+HOSTS = ["l0", "l1", "l2", "r0", "r1", "r2"]
+SWITCHES = ["sw-left", "sw-right"]
+DEVICES = HOSTS + SWITCHES
+LINKS = [(h, "sw-left") for h in HOSTS[:3]] + \
+    [(h, "sw-right") for h in HOSTS[3:]] + [("sw-left", "sw-right")]
+
+
+class Rig:
+    """One simulated cluster under one collector, recording its events."""
+
+    def __init__(self, make, counter_bits, stale_after, history) -> None:
+        graph = dumbbell(3, 3, bandwidth=100 * Mbps)
+        # Two half-duplex links, so that a shared channel is reported by
+        # a host and a switch, in either table order.
+        graph.link("r2", "sw-right").attrs["duplex"] = "half"
+        graph.link("l0", "sw-left").attrs["duplex"] = "half"
+        self.sim = Simulator()
+        self.cluster = Cluster(self.sim, graph)
+        self.collector = make(
+            self.cluster, period=5.0, history=history, max_retries=2,
+            backoff=0.5, stale_after=stale_after, counter_bits=counter_bits,
+        )
+        self.events = []
+        self.collector.subscribe(
+            lambda t, kind, target: self.events.append((t, kind, target))
+        )
+
+    def observe(self) -> dict:
+        """Everything the collector's surface answers, right now."""
+        c = self.collector
+        channels = self.cluster.fabric.channels()
+        return {
+            "util": {cid: list(c.utilization_history(cid)) for cid in channels},
+            "load": {h: list(c.load_history(h)) for h in HOSTS},
+            "host_status": {h: c.host_status(h) for h in HOSTS},
+            "channel_status": {cid: c.channel_status(cid) for cid in channels},
+            "changes": c.changes_since(-1),
+            "late": c.late_resources(),
+            "events": list(self.events),
+            "round_at": c.round_at,
+            "age": c.age(),
+            "stale_hosts": c.stale_hosts(),
+            "stale_resources": c.stale_resources(),
+            "channels": sorted(c.channels(), key=repr),
+            "dropped_samples": c.dropped_samples,
+            "failed_polls": c.failed_polls,
+            "wrap_disambiguations": c.wrap_disambiguations,
+            "polls_completed": c.polls_completed,
+            "events_emitted": c.events_emitted,
+        }
+
+
+class ColumnarMatchesScalar(RuleBasedStateMachine):
+    @initialize(
+        counter_bits=st.sampled_from([None, 8, 32]),
+        stale_after=st.sampled_from([1, 2, 3]),
+        history=st.sampled_from([2, 3, 120]),
+    )
+    def build(self, counter_bits, stale_after, history):
+        self.shipped = Rig(Collector, counter_bits, stale_after, history)
+        self.oracle = Rig(scalar_collector, counter_bits, stale_after, history)
+        self.rigs = (self.shipped, self.oracle)
+
+    # -- what happens on the network -------------------------------------------
+    @rule(src=st.sampled_from(HOSTS), dst=st.sampled_from(HOSTS),
+          megabytes=st.sampled_from([0.001, 3, 40, 400]))
+    def transfer(self, src, dst, megabytes):
+        for rig in self.rigs:
+            if src != dst and all(map(rig.cluster.node_is_up, (src, dst))):
+                rig.cluster.transfer(src, dst, megabytes * MB)
+
+    @rule(host=st.sampled_from(HOSTS), ops=st.sampled_from([0.5, 5.0, 60.0]))
+    def compute(self, host, ops):
+        for rig in self.rigs:
+            if rig.cluster.node_is_up(host):
+                rig.cluster.compute(host, ops)
+
+    @rule(host=st.sampled_from(HOSTS))
+    def crash(self, host):
+        for rig in self.rigs:
+            if rig.cluster.node_is_up(host):
+                rig.cluster.fail_node(host)
+
+    @rule(host=st.sampled_from(HOSTS))
+    def recover(self, host):
+        for rig in self.rigs:
+            if not rig.cluster.node_is_up(host):
+                rig.cluster.recover_node(host)
+
+    @rule(link=st.sampled_from(LINKS),
+          mbps=st.sampled_from([0.0, 0.0, 1.0, 10.0, 100.0]))
+    def set_capacity(self, link, mbps):
+        # Speed 0 is a link flap: ifSpeed reads 0 and flows stall.
+        for rig in self.rigs:
+            rig.cluster.fabric.degrade_link(*link, mbps * Mbps)
+
+    # -- what happens to the monitoring plane ----------------------------------
+    @rule(device=st.sampled_from(DEVICES), which=st.sampled_from("ihb"),
+          seconds=st.sampled_from([0.2, 0.7, 1.2, 1.6, 4.0, 12.0]))
+    def silence(self, device, which, seconds):
+        # 0.7 ends between the first and second retry (0.5, 1.5 into
+        # the round), 1.2 and 1.6 around the second: windows that end
+        # mid-retry.
+        for rig in self.rigs:
+            c = rig.collector
+            if which in "ib":
+                c.iface_agents[device].silence_for(seconds)
+            if which in "hb" and device in c.host_agents:
+                c.host_agents[device].silence_for(seconds)
+
+    @rule(device=st.sampled_from(DEVICES))
+    def reset_counters(self, device):
+        for rig in self.rigs:
+            rig.collector.iface_agents[device].reset_counters()
+
+    # -- time ------------------------------------------------------------------
+    @rule(dt=st.sampled_from([0.1, 0.6, 1.0, 2.5, 5.0, 7.0, 11.0]))
+    def advance(self, dt):
+        # The background ``_run``: rounds, retries with backoff, cadence.
+        for rig in self.rigs:
+            rig.sim.run(until=rig.sim.now + dt)
+
+    @rule()
+    def poll_once(self):
+        assert self.shipped.collector.poll_once() == \
+            self.oracle.collector.poll_once()
+
+    @invariant()
+    def same_answers(self):
+        got, want = self.shipped.observe(), self.oracle.observe()
+        for key in want:
+            assert got[key] == want[key], key
+        # The views themselves, not only their list() copies.
+        c = self.shipped.collector
+        for cid, samples in want["util"].items():
+            view = c.utilization_history(cid)
+            assert view == samples and len(view) == len(samples)
+            assert not samples or (view[-1], view[0]) == (samples[-1], samples[0])
+            assert view[1:] == samples[1:]
+        for host, samples in want["load"].items():
+            view = c.load_history(host)
+            assert view == samples and samples == view
+            assert not samples or view[-1] == samples[-1]
+            assert view[:-1] == samples[:-1]
+
+
+ColumnarMatchesScalar.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None,
+)
+TestColumnarMatchesScalar = ColumnarMatchesScalar.TestCase
+
+
+def test_scripted_history_walks_the_rare_branches():
+    """Wraps, resets, a link at speed 0, a shared channel with one end
+    silent, a retry that answers late and a stale/fresh crossing — the
+    branches a generated history may miss on a given day."""
+    for counter_bits in (None, 8, 32):
+        m = ColumnarMatchesScalar()
+        m.build(counter_bits=counter_bits, stale_after=2, history=3)
+        script = [
+            # A retry pass (0.5 s in) that reads no interface must not
+            # settle the fabric: a flow's byte sum would split there.
+            (m.silence, dict(device="l0", which="h", seconds=0.2)),
+            (m.advance, dict(dt=0.1)),
+            (m.transfer, dict(src="l1", dst="l0", megabytes=40)),
+            (m.advance, dict(dt=0.6)),
+            (m.poll_once, {}),
+            (m.transfer, dict(src="l0", dst="r2", megabytes=400)),
+            (m.transfer, dict(src="r0", dst="l1", megabytes=40)),
+            (m.compute, dict(host="l1", ops=60.0)),
+            (m.advance, dict(dt=7.0)),
+            (m.silence, dict(device="sw-right", which="i", seconds=0.7)),
+            (m.advance, dict(dt=5.0)),
+            (m.silence, dict(device="r2", which="b", seconds=12.0)),
+            (m.advance, dict(dt=11.0)),
+            (m.reset_counters, dict(device="sw-left")),
+            (m.set_capacity, dict(link=("sw-left", "sw-right"), mbps=0.0)),
+            (m.advance, dict(dt=5.0)),
+            (m.poll_once, {}),
+            (m.set_capacity, dict(link=("sw-left", "sw-right"), mbps=100.0)),
+            (m.crash, dict(host="l1")),
+            (m.advance, dict(dt=11.0)),
+            (m.recover, dict(host="l1")),
+            (m.silence, dict(device="l0", which="i", seconds=1.2)),
+            (m.advance, dict(dt=7.0)),
+            (m.advance, dict(dt=7.0)),
+        ]
+        for step, kwargs in script:
+            step(**kwargs)
+            m.same_answers()
+        c = m.shipped.collector
+        assert c.failed_polls > 0 and c.events_emitted > 0
+        assert c.dropped_samples > 0
+        if counter_bits == 8:
+            assert c.wrap_disambiguations > 0
+        m.teardown()
+
+
+# -- the cost gate: calls per round, counted ------------------------------------
+
+def count_calls(fn) -> int:
+    """Python-level function calls made while ``fn()`` runs."""
+    calls = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def polled_tree(hosts: int, fanout: int):
+    """A ``random_tree`` of ``hosts`` compute nodes with standing
+    transfers and load, polled twice so that every series has a
+    sample to compare the next one with."""
+    graph = random_tree(
+        hosts, hosts // fanout, np.random.default_rng(hosts + fanout)
+    )
+    sim = Simulator()
+    cluster = Cluster(sim, graph)
+    collector = Collector(cluster, period=5.0, start=False)
+    names = sorted(cluster.hosts)
+    for i in range(8):
+        cluster.transfer(names[i], names[-1 - i], 1e9 * MB)
+        cluster.compute(names[2 * i], 1e12)
+    for _ in range(2):
+        sim.run(until=sim.now + 5.0)
+        collector.poll_once()
+    sim.run(until=sim.now + 5.0)
+    return sim, cluster, collector
+
+
+class TestRoundCost:
+    #: Calls a round makes whatever the size of the network.
+    CONSTANT = 250
+
+    def test_calls_bounded_by_hosts_not_channels(self):
+        per_host = {}
+        for hosts in (256, 1024):
+            # Same hosts, ~1.25x and ~1.5x as many devices and channels.
+            few = count_calls(polled_tree(hosts, 4)[2].poll_once)
+            many = count_calls(polled_tree(hosts, 2)[2].poll_once)
+            assert few <= 3 * hosts + self.CONSTANT, (hosts, few)
+            assert many <= 3 * hosts + self.CONSTANT, (hosts, many)
+            assert abs(many - few) <= self.CONSTANT, (hosts, few, many)
+            per_host[hosts] = few
+        assert per_host[1024] <= 4 * per_host[256] + self.CONSTANT
+
+    def test_retry_pass_costs_its_subset(self):
+        sim, cluster, collector = polled_tree(1024, 4)
+        full = count_calls(lambda: collector._poll_subset(
+            collector.iface_agents, collector.host_agents
+        ))
+        failed = sorted(cluster.hosts)[:3]
+        retry = count_calls(lambda: collector._poll_subset(failed, failed))
+        assert retry < 0.1 * full, (retry, full)
