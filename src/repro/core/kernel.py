@@ -51,13 +51,13 @@ component, O(V) when nothing is feasible.  Nothing is kept per floor.
 
 Every procedure ends by scoring the ``m`` chosen nodes (``_finish``): the
 minimum CPU fraction and both pairwise bandwidth minima.  On a forest —
-the shape of the paper's LANs — :meth:`TopologyGraph.path` answers from
-the graph's forest index in O(depth), the way back is the same links
-reversed, and one walk per unordered pair yields both minima:
-O(m² · depth) per selection after one O(V) index build per graph.  On a
-graph with a cycle each ordered pair is a BFS, O(m² · (V + E)) — what a
-forest paid too before the index, four BFS runs per pair, which at 1000
-hosts was over half of a cold selection.
+the shape of the paper's LANs — the pairs' paths together are the
+subtree joining the set, which :meth:`TopologyGraph.span` reads off the
+graph's forest index by one climb per name, and both minima are taken
+over its links: O(m · depth) per selection after one O(V) index build
+per graph.  On a graph with a cycle each ordered pair is a BFS,
+O(m² · (V + E)) — what a forest paid too before the index, four BFS runs
+per pair, which at 1000 hosts was over half of a cold selection.
 """
 
 from __future__ import annotations

@@ -118,32 +118,42 @@ def min_cpu_fraction(
 def _pairwise_minima(
     graph: TopologyGraph, nodes: Sequence[str], refs: References
 ) -> tuple[float, float]:
-    """``(fraction, bps)``: both pairwise minima from one walk per path.
+    """``(fraction, bps)``: both pairwise minima, zero when a pair is
+    disconnected.
 
     Every ordered pair contributes each hop's availability *towards* the
     next node, in bps and as a fraction of the reference link (of the
-    hop's own peak without one).  In a forest the route back is the same
-    links reversed, so each unordered pair is walked once and a hop
-    counts ``Link.available``, the minimum of its two directions.
+    hop's own peak without one).  On a forest the pairs' paths together
+    are :meth:`TopologyGraph.span`'s links, each crossed both ways: a
+    link counts the smaller of its directions, O(m · depth), and since a
+    minimum ignores the order of its terms the floats are the pair
+    walk's.  A graph with a cycle walks a path per ordered pair.
     """
     names = list(nodes)
     fraction = bps = float("inf")
     if len(names) < 2:
         return fraction, bps
-    symmetric = graph.is_acyclic()
-    pairs = itertools.combinations if symmetric else itertools.permutations
-    ref_bw = refs.link_bandwidth
-    for src, dst in pairs(names, 2):
-        path = graph.path(src, dst)
-        if path is None:
+    span = graph.span(names)
+    if span is not None:
+        links, connected = span
+        if not connected:
             return 0.0, 0.0
-        for x, y in zip(path, path[1:]):
-            link = graph.link(x, y)
-            bw = link.available if symmetric else link.available_towards(y)
-            bps = min(bps, bw)
-            fraction = min(
-                fraction, bw / (link.maxbw if ref_bw is None else ref_bw)
-            )
+        hops = [(min(l.available_fwd, l.available_rev), l) for l in links]
+    else:
+        hops = []
+        for src, dst in itertools.permutations(names, 2):
+            path = graph.path(src, dst)
+            if path is None:
+                return 0.0, 0.0
+            for x, y in zip(path, path[1:]):
+                link = graph.link(x, y)
+                hops.append((link.available_towards(y), link))
+    ref_bw = refs.link_bandwidth
+    for bw, link in hops:
+        bps = min(bps, bw)
+        fraction = min(
+            fraction, bw / (link.maxbw if ref_bw is None else ref_bw)
+        )
     return fraction, bps
 
 

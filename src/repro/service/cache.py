@@ -46,6 +46,7 @@ from ..obs.trace import NULL_TRACER
 from ..topology.graph import Link, TopologyGraph
 from ..topology.residual import DirectedEdge
 from ..topology.routing import RoutingTable
+from .ledger import ledger_order
 
 __all__ = ["PeelScheduleCache", "RouteCache", "SnapshotCache"]
 
@@ -138,19 +139,26 @@ class SnapshotCache:
         )
 
 
+#: Bound on each memo an overlay carries (selections, routed node sets);
+#: a full one is cleared wholesale.
+_SELECTION_MEMO_LIMIT = 256
+
+
 class RouteCache:
     """Memoized routed channel sets for one topology structure.
 
     :func:`repro.service.route_edges` asks for one path per ordered node
-    pair — O(m² · depth) on a forest, where
-    :meth:`~repro.topology.TopologyGraph.path` reads the graph's forest
-    index, and a BFS each, O(m² · (V+E)), on a graph with a cycle and no
-    routing table — and the service used to pay it twice per admission
-    attempt (claim verification, then again inside ``reserve``).  Routes
-    depend only on topology *structure*, which neither capacity claims
-    nor fresh measurements touch, so every pairwise path is computed at
-    most once and every node *set* resolves to its channel union from
-    the per-pair memo.
+    pair and the service used to pay that twice per admission attempt
+    (claim verification, then again inside ``reserve``).  Routes depend
+    only on topology *structure*, which neither capacity claims nor
+    fresh measurements touch, so a node *set* resolves to its channels
+    once and is remembered (up to :data:`_SELECTION_MEMO_LIMIT` sets).
+    On a forest without a routing table they are both directions of
+    every :meth:`~repro.topology.TopologyGraph.span` link, O(m · depth);
+    otherwise every ordered pair is resolved through the per-pair memo
+    (a BFS each, O(m² · (V+E)), without a table).  Either way the answer
+    is a tuple in :func:`~repro.service.ledger.ledger_order`, which
+    ``reserve`` stores as it is.
 
     The cache answers for any graph sharing the base snapshot's structure
     (the residual overlay is a same-structure copy, and so is the next
@@ -169,8 +177,8 @@ class RouteCache:
         self._pairs: dict[
             tuple[str, str], Optional[tuple[DirectedEdge, ...]]
         ] = {}
-        #: Sorted node tuple -> channel union over all its ordered pairs.
-        self._sets: dict[tuple[str, ...], frozenset] = {}
+        #: Sorted node tuple -> its channels, in ledger order.
+        self._sets: dict[tuple[str, ...], tuple[DirectedEdge, ...]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -199,24 +207,35 @@ class RouteCache:
         """
         return a == b or self._pair_edges(a, b) is not None
 
-    def edges_for(self, nodes: Sequence[str]) -> set[DirectedEdge]:
-        """Directed channels used by traffic among ``nodes``.
-
-        Identical to :func:`repro.service.route_edges` on the base
-        snapshot (and therefore on any residual overlay of it).
+    def edges_for(self, nodes: Sequence[str]) -> tuple[DirectedEdge, ...]:
+        """Directed channels used by traffic among ``nodes``: those of
+        :func:`repro.service.route_edges` on the base snapshot (and so on
+        any residual overlay of it), in ledger order.  The tuple is the
+        memo's own and shared between callers.
         """
         key = tuple(sorted(nodes))
-        cached = self._sets.get(key)
-        if cached is not None:
+        edges = self._sets.get(key)
+        if edges is not None:
             self.hits += 1
-            return set(cached)
+            return edges
         self.misses += 1
-        edges: set[DirectedEdge] = set()
-        for a, b in itertools.permutations(nodes, 2):
-            hops = self._pair_edges(a, b)
-            if hops:
-                edges.update(hops)
-        self._sets[key] = frozenset(edges)
+        span = None if self.routing is not None else self.graph.span(nodes)
+        if span is not None:
+            ends = sorted(
+                (l.u, l.v) if l.u < l.v else (l.v, l.u) for l in span[0]
+            )
+            edges = tuple(
+                (key, dst) for key, pair in zip(map(frozenset, ends), ends)
+                for dst in pair
+            )
+        else:
+            found: set[DirectedEdge] = set()
+            for a, b in itertools.permutations(nodes, 2):
+                found.update(self._pair_edges(a, b) or ())
+            edges = tuple(sorted(found, key=ledger_order))
+        if len(self._sets) >= _SELECTION_MEMO_LIMIT:
+            self._sets.clear()
+        self._sets[key] = edges
         return edges
 
     def edges_between(
@@ -317,20 +336,15 @@ class PeelScheduleCache:
             self._schedules[self._key(kind, refs)] = (metric, base_sched)
         else:
             base_sched = cached[1]
-        dirty = {
-            key for key in dirty_keys
-            if len(key) == 2 and residual.has_link(*tuple(key))
-        }
+        link_by_key = residual.link_by_key
+        dirty = {key for key in dirty_keys if link_by_key(key) is not None}
         if not dirty:
             self.reused += 1
             return base_sched
         self.adjusted += 1
         self.rescored += len(dirty)
         clean = [e for e in base_sched if e[1].key not in dirty]
-        touched = [
-            (metric(link), link)
-            for link in (residual.link(*tuple(key)) for key in dirty)
-        ]
+        touched = [(metric(link), link) for link in map(link_by_key, dirty)]
         touched.sort(key=_entry_key)
         return list(heapq.merge(clean, touched, key=_entry_key))
 

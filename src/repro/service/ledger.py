@@ -46,6 +46,7 @@ __all__ = [
     "LedgerError",
     "Reservation",
     "ReservationLedger",
+    "ledger_order",
     "route_edges",
 ]
 
@@ -57,7 +58,14 @@ _EPS = 1e-9
 
 
 def _slack(*magnitudes: float) -> float:
+    # Hot loops write the one-argument, non-negative case out in place.
     return _EPS * max(1.0, *(abs(m) for m in magnitudes))
+
+
+def ledger_order(edge: DirectedEdge) -> tuple[list[str], str]:
+    """The one order :attr:`Reservation.edges` is kept (and so claimed,
+    logged and replayed) in: by the link's end names, then the far end."""
+    return sorted(edge[0]), edge[1]
 
 
 def _subtract(claims: dict, keys: Iterable, amount: float) -> list:
@@ -67,7 +75,7 @@ def _subtract(claims: dict, keys: Iterable, amount: float) -> list:
     for key in keys:
         claimed = claims[key]
         remaining = claimed - amount
-        if remaining <= _slack(claimed):
+        if remaining <= (_EPS * claimed if claimed > 1.0 else _EPS):
             del claims[key]
             dropped.append(key)
         else:
@@ -228,14 +236,16 @@ class ReservationLedger:
         ``graph`` supplies routes and link capacities (claims are checked
         against ``maxbw``, never against transient availability — that is
         the admission controller's job).  ``edges`` optionally supplies
-        the routed channel set up front — it must equal what
-        :func:`route_edges` would compute on ``graph``/``routing`` (the
-        service passes its epoch-keyed route cache's answer, saving a
-        second full routing pass per admission); claims are still
-        validated against every channel's capacity.  Raises
-        :class:`LedgerError` when the claim would oversubscribe a node or
-        channel, and ``ValueError`` on malformed requests; on error the
-        ledger is unchanged.
+        the routed channels up front — what :func:`route_edges` would
+        compute on ``graph``/``routing``.  A ``tuple`` is taken to be in
+        :func:`ledger_order` already and becomes :attr:`Reservation.edges`
+        as it is (the route cache's answer, an old lease's ``edges``);
+        any other iterable is sorted.  One pass validates every channel
+        against its capacity and works out its new total, so the
+        mutation only writes.  Raises :class:`LedgerError` when the claim
+        would oversubscribe a node or channel, ``KeyError`` for an
+        unknown node or link and ``ValueError`` on malformed requests;
+        on error the ledger is unchanged.
         """
         if app_id in self.reservations:
             raise ValueError(f"application {app_id!r} already holds a lease")
@@ -252,12 +262,12 @@ class ReservationLedger:
         for name in nodes:
             graph.node(name)  # unknown nodes raise KeyError here
 
-        if bw_bps > 0:
+        if bw_bps <= 0:
+            edges = ()
+        elif not isinstance(edges, tuple):
             if edges is None:
                 edges = route_edges(graph, nodes, routing)
-            edges = sorted(edges, key=lambda e: (sorted(e[0]), e[1]))
-        else:
-            edges = []
+            edges = tuple(sorted(edges, key=ledger_order))
         for name in nodes:
             claimed = self._node_claims.get(name, 0.0)
             if claimed + cpu_fraction > self.cpu_cap + _EPS:
@@ -265,22 +275,31 @@ class ReservationLedger:
                     f"node {name!r} oversubscribed: "
                     f"{claimed:.3f} + {cpu_fraction:.3f} > {self.cpu_cap}"
                 )
-        for key, dst in edges:
-            cap = graph.link(*tuple(key)).maxbw
-            claimed = self._edge_claims.get((key, dst), 0.0)
-            if claimed + bw_bps > cap + _slack(cap):
+        claims, link_by_key = self._edge_claims, graph.link_by_key
+        totals, caps = [], []
+        for edge in edges:
+            key, dst = edge
+            link = link_by_key(key)
+            if link is None:
+                raise KeyError("no link {!r}--{!r}".format(*sorted(key)))
+            cap = link.maxbw
+            claimed = claims.get(edge, 0.0)
+            total = claimed + bw_bps
+            if total > cap + (_EPS * cap if cap > 1.0 else _EPS):
                 u, v = sorted(key)
                 raise LedgerError(
                     f"channel {u}->{v} towards {dst!r} oversubscribed: "
                     f"{claimed:g} + {bw_bps:g} > capacity {cap:g} bps"
                 )
+            totals.append(total)
+            caps.append(cap)
 
         reservation = Reservation(
             app_id=app_id,
             nodes=tuple(nodes),
             cpu_fraction=cpu_fraction,
             bw_bps=bw_bps,
-            edges=tuple(edges),
+            edges=edges,
             priority=priority,
             granted_at=now,
             expires_at=now + lease_s,
@@ -293,9 +312,8 @@ class ReservationLedger:
                 self._node_claims[name] = (
                     self._node_claims.get(name, 0.0) + cpu_fraction
                 )
-        for edge in edges:
-            self._edge_claims[edge] = self._edge_claims.get(edge, 0.0) + bw_bps
-            self._edge_caps[edge] = graph.link(*tuple(edge[0])).maxbw
+        claims.update(zip(edges, totals))
+        self._edge_caps.update(zip(edges, caps))
         self.reservations[app_id] = reservation
         heapq.heappush(self._deadlines, (reservation.expires_at, app_id))
         self._notify("reserve", reservation)
@@ -580,10 +598,11 @@ class ReservationLedger:
 
         The totals are recomputed from the reservations themselves, so this
         also catches bookkeeping drift between the per-app records and the
-        incremental claim tallies.  Pass the service's residual ``view``
-        (anything with ``assert_matches_rebuild()``) to additionally
-        cross-check the in-place overlay against a from-scratch
-        :func:`~repro.topology.residual.residual_graph` rebuild.
+        incremental claim tallies; every reservation's ``edges`` must be
+        strictly increasing in :func:`ledger_order`.  Pass the service's
+        residual ``view`` (anything with ``assert_matches_rebuild()``) to
+        additionally cross-check the in-place overlay against a
+        from-scratch :func:`~repro.topology.residual.residual_graph` rebuild.
         """
         node_totals: dict[str, float] = {}
         edge_totals: dict[DirectedEdge, float] = {}
@@ -595,6 +614,10 @@ class ReservationLedger:
                     )
             for edge in r.edges:
                 edge_totals[edge] = edge_totals.get(edge, 0.0) + r.bw_bps
+            order = list(map(ledger_order, r.edges))
+            assert all(a < b for a, b in zip(order, order[1:])), (
+                f"{r.app_id!r}: edges out of ledger order"
+            )
         for name, total in node_totals.items():
             assert total <= self.cpu_cap + _slack(self.cpu_cap), (
                 f"node {name!r} oversubscribed: {total} > {self.cpu_cap}"

@@ -25,7 +25,8 @@ and across snapshots, and moves it in place:
   test);
 - the overlay carries its memoization with it: a
   :class:`~repro.service.cache.RouteCache` (routes are pure structure —
-  neither claims nor measurements touch them) and a
+  neither claims nor measurements touch them; a lease's channels come
+  out of it in the ledger's order and are walked here as stored) and a
   :class:`~repro.service.cache.PeelScheduleCache` exposed to the kernel
   through the ``peel_schedule_provider`` graph hook, so selections
   against the view skip the O(E log E) re-sort when the ledger's dirty
@@ -150,12 +151,14 @@ class ResidualView:
         """Reset each directed channel from base availability and the
         ledger's current total claim (absent links ignored)."""
         mine, base = self.graph.link_by_key, self.base.link_by_key
-        for key, dst in edges:
+        claims = self.ledger._edge_claims  # the live totals, read in place
+        for edge in edges:
+            key, dst = edge
             link = mine(key)
             if link is None:
                 continue
             base_avail = base(key).available_towards(dst)
-            claim = self.ledger.edge_claim((key, dst))
+            claim = claims.get(edge, 0.0)
             if claim <= 0.0:
                 remaining = base_avail
             else:

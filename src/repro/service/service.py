@@ -43,7 +43,7 @@ import logging
 import time
 from dataclasses import replace
 from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from ..core.kernel import ComputeRanking
 from ..core.metrics import DEFAULT_REFERENCES, References
@@ -68,7 +68,7 @@ from .admission import (
     plain_spec,
 )
 from .api import BatchRequest, PlacementGrant, iter_batch
-from .cache import SnapshotCache
+from .cache import _SELECTION_MEMO_LIMIT, SnapshotCache
 from .ledger import (
     CAPACITY_RETURNING_KINDS,
     LedgerError,
@@ -89,10 +89,6 @@ _EPS = 1e-9
 
 #: Selection-memo sentinel (distinct from ``None`` = cached-infeasible).
 _MISS = object()
-
-#: Bound on the per-view selection memo (cleared wholesale when full —
-#: the memo is an epoch-scoped accelerator, not a durable store).
-_SELECTION_MEMO_LIMIT = 256
 
 
 def _copy_selection(selection: Selection) -> Selection:
@@ -740,12 +736,12 @@ class SelectionService:
         graph: TopologyGraph,
         nodes: Sequence[str],
         view: Optional[ResidualView] = None,
-    ) -> tuple[bool, Optional[set]]:
+    ) -> tuple[bool, Optional[Collection]]:
         """Check the claims fit ``graph``'s capacity on ``nodes``;
-        returns ``(fits, edges)`` — the routed channel set, ``None``
-        when infeasible or no bandwidth claim.  ``view`` is the overlay
-        ``graph`` belongs to (its route cache answers); a trial graph
-        routes on itself."""
+        returns ``(fits, edges)`` — the routed channels, ``None`` when
+        infeasible or no bandwidth claim.  ``view`` is the overlay
+        ``graph`` belongs to (its route cache answers, in ledger order);
+        a trial graph routes on itself."""
         for name in nodes:
             if graph.node(name).cpu + _EPS < req.cpu_fraction:
                 return False, None
@@ -755,9 +751,9 @@ class SelectionService:
                 edges = view.routes.edges_for(nodes)
             else:
                 edges = route_edges(graph, nodes, self.routing)
+            link_by_key = graph.link_by_key
             for key, dst in edges:
-                link = graph.link(*tuple(key))
-                if link.available_towards(dst) + _EPS < req.bw_bps:
+                if link_by_key(key).available_towards(dst) + _EPS < req.bw_bps:
                     return False, None
         return True, edges
 
@@ -769,7 +765,7 @@ class SelectionService:
         *,
         memo: bool = False,
         stage=_untimed,
-    ) -> tuple[Optional[Selection], Optional[set], str]:
+    ) -> tuple[Optional[Selection], Optional[Collection], str]:
         """The one read-only placement every walker runs.
 
         Effective spec → (memo lookup) → select → claim-verify on

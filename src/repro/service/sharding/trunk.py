@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from ...topology.graph import TopologyGraph
 from ...topology.residual import DirectedEdge
-from ..ledger import Reservation, ReservationLedger
+from ..ledger import Reservation, ReservationLedger, ledger_order
 from ..wal import LedgerWal
 
 __all__ = ["TrunkLedger"]
@@ -73,7 +73,7 @@ class TrunkLedger:
         """The subset of ``edges`` crossing shard boundaries, sorted."""
         return sorted(
             (edge for edge in edges if edge[0] in self.trunk_keys),
-            key=lambda edge: (sorted(edge[0]), edge[1]),
+            key=ledger_order,
         )
 
     def headroom(self, channel: DirectedEdge, graph: TopologyGraph) -> float:

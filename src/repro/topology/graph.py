@@ -630,6 +630,35 @@ class TopologyGraph:
         down.reverse()
         return up + down
 
+    def span(self, names: Iterable[str]) -> Optional[tuple[list[Link], bool]]:
+        """``(links, connected)``: the union of :meth:`path`'s links over
+        all pairs of ``names`` and whether every pair has a path; ``None``
+        on a graph with a cycle.  Each name climbs to its root once,
+        O(len(names) · depth); a link is kept when the subtree under it
+        holds some but not all of its tree's names."""
+        index = self._forest_index()
+        if index is None:
+            return None
+        parent, adj = index[0], self._adj
+        held: dict[str, int] = {}  # names in the subtree under each node
+        climbs = []
+        for name in names:
+            if name not in self._nodes:
+                raise KeyError(f"no node {name!r}")
+            node: Optional[str] = name
+            while node is not None:
+                held[node] = held.get(node, 0) + 1
+                root, node = node, parent.get(node)
+            climbs.append((name, root))
+        links = []
+        for node, root in climbs:
+            total = held[root]
+            while 0 < held[node] < total:
+                held[node] = 0  # taken: a later climb stops here
+                links.append(adj[node][parent[node]])
+                node = parent[node]
+        return links, len({root for _, root in climbs}) <= 1
+
     def floor_components(self, floor_bps: float) -> Callable[[str], Any]:
         """``name -> component id`` in the graph that keeps only the links
         with ``available >= floor_bps``: equal ids, connected nodes.

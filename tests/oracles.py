@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
+from repro.core.metrics import References
 from repro.network.fabric import ChannelId
 from repro.remos import AgentTimeout, Collector, DegradedPolicy, RemosAPI
 from repro.remos.api import _UNMONITORABLE_LOAD
@@ -39,6 +41,33 @@ def bfs_path(graph: TopologyGraph, src: str, dst: str) -> Optional[list[str]]:
                 return out
             queue.append(nxt)
     return None
+
+
+def pairwise_minima_by_paths(
+    graph: TopologyGraph, nodes: Sequence[str], refs: References
+) -> tuple[float, float]:
+    """``core.metrics._pairwise_minima`` as it was before
+    ``TopologyGraph.span``: one ``path()`` walk per pair (per unordered
+    pair on a forest, counting ``Link.available``)."""
+    names = list(nodes)
+    fraction = bps = float("inf")
+    if len(names) < 2:
+        return fraction, bps
+    symmetric = graph.is_acyclic()
+    pairs = itertools.combinations if symmetric else itertools.permutations
+    ref_bw = refs.link_bandwidth
+    for src, dst in pairs(names, 2):
+        path = graph.path(src, dst)
+        if path is None:
+            return 0.0, 0.0
+        for x, y in zip(path, path[1:]):
+            link = graph.link(x, y)
+            bw = link.available if symmetric else link.available_towards(y)
+            bps = min(bps, bw)
+            fraction = min(
+                fraction, bw / (link.maxbw if ref_bw is None else ref_bw)
+            )
+    return fraction, bps
 
 
 def naive_rebuild_service(*args, **kwargs) -> SelectionService:
