@@ -45,9 +45,11 @@ for the names they marked; ranked on the spot, O(V log V), for a bare
 graph) and files each under its component of the floor-filtered graph
 (:meth:`TopologyGraph.floor_components`: a climb of the forest index,
 O(depth); one union-find pass, O(V + E), on a graph with a cycle).  The
-first component to hold ``m`` wins, so a selection costs O(k · depth) for
-the ``k`` candidates reached — ``k = m`` when the best nodes share a
-component, O(V) when nothing is feasible.  Nothing is kept per floor.
+first component to hold ``m`` wins unless one filling on the same
+fraction has a smaller first name, and the walk ends where none can: a
+selection costs O(k · depth) for the ``k`` candidates reached — ``k = m``
+when the best nodes share a component, however long the tie (an idle
+cluster is one), O(V) when nothing is feasible.  Nothing is kept per floor.
 
 Every procedure ends by scoring the ``m`` chosen nodes (``_finish``): the
 minimum CPU fraction and both pairwise bandwidth minima.  On a forest —
@@ -425,7 +427,9 @@ class ComputeRanking:
     ``graph.compute_ranking`` and :meth:`mark`s the names it touched;
     nothing is paid until :meth:`keys` is next read, which re-keys just
     those.  The keys are for one ``refs.node_capacity`` at a time:
-    reading with another re-ranks everything.
+    reading with another re-ranks everything.  Equal fractions (every
+    idle node of a cluster) sit together as a *plateau*, ascending by
+    name — which is what lets a walker stop inside one.
     """
 
     def __init__(self, graph: TopologyGraph) -> None:
@@ -481,10 +485,17 @@ def kernel_select_with_bandwidth_floor(
     Candidates are walked best first (:class:`ComputeRanking`) and filed
     under their component of the floor-filtered graph
     (:meth:`TopologyGraph.floor_components`).  The first component to
-    hold ``m`` has the largest achievable ``mincpu`` — its ``m``-th key
-    is the one just reached; the walk goes on through the keys of that
-    same fraction only, for the components that complete on it too, and
-    the smallest ``names`` wins the tie exactly like the naive reference.
+    hold ``m`` (``best``) has the largest achievable ``mincpu`` — its
+    ``m``-th key is the one just reached — and, as in the naive
+    reference, loses only to one that fills on that same fraction with
+    smaller ``names``.  Components share no name, so first names decide
+    that; and within a fraction keys ascend by name, so past ``best[0]``
+    a component that starts now starts too high.  What can still win is
+    a *rival* — begun on a name below ``best[0]``, not yet full: the walk
+    ends with the fraction, or once no rival is open and the name is past
+    ``best[0]``.  On an idle cluster, one long tie, that is ``m``
+    candidates, not the plateau; a rival that never fills is the worst
+    case, the walk to the plateau's end.
     """
     if floor_bps < 0:
         raise ValueError(f"floor must be non-negative, got {floor_bps}")
@@ -493,9 +504,11 @@ def kernel_select_with_bandwidth_floor(
     component = graph.floor_components(floor_bps)
     found: dict = {}
     best: Optional[list[str]] = None
-    mincpu = 0.0
+    rivals, mincpu = 0, 0.0
     for neg, name in ComputeRanking.of(graph, refs):
-        if best is not None and -neg != mincpu:
+        if best is not None and (
+            -neg != mincpu or (not rivals and name > best[0])
+        ):
             break
         names = found.setdefault(component(name), [])
         if len(names) == m or not (
@@ -503,8 +516,15 @@ def kernel_select_with_bandwidth_floor(
         ):
             continue
         names.append(name)
-        if len(names) == m and (best is None or names < best):
+        if best is not None and names[0] > best[0]:
+            continue  # it has lost already
+        if len(names) == m:
             best, mincpu = names, -neg
+            rivals = sum(
+                0 < len(c) < m and c[0] < names[0] for c in found.values()
+            )
+        elif best is not None and len(names) == 1:
+            rivals += 1
     if best is None:
         raise NoFeasibleSelection(
             f"no component of {m} compute nodes meets a "

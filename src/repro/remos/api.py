@@ -147,6 +147,8 @@ class RemosAPI:
         self._lineage = object()
         self._snapshot: Optional[TopologyGraph] = None
         self._cursor = -1
+        #: ``unmonitorable`` nodes plus ``stale`` links in ``_snapshot``.
+        self._marks = 0
 
     @property
     def cluster(self) -> Cluster:
@@ -171,24 +173,39 @@ class RemosAPI:
                         degraded=self.degraded, tracer=self.tracer)
 
     # -- node-level queries ------------------------------------------------------
+    def _node_rows(self, names):
+        """``(load_average, stale)`` as answered for each of ``names`` under
+        the degraded policy, read off the collector's columns (last-value
+        *is* the newest-value column; another predictor reads histories)."""
+        collector = self.collector
+        predict = (
+            None if type(self.predictor) is LastValue
+            else self.predictor.predict
+        )
+        worst = self.degraded == DegradedPolicy.CONSERVATIVE
+        marked = self.degraded != DegradedPolicy.OPTIMISTIC
+        stale_after = collector.stale_after
+        for name, count, newest, misses in zip(
+            names, *collector.host_columns(names)
+        ):
+            stale = misses >= stale_after
+            if not count:
+                # An unmonitored node looks idle — exactly the optimistic
+                # error a fresh monitor makes.
+                load = 0.0
+            elif stale and worst:
+                load = float("inf")
+            elif predict is None:
+                load = max(0.0, newest)
+            else:
+                load = max(0.0, predict(collector.load_history(name)))
+            yield load, stale and marked
+
     def node_info(self, name: str) -> NodeInfo:
         """Forecast load plus measurement health for one compute node."""
-        history = self.collector.load_history(name)
-        status = self.collector.host_status(name)
-        if not history:
-            # An unmonitored node looks idle — exactly the optimistic error
-            # a fresh monitor makes.  (Not stale: nothing was ever missed.)
-            load = 0.0
-        elif status.stale and self.degraded == DegradedPolicy.CONSERVATIVE:
-            load = float("inf")
-        else:
-            load = max(0.0, self.predictor.predict(history))
-        return NodeInfo(
-            name=name,
-            load_average=load,
-            age_s=status.age_s,
-            stale=status.stale and self.degraded != DegradedPolicy.OPTIMISTIC,
-        )
+        (load, stale), = self._node_rows([name])
+        age_s = self.collector.host_status(name).age_s
+        return NodeInfo(name, load, age_s=age_s, stale=stale)
 
     def node_load(self, name: str) -> float:
         """Forecast load average of a compute node.
@@ -266,9 +283,7 @@ class RemosAPI:
                 "remos.topology", policy=self.degraded
             ) as span:
                 g = self._sweep()
-                span.set(stale_resources=sum(
-                    bool(n.attrs.get("unmonitorable")) for n in g.nodes()
-                ) + sum(bool(l.attrs.get("stale")) for l in g.links()))
+                span.set(stale_resources=self._marks)
                 return g
         return self._sweep()
 
@@ -279,26 +294,28 @@ class RemosAPI:
         self._cursor, moved = collector.changes_since(self._cursor)
         if type(self.predictor) is not LastValue:
             moved = None  # any new sample can move a forecast from history
-        if self._snapshot is None or moved is None:
+        old = self._snapshot
+        if old is None or moved is None:
             g = physical.copy()
             hosts = frozenset(self.cluster.hosts)
             links = frozenset(link.key for link in physical.links())
+            marks, counted = 0, g.node_names()
         else:
             hosts = frozenset(r for r in moved if type(r) is str)
             links = frozenset(moved) - hosts
-            g = self._snapshot.replaced(
+            g = old.replaced(
                 [physical.node(name).copy() for name in hosts],
                 [physical.link(*key).copy() for key in links],
             )
-        mark = self.degraded != DegradedPolicy.OPTIMISTIC
-        for name in hosts:
-            info = self.node_info(name)
+            # The marks go with the objects the patch replaces.
+            marks = self._marks - _stale_marks(old, hosts, links)
+            counted = hosts
+        for name, (load, stale) in zip(hosts, self._node_rows(hosts)):
             node = g.node(name)
             node.load_average = (
-                info.load_average if info.load_average != float("inf")
-                else _UNMONITORABLE_LOAD
+                load if load != float("inf") else _UNMONITORABLE_LOAD
             )
-            if mark and info.stale:
+            if stale:
                 node.attrs["unmonitorable"] = True
         for key in links:
             link = g.link(*key)
@@ -309,8 +326,9 @@ class RemosAPI:
             link.set_available(
                 min(link.maxbw, info.available_rev_bps), direction=link.u
             )
-            if mark and info.stale:
+            if info.stale:
                 link.attrs["stale"] = True
+        self._marks = marks + _stale_marks(g, counted, links)
         # Ages are one number per round, not a stamp per resource: every
         # agent the round reached was sampled at ``round_at``.
         late = {}
@@ -322,7 +340,7 @@ class RemosAPI:
                     collector.channel_status(cid).age_s
                     for cid in _channels(physical.link(*r[0]))
                 )
-        first = self._snapshot is None
+        first = old is None
         g.measurement = Measurement(
             source=self._lineage,
             generation=self.topology_sweeps,
@@ -406,6 +424,14 @@ def _channels(link) -> list:
     if link.attrs.get("duplex") == "half":
         return [(link.key, "shared")]
     return [(link.key, link.v), (link.key, link.u)]
+
+
+def _stale_marks(graph: TopologyGraph, nodes, links) -> int:
+    """Unmonitorable among ``graph``'s ``nodes`` + stale among its ``links``."""
+    node, link = graph.node, graph.link_by_key
+    return sum(
+        1 for name in nodes if node(name).attrs.get("unmonitorable")
+    ) + sum(1 for key in links if link(key).attrs.get("stale"))
 
 
 #: Load average stood in for "infinite" on unmonitorable nodes in topology

@@ -621,6 +621,19 @@ class Collector:
         except KeyError:
             raise KeyError(f"no monitored host {host!r}") from None
 
+    def host_columns(self, hosts) -> tuple[list, list, list]:
+        """Three columns, a row per name in ``hosts``: samples ever
+        taken, the newest load average (``load_history(h)[-1][1]``;
+        meaningless where none was taken), consecutive missed polls."""
+        index = self._host_index
+        try:
+            cols = np.array([index[host] for host in hosts], dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(f"no monitored host {exc.args[0]!r}") from None
+        load = self._load
+        return (load.count[cols].tolist(), load.newest[cols].tolist(),
+                self._host_misses[cols].tolist())
+
     def channels(self) -> list[ChannelId]:
         """All channels with at least one derived utilization sample."""
         ids = self._table.channel_ids

@@ -43,6 +43,7 @@ from ..topology.routing import RoutingTable
 
 __all__ = [
     "CAPACITY_RETURNING_KINDS",
+    "DEADLINE_KINDS",
     "LedgerError",
     "Reservation",
     "ReservationLedger",
@@ -105,11 +106,14 @@ def _credit(
 _HEAP_COMPACT_MIN = 64
 
 #: Listener kinds that return capacity to the pool (the reservation was
-#: removed).  ``reserve`` debits it; ``renew``/``preempt_clamp`` only
-#: move the lease deadline.
+#: removed); ``reserve`` debits it.
 CAPACITY_RETURNING_KINDS = frozenset(
     {"release", "expire", "evict", "preempt"}
 )
+
+#: Listener kinds that move a lease's deadline and no claim: the log keeps
+#: them, whoever mirrors the claims (the residual overlay) passes them over.
+DEADLINE_KINDS = frozenset({"renew", "preempt_clamp"})
 
 
 class LedgerError(Exception):

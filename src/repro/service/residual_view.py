@@ -11,8 +11,9 @@ performance" keeps the measured 33 → 1000-host table).
 and across snapshots, and moves it in place:
 
 - the service subscribes it to the ledger, so every grant, release,
-  renewal expiry, and crash eviction triggers :meth:`apply_delta` —
-  O(Δ) in the reservation's node/edge count;
+  expiry and crash eviction triggers :meth:`apply_delta` — O(Δ) in the
+  reservation's node/edge count (a renewal moves a deadline, no claim:
+  :data:`~repro.service.ledger.DEADLINE_KINDS` are passed over);
 - updates are *recomputations from base*, never incremental arithmetic:
   a touched node or channel is reset to exactly what
   :func:`~repro.topology.residual.residual_graph` would compute from
@@ -60,7 +61,7 @@ from ..topology.residual import (
 )
 from ..topology.routing import RoutingTable
 from .cache import PeelScheduleCache, RouteCache
-from .ledger import Reservation, ReservationLedger
+from .ledger import DEADLINE_KINDS, Reservation, ReservationLedger
 
 __all__ = ["ResidualView"]
 
@@ -209,8 +210,8 @@ class ResidualView:
 
     def on_ledger_event(self, kind: str, reservation: Reservation) -> None:
         """Ledger subscription hook (``subscribe(view.on_ledger_event)``)."""
-        del kind  # grant and release apply identically
-        self.apply_delta(reservation)
+        if kind not in DEADLINE_KINDS:
+            self.apply_delta(reservation)  # grant or release, no matter
 
     # -- fault markers ----------------------------------------------------------
     def mark_down(self, name: str) -> None:

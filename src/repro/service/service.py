@@ -692,7 +692,7 @@ class SelectionService:
     def _on_ledger_event(self, kind: str, reservation: Reservation) -> None:
         """Ledger subscription: debit/credit the overlay in place, O(Δ)."""
         if self._view is not None:
-            self._view.apply_delta(reservation)
+            self._view.on_ledger_event(kind, reservation)
         if kind in CAPACITY_RETURNING_KINDS:
             self._live_specs.pop(reservation.app_id, None)
             self._residual_epoch += 1

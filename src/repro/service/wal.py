@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..topology.residual import DirectedEdge
-from .ledger import Reservation
+from .ledger import CAPACITY_RETURNING_KINDS, DEADLINE_KINDS, Reservation
 
 __all__ = [
     "LedgerWal",
@@ -57,11 +57,6 @@ __all__ = [
 #: WAL file names inside a state directory.
 WAL_NAME = "wal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
-
-#: Record kinds that *remove* a reservation (replayed as a release).
-_RELEASE_KINDS = frozenset({"release", "expire", "evict", "preempt"})
-#: Record kinds that only move a lease deadline.
-_DEADLINE_KINDS = frozenset({"renew", "preempt_clamp"})
 
 
 class WalError(Exception):
@@ -271,13 +266,13 @@ class LedgerWal:
             ] if self._ledger is not None else []
             record = {"kind": "grant"}
             record.update(_encode_reservation(reservation, caps))
-        elif kind in _DEADLINE_KINDS:
+        elif kind in DEADLINE_KINDS:
             record = {
                 "kind": kind,
                 "app": reservation.app_id,
                 "expires_at": reservation.expires_at,
             }
-        elif kind in _RELEASE_KINDS:
+        elif kind in CAPACITY_RETURNING_KINDS:
             record = {"kind": kind, "app": reservation.app_id}
         else:  # pragma: no cover - future-proofing
             record = {"kind": kind, "app": reservation.app_id}
@@ -413,11 +408,11 @@ def recover_ledger(state_dir: str, *, cpu_cap: float = 1.0):
             if kind == "grant":
                 reservation, caps = _decode_reservation(record)
                 ledger._restore_grant(reservation, caps)
-            elif kind in _DEADLINE_KINDS:
+            elif kind in DEADLINE_KINDS:
                 ledger._restore_deadline(
                     record["app"], float(record["expires_at"])
                 )
-            elif kind in _RELEASE_KINDS:
+            elif kind in CAPACITY_RETURNING_KINDS:
                 ledger.release(record["app"], kind=kind)
             else:
                 raise WalCorruptError(

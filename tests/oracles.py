@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 from repro.core.metrics import References
 from repro.network.fabric import ChannelId
 from repro.remos import AgentTimeout, Collector, DegradedPolicy, RemosAPI
-from repro.remos.api import _UNMONITORABLE_LOAD
+from repro.remos.api import _UNMONITORABLE_LOAD, NodeInfo
 from repro.remos.collector import _WRAP_RATE_SLACK, ResourceStatus
 from repro.remos.snmp import InterfaceRecord
 from repro.service import SelectionService
@@ -88,6 +88,25 @@ def naive_rebuild_service(*args, **kwargs) -> SelectionService:
     return service
 
 
+def node_info_from_history(api: RemosAPI, name: str) -> NodeInfo:
+    """``RemosAPI.node_info`` as it was before it read columns: one
+    history view, one status and one predictor call per host."""
+    history = api.collector.load_history(name)
+    status = api.collector.host_status(name)
+    if not history:
+        load = 0.0
+    elif status.stale and api.degraded == DegradedPolicy.CONSERVATIVE:
+        load = float("inf")
+    else:
+        load = max(0.0, api.predictor.predict(history))
+    return NodeInfo(
+        name=name,
+        load_average=load,
+        age_s=status.age_s,
+        stale=status.stale and api.degraded != DegradedPolicy.OPTIMISTIC,
+    )
+
+
 def full_sweep_topology(api: RemosAPI) -> TopologyGraph:
     """``RemosAPI.topology()`` as it was before it answered with patches:
     copy the physical graph, then derive every host and every link from
@@ -95,7 +114,7 @@ def full_sweep_topology(api: RemosAPI) -> TopologyGraph:
     g = api.cluster.graph.copy()
     mark = api.degraded != DegradedPolicy.OPTIMISTIC
     for name in api.cluster.hosts:
-        info = api.node_info(name)
+        info = node_info_from_history(api, name)
         node = g.node(name)
         node.load_average = (
             info.load_average if info.load_average != float("inf")

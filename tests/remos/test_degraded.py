@@ -5,6 +5,7 @@ import pytest
 from repro.des import Simulator
 from repro.faults import AgentOutage, FaultInjector, NodeCrash
 from repro.network import Cluster
+from repro.obs import Tracer
 from repro.remos import Collector, DegradedPolicy, RemosAPI
 from repro.topology import dumbbell
 from repro.units import MB, Mbps
@@ -166,3 +167,44 @@ class TestDegradedQueriesNeverRaise:
         # The conservative policy zeroes the stale access link instead.
         pessimist = RemosAPI(collector, degraded=DegradedPolicy.CONSERVATIVE)
         assert pessimist.flow_query("l0", "r1") == 0.0
+
+
+class TestTracedSweepCountsStaleMarksAsItGoes:
+    """``stale_resources`` on the ``remos.topology`` span is carried from
+    sweep to sweep with the patch, not recounted over the answer: it must
+    still be what a count over the answer gives."""
+
+    @pytest.mark.parametrize("policy", DegradedPolicy.ALL)
+    def test_stale_recovered_stale(self, policy):
+        sim, cluster, collector, _, inj = make_rig(policy)
+        tracer = Tracer()
+        api = RemosAPI(collector, degraded=policy, tracer=tracer)
+        cluster.compute("l0", 1e9)
+        # l0 and the trunk's left end go quiet, come back, go quiet again
+        # (one of them for good); r1 goes stale once in between.
+        inj.schedule([
+            AgentOutage(device="l0", at=4.5, duration=9.0),
+            AgentOutage(device="sw-left", at=4.5, duration=9.0),
+            AgentOutage(device="r1", at=10.5, duration=11.0),
+            AgentOutage(device="l0", at=24.5, duration=100.0),
+            AgentOutage(device="sw-left", at=24.5, duration=9.0),
+        ])
+        counts = []
+        for until in range(2, 50, 2):
+            sim.run(until=until + 0.5)
+            topo = api.topology()
+            marks = sum(
+                bool(n.attrs.get("unmonitorable")) for n in topo.nodes()
+            ) + sum(bool(l.attrs.get("stale")) for l in topo.links())
+            assert tracer.spans[-1]["name"] == "remos.topology"
+            assert tracer.spans[-1]["attrs"]["stale_resources"] == marks
+            assert (topo.measurement.nodes is None) == (until == 2)
+            counts.append(marks)
+        if policy == DegradedPolicy.OPTIMISTIC:
+            assert set(counts) == {0}
+        else:
+            # Up, down to nothing, up again, and down to what stays
+            # away (l0 and its access link): marks set, replaced, set.
+            peaks = [c for c, nxt in zip(counts, counts[1:]) if c > nxt]
+            assert len(peaks) >= 2 and 0 in counts[5:], counts
+            assert max(counts) >= 3 and counts[-1] == 2, counts

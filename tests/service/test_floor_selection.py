@@ -4,9 +4,9 @@ The floor kernel walks the residual overlay's kept
 :class:`~repro.core.kernel.ComputeRanking` best first and finds each
 candidate's floor-component by climbing the forest index (union-find on
 a graph with a cycle).  Three arms must agree after every step of a
-generated history — grants, releases, renewals, expiries, health marks,
-measured re-bases, eligibility predicates, a switch of the reference
-node capacity — on a tree and on a cyclic grid:
+generated history — grants, releases, renewals, deadline clamps,
+expiries, health marks, measured re-bases, eligibility predicates, a
+switch of the reference node capacity — on a tree and on a cyclic grid:
 
 1. the kernel on the live overlay (kept ranking, lazily re-keyed);
 2. the same kernel on a fresh ``residual_graph()`` rebuild (no ranking:
@@ -17,6 +17,11 @@ Floors are drawn both far from every link and exactly at (one ulp around)
 a claimed link's residual availability, and re-asked after the claim
 state moved, so links cross the floor in both directions between
 selections.  A second test bounds the work with exact counts.
+
+The last section is about ties — an idle cluster ranks as one long
+plateau: the kernel against the reference on loads drawn from three
+values, the three cases its stop rule turns on built by hand, and the
+work bound again with every load 0.0.
 """
 
 import math
@@ -161,6 +166,8 @@ class Rig:
             ledger.release(live[args[0] % len(live)])
         elif kind == "renew" and live:
             ledger.renew(live[args[0] % len(live)], self.now, 10.0)
+        elif kind == "clamp" and live:
+            ledger.clamp_expiry(live[args[0] % len(live)], self.now + args[1])
         elif kind == "advance":
             self.now += args[0]
             ledger.expire(self.now)
@@ -216,6 +223,7 @@ actions = st.one_of(
               st.sampled_from([0.0, 5.0, 20.0])),
     st.tuples(st.just("release"), index),
     st.tuples(st.just("renew"), index),
+    st.tuples(st.just("clamp"), index, st.sampled_from([0.5, 3.0, 20.0])),
     st.tuples(st.just("advance"), st.sampled_from([1.0, 4.0, 11.0])),
     st.tuples(st.just("down"), index),
     st.tuples(st.just("up"), index),
@@ -360,3 +368,212 @@ def test_work_is_bounded_by_the_walk_not_the_graph(monkeypatch):
     select(3)
     assert sorted(keyed) == sorted(lease.nodes)
     view.assert_matches_rebuild()
+
+
+# -- ties: an idle cluster is one long plateau --------------------------------
+#
+# The kernel leaves the walk as soon as no component can beat the one it
+# holds (first names decide; see its docstring).  The reference scores
+# every component, so ``==`` against it on tied loads is the whole proof.
+
+#: Three loads, drawn from uniformly: the idle cluster (a long top
+#: plateau), and a long plateau under a sparse one (``best`` is then
+#: often named by a node ranked a whole plateau before it filled).
+PALETTES = [[0.0, 0.0, 0.0, 0.5, 1.0], [0.0] + [0.5] * 5 + [1.0]]
+
+
+def tied_forest(palette, seed: int, hosts: int, switches: int, roots: int):
+    """A forest of ``roots`` trees whose host names are scattered over
+    its switches; loads mostly one per switch (so that whole components
+    start on a later plateau), links on three availabilities."""
+    rng = np.random.default_rng(seed)
+    g = TopologyGraph()
+    usual = rng.choice(palette, size=switches)
+    for s in range(switches):
+        g.add_network(f"s{s}")
+        if s >= roots:
+            g.add_link(f"s{s}", f"s{int(rng.integers(0, s))}", 100 * Mbps)
+    for h in rng.permutation(hosts):
+        s = int(rng.integers(0, switches))
+        load = usual[s] if rng.random() < 0.7 else rng.choice(palette)
+        g.add_compute(f"h{h:02d}", load_average=float(load))
+        g.add_link(f"h{h:02d}", f"s{s}", 100 * Mbps)
+    return _tie(g, rng)
+
+
+def tied_grid(palette, seed: int):
+    rng = np.random.default_rng(seed)
+    g = grid(3, 3, bandwidth=100 * Mbps)
+    for node in g.compute_nodes():
+        node.load_average = float(rng.choice(palette))
+    return _tie(g, rng)
+
+
+def _tie(g, rng):
+    for link in g.links():
+        link.available_fwd = float(rng.choice([20, 60, 100])) * Mbps
+        link.available_rev = float(rng.choice([20, 60, 100])) * Mbps
+    for node in g.compute_nodes():
+        if rng.random() < 0.1:
+            node.attrs["unmonitorable"] = True
+    return g
+
+
+def same_selection(g, m, **kwargs):
+    """The kernel's answer, having checked it is the reference's: equal
+    ``Selection``s (every field) or the same refusal."""
+    try:
+        want = reference_select_with_bandwidth_floor(g, m, **kwargs)
+    except kernel.NoFeasibleSelection as refusal:
+        with pytest.raises(kernel.NoFeasibleSelection) as mine:
+            kernel_select_with_bandwidth_floor(g, m, **kwargs)
+        assert str(mine.value) == str(refusal)
+        return None
+    got = kernel_select_with_bandwidth_floor(g, m, **kwargs)
+    assert got == want
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    palette=st.sampled_from(PALETTES),
+    shape=st.one_of(
+        st.tuples(st.integers(0, 10**6), st.integers(2, 40),
+                  st.integers(1, 8), st.integers(1, 3)),
+        st.tuples(st.integers(0, 10**6)),
+    ),
+    m=st.integers(1, 6),
+    floor=st.sampled_from([0.0, 20.0, 50.0, 60.0, 90.0, 100.0, 500.0]),
+    who=st.one_of(
+        st.just("anyone"), st.just("healthy"),
+        st.lists(st.integers(0, 39), min_size=1, max_size=20),
+    ),
+)
+def test_tied_loads_select_what_the_reference_selects(
+    palette, shape, m, floor, who
+):
+    if len(shape) == 1:
+        g = tied_grid(palette, *shape)
+    else:
+        seed, hosts, switches, roots = shape
+        g = tied_forest(palette, seed, hosts, switches, min(roots, switches))
+    assert g.is_acyclic() == (len(shape) > 1)
+    if who == "anyone":
+        eligible = None
+    elif who == "healthy":
+        eligible = node_is_selectable
+    else:
+        names = sorted(n.name for n in g.compute_nodes())
+        eligible = PinnedNodes(names[i % len(names)] for i in who)
+    same_selection(g, m, floor_bps=floor * Mbps, eligible=eligible)
+
+
+def islands(spec, cyclic=False):
+    """``{switch: {host: load}}``: hosts on 100 Mbps under their switch,
+    switches chained over 10 Mbps — under a 50 Mbps floor, an island a
+    switch.  ``cyclic`` closes a triangle inside the first island."""
+    g = TopologyGraph()
+    for switch, hosts in spec.items():
+        g.add_network(switch)
+        for host, load in hosts.items():
+            g.add_compute(host, load_average=load)
+            g.add_link(host, switch, 100 * Mbps)
+    for a, b in zip(spec, list(spec)[1:]):
+        g.add_link(a, b, 100 * Mbps, available=10 * Mbps)
+    if cyclic:
+        first = list(next(iter(spec.values())))
+        g.add_link(first[0], first[-1], 100 * Mbps)
+    assert g.is_acyclic() != cyclic
+    return g
+
+
+def walk_of(g, m):
+    """(picked names, the names ``eligible`` was asked about, in order)
+    for a 50 Mbps floor — checked against the reference."""
+    asked = []
+
+    def eligible(node):
+        asked.append(node.name)
+        return True
+
+    kernel_select_with_bandwidth_floor(
+        g, m, floor_bps=50 * Mbps, eligible=eligible
+    )
+    mine = list(asked)
+    picked = same_selection(g, m, floor_bps=50 * Mbps, eligible=eligible)
+    return picked.nodes, mine
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_a_smaller_first_name_that_fills_later_wins(cyclic):
+    """``s1`` fills first; ``s0`` holds a smaller first name (a rival)
+    and fills two keys later: the walk must wait for it, and stop there."""
+    g = islands({"s0": {"a": 0.0, "e": 0.0, "f": 0.0},
+                 "s1": {"b": 0.0, "c": 0.0, "d": 0.0},
+                 "s2": {"g": 0.0, "h": 0.0, "i": 0.0}}, cyclic)
+    picked, asked = walk_of(g, 3)
+    assert picked == ["a", "e", "f"]
+    assert asked == ["a", "b", "c", "d", "e", "f"]  # s2 cannot win: unasked
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_a_rival_that_never_fills_costs_the_whole_plateau(cyclic):
+    """The documented worst case: ``a`` alone on its island stays an open
+    rival, so every tied key is visited — and only those."""
+    g = islands({"s0": {"b": 0.0, "c": 0.0, "y": 0.5},
+                 "s1": {"a": 0.0},
+                 "s2": {"d": 0.0}, "s3": {"e": 0.0},
+                 "s4": {"f": 0.0, "z": 0.5}}, cyclic)
+    picked, asked = walk_of(g, 2)
+    assert picked == ["b", "c"]
+    assert asked == ["a", "b", "c", "d", "e", "f"]  # not ``y``, not ``z``
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_best_named_on_an_earlier_plateau_can_lose_to_a_later_start(cyclic):
+    """``[m, b]`` fills on the 0.5 plateau but is named by ``m``, idle
+    and so ranked before it.  No rival is open when it fills, yet ``c``
+    then starts an island below ``m`` and is still short at ``n``, past
+    ``m``: the walk must go on until ``[c, p]`` fills, and wins."""
+    g = islands({"s0": {"m": 0.0, "b": 0.5},
+                 "s1": {"c": 0.5, "p": 0.5},
+                 "s2": {"n": 0.5, "q": 0.5}}, cyclic)
+    picked, asked = walk_of(g, 2)
+    assert picked == ["c", "p"]
+    assert asked == ["m", "b", "c", "n", "p"]  # past ``p`` nothing can win
+
+
+def test_tied_work_is_bounded_by_the_picks_not_the_plateau():
+    """The 1 000-host tree of the work bound above with every load 0.0
+    and one component: one plateau of 1 000 keys, of which a selection
+    climbs from, and asks ``eligible`` about, exactly the ``m`` it picks
+    (it was all 1 000)."""
+    rng = np.random.default_rng(0)
+    g = random_tree(1000, 200, rng, bandwidth=100 * Mbps)
+    assert {n.load_average for n in g.compute_nodes()} == {0.0}
+    asked, climbed = [], []
+    floor_components = g.floor_components
+
+    def counting(floor_bps):
+        climb = floor_components(floor_bps)
+
+        def counted(name):
+            climbed.append(name)
+            return climb(name)
+
+        return counted
+
+    def eligible(node):
+        asked.append(node.name)
+        return True
+
+    g.floor_components = counting
+    for m in range(1, 7):
+        del asked[:], climbed[:]
+        sel = kernel_select_with_bandwidth_floor(
+            g, m, floor_bps=0.0, eligible=eligible
+        )
+        assert asked == sel.nodes == sorted(n.name for n in g.compute_nodes())[:m]
+        assert len(climbed) <= m
+    del g.floor_components
+    same_selection(g, 4, floor_bps=0.0)

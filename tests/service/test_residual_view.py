@@ -65,6 +65,24 @@ class TestResidualViewOverlay:
             )
         view.assert_matches_rebuild()
 
+    def test_a_deadline_move_is_not_a_claim_move(self, rig):
+        """``renew`` and ``clamp_expiry`` move ``expires_at`` and nothing
+        the overlay mirrors: no delta, no node marked for re-keying."""
+        g, ledger, view = rig
+        ledger.reserve(
+            "a", ["l0", "r1"], cpu_fraction=0.25, bw_bps=5 * Mbps,
+            graph=g, now=0.0, lease_s=60.0,
+        )
+        view.ranking.keys(view.ranking.refs)  # re-keyed: nothing dirty
+        ledger.renew("a", 10.0, 60.0)
+        ledger.clamp_expiry("a", 30.0)
+        assert ledger.reservations["a"].expires_at == 30.0
+        assert view.deltas == 1 and not view.ranking._dirty
+        view.assert_matches_rebuild()
+        ledger.expire(31.0)
+        assert view.deltas == 2
+        view.assert_matches_rebuild()
+
     def test_release_restores_base_values_exactly(self, rig):
         g, ledger, view = rig
         ledger.reserve(
@@ -185,6 +203,21 @@ class TestEpochMemoization:
             (v, e.key) for v, e in expected
         ]
         assert cache.adjusted == 1
+
+    def test_service_renew_leaves_the_overlay_alone(self):
+        service = SelectionService(dumbbell(4, 4), snapshot_ttl=1e9)
+        assert service.request(
+            "a", spec(2), cpu_fraction=0.2, bw_bps=1 * Mbps
+        ).admitted
+        deltas, epoch = service.view.deltas, service._residual_epoch
+        service.renew("a")
+        service.ledger.clamp_expiry("a", 1.0)
+        assert (service.view.deltas, service._residual_epoch) == (deltas, epoch)
+        service.check_invariants()
+        service.advance(2.0)
+        service.tick()  # the clamped lease lapses: that is a claim move
+        assert service.view.deltas == deltas + 1
+        service.check_invariants()
 
     def test_view_rebuilt_when_snapshot_epoch_moves(self):
         """No delta to go by (a static graph publishes none), an
