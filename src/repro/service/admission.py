@@ -14,7 +14,7 @@ the queue is FIFO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..core.spec import ApplicationSpec
@@ -107,6 +107,13 @@ class SelectionRequest:
     #: Why the last admission attempt failed (set by the service's
     #: pipeline; feeds the rejection side of the explain record).
     last_reason: str = field(default="", compare=False)
+    #: The spec selection runs on (:meth:`fold`) and the selection memo's
+    #: name for it, its ``repr``: each derived when a placement first
+    #: needs it, once however often the request is re-attempted.
+    effective_spec: Optional[ApplicationSpec] = field(
+        default=None, compare=False, repr=False
+    )
+    spec_key: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.app_id:
@@ -127,6 +134,23 @@ class SelectionRequest:
     def rank(self) -> tuple[int, float, int]:
         """Sort key: priority class, then submission order."""
         return (Priority.RANK[self.priority], self.submitted_at, self.seq)
+
+    def fold(self) -> ApplicationSpec:
+        """Set and return :attr:`effective_spec`: the claims folded into
+        the spec as selection floors.
+
+        Only when the spec declares no floor of its own (the spec admits at
+        most one), so claim-aware selection steers toward sets that can
+        actually host the claim instead of failing admission afterwards.
+        """
+        spec = self.spec
+        if plain_spec(spec):
+            if self.bw_bps > 0:
+                spec = replace(spec, min_bandwidth_bps=self.bw_bps)
+            elif self.cpu_fraction > 0:
+                spec = replace(spec, min_cpu_fraction=self.cpu_fraction)
+        self.effective_spec = spec
+        return spec
 
 
 class AdmissionQueue:

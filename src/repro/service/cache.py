@@ -139,8 +139,9 @@ class SnapshotCache:
         )
 
 
-#: Bound on each memo an overlay carries (selections, routed node sets);
-#: a full one is cleared wholesale.
+#: Bound on each memo an overlay carries (selections, routed node sets;
+#: its square on routed pairs, which number as the square of the names
+#: they join); a full one is cleared wholesale.
 _SELECTION_MEMO_LIMIT = 256
 
 
@@ -156,9 +157,10 @@ class RouteCache:
     On a forest without a routing table they are both directions of
     every :meth:`~repro.topology.TopologyGraph.span` link, O(m · depth);
     otherwise every ordered pair is resolved through the per-pair memo
-    (a BFS each, O(m² · (V+E)), without a table).  Either way the answer
-    is a tuple in :func:`~repro.service.ledger.ledger_order`, which
-    ``reserve`` stores as it is.
+    (bounded at the square; a BFS each, O(m² · (V+E)), without a table).
+    Either way the answer is a tuple in
+    :func:`~repro.service.ledger.ledger_order`, which ``reserve`` stores
+    as it is.
 
     The cache answers for any graph sharing the base snapshot's structure
     (the residual overlay is a same-structure copy, and so is the next
@@ -196,6 +198,8 @@ class RouteCache:
                 (frozenset((u, v)), v) for u, v in zip(path, path[1:])
             )
         )
+        if len(self._pairs) >= _SELECTION_MEMO_LIMIT ** 2:
+            self._pairs.clear()
         self._pairs[key] = edges
         return edges
 

@@ -548,12 +548,28 @@ class ReservationLedger:
     def edge_claims(self) -> dict[DirectedEdge, float]:
         return dict(self._edge_claims)
 
+    def claim_counts(self) -> tuple[int, int]:
+        """How many nodes and channels carry a claim: the O(1) signature
+        the selection memo files an entry under."""
+        return len(self._node_claims), len(self._edge_claims)
+
+    def same_claims(self, node_claims: dict, edge_claims: dict) -> bool:
+        """Whether the live totals equal these (earlier
+        :meth:`claims_without` copies) exactly — what comparing two
+        :meth:`claims_fingerprint` would say, with nothing built."""
+        return (
+            self._node_claims == node_claims
+            and self._edge_claims == edge_claims
+        )
+
     def claims_fingerprint(self) -> tuple:
         """A hashable snapshot of the exact current claim state.
 
         Two ledgers with equal fingerprints produce bit-identical
-        residual graphs from the same snapshot — the selection memo's
-        cache key (O(active claims) to build, tiny in steady state).
+        residual graphs from the same snapshot.  O(active claims) to
+        build — one tuple per claimed node and channel — so it is the
+        oracle recovery, the router tests and the benchmark's output
+        checks compare with, and no request, batch or probe builds one.
         """
         return (
             frozenset(self._node_claims.items()),

@@ -115,13 +115,15 @@ class ResidualView:
             self.mark_down(name)
         #: In-place updates applied since construction (for metrics).
         self.deltas = 0
-        #: Selection memo: ``(spec repr, ledger claims fingerprint) ->
-        #: Selection | None`` (``None`` = proven infeasible).  On one
-        #: base a selection is a pure function of the spec and the exact
-        #: claim state — the down set is fixed for the view's lifetime —
-        #: so identical keys must yield bit-identical selections;
-        #: :meth:`rebase` empties it.  Maintained by the service; bounded
-        #: there.
+        #: Selection memo: ``(spec key, claimed nodes, claimed channels)
+        #: -> (node claims, channel claims, Selection | None)`` (``None``
+        #: = proven infeasible).  The key is an O(1) signature; an entry
+        #: answers only while its two claim dicts equal the ledger's live
+        #: totals, and a miss overwrites it.  On one base a selection is
+        #: a pure function of the spec and the exact claim state — the
+        #: down set is fixed for the view's lifetime — so a confirmed
+        #: entry must yield the bit-identical selection; :meth:`rebase`
+        #: empties it.  Maintained by the service; bounded there.
         self.selections: dict = {}
         self.selection_hits = 0
 

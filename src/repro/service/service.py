@@ -87,10 +87,6 @@ logger = logging.getLogger("repro.service")
 #: Slack when checking claims against residual floating-point capacity.
 _EPS = 1e-9
 
-#: Selection-memo sentinel (distinct from ``None`` = cached-infeasible).
-_MISS = object()
-
-
 def _copy_selection(selection: Selection) -> Selection:
     """An independent copy (memo entries must not alias caller state)."""
     return replace(
@@ -655,22 +651,6 @@ class SelectionService:
             snapshot_age_s=age if age != float("inf") else None,
         )
 
-    def _effective_spec(self, req: SelectionRequest) -> ApplicationSpec:
-        """Fold the request's claims into the spec as selection floors.
-
-        Only when the spec declares no floor of its own (the spec admits at
-        most one), so claim-aware selection steers toward sets that can
-        actually host the claim instead of failing admission afterwards.
-        """
-        spec = req.spec
-        if not plain_spec(spec):
-            return spec
-        if req.bw_bps > 0:
-            return replace(spec, min_bandwidth_bps=req.bw_bps)
-        if req.cpu_fraction > 0:
-            return replace(spec, min_cpu_fraction=req.cpu_fraction)
-        return spec
-
     def _capacity_view(
         self, graph: TopologyGraph, without: Sequence[Reservation] = ()
     ) -> TopologyGraph:
@@ -778,19 +758,28 @@ class SelectionService:
         base snapshot a selection is a pure function of the spec and
         the exact claim state (the down set is fixed for the view's
         lifetime, and a re-base empties the memo), infeasibility
-        included.  ``stage`` receives
-        the ``select`` / ``claim_verify`` stage boundaries.  Serial
-        admission passes both; probes and trials neither.
+        included.  An entry is found by the spec and the two claim
+        counts, O(1), and answers only when the claim totals it was
+        stored with equal the ledger's; otherwise it is overwritten.
+        ``stage`` receives the ``select`` / ``claim_verify`` stage
+        boundaries.  Serial admission passes both; probes and trials
+        neither.
         """
-        spec = self._effective_spec(req)
+        spec = req.effective_spec or req.fold()
         start = perf_counter()
         selection = None
-        cached = _MISS
+        entry = None
         if memo:
-            selections = view.selections
-            sel_key = (repr(spec), self.ledger.claims_fingerprint())
-            cached = selections.get(sel_key, _MISS)
-        if cached is _MISS:
+            selections, ledger = view.selections, self.ledger
+            if not req.spec_key:
+                req.spec_key = repr(spec)
+            sel_key = (req.spec_key, *ledger.claim_counts())
+            entry = selections.get(sel_key)
+            if entry is not None and not ledger.same_claims(
+                entry[0], entry[1]
+            ):
+                entry = None
+        if entry is None:
             try:
                 selection = self.selector.select(spec, graph)
             except NoFeasibleSelection as exc:
@@ -800,17 +789,18 @@ class SelectionService:
                 if len(selections) >= _SELECTION_MEMO_LIMIT:
                     selections.clear()
                 selections[sel_key] = (
-                    None if selection is None else _copy_selection(selection)
+                    *ledger.claims_without(),
+                    None if selection is None else _copy_selection(selection),
                 )
         else:
             view.selection_hits += 1
             self.metrics.select_memo_hits += 1
-            if cached is None:  # proven infeasible at this claim state
+            if entry[2] is None:  # proven infeasible at this claim state
                 self.metrics.select_memo_negative_hits += 1
                 reason = "no feasible selection on residual capacity"
                 attrs = {"memo": "negative-hit"}
             else:
-                selection = _copy_selection(cached)
+                selection = _copy_selection(entry[2])
         if selection is None:
             stage("select", start, **attrs)
             return None, None, reason

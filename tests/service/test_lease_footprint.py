@@ -179,6 +179,38 @@ def test_route_memo_is_bounded():
     assert cache.misses == 3 * _SELECTION_MEMO_LIMIT and not cache._pairs
 
 
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_pair_memo_is_bounded_where_pairs_are_walked(cyclic, monkeypatch):
+    """A cyclic graph and a routing table resolve pair by pair, for
+    ``edges_for``, ``connected`` and ``edges_between`` alike; the pair
+    memo holds the square of what the others hold (the routers' live
+    pair sets on ``sharded_10k`` / ``workers_10k`` are 336 and 379:
+    at the plain limit they were re-walked after every clear)."""
+    limit = 4
+    monkeypatch.setattr("repro.service.cache._SELECTION_MEMO_LIMIT", limit)
+    g = grid(3, 3) if cyclic else random_tree(
+        9, 3, np.random.default_rng(2)
+    )
+    routing = None if cyclic else RoutingTable(g)
+    cache = RouteCache(g, routing)
+    hosts = g.node_names()[:9]
+    assert len(hosts) * (len(hosts) - 1) > 2 * limit ** 2
+    for names in itertools.combinations(hosts, 3):
+        assert cache.edges_for(names) == \
+            ordered(route_edges(g, names, routing))
+        assert len(cache._sets) <= limit
+        assert len(cache._pairs) <= limit ** 2
+    for a, b in itertools.permutations(hosts, 2):
+        assert cache.connected(a, b)
+        assert len(cache._pairs) <= limit ** 2
+    halves = [hosts[:4], hosts[4:]]
+    assert cache.edges_between(halves) == {
+        edge for a in halves[0] for b in halves[1]
+        for edge in route_edges(g, (a, b), routing)
+    }
+    assert 0 < len(cache._pairs) <= limit ** 2
+
+
 # -- the ledger ----------------------------------------------------------------
 
 def tree_1k():

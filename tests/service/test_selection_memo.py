@@ -1,0 +1,345 @@
+"""The selection memo: found by an O(1) signature, confirmed exactly.
+
+``SelectionService._place`` files a memo entry under the spec key and
+the two claim counts and lets it answer only while the claim totals it
+was stored with equal the ledger's.  Four things must hold:
+
+(a) exactness — over a generated history of requests, releases,
+    renewals, deadline clamps, expiries and node crashes, with CPU and
+    bandwidth claims chosen so that ``(a + x) - x != a`` happens, every
+    grant and refusal equals that of a twin that rebuilds its residual
+    graph per attempt and keeps no memo
+    (:func:`tests.oracles.naive_rebuild_service`); and whenever an entry
+    answers, the ledger's ``claims_fingerprint()`` equals the one
+    recorded here when that entry was stored;
+(b) recurrence — admit + release over standing tenants returns to the
+    same claim state, so every cycle after the first hits, and a
+    measured re-base empties the memo;
+(c) two claim states of equal counts and different totals miss;
+(d) work — a miss builds as many tuples and frozensets with ~2 000 live
+    channel claims as with ~40, and no request, batch or probe calls
+    ``claims_fingerprint()``.
+"""
+
+import gc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.spec import ApplicationSpec, Objective
+from repro.des import Simulator
+from repro.network import Cluster
+from repro.remos import Collector, RemosAPI
+from repro.service import BatchRequest, ReservationLedger, SelectionService
+from repro.topology import dumbbell, random_tree
+from repro.units import Mbps
+
+from ..oracles import naive_rebuild_service
+from .test_lease_footprint import tree_1k
+
+#: Claims that do not survive a round trip through a shared total.
+CPU = [0.0, 0.1, 0.3, 0.7]
+BW = [0.0, 0.1 * Mbps + 0.1, 0.3 * Mbps + 0.3, 0.7 * Mbps + 0.7]
+assert (CPU[1] + CPU[3]) - CPU[3] != CPU[1]
+assert (BW[1] + BW[3]) - BW[3] != BW[1]
+
+SHAPES = [
+    ApplicationSpec(num_nodes=2),
+    ApplicationSpec(num_nodes=3),
+    ApplicationSpec(num_nodes=2, objective=Objective.BANDWIDTH),
+]
+
+
+def small_tree():
+    rng = np.random.default_rng(5)
+    g = random_tree(9, 3, rng, bandwidth=100 * Mbps)
+    for link in g.links():
+        link.available_fwd = float(rng.integers(1, 5)) * 20 * Mbps
+        link.available_rev = float(rng.integers(1, 5)) * 20 * Mbps
+    for node in g.compute_nodes():
+        node.load_average = float(rng.integers(0, 3)) * 0.5
+    return g
+
+
+HOSTS = sorted(n.name for n in small_tree().compute_nodes())
+
+
+def outcome(grant):
+    s = grant.selection
+    return grant.status, grant.reason, s and (
+        tuple(s.nodes), s.algorithm,
+        # repr: an undefined minimum is NaN on both sides
+        repr((s.objective, s.min_cpu_fraction, s.min_bw_fraction,
+              s.min_bw_bps)),
+    )
+
+
+class Faults:
+    """What ``attach_injector`` needs of an injector: ``fire(t, kind,
+    target)`` delivers an event to the service."""
+
+    def subscribe(self, fn) -> None:
+        self.fire = fn
+
+
+class Rig:
+    """One service on the static tree, with the store/confirm record."""
+
+    def __init__(self, build) -> None:
+        self.svc = svc = build(
+            small_tree(), snapshot_ttl=1e9, lease_s=30.0, queue_limit=0,
+        )
+        self.faults = Faults()
+        svc.attach_injector(self.faults)
+        self.apps = 0
+        #: id(node-claims copy) -> (the copy, fingerprint when stored)
+        self.stored = {}
+        self.confirmed = 0
+        ledger = svc.ledger
+        copies, same = ledger.claims_without, ledger.same_claims
+
+        def claims_without(reservations=()):
+            out = copies(reservations)
+            if not reservations:  # the memo's store, not a trial
+                self.stored[id(out[0])] = out[0], ledger.claims_fingerprint()
+            return out
+
+        def same_claims(nodes, edges):
+            if not same(nodes, edges):
+                return False
+            # A hit is the state the entry was stored on, not a near one.
+            assert self.stored[id(nodes)][1] == ledger.claims_fingerprint()
+            self.confirmed += 1
+            return True
+
+        ledger.claims_without, ledger.same_claims = claims_without, same_claims
+
+    def request(self, shape, cpu, bw):
+        self.apps += 1
+        return outcome(self.svc.request(
+            f"app-{self.apps}", SHAPES[shape],
+            cpu_fraction=CPU[cpu], bw_bps=BW[bw],
+        ))
+
+    def apply(self, step):
+        kind, *args = step
+        svc = self.svc
+        if kind == "request":
+            return self.request(*args)
+        if kind == "cycle":  # the recurrence a memo exists for
+            seen = []
+            for _ in range(2):
+                seen.append(self.request(*args))
+                if seen[-1][2]:
+                    svc.release(f"app-{self.apps}")
+            return seen
+        if kind in ("release", "renew", "clamp"):
+            live = svc.active_apps()
+            if live:
+                app = live[args[0] % len(live)]
+                if kind == "clamp":
+                    svc.ledger.clamp_expiry(app, svc.now + args[1])
+                else:
+                    getattr(svc, kind)(app)
+        elif kind == "advance":
+            svc.advance(args[0])
+        elif kind in ("crash", "recover"):
+            self.faults.fire(svc.now, f"node-{kind}", args[0])
+        return svc.active_apps()
+
+
+claims = (st.integers(0, len(SHAPES) - 1), st.integers(0, len(CPU) - 1),
+          st.integers(0, len(BW) - 1))
+steps = st.one_of(
+    st.tuples(st.just("request"), *claims),
+    st.tuples(st.just("cycle"), *claims),
+    st.tuples(st.just("release"), st.integers(0, 5)),
+    st.tuples(st.just("renew"), st.integers(0, 5)),
+    st.tuples(st.just("clamp"), st.integers(0, 5),
+              st.sampled_from([0.5, 12.0])),
+    st.tuples(st.just("advance"), st.sampled_from([1.0, 10.0, 25.0])),
+    st.tuples(st.just("crash"), st.sampled_from(HOSTS)),
+    st.tuples(st.just("recover"), st.sampled_from(HOSTS)),
+)
+
+
+def run_history(history) -> Rig:
+    shipped, twin = Rig(SelectionService), Rig(naive_rebuild_service)
+    for step in history:
+        assert shipped.apply(step) == twin.apply(step), step
+        shipped.svc.check_invariants()
+        assert shipped.confirmed == shipped.svc.metrics.select_memo_hits
+    assert twin.svc.metrics.select_memo_hits == 0
+    return shipped
+
+
+@settings(max_examples=80, deadline=None)
+@given(history=st.lists(steps, min_size=1, max_size=30))
+def test_every_answer_equals_the_memoless_twins(history):
+    run_history(history)
+
+
+def test_scripted_history_hits_misses_and_drifts():
+    """The branches a generated history may miss on a given day: a hit,
+    a negative hit, a drifted total of equal counts, a crash."""
+    shipped = run_history([
+        ("request", 0, 1, 1), ("cycle", 1, 3, 3), ("cycle", 1, 3, 3),
+        ("request", 1, 3, 3), ("request", 1, 3, 3), ("request", 1, 3, 3),
+        ("cycle", 1, 3, 0), ("renew", 0), ("clamp", 1, 0.5),
+        ("cycle", 0, 1, 1), ("advance", 1.0), ("cycle", 0, 1, 1),
+        ("crash", HOSTS[0]), ("cycle", 0, 1, 1), ("recover", HOSTS[0]),
+        ("advance", 25.0), ("cycle", 0, 1, 1),
+    ])
+    metrics = shipped.svc.metrics
+    assert metrics.select_memo_hits >= 5
+    assert metrics.select_memo_negative_hits >= 1
+
+
+# -- (b) recurrence ------------------------------------------------------------
+
+def hold_two(svc):
+    for i in range(2):
+        assert svc.request(
+            f"hold-{i}", ApplicationSpec(num_nodes=3),
+            cpu_fraction=0.2, bw_bps=2 * Mbps,
+        ).admitted
+
+
+def cycle(svc, i):
+    grant = svc.request(f"cycle-{i}", ApplicationSpec(num_nodes=4),
+                        cpu_fraction=0.35, bw_bps=3 * Mbps)
+    assert grant.admitted
+    svc.release(grant.app_id)
+    return grant.selection.nodes
+
+
+def test_standing_tenants_hit_on_every_cycle_after_the_first():
+    svc = SelectionService(tree_1k(), snapshot_ttl=1e9, lease_s=1e9)
+    hold_two(svc)
+    placed = {tuple(cycle(svc, i)) for i in range(12)}
+    assert len(placed) == 1
+    assert svc.metrics.select_memo_hits == 11
+    assert len(svc.view.selections) == 3  # two tenants' states + the cycle's
+    svc.check_invariants()
+
+
+def test_a_rebase_empties_the_memo_under_standing_tenants():
+    sim = Simulator()
+    cluster = Cluster(sim, dumbbell(6, 6))
+    svc = SelectionService(
+        RemosAPI(Collector(cluster, period=5.0)), snapshot_ttl=5.0,
+        lease_s=1e9,
+    )
+    sim.run(until=6.0)
+    hold_two(svc)
+    first = cycle(svc, 0)
+    assert cycle(svc, 1) == first and svc.metrics.select_memo_hits == 1
+    view = svc.view
+    cluster.compute(first[0], 1e9)  # the cycle's entry sits on this host
+    sim.run(until=40.0)
+    moved = cycle(svc, 2)
+    assert svc.view is view and svc.metrics.view_rebuilds == 1  # re-based
+    assert first[0] not in moved and svc.metrics.select_memo_hits == 1
+    assert cycle(svc, 3) == moved and svc.metrics.select_memo_hits == 2
+    svc.check_invariants()
+
+
+# -- (c) equal counts, different totals ----------------------------------------
+
+def test_equal_counts_and_different_totals_miss():
+    svc, twin = (build(small_tree(), snapshot_ttl=1e9, lease_s=1e9)
+                 for build in (SelectionService, naive_rebuild_service))
+    ledger = svc.ledger
+    states = []
+    for tenant, bw in (("x", BW[1]), ("y", BW[2])):
+        for s in (svc, twin):
+            s.request(tenant, SHAPES[0], cpu_fraction=0.3, bw_bps=bw)
+        held = ledger.claims_without()
+        assert ledger.same_claims(*held)
+        states.append((ledger.claim_counts(), ledger.claims_fingerprint()))
+        # The same question put to both states: the second finds the
+        # first's entry under its signature and must not take it.
+        asked = [
+            outcome(s.request("z", SHAPES[1], cpu_fraction=0.1, bw_bps=BW[3]))
+            for s in (svc, twin)
+        ]
+        assert asked[0] == asked[1] and asked[0][2]
+        for s in (svc, twin):
+            s.release("z")
+            s.release(tenant)
+        assert not ledger.same_claims(*held)
+    (counts_x, print_x), (counts_y, print_y) = states
+    assert counts_x == counts_y and print_x != print_y
+    assert svc.metrics.select_memo_hits == 0
+
+
+# -- (d) work ------------------------------------------------------------------
+
+def built_by(fn) -> int:
+    """Tuples and frozensets alive after ``fn()`` that were not before."""
+    kinds = (tuple, frozenset)
+    gc.collect()
+    gc.disable()
+    try:
+        # Held, so that none is freed and its address handed out again.
+        before = [o for o in gc.get_objects() if type(o) in kinds]
+        known = set(map(id, before))
+        fn()
+        return sum(
+            type(o) in kinds and id(o) not in known
+            for o in gc.get_objects()
+        )
+    finally:
+        gc.enable()
+
+
+def with_leases(count, m):
+    svc = SelectionService(
+        tree_1k(), snapshot_ttl=1e9, lease_s=1e9, queue_limit=0,
+    )
+    for i in range(count):
+        assert svc.request(f"t{i}", ApplicationSpec(num_nodes=m),
+                           cpu_fraction=0.1, bw_bps=1 * Mbps).admitted
+    return svc
+
+
+def test_a_miss_costs_the_same_at_any_number_of_live_claims():
+    few, many = with_leases(2, 4), with_leases(120, 8)
+    assert few.ledger.claim_counts()[1] < 100
+    assert many.ledger.claim_counts()[1] > 1500
+    built = []
+    for svc in (few, many):
+        # No host is idle, so a whole processor each is refused in the
+        # kernel: a miss, stored, with no lease built after it.  The
+        # first refusal re-keys what the leases moved in the ranking.
+        for m in (3, 2):
+            spec = ApplicationSpec(num_nodes=m)
+            count = built_by(
+                lambda: svc.request(f"no-{m}", spec, cpu_fraction=1.0)
+            )
+            assert svc.status(f"no-{m}").status == "rejected"
+        built.append(count)
+        assert svc.metrics.select_memo_hits == 0
+        assert len(svc.view.selections) >= 2
+    assert built[0] == built[1]
+
+
+def test_no_request_batch_or_probe_builds_a_fingerprint(monkeypatch):
+    def fingerprint(self):
+        raise AssertionError("claims_fingerprint() on the request path")
+
+    monkeypatch.setattr(ReservationLedger, "claims_fingerprint", fingerprint)
+    svc = SelectionService(small_tree(), snapshot_ttl=1e9, lease_s=1e9)
+    spec = ApplicationSpec(num_nodes=2)
+    ask = dict(cpu_fraction=0.1, bw_bps=1 * Mbps)
+    assert svc.request("a", spec, **ask).admitted
+    svc.release("a")
+    assert svc.request("b", spec, **ask).admitted  # a hit
+    assert svc.metrics.select_memo_hits == 1
+    assert svc.probe(spec, **ask) is not None
+    grants = svc.admit_batch([
+        BatchRequest(app_id=f"w{i}", spec=spec, **ask) for i in range(3)
+    ])
+    assert all(g.admitted for g in grants)
+    svc.check_invariants()
