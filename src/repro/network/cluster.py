@@ -51,6 +51,8 @@ class Cluster:
         self.graph = graph
         self.routing = routing or RoutingTable(graph)
         self.fabric = Fabric(sim, graph, self.routing)
+        #: The hosts' shared ``awake`` set: loaded, decaying or down.
+        self.awake: set[str] = set()
         self.hosts: dict[str, Host] = {
             node.name: Host(
                 sim,
@@ -60,6 +62,8 @@ class Cluster:
             )
             for node in graph.compute_nodes()
         }
+        for host in self.hosts.values():
+            host.awake = self.awake
 
     def host(self, name: str) -> Host:
         """The host for compute node ``name``."""

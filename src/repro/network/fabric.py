@@ -112,6 +112,8 @@ class Fabric:
             cid: i for i, cid in enumerate(self._capacities)
         }
         self._octets = np.zeros(len(self._index))
+        #: The capacities once more, as a column in counter-slot order.
+        self._capacity = np.array(list(self._capacities.values()), dtype=float)
         self._last_settle = sim.now
         self._wake: Optional[Event] = None
 
@@ -133,6 +135,11 @@ class Fabric:
     def capacities(self) -> dict[ChannelId, float]:
         """Every channel's capacity in bps (read-only)."""
         return self._capacities
+
+    def capacity_column(self) -> np.ndarray:
+        """:meth:`capacities` as a column indexed by :meth:`channel_index`
+        (read-only): what an SNMP walk reads as ``ifSpeed``."""
+        return self._capacity
 
     def channel_index(self, cid: ChannelId) -> int:
         """The channel's slot in :meth:`octet_counters`."""
@@ -178,6 +185,7 @@ class Fabric:
             raise ValueError(f"capacity cannot be negative: {capacity_bps}")
         self._settle()
         self._capacities[cid] = float(capacity_bps)
+        self._capacity[self._index[cid]] = capacity_bps
         self._reallocate()
 
     def degrade_link(self, u: str, v: str, capacity_bps: float) -> None:

@@ -109,6 +109,10 @@ class Host:
         #: write it; a plain attribute, so a poll of every host's agent
         #: reads it without a call).
         self.up = True
+        #: Holds this host's name whenever a poll could read anything but
+        #: "up, load 0.0": :meth:`run` and :meth:`fail` add it, and nothing
+        #: else makes a load non-zero.  A cluster gives its hosts one set.
+        self.awake: set[str] = set()
 
     # -- public API ----------------------------------------------------------
     @property
@@ -127,6 +131,7 @@ class Host:
             return
         self._settle()
         self.up = False
+        self.awake.add(self.name)
         for task in list(self._tasks):
             self._abort(task)
         # A dead machine has an empty run queue; freeze the load average at
@@ -143,12 +148,16 @@ class Host:
 
     @property
     def load_average(self) -> float:
-        """Damped run-queue length, updated to the current instant."""
+        """Damped run-queue length, updated to the current instant.  An up
+        host read idle at exactly 0.0 leaves ``awake``: it reads 0.0
+        until :meth:`run` or :meth:`fail`."""
         if self._load_avg == 0.0 and not self._tasks:
             # Idle and fully decayed.  Settling an empty run queue at
             # load 0.0 gives ``0 + (0.0 - 0) * decay``: 0.0 whatever the
             # interval, and nothing else moves — so it can wait for the
             # next settle, which will cover this interval too.
+            if self.up:
+                self.awake.discard(self.name)
             return 0.0
         self._settle()
         return self._load_avg
@@ -185,6 +194,7 @@ class Host:
             raise ValueError(f"ops must be non-negative, got {ops}")
         if not self.up:
             raise HostDownError(f"host {self.name!r} is down")
+        self.awake.add(self.name)
         self._settle()
         task = ComputeTask(self, ops)
         if ops == 0:

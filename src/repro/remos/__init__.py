@@ -1,8 +1,8 @@
 """Remos — the network-information query substrate (paper §2.2).
 
 A faithful model of the Remos LAN implementation: simulated SNMP agents on
-every device export octet counters and host load (laid out as one interface
-table and walked as columns); a polling collector turns counter deltas into
+every device export octet counters and host load (laid out as an interface
+table and a host table, walked as columns); a polling collector turns counter deltas into
 utilization history (ring matrices, one column per resource); and
 :class:`RemosAPI` answers flow queries and logical-topology queries through
 a pluggable forecast policy.
@@ -22,6 +22,7 @@ from .predictor import Ewma, LastValue, Predictor, SlidingMean, sample_age
 from .snmp import (
     AgentTimeout,
     HostAgent,
+    HostTable,
     InterfaceAgent,
     InterfaceRecord,
     InterfaceTable,
@@ -34,6 +35,7 @@ __all__ = [
     "DegradedPolicy",
     "Ewma",
     "HostAgent",
+    "HostTable",
     "InterfaceAgent",
     "InterfaceRecord",
     "InterfaceTable",

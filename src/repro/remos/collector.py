@@ -33,18 +33,23 @@ so that :meth:`RemosAPI.topology` re-derives only what a round moved.
 
 **A round is array passes, not a loop over readings.**  The agents are
 walked as columns (:meth:`~repro.remos.snmp.InterfaceTable.walk`,
-:func:`~repro.remos.snmp.walk_hosts`) and everything the collector keeps
-per resource is a column too: the last raw reading, the consecutive
-misses, and ``history`` rows of ``(time, value)`` ring matrices, one
-column per channel and one per host.  A pass dedupes half-duplex
-reports, resets misses, takes ``delta`` and ``dt`` against the raw
-columns, clamps ``delta * 8 / dt`` to ``ifSpeed`` (read only where
-``delta != 0``), compares with the newest kept value and writes one ring
-row.  What stays scalar is what is rare or ordered: a negative delta
-goes through the wrap-or-reset rule one row at a time, and events and
-change-log entries are appended row by row, in the order the agents
+:meth:`~repro.remos.snmp.HostTable.walk`) and everything the collector
+keeps per resource is a column too: the last raw reading, the
+consecutive misses, and ``history`` rows of ``(time, value)`` ring
+matrices, one column per channel and one per host.  A pass dedupes
+half-duplex reports, resets misses, takes ``delta`` and ``dt`` against
+the raw columns, clamps ``delta * 8 / dt`` to ``ifSpeed`` (read only
+where ``delta != 0``), compares with the newest kept value and writes
+one ring row.  What stays scalar is what is rare or ordered: a negative
+delta goes through the wrap-or-reset rule one row at a time, and events
+and change-log entries are appended row by row, in the order the agents
 were walked, for the rows that have one.  The history accessors answer
 with a read-only view of a ring column.
+
+**A quiet round costs what can differ.**  The tables ask only the agents
+that may be silent or down and the hosts that may be loaded; a clean
+round (every row answered, no half-duplex link) comes back as the table
+itself, so every column is read and written whole, by a slice.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from ..network.cluster import Cluster
 from ..network.fabric import ChannelId
 from ..obs.trace import NULL_TRACER
 from ..units import BITS_PER_BYTE
-from .snmp import HostAgent, InterfaceTable, walk_hosts
+from .snmp import HostTable, InterfaceTable
 
 __all__ = ["Collector", "ResourceStatus"]
 
@@ -99,20 +104,23 @@ class _Ring:
             return _NEVER
         return self.times.item((count - 1) % self.depth, col)
 
-    def append(self, cols: np.ndarray, now: float, values: np.ndarray):
+    def append(self, cols, now: float, values: np.ndarray):
         """One new sample, taken at ``now``, on each of ``cols``
-        (distinct); returns which of them it changed the newest value of
-        (a first sample counts)."""
+        (distinct indices, or a slice); returns which of them it changed
+        the newest value of (a first sample counts)."""
         count = self.count[cols]
         changed = (count == 0) | (self.newest[cols] != values)
         self.newest[cols] = values
-        self.count[cols] = count + 1
+        # Before ``count`` is written: under a slice it is a view of it.
         slot = count % self.depth
+        self.count[cols] = count + 1
         if len(slot) and (slot == slot[0]).all():
             # Series sampled every round fill in step: one matrix row.
             self.times[slot[0]][cols] = now
             self.values[slot[0]][cols] = values
         else:
+            # Index pairs (slot, column): a slice here would broadcast.
+            cols = np.arange(len(self.count))[cols]
             self.times[slot, cols] = now
             self.values[slot, cols] = values
         return changed
@@ -252,12 +260,12 @@ class Collector:
         self.backoff = float(backoff)
         self.stale_after = stale_after
         table = InterfaceTable(cluster, counter_bits=counter_bits)
-        #: Every device's interface agent, as rows of one table.
+        #: Every device's interface agent, as rows of one table; every
+        #: compute node's host agent, as rows of another.
         self._table = table
         self.iface_agents = table.agents
-        self.host_agents = {
-            name: HostAgent(cluster, name) for name in cluster.hosts
-        }
+        self._load_table = HostTable(cluster)
+        self.host_agents = self._load_table.agents
         channels = len(table.channel_ids)
         #: (history x channels) derived (t, utilization_bps) samples
         self._util = _Ring(history, channels)
@@ -267,14 +275,10 @@ class Collector:
         self._channel_misses = np.zeros(channels, dtype=np.int64)
         #: Whether some channel has two reporters (a half-duplex link).
         self._shared = len(table.row_channels) > channels
-        #: host -> its column; (history x hosts) (t, load_average) samples
-        self._host_names = tuple(self.host_agents)
-        self._host_index = {
-            name: i for i, name in enumerate(self._host_names)
-        }
-        self._load = _Ring(history, len(self._host_names))
-        self._host_misses = np.zeros(len(self._host_names), dtype=np.int64)
-        self._all_hosts = np.arange(len(self._host_names), dtype=np.intp)
+        #: (history x hosts) (t, load) samples, a column per agent row
+        self._load_names = tuple(self.host_agents)
+        self._load = _Ring(history, len(self._load_names))
+        self._load_misses = np.zeros(len(self._load_names), dtype=np.int64)
         #: Sim time of the newest round's first pass over the agents: when
         #: every resource was last sampled, :meth:`late_resources` aside.
         self.round_at = float("-inf")
@@ -435,41 +439,50 @@ class Collector:
                     late.update(interfaces)
         if not len(rows):
             return failed
-        chan = table.channel[rows]
-        if self._shared:
-            # Half-duplex channels are reported by both ends: keep the
-            # first report of each channel in this pass.
-            keep = np.sort(np.unique(chan, return_index=True)[1])
-            rows, chan, octets = rows[keep], chan[keep], octets[keep]
+        if rows is table.all_rows and not self._shared:
+            # Every row answered and no link is half duplex, so row r
+            # reports channel r: the columns are read whole, by a slice.
+            chan, number = slice(None), rows
+        else:
+            number = table.channel[rows]
+            if self._shared:
+                # Half-duplex channels are reported by both ends: keep
+                # the first report of each channel in this pass.
+                keep = np.sort(np.unique(number, return_index=True)[1])
+                rows, number, octets = rows[keep], number[keep], octets[keep]
+            chan = number
         misses = self._channel_misses
         fresh = misses[chan] >= self.stale_after
         misses[chan] = 0
         dt = now - self._raw_t[chan]
         before = self._raw_octets[chan]
         delta = octets - before
-        self._raw_t[chan] = now
-        self._raw_octets[chan] = octets
         # A first reading has nothing to difference against (dt is inf).
         sampled = (dt > 0) & (dt < np.inf)
         negative = np.flatnonzero(sampled & (delta < 0))
         if len(negative):
             self._wrap_or_reset(rows, before, dt, delta, sampled, negative)
-        at = np.flatnonzero(sampled)
+        # Only now: under a slice ``before`` is a view of the raw column.
+        self._raw_t[chan] = now
+        self._raw_octets[chan] = octets
+        whole = sampled.all()
+        at = slice(None) if whole else np.flatnonzero(sampled)
+        cols = chan if whole else number[at]
         delta, dt = delta[at], dt[at]
-        util = np.zeros(len(at))
+        util = np.zeros(len(delta))
         moved = np.flatnonzero(delta)
         if len(moved):
             util[moved] = np.minimum(
                 delta[moved] * BITS_PER_BYTE / dt[moved],
-                table.speeds(rows[at[moved]].tolist()),
+                table.speeds(rows[at][moved]),
             )
         changed = np.zeros(len(rows), dtype=bool)
-        changed[at] = self._util.append(chan[at], now, util)
+        changed[at] = self._util.append(cols, now, util)
         noted = np.flatnonzero(fresh | changed)
         if len(noted):
             ids = table.channel_ids
             for c, is_fresh, is_changed in zip(
-                chan[noted].tolist(),
+                number[noted].tolist(),
                 fresh[noted].tolist(),
                 changed[noted].tolist(),
             ):
@@ -486,7 +499,7 @@ class Collector:
         one at a time: ``delta`` recovered in place for a wrap,
         ``sampled`` cleared for a reset."""
         counter_max = self._table.counter_max
-        speeds = self._table.speeds(rows[negative].tolist())
+        speeds = self._table.speeds(rows[negative]).tolist()
         for j, speed_bps in zip(negative.tolist(), speeds):
             wrapped = None
             if counter_max is not None and before.item(j) <= counter_max:
@@ -504,7 +517,12 @@ class Collector:
     def _poll_hosts(self, names, now: float, on_round: bool) -> list[str]:
         """Poll the named host agents and fold the load averages that
         came back into the load history."""
-        failed, answered, loads = walk_hosts(self.host_agents, names, now)
+        failed, rows, loads = self._load_table.walk(names, now)
+        host_names = self._load_names
+        if rows is self._load_table.all_rows:
+            answered = host_names
+        else:
+            answered = [host_names[r] for r in rows.tolist()]
         late = self._late
         if not on_round:
             late.update(answered)
@@ -512,15 +530,11 @@ class Collector:
             if late:
                 late.difference_update(answered)
             late.update(failed)
-        if not answered:
+        if not len(rows):
             return failed
-        if names is self.host_agents and not failed:
-            cols = self._all_hosts
-        else:
-            index = self._host_index
-            cols = np.array([index[name] for name in answered], dtype=np.intp)
-        changed = self._load.append(cols, now, np.array(loads, dtype=float))
-        misses = self._host_misses
+        cols = slice(None) if rows is self._load_table.all_rows else rows
+        changed = self._load.append(cols, now, loads)
+        misses = self._load_misses
         fresh = misses[cols] >= self.stale_after
         misses[cols] = 0
         for j in np.flatnonzero(changed | fresh).tolist():
@@ -553,9 +567,9 @@ class Collector:
                 self._pending_events.append(("channel-stale", channel))
                 self._changes.append(channel[0])
         for name in failed_host:
-            i = self._host_index[name]
-            self._host_misses[i] += 1
-            if self._host_misses[i] == self.stale_after:
+            i = self.host_agents[name].index
+            self._load_misses[i] += 1
+            if self._load_misses[i] == self.stale_after:
                 self._pending_events.append(("host-stale", name))
                 self._changes.append(name)
 
@@ -614,10 +628,10 @@ class Collector:
         return [] if col is None else _History(self._util, col)
 
     def load_history(self, host: str) -> Sequence[Sample]:
-        """(t, load_average) samples for a compute node, oldest first
+        """(t, load) samples for a compute node, oldest first
         (a read-only view, as :meth:`utilization_history`)."""
         try:
-            return _History(self._load, self._host_index[host])
+            return _History(self._load, self.host_agents[host].index)
         except KeyError:
             raise KeyError(f"no monitored host {host!r}") from None
 
@@ -625,14 +639,14 @@ class Collector:
         """Three columns, a row per name in ``hosts``: samples ever
         taken, the newest load average (``load_history(h)[-1][1]``;
         meaningless where none was taken), consecutive missed polls."""
-        index = self._host_index
+        agents = self.host_agents
         try:
-            cols = np.array([index[host] for host in hosts], dtype=np.intp)
+            cols = np.array([agents[h].index for h in hosts], dtype=np.intp)
         except KeyError as exc:
             raise KeyError(f"no monitored host {exc.args[0]!r}") from None
         load = self._load
         return (load.count[cols].tolist(), load.newest[cols].tolist(),
-                self._host_misses[cols].tolist())
+                self._load_misses[cols].tolist())
 
     def channels(self) -> list[ChannelId]:
         """All channels with at least one derived utilization sample."""
@@ -669,10 +683,10 @@ class Collector:
     def host_status(self, host: str) -> ResourceStatus:
         """Sample age and staleness of one compute node's load series."""
         try:
-            col = self._host_index[host]
+            col = self.host_agents[host].index
         except KeyError:
             raise KeyError(f"no monitored host {host!r}") from None
-        missed = self._host_misses.item(col)
+        missed = self._load_misses.item(col)
         return ResourceStatus(
             age_s=self.cluster.sim.now - self._load.newest_time(col),
             missed_polls=missed,
@@ -698,12 +712,12 @@ class Collector:
 
     def stale_hosts(self) -> list[str]:
         """All currently unmonitorable compute nodes, sorted."""
-        stale = np.flatnonzero(self._host_misses >= self.stale_after)
-        return sorted(self._host_names[i] for i in stale.tolist())
+        stale = np.flatnonzero(self._load_misses >= self.stale_after)
+        return sorted(self._load_names[i] for i in stale.tolist())
 
     def stale_resources(self) -> int:
         """Total stale resources (hosts + channels), for the gauge."""
         return int(
-            np.count_nonzero(self._host_misses >= self.stale_after)
+            np.count_nonzero(self._load_misses >= self.stale_after)
             + np.count_nonzero(self._channel_misses >= self.stale_after)
         )

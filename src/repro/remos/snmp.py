@@ -20,20 +20,23 @@ Agents also model the ways real SNMP daemons misbehave:
 - :meth:`InterfaceAgent.reset_counters` reproduces a device reboot, after
   which counters restart near zero.
 
-**Layout.**  Every device's interfaces are rows of one
-:class:`InterfaceTable` — agent after agent, each agent's interfaces in
-link order — holding, per row, the slot of the fabric counter it exports
-and the base a reboot subtracts from it.  A poll round is
-:meth:`InterfaceTable.walk` over the named devices: reachability, base
-and wrap are applied here, agent-side, and what comes back is columns
-(which rows answered, what their counters read).  ``InterfaceAgent.read()``
-is the one-device case of the same walk.  Host agents are walked the same
-way (:func:`walk_hosts`), one ``Host.load_average`` read per answering
-host.
+**Layout.**  Each family of agents is one table, walked as columns:
+every device's interfaces are rows of one :class:`InterfaceTable` —
+agent after agent, each agent's interfaces in link order — holding, per
+row, the slot of the fabric counter it exports and the base a reboot
+subtracts from it, and every compute node's host agent is a row of one
+:class:`HostTable`.  A poll round is ``table.walk(names, now)``:
+reachability, base and wrap are applied here, agent-side, and what comes
+back is columns (which rows answered, what they read).  An agent's
+``read()`` is the one-agent case of the same walk.  A walk over a whole
+table asks only what can differ: the agents the table has ``silenced``,
+those on a host in ``Cluster.awake`` (loaded, decaying or down), and
+only the answered awake hosts' ``Host.load_average`` (others read 0.0).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Collection, NamedTuple, Optional
 
 import numpy as np
@@ -47,8 +50,8 @@ __all__ = [
     "InterfaceAgent",
     "InterfaceTable",
     "HostAgent",
+    "HostTable",
     "build_agents",
-    "walk_hosts",
 ]
 
 
@@ -73,13 +76,18 @@ class InterfaceRecord(NamedTuple):
 
 class _FaultyAgent:
     """Shared unreliability state: a silence window set by fault injection
-    and, on a compute node, the host whose crash takes the agent down."""
+    and, on a compute node, the host whose crash takes the agent down;
+    ``index`` is the agent's place in pass order, ``rows`` its slice."""
 
-    def __init__(self, cluster: Cluster, device: str) -> None:
-        self.cluster = cluster
+    def __init__(self, table, name: str, index: int, rows: slice) -> None:
+        self.table = table
+        self.cluster: Cluster = table.cluster
+        self.name = name
+        self.index = index
+        self.rows = rows
         self.silent_until = float("-inf")
         #: Network devices have no host: they are always up in this model.
-        self._host = cluster.hosts.get(device)
+        self._host = self.cluster.hosts.get(name)
 
     def silence_for(self, seconds: float) -> None:
         """Make the agent unresponsive for ``seconds`` from now."""
@@ -87,18 +95,49 @@ class _FaultyAgent:
             raise ValueError(f"silence duration cannot be negative: {seconds}")
         now = self.cluster.sim.now
         self.silent_until = max(self.silent_until, now + seconds)
+        self.table.silenced.add(self.name)
 
 
-def _timed_out(agents: dict, names: Collection[str], now: float) -> list[str]:
-    """Which of the named agents do not answer a request made at
-    ``now`` (pass order).  The one place the reachability rule lives,
-    and no call per agent."""
-    return [
+def _timed_out(table, names: Collection[str], now: float) -> list[str]:
+    """Which of the named agents of ``table`` do not answer a request
+    made at ``now`` (pass order): the one place the reachability rule
+    lives.  A full walk (``names is table.agents``) tests only the
+    silenced (dropping those whose window ended) and the awake."""
+    agents = table.agents
+    full = names is agents
+    if full:
+        silenced = table.silenced
+        silenced.difference_update(
+            [name for name in silenced if now >= agents[name].silent_until]
+        )
+        # Tested in place: every awake host is in every family.
+        awake = table.cluster.awake
+        names = silenced.union(awake) if silenced else awake
+    failed = [
         name
         for name in names
         if now < (agent := agents[name]).silent_until
         or ((host := agent._host) is not None and not host.up)
     ]
+    if full:
+        failed.sort(key=lambda name: agents[name].index)
+    return failed
+
+
+def _answered_rows(table, names: Collection[str], failed: list[str]):
+    """The rows of the named agents not in ``failed``, in pass order:
+    ``table.all_rows`` itself when a full walk failed nowhere."""
+    agents, rows = table.agents, table.all_rows
+    if names is not agents:
+        dead = set(failed)
+        answered = [rows[agents[n].rows] for n in names if n not in dead]
+        return np.concatenate(answered) if answered else rows[:0]
+    if failed:
+        keep = np.ones(len(rows), dtype=bool)
+        for name in failed:
+            keep[agents[name].rows] = False
+        rows = rows[keep]
+    return rows
 
 
 class InterfaceTable:
@@ -128,6 +167,8 @@ class InterfaceTable:
             None if counter_bits is None else float(2 ** counter_bits)
         )
         self.agents: dict[str, InterfaceAgent] = {}
+        #: Devices whose silence window may not have ended.
+        self.silenced: set[str] = set()
         graph = cluster.graph
         rows: list[ChannelId] = []
         for node in graph.nodes():
@@ -140,7 +181,8 @@ class InterfaceTable:
                     # The outbound direction: towards the other endpoint.
                     rows.append((link.key, link.other(device)))
             self.agents[device] = InterfaceAgent(
-                self, device, slice(first, len(rows)), tuple(rows[first:])
+                self, device, len(self.agents), slice(first, len(rows)),
+                tuple(rows[first:]),
             )
         self.row_channels: tuple[ChannelId, ...] = tuple(rows)
         #: channel id -> channel number
@@ -162,7 +204,9 @@ class InterfaceTable:
         #: Per-row baseline subtracted from the fabric's cumulative
         #: counter — advanced by reset_counters() to model a reboot.
         self.base = np.zeros(len(rows))
-        self._all_rows = np.arange(len(rows), dtype=np.intp)
+        #: Every row, in order: what a full walk that every agent
+        #: answered returns (this very array, so ``is`` tells).
+        self.all_rows = np.arange(len(rows), dtype=np.intp)
 
     def walk(
         self, names: Collection[str], now: float
@@ -173,33 +217,22 @@ class InterfaceTable:
         answer, the table rows that did (pass order), and their counter
         readings — base subtracted, wrapped at the counter modulus.
         """
-        agents = self.agents
-        failed = _timed_out(agents, names, now)
-        if names is agents and not failed:
-            rows = self._all_rows  # a clean full round: the table, in order
-        else:
-            dead = set(failed)
-            answered = [
-                self._all_rows[agents[name].rows]
-                for name in names
-                if name not in dead
-            ]
-            if not answered:
-                # Nobody read a counter, so the fabric is not settled:
-                # settling splits its byte sums at another instant.
-                return failed, self._all_rows[:0], self.base[:0]
-            rows = np.concatenate(answered)
+        failed = _timed_out(self, names, now)
+        rows = _answered_rows(self, names, failed)
+        if not len(rows):
+            # Nobody read a counter, so the fabric is not settled:
+            # settling splits its byte sums at another instant.
+            return failed, rows, self.base[:0]
         counters = self.cluster.fabric.octet_counters()
-        octets = counters[self._fabric_index[rows]] - self.base[rows]
+        at = slice(None) if rows is self.all_rows else rows
+        octets = counters[self._fabric_index[at]] - self.base[at]
         if self.counter_max is not None:
             octets %= self.counter_max
         return failed, rows, octets
 
-    def speeds(self, rows) -> list[float]:
+    def speeds(self, rows) -> np.ndarray:
         """``ifSpeed`` of the given rows, in bps, as of now."""
-        capacity = self.cluster.fabric.capacities()
-        channels = self.row_channels
-        return [capacity[channels[r]] for r in rows]
+        return self.cluster.fabric.capacity_column()[self._fabric_index[rows]]
 
 
 class InterfaceAgent(_FaultyAgent):
@@ -215,19 +248,13 @@ class InterfaceAgent(_FaultyAgent):
         self,
         table: InterfaceTable,
         device: str,
+        index: int,
         rows: slice,
         interfaces: tuple[ChannelId, ...],
     ) -> None:
-        super().__init__(table.cluster, device)
-        self.table = table
-        self.device = device
-        #: This device's rows of the table.
-        self.rows = rows
+        super().__init__(table, device, index, rows)
         #: Channel ids of the interfaces this agent reports.
         self.interfaces = interfaces
-        self.counter_bits = table.counter_bits
-        #: Counter modulus in octets, or None for unbounded counters.
-        self.counter_max = table.counter_max
 
     def reset_counters(self) -> None:
         """Model a device reboot: all exported counters restart at zero."""
@@ -239,66 +266,81 @@ class InterfaceAgent(_FaultyAgent):
         """Poll all interfaces (a one-device SNMP walk)."""
         table = self.table
         now = self.cluster.sim.now
-        failed, rows, octets = table.walk((self.device,), now)
+        failed, rows, octets = table.walk((self.name,), now)
         if failed:
-            raise AgentTimeout(f"agent on {self.device!r} not responding")
+            raise AgentTimeout(f"agent on {self.name!r} not responding")
         return [
             InterfaceRecord(
                 table.row_channels[r], speed, out, now, table.counter_max
             )
             for r, speed, out in zip(
-                rows.tolist(), table.speeds(rows.tolist()), octets.tolist()
+                rows.tolist(), table.speeds(rows).tolist(), octets.tolist()
             )
         ]
 
 
-class HostAgent(_FaultyAgent):
-    """Per-host agent exporting the load average (rstat/host-MIB style)."""
+class HostTable:
+    """The host agent of every compute node, one row each (cluster
+    order), walked as one column of load averages."""
 
-    def __init__(self, cluster: Cluster, host: str) -> None:
-        cluster.host(host)  # KeyError for anything but a compute node
-        super().__init__(cluster, host)
-        self.host = host
+    def __init__(self, cluster: Cluster) -> None:
+        self.cluster = cluster
+        self._row = {name: i for i, name in enumerate(cluster.hosts)}
+        self.agents: dict[str, HostAgent] = {
+            name: HostAgent(self, name, i, slice(i, i + 1))
+            for name, i in self._row.items()
+        }
+        #: Hosts whose agent's silence window may not have ended.
+        self.silenced: set[str] = set()
+        #: Every row, in order (see :attr:`InterfaceTable.all_rows`).
+        self.all_rows = np.arange(len(self.agents), dtype=np.intp)
+
+    def walk(
+        self, names: Collection[str], now: float
+    ) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Poll the named host agents once at time ``now``.
+
+        Returns ``(failed, rows, loads)``: the hosts whose agent did not
+        answer, the rows that did (pass order) and their load averages.
+        ``Host.load_average`` is read host by host: its ``math.exp``
+        damping is the simulator's truth, and ``np.exp`` may differ from
+        it by an ulp.  A full walk reads it for the answered awake hosts
+        only: any other would read 0.0.
+        """
+        agents = self.agents
+        failed = _timed_out(self, names, now)
+        rows = _answered_rows(self, names, failed)
+        # A copy: reading a load average may take a host out of ``awake``.
+        asked = set(self.cluster.awake if names is agents else names)
+        asked.difference_update(failed)
+        hosts, row = self.cluster.hosts, self._row
+        # Doubles written one by one, cheaper than numpy's element write.
+        loads = array("d", [0.0]) * len(agents)
+        for name in asked:
+            loads[row[name]] = hosts[name].load_average
+        column = np.frombuffer(loads)
+        return failed, rows, column if rows is self.all_rows else column[rows]
+
+
+class HostAgent(_FaultyAgent):
+    """Per-host agent exporting the load average (rstat/host-MIB style):
+    its host's row of a :class:`HostTable`."""
 
     def read(self) -> tuple[float, float]:
-        """(timestamp, load_average) for the host."""
+        """(timestamp, load_average) for the host (a one-row walk)."""
         now = self.cluster.sim.now
-        failed, _, loads = walk_hosts({self.host: self}, (self.host,), now)
+        failed, _, loads = self.table.walk((self.name,), now)
         if failed:
-            raise AgentTimeout(f"agent on {self.host!r} not responding")
-        return now, loads[0]
-
-
-def walk_hosts(
-    agents: dict[str, HostAgent], names: Collection[str], now: float
-) -> tuple[list[str], list[str], list[float]]:
-    """Poll the named host agents once at time ``now``.
-
-    Returns ``(failed, answered, loads)``: the hosts whose agent did not
-    answer, those whose did, and their load averages (pass order).
-    ``Host.load_average`` is read host by host: its ``math.exp`` damping
-    is the simulator's truth, and ``np.exp`` may differ from it by an ulp.
-    """
-    failed = _timed_out(agents, names, now)
-    if failed:
-        dead = set(failed)
-        answered = [name for name in names if name not in dead]
-    else:
-        answered = list(names)
-    return (
-        failed,
-        answered,
-        [agents[name]._host.load_average for name in answered],
-    )
+            raise AgentTimeout(f"agent on {self.name!r} not responding")
+        return now, loads.item(0)
 
 
 def build_agents(
     cluster: Cluster,
     counter_bits: Optional[int] = None,
 ) -> tuple[dict[str, InterfaceAgent], dict[str, HostAgent]]:
-    """One interface agent per device (the slices of one
-    :class:`InterfaceTable`, reachable as ``agent.table``) and one host
-    agent per compute node."""
+    """One interface agent per device and one host agent per compute
+    node: the rows of an :class:`InterfaceTable` and a
+    :class:`HostTable`, each reachable as ``agent.table``."""
     iface = InterfaceTable(cluster, counter_bits=counter_bits).agents
-    hosts = {name: HostAgent(cluster, name) for name in cluster.hosts}
-    return iface, hosts
+    return iface, HostTable(cluster).agents
