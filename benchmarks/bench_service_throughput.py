@@ -119,7 +119,7 @@ def run_burst(n_requests: int, ttl: float) -> int:
     for i in range(n_requests):
         service.request(f"burst-{i}", spec(2), cpu_fraction=0.02)
         service.advance(window / n_requests)
-    return service.provider.sweeps
+    return service.cache.misses
 
 
 class TestServiceThroughput:

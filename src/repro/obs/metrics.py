@@ -57,6 +57,9 @@ DURATION_BUCKETS = (
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 1.0,
 )
 
+#: Observations a :class:`Histogram` keeps verbatim (a lazily grown ring).
+_WINDOW = 4096
+
 
 def _fmt_value(v: float) -> str:
     """A sample value in Prometheus text form (``+Inf``/``-Inf``/``NaN``)."""
@@ -105,6 +108,9 @@ class _Instrument:
         self._fn = fn
         self._value = 0.0
 
+    def read(self) -> float:
+        return self._fn() if self._fn is not None else self._value
+
 
 class Counter(_Instrument):
     """A monotonically non-decreasing total."""
@@ -120,9 +126,6 @@ class Counter(_Instrument):
         if amount < 0:
             raise ValueError(f"counters only go up (got {amount})")
         self._value += amount
-
-    def read(self) -> float:
-        return self._fn() if self._fn is not None else self._value
 
 
 class Gauge(_Instrument):
@@ -143,12 +146,11 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    def read(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
 
 class Histogram(_Instrument):
-    """Observations under explicit bucket bounds (plus ``+Inf``)."""
+    """Observations under explicit bucket bounds (plus ``+Inf``), and the
+    last :data:`_WINDOW` of them in :attr:`window` (ring order) for exact
+    percentiles; ``dump_state()`` does not ship the window."""
 
     kind = "histogram"
 
@@ -170,11 +172,18 @@ class Histogram(_Instrument):
         self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._count = 0
+        self.window: list[float] = []
+        self._next = 0
 
     def observe(self, value: float) -> None:
         self._counts[bisect_left(self.buckets, value)] += 1
         self._sum += value
         self._count += 1
+        if len(self.window) < _WINDOW:
+            self.window.append(value)
+        else:
+            self.window[self._next] = value
+            self._next = (self._next + 1) % _WINDOW
 
     @property
     def sum(self) -> float:

@@ -32,9 +32,9 @@ subpackage is the long-running layer that makes concurrent use sound:
   :class:`~repro.core.NodeSelector`; :class:`ServiceMetrics` counts
   requests, admissions, rejections, preemptions, queue depth, cache hits
   and ledger utilization, and profiles the admission pipeline per stage
-  (:class:`StageTimer`).  ``repro-serve`` (:mod:`repro.service.cli`)
-  drives it from serialized topologies and workload files, durably when
-  given ``--state-dir``.
+  in its registry's stage histograms.  ``repro-serve``
+  (:mod:`repro.service.cli`) drives it from serialized topologies and
+  workload files, durably when given ``--state-dir``.
 """
 
 from .admission import AdmissionQueue, Decision, Priority, SelectionRequest
@@ -47,7 +47,7 @@ from .ledger import (
     ReservationLedger,
     route_edges,
 )
-from .metrics import ServiceMetrics, StageTimer
+from .metrics import ServiceMetrics
 from .residual_view import ResidualView
 from .service import Grant, SelectionService
 from .sharding import (
@@ -84,7 +84,6 @@ __all__ = [
     "ShardRouter",
     "ShardWorkerPool",
     "SnapshotCache",
-    "StageTimer",
     "TrunkLedger",
     "WalCorruptError",
     "WorkerCrashError",

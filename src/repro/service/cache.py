@@ -85,9 +85,6 @@ class SnapshotCache:
         self.misses = 0
         self.coalesced = 0
         self.invalidations = 0
-        #: Sweeps actually forwarded to the provider (== misses; kept as a
-        #: separate counter so reports read naturally).
-        self.sweeps = 0
         #: Snapshot generation: advances on every sweep and invalidation.
         #: Anything memoized against a snapshot (residual overlays, route
         #: and peel-schedule caches) revalidates when this moves.
@@ -113,7 +110,6 @@ class SnapshotCache:
         self._graph = graph
         self._taken_at = now
         self.misses += 1
-        self.sweeps += 1
         self.epoch += 1
         return graph
 

@@ -603,7 +603,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             print("  ".join(p for p in parts if p))
         print()
         if isinstance(service, ShardRouter):
-            # metrics_snapshot() above populated the shard extras.
             print(service.metrics.format(include_stages=args.profile))
         else:
             print(service.metrics.format(

@@ -1,23 +1,13 @@
-"""Service-level counters: the operational dashboard of the selection service.
+"""Service-level metrics: the operational dashboard of the selection service.
 
-Plain integer counters updated by :class:`~repro.service.SelectionService`
-as requests flow through, merged with live gauges from the snapshot cache
-and the reservation ledger at :meth:`ServiceMetrics.snapshot` time.
+Every number has one store, which the registry and the flat snapshot
+both read: counters are plain ``int`` attributes (:data:`COUNTERS`),
+stage timings live in the registry histogram
+``repro_service_stage_duration_seconds{stage=...}`` (summarised by
+:func:`stage_summary`, ``repro-serve --profile``), and a live value
+shown in both places is one :meth:`ServiceMetrics.gauge` reader.
+
 Surfaced by ``repro-serve`` and ``benchmarks/bench_service_throughput.py``.
-
-:class:`StageTimer` adds the profiling layer: the service wraps each
-admission stage (snapshot fetch, residual view, select, claim-verify,
-ledger commit) in a timer, and :meth:`ServiceMetrics.snapshot` reports
-per-stage p50/p95/p99 latencies so a regression in any one stage is
-visible without re-running a profiler (``repro-serve --profile``).
-
-Both classes are kept as thin, fast adapters over plain Python numbers;
-:meth:`ServiceMetrics.bind` re-exports every counter into a
-:class:`repro.obs.MetricsRegistry` via callback-backed instruments and
-mirrors stage timings into labelled histograms, so the unified
-``repro_service_*`` metrics surface costs the hot path nothing beyond
-one histogram observe per stage.
-
 The flat JSON schema of :meth:`ServiceMetrics.snapshot` is **frozen**
 (DESIGN.md "ServiceMetrics snapshot schema"); ``repro-serve --format
 json`` consumers parse it.  Extending it is fine, renaming or removing
@@ -27,63 +17,11 @@ keys is a breaking change guarded by
 
 from __future__ import annotations
 
-__all__ = ["ServiceMetrics", "StageTimer"]
+from typing import Callable, Optional
 
-#: Ring-buffer size for percentile windows.  Large enough that p99 over a
-#: benchmark run is meaningful, small enough that a long-lived service
-#: never grows unboundedly.
-_WINDOW = 4096
+from ..obs.metrics import Histogram, MetricsRegistry
 
-
-class StageTimer:
-    """Latency accumulator for one pipeline stage.
-
-    Keeps exact ``count``/``total_s`` over the timer's whole life plus a
-    sliding window of the last :data:`_WINDOW` samples for percentiles.
-    Durations are observed in seconds and reported in microseconds (the
-    hot path's natural unit).
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_s = 0.0
-        self._window: list[float] = []
-        self._next = 0
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total_s += seconds
-        if len(self._window) < _WINDOW:
-            self._window.append(seconds)
-        else:
-            self._window[self._next] = seconds
-            self._next = (self._next + 1) % _WINDOW
-
-    @staticmethod
-    def _percentile(ordered: list[float], q: float) -> float:
-        """Nearest-rank percentile over a pre-sorted sample."""
-        idx = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[idx]
-
-    def summary(self) -> dict:
-        """``{count, mean_us, p50_us, p95_us, p99_us}`` over the window."""
-        if not self.count:
-            return {
-                "count": 0, "mean_us": 0.0,
-                "p50_us": 0.0, "p95_us": 0.0, "p99_us": 0.0,
-            }
-        ordered = sorted(self._window)
-        return {
-            "count": self.count,
-            "mean_us": self.total_s / self.count * 1e6,
-            "p50_us": self._percentile(ordered, 0.50) * 1e6,
-            "p95_us": self._percentile(ordered, 0.95) * 1e6,
-            "p99_us": self._percentile(ordered, 0.99) * 1e6,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<StageTimer n={self.count} total={self.total_s * 1e3:.3f}ms>"
-
+__all__ = ["ServiceMetrics", "stage_summary"]
 
 #: Admission-pipeline stage names, in execution order.
 STAGES = (
@@ -93,6 +31,9 @@ STAGES = (
     "claim_verify",
     "ledger_commit",
 )
+
+#: The registry family every stage duration is observed into.
+STAGE_METRIC = "repro_service_stage_duration_seconds"
 
 
 #: Every integer counter, ``name -> help``, in the frozen snapshot
@@ -133,76 +74,77 @@ COUNTERS = {
 }
 
 
-class ServiceMetrics:
-    """Counters over the life of one :class:`~repro.service.SelectionService`:
-    one plain ``int`` attribute per :data:`COUNTERS` row."""
+def stage_summary(hist: Histogram) -> dict:
+    """``{count, mean_us, p50_us, p95_us, p99_us}`` of one stage's
+    histogram: count and mean over its life, nearest-rank percentiles
+    (rank ``round(q·(n−1))``) over its window; 0.0 where the window is
+    empty (a federated histogram)."""
+    count = hist.count
+    ordered = sorted(hist.window) or [0.0]
+    top = len(ordered) - 1
+    return {
+        "count": count,
+        "mean_us": hist.sum / count * 1e6 if count else 0.0,
+        "p50_us": ordered[round(0.50 * top)] * 1e6,
+        "p95_us": ordered[round(0.95 * top)] * 1e6,
+        "p99_us": ordered[round(0.99 * top)] * 1e6,
+    }
 
-    def __init__(self) -> None:
-        for name in COUNTERS:
+
+class ServiceMetrics:
+    """Counters, stage histograms and declared gauges of one service (or
+    router), exported into ``registry`` — a private one when omitted."""
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        self.registry = registry if registry is not None else MetricsRegistry()
+        for name, help_text in COUNTERS.items():
             setattr(self, name, 0)
+            self.registry.counter(
+                f"repro_service_{name}_total", help_text,
+                fn=(lambda a=name: float(getattr(self, a))),
+            )
         #: Preempted-lease counts keyed by the victim's priority class
         #: (feeds ``repro_service_preemptions_total{class=...}``; not part
         #: of the flat snapshot schema).
         self.preempted_by_class: dict = {}
-        #: Per-stage latency timers (see :data:`STAGES`), populated lazily.
-        self.stages: dict = {}
-        #: Live gauges merged in by :meth:`snapshot`.
-        self.extras: dict = {}
-        # Registry mirror state; None until bind() is called.
-        self._registry = None
-        self._stage_histograms: dict = {}
+        #: Stage name -> its registry histogram, from its first observation.
+        self.stages: dict[str, Histogram] = {}
+        #: Snapshot key -> reader (:meth:`gauge`), in declaration order.
+        self._gauges: dict[str, Callable[[], float]] = {}
 
-    def bind(self, registry) -> None:
-        """Re-export every counter into ``registry`` (callback-backed).
-
-        The integer attributes stay the write path — producers keep
-        bumping plain ints — and the registry reads them at collection
-        time.  Stage durations additionally feed
-        ``repro_service_stage_duration_seconds{stage=...}`` histograms
-        from :meth:`observe_stage` onward (samples observed before
-        ``bind()`` are summarized, not replayed).
-        """
-        self._registry = registry
-        for attr, help_text in COUNTERS.items():
-            registry.counter(
-                f"repro_service_{attr}_total", help_text,
-                fn=(lambda a=attr: float(getattr(self, a))),
-            )
-        for name in self.stages:
-            self._stage_histograms[name] = self._stage_histogram(name)
-
-    def _stage_histogram(self, name: str):
-        return self._registry.histogram(
-            "repro_service_stage_duration_seconds",
-            "Admission pipeline stage latency.",
-            labels={"stage": name},
-        )
+    def gauge(self, key: str, name: str, help_text: str,
+              reader: Callable[[], float]) -> None:
+        """Declare one live value: snapshot key ``key`` shows ``reader()``
+        (ints stay ints in JSON), registry instrument ``name`` exports
+        ``float(reader())`` — a counter if ``name`` ends in ``_total``."""
+        self._gauges[key] = reader
+        fn = lambda: float(reader())
+        if name.endswith("_total"):
+            self.registry.counter(name, help_text, fn=fn)
+        else:
+            self.registry.gauge(name, help_text, fn=fn)
 
     def observe_stage(self, name: str, seconds: float) -> None:
         """Record one duration for pipeline stage ``name``."""
-        timer = self.stages.get(name)
-        if timer is None:
-            timer = self.stages[name] = StageTimer()
-        timer.observe(seconds)
-        if self._registry is not None:
-            hist = self._stage_histograms.get(name)
-            if hist is None:
-                hist = self._stage_histograms[name] = (
-                    self._stage_histogram(name)
-                )
-            hist.observe(seconds)
+        hist = self.stages.get(name)
+        if hist is None:
+            hist = self.stages[name] = self.registry.histogram(
+                STAGE_METRIC, "Admission pipeline stage latency.",
+                labels={"stage": name},
+            )
+        hist.observe(seconds)
 
     def stage_summaries(self) -> dict:
         """``{stage: {count, mean_us, p50_us, p95_us, p99_us}}``, in
         pipeline order (unknown stages appended alphabetically)."""
         ordered = [s for s in STAGES if s in self.stages]
         ordered += sorted(set(self.stages) - set(STAGES))
-        return {name: self.stages[name].summary() for name in ordered}
+        return {name: stage_summary(self.stages[name]) for name in ordered}
 
     def snapshot(self, cache=None, ledger=None, queue=None,
                  slo=None) -> dict:
-        """All counters plus live cache/ledger/queue gauges, one flat dict
-        (stage-timer histograms nested under ``"stages"``; an SLO
+        """All counters plus live cache/ledger/queue and declared gauges,
+        one flat dict (stage summaries nested under ``"stages"``; an SLO
         evaluation — :meth:`repro.obs.slo.SloMonitor.evaluate` — nests
         under ``"slo"`` when the caller passes one)."""
         out = {name: getattr(self, name) for name in COUNTERS}
@@ -213,10 +155,11 @@ class ServiceMetrics:
             out["cache_misses"] = cache.misses
             out["cache_coalesced"] = cache.coalesced
             out["cache_invalidations"] = cache.invalidations
-            out["snapshot_sweeps"] = cache.sweeps
+            out["snapshot_sweeps"] = cache.misses
         if ledger is not None:
             out.update(ledger.utilization())
-        out.update(self.extras)
+        for key, reader in self._gauges.items():
+            out[key] = reader()
         if slo is not None:
             out["slo"] = slo
         if self.stages:

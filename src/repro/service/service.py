@@ -125,10 +125,8 @@ class _StaticProvider:
 
     def __init__(self, graph: TopologyGraph) -> None:
         self._graph = graph
-        self.sweeps = 0
 
     def topology(self) -> TopologyGraph:
-        self.sweeps += 1
         return self._graph
 
 
@@ -282,7 +280,7 @@ class SelectionService:
             view=self._capacity_view,
         )
         self.queue = AdmissionQueue(queue_limit)
-        self.metrics = ServiceMetrics()
+        self.metrics = ServiceMetrics(self.registry)
         #: Rolling-window health objectives (admit latency,
         #: availability); evaluated into ``metrics_snapshot()["slo"]``.
         self.slo = SloMonitor(clock=clock)
@@ -364,7 +362,6 @@ class SelectionService:
                 else "",
             )
         self.ledger.subscribe(self._on_ledger_event)
-        self.metrics.bind(self.registry)
         self._bind_registry()
         self.slo.bind(self.registry)
 
@@ -397,7 +394,7 @@ class SelectionService:
         Everything here is callback-backed — collection-time reads of
         counters the hot path already maintains, costing the request
         path nothing.  (The service's own counters and stage histograms
-        are exported by :meth:`ServiceMetrics.bind`.)
+        are registered by its :class:`ServiceMetrics`.)
         """
         reg = self.registry
         cache = self.cache
@@ -479,9 +476,11 @@ class SelectionService:
         reg.counter("repro_admission_drain_skipped_total",
                     "Queue drains skipped by the residual-epoch gate.",
                     fn=lambda: float(self.metrics.drain_skipped))
-        reg.gauge("repro_service_known_down_nodes",
-                  "Nodes the injector reported crashed and not recovered.",
-                  fn=lambda: float(len(self._known_down)))
+        self.metrics.gauge(
+            "known_down_nodes", "repro_service_known_down_nodes",
+            "Nodes the injector reported crashed and not recovered.",
+            lambda: len(self._known_down),
+        )
         for cls in (Priority.BRONZE, Priority.SILVER):
             reg.counter(
                 "repro_service_preemptions_total",
@@ -873,7 +872,7 @@ class SelectionService:
 
     def _stage(self, name: str, start: float, **attrs) -> float:
         """Close pipeline stage ``name``, opened at ``start``: feed its
-        :attr:`ServiceMetrics.stages` timer (``repro-serve --profile``
+        :attr:`ServiceMetrics.stages` histogram (``repro-serve --profile``
         reads the p50/p95/p99 summaries) and, with tracing on, a
         ``stage.*`` span.  Returns the end time, the next stage's start."""
         end = perf_counter()
@@ -1449,7 +1448,6 @@ class SelectionService:
 
     def metrics_snapshot(self) -> dict:
         """Counters plus live cache/ledger/queue gauges and SLO burn."""
-        self.metrics.extras["known_down_nodes"] = len(self._known_down)
         return self.metrics.snapshot(
             cache=self.cache, ledger=self.ledger, queue=self.queue,
             slo=self.slo.evaluate(),

@@ -110,10 +110,8 @@ class _ShardProvider:
     def __init__(self, provider, members: frozenset) -> None:
         self._provider = provider
         self._members = members
-        self.sweeps = 0
 
     def topology(self) -> TopologyGraph:
-        self.sweeps += 1
         return self._provider.topology().subgraph(self._members)
 
 
@@ -236,7 +234,7 @@ class ShardRouter:
         self._sub_count = {shard: 0 for shard in range(plan.k)}
         #: Full-graph route memo for cross-shard trunk-channel lookup.
         self.routes = RouteCache(self._full)
-        self.metrics = ServiceMetrics()
+        self.metrics = ServiceMetrics(self.registry)
         #: Latest standing outcome per application.
         self.outcomes: dict[str, PlacementGrant] = {}
         #: Admitted composites still holding capacity.
@@ -260,7 +258,6 @@ class ShardRouter:
         )
         if state_dir is not None:
             self._recover_composites()
-        self.metrics.bind(self.registry)
         self._bind_registry()
         self.slo.bind(self.registry)
         # Every scrape/dump re-harvests the shard registries first, so
@@ -392,24 +389,39 @@ class ShardRouter:
 
         Per-shard callbacks read the router's own books; the one thing
         a scrape asks the shards is the collect hook's
-        ``metrics_state`` — k calls for k shards.
+        ``metrics_state`` — k calls for k shards.  The rows the flat
+        snapshot also shows are declared once, through
+        :meth:`ServiceMetrics.gauge`.
         """
+        m = self.metrics
+        m.gauge("shard_count", "repro_shard_count",
+                "Shards behind the router.", lambda: self.plan.k)
+        m.gauge("cross_shard_fraction", "repro_shard_cross_fraction",
+                "Fraction of routed admissions that spanned shards.",
+                lambda: m.routed_cross
+                / max(1, m.routed_local + m.routed_cross))
+        m.gauge("trunk_active_reservations",
+                "repro_shard_trunk_active_reservations",
+                "Live cross-shard bandwidth reservations in the trunk "
+                "ledger.", lambda: self.trunk.active)
+        m.gauge("trunk_channels_claimed", "repro_shard_trunk_channels_claimed",
+                "Directed trunk channels carrying at least one claim.",
+                lambda: len(self.trunk.edge_claims()))
         reg = self.registry
-        reg.gauge("repro_shard_count", "Shards behind the router.",
-                  fn=lambda: float(self.plan.k))
+        if self._pool is not None:
+            m.gauge("workers", "repro_shard_workers",
+                    "Worker processes behind the router.",
+                    lambda: self._pool.workers)
+            m.gauge("worker_restarts", "repro_shard_worker_restarts_total",
+                    "Crashed shard workers restarted in place.",
+                    lambda: self._pool.restarts)
+            for site in ("startup", "posted_ack"):
+                reg.counter(WORKER_ERRORS_METRIC, WORKER_ERRORS_HELP,
+                            labels={"site": site},
+                            fn=(lambda s=site: float(self._pool.errors[s])))
         reg.gauge("repro_shard_trunk_links",
                   "Links crossing shard boundaries.",
                   fn=lambda: float(len(self.plan.trunk_keys)))
-        reg.gauge("repro_shard_trunk_channels_claimed",
-                  "Directed trunk channels carrying at least one claim.",
-                  fn=lambda: float(len(self.trunk.edge_claims())))
-        reg.gauge("repro_shard_cross_fraction",
-                  "Fraction of routed admissions that spanned shards.",
-                  fn=lambda: self.cross_fraction)
-        reg.gauge("repro_shard_trunk_active_reservations",
-                  "Live cross-shard bandwidth reservations in the trunk "
-                  "ledger.",
-                  fn=lambda: float(self.trunk.active))
         reg.gauge("repro_shard_trunk_min_headroom_fraction",
                   "Worst-case remaining headroom fraction across claimed "
                   "trunk channels (1.0 when none are claimed).",
@@ -423,17 +435,6 @@ class ShardRouter:
         reg.counter("repro_shard_trunk_rejections_total",
                     "Cross-shard requests refused for trunk capacity.",
                     fn=lambda: float(self.metrics.trunk_rejections))
-        if self._pool is not None:
-            reg.gauge("repro_shard_workers",
-                      "Worker processes behind the router.",
-                      fn=lambda: float(self._pool.workers))
-            reg.counter("repro_shard_worker_restarts_total",
-                        "Crashed shard workers restarted in place.",
-                        fn=lambda: float(self._pool.restarts))
-            for site in ("startup", "posted_ack"):
-                reg.counter(WORKER_ERRORS_METRIC, WORKER_ERRORS_HELP,
-                            labels={"site": site},
-                            fn=(lambda s=site: float(self._pool.errors[s])))
         for shard in range(self.plan.k):
             labels = {"shard": str(shard)}
             reg.counter(
@@ -1105,12 +1106,6 @@ class ShardRouter:
     def k(self) -> int:
         return self.plan.k
 
-    @property
-    def cross_fraction(self) -> float:
-        """Fraction of routed admissions that spanned shards."""
-        routed = self.metrics.routed_local + self.metrics.routed_cross
-        return self.metrics.routed_cross / routed if routed else 0.0
-
     def status(self, app_id: str) -> PlacementGrant:
         """The standing outcome for ``app_id``."""
         try:
@@ -1141,17 +1136,6 @@ class ShardRouter:
             )
         self.trunk.check_invariants()
 
-    def _refresh_extras(self) -> None:
-        """The router's additions to the flat snapshot schema."""
-        extras = self.metrics.extras
-        extras["shard_count"] = self.plan.k
-        extras["cross_shard_fraction"] = self.cross_fraction
-        extras["trunk_active_reservations"] = self.trunk.active
-        extras["trunk_channels_claimed"] = len(self.trunk.edge_claims())
-        if self._pool is not None:
-            extras["workers"] = self._pool.workers
-            extras["worker_restarts"] = self._pool.restarts
-
     def _read_per_shard(self) -> dict:
         """``per_shard``: every shard's own ``metrics_snapshot``, cut
         down to one schema, plus the plan's facts about the shard.  A
@@ -1175,7 +1159,6 @@ class ShardRouter:
 
     def metrics_snapshot(self) -> dict:
         """The frozen flat schema plus ``per_shard`` nested gauges."""
-        self._refresh_extras()
         out = self.metrics.snapshot(slo=self.slo.evaluate(self.now))
         out["per_shard"] = self._read_per_shard()
         return out

@@ -88,6 +88,71 @@ def naive_rebuild_service(*args, **kwargs) -> SelectionService:
     return service
 
 
+def _no_schedule(_kind, _refs, _metric):
+    return None
+
+
+def scheduleless_service(*args, **kwargs) -> SelectionService:
+    """A service without the peel-schedule plane: every overlay's
+    ``peel_schedule_provider`` hook answers ``None``, so each Fig. 2 /
+    Fig. 3 peel sorts its links on the spot (``core.kernel.peel_order``),
+    as on a bare graph."""
+    service = SelectionService(*args, **kwargs)
+    overlay = service._residual
+
+    def residual(base: TopologyGraph) -> TopologyGraph:
+        graph = overlay(base)
+        graph.peel_schedule_provider = _no_schedule
+        return graph
+
+    service._residual = residual
+    return service
+
+
+class StageTimer:
+    """A stage's latency summary as it was kept before stage timings
+    moved into the registry histogram: exact ``count`` / ``total_s`` over
+    the timer's life plus a ring of the last 4 096 samples, percentiles by
+    nearest rank ``round(q·(n−1))`` over that ring."""
+
+    WINDOW = 4096
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total_s = 0.0
+        self._window: list[float] = []
+        self._next = 0
+
+    def observe(self, seconds: float) -> None:
+        self.count += 1
+        self.total_s += seconds
+        if len(self._window) < self.WINDOW:
+            self._window.append(seconds)
+        else:
+            self._window[self._next] = seconds
+            self._next = (self._next + 1) % self.WINDOW
+
+    @staticmethod
+    def _percentile(ordered: list[float], q: float) -> float:
+        idx = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+        return ordered[idx]
+
+    def summary(self) -> dict:
+        if not self.count:
+            return {
+                "count": 0, "mean_us": 0.0,
+                "p50_us": 0.0, "p95_us": 0.0, "p99_us": 0.0,
+            }
+        ordered = sorted(self._window)
+        return {
+            "count": self.count,
+            "mean_us": self.total_s / self.count * 1e6,
+            "p50_us": self._percentile(ordered, 0.50) * 1e6,
+            "p95_us": self._percentile(ordered, 0.95) * 1e6,
+            "p99_us": self._percentile(ordered, 0.99) * 1e6,
+        }
+
+
 def node_info_from_history(api: RemosAPI, name: str) -> NodeInfo:
     """``RemosAPI.node_info`` as it was before it read columns: one
     history view, one status and one predictor call per host."""

@@ -175,11 +175,11 @@ class TestSnapshotCache:
         clock = _Clock()
         cache = SnapshotCache(FailsOnce(star(4)), ttl=5.0, clock=clock)
         first = cache.topology()
-        before = (cache.epoch, cache.misses, cache.sweeps)
+        before = (cache.epoch, cache.misses)
         clock.now = 6.0
         with pytest.raises(RuntimeError):
             cache.topology()
-        assert (cache.epoch, cache.misses, cache.sweeps) == before
+        assert (cache.epoch, cache.misses) == before
         assert cache.age == pytest.approx(6.0)  # still the first snapshot's
         assert cache.topology() is first  # the static graph, swept again
         assert cache.epoch == before[0] + 1 and cache.age == 0.0

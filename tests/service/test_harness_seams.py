@@ -200,6 +200,6 @@ def test_seams_survive_a_long_lived_view():
             "remos.api:topology",
         } <= fired, (round_no, sorted(fired))
     assert rebased_inside == ["_residual", "_residual"]
-    assert api.topology_sweeps == svc.cache.sweeps == 3
+    assert api.topology_sweeps == svc.cache.misses == 3
     assert svc.metrics_snapshot()["view_rebuilds"] == 1
     rec.uninstall()

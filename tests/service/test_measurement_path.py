@@ -235,7 +235,7 @@ def test_scripted_history_rebases_instead_of_rebuilding(policy, predictor):
         oracle.service.cache.topology()
     svc = shipped.service
     assert shipped.collector.wrap_disambiguations > 0
-    assert svc.cache.sweeps == 14
+    assert svc.cache.misses == 14
     # The first snapshot and the five injector / invalidate() steps
     # rebuilt; every other sweep was a measurement-only epoch move and
     # re-based the view that was there.
@@ -326,6 +326,6 @@ def test_admit_batch_spanning_a_sweep_rebuilds_its_planner():
     assert all("l0" not in nodes for _status, nodes in got[:3])
     assert got[4][1] == ["l0"]
     svc = shipped.service
-    assert svc.cache.sweeps == 2 and svc.metrics.view_rebuilds == 1
+    assert svc.cache.misses == 2 and svc.metrics.view_rebuilds == 1
     assert svc.view.base is svc.cache.topology()
     assert svc.metrics.batch_planned == 2  # b1, then b4 on a new planner

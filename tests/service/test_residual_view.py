@@ -23,8 +23,8 @@ from repro.service import (
     ResidualView,
     RouteCache,
     SelectionService,
+    ServiceMetrics,
     ShardRouter,
-    StageTimer,
 )
 from repro.service.ledger import ledger_order
 from repro.topology import RoutingTable, dumbbell, grid, star
@@ -427,10 +427,10 @@ class TestDrainGate:
 
 class TestStageProfiling:
     def test_stage_timer_percentiles(self):
-        t = StageTimer()
+        metrics = ServiceMetrics()
         for us in range(1, 101):
-            t.observe(us * 1e-6)
-        s = t.summary()
+            metrics.observe_stage("select", us * 1e-6)
+        s = metrics.stage_summaries()["select"]
         assert s["count"] == 100
         assert s["p50_us"] == pytest.approx(50.0, abs=1.5)
         assert s["p95_us"] == pytest.approx(95.0, abs=1.5)

@@ -145,14 +145,14 @@ class TestCacheWiring:
     def test_burst_is_one_sweep(self, service):
         for i in range(20):
             service.request(f"app-{i}", spec(1), cpu_fraction=0.05)
-        assert service.provider.sweeps == 1
+        assert service.cache.misses == 1
         assert service.cache.hits == 19
 
     def test_sweeps_after_ttl(self, service):
         service.request("a", spec(1), cpu_fraction=0.1)
         service.advance(6.0)  # past the 5 s TTL
         service.request("b", spec(1), cpu_fraction=0.1)
-        assert service.provider.sweeps == 2
+        assert service.cache.misses == 2
 
 
 class TestClockModes:
@@ -249,7 +249,7 @@ class TestMetrics:
         assert snap["queued"] == 1
         assert snap["released"] == 1
         assert snap["queue_depth"] == 0
-        assert snap["snapshot_sweeps"] == service.cache.sweeps
+        assert snap["snapshot_sweeps"] == service.cache.misses
         assert snap["active_reservations"] == 2.0
 
     def test_format_is_readable(self, service):
