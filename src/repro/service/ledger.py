@@ -412,6 +412,14 @@ class ReservationLedger:
             lapsed.append(app_id)
         return sorted(lapsed)
 
+    @property
+    def next_deadline(self) -> Optional[float]:
+        """A lower bound on the earliest live lease deadline (``None``:
+        no heap entry at all).  The heap's head may be a stale entry,
+        which only makes it earlier: while ``now`` is below it,
+        :meth:`expire` pops nothing."""
+        return self._deadlines[0][0] if self._deadlines else None
+
     def _note_stale_deadline(self) -> None:
         """Count one lazily-deleted heap entry; compact past the threshold.
 

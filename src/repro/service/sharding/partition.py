@@ -90,10 +90,13 @@ class ShardPlan:
 
     def trunk_links(self) -> list[Link]:
         """The boundary-crossing links, deterministically ordered."""
-        return [
-            self.graph.link(*tuple(key))
-            for key in sorted(self.trunk_keys, key=lambda k: tuple(sorted(k)))
-        ]
+        links = []
+        for key in sorted(self.trunk_keys, key=lambda k: tuple(sorted(k))):
+            link = self.graph.link_by_key(key)
+            if link is None:
+                raise KeyError("no link {!r}--{!r}".format(*sorted(key)))
+            links.append(link)
+        return links
 
     def validate(self) -> None:
         """Assert the partition invariants.

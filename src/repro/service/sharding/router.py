@@ -230,8 +230,11 @@ class ShardRouter:
         #: services never admit, expire or migrate anything except
         #: inside a router-issued command, so the commit/release/tick
         #: paths keep it exact; :meth:`check_invariants` asserts it
-        #: against every shard.
+        #: against every shard.  Written only through :meth:`_rekey`.
         self._sub_count = {shard: 0 for shard in range(plan.k)}
+        #: Each shard's sort key in :meth:`_shard_order`, kept beside
+        #: ``_sub_count``: ``(live per host, shard)``.
+        self._order_key = [(0.0, shard) for shard in range(plan.k)]
         #: Full-graph route memo for cross-shard trunk-channel lookup.
         self.routes = RouteCache(self._full)
         self.metrics = ServiceMetrics(self.registry)
@@ -340,7 +343,7 @@ class ShardRouter:
         ]
         parts_by_app: dict[str, dict[int, str]] = {}
         for shard, reservations in enumerate(reservation_maps):
-            self._sub_count[shard] = len(reservations)
+            self._rekey(shard, len(reservations))
             for sub_id in reservations:
                 base = sub_id.rsplit("@", 1)[0]
                 parts_by_app.setdefault(base, {})[shard] = sub_id
@@ -461,13 +464,13 @@ class ShardRouter:
             return 1.0
         worst = 1.0
         for channel in claimed:
+            # headroom() raises the KeyError for an absent link.
+            headroom = self.trunk.headroom(channel, self._full)
             key, dst = channel
-            capacity = self._full.link(*tuple(key)).available_towards(dst)
+            capacity = self._full.link_by_key(key).available_towards(dst)
             if capacity <= 0.0:
                 return 0.0
-            worst = min(
-                worst, self.trunk.headroom(channel, self._full) / capacity
-            )
+            worst = min(worst, headroom / capacity)
         return max(0.0, worst)
 
     def _harvest_shard_metrics(self) -> None:
@@ -517,7 +520,7 @@ class ShardRouter:
         now = self.now
         replies = self._exec.tick_all(force=bool(restarted))
         self.trunk.expire(now)
-        if replies is None:  # no shard can have changed since the last
+        if replies is None:  # no shard can have expired anything
             return []
         dead_subs: set[str] = set()
         for shard, (kind, payload) in enumerate(replies):
@@ -548,7 +551,7 @@ class ShardRouter:
             # tick caught the composite mid-expiry — reclaim the rest.
             for shard in alive:
                 self._release_sub(shard, grant.parts[shard], "expire")
-                self._sub_count[shard] = max(0, self._sub_count[shard] - 1)
+                self._rekey(shard, self._sub_count[shard] - 1)
             if self.trunk.holds(app_id):
                 self.trunk.release(app_id, kind="expire")
             for shard, sub in grant.parts.items():
@@ -556,9 +559,7 @@ class ShardRouter:
                     # Lost to a worker restart, not a lease expiry; the
                     # shard never logged it dead, so only the composite
                     # bookkeeping needs adjusting.
-                    self._sub_count[shard] = max(
-                        0, self._sub_count[shard] - 1
-                    )
+                    self._rekey(shard, self._sub_count[shard] - 1)
             self.metrics.expired += 1
             self.outcomes[app_id] = PlacementGrant(
                 app_id=app_id,
@@ -570,7 +571,7 @@ class ShardRouter:
             expired.append(app_id)
         for sub in dead_subs:
             shard = int(sub.rsplit("@", 1)[1])
-            self._sub_count[shard] = max(0, self._sub_count[shard] - 1)
+            self._rekey(shard, self._sub_count[shard] - 1)
         # The fan-out read every posted ack on its way; an error among
         # them is raised now that the books are settled.
         self._exec.drain()
@@ -629,10 +630,15 @@ class ShardRouter:
     def _shard_order(self) -> list[int]:
         """Shards by load headroom: least-loaded (per host) first, by
         the router's own live count (``_sub_count``) — no shard is asked."""
-        live, facts = self._sub_count, self._shard_facts
-        return sorted(
-            range(self.plan.k),
-            key=lambda s: (live[s] / max(1, facts[s]["hosts"]), s),
+        return [shard for _load, shard in sorted(self._order_key)]
+
+    def _rekey(self, shard: int, count: int) -> None:
+        """Set ``shard``'s live sub-grant count (never below 0) and its
+        key in the kept shard order."""
+        count = max(0, count)
+        self._sub_count[shard] = count
+        self._order_key[shard] = (
+            count / max(1, self._shard_facts[shard]["hosts"]), shard
         )
 
     def _request_inner(
@@ -695,7 +701,7 @@ class ShardRouter:
         self._active[app_id] = grant
         self.outcomes[app_id] = grant
         for shard in grant.parts:
-            self._sub_count[shard] += 1
+            self._rekey(shard, self._sub_count[shard] + 1)
 
     # -- batched admission -----------------------------------------------------
     def admit_batch(
@@ -1062,7 +1068,7 @@ class ShardRouter:
             raise KeyError(f"no live grant for {app_id!r}")
         for shard, sub in grant.parts.items():
             self._release_sub(shard, sub, kind)
-            self._sub_count[shard] = max(0, self._sub_count[shard] - 1)
+            self._rekey(shard, self._sub_count[shard] - 1)
         if self.trunk.holds(app_id):
             self.trunk.release(app_id, kind=kind)
         del self._active[app_id]
@@ -1133,6 +1139,11 @@ class ShardRouter:
             assert self._sub_count[shard] == live, (
                 f"router sub-lease count for shard {shard} drifted: "
                 f"{self._sub_count[shard]} counted, {live} live"
+            )
+            hosts = max(1, self._shard_facts[shard]["hosts"])
+            assert self._order_key[shard] == (live / hosts, shard), (
+                f"shard {shard}'s order key {self._order_key[shard]} "
+                f"is stale for {live} live"
             )
         self.trunk.check_invariants()
 

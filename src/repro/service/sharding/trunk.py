@@ -84,7 +84,9 @@ class TrunkLedger:
         cross-shard grant.
         """
         key, dst = channel
-        link = graph.link(*tuple(key))
+        link = graph.link_by_key(key)
+        if link is None:
+            raise KeyError("no link {!r}--{!r}".format(*sorted(key)))
         return link.available_towards(dst) - self.ledger.edge_claim(channel)
 
     # -- lifecycle ------------------------------------------------------------

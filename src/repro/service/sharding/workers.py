@@ -757,7 +757,8 @@ class InprocExecutor:
     """The pool's call surface over shard services in the caller's process.
 
     Nothing here can die or lag: ``sync`` finds nobody restarted,
-    ``tick_all`` ticks every service every time, a posted call runs now
+    ``tick_all`` ticks every service once some lease deadline may have
+    lapsed and answers ``None`` otherwise, a posted call runs now
     (``KeyError`` — "not held" — is its only ignored error) and ``drain``
     has nothing to read.  Every op goes through :func:`_dispatch`, which
     looks the method up on the service at call time, so a wrapper
@@ -769,6 +770,7 @@ class InprocExecutor:
     def __init__(self, sources: Mapping[int, Any], **build) -> None:
         """``build``: :func:`build_shard_services`' keywords, unchanged."""
         built = build_shard_services(sources, **build)
+        self._clock = build["clock"]
         self.services = [built[shard] for shard in range(len(built))]
         self.recoveries = {s: svc.recovery for s, svc in built.items()}
         self.closed = False
@@ -793,8 +795,20 @@ class InprocExecutor:
     def sync(self) -> frozenset:
         return frozenset()
 
-    def tick_all(self, force: bool = False) -> list[tuple[str, Any]]:
-        return [("ok", service.tick()) for service in self.services]
+    def tick_all(
+        self, force: bool = False
+    ) -> Optional[list[tuple[str, Any]]]:
+        """One ``tick`` per service — or ``None`` when no ledger's
+        :attr:`~repro.service.ledger.ReservationLedger.next_deadline` has
+        come: then every tick would expire nothing and drain no queue.
+        The services share this clock, so one reading answers for all.
+        """
+        now = self._clock()
+        for service in self.services:
+            deadline = service.ledger.next_deadline
+            if deadline is not None and deadline <= now:
+                return [("ok", svc.tick()) for svc in self.services]
+        return None
 
     def drain(self) -> None:
         pass

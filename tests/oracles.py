@@ -12,7 +12,8 @@ from repro.remos import AgentTimeout, Collector, DegradedPolicy, RemosAPI
 from repro.remos.api import _UNMONITORABLE_LOAD, NodeInfo
 from repro.remos.collector import _WRAP_RATE_SLACK, ResourceStatus
 from repro.remos.snmp import InterfaceRecord
-from repro.service import SelectionService
+from repro.service import SelectionService, ShardRouter
+from repro.service.sharding.workers import InprocExecutor
 from repro.topology import TopologyGraph
 from repro.units import BITS_PER_BYTE
 
@@ -107,6 +108,31 @@ def scheduleless_service(*args, **kwargs) -> SelectionService:
 
     service._residual = residual
     return service
+
+
+class TickEveryShard(InprocExecutor):
+    """``InprocExecutor.tick_all`` as it was before it read lease
+    deadlines: every shard service is ticked on every call."""
+
+    def tick_all(self, force: bool = False):
+        return [("ok", service.tick()) for service in self.services]
+
+
+def tick_every_shard_router(*args, **kwargs) -> ShardRouter:
+    """A :class:`ShardRouter` whose executor ticks every shard always."""
+    router = ShardRouter(*args, **kwargs)
+    router._exec.__class__ = TickEveryShard
+    return router
+
+
+def shard_order_by_sort(router: ShardRouter) -> list[int]:
+    """``ShardRouter._shard_order`` as it was before the order was kept:
+    every shard re-sorted by its live count per host."""
+    live, facts = router._sub_count, router._shard_facts
+    return sorted(
+        range(router.plan.k),
+        key=lambda s: (live[s] / max(1, facts[s]["hosts"]), s),
+    )
 
 
 class StageTimer:
