@@ -87,6 +87,9 @@ logger = logging.getLogger("repro.service")
 #: Slack when checking claims against residual floating-point capacity.
 _EPS = 1e-9
 
+#: The refusal a selection-memo entry of proven infeasibility answers.
+_MEMO_INFEASIBLE = "no feasible selection on residual capacity"
+
 def _copy_selection(selection: Selection) -> Selection:
     """An independent copy (memo entries must not alias caller state)."""
     return replace(
@@ -552,6 +555,17 @@ class SelectionService:
         )
         return grant
 
+    def _open_request(self, app_id: str) -> None:
+        """Count one admission attempt, expire what lapsed, and refuse
+        an ``app_id`` that already holds a lease or a queue slot."""
+        self.metrics.requests += 1
+        self.tick()
+        if app_id in self.ledger.reservations or app_id in self.queue:
+            raise ValueError(
+                f"application {app_id!r} already has a live request; "
+                "release() it first"
+            )
+
     def _request_inner(
         self,
         app_id: str,
@@ -561,13 +575,7 @@ class SelectionService:
         priority: str,
         explain: bool,
     ) -> Grant:
-        self.metrics.requests += 1
-        self.tick()
-        if app_id in self.ledger.reservations or app_id in self.queue:
-            raise ValueError(
-                f"application {app_id!r} already has a live request; "
-                "release() it first"
-            )
+        self._open_request(app_id)
         req = SelectionRequest(
             app_id=app_id,
             spec=spec,
@@ -759,10 +767,10 @@ class SelectionService:
         lifetime, and a re-base empties the memo), infeasibility
         included.  An entry is found by the spec and the two claim
         counts, O(1), and answers only when the claim totals it was
-        stored with equal the ledger's; otherwise it is overwritten.
-        ``stage`` receives the ``select`` / ``claim_verify`` stage
-        boundaries.  Serial admission passes both; probes and trials
-        neither.
+        stored with equal the ledger's; otherwise it is overwritten.  A
+        hit counts on the view's ``selection_hits``.  ``stage`` receives
+        the ``select`` / ``claim_verify`` stage boundaries.  Serial
+        admission passes both, probes ``memo`` alone, trials neither.
         """
         spec = req.effective_spec or req.fold()
         start = perf_counter()
@@ -793,10 +801,8 @@ class SelectionService:
                 )
         else:
             view.selection_hits += 1
-            self.metrics.select_memo_hits += 1
             if entry[2] is None:  # proven infeasible at this claim state
-                self.metrics.select_memo_negative_hits += 1
-                reason = "no feasible selection on residual capacity"
+                reason = _MEMO_INFEASIBLE
                 attrs = {"memo": "negative-hit"}
             else:
                 selection = _copy_selection(entry[2])
@@ -905,9 +911,15 @@ class SelectionService:
         start = stage("snapshot_fetch", start)
         residual = self._residual(base)
         stage("residual_view", start)
+        view = self._view
+        hits = view.selection_hits
         selection, edges, reason = self._place(
-            req, residual, self._view, memo=True, stage=stage
+            req, residual, view, memo=True, stage=stage
         )
+        if view.selection_hits != hits:  # the memo answered this admission
+            self.metrics.select_memo_hits += 1
+            if reason == _MEMO_INFEASIBLE:
+                self.metrics.select_memo_negative_hits += 1
         if selection is None:
             req.last_reason = reason
             return None
@@ -923,15 +935,17 @@ class SelectionService:
         """Read-only admission check: the selection this service *would*
         admit right now, or ``None`` when the request is infeasible.
 
-        Runs the same placement as :meth:`request` on the live overlay
-        but commits nothing: no ledger mutation, no queueing, no
-        outcome, no counters, no memo.  Because the selector is
-        deterministic, an immediately following :meth:`request` with
-        the same spec and claims admits exactly the probed selection
-        (no other mutation intervening).  The shard router's two-phase
-        cross-shard grant probes every shard first, so a composite
-        admission that cannot complete never has partial claims to roll
-        back.
+        Runs the same placement as :meth:`request` on the live overlay,
+        selection memo included, but commits nothing: no ledger
+        mutation, no queueing, no outcome, no counters (a memo hit
+        counts on the view's ``selection_hits`` only).  An entry
+        answers only at the exact claim state it was stored on, so a
+        hit is the selection the kernel would return, and a miss leaves
+        an entry a later request or probe at that state finds.  The
+        shard router's two-phase cross-shard grant probes every shard
+        first, so a composite admission that cannot complete never has
+        partial claims to roll back, then hands each part's answer to
+        :meth:`admit_probed` instead of selecting again.
         """
         residual = self._residual(self.cache.topology())
         req = SelectionRequest(
@@ -941,7 +955,62 @@ class SelectionService:
             bw_bps=bw_bps,
             submitted_at=self.now,
         )
-        return self._place(req, residual, self._view)[0]
+        return self._place(req, residual, self._view, memo=True)[0]
+
+    def admit_probed(
+        self,
+        app_id: str,
+        spec: ApplicationSpec,
+        selection: Selection,
+        *,
+        cpu_fraction: float = 0.0,
+        bw_bps: float = 0.0,
+        priority: str = Priority.SILVER,
+    ) -> Grant:
+        """Admit ``selection`` — what :meth:`probe` answered for ``spec``
+        and these claims — without selecting again.
+
+        The commit half of the shard router's cross-shard grant and the
+        tail of :meth:`request`: lease expiry and the duplicate check,
+        then the claims verified on the live overlay and reserved, with
+        the ``claim_verify`` / ``ledger_commit`` stages and the SLO
+        sample taken as :meth:`request` takes them.  Claims that no
+        longer fit are REJECTED, never queued.
+        """
+        t0 = perf_counter()
+        self._open_request(app_id)
+        req = SelectionRequest(
+            app_id=app_id,
+            spec=spec,
+            cpu_fraction=cpu_fraction,
+            bw_bps=bw_bps,
+            priority=priority,
+            submitted_at=self.now,
+        )
+        base = self.cache.topology()
+        residual = self._residual(base)
+        start = perf_counter()
+        fits, edges = self._verify_claims(
+            req, residual, selection.nodes, self._view
+        )
+        self._stage("claim_verify", start)
+        grant = (
+            self._commit(req, selection, edges, base, self._stage)
+            if fits else None
+        )
+        if grant is None:
+            self.metrics.rejected += 1
+            grant = Grant(
+                app_id=app_id,
+                status=Decision.REJECTED,
+                reason=req.last_reason
+                or "claims exceed residual capacity on the probed set",
+            )
+            self.outcomes[app_id] = grant
+        else:
+            self._record_admit(req, grant)
+        self.slo.observe_request(perf_counter() - t0, ok=grant.admitted)
+        return grant
 
     # -- batched admission --------------------------------------------------------
     def _plannable(self, req: SelectionRequest) -> bool:

@@ -15,10 +15,9 @@ from .partition import (
 )
 from .router import ShardRouter
 from .trunk import TrunkLedger
-from .workers import PinnedNodes, ShardWorkerPool, WorkerCrashError
+from .workers import ShardWorkerPool, WorkerCrashError
 
 __all__ = [
-    "PinnedNodes",
     "ShardPlan",
     "ShardRouter",
     "ShardWorkerPool",

@@ -18,19 +18,24 @@ Routing:
   shards) — run a *probe-first two-phase grant*:
 
   1. **Probe** (read-only): greedily split the node count across shards
-     using :meth:`SelectionService.probe`, which mutates nothing; then
-     check trunk headroom for the bandwidth claim on every boundary
-     channel the combined placement routes over.
-  2. **Commit**: only after every probe and the trunk check pass, admit
-     the per-shard sub-requests and reserve the trunk bandwidth (exactly
-     once, in the shared :class:`TrunkLedger`).
+     using :meth:`SelectionService.probe`, which mutates no claim (it
+     reads and feeds the shard's exact selection memo); then check
+     trunk headroom for the bandwidth claim on every boundary channel
+     the combined placement routes over.
+  2. **Commit**: only after every probe and the trunk check pass, each
+     shard admits the selection its probe found
+     (:meth:`SelectionService.admit_probed` — verify and reserve, no
+     second select), and the trunk bandwidth is reserved exactly once,
+     in the shared :class:`TrunkLedger`.
 
   Every *reachable* failure happens in the probe phase, before anything
   is committed — a refused cross-shard request leaves all shard ledgers
   and the trunk ledger **bit-identical** to before the request (float
   release arithmetic is only slack-exact, so "mutate nothing" is the
   only way to guarantee bit-identity; the commit-phase rollback exists
-  purely as a defensive measure and logs an error if ever taken).
+  purely as a defensive measure and logs an error if ever taken, and a
+  commit error that is no refusal propagates only once every part is
+  given back).
 
 Sub-grants are named ``{app_id}@{shard}`` inside shard services, so a
 durable router (``state_dir=``) recovers composite grants from the
@@ -77,7 +82,6 @@ from .workers import (
     WORKER_ERRORS_HELP,
     WORKER_ERRORS_METRIC,
     InprocExecutor,
-    PinnedNodes,
     ShardWorkerPool,
     WorkerCrashError,
 )
@@ -913,9 +917,6 @@ class ShardRouter:
                 ),
             )
         part_nodes = [tuple(sel.nodes) for _shard, _size, sel in split]
-        probe_nodes = tuple(
-            name for part in part_nodes for name in part
-        )
         # Trunk accounting covers inter-part traffic only: each part is a
         # connected shard, so its internal routes never cross a boundary.
         channels: list = []
@@ -936,33 +937,25 @@ class ShardRouter:
                             f"({headroom:g} available)"
                         ),
                     )
-        # Commit phase.  Each sub-admission is pinned to its probed node
-        # set (the probe already proved claims fit there), so the commit
-        # select runs over exactly ``size`` candidates instead of the
-        # whole shard and reproduces the probe bit-for-bit; the rollback
-        # below is defensive.
-        committed: list[tuple[int, str]] = []
+        # Commit phase.  Each shard admits the selection its probe found
+        # (``admit_probed``: verify and reserve, no second select).  No
+        # claim moves between the phases, so every part fits; the
+        # rollback below is defensive.
         parts: dict[int, str] = {}
         selections: dict[int, Selection] = {}
         claim = {"cpu_fraction": cpu_fraction, "bw_bps": bw_bps,
                  "priority": priority}
-        subs = [
-            (shard, f"{app_id}@{shard}", replace(
-                spec, num_nodes=size,
-                eligible=PinnedNodes(frozenset(probed.nodes)),
-            ))
-            for shard, size, probed in split
-        ]
+        subs = [(shard, f"{app_id}@{shard}") for shard, _size, _sel in split]
         # Out together: different workers commit concurrently.
         replies = self._exec.call_many([
-            (shard, "request", (sub, pinned), claim)
-            for shard, sub, pinned in subs
+            (shard, "admit_probed",
+             (sub, replace(spec, num_nodes=size), probed), claim)
+            for (shard, sub), (_shard, size, probed) in zip(subs, split)
         ])
         try:
             failure: Optional[Exception] = None
-            for (shard, sub, _pinned), (kind, g) in zip(subs, replies):
+            for (shard, sub), (kind, g) in zip(subs, replies):
                 if kind == "ok" and g.admitted:
-                    committed.append((shard, sub))
                     parts[shard] = sub
                     selections[shard] = g.selection
                     continue
@@ -972,21 +965,12 @@ class ShardRouter:
             if failure is not None:
                 raise failure
             nodes = [
-                name for shard, _sub in committed
-                for name in selections[shard].nodes
+                name for selection in selections.values()
+                for name in selection.nodes
             ]
             trunk_res = None
             if bw_bps > 0:
                 t_trunk = perf_counter()
-                if sorted(nodes) != sorted(probe_nodes):  # pragma: no cover
-                    # Pinned commits reproduce the probe exactly; recompute
-                    # only if that ever stops holding.
-                    channels = self.trunk.trunk_channels(
-                        self.routes.edges_between([
-                            tuple(selections[shard].nodes)
-                            for shard, _sub in committed
-                        ])
-                    )
                 if channels:
                     trunk_res = self.trunk.reserve(
                         app_id, nodes, channels, bw_bps,
@@ -996,15 +980,21 @@ class ShardRouter:
                 self.metrics.observe_stage(
                     "trunk_reserve", perf_counter() - t_trunk
                 )
-        except (_CommitAbort, LedgerError, WorkerCrashError) as exc:
-            # Unreachable when probes are sound and workers stay up;
-            # kept so neither a bug nor a mid-commit crash can ever
-            # leak partial claims.
+        except Exception as exc:
+            # No part outlives a failed commit.  A refusal (a stale
+            # probe, a ledger cap, a mid-commit crash) is unreachable
+            # while probes are sound and workers stay up, and answers
+            # REJECTED; any other error (a shard's log append, a bug)
+            # propagates once the parts are given back.
             self._give_back(
                 (shard, sub)
-                for (shard, sub, _pinned), (kind, g) in zip(subs, replies)
+                for (shard, sub), (kind, g) in zip(subs, replies)
                 if kind == "err" or g.admitted
             )
+            if not isinstance(
+                exc, (_CommitAbort, LedgerError, WorkerCrashError)
+            ):
+                raise
             logger.error(
                 "cross-shard commit for %r aborted after probe success "
                 "(%s); partial claims released", app_id, exc,
@@ -1022,7 +1012,7 @@ class ShardRouter:
             app_id=app_id,
             status=Decision.ADMITTED,
             selection=selection,
-            shards=tuple(shard for shard, _sub in committed),
+            shards=tuple(parts),
             parts=parts,
             trunk=trunk_res,
         )

@@ -9,8 +9,8 @@ isolation and zero aggregate throughput.  This module supplies the
 by a small pickled command protocol mapped 1:1 onto the
 :class:`~repro.service.api.PlacementBackend` surface (``request`` /
 ``admit_batch`` / ``release`` / ``renew`` / ``tick`` / ``status`` /
-``metrics_snapshot`` / ``flush_state`` / ``probe`` /
-``check_invariants`` — a shard's own service methods — plus four ops
+``metrics_snapshot`` / ``flush_state`` / ``probe`` / ``admit_probed``
+/ ``check_invariants`` — a shard's own service methods — plus four ops
 answered beside them: ``reservation_map``, ``edge_claims``, ``ping``,
 ``metrics_state``).  The pool's call surface — :meth:`~ShardWorkerPool.call`,
 :meth:`~ShardWorkerPool.call_many`, :meth:`~ShardWorkerPool.tick_all`,
@@ -88,7 +88,6 @@ from ..service import ManualClock, SelectionService
 
 __all__ = [
     "InprocExecutor",
-    "PinnedNodes",
     "ShardWorkerPool",
     "WorkerCrashError",
 ]
@@ -132,33 +131,13 @@ class WorkerCrashError(RuntimeError):
     """
 
 
-class PinnedNodes:
-    """A picklable eligibility pin: ``node.name in names``.
-
-    The router's commit phase pins each cross-shard sub-request to the
-    node set its probe already proved feasible.  A lambda closure cannot
-    cross a process boundary; this tiny callable can, and both executors
-    use it so the commit path is literally the same object shape.
-    """
-
-    __slots__ = ("names",)
-
-    def __init__(self, names) -> None:
-        self.names = frozenset(names)
-
-    def __call__(self, node) -> bool:
-        return node.name in self.names
-
-    def __repr__(self) -> str:  # stable across processes (selection memo)
-        return f"PinnedNodes({sorted(self.names)!r})"
-
-
 # -- the worker side ---------------------------------------------------------
 
 #: Ops that are the shard service's own methods, arguments and all.
 _SERVICE_OPS = frozenset({
-    "request", "probe", "admit_batch", "release", "renew", "tick",
-    "status", "metrics_snapshot", "flush_state", "check_invariants",
+    "request", "probe", "admit_probed", "admit_batch", "release",
+    "renew", "tick", "status", "metrics_snapshot", "flush_state",
+    "check_invariants",
 })
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.core.metrics import References
@@ -13,6 +14,7 @@ from repro.remos.api import _UNMONITORABLE_LOAD, NodeInfo
 from repro.remos.collector import _WRAP_RATE_SLACK, ResourceStatus
 from repro.remos.snmp import InterfaceRecord
 from repro.service import SelectionService, ShardRouter
+from repro.service.admission import SelectionRequest
 from repro.service.sharding.workers import InprocExecutor
 from repro.topology import TopologyGraph
 from repro.units import BITS_PER_BYTE
@@ -123,6 +125,64 @@ def tick_every_shard_router(*args, **kwargs) -> ShardRouter:
     router = ShardRouter(*args, **kwargs)
     router._exec.__class__ = TickEveryShard
     return router
+
+
+class PinnedNodes:
+    """A picklable eligibility predicate: ``node.name in names`` (a
+    lambda cannot cross a process boundary; this can)."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names) -> None:
+        self.names = frozenset(names)
+
+    def __call__(self, node) -> bool:
+        return node.name in self.names
+
+    def __repr__(self) -> str:  # stable across processes (selection memo)
+        return f"PinnedNodes({sorted(self.names)!r})"
+
+
+def memoless_probe(service: SelectionService, spec, *,
+                   cpu_fraction: float = 0.0, bw_bps: float = 0.0):
+    """``SelectionService.probe`` as it was before it read the selection
+    memo: every probe runs the kernel."""
+    residual = service._residual(service.cache.topology())
+    req = SelectionRequest(
+        app_id="__probe__", spec=spec, cpu_fraction=cpu_fraction,
+        bw_bps=bw_bps, submitted_at=service.now,
+    )
+    return service._place(req, residual, service._view)[0]
+
+
+class PinnedCommit(InprocExecutor):
+    """The cross-shard grant as it was before its commit reserved what
+    the probe found: probes run the kernel (:func:`memoless_probe`), and
+    each part commits through a whole ``request`` whose spec is pinned
+    to the probed nodes, so the commit selects again."""
+
+    def call(self, shard: int, op: str, *args, **kwargs):
+        if op == "probe":
+            return memoless_probe(self.services[shard], *args, **kwargs)
+        return super().call(shard, op, *args, **kwargs)
+
+    def call_many(self, calls, *, wait: bool = True):
+        return super().call_many([
+            (shard, "request", (args[0], replace(
+                args[1], eligible=PinnedNodes(args[2].nodes),
+            )), kwargs) if op == "admit_probed" else (shard, op, args, kwargs)
+            for shard, op, args, kwargs in calls
+        ], wait=wait)
+
+
+class PinnedCommitRouter(ShardRouter):
+    """A :class:`ShardRouter` whose in-process shards are reached through
+    :class:`PinnedCommit`: the probe + pinned re-select commit it
+    replaced, kept as the reference."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._exec.__class__ = PinnedCommit
 
 
 def shard_order_by_sort(router: ShardRouter) -> list[int]:

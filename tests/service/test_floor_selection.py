@@ -37,12 +37,12 @@ from repro.core.kernel import kernel_select_with_bandwidth_floor
 from repro.core.reference import reference_select_with_bandwidth_floor
 from repro.core.types import node_is_selectable
 from repro.service import LedgerError, ReservationLedger, ResidualView
-from repro.service.sharding import PinnedNodes
 from repro.topology import TopologyGraph, grid, random_tree
 from repro.topology.residual import residual_graph
 from repro.units import Mbps
 
 from ..core.test_kernel_differential import _outcome as outcome
+from ..oracles import PinnedNodes
 
 REFS = [References(), References(node_capacity=1.0),
         References(node_capacity=2.5)]

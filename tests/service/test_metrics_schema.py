@@ -186,7 +186,9 @@ class TestRouterSnapshotAndExposition:
             }
             assert stats["requests"] >= 1 and stats["active_leases"] >= 1
             assert list(stats["stages"]) == list(remote["stages"])
-            assert "select" in stats["stages"]
+            # A shard that only took a part of "wide" never selected
+            # (its probe did, untimed); every shard committed.
+            assert "ledger_commit" in stats["stages"]
             for summary in (*stats["stages"].values(),
                             *remote["stages"].values()):
                 assert list(summary) == STAGE_SUMMARY_KEYS

@@ -1,15 +1,23 @@
 """The router's per-request bookkeeping against the versions it replaced.
 
 ``InprocExecutor.tick_all`` ticks the shard services only once some
-ledger's ``next_deadline`` has come, and ``ShardRouter._shard_order``
-sorts a kept list of keys.  A gated router and one whose executor ticks
-every shard on every call (``tests/oracles.py::TickEveryShard``) are run
-side by side over generated histories — requests local and split,
-releases, renewals, lapsing leases, explicit ticks — and must agree on
-every grant, outcome, count, claim and deadline heap, on a manual clock
-and under a moving simulator clock.  The exact-count test pins what the
-gate saves: no ``SelectionService.tick`` from ``tick_all`` while no
-lease can lapse, against the 16 per request the ungated tick made.
+ledger's ``next_deadline`` has come, ``ShardRouter._shard_order`` sorts
+a kept list of keys, and a cross-shard grant probes through each
+shard's selection memo and commits what the probe found
+(``SelectionService.admit_probed``) without selecting again.  The
+router runs beside one whose executor ticks every shard on every call
+(``tests/oracles.py::TickEveryShard``) and one whose probes skip the
+memo and whose commits re-select under a pin
+(``tests/oracles.py::PinnedCommitRouter``), over generated histories —
+requests local and split, refusals, releases, renewals, lapsing
+leases, explicit ticks — and all must agree on every grant, outcome,
+count, trunk claim, shard claim and deadline heap: on a manual clock,
+under a moving simulator clock, and with the router's shards in worker
+processes.  The exact-count tests pin what each saves: no
+``SelectionService.tick`` from ``tick_all`` while no lease can lapse,
+against the 16 per request the ungated tick made; and a recurring
+cross-shard request runs the kernel on its first cycle only, where the
+pinned commit ran it twice a cycle.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.selector import NodeSelector
 from repro.core.spec import ApplicationSpec
 from repro.des import Simulator
 from repro.network import Cluster
@@ -33,6 +42,8 @@ from repro.topology import random_tree, two_campus
 from repro.units import Mbps
 
 from ..oracles import (
+    PinnedCommit,
+    PinnedCommitRouter,
     TickEveryShard,
     shard_order_by_sort,
     tick_every_shard_router,
@@ -50,14 +61,41 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def books(router: ShardRouter) -> tuple:
+    """What two routers must agree on, asked through either executor."""
+    shards = range(router.k)
+    return (
+        router.outcomes,
+        router.active_apps(),
+        router._sub_count,
+        router.trunk.claims_fingerprint(),
+        [router._exec.call(s, "reservation_map") for s in shards],
+        [router._exec.call(s, "edge_claims") for s in shards],
+    )
+
+
+def local_books(router: ShardRouter) -> tuple:
+    """:func:`books` plus what only in-process shards show: each
+    ledger's exact claim totals and its deadline heap, stale entries
+    included (a tick the gate skipped would have popped nothing)."""
+    return books(router) + (
+        [s.ledger.claims_fingerprint() for s in router.services],
+        [s.ledger._deadlines for s in router.services],
+    )
+
+
 class RouterTickHistory(RuleBasedStateMachine):
-    """A gated router and a tick-every-shard router, one history."""
+    """The router against the tick-every-shard and the pinned-commit
+    routers, one history."""
+
+    read_books = staticmethod(local_books)
 
     def build(self) -> list[ShardRouter]:
         return [
             make(two_campus(fast_hosts=8, slow_hosts=8), shards=4,
                  lease_s=LEASE_S)
-            for make in (ShardRouter, tick_every_shard_router)
+            for make in (ShardRouter, tick_every_shard_router,
+                         PinnedCommitRouter)
         ]
 
     def move_clock(self, dt: float) -> None:
@@ -67,34 +105,36 @@ class RouterTickHistory(RuleBasedStateMachine):
     @initialize()
     def start(self):
         self.routers = self.build()
-        assert type(self.routers[1]._exec) is TickEveryShard
+        assert type(self.routers[-1]._exec) is PinnedCommit
 
-    def both(self, op):
-        got, want = (_outcome(lambda r=r: op(r)) for r in self.routers)
-        assert got == want
-        return got
+    def each(self, op) -> None:
+        got, *want = (_outcome(lambda r=r: op(r)) for r in self.routers)
+        for other in want:
+            assert other == got
 
+    # 20 Mbps fits neither the 10 Mbps LAN nor a third claim on the
+    # 45 Mbps WAN: probe refusals and trunk refusals both happen.
     @rule(
         app=st.sampled_from(APPS),
-        m=st.integers(1, 6),
+        m=st.integers(1, 12),
         spread=st.sampled_from([1, 2]),
-        bw=st.sampled_from([0.0, 1 * Mbps]),
+        bw=st.sampled_from([0.0, 1 * Mbps, 20 * Mbps]),
         cpu=st.sampled_from([0.1, 0.4]),
     )
     def request(self, app, m, spread, bw, cpu):
-        self.both(lambda r: r.request(
+        self.each(lambda r: r.request(
             app, ApplicationSpec(num_nodes=m), cpu_fraction=cpu,
             bw_bps=bw, spread=spread,
         ))
 
     @rule(app=st.sampled_from(APPS))
     def release(self, app):
-        self.both(lambda r: r.release(app))
+        self.each(lambda r: r.release(app))
 
     @rule(app=st.sampled_from(APPS),
           extend=st.sampled_from([None, 1.0, 3 * LEASE_S]))
     def renew(self, app, extend):
-        self.both(lambda r: r.renew(app, extend=extend))
+        self.each(lambda r: r.renew(app, extend=extend))
 
     @rule(dt=st.sampled_from([0.0, 0.5, 2.0, LEASE_S, 2 * LEASE_S]))
     def advance(self, dt):
@@ -102,20 +142,13 @@ class RouterTickHistory(RuleBasedStateMachine):
 
     @rule()
     def tick(self):
-        self.both(lambda r: r.tick())
+        self.each(lambda r: r.tick())
 
     @invariant()
     def routers_agree(self):
-        gated, oracle = self.routers
-        assert gated.outcomes == oracle.outcomes
-        assert gated.active_apps() == oracle.active_apps()
-        assert gated._sub_count == oracle._sub_count
-        assert gated.trunk.edge_claims() == oracle.trunk.edge_claims()
-        # The untaken ticks would have popped nothing: every shard's
-        # deadline heap, stale entries included, is the oracle's.
-        assert [s.ledger._deadlines for s in gated.services] == [
-            s.ledger._deadlines for s in oracle.services
-        ]
+        first, *others = (self.read_books(r) for r in self.routers)
+        for other in others:
+            assert other == first
         for router in self.routers:
             assert router._shard_order() == shard_order_by_sort(router)
             router.check_invariants()
@@ -127,7 +160,8 @@ class RemosRouterTickHistory(RouterTickHistory):
 
     def build(self) -> list[ShardRouter]:
         self.sims, routers = [], []
-        for make in (ShardRouter, tick_every_shard_router):
+        for make in (ShardRouter, tick_every_shard_router,
+                     PinnedCommitRouter):
             sim = Simulator()
             cluster = Cluster(sim, two_campus(fast_hosts=8, slow_hosts=8))
             api = RemosAPI(Collector(cluster, period=1.0))
@@ -143,6 +177,26 @@ class RemosRouterTickHistory(RouterTickHistory):
             sim.run(until=sim.now + dt)
 
 
+class ProcessRouterTickHistory(RouterTickHistory):
+    """The router with its shards in two worker processes against the
+    pinned-commit router: every probed selection crosses a pipe to the
+    shard that commits it."""
+
+    read_books = staticmethod(books)
+
+    def build(self) -> list[ShardRouter]:
+        return [
+            ShardRouter(two_campus(fast_hosts=8, slow_hosts=8), shards=4,
+                        lease_s=LEASE_S, executor="process", workers=2),
+            PinnedCommitRouter(two_campus(fast_hosts=8, slow_hosts=8),
+                               shards=4, lease_s=LEASE_S),
+        ]
+
+    def teardown(self):
+        for router in getattr(self, "routers", ()):
+            router.close()
+
+
 TestRouterTickHistory = RouterTickHistory.TestCase
 TestRouterTickHistory.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
@@ -151,13 +205,17 @@ TestRemosRouterTickHistory = RemosRouterTickHistory.TestCase
 TestRemosRouterTickHistory.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None
 )
+TestProcessRouterTickHistory = ProcessRouterTickHistory.TestCase
+TestProcessRouterTickHistory.settings = settings(
+    max_examples=6, stateful_step_count=20, deadline=None
+)
 
 
 def _count_ticks(monkeypatch, executor: type) -> dict:
     """Count ``SelectionService.tick`` calls by where they come from:
-    inside ``executor.tick_all``, inside a shard's own ``request``, or
-    anywhere else."""
-    counts = {"tick_all": 0, "request": 0, "other": 0, "requests": 0}
+    inside ``executor.tick_all``, inside a shard's own admission
+    (``request`` or ``admit_probed``), or anywhere else."""
+    counts = {"tick_all": 0, "admission": 0, "other": 0, "admissions": 0}
     inside: list[str] = []
 
     def within(site, fn):
@@ -169,18 +227,23 @@ def _count_ticks(monkeypatch, executor: type) -> dict:
                 inside.pop()
         return wrapped
 
-    tick, request = SelectionService.tick, SelectionService.request
+    tick = SelectionService.tick
 
     def counted_tick(self):
         counts[inside[-1] if inside else "other"] += 1
         return tick(self)
 
-    def counted_request(self, *args, **kwargs):
-        counts["requests"] += 1
-        return within("request", request)(self, *args, **kwargs)
+    def counted_admission(admit):
+        def counted(self, *args, **kwargs):
+            counts["admissions"] += 1
+            return within("admission", admit)(self, *args, **kwargs)
+        return counted
 
     monkeypatch.setattr(SelectionService, "tick", counted_tick)
-    monkeypatch.setattr(SelectionService, "request", counted_request)
+    for name in ("request", "admit_probed"):
+        monkeypatch.setattr(SelectionService, name, counted_admission(
+            getattr(SelectionService, name)
+        ))
     monkeypatch.setattr(
         executor, "tick_all", within("tick_all", executor.tick_all)
     )
@@ -219,8 +282,9 @@ def test_tick_all_ticks_no_shard_while_no_lease_can_lapse(monkeypatch):
     assert router.metrics.routed_cross > 0
     assert counts["tick_all"] == 0
     assert counts["other"] == 0
-    # Each shard's own request ticks that shard, once.
-    assert counts["request"] == counts["requests"] > 200
+    # Each shard admission (a request or a committed part) ticks that
+    # shard, once.
+    assert counts["admission"] == counts["admissions"] > 200
     router.check_invariants()
 
 
@@ -229,7 +293,7 @@ def test_the_ungated_tick_ticked_every_shard_per_request(monkeypatch):
     counts = _count_ticks(monkeypatch, TickEveryShard)
     assert _drive(router) == 200
     assert counts["tick_all"] == 16 * 200
-    assert counts["request"] == counts["requests"]
+    assert counts["admission"] == counts["admissions"]
 
 
 def test_a_lapsed_deadline_opens_the_gate_for_every_shard(monkeypatch):
@@ -249,3 +313,36 @@ def test_a_lapsed_deadline_opens_the_gate_for_every_shard(monkeypatch):
     assert all(s.ledger.next_deadline is None for s in router.services)
     assert router._exec.tick_all() is None
     router.check_invariants()
+
+
+def test_a_recurring_cross_request_selects_once(monkeypatch):
+    """One ``spread=2`` request with a trunk claim, released, ten times
+    over: the first cycle's two probes run the kernel, every later probe
+    is answered by its shard's memo (the claim state recurs), and no
+    commit selects.  The pinned commit re-selected each part."""
+    runs = [0]
+    select = NodeSelector.select
+
+    def counted(self, *args, **kwargs):
+        runs[0] += 1
+        return select(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeSelector, "select", counted)
+
+    def per_cycle(router: ShardRouter) -> list[int]:
+        out = []
+        for i in range(10):
+            before = runs[0]
+            grant = router.request(
+                f"x{i}", ApplicationSpec(num_nodes=4), cpu_fraction=0.1,
+                bw_bps=0.5 * Mbps, spread=2,
+            )
+            assert grant.admitted and len(grant.shards) == 2
+            assert grant.trunk is not None
+            router.release(f"x{i}")
+            out.append(runs[0] - before)
+        router.check_invariants()
+        return out
+
+    assert per_cycle(_sixteen_shards(ShardRouter)) == [2] + [0] * 9
+    assert per_cycle(_sixteen_shards(PinnedCommitRouter)) == [4] + [2] * 9

@@ -18,7 +18,11 @@ was stored with equal the ledger's.  Four things must hold:
 (c) two claim states of equal counts and different totals miss;
 (d) work — a miss builds as many tuples and frozensets with ~2 000 live
     channel claims as with ~40, and no request, batch or probe calls
-    ``claims_fingerprint()``.
+    ``claims_fingerprint()``;
+(e) probes — a probe reads and feeds the memo and nothing else: a hit
+    and a miss, feasible or not, leave the claims, the outcomes, every
+    counter and every stage count as they were, and a hit counts on the
+    view's ``selection_hits`` only.
 """
 
 import gc
@@ -32,6 +36,7 @@ from repro.des import Simulator
 from repro.network import Cluster
 from repro.remos import Collector, RemosAPI
 from repro.service import BatchRequest, ReservationLedger, SelectionService
+from repro.service.metrics import COUNTERS
 from repro.topology import dumbbell, random_tree
 from repro.units import Mbps
 
@@ -342,4 +347,37 @@ def test_no_request_batch_or_probe_builds_a_fingerprint(monkeypatch):
         BatchRequest(app_id=f"w{i}", spec=spec, **ask) for i in range(3)
     ])
     assert all(g.admitted for g in grants)
+    svc.check_invariants()
+
+
+# -- (e) probes ----------------------------------------------------------------
+
+def test_a_probe_hit_and_a_probe_miss_leave_no_trace():
+    svc = SelectionService(tree_1k(), snapshot_ttl=1e9, lease_s=1e9)
+    hold_two(svc)
+    ask = dict(cpu_fraction=0.35, bw_bps=3 * Mbps)
+
+    def books():
+        return (
+            svc.ledger.claims_fingerprint(),
+            dict(svc.outcomes),
+            {name: getattr(svc.metrics, name) for name in COUNTERS},
+            {name: hist.count for name, hist in svc.metrics.stages.items()},
+        )
+
+    before = books()
+    answers = {}
+    for m in (4, 5000):  # feasible; more hosts than the tree has
+        hits = svc.view.selection_hits
+        miss = svc.probe(ApplicationSpec(num_nodes=m), **ask)
+        assert svc.view.selection_hits == hits and books() == before
+        hit = svc.probe(ApplicationSpec(num_nodes=m), **ask)
+        assert svc.view.selection_hits == hits + 1 and books() == before
+        assert hit == miss
+        answers[m] = hit
+    assert answers[4] is not None and answers[5000] is None
+    # The entry the probe left answers a request at the same claim state.
+    grant = svc.request("c", ApplicationSpec(num_nodes=4), **ask)
+    assert grant.selection.nodes == answers[4].nodes
+    assert svc.metrics.select_memo_hits == 1
     svc.check_invariants()

@@ -145,9 +145,10 @@ class TestAbortLeavesNoTrace:
         r.check_invariants()
 
 
-    # The defensive commit rollback: every probe passed, a pinned
-    # commit fails all the same.  Unreachable while probes are sound and
-    # workers stay up, so both tests break one of those on purpose.
+    # The defensive commit rollback: every probe passed, a commit fails
+    # all the same.  Unreachable while probes are sound, workers stay up
+    # and shard logs can be written, so these tests break one of those
+    # on purpose.
     @staticmethod
     def _four_shards_two_loaded(**kwargs):
         """Shards 1 and 3 hold one lease each; the one-host shards 0 and
@@ -163,9 +164,18 @@ class TestAbortLeavesNoTrace:
         return r
 
     @staticmethod
-    def _assert_aborted_without_trace(r, grant, claims, before):
-        assert grant.status == Decision.REJECTED
-        assert "cross-shard commit aborted" in grant.reason
+    def _inproc_claims(r):
+        return [
+            (sorted(s.ledger.reservations), {
+                key: value
+                for part in s.ledger.claims_fingerprint()
+                for key, value in part
+            })
+            for s in r.services
+        ]
+
+    @staticmethod
+    def _assert_left_as_before(r, claims, before):
         for (held, claimed), (was_held, was_claimed) in zip(
             claims(), before[0]
         ):
@@ -177,41 +187,63 @@ class TestAbortLeavesNoTrace:
         assert r.active_apps() == ["a1", "a3"]
         r.check_invariants()
 
+    def _assert_aborted_without_trace(self, r, grant, claims, before):
+        assert grant.status == Decision.REJECTED
+        assert "cross-shard commit aborted" in grant.reason
+        self._assert_left_as_before(r, claims, before)
+
     def test_refused_pinned_commit_rolls_back_every_part(self):
         r = self._four_shards_two_loaded()
 
         def claims():
-            return [
-                (sorted(s.ledger.reservations), {
-                    key: value
-                    for part in s.ledger.claims_fingerprint()
-                    for key, value in part
-                })
-                for s in r.services
-            ]
+            return self._inproc_claims(r)
 
         before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
-        pinned = []
+        commits = []
         for svc in r.services:
-            def request(app_id, spec, *, _real=svc.request, **kw):
-                if spec.eligible is None:
-                    return _real(app_id, spec, **kw)
-                pinned.append(app_id)
-                if len(pinned) == 2:  # the probe said yes; say no
+            def admit_probed(app_id, *args, _real=svc.admit_probed, **kw):
+                commits.append(app_id)
+                if len(commits) == 2:  # the probe said yes; say no
                     return PlacementGrant(
                         app_id=app_id, status=Decision.REJECTED,
                         reason="refused for the test",
                     )
-                return _real(app_id, spec, **kw)
-            svc.request = request
+                return _real(app_id, *args, **kw)
+            svc.admit_probed = admit_probed
         g = r.request("x", ApplicationSpec(num_nodes=3), cpu_fraction=0.2,
                       bw_bps=1 * Mbps, spread=3)
         # Every part is attempted, as under the pool; the two that
         # committed (before and after the refusal) are both released.
-        assert pinned == ["x@0", "x@2", "x@1"]
+        assert commits == ["x@0", "x@2", "x@1"]
         self._assert_aborted_without_trace(r, g, claims, before)
         for svc in r.services:
-            del svc.request
+            del svc.admit_probed
+        assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
+                         bw_bps=1 * Mbps, spread=2).admitted
+        r.check_invariants()
+
+    def test_commit_error_gives_back_the_committed_part(self):
+        """A commit reply that is an error but no refusal (a shard's
+        write-ahead log failing) still propagates, but only once the
+        part that did commit is given back: left leased, ``x@0`` would
+        be a lease shard 0 holds and the router never counted."""
+        r = self._four_shards_two_loaded()
+
+        def claims():
+            return self._inproc_claims(r)
+
+        before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
+        failing = r.services[2]
+
+        def admit_probed(*_args, **_kwargs):
+            raise OSError("write-ahead log append failed")
+
+        failing.admit_probed = admit_probed
+        with pytest.raises(OSError, match="append failed"):
+            r.request("x", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
+                      bw_bps=1 * Mbps, spread=2)
+        del failing.admit_probed
+        self._assert_left_as_before(r, claims, before)
         assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
                          bw_bps=1 * Mbps, spread=2).admitted
         r.check_invariants()
@@ -234,13 +266,13 @@ class TestAbortLeavesNoTrace:
             return out
 
         before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
-        real_send, pinned = pool._send, []
+        real_send, commits = pool._send, []
 
         def send_then_kill(w, shard, op, args, kwargs, **kw):
             env = real_send(w, shard, op, args, kwargs, **kw)
-            if op == "request" and args[1].eligible is not None:
-                pinned.append(args[0])
-                if len(pinned) == 1:
+            if op == "admit_probed":
+                commits.append(args[0])
+                if len(commits) == 1:
                     # Between the two sends of the commit fan-out: the
                     # second restarts the worker, so the first part's
                     # reply never comes and the second commits alone.
@@ -255,7 +287,7 @@ class TestAbortLeavesNoTrace:
                           cpu_fraction=0.2, bw_bps=1 * Mbps, spread=2)
         finally:
             del pool._send
-        assert pinned == ["x@0", "x@2"] and pool.restarts == 1
+        assert commits == ["x@0", "x@2"] and pool.restarts == 1
         self._assert_aborted_without_trace(r, g, claims, before)
         assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
                          bw_bps=1 * Mbps, spread=2).admitted

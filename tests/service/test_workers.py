@@ -22,9 +22,11 @@ from repro.service import (
     WorkerCrashError,
     partition_topology,
 )
-from repro.service.sharding.workers import _MAX_UNACKED, PinnedNodes
+from repro.service.sharding.workers import _MAX_UNACKED
 from repro.topology import random_tree, two_campus
 from repro.units import Mbps
+
+from ..oracles import PinnedNodes
 
 
 def _graph():
@@ -453,7 +455,7 @@ class TestCrashRecovery:
         dies with the reply unread: the router answers REJECTED, so the
         lease the replacement recovers must be given back.  ``spread=1``
         loses the local path's reply, ``spread=2`` the first of the
-        paired pinned commits'."""
+        paired commits'."""
         r = _pool_router(shards=2, workers=2, state_dir=str(tmp_path),
                          lease_s=1e9)
         pool = r.pool
@@ -474,7 +476,7 @@ class TestCrashRecovery:
 
         def call_many(calls, **kwargs):
             replies = real_many(calls, **kwargs)
-            if calls[0][1] == "request":
+            if calls[0][1] == "admit_probed":
                 assert [kind for kind, _ in replies] == ["ok", "ok"]
                 replies[0] = ("err", lose_reply(calls[0][0]))
             return replies
