@@ -54,7 +54,6 @@ from .sharding import (
     ShardPlan,
     ShardRouter,
     ShardWorkerPool,
-    TrunkLedger,
     WorkerCrashError,
     partition_topology,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "ShardRouter",
     "ShardWorkerPool",
     "SnapshotCache",
-    "TrunkLedger",
     "WalCorruptError",
     "WorkerCrashError",
     "WalError",

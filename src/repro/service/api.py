@@ -187,10 +187,4 @@ def iter_batch(
         yield req
 
 
-# Narrow structural self-check, exercised by mypy in CI and by the unit
-# tests at runtime: both concrete backends satisfy the protocol.
-def _assert_backend(backend: PlacementBackend) -> PlacementBackend:
-    return backend
-
-
 Unsubscribe = Callable[[], None]

@@ -78,7 +78,7 @@ from .ledger import (
 )
 from .metrics import ServiceMetrics
 from .residual_view import ResidualView
-from .wal import LedgerWal
+from .wal import LedgerWal, open_ledger
 
 __all__ = ["Grant", "SelectionService"]
 
@@ -270,7 +270,12 @@ class SelectionService:
         self.recovery = None
         self.wal: Optional[LedgerWal] = None
         if state_dir is not None:
-            self.ledger = ReservationLedger.recover(state_dir, cpu_cap=cpu_cap)
+            # Durability first: the WAL sees every mutation before any
+            # derived state (overlay, metrics) reacts to it.
+            self.ledger, self.wal = open_ledger(
+                state_dir, cpu_cap=cpu_cap,
+                snapshot_every=wal_snapshot_every, fsync=wal_fsync,
+            )
             self.recovery = self.ledger.recovery
         else:
             self.ledger = ReservationLedger(cpu_cap=cpu_cap)
@@ -333,14 +338,6 @@ class SelectionService:
         self._advisor = None
         self._migrate_on_degrade = False
         if state_dir is not None:
-            # Durability first: the WAL sees every mutation before any
-            # derived state (overlay, metrics) reacts to it.
-            self.wal = LedgerWal(
-                state_dir,
-                snapshot_every=wal_snapshot_every,
-                fsync=wal_fsync,
-            )
-            self.wal.attach(self.ledger)
             for app_id, r in self.ledger.reservations.items():
                 self.outcomes[app_id] = Grant(
                     app_id=app_id,

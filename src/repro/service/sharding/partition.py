@@ -5,8 +5,8 @@ sweeps — and holds a residual view over — the *whole* network.  The
 sharded deployment cuts the topology into k **connected** regions, runs
 one :class:`~repro.service.SelectionService` per region, and reserves
 bandwidth for cross-region traffic on the **trunk edges** (links whose
-endpoints land in different shards) through a shared
-:class:`~repro.service.sharding.TrunkLedger`.
+endpoints land in different shards) in the router's trunk ledger
+(:attr:`~repro.service.sharding.ShardRouter.trunk`).
 
 :func:`partition_topology` produces the cut by subtree cutting over a
 BFS spanning tree:

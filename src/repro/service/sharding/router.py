@@ -26,7 +26,7 @@ Routing:
      shard admits the selection its probe found
      (:meth:`SelectionService.admit_probed` — verify and reserve, no
      second select), and the trunk bandwidth is reserved exactly once,
-     in the shared :class:`TrunkLedger`.
+     in the router's trunk ledger.
 
   Every *reachable* failure happens in the probe phase, before anything
   is committed — a refused cross-shard request leaves all shard ledgers
@@ -37,11 +37,20 @@ Routing:
   commit error that is no refusal propagates only once every part is
   given back).
 
+The trunk ledger (:attr:`ShardRouter.trunk`) is a plain
+:class:`~repro.service.ReservationLedger` whose reservations claim zero
+CPU and bandwidth on trunk channels only (links whose ends lie in
+different shards): one per cross-shard grant that claims bandwidth,
+named like the composite.  The shard services account every other
+channel; :meth:`ShardRouter.check_invariants` asserts the partition both
+ways and holds the trunk to the composites.
+
 Sub-grants are named ``{app_id}@{shard}`` inside shard services, so a
 durable router (``state_dir=``) recovers composite grants from the
-per-shard WALs plus the trunk WAL.  ``repro-serve --shards K`` and
-``run_multi_tenant(shards=K)`` expose the router through the existing
-entry points.
+per-shard WALs plus the trunk WAL, finishing a step a crash cut between
+the shards and the trunk (:meth:`ShardRouter._recover_composites`).
+``repro-serve --shards K`` and ``run_multi_tenant(shards=K)`` expose the
+router through the existing entry points.
 
 A router is fixed at birth: :attr:`ShardRouter.plan` is set once, and
 the shard ledgers and WAL directories are keyed to it for the router's
@@ -55,7 +64,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
@@ -68,7 +77,7 @@ from ...topology.graph import TopologyGraph
 from ..admission import Decision, Priority, plain_spec
 from ..api import BatchRequest, PlacementGrant, iter_batch
 from ..cache import RouteCache
-from ..ledger import LedgerError
+from ..ledger import LedgerError, ReservationLedger, ledger_order
 from ..metrics import ServiceMetrics
 from ..service import (
     _METRIC_BY_RELEASE_KIND,
@@ -76,8 +85,8 @@ from ..service import (
     SelectionService,
     resolve_provider,
 )
+from ..wal import RecoveryReport, open_ledger
 from .partition import ShardPlan, partition_topology
-from .trunk import TrunkLedger
 from .workers import (
     WORKER_ERRORS_HELP,
     WORKER_ERRORS_METRIC,
@@ -96,16 +105,6 @@ _EPS = 1e-9
 
 class _CommitAbort(Exception):
     """A commit-phase admission diverged from its probe (defensive only)."""
-
-
-@dataclass(frozen=True)
-class _RouterRecovery:
-    """Aggregated recovery report across shard WALs + the trunk WAL."""
-
-    leases: int
-    records: int
-    snapshot_seq: int
-    truncated_tail: bool
 
 
 class _ShardProvider:
@@ -246,24 +245,24 @@ class ShardRouter:
         self.outcomes: dict[str, PlacementGrant] = {}
         #: Admitted composites still holding capacity.
         self._active: dict[str, PlacementGrant] = {}
-        self.recovery: Optional[_RouterRecovery] = None
-        wal = {
-            "wal_fsync": bool(wal_fsync),
-            "wal_snapshot_every": int(wal_snapshot_every),
-        }
+        self.recovery: Optional[RecoveryReport] = None
         self._build_shards(workers, state_dir, {
             "snapshot_ttl": snapshot_ttl,
             "cpu_cap": cpu_cap,
             "exclude_unhealthy": exclude_unhealthy,
             "queue_limit": 0,
-            **wal,
+            "wal_fsync": bool(wal_fsync),
+            "wal_snapshot_every": int(wal_snapshot_every),
         })
-        self.trunk = TrunkLedger(
-            plan.trunk_keys,
-            state_dir=os.path.join(state_dir, "trunk") if state_dir else None,
-            **wal,
-        )
-        if state_dir is not None:
+        #: The trunk ledger (see the module docstring) and its WAL, which
+        #: is ``None`` when not durable.  The shard services own theirs.
+        if state_dir is None:
+            self.trunk, self.wal = ReservationLedger(), None
+        else:
+            self.trunk, self.wal = open_ledger(
+                os.path.join(state_dir, "trunk"), cpu_cap=1.0,
+                snapshot_every=int(wal_snapshot_every), fsync=bool(wal_fsync),
+            )
             self._recover_composites()
         self._bind_registry()
         self.slo.bind(self.registry)
@@ -340,7 +339,16 @@ class ShardRouter:
         )
 
     def _recover_composites(self) -> None:
-        """Rebuild composite grants from recovered shard + trunk leases."""
+        """Rebuild composite grants from recovered shard + trunk leases.
+
+        A router crash between the shard step and the trunk step leaves
+        the books disagreeing; recovery finishes that step as
+        :meth:`_give_back` would.  A trunk reservation with no composite
+        (the crash hit a release) is evicted, and so is every part of a
+        multi-shard composite that claims bandwidth but holds no trunk
+        reservation (the crash hit a commit, so its client never got an
+        answer).
+        """
         reservation_maps = [
             self._exec.call(shard, "reservation_map")
             for shard in range(self.plan.k)
@@ -351,38 +359,47 @@ class ShardRouter:
             for sub_id in reservations:
                 base = sub_id.rsplit("@", 1)[0]
                 parts_by_app.setdefault(base, {})[shard] = sub_id
-        latest = 0.0
+        trunk = self.trunk.reservations
+        latest = max((r.granted_at for r in trunk.values()), default=0.0)
         for app_id, parts in sorted(parts_by_app.items()):
-            nodes: list[str] = []
-            for shard in sorted(parts):
-                sub_nodes, granted_at = reservation_maps[shard][parts[shard]]
-                nodes.extend(sub_nodes)
-                latest = max(latest, granted_at)
+            held = [reservation_maps[shard][parts[shard]]
+                    for shard in sorted(parts)]
+            latest = max(latest, *(granted_at for _, granted_at, _ in held))
+            if (len(parts) > 1 and app_id not in trunk
+                    and any(bw_bps > 0 for _, _, bw_bps in held)):
+                logger.warning("evicting %r: no trunk claim", app_id)
+                for shard, sub in parts.items():
+                    self._release_sub(shard, sub, "evict")
+                    self._rekey(shard, self._sub_count[shard] - 1)
+                continue
             grant = PlacementGrant(
                 app_id=app_id,
                 status=Decision.ADMITTED,
                 selection=Selection(
-                    nodes=nodes, objective=0.0, algorithm="sharded-recovered",
+                    nodes=[name for nodes, _, _ in held for name in nodes],
+                    objective=0.0, algorithm="sharded-recovered",
                 ),
                 shards=tuple(sorted(parts)),
                 parts=dict(sorted(parts.items())),
-                trunk=self.trunk.ledger.reservations.get(app_id),
+                trunk=trunk.get(app_id),
                 reason="recovered from WAL",
             )
             self._active[app_id] = grant
             self.outcomes[app_id] = grant
-        for r in self.trunk.ledger.reservations.values():
-            latest = max(latest, r.granted_at)
+        for app_id in sorted(trunk.keys() - self._active.keys()):
+            logger.warning("evicting the trunk claim of %r: no parts", app_id)
+            self.trunk.release(app_id, kind="evict")
         if self._manual_clock is not None and latest > self._manual_clock.now:
             # Never restart behind the recovered grants (mirrors the
             # single service's manual-clock fast-forward).
             self._manual_clock.now = latest
         reports = [*self._exec.recoveries.values(), self.trunk.recovery]
         reports = [r for r in reports if r is not None]
-        self.recovery = _RouterRecovery(
+        self.recovery = RecoveryReport(
             leases=len(self._active),
             records=sum(r.records for r in reports),
             snapshot_seq=max((r.snapshot_seq for r in reports), default=0),
+            last_seq=max((r.last_seq for r in reports), default=0),
             truncated_tail=any(r.truncated_tail for r in reports),
         )
         if self._active:
@@ -461,20 +478,21 @@ class ShardRouter:
                 fn=(lambda s=shard: float(self._shard_facts[s]["hosts"])),
             )
 
+    def _trunk_headroom(self, channel) -> float:
+        """Unclaimed capacity (bps) on a trunk channel: measured
+        availability on the full graph minus the trunk's claim."""
+        key, dst = channel
+        available = self._full.link_by_key(key).available_towards(dst)
+        return available - self.trunk.edge_claim(channel)
+
     def _trunk_min_headroom(self) -> float:
         """Worst remaining-capacity fraction over claimed trunk channels."""
-        claimed = self.trunk.edge_claims()
-        if not claimed:
-            return 1.0
         worst = 1.0
-        for channel in claimed:
-            # headroom() raises the KeyError for an absent link.
-            headroom = self.trunk.headroom(channel, self._full)
-            key, dst = channel
+        for key, dst in self.trunk.edge_claims():
             capacity = self._full.link_by_key(key).available_towards(dst)
             if capacity <= 0.0:
                 return 0.0
-            worst = min(worst, headroom / capacity)
+            worst = min(worst, self._trunk_headroom((key, dst)) / capacity)
         return max(0.0, worst)
 
     def _harvest_shard_metrics(self) -> None:
@@ -556,7 +574,7 @@ class ShardRouter:
             for shard in alive:
                 self._release_sub(shard, grant.parts[shard], "expire")
                 self._rekey(shard, self._sub_count[shard] - 1)
-            if self.trunk.holds(app_id):
+            if app_id in self.trunk.reservations:
                 self.trunk.release(app_id, kind="expire")
             for shard, sub in grant.parts.items():
                 if shard not in alive and sub not in dead_subs:
@@ -921,11 +939,13 @@ class ShardRouter:
         # connected shard, so its internal routes never cross a boundary.
         channels: list = []
         if bw_bps > 0:
-            channels = self.trunk.trunk_channels(
-                self.routes.edges_between(part_nodes)
+            channels = sorted(
+                (e for e in self.routes.edges_between(part_nodes)
+                 if e[0] in self.plan.trunk_keys),
+                key=ledger_order,
             )
             for channel in channels:
-                headroom = self.trunk.headroom(channel, self._full)
+                headroom = self._trunk_headroom(channel)
                 if headroom + _EPS * max(1.0, bw_bps) < bw_bps:
                     self.metrics.trunk_rejections += 1
                     u, v = sorted(channel[0])
@@ -973,9 +993,10 @@ class ShardRouter:
                 t_trunk = perf_counter()
                 if channels:
                     trunk_res = self.trunk.reserve(
-                        app_id, nodes, channels, bw_bps,
+                        app_id, nodes, cpu_fraction=0.0, bw_bps=bw_bps,
                         graph=self._full, now=self.now,
                         lease_s=self.lease_s, priority=priority,
+                        edges=channels,
                     )
                 self.metrics.observe_stage(
                     "trunk_reserve", perf_counter() - t_trunk
@@ -1059,7 +1080,7 @@ class ShardRouter:
         for shard, sub in grant.parts.items():
             self._release_sub(shard, sub, kind)
             self._rekey(shard, self._sub_count[shard] - 1)
-        if self.trunk.holds(app_id):
+        if app_id in self.trunk.reservations:
             self.trunk.release(app_id, kind=kind)
         del self._active[app_id]
         attr = _METRIC_BY_RELEASE_KIND[kind]
@@ -1092,7 +1113,7 @@ class ShardRouter:
                         f"sub-lease {sub!r} for {app_id!r} was lost to a "
                         "worker crash; the next tick() reaps the composite"
                     ) from None
-        if self.trunk.holds(app_id):
+        if app_id in self.trunk.reservations:
             self.trunk.renew(app_id, self.now, lease)
         self.metrics.renewed += 1
         return grant
@@ -1115,17 +1136,24 @@ class ShardRouter:
     def check_invariants(self) -> None:
         """Every shard's ledger + overlay invariants, trunk caps, the
         intra/trunk claim partition (no shard ever claims a trunk
-        channel; the trunk never claims an intra-shard channel) and the
-        router's live count against what each shard holds."""
+        channel; the trunk claims trunk channels only), the router's
+        live count against what each shard holds, and the trunk against
+        the composites: every trunk reservation belongs to a live
+        composite and names its nodes, and every live multi-shard
+        composite that claims bandwidth holds one."""
         self._exec.drain()
+        trunk_keys = self.plan.trunk_keys
+        part_bw: dict[str, float] = {}
         for shard in range(self.plan.k):
             self._exec.call(shard, "check_invariants")
             for key, dst in self._exec.call(shard, "edge_claims"):
-                assert key not in self.plan.trunk_keys, (
+                assert key not in trunk_keys, (
                     f"shard {shard} claimed trunk channel "
                     f"{sorted(key)} towards {dst!r}"
                 )
-            live = len(self._exec.call(shard, "reservation_map"))
+            held = self._exec.call(shard, "reservation_map")
+            part_bw.update((sub, bw) for sub, (_, _, bw) in held.items())
+            live = len(held)
             assert self._sub_count[shard] == live, (
                 f"router sub-lease count for shard {shard} drifted: "
                 f"{self._sub_count[shard]} counted, {live} live"
@@ -1136,6 +1164,24 @@ class ShardRouter:
                 f"is stale for {live} live"
             )
         self.trunk.check_invariants()
+        for key, dst in self.trunk.edge_claims():
+            assert key in trunk_keys, (
+                f"trunk claimed non-trunk channel {sorted(key)} "
+                f"towards {dst!r}"
+            )
+        for app_id, r in self.trunk.reservations.items():
+            grant = self._active.get(app_id)
+            assert grant is not None and (
+                set(r.nodes) == set(grant.selection.nodes)
+            ), f"trunk reservation {app_id!r} is no live composite's"
+        for app_id, grant in self._active.items():
+            if len(grant.parts) > 1 and any(
+                part_bw.get(sub, 0.0) > 0 for sub in grant.parts.values()
+            ):
+                assert app_id in self.trunk.reservations, (
+                    f"cross-shard composite {app_id!r} claims bandwidth "
+                    "but holds no trunk reservation"
+                )
 
     def _read_per_shard(self) -> dict:
         """``per_shard``: every shard's own ``metrics_snapshot``, cut
@@ -1165,19 +1211,13 @@ class ShardRouter:
         return out
 
     # -- durability ------------------------------------------------------------
-    @property
-    def wal(self):
-        """The trunk WAL (``None`` when not durable) — the per-shard
-        services own their own; this satisfies the single-service
-        durability surface (``service.wal is not None`` checks)."""
-        return self.trunk.wal
-
     def flush_state(self) -> None:
         """Compacted snapshots for every shard WAL + the trunk WAL."""
         self._exec.drain()
         for shard in range(self.plan.k):
             self._exec.call(shard, "flush_state")
-        self.trunk.flush_state()
+        if self.wal is not None:
+            self.wal.snapshot()
 
     def close(self) -> None:
         """Flush final snapshots, detach every WAL and shut the executor
@@ -1190,7 +1230,9 @@ class ShardRouter:
                 self._harvest_shard_metrics()
             self._exec.close()  # raises a posted release's error ack
         finally:
-            self.trunk.close()
+            if self.wal is not None:
+                self.wal.close()
+                self.wal = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -24,6 +24,8 @@ running.  This module makes the control plane restartable:
   original process, so the recovered ledger's ``residual_graph()`` is
   **bit-identical** to the pre-crash one — enforced by
   ``check_invariants(view=...)`` after the service rebuilds its overlay.
+- :func:`open_ledger` is how a durable ledger is opened — a service's
+  and a shard router's trunk alike: recover, open the log, attach.
 
 Tail handling mirrors classic WAL semantics: a torn final record (the
 process died mid-append) is tolerated — it is dropped, reported via
@@ -51,6 +53,7 @@ __all__ = [
     "RecoveryReport",
     "WalCorruptError",
     "WalError",
+    "open_ledger",
     "recover_ledger",
 ]
 
@@ -439,3 +442,21 @@ def recover_ledger(state_dir: str, *, cpu_cap: float = 1.0):
         truncated_tail=truncated,
     )
     return ledger
+
+
+def open_ledger(
+    state_dir: str, *, cpu_cap: float, snapshot_every: int, fsync: bool
+):
+    """Open a durable ledger: recover ``state_dir``, then log to it.
+
+    The one durable-open sequence: :func:`recover_ledger` replays the
+    snapshot and log (reading a torn tail before anything truncates
+    it), then a :class:`LedgerWal` opens the same directory and attaches
+    to the ledger before any other listener can subscribe, so the log
+    sees every later mutation first.  Returns ``(ledger, wal)``; the
+    ledger carries its :class:`RecoveryReport` on ``recovery``.
+    """
+    ledger = recover_ledger(state_dir, cpu_cap=cpu_cap)
+    wal = LedgerWal(state_dir, snapshot_every=snapshot_every, fsync=fsync)
+    wal.attach(ledger)
+    return ledger, wal

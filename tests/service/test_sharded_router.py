@@ -4,11 +4,12 @@ import os
 import signal
 from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.core.spec import ApplicationSpec, GroupSpec
 from repro.service import Decision, PlacementGrant, ShardRouter
-from repro.topology import dumbbell, two_campus
+from repro.topology import dumbbell, random_tree, two_campus
 from repro.units import Mbps
 
 
@@ -87,7 +88,7 @@ class TestCrossShard:
         r.request("x", ApplicationSpec(num_nodes=4), bw_bps=2 * Mbps,
                   spread=2)
         assert r.trunk.active == 1
-        assert len(r.trunk.ledger.reservations) == 1
+        assert len(r.trunk.reservations) == 1
 
     def test_unsplittable_specs_rejected(self):
         r = _router()
@@ -401,6 +402,79 @@ class TestDurability:
         r2 = ShardRouter(g, shards=2, state_dir=state)
         assert r2.now >= 100.0
         r2.close()
+
+
+@pytest.mark.parametrize("executor", ["inproc", "process"])
+class TestCrashBetweenShardAndTrunkStep:
+    """The router stops between the shard step and the trunk step of a
+    release or of a cross-shard commit (a ``KeyboardInterrupt`` out of
+    the trunk ledger) and its directory is reopened without ``close()``.
+    Recovery finishes the step, so shard and trunk books agree again."""
+
+    SPEC = ApplicationSpec(num_nodes=4)
+    CLAIM = {"cpu_fraction": 0.1, "bw_bps": 1 * Mbps, "spread": 2}
+
+    @staticmethod
+    def _open(state_dir, executor):
+        workers = {"workers": 2} if executor == "process" else {}
+        return ShardRouter(
+            random_tree(200, 40, np.random.default_rng(0)), shards=4,
+            state_dir=state_dir, lease_s=1e9, executor=executor, **workers,
+        )
+
+    @staticmethod
+    def _crash_in(r, trunk_method, step):
+        def interrupted(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        setattr(r.trunk, trunk_method, interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            step()
+        if r.pool is not None:
+            # The shard workers stop with the router; stopping them
+            # writes nothing their logs do not already hold.
+            r.pool.close()
+
+    @staticmethod
+    def _assert_books_empty(r):
+        assert r.active_apps() == []
+        assert [r._exec.call(s, "reservation_map") for s in range(r.k)] == [
+            {}, {}, {}, {},
+        ]
+        assert r.trunk.active == 0 and r.trunk.edge_claims() == {}
+        r.check_invariants()
+
+    def test_crash_in_release_evicts_the_orphan_trunk_claim(
+        self, tmp_path, executor
+    ):
+        r = self._open(str(tmp_path), executor)
+        grant = r.request("x", self.SPEC, **self.CLAIM)
+        assert grant.admitted and grant.trunk is not None
+        self._crash_in(r, "release", lambda: r.release("x"))
+        r2 = self._open(str(tmp_path), executor)
+        try:
+            # Without the eviction the trunk kept x's claims on every
+            # boundary channel until the lease ran out.
+            self._assert_books_empty(r2)
+        finally:
+            r2.close()
+
+    def test_crash_in_commit_evicts_the_unanswered_parts(
+        self, tmp_path, executor
+    ):
+        r = self._open(str(tmp_path), executor)
+        self._crash_in(r, "reserve",
+                       lambda: r.request("y", self.SPEC, **self.CLAIM))
+        r2 = self._open(str(tmp_path), executor)
+        try:
+            # Without the eviction y came back ADMITTED on two shards
+            # with a bandwidth claim and none on the trunk.
+            self._assert_books_empty(r2)
+            again = r2.request("y", self.SPEC, **self.CLAIM)
+            assert again.admitted and again.trunk is not None
+            r2.check_invariants()
+        finally:
+            r2.close()
 
 
 class TestMetrics:

@@ -1,124 +1,167 @@
-"""Tests for the trunk ledger (service.sharding.trunk)."""
+"""Tests for the router's trunk ledger (``ShardRouter.trunk``).
 
+The trunk is a plain :class:`ReservationLedger` of zero-CPU claims on
+shard-boundary channels: the router filters a cross-shard grant's routes
+to those channels, checks their headroom, and reserves them once.
+"""
+
+import numpy as np
 import pytest
 
-from repro.service import LedgerError
-from repro.service.sharding import TrunkLedger, partition_topology
-from repro.topology import dumbbell
+from repro.core.spec import ApplicationSpec
+from repro.service import LedgerError, ShardRouter
+from repro.service.ledger import ledger_order
+from repro.topology import dumbbell, random_tree
 from repro.units import Mbps
 
-
-def _rig(cross_bw=20 * Mbps):
-    g = dumbbell(3, 3, cross_bandwidth=cross_bw)
-    plan = partition_topology(g, 2)
-    assert plan.trunk_keys == {frozenset({"sw-left", "sw-right"})}
-    return g, TrunkLedger(plan.trunk_keys)
-
-
 TRUNK = frozenset({"sw-left", "sw-right"})
+CH = (TRUNK, "sw-right")
+
+
+def _router(cross_bw=20 * Mbps, **kwargs):
+    r = ShardRouter(dumbbell(3, 3, cross_bandwidth=cross_bw), shards=2,
+                    **kwargs)
+    assert r.plan.trunk_keys == {TRUNK}
+    return r
+
+
+def _cross(r, app="x", bw_bps=5 * Mbps):
+    grant = r.request(app, ApplicationSpec(num_nodes=2), bw_bps=bw_bps,
+                      spread=2)
+    assert grant.admitted and grant.trunk is not None
+    return grant
+
+
+def _parts(r, grant):
+    return [
+        tuple(n for n in grant.selection.nodes if r.plan.shard_of[n] == s)
+        for s in grant.shards
+    ]
+
+
+def _reserve(r, app, nodes, edges, bw_bps, **kwargs):
+    """A claim made on the plain ledger directly, as the router would."""
+    kwargs.setdefault("lease_s", 60.0)
+    return r.trunk.reserve(app, nodes, cpu_fraction=0.0, bw_bps=bw_bps,
+                           graph=r._full, now=r.now, edges=edges, **kwargs)
 
 
 class TestTrunkChannels:
     def test_filters_to_boundary_links(self):
-        _g, trunk = _rig()
-        edges = {
-            (TRUNK, "sw-right"),
-            (frozenset({"l0", "sw-left"}), "sw-left"),  # intra-shard
-        }
-        assert trunk.trunk_channels(edges) == [(TRUNK, "sw-right")]
+        r = _router()
+        grant = _cross(r)
+        routed = r.routes.edges_between(_parts(r, grant))
+        assert any(key not in r.plan.trunk_keys for key, _ in routed)
+        assert grant.trunk.edges == ((TRUNK, "sw-left"), (TRUNK, "sw-right"))
+        assert grant.trunk.cpu_fraction == 0.0
+        r.check_invariants()
 
     def test_sorted_deterministically(self):
-        _g, trunk = _rig()
-        edges = [(TRUNK, "sw-right"), (TRUNK, "sw-left")]
-        assert trunk.trunk_channels(reversed(edges)) == sorted(
-            edges, key=lambda e: (sorted(e[0]), e[1])
-        )
+        def grant_edges():
+            g = random_tree(60, 12, np.random.default_rng(3))
+            r = ShardRouter(g, shards=4)
+            grant = r.request("x", ApplicationSpec(num_nodes=8),
+                              bw_bps=1 * Mbps, spread=4)
+            assert grant.admitted and len(grant.shards) == 4
+            boundary = {
+                e for e in r.routes.edges_between(_parts(r, grant))
+                if e[0] in r.plan.trunk_keys
+            }
+            assert set(grant.trunk.edges) == boundary
+            r.check_invariants()
+            return grant.trunk.edges
+
+        edges = grant_edges()
+        assert len({key for key, _ in edges}) > 1
+        assert list(edges) == sorted(edges, key=ledger_order)
+        assert grant_edges() == edges
 
 
 class TestReserve:
     def test_claims_reduce_headroom(self):
-        g, trunk = _rig()
-        ch = (TRUNK, "sw-right")
-        before = trunk.headroom(ch, g)
-        trunk.reserve("a", ["l0", "r0"], [ch], 5 * Mbps,
-                      graph=g, now=0.0, lease_s=60.0)
-        assert trunk.headroom(ch, g) == pytest.approx(before - 5 * Mbps)
-        assert trunk.active == 1 and trunk.holds("a")
+        r = _router()
+        before = r._trunk_headroom(CH)
+        _cross(r, bw_bps=5 * Mbps)
+        assert r._trunk_headroom(CH) == pytest.approx(before - 5 * Mbps)
+        assert r.trunk.active == 1 and "x" in r.trunk.reservations
 
     def test_non_trunk_channels_filtered_out(self):
-        g, trunk = _rig()
-        intra = (frozenset({"l0", "sw-left"}), "sw-left")
-        res = trunk.reserve("a", ["l0", "r0"],
-                            [intra, (TRUNK, "sw-right")], 1 * Mbps,
-                            graph=g, now=0.0, lease_s=60.0)
-        assert list(res.edges) == [(TRUNK, "sw-right")]
-
-    def test_rejects_empty_trunk_set(self):
-        g, trunk = _rig()
-        intra = (frozenset({"l0", "sw-left"}), "sw-left")
-        with pytest.raises(ValueError, match="no trunk channels"):
-            trunk.reserve("a", ["l0"], [intra], 1 * Mbps,
-                          graph=g, now=0.0, lease_s=60.0)
-
-    def test_rejects_nonpositive_bandwidth(self):
-        g, trunk = _rig()
-        with pytest.raises(ValueError):
-            trunk.reserve("a", ["l0"], [(TRUNK, "sw-right")], 0.0,
-                          graph=g, now=0.0, lease_s=60.0)
+        r = _router()
+        grant = _cross(r)
+        assert all(key in r.plan.trunk_keys for key, _ in grant.trunk.edges)
+        assert all(
+            key in r.plan.trunk_keys for key, _ in r.trunk.edge_claims()
+        )
 
     def test_oversubscription_raises_and_mutates_nothing(self):
-        g, trunk = _rig(cross_bw=10 * Mbps)
-        ch = (TRUNK, "sw-right")
-        trunk.reserve("a", ["l0", "r0"], [ch], 8 * Mbps,
-                      graph=g, now=0.0, lease_s=60.0)
-        fp = trunk.claims_fingerprint()
+        r = _router(cross_bw=10 * Mbps)
+        _reserve(r, "a", ["l0", "r0"], [CH], 8 * Mbps)
+        fp = r.trunk.claims_fingerprint()
         with pytest.raises(LedgerError):
-            trunk.reserve("b", ["l1", "r1"], [ch], 8 * Mbps,
-                          graph=g, now=0.0, lease_s=60.0)
-        assert trunk.claims_fingerprint() == fp
-        trunk.check_invariants()
+            _reserve(r, "b", ["l1", "r1"], [CH], 8 * Mbps)
+        assert r.trunk.claims_fingerprint() == fp
+        r.trunk.check_invariants()
 
 
 class TestLifecycle:
     def test_release_returns_capacity_exactly(self):
-        g, trunk = _rig()
-        ch = (TRUNK, "sw-right")
-        empty = trunk.claims_fingerprint()
-        trunk.reserve("a", ["l0", "r0"], [ch], 7 * Mbps,
-                      graph=g, now=0.0, lease_s=60.0)
-        trunk.release("a")
-        assert trunk.claims_fingerprint() == empty
-        assert trunk.active == 0
+        r = _router()
+        empty = r.trunk.claims_fingerprint()
+        _cross(r, bw_bps=7 * Mbps)
+        r.release("x")
+        assert r.trunk.claims_fingerprint() == empty
+        assert r.trunk.active == 0
+        r.check_invariants()
 
     def test_expire_reclaims(self):
-        g, trunk = _rig()
-        trunk.reserve("a", ["l0", "r0"], [(TRUNK, "sw-right")], 1 * Mbps,
-                      graph=g, now=0.0, lease_s=10.0)
-        assert trunk.expire(5.0) == []
-        assert trunk.expire(11.0) == ["a"]
-        assert not trunk.holds("a")
+        r = _router(lease_s=10.0)
+        _cross(r)
+        r.advance(5.0)
+        assert r.trunk.active == 1
+        r.advance(6.0)
+        assert r.trunk.active == 0 and "x" not in r.trunk.reservations
+        r.check_invariants()
 
     def test_renew_extends(self):
-        g, trunk = _rig()
-        trunk.reserve("a", ["l0", "r0"], [(TRUNK, "sw-right")], 1 * Mbps,
-                      graph=g, now=0.0, lease_s=10.0)
-        trunk.renew("a", 5.0, 10.0)
-        assert trunk.expire(11.0) == []
-        assert trunk.expire(16.0) == ["a"]
+        r = _router(lease_s=10.0)
+        _cross(r)
+        r.advance(5.0)
+        r.renew("x")
+        r.advance(6.0)
+        assert r.trunk.reservations["x"].expires_at == 15.0
+        r.advance(5.0)
+        assert r.trunk.active == 0
+        r.check_invariants()
 
 
 class TestDurability:
     def test_recovered_claims_bit_identical(self, tmp_path):
-        state = str(tmp_path / "trunk")
-        g = dumbbell(3, 3)
-        plan = partition_topology(g, 2)
-        t1 = TrunkLedger(plan.trunk_keys, state_dir=state)
-        t1.reserve("a", ["l0", "r0"], [(TRUNK, "sw-right")], 3 * Mbps,
-                   graph=g, now=0.0, lease_s=60.0)
-        fp = t1.claims_fingerprint()
-        t1.close()
-        t2 = TrunkLedger(plan.trunk_keys, state_dir=state)
-        assert t2.claims_fingerprint() == fp
-        assert t2.recovery is not None and t2.recovery.leases == 1
-        t2.check_invariants()
-        t2.close()
+        state = str(tmp_path / "router")
+        r1 = _router(state_dir=state)
+        _cross(r1, bw_bps=3 * Mbps)
+        fp = r1.trunk.claims_fingerprint()
+        r1.close()
+        r2 = _router(state_dir=state)
+        assert r2.trunk.claims_fingerprint() == fp
+        assert r2.trunk.recovery is not None
+        assert r2.trunk.recovery.leases == 1
+        assert r2.recovery.leases == 1
+        r2.check_invariants()
+        r2.close()
+
+
+def test_an_intra_shard_trunk_claim_fails_the_invariants():
+    """The trunk claims trunk channels only: a claim on an intra-shard
+    channel, made directly on the ledger for a live local composite
+    (so every other trunk check holds), is caught."""
+    r = _router()
+    local = r.request("a", ApplicationSpec(num_nodes=2), bw_bps=1 * Mbps)
+    assert local.admitted and not local.cross_shard
+    r.check_invariants()
+    nodes = list(local.selection.nodes)
+    switch = "sw-left" if nodes[0].startswith("l") else "sw-right"
+    _reserve(r, "a", nodes, [(frozenset({nodes[0], switch}), switch)],
+             1 * Mbps)
+    r.trunk.check_invariants()  # the ledger alone sees nothing wrong
+    with pytest.raises(AssertionError, match="non-trunk channel"):
+        r.check_invariants()

@@ -10,6 +10,7 @@ guarantee the residual graph's bit-identity rests on.
 
 import json
 import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from repro.service import (
     SelectionService,
     WalCorruptError,
 )
-from repro.service.wal import SNAPSHOT_NAME, WAL_NAME
+from repro.service.wal import SNAPSHOT_NAME, WAL_NAME, open_ledger
 from repro.topology import dumbbell
 
 
@@ -155,6 +156,34 @@ class TestRecovery:
         # Every line parses again: the torn bytes are physically gone.
         for line in path.read_text().splitlines():
             json.loads(line)
+
+    def test_open_ledger(self, tmp_path):
+        """The one durable opener drops a torn tail and recovers what the
+        two-step open (recover, then a ``LedgerWal`` attached by hand)
+        recovers; later mutations log the same bytes."""
+        graph = dumbbell(3, 3)
+        one, two = tmp_path / "one", tmp_path / "two"
+        ledger, _wal = make_ledger_with_wal(one)
+        grant(ledger, graph, "a", ("l0", "r0"), cpu=0.3, bw=7e6)
+        grant(ledger, graph, "b", ("l1", "l2"), cpu=0.25, bw=3e6, now=1.0)
+        ledger.renew("a", 10.0, 45.0)
+        path = one / WAL_NAME
+        path.write_bytes(path.read_bytes()[:-6])  # tear the renew
+        shutil.copytree(one, two)
+        opened, opened_wal = open_ledger(
+            str(one), cpu_cap=1.0, snapshot_every=256, fsync=False
+        )
+        by_hand = ReservationLedger.recover(str(two))
+        LedgerWal(str(two)).attach(by_hand)
+        assert opened.recovery == by_hand.recovery
+        assert opened.recovery.truncated_tail
+        assert opened.reservations == by_hand.reservations
+        assert opened.reservations["a"].expires_at == 60.0
+        assert opened.claims_fingerprint() == by_hand.claims_fingerprint()
+        for led in (opened, by_hand):
+            grant(led, graph, "c", ("r1",), cpu=0.1, bw=1e6, now=2.0)
+        assert path.read_bytes() == (two / WAL_NAME).read_bytes()
+        assert opened_wal.appended == 1
 
     def test_corruption_before_the_tail_refuses_to_replay(self, tmp_path):
         graph = dumbbell(2, 2)

@@ -615,7 +615,7 @@ class TestShardRouterChurnProperties:
     @staticmethod
     def _assert_trunk_capacity(router, graph):
         totals: dict = {}
-        for r in router.trunk.ledger.reservations.values():
+        for r in router.trunk.reservations.values():
             for edge in r.edges:
                 totals[edge] = totals.get(edge, 0.0) + r.bw_bps
         for (key, dst), total in totals.items():
