@@ -188,16 +188,15 @@ class RouteCache:
             path = self.routing.route(a, b)
         else:
             path = self.graph.path(a, b)
-        edges = (
-            None if path is None
-            else tuple(
-                (frozenset((u, v)), v) for u, v in zip(path, path[1:])
-            )
-        )
+        edges = None if path is None else self._hops(path)
         if len(self._pairs) >= _SELECTION_MEMO_LIMIT ** 2:
             self._pairs.clear()
         self._pairs[key] = edges
         return edges
+
+    def _hops(self, path: list[str]) -> tuple[DirectedEdge, ...]:
+        """The channels the pair memo keeps of a routed ``path``: all."""
+        return tuple((frozenset((u, v)), v) for u, v in zip(path, path[1:]))
 
     def connected(self, a: str, b: str) -> bool:
         """Whether a routed path exists from ``a`` to ``b`` (memoized).
@@ -241,7 +240,8 @@ class RouteCache:
     def edges_between(
         self, groups: Sequence[Sequence[str]]
     ) -> set[DirectedEdge]:
-        """Directed channels used by traffic *between* distinct groups.
+        """Directed channels used by traffic *between* distinct groups
+        (those the pair memo keeps: see :meth:`_hops`).
 
         Pairs wholly inside one group are skipped — the sharded router
         uses this for trunk accounting, where each group is a connected

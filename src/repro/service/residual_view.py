@@ -31,7 +31,8 @@ and across snapshots, and moves it in place:
   :class:`~repro.service.cache.PeelScheduleCache` exposed to the kernel
   through the ``peel_schedule_provider`` graph hook, so selections
   against the view skip the O(E log E) re-sort when the ledger's dirty
-  link set is small, and a :class:`~repro.core.kernel.ComputeRanking`
+  link set is small, a :class:`ChannelTable` resolving each channel to
+  its overlay link once, and a :class:`~repro.core.kernel.ComputeRanking`
   on the ``compute_ranking`` hook — the candidates best first, for the
   bandwidth-floor procedure and the batch planner to walk.  A node
   update only names what moved; the next selection to read the ranking
@@ -63,7 +64,37 @@ from ..topology.routing import RoutingTable
 from .cache import PeelScheduleCache, RouteCache
 from .ledger import DEADLINE_KINDS, Reservation, ReservationLedger
 
-__all__ = ["ResidualView"]
+__all__ = ["ChannelTable", "ResidualView"]
+
+
+class ChannelTable(dict):
+    """Directed channel -> ``(link, towards_v)``: ``graph``'s own link
+    object and whether the channel runs towards its ``v`` end (so its
+    availability is ``available_fwd``, else ``available_rev``); ``None``
+    when ``graph`` has no such link.
+
+    An entry is filled on first use, which is the one key lookup and
+    endpoint check it costs, and stays right for as long as ``graph``
+    keeps its link objects: an overlay's for the view's life, re-bases
+    included (they write into the same links).
+    """
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: TopologyGraph) -> None:
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, edge: DirectedEdge) -> Optional[tuple]:
+        key, dst = edge
+        link = self.graph.link_by_key(key)
+        entry = None
+        if link is not None:
+            if dst != link.v and dst != link.u:
+                raise KeyError(f"{dst!r} is not an endpoint of {link!r}")
+            entry = (link, dst == link.v)
+        self[edge] = entry
+        return entry
 
 
 class ResidualView:
@@ -100,6 +131,9 @@ class ResidualView:
             base, ledger.node_claims(), ledger.edge_claims()
         )
         self.routes = RouteCache(base, routing)
+        #: The overlay's channels, resolved once each (never the base's
+        #: links: those are replaced by a re-base, the overlay's are not).
+        self.channels = ChannelTable(self.graph)
         self.schedules = PeelScheduleCache(base)
         # The kernel hook (see repro.core.kernel._schedule): selections
         # against this overlay reuse the base peel sort, re-merging only
@@ -153,13 +187,14 @@ class ResidualView:
     def refresh_edges(self, edges: Iterable[DirectedEdge]) -> None:
         """Reset each directed channel from base availability and the
         ledger's current total claim (absent links ignored)."""
-        mine, base = self.graph.link_by_key, self.base.link_by_key
+        channels, base = self.channels, self.base.link_by_key
         claims = self.ledger._edge_claims  # the live totals, read in place
         for edge in edges:
-            key, dst = edge
-            link = mine(key)
-            if link is None:
+            entry = channels[edge]
+            if entry is None:
                 continue
+            key, dst = edge
+            link = entry[0]
             base_avail = base(key).available_towards(dst)
             claim = claims.get(edge, 0.0)
             if claim <= 0.0:

@@ -77,7 +77,7 @@ from .ledger import (
     route_edges,
 )
 from .metrics import ServiceMetrics
-from .residual_view import ResidualView
+from .residual_view import ChannelTable, ResidualView
 from .wal import LedgerWal, open_ledger
 
 __all__ = ["Grant", "SelectionService"]
@@ -724,20 +724,26 @@ class SelectionService:
         """Check the claims fit ``graph``'s capacity on ``nodes``;
         returns ``(fits, edges)`` — the routed channels, ``None`` when
         infeasible or no bandwidth claim.  ``view`` is the overlay
-        ``graph`` belongs to (its route cache answers, in ledger order);
-        a trial graph routes on itself."""
+        ``graph`` belongs to (its route cache answers, in ledger order,
+        and its channel table resolves the links); a trial graph routes
+        and resolves on itself."""
         for name in nodes:
             if graph.node(name).cpu + _EPS < req.cpu_fraction:
                 return False, None
         edges = None
         if req.bw_bps > 0:
             if view is not None:
-                edges = view.routes.edges_for(nodes)
+                edges, channels = view.routes.edges_for(nodes), view.channels
             else:
                 edges = route_edges(graph, nodes, self.routing)
-            link_by_key = graph.link_by_key
-            for key, dst in edges:
-                if link_by_key(key).available_towards(dst) + _EPS < req.bw_bps:
+                channels = ChannelTable(graph)
+            bw = req.bw_bps
+            for edge in edges:
+                link, towards_v = channels[edge]
+                available = (
+                    link.available_fwd if towards_v else link.available_rev
+                )
+                if available + _EPS < bw:
                     return False, None
         return True, edges
 

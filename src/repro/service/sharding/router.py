@@ -118,6 +118,26 @@ class _ShardProvider:
         return self._provider.topology().subgraph(self._members)
 
 
+class _TrunkRoutes(RouteCache):
+    """The router's route memo on the full graph.  Each ordered pair
+    keeps its route's cut: the hops whose ends lie in different shards,
+    which are the trunk channels (every link is intra-shard XOR trunk,
+    :meth:`ShardPlan.validate`).  So :meth:`edges_between`, the one
+    method the router asks, answers trunk channels only, including every
+    hop of a route between two shards that crosses a third."""
+
+    def __init__(self, graph: TopologyGraph, shard_of: dict) -> None:
+        super().__init__(graph)
+        self._shard_of = shard_of
+
+    def _hops(self, path: list[str]) -> tuple:
+        shard_of = self._shard_of
+        return tuple(
+            (frozenset((u, v)), v) for u, v in zip(path, path[1:])
+            if shard_of[u] != shard_of[v]
+        )
+
+
 class ShardRouter:
     """One :class:`SelectionService` per shard behind a single request API.
 
@@ -238,8 +258,8 @@ class ShardRouter:
         #: Each shard's sort key in :meth:`_shard_order`, kept beside
         #: ``_sub_count``: ``(live per host, shard)``.
         self._order_key = [(0.0, shard) for shard in range(plan.k)]
-        #: Full-graph route memo for cross-shard trunk-channel lookup.
-        self.routes = RouteCache(self._full)
+        #: Full-graph route memo that keeps trunk channels only.
+        self.routes = _TrunkRoutes(self._full, plan.shard_of)
         self.metrics = ServiceMetrics(self.registry)
         #: Latest standing outcome per application.
         self.outcomes: dict[str, PlacementGrant] = {}
@@ -805,13 +825,14 @@ class ShardRouter:
         bw_bps: float,
         order: list[int],
         min_parts: int,
-    ) -> Optional[list[tuple[int, int, Selection]]]:
+    ) -> Optional[list[tuple[int, ApplicationSpec, Selection]]]:
         """Greedy read-only split of ``spec.num_nodes`` across shards.
 
         Chunk sizes are capped at ``ceil(m / min_parts)`` (so at least
         ``min_parts`` shards participate) and halved on probe failure.
-        Returns ``[(shard, size, probed_selection), ...]`` covering the
-        full node count, or ``None`` — without mutating anything.
+        Returns ``[(shard, sub_spec, probed_selection), ...]`` covering
+        the full node count — ``sub_spec`` is the part's spec as probed,
+        which the commit admits — or ``None``, without mutating anything.
         """
         m = spec.num_nodes
         cap = math.ceil(m / min_parts)
@@ -819,7 +840,7 @@ class ShardRouter:
             spec, cpu_fraction, bw_bps, order, min_parts, cap
         )
         remaining = m
-        split: list[tuple[int, int, Selection]] = []
+        split: list[tuple[int, ApplicationSpec, Selection]] = []
         for shard in order:
             if remaining <= 0:
                 break
@@ -829,7 +850,7 @@ class ShardRouter:
                        self._shard_facts[shard]["hosts"])
             while size >= 1:
                 if (shard, size) in probed:
-                    selection = probed[shard, size]
+                    sub_spec, selection = probed[shard, size]
                 else:
                     sub_spec = replace(spec, num_nodes=size)
                     selection = self._exec.call(
@@ -837,7 +858,7 @@ class ShardRouter:
                         cpu_fraction=cpu_fraction, bw_bps=bw_bps,
                     )
                 if selection is not None:
-                    split.append((shard, size, selection))
+                    split.append((shard, sub_spec, selection))
                     remaining -= size
                     break
                 size //= 2
@@ -853,7 +874,7 @@ class ShardRouter:
         order: list[int],
         min_parts: int,
         cap: int,
-    ) -> dict[tuple[int, int], Optional[Selection]]:
+    ) -> dict[tuple[int, int], tuple[ApplicationSpec, Optional[Selection]]]:
         """Concurrent pre-warm of the split loop's first probe per shard.
 
         Replays the greedy size schedule assuming every probe succeeds
@@ -863,12 +884,13 @@ class ShardRouter:
         this cache reproduces the unfanned walk bit-for-bit; any probe
         that fails (or any worker that crashes) just drops the
         speculation and the loop falls back to its own serial RPCs.
-        Returns ``{}`` under the in-process executor: speculation only
-        pays where calls overlap.
+        Maps ``(shard, size)`` to ``(sub_spec, answer)``.  Returns
+        ``{}`` under the in-process executor: speculation only pays
+        where calls overlap.
         """
         if self._pool is None:
             return {}
-        sizes: list[tuple[int, int]] = []
+        sizes: list[tuple[int, int, ApplicationSpec]] = []
         remaining = spec.num_nodes
         for shard in order:
             if remaining <= 0:
@@ -878,22 +900,22 @@ class ShardRouter:
                        self._shard_facts[shard]["hosts"])
             if size < 1:
                 continue
-            sizes.append((shard, size))
+            sizes.append((shard, size, replace(spec, num_nodes=size)))
             remaining -= size
         if not sizes:
             return {}
         replies = self._pool.call_many([
             (
-                shard, "probe", (replace(spec, num_nodes=size),),
+                shard, "probe", (sub_spec,),
                 {"cpu_fraction": cpu_fraction, "bw_bps": bw_bps},
             )
-            for shard, size in sizes
+            for shard, _size, sub_spec in sizes
         ])
-        cache: dict[tuple[int, int], Optional[Selection]] = {}
-        for (shard, size), (kind, payload) in zip(sizes, replies):
-            if kind == "ok":
-                cache[shard, size] = payload
-        return cache
+        return {
+            (shard, size): (sub_spec, payload)
+            for (shard, size, sub_spec), (kind, payload) in zip(sizes, replies)
+            if kind == "ok"
+        }
 
     def _cross_shard(
         self,
@@ -934,16 +956,14 @@ class ShardRouter:
                     "cross-shard split"
                 ),
             )
-        part_nodes = [tuple(sel.nodes) for _shard, _size, sel in split]
         # Trunk accounting covers inter-part traffic only: each part is a
         # connected shard, so its internal routes never cross a boundary.
-        channels: list = []
+        channels: tuple = ()
         if bw_bps > 0:
-            channels = sorted(
-                (e for e in self.routes.edges_between(part_nodes)
-                 if e[0] in self.plan.trunk_keys),
+            channels = tuple(sorted(
+                self.routes.edges_between([sel.nodes for _, _, sel in split]),
                 key=ledger_order,
-            )
+            ))
             for channel in channels:
                 headroom = self._trunk_headroom(channel)
                 if headroom + _EPS * max(1.0, bw_bps) < bw_bps:
@@ -965,12 +985,11 @@ class ShardRouter:
         selections: dict[int, Selection] = {}
         claim = {"cpu_fraction": cpu_fraction, "bw_bps": bw_bps,
                  "priority": priority}
-        subs = [(shard, f"{app_id}@{shard}") for shard, _size, _sel in split]
+        subs = [(shard, f"{app_id}@{shard}") for shard, _spec, _sel in split]
         # Out together: different workers commit concurrently.
         replies = self._exec.call_many([
-            (shard, "admit_probed",
-             (sub, replace(spec, num_nodes=size), probed), claim)
-            for (shard, sub), (_shard, size, probed) in zip(subs, split)
+            (shard, "admit_probed", (sub, sub_spec, probed), claim)
+            for (shard, sub), (_shard, sub_spec, probed) in zip(subs, split)
         ])
         try:
             failure: Optional[Exception] = None

@@ -13,8 +13,10 @@ from repro.remos import AgentTimeout, Collector, DegradedPolicy, RemosAPI
 from repro.remos.api import _UNMONITORABLE_LOAD, NodeInfo
 from repro.remos.collector import _WRAP_RATE_SLACK, ResourceStatus
 from repro.remos.snmp import InterfaceRecord
-from repro.service import SelectionService, ShardRouter
+from repro.service import SelectionService, ShardPlan, ShardRouter, route_edges
 from repro.service.admission import SelectionRequest
+from repro.service.ledger import ledger_order
+from repro.service.residual_view import ChannelTable
 from repro.service.sharding.workers import InprocExecutor
 from repro.topology import TopologyGraph
 from repro.units import BITS_PER_BYTE
@@ -84,8 +86,10 @@ def naive_rebuild_service(*args, **kwargs) -> SelectionService:
     def rebuild(base: TopologyGraph) -> TopologyGraph:
         service._view = None
         overlay(base)
-        service._view.graph = service._capacity_view(base)
-        return service._view.graph
+        view = service._view
+        view.graph = service._capacity_view(base)
+        view.channels = ChannelTable(view.graph)
+        return view.graph
 
     service._residual = rebuild
     return service
@@ -183,6 +187,21 @@ class PinnedCommitRouter(ShardRouter):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._exec.__class__ = PinnedCommit
+
+
+def routed_trunk_channels(plan: ShardPlan, groups) -> tuple:
+    """A split's trunk channels as the router found them before its pair
+    memo kept trunk channels only: the union of the full routes of every
+    pair spanning two groups, on the plan's graph, filtered by
+    ``plan.trunk_keys`` and sorted by ``ledger_order``."""
+    routed: set = set()
+    for ga, gb in itertools.combinations(groups, 2):
+        for a in ga:
+            for b in gb:
+                routed.update(route_edges(plan.graph, (a, b)))
+    return tuple(sorted(
+        (e for e in routed if e[0] in plan.trunk_keys), key=ledger_order,
+    ))
 
 
 def shard_order_by_sort(router: ShardRouter) -> list[int]:

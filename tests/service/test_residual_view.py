@@ -13,6 +13,7 @@ import pytest
 from repro.core import ApplicationSpec
 from repro.core.kernel import peel_order
 from repro.core.metrics import DEFAULT_REFERENCES
+from repro.core.types import Selection
 from repro.des import Simulator
 from repro.faults import FaultInjector
 from repro.network import Cluster
@@ -26,6 +27,7 @@ from repro.service import (
     ServiceMetrics,
     ShardRouter,
 )
+from repro.service.admission import SelectionRequest
 from repro.service.ledger import ledger_order
 from repro.topology import RoutingTable, dumbbell, grid, star
 from repro.topology.residual import residual_graph
@@ -152,6 +154,46 @@ class TestResidualViewOverlay:
         view.graph.node("l0").load_average += 0.5
         with pytest.raises(AssertionError):
             view.assert_matches_rebuild()
+
+
+class TestChannelTable:
+    def test_entries_are_the_overlays_links_across_a_rebase(self):
+        """A lease's channels resolve to the overlay's own links, once; a
+        re-base that moves one of them keeps the table, and a verify
+        reads the moved availability through it."""
+        g = dumbbell(4, 4)
+        svc = SelectionService(g, snapshot_ttl=1e9)
+        nodes = ["l0", "r0"]
+        grant = svc.admit_probed(
+            "a", spec(2), Selection(nodes=nodes, objective=0.0),
+            bw_bps=10 * Mbps,
+        )
+        assert grant.admitted
+        view = svc.view
+        table = view.channels
+        assert set(table) == set(grant.reservation.edges)
+        for (key, dst), (link, towards_v) in table.items():
+            assert link is view.graph.link_by_key(key)
+            assert towards_v == (dst == link.v)
+
+        trunk = frozenset({"sw-left", "sw-right"})
+        moved = g.copy()
+        moved.link_by_key(trunk).set_available(40 * Mbps, direction="sw-right")
+        view.rebase(moved, (), [trunk])
+        view.assert_matches_rebuild()
+        assert view.channels is table
+        assert all(link is view.graph.link_by_key(key)
+                   for (key, _), (link, _) in table.items())
+
+        def fits(bw_bps):
+            req = SelectionRequest(app_id="b", spec=spec(2), bw_bps=bw_bps)
+            return svc._verify_claims(req, view.graph, nodes, view)[0]
+
+        # 40 measured - 10 claimed towards sw-right (90 before the move).
+        assert fits(30 * Mbps) and not fits(31 * Mbps)
+        svc.release("a")
+        view.assert_matches_rebuild()
+        assert fits(40 * Mbps) and not fits(41 * Mbps)
 
 
 class TestEpochMemoization:

@@ -1,18 +1,25 @@
 """Tests for the router's trunk ledger (``ShardRouter.trunk``).
 
 The trunk is a plain :class:`ReservationLedger` of zero-CPU claims on
-shard-boundary channels: the router filters a cross-shard grant's routes
-to those channels, checks their headroom, and reserves them once.
+shard-boundary channels: the router's pair memo keeps only those
+channels of a cross-shard grant's routes, and the router checks their
+headroom and reserves them once.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.spec import ApplicationSpec
 from repro.service import LedgerError, ShardRouter
 from repro.service.ledger import ledger_order
-from repro.topology import dumbbell, random_tree
+from repro.topology import dumbbell, grid, random_tree, torus
 from repro.units import Mbps
+
+from ..oracles import routed_trunk_channels
 
 TRUNK = frozenset({"sw-left", "sw-right"})
 CH = (TRUNK, "sw-right")
@@ -48,12 +55,18 @@ def _reserve(r, app, nodes, edges, bw_bps, **kwargs):
 
 class TestTrunkChannels:
     def test_filters_to_boundary_links(self):
+        """The router's pair memo keeps each route's trunk channels and
+        nothing else, so its answer is what the trunk claims."""
         r = _router()
         grant = _cross(r)
         routed = r.routes.edges_between(_parts(r, grant))
-        assert any(key not in r.plan.trunk_keys for key, _ in routed)
+        assert routed == set(grant.trunk.edges)
         assert grant.trunk.edges == ((TRUNK, "sw-left"), (TRUNK, "sw-right"))
         assert grant.trunk.cpu_fraction == 0.0
+        assert r.routes._pairs and all(
+            key in r.plan.trunk_keys
+            for hops in r.routes._pairs.values() for key, _ in hops
+        )
         r.check_invariants()
 
     def test_sorted_deterministically(self):
@@ -75,6 +88,60 @@ class TestTrunkChannels:
         assert len({key for key, _ in edges}) > 1
         assert list(edges) == sorted(edges, key=ledger_order)
         assert grant_edges() == edges
+
+
+@st.composite
+def partitioned_shapes(draw):
+    """A random tree, or a grid or torus, whose cuts are cyclic: a route
+    between two shards may cross a third."""
+    shape = draw(st.sampled_from(["tree", "grid", "torus"]))
+    if shape == "tree":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        return random_tree(draw(st.integers(8, 40)),
+                           draw(st.integers(2, 8)), rng)
+    rows, cols = draw(st.integers(3, 5)), draw(st.integers(3, 6))
+    return grid(rows, cols) if shape == "grid" else torus(rows, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    partitioned_shapes(), st.integers(2, 5),
+    st.lists(st.tuples(st.integers(2, 6), st.integers(2, 4)),
+             min_size=1, max_size=6),
+)
+def test_trunk_channels_equal_the_full_route_oracle(graph, shards, stream):
+    """Grant after grant (the pair memo warm with earlier grants' pairs),
+    the router's answer and the trunk's claim are the full routes'
+    trunk channels, in ledger order."""
+    r = ShardRouter(graph, shards=shards)
+    for i, (m, spread) in enumerate(stream):
+        grant = r.request(f"x{i}", ApplicationSpec(num_nodes=m),
+                          bw_bps=1 * Mbps, spread=spread)
+        if not grant.cross_shard:
+            continue
+        parts = _parts(r, grant)
+        want = routed_trunk_channels(r.plan, parts)
+        assert want
+        assert tuple(sorted(r.routes.edges_between(parts),
+                            key=ledger_order)) == want
+        assert grant.trunk.edges == want
+    r.check_invariants()
+
+
+@pytest.mark.parametrize("shape", [grid, torus])
+def test_a_route_through_a_third_shard_keeps_every_crossing(shape):
+    r = ShardRouter(shape(4, 6), shards=4)
+    shard_of = r.plan.shard_of
+    for a, b in itertools.permutations(sorted(shard_of), 2):
+        path = r._full.path(a, b)
+        if shard_of[a] != shard_of[b] and len({shard_of[n] for n in path}) > 2:
+            break
+    else:
+        pytest.fail("no route between two shards crosses a third")
+    want = routed_trunk_channels(r.plan, [[a], [b]])
+    assert len({key for key, _ in want}) >= 2
+    assert tuple(sorted(r.routes.edges_between([[a], [b]]),
+                        key=ledger_order)) == want
 
 
 class TestReserve:
