@@ -71,8 +71,8 @@ class PlacementGrant:
     shards: tuple = ()
     #: Shard index -> sub-grant id inside that shard's service.
     parts: dict = field(default_factory=dict)
-    #: The trunk bandwidth reservation (``None`` when local, unsharded,
-    #: or when the request claimed no bandwidth).
+    #: The cross-shard split's trunk record, naming all its nodes and
+    #: claiming its trunk channels (``None`` when local or unsharded).
     trunk: Optional[object] = None
 
     @property

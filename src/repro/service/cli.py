@@ -443,10 +443,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: --workers requires --shards > 1",
               file=sys.stderr)
         return 2
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be >= 1: {args.workers}",
-              file=sys.stderr)
-        return 2
+    for flag, value, least in (
+        ("--workers", args.workers, 1), ("--queue-size", args.queue_size, 1),
+        ("--batch-max", args.batch_max, 1),
+        ("--batch-window", args.batch_window, 0), ("--pace", args.pace, 0),
+    ):
+        if value is not None and value < least:
+            print(f"error: {flag} must be >= {least}: {value}",
+                  file=sys.stderr)
+            return 2
     tracer = Tracer() if args.trace_out else None
     try:
         if args.shards > 1:
@@ -482,7 +487,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: corrupt WAL state: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: cannot shard topology: {exc}", file=sys.stderr)
+        built = "shard router" if args.shards > 1 else "selection service"
+        print(f"error: cannot build the {built}: {exc}", file=sys.stderr)
         return 2
     if service.recovery is not None:
         rec = service.recovery

@@ -22,11 +22,10 @@ Routing:
      reads and feeds the shard's exact selection memo); then check
      trunk headroom for the bandwidth claim on every boundary channel
      the combined placement routes over.
-  2. **Commit**: only after every probe and the trunk check pass, each
-     shard admits the selection its probe found
-     (:meth:`SelectionService.admit_probed` — verify and reserve, no
-     second select), and the trunk bandwidth is reserved exactly once,
-     in the router's trunk ledger.
+  2. **Commit**: only after every probe and the trunk check pass, the
+     split's one trunk record is reserved, then each shard admits the
+     selection its probe found (:meth:`SelectionService.admit_probed` —
+     verify and reserve, no second select).
 
   Every *reachable* failure happens in the probe phase, before anything
   is committed — a refused cross-shard request leaves all shard ledgers
@@ -38,17 +37,16 @@ Routing:
   given back).
 
 The trunk ledger (:attr:`ShardRouter.trunk`) is a plain
-:class:`~repro.service.ReservationLedger` whose reservations claim zero
-CPU and bandwidth on trunk channels only (links whose ends lie in
-different shards): one per cross-shard grant that claims bandwidth,
-named like the composite.  The shard services account every other
-channel; :meth:`ShardRouter.check_invariants` asserts the partition both
-ways and holds the trunk to the composites.
-
-Sub-grants are named ``{app_id}@{shard}`` inside shard services, so a
-durable router (``state_dir=``) recovers composite grants from the
-per-shard WALs plus the trunk WAL, finishing a step a crash cut between
-the shards and the trunk (:meth:`ShardRouter._recover_composites`).
+:class:`~repro.service.ReservationLedger` holding one zero-CPU record
+per cross-shard grant, named like the composite and reserved before any
+part commits: it names every node of the split and claims the
+bandwidth on its trunk channels (links whose ends lie in different
+shards; none when the grant claims no bandwidth).  The shard services
+account every other channel.  Sub-grants are named ``{app_id}@{shard}``
+inside shard services, so a durable router (``state_dir=``) recovers
+composites from the per-shard WALs plus the trunk WAL by one rule
+(:meth:`ShardRouter._recover_composites`), and
+:meth:`ShardRouter.check_invariants` holds the record to the parts.
 ``repro-serve --shards K`` and ``run_multi_tenant(shards=K)`` expose the
 router through the existing entry points.
 
@@ -361,13 +359,11 @@ class ShardRouter:
     def _recover_composites(self) -> None:
         """Rebuild composite grants from recovered shard + trunk leases.
 
-        A router crash between the shard step and the trunk step leaves
-        the books disagreeing; recovery finishes that step as
-        :meth:`_give_back` would.  A trunk reservation with no composite
-        (the crash hit a release) is evicted, and so is every part of a
-        multi-shard composite that claims bandwidth but holds no trunk
-        reservation (the crash hit a commit, so its client never got an
-        answer).
+        One rule: a lease held by one shard with no trunk record is a
+        local grant; any other set of parts is a composite only if its
+        record exists and names exactly the parts' nodes.  Everything
+        else — parts a crash cut from their siblings or their record, a
+        record whose parts are gone — is evicted, parts and record alike.
         """
         reservation_maps = [
             self._exec.call(shard, "reservation_map")
@@ -384,10 +380,13 @@ class ShardRouter:
         for app_id, parts in sorted(parts_by_app.items()):
             held = [reservation_maps[shard][parts[shard]]
                     for shard in sorted(parts)]
-            latest = max(latest, *(granted_at for _, granted_at, _ in held))
-            if (len(parts) > 1 and app_id not in trunk
-                    and any(bw_bps > 0 for _, _, bw_bps in held)):
-                logger.warning("evicting %r: no trunk claim", app_id)
+            latest = max(latest, *(granted_at for _, granted_at in held))
+            nodes = [name for names, _ in held for name in names]
+            record = trunk.get(app_id)
+            if (len(parts) > 1 if record is None
+                    else set(record.nodes) != set(nodes)):
+                logger.warning("evicting %r: its parts and record disagree",
+                               app_id)
                 for shard, sub in parts.items():
                     self._release_sub(shard, sub, "evict")
                     self._rekey(shard, self._sub_count[shard] - 1)
@@ -396,18 +395,18 @@ class ShardRouter:
                 app_id=app_id,
                 status=Decision.ADMITTED,
                 selection=Selection(
-                    nodes=[name for nodes, _, _ in held for name in nodes],
-                    objective=0.0, algorithm="sharded-recovered",
+                    nodes=nodes, objective=0.0,
+                    algorithm="sharded-recovered",
                 ),
                 shards=tuple(sorted(parts)),
                 parts=dict(sorted(parts.items())),
-                trunk=trunk.get(app_id),
+                trunk=record,
                 reason="recovered from WAL",
             )
             self._active[app_id] = grant
             self.outcomes[app_id] = grant
         for app_id in sorted(trunk.keys() - self._active.keys()):
-            logger.warning("evicting the trunk claim of %r: no parts", app_id)
+            logger.warning("evicting the trunk record of %r", app_id)
             self.trunk.release(app_id, kind="evict")
         if self._manual_clock is not None and latest > self._manual_clock.now:
             # Never restart behind the recovered grants (mirrors the
@@ -446,8 +445,8 @@ class ShardRouter:
                 / max(1, m.routed_local + m.routed_cross))
         m.gauge("trunk_active_reservations",
                 "repro_shard_trunk_active_reservations",
-                "Live cross-shard bandwidth reservations in the trunk "
-                "ledger.", lambda: self.trunk.active)
+                "Live cross-shard composites (one trunk record each).",
+                lambda: self.trunk.active)
         m.gauge("trunk_channels_claimed", "repro_shard_trunk_channels_claimed",
                 "Directed trunk channels carrying at least one claim.",
                 lambda: len(self.trunk.edge_claims()))
@@ -561,8 +560,8 @@ class ShardRouter:
             self._slo_restarts_seen = self._exec.restarts
         now = self.now
         replies = self._exec.tick_all(force=bool(restarted))
-        self.trunk.expire(now)
         if replies is None:  # no shard can have expired anything
+            self.trunk.expire(now)
             return []
         dead_subs: set[str] = set()
         for shard, (kind, payload) in enumerate(replies):
@@ -614,6 +613,7 @@ class ShardRouter:
         for sub in dead_subs:
             shard = int(sub.rsplit("@", 1)[1])
             self._rekey(shard, self._sub_count[shard] - 1)
+        self.trunk.expire(now)  # records last, as in release()
         # The fan-out read every posted ack on its way; an error among
         # them is raised now that the books are settled.
         self._exec.drain()
@@ -977,60 +977,56 @@ class ShardRouter:
                             f"({headroom:g} available)"
                         ),
                     )
-        # Commit phase.  Each shard admits the selection its probe found
-        # (``admit_probed``: verify and reserve, no second select).  No
-        # claim moves between the phases, so every part fits; the
-        # rollback below is defensive.
+        # Commit phase: first the trunk record, naming every node of the
+        # split (parts a crash cuts from it never match it), then each
+        # shard admits the selection its probe found (``admit_probed``).
+        # No claim moves between the phases, so the rollback is defensive.
+        nodes = [name for _, _, sel in split for name in sel.nodes]
         parts: dict[int, str] = {}
-        selections: dict[int, Selection] = {}
         claim = {"cpu_fraction": cpu_fraction, "bw_bps": bw_bps,
                  "priority": priority}
         subs = [(shard, f"{app_id}@{shard}") for shard, _spec, _sel in split]
-        # Out together: different workers commit concurrently.
-        replies = self._exec.call_many([
-            (shard, "admit_probed", (sub, sub_spec, probed), claim)
-            for (shard, sub), (_shard, sub_spec, probed) in zip(subs, split)
-        ])
+        replies: list = []
         try:
+            t_trunk = perf_counter()
+            trunk_res = self.trunk.reserve(
+                app_id, nodes, cpu_fraction=0.0, bw_bps=bw_bps,
+                graph=self._full, now=self.now, lease_s=self.lease_s,
+                priority=priority, edges=channels,
+            )
+            self.metrics.observe_stage(
+                "trunk_reserve", perf_counter() - t_trunk
+            )
+            # Out together: different workers commit concurrently.
+            replies = self._exec.call_many([
+                (shard, "admit_probed", (sub, sub_spec, probed), claim)
+                for (shard, sub), (_shard, sub_spec, probed)
+                in zip(subs, split)
+            ])
             failure: Optional[Exception] = None
             for (shard, sub), (kind, g) in zip(subs, replies):
                 if kind == "ok" and g.admitted:
                     parts[shard] = sub
-                    selections[shard] = g.selection
                     continue
                 failure = g if kind == "err" else _CommitAbort(
                     f"shard {shard} refused at commit: {g.reason}"
                 )
             if failure is not None:
                 raise failure
-            nodes = [
-                name for selection in selections.values()
-                for name in selection.nodes
-            ]
-            trunk_res = None
-            if bw_bps > 0:
-                t_trunk = perf_counter()
-                if channels:
-                    trunk_res = self.trunk.reserve(
-                        app_id, nodes, cpu_fraction=0.0, bw_bps=bw_bps,
-                        graph=self._full, now=self.now,
-                        lease_s=self.lease_s, priority=priority,
-                        edges=channels,
-                    )
-                self.metrics.observe_stage(
-                    "trunk_reserve", perf_counter() - t_trunk
-                )
         except Exception as exc:
-            # No part outlives a failed commit.  A refusal (a stale
-            # probe, a ledger cap, a mid-commit crash) is unreachable
-            # while probes are sound and workers stay up, and answers
-            # REJECTED; any other error (a shard's log append, a bug)
-            # propagates once the parts are given back.
+            # No part and no record outlives a failed commit; the parts
+            # go first, as in release().  A refusal (a stale probe, a
+            # ledger cap, a mid-commit crash) is unreachable while probes
+            # are sound and workers stay up, and answers REJECTED; any
+            # other error (a shard's log append, a bug) propagates once
+            # the parts and the record are given back.
             self._give_back(
                 (shard, sub)
                 for (shard, sub), (kind, g) in zip(subs, replies)
                 if kind == "err" or g.admitted
             )
+            if app_id in self.trunk.reservations:
+                self.trunk.release(app_id, kind="evict")
             if not isinstance(
                 exc, (_CommitAbort, LedgerError, WorkerCrashError)
             ):
@@ -1045,7 +1041,7 @@ class ShardRouter:
             )
         selection = Selection(
             nodes=nodes,
-            objective=min(s.objective for s in selections.values()),
+            objective=min(sel.objective for _, _, sel in split),
             algorithm="sharded",
         )
         return PlacementGrant(
@@ -1081,7 +1077,8 @@ class ShardRouter:
             self._release_sub(shard, sub, "evict")
 
     def release(self, app_id: str, *, kind: str = "release") -> PlacementGrant:
-        """Give back every sub-lease and the trunk claim for ``app_id``.
+        """Give back every sub-lease, then the trunk record, of ``app_id``
+        (a crash between leaves a record its parts no longer match).
 
         ``kind`` labels the record in every shard WAL and the trunk WAL
         (``release``/``expire``/``evict``/``preempt``), exactly as on
@@ -1113,7 +1110,7 @@ class ShardRouter:
     def renew(
         self, app_id: str, *, extend: Optional[float] = None
     ) -> PlacementGrant:
-        """Extend every sub-lease (and the trunk claim).
+        """Extend every sub-lease (and the trunk record).
 
         ``extend`` overrides the router's ``lease_s`` for this renewal.
         """
@@ -1157,12 +1154,12 @@ class ShardRouter:
         intra/trunk claim partition (no shard ever claims a trunk
         channel; the trunk claims trunk channels only), the router's
         live count against what each shard holds, and the trunk against
-        the composites: every trunk reservation belongs to a live
-        composite and names its nodes, and every live multi-shard
-        composite that claims bandwidth holds one."""
+        the composites: a live composite has more than one part exactly
+        when it has a trunk record, and the record names exactly the
+        nodes its parts hold."""
         self._exec.drain()
         trunk_keys = self.plan.trunk_keys
-        part_bw: dict[str, float] = {}
+        part_nodes: dict[str, list] = {}
         for shard in range(self.plan.k):
             self._exec.call(shard, "check_invariants")
             for key, dst in self._exec.call(shard, "edge_claims"):
@@ -1171,7 +1168,7 @@ class ShardRouter:
                     f"{sorted(key)} towards {dst!r}"
                 )
             held = self._exec.call(shard, "reservation_map")
-            part_bw.update((sub, bw) for sub, (_, _, bw) in held.items())
+            part_nodes.update((sub, n) for sub, (n, _) in held.items())
             live = len(held)
             assert self._sub_count[shard] == live, (
                 f"router sub-lease count for shard {shard} drifted: "
@@ -1188,19 +1185,13 @@ class ShardRouter:
                 f"trunk claimed non-trunk channel {sorted(key)} "
                 f"towards {dst!r}"
             )
-        for app_id, r in self.trunk.reservations.items():
-            grant = self._active.get(app_id)
-            assert grant is not None and (
-                set(r.nodes) == set(grant.selection.nodes)
-            ), f"trunk reservation {app_id!r} is no live composite's"
-        for app_id, grant in self._active.items():
-            if len(grant.parts) > 1 and any(
-                part_bw.get(sub, 0.0) > 0 for sub in grant.parts.values()
-            ):
-                assert app_id in self.trunk.reservations, (
-                    f"cross-shard composite {app_id!r} claims bandwidth "
-                    "but holds no trunk reservation"
-                )
+        composites = {
+            app_id: {name for sub in grant.parts.values()
+                     for name in part_nodes.get(sub, ())}
+            for app_id, grant in self._active.items() if len(grant.parts) > 1
+        }
+        named = {a: set(r.nodes) for a, r in self.trunk.reservations.items()}
+        assert named == composites, f"trunk records {named} != {composites}"
 
     def _read_per_shard(self) -> dict:
         """``per_shard``: every shard's own ``metrics_snapshot``, cut

@@ -147,7 +147,7 @@ def _dispatch(service: SelectionService, op: str, args: tuple, kwargs: dict):
         return getattr(service, op)(*args, **kwargs)
     if op == "reservation_map":
         return {
-            app_id: (list(r.nodes), r.granted_at, r.bw_bps)
+            app_id: (list(r.nodes), r.granted_at)
             for app_id, r in service.ledger.reservations.items()
         }
     if op == "edge_claims":

@@ -139,6 +139,31 @@ class TestWorkloadFile:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("flag, value", [
+        ("--queue-size", "0"), ("--batch-max", "0"),
+        ("--batch-window", "-0.1"), ("--pace", "-1"), ("--workers", "0"),
+    ])
+    def test_out_of_range_flag_returns_2(self, topo_file, capsys, flag,
+                                         value):
+        args = [topo_file, "--demo", "2", "--async", flag, value]
+        if flag == "--workers":
+            args += ["--shards", "2"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be >= " in err and value in err
+
+    @pytest.mark.parametrize("shards, built", [
+        ("1", "selection service"), ("2", "shard router"),
+    ])
+    def test_construction_error_names_what_was_built(self, topo_file,
+                                                     capsys, shards, built):
+        assert main([topo_file, "--demo", "2", "--lease", "0",
+                     "--shards", shards]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot build the {built}: " in err
+        assert "lease_s must be positive" in err
+        assert "shard topology" not in err
+
     def test_missing_topology_returns_2(self, capsys):
         assert main(["/nonexistent.json", "--demo", "1"]) == 2
         assert "cannot load topology" in capsys.readouterr().err

@@ -78,10 +78,17 @@ class TestCrossShard:
             assert set(g.selection.nodes) & r.plan.shards[shard]
 
     def test_spread_without_bandwidth_skips_the_trunk(self):
+        """A split with no bandwidth claim still gets its trunk record,
+        naming its nodes, but the record claims no trunk channel."""
         r = _router()
         g = r.request("ha", ApplicationSpec(num_nodes=4), spread=2)
-        assert g.admitted and g.trunk is None
-        assert r.trunk.active == 0
+        assert g.admitted and g.trunk is not None
+        assert g.trunk.edges == () and r.trunk.edge_claims() == {}
+        assert set(r.trunk.reservations["ha"].nodes) == set(g.selection.nodes)
+        r.check_invariants()
+        r.release("ha")
+        assert r.trunk.active == 0 and "ha" not in r.trunk.reservations
+        r.check_invariants()
 
     def test_trunk_claimed_exactly_once_per_grant(self):
         r = _router()
@@ -463,12 +470,28 @@ class TestCrashBetweenShardAndTrunkStep:
         self, tmp_path, executor
     ):
         r = self._open(str(tmp_path), executor)
-        self._crash_in(r, "reserve",
-                       lambda: r.request("y", self.SPEC, **self.CLAIM))
+        real_call_many = r._exec.call_many
+
+        def first_part_then_crash(calls, **kwargs):
+            if calls and calls[0][1] == "admit_probed":
+                # The record and the first part land; the router dies
+                # before the second part is sent.
+                assert [kind for kind, _ in real_call_many(calls[:1])] == [
+                    "ok"
+                ]
+                raise KeyboardInterrupt
+            return real_call_many(calls, **kwargs)
+
+        r._exec.call_many = first_part_then_crash
+        with pytest.raises(KeyboardInterrupt):
+            r.request("y", self.SPEC, **self.CLAIM)
+        assert "y" in r.trunk.reservations
+        if r.pool is not None:
+            r.pool.close()
         r2 = self._open(str(tmp_path), executor)
         try:
-            # Without the eviction y came back ADMITTED on two shards
-            # with a bandwidth claim and none on the trunk.
+            # Without the eviction y came back ADMITTED as a one-part
+            # composite holding half the nodes its record names.
             self._assert_books_empty(r2)
             again = r2.request("y", self.SPEC, **self.CLAIM)
             assert again.admitted and again.trunk is not None

@@ -232,3 +232,31 @@ def test_an_intra_shard_trunk_claim_fails_the_invariants():
     r.trunk.check_invariants()  # the ledger alone sees nothing wrong
     with pytest.raises(AssertionError, match="non-trunk channel"):
         r.check_invariants()
+
+
+@pytest.mark.parametrize("bw_bps", [0.0, 1 * Mbps])
+@pytest.mark.parametrize("mutant", ["skips the record", "names one part"])
+def test_a_split_without_its_whole_record_fails_the_invariants(
+    bw_bps, mutant
+):
+    """A split's trunk record names every node of it, with or without a
+    bandwidth claim: a router that skips the record for one split, or
+    names only one part in it, is caught while every ledger alone
+    agrees."""
+    r = _router()
+    real_reserve = r.trunk.reserve
+
+    def reserve(app_id, nodes, **kwargs):
+        if mutant == "skips the record":
+            return None
+        return real_reserve(app_id, nodes[:1], **kwargs)
+
+    r.trunk.reserve = reserve
+    grant = r.request("x", ApplicationSpec(num_nodes=2), bw_bps=bw_bps,
+                      spread=2)
+    assert grant.admitted and len(grant.parts) == 2
+    r.trunk.check_invariants()
+    for svc in r.services:
+        svc.check_invariants()
+    with pytest.raises(AssertionError, match="trunk records"):
+        r.check_invariants()
