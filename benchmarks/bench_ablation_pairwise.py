@@ -17,7 +17,7 @@ import numpy as np
 from conftest import write_report
 from repro.analysis import format_table
 from repro.core import select_max_bandwidth
-from repro.topology import RoutingTable, random_tree
+from repro.topology import random_tree
 from repro.units import Mbps
 
 
@@ -33,12 +33,11 @@ def pairwise_selection(g, m):
     """NWS-style: build the full pairwise bottleneck matrix, then greedily
     grow a set from the best pair (no topology knowledge)."""
     hosts = [n.name for n in g.compute_nodes()]
-    rt = RoutingTable(g)
     matrix = {}
     for a in hosts:
         for b in hosts:
             if a != b:
-                matrix[(a, b)] = rt.bottleneck_bandwidth(a, b)
+                matrix[(a, b)] = g.path_available_bandwidth(a, b)
 
     def pair_bw(a, b):
         return min(matrix[(a, b)], matrix[(b, a)])

@@ -21,10 +21,9 @@ that bench ``bench_estimator`` validates against the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..topology.graph import TopologyGraph
-from ..topology.routing import RoutingTable
 from ..units import BITS_PER_BYTE
 from .metrics import DEFAULT_REFERENCES, References, node_compute_fraction
 from .pattern_aware import effective_pattern_bandwidth
@@ -70,7 +69,6 @@ def estimate_runtime(
     phases: Sequence[PhaseWorkload],
     refs: References = DEFAULT_REFERENCES,
     base_capacity: float = 1.0,
-    routing: Optional[RoutingTable] = None,
 ) -> float:
     """Predicted execution time (seconds) of ``phases`` on ``nodes``.
 
@@ -87,7 +85,6 @@ def estimate_runtime(
     if not names:
         raise ValueError("placement must name at least one node")
     m = len(names)
-    routing = routing or RoutingTable(graph)
     min_cpu = min(
         node_compute_fraction(graph.node(n), refs) for n in names
     )
@@ -102,9 +99,7 @@ def estimate_runtime(
             )
         comm = 0.0
         if phase.comm_bytes_per_pair > 0 and m > 1:
-            eff = effective_pattern_bandwidth(
-                graph, names, phase.pattern, routing
-            )
+            eff = effective_pattern_bandwidth(graph, names, phase.pattern)
             if eff <= 0:
                 return float("inf")
             if eff != float("inf"):

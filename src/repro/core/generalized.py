@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ..topology.graph import Node, TopologyGraph
-from ..topology.routing import RoutedView, RoutingTable
+from ..topology.routing import RoutedView
 from .balanced import select_balanced
 from .bandwidth import select_max_bandwidth
 from .compute import select_max_compute, top_compute_nodes
@@ -104,7 +104,6 @@ def select_routed(
     graph: TopologyGraph,
     m: int,
     *,
-    routing: Optional[RoutingTable] = None,
     objective: str = "balanced",
     refs: References = DEFAULT_REFERENCES,
     eligible: Optional[Callable[[Node], bool]] = None,
@@ -120,7 +119,6 @@ def select_routed(
     """
     if objective not in ("balanced", "bandwidth", "compute"):
         raise ValueError(f"unknown objective {objective!r}")
-    routing = routing or RoutingTable(graph)
     candidates = [
         n.name for n in graph.compute_nodes()
         if eligible is None or eligible(n)
@@ -129,7 +127,7 @@ def select_routed(
         raise NoFeasibleSelection(
             f"need {m} eligible compute nodes, only {len(candidates)} exist"
         )
-    view = RoutedView(graph, routing, compute_nodes=candidates)
+    view = RoutedView(graph, compute_nodes=candidates)
     overlay = view.overlay()
 
     if overlay.is_acyclic():

@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence
 
 from ..network.fairshare import max_min_fair
 from ..topology.graph import Node, TopologyGraph
-from ..topology.routing import RoutingTable
 from .balanced import select_balanced
 from .metrics import (
     DEFAULT_REFERENCES,
@@ -97,7 +96,6 @@ def effective_pattern_bandwidth(
     graph: TopologyGraph,
     nodes: Sequence[str],
     pattern: str,
-    routing: Optional[RoutingTable] = None,
     master: Optional[str] = None,
 ) -> float:
     """Max-min fair rate of the slowest flow when the pattern fires at once.
@@ -110,11 +108,10 @@ def effective_pattern_bandwidth(
     flows = pattern_flows(nodes, pattern, master=master)
     if not flows:
         return float("inf")
-    routing = routing or RoutingTable(graph)
     routes: dict[int, list] = {}
     caps: dict = {}
     for i, (src, dst) in enumerate(flows):
-        path = routing.route(src, dst)
+        path = graph.path(src, dst)
         if path is None:
             return 0.0
         chans = []
@@ -157,7 +154,6 @@ def select_pattern_aware(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    routing = RoutingTable(graph)
     ref_bw = refs.link_bandwidth or max(
         (l.maxbw for l in graph.links()), default=1.0
     )
@@ -173,7 +169,7 @@ def select_pattern_aware(
     def score(names: Sequence[str]) -> float:
         cpu = refs.scale_cpu(min_cpu_fraction(graph, names, refs))
         eff = effective_pattern_bandwidth(
-            graph, names, pattern, routing, master=master_of(names)
+            graph, names, pattern, master=master_of(names)
         )
         bw = refs.scale_bw(min(eff / ref_bw, 1.0) if eff != float("inf") else 1.0)
         return min(cpu, bw)
@@ -209,7 +205,7 @@ def select_pattern_aware(
     current.sort()
 
     eff = effective_pattern_bandwidth(
-        graph, current, pattern, routing, master=master_of(current)
+        graph, current, pattern, master=master_of(current)
     )
     return Selection(
         nodes=current,

@@ -33,7 +33,6 @@ from typing import (
 )
 
 from ..topology.graph import Node, TopologyGraph
-from ..topology.routing import RoutingTable
 from .balanced import select_balanced
 from .bandwidth import select_max_bandwidth
 from .compute import select_max_compute
@@ -224,8 +223,8 @@ def _run_routed(
 ) -> Selection:
     # Cycles + static routing (§3.3): route-aware procedures.
     return select_routed(
-        g, spec.num_nodes, routing=RoutingTable(g), objective=spec.objective,
-        refs=refs, eligible=eligible,
+        g, spec.num_nodes, objective=spec.objective, refs=refs,
+        eligible=eligible,
     )
 
 
@@ -356,14 +355,6 @@ class NodeSelector:
         unmonitorable are never selected, whatever procedure runs.  Setting
         False restores the naive behaviour (the fault-resilience bench uses
         it as the control arm).
-    view:
-        Optional transform applied to every provider snapshot before
-        selection — e.g. a reservation ledger's residual-capacity view
-        (:meth:`repro.service.ReservationLedger.apply`), so concurrent
-        applications see capacity already claimed by earlier admissions.
-        Explicit ``graph`` arguments to :meth:`select` bypass it: callers
-        passing a graph (the migration engine, the service's admission
-        check) have already adjusted it.
     procedures:
         Optional dispatch table overriding the shared registry (a copy of
         which is taken at construction, so later global registrations do
@@ -382,23 +373,19 @@ class NodeSelector:
         self,
         provider: TopologyProvider | TopologyGraph,
         exclude_unhealthy: bool = True,
-        view: Optional[Callable[[TopologyGraph], TopologyGraph]] = None,
         procedures: Optional[Sequence[Procedure]] = None,
     ) -> None:
         self._provider = provider
         self.exclude_unhealthy = exclude_unhealthy
-        self.view = view
         self.procedures: list[Procedure] = list(
             PROCEDURES if procedures is None else procedures
         )
 
     def snapshot(self) -> TopologyGraph:
-        """A fresh topology snapshot from the provider, through ``view``."""
+        """A fresh topology snapshot from the provider."""
         if isinstance(self._provider, TopologyGraph):
-            g = self._provider
-        else:
-            g = self._provider.topology()
-        return self.view(g) if self.view is not None else g
+            return self._provider
+        return self._provider.topology()
 
     def _gate(self, eligible: Eligible) -> Eligible:
         """Compose an eligibility predicate with the health exclusion."""

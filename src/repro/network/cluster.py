@@ -9,12 +9,9 @@ collector all operate against this object.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..des.events import Event
 from ..des.simulator import Simulator
 from ..topology.graph import TopologyGraph
-from ..topology.routing import RoutingTable
 from .fabric import Fabric
 from .host import ComputeTask, Host
 
@@ -33,8 +30,6 @@ class Cluster:
         is ``node.compute_capacity * base_capacity`` ops/s.
     base_capacity:
         Ops/second of a capacity-1.0 node (calibration knob).
-    routing:
-        Static routes (defaults to shortest path).
     load_tau:
         Load-average damping constant passed to every host.
     """
@@ -44,13 +39,11 @@ class Cluster:
         sim: Simulator,
         graph: TopologyGraph,
         base_capacity: float = 1.0,
-        routing: Optional[RoutingTable] = None,
         load_tau: float = 60.0,
     ) -> None:
         self.sim = sim
         self.graph = graph
-        self.routing = routing or RoutingTable(graph)
-        self.fabric = Fabric(sim, graph, self.routing)
+        self.fabric = Fabric(sim, graph)
         #: The hosts' shared ``awake`` set: loaded, decaying or down.
         self.awake: set[str] = set()
         self.hosts: dict[str, Host] = {

@@ -23,7 +23,6 @@ import numpy as np
 from ..des.events import Event
 from ..des.simulator import Simulator
 from ..topology.graph import TopologyGraph
-from ..topology.routing import RoutingTable
 from ..units import BITS_PER_BYTE
 from .fairshare import max_min_fair
 
@@ -85,19 +84,13 @@ class Fabric:
     graph:
         The *physical* topology; ``maxbw`` per link is the channel capacity.
         The graph is not mutated — current utilization lives in the fabric.
-    routing:
-        Static routes; defaults to shortest-path routing over ``graph``.
+        Every transfer takes the graph's fixed route
+        (:meth:`~repro.topology.TopologyGraph.path`).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        graph: TopologyGraph,
-        routing: Optional[RoutingTable] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, graph: TopologyGraph) -> None:
         self.sim = sim
         self.graph = graph
-        self.routing = routing or RoutingTable(graph)
         self._flows: dict[int, Flow] = {}
         self._next_fid = 0
         self._capacities: dict[ChannelId, float] = {}
@@ -229,7 +222,7 @@ class Fabric:
         if src == dst:
             done.succeed(0.0)
             return done
-        path = self.routing.route(src, dst)
+        path = self.graph.path(src, dst)
         if path is None:
             done.fail(ConnectionError(f"{src!r} and {dst!r} are disconnected"))
             return done

@@ -390,7 +390,6 @@ class RemosAPI:
                         f"({src!r} -> {dst!r})"
                     )
         topo = self.topology()
-        routing = self.cluster.routing
         flows: dict[int, list] = {}
         capacities: dict = {}
         quotes: dict[int, float] = {}
@@ -398,7 +397,7 @@ class RemosAPI:
             if src == dst:
                 quotes[i] = float("inf")
                 continue
-            path = routing.route(src, dst)
+            path = graph.path(src, dst)
             if path is None:
                 quotes[i] = 0.0
                 continue

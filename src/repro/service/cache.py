@@ -45,7 +45,6 @@ from ..core.metrics import References
 from ..obs.trace import NULL_TRACER
 from ..topology.graph import Link, TopologyGraph
 from ..topology.residual import DirectedEdge
-from ..topology.routing import RoutingTable
 from .ledger import ledger_order
 
 __all__ = ["PeelScheduleCache", "RouteCache", "SnapshotCache"]
@@ -150,11 +149,11 @@ class RouteCache:
     only on topology *structure*, which neither capacity claims nor
     fresh measurements touch, so a node *set* resolves to its channels
     once and is remembered (up to :data:`_SELECTION_MEMO_LIMIT` sets).
-    On a forest without a routing table they are both directions of
-    every :meth:`~repro.topology.TopologyGraph.span` link, O(m · depth);
-    otherwise every ordered pair is resolved through the per-pair memo
-    (bounded at the square; a BFS each, O(m² · (V+E)), without a table).
-    Either way the answer is a tuple in
+    On a forest they are both directions of every
+    :meth:`~repro.topology.TopologyGraph.span` link, O(m · depth); with
+    a cycle every ordered pair is resolved through the per-pair memo
+    (bounded at the square; each miss follows the graph's kept next-hop
+    map, O(path length)).  Either way the answer is a tuple in
     :func:`~repro.service.ledger.ledger_order`, which ``reserve`` stores
     as it is.
 
@@ -164,13 +163,8 @@ class RouteCache:
     only with the overlay, on a rebuild.
     """
 
-    def __init__(
-        self,
-        graph: TopologyGraph,
-        routing: Optional[RoutingTable] = None,
-    ) -> None:
+    def __init__(self, graph: TopologyGraph) -> None:
         self.graph = graph
-        self.routing = routing
         #: Ordered pair -> channel tuple (None: pair is disconnected).
         self._pairs: dict[
             tuple[str, str], Optional[tuple[DirectedEdge, ...]]
@@ -184,10 +178,7 @@ class RouteCache:
         key = (a, b)
         if key in self._pairs:
             return self._pairs[key]
-        if self.routing is not None:
-            path = self.routing.route(a, b)
-        else:
-            path = self.graph.path(a, b)
+        path = self.graph.path(a, b)
         edges = None if path is None else self._hops(path)
         if len(self._pairs) >= _SELECTION_MEMO_LIMIT ** 2:
             self._pairs.clear()
@@ -218,7 +209,7 @@ class RouteCache:
             self.hits += 1
             return edges
         self.misses += 1
-        span = None if self.routing is not None else self.graph.span(nodes)
+        span = self.graph.span(nodes)
         if span is not None:
             ends = sorted(
                 (l.u, l.v) if l.u < l.v else (l.v, l.u) for l in span[0]

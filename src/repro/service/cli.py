@@ -444,6 +444,7 @@ def main(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
         return 2
     for flag, value, least in (
+        ("--shards", args.shards, 1), ("--demo", args.demo, 0),
         ("--workers", args.workers, 1), ("--queue-size", args.queue_size, 1),
         ("--batch-max", args.batch_max, 1),
         ("--batch-window", args.batch_window, 0), ("--pace", args.pace, 0),

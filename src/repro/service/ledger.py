@@ -39,7 +39,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..topology.graph import TopologyGraph
 from ..topology.residual import DirectedEdge, residual_graph
-from ..topology.routing import RoutingTable
 
 __all__ = [
     "CAPACITY_RETURNING_KINDS",
@@ -145,23 +144,18 @@ class Reservation:
 
 
 def route_edges(
-    graph: TopologyGraph,
-    nodes: Sequence[str],
-    routing: Optional[RoutingTable] = None,
+    graph: TopologyGraph, nodes: Sequence[str]
 ) -> set[DirectedEdge]:
     """Directed link channels used by traffic among ``nodes``.
 
-    Every ordered pair routes over its fixed path (``routing`` if given,
-    else the graph's shortest path — identical on trees); each hop
-    contributes the channel *towards* the next node.  Disconnected pairs
-    contribute nothing.
+    Every ordered pair routes over its fixed path
+    (:meth:`TopologyGraph.path`, the route the fabric sends it on); each
+    hop contributes the channel *towards* the next node.  Disconnected
+    pairs contribute nothing.
     """
     edges: set[DirectedEdge] = set()
     for a, b in itertools.permutations(nodes, 2):
-        if routing is not None:
-            path = routing.route(a, b)
-        else:
-            path = graph.path(a, b)
+        path = graph.path(a, b)
         if path is None:
             continue
         for u, v in zip(path, path[1:]):
@@ -231,7 +225,6 @@ class ReservationLedger:
         graph: TopologyGraph,
         now: float,
         lease_s: float,
-        routing: Optional[RoutingTable] = None,
         priority: str = "silver",
         edges: Optional[Iterable[DirectedEdge]] = None,
     ) -> Reservation:
@@ -241,7 +234,7 @@ class ReservationLedger:
         against ``maxbw``, never against transient availability — that is
         the admission controller's job).  ``edges`` optionally supplies
         the routed channels up front — what :func:`route_edges` would
-        compute on ``graph``/``routing``.  A ``tuple`` is taken to be in
+        compute on ``graph``.  A ``tuple`` is taken to be in
         :func:`ledger_order` already and becomes :attr:`Reservation.edges`
         as it is (the route cache's answer, an old lease's ``edges``);
         any other iterable is sorted.  One pass validates every channel
@@ -270,7 +263,7 @@ class ReservationLedger:
             edges = ()
         elif not isinstance(edges, tuple):
             if edges is None:
-                edges = route_edges(graph, nodes, routing)
+                edges = route_edges(graph, nodes)
             edges = tuple(sorted(edges, key=ledger_order))
         for name in nodes:
             claimed = self._node_claims.get(name, 0.0)

@@ -60,7 +60,6 @@ from ..topology.residual import (
     DirectedEdge,
     residual_graph,
 )
-from ..topology.routing import RoutingTable
 from .cache import PeelScheduleCache, RouteCache
 from .ledger import DEADLINE_KINDS, Reservation, ReservationLedger
 
@@ -112,9 +111,6 @@ class ResidualView:
     down:
         Node names to mark ``down`` in the overlay's attrs (the
         service's injector ground truth).
-    routing:
-        Static routes for the embedded :class:`RouteCache` (default:
-        shortest paths on the base snapshot).
     """
 
     def __init__(
@@ -123,14 +119,13 @@ class ResidualView:
         ledger: ReservationLedger,
         *,
         down: Iterable[str] = (),
-        routing: Optional[RoutingTable] = None,
     ) -> None:
         self.base = base
         self.ledger = ledger
         self.graph = residual_graph(
             base, ledger.node_claims(), ledger.edge_claims()
         )
-        self.routes = RouteCache(base, routing)
+        self.routes = RouteCache(base)
         #: The overlay's channels, resolved once each (never the base's
         #: links: those are replaced by a re-base, the overlay's are not).
         self.channels = ChannelTable(self.graph)

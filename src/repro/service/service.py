@@ -59,7 +59,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SloMonitor
 from ..obs.trace import NULL_TRACER
 from ..topology.graph import TopologyGraph
-from ..topology.routing import RoutingTable
 from .admission import (
     AdmissionQueue,
     Decision,
@@ -190,9 +189,6 @@ class SelectionService:
     cpu_cap:
         Per-node cap on summed CPU claims (see
         :class:`~repro.service.ReservationLedger`).
-    routing:
-        Static routes claims are debited along (default: shortest paths on
-        each snapshot — exact on trees).
     clock:
         Override the time source (defaults to the provider's simulator
         when it has one, else a manual clock for static graphs).
@@ -240,7 +236,6 @@ class SelectionService:
         lease_s: float = 60.0,
         queue_limit: int = 16,
         cpu_cap: float = 1.0,
-        routing: Optional[RoutingTable] = None,
         clock: Optional[Callable[[], float]] = None,
         exclude_unhealthy: bool = True,
         tracer=None,
@@ -261,7 +256,6 @@ class SelectionService:
         self.provider = provider
         self.clock = clock
         self.lease_s = float(lease_s)
-        self.routing = routing
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry if registry is not None else MetricsRegistry()
         self.preempt = bool(preempt)
@@ -283,9 +277,7 @@ class SelectionService:
             provider, ttl=snapshot_ttl, clock=clock, tracer=self.tracer
         )
         self.selector = NodeSelector(
-            self.cache,
-            exclude_unhealthy=exclude_unhealthy,
-            view=self._capacity_view,
+            self.cache, exclude_unhealthy=exclude_unhealthy
         )
         self.queue = AdmissionQueue(queue_limit)
         self.metrics = ServiceMetrics(self.registry)
@@ -336,7 +328,6 @@ class SelectionService:
         #: Collector push subscription (see :meth:`enable_push`).
         self._push_unsub: Optional[Callable[[], None]] = None
         self._advisor = None
-        self._migrate_on_degrade = False
         if state_dir is not None:
             for app_id, r in self.ledger.reservations.items():
                 self.outcomes[app_id] = Grant(
@@ -661,11 +652,10 @@ class SelectionService:
         """Residual capacity plus injector-reported crashes (a copy).
 
         The naive O(V+E) rebuild: full graph copy and re-debit of every
-        claim.  The hot path runs on :meth:`_residual`'s overlay; this
-        is the selector's implicit ``view`` (spec-only ``select()``
-        callers outside the admission pipeline) and, with ``without``,
-        the *trial* residual preemption planning and migration place
-        on: capacity as it would read once those leases were released.
+        claim.  The hot path runs on :meth:`_residual`'s overlay; this,
+        with ``without``, is the *trial* residual preemption planning
+        and migration place on: capacity as it would read once those
+        leases were released.
         """
         g = self.ledger.apply(graph, without)
         for name in self._known_down:
@@ -705,8 +695,7 @@ class SelectionService:
                 # monotone kernel totals.
                 self._harvest_view_stats(view)
             view = self._view = ResidualView(
-                base, self.ledger,
-                down=self._known_down, routing=self.routing,
+                base, self.ledger, down=self._known_down
             )
             self.metrics.view_rebuilds += 1
         self._view_key = key
@@ -735,7 +724,7 @@ class SelectionService:
             if view is not None:
                 edges, channels = view.routes.edges_for(nodes), view.channels
             else:
-                edges = route_edges(graph, nodes, self.routing)
+                edges = route_edges(graph, nodes)
                 channels = ChannelTable(graph)
             bw = req.bw_bps
             for edge in edges:
@@ -846,7 +835,6 @@ class SelectionService:
                 graph=base,
                 now=self.now,
                 lease_s=self.lease_s,
-                routing=self.routing,
                 priority=req.priority,
                 edges=edges,
             )
@@ -1373,13 +1361,7 @@ class SelectionService:
 
         injector.subscribe(on_event)
 
-    def enable_push(
-        self,
-        collector,
-        *,
-        migrate_on_degrade: bool = True,
-        hysteresis: float = 0.2,
-    ) -> Callable[[], None]:
+    def enable_push(self, collector) -> Callable[[], None]:
         """Subscribe to a collector's staleness events (push pipeline).
 
         Instead of discovering a degrading node at the next TTL sweep,
@@ -1402,8 +1384,7 @@ class SelectionService:
             raise RuntimeError("push pipeline already enabled")
         from ..core.migration import MigrationAdvisor
 
-        self._advisor = MigrationAdvisor(self.selector, hysteresis=hysteresis)
-        self._migrate_on_degrade = migrate_on_degrade
+        self._advisor = MigrationAdvisor(self.selector)
 
         def on_push(_t: float, kind: str, target: object) -> None:
             self.metrics.push_events += 1
@@ -1412,7 +1393,7 @@ class SelectionService:
                 self._residual_epoch += 1  # capacity may be back
                 self._drain_queue()
                 return
-            if kind == "host-stale" and self._migrate_on_degrade:
+            if kind == "host-stale":
                 for app_id in self.ledger.apps_on_node(str(target)):
                     self._migrate_lease(app_id, str(target))
 
@@ -1478,7 +1459,7 @@ class SelectionService:
                     app_id, r.nodes,
                     cpu_fraction=r.cpu_fraction, bw_bps=r.bw_bps,
                     graph=base, now=self.now, lease_s=lease,
-                    routing=self.routing, priority=r.priority,
+                    priority=r.priority,
                     edges=r.edges,
                 )
             return False

@@ -29,7 +29,7 @@ from .graph import (
     load_from_cpu_fraction,
 )
 from .residual import DirectedEdge, residual_graph
-from .routing import RoutedView, RoutingTable
+from .routing import RoutedView
 from .serialize import from_dict, from_json, to_dict, to_dot, to_json
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Node",
     "NodeKind",
     "RoutedView",
-    "RoutingTable",
     "TopologyGraph",
     "balanced_tree",
     "cpu_fraction",

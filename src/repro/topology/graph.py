@@ -286,6 +286,12 @@ class TopologyGraph:
     #: class-level default so graphs pickled before the index existed load.
     _forest: Union[None, Literal[False], _ForestIndex] = None
 
+    #: Next-hop maps behind :meth:`path` on a graph with a cycle:
+    #: destination -> {node: its next hop towards it}, one map built per
+    #: destination on first use.  Dropped with the forest index, shared
+    #: by :meth:`replaced`, neither copied nor pickled.
+    _next_hops: Optional[dict[str, dict[str, str]]] = None
+
     #: Set on snapshots a measuring provider answers with; ``None`` on
     #: built, loaded and oracle graphs.  Copies carry it along.
     measurement: Optional[Measurement] = None
@@ -305,6 +311,7 @@ class TopologyGraph:
         # Derived state, rebuilt on demand: do not ship it.
         state = self.__dict__.copy()
         state.pop("_forest", None)
+        state.pop("_next_hops", None)
         state.pop("compute_ranking", None)
         return state
 
@@ -315,7 +322,7 @@ class TopologyGraph:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._adj[node.name] = {}
-        self._forest = None
+        self._forest = self._next_hops = None
         return node
 
     def add_compute(
@@ -372,7 +379,7 @@ class TopologyGraph:
         self._links[link.key] = link
         self._adj[link.u][link.v] = link
         self._adj[link.v][link.u] = link
-        self._forest = None
+        self._forest = self._next_hops = None
         return link
 
     def remove_link(self, u: str, v: str) -> Link:
@@ -383,7 +390,7 @@ class TopologyGraph:
             raise KeyError(f"no link {u!r}--{v!r}")
         del self._adj[u][v]
         del self._adj[v][u]
-        self._forest = None
+        self._forest = self._next_hops = None
         return link
 
     def remove_node(self, name: str) -> Node:
@@ -394,7 +401,7 @@ class TopologyGraph:
         for neighbor in list(self._adj[name]):
             self.remove_link(name, neighbor)
         del self._adj[name]
-        self._forest = None
+        self._forest = self._next_hops = None
         return node
 
     # -- access --------------------------------------------------------------
@@ -569,13 +576,18 @@ class TopologyGraph:
         return self._forest_index() is not None
 
     def path(self, src: str, dst: str) -> Optional[list[str]]:
-        """A shortest path (node names, inclusive) from ``src`` to ``dst``.
+        """The fixed route (node names, inclusive) from ``src`` to ``dst``;
+        ``None`` when the nodes are disconnected.
 
-        In an acyclic graph this is *the* unique path, read off the forest
-        index by walking both ends up to their lowest common ancestor in
-        O(depth).  A graph with a cycle is searched by BFS with
-        insertion-order tie-breaking, so results are deterministic.
-        Returns ``None`` when the nodes are disconnected.
+        Every hop goes to the smallest-named neighbour one hop closer to
+        ``dst``, so the route is a shortest path and the same on every
+        call (the static routing of §3.3).  The rule is per ordered pair:
+        ``path(b, a)`` need not be ``path(a, b)`` reversed, and the
+        ledger claims each direction's channels on its own.  In a forest
+        the path is unique and read off the forest index by walking both
+        ends up to their lowest common ancestor, O(depth).  With a cycle
+        it follows ``dst``'s next-hop map, built by one BFS from ``dst``
+        on first use and kept until the structure changes, O(length).
         """
         for name in (src, dst):
             if name not in self._nodes:
@@ -583,24 +595,34 @@ class TopologyGraph:
         index = self._forest_index()
         if index is not None:
             return self._forest_path(index, src, dst)
-        if src == dst:
-            return [src]
-        parent: dict[str, str] = {src: src}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._adj[cur]:
-                if nxt in parent:
-                    continue
-                parent[nxt] = cur
-                if nxt == dst:
-                    out = [dst]
-                    while out[-1] != src:
-                        out.append(parent[out[-1]])
-                    out.reverse()
-                    return out
-                queue.append(nxt)
-        return None
+        hops = self._hops_towards(dst)
+        if src not in hops:
+            return None
+        out = [src]
+        while out[-1] != dst:
+            out.append(hops[out[-1]])
+        return out
+
+    def _hops_towards(self, dst: str) -> dict[str, str]:
+        """``{node: next hop}`` for every node connected to ``dst``."""
+        maps = self._next_hops
+        if maps is None:
+            maps = self._next_hops = {}
+        hops = maps.get(dst)
+        if hops is None:
+            hops = maps[dst] = {dst: dst}
+            adj, level = self._adj, [dst]
+            while level:
+                below = []
+                # A level in name order: whoever reaches a node first is
+                # its smallest-named neighbour one hop closer to ``dst``.
+                for cur in sorted(level):
+                    for nxt in adj[cur]:
+                        if nxt not in hops:
+                            hops[nxt] = cur
+                            below.append(nxt)
+                level = below
+        return hops
 
     @staticmethod
     def _forest_path(
@@ -748,16 +770,16 @@ class TopologyGraph:
         Each given node replaces the one of its name and each link the
         one between its endpoints (both must exist).  Everything else —
         the other node and link objects, adjacency rows no replaced
-        link touches, the forest index — is *shared* with this graph,
-        which is not modified: O(V + E) pointer copies plus the
-        replacements, no node or link copied.  Meant for immutable
-        snapshots; mutating a shared object shows in both graphs.
+        link touches, the forest index and next-hop maps — is *shared*
+        with this graph, which is not modified: O(V + E) pointer copies
+        plus the replacements, no node or link copied.  Meant for
+        immutable snapshots; mutating a shared object shows in both.
         """
         g = TopologyGraph()
         g._nodes = dict(self._nodes)
         g._links = dict(self._links)
         g._adj = adj = dict(self._adj)
-        g._forest = self._forest
+        g._forest, g._next_hops = self._forest, self._next_hops
         for node in nodes:
             if node.name not in g._nodes:
                 raise KeyError(f"no node {node.name!r}")

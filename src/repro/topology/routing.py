@@ -4,134 +4,24 @@ topology").
 Networks often contain cycles, but with *static routing* every source /
 destination pair uses one fixed path, so the selection algorithms remain
 applicable: the effective communication graph between compute nodes is
-determined by the routing table, and the bandwidth available between a pair
-is the bottleneck along its routed path.
+determined by the routes, and the bandwidth available between a pair is
+the bottleneck along its routed path.
 
-:class:`RoutingTable` computes deterministic shortest paths (Dijkstra on
-latency with hop-count and name tie-breaking — the classic OSPF-like rule)
-once, then answers path queries in O(path length).
+The route of a pair is :meth:`TopologyGraph.path` — the one rule the
+simulated fabric, the Remos flow queries, the selection procedures and the
+service's ledger all use (bottleneck and latency along it:
+:meth:`~TopologyGraph.path_available_bandwidth`,
+:meth:`~TopologyGraph.path_latency`).  :class:`RoutedView` reduces a
+cyclic topology to the overlay its compute traffic routes over.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Optional
 
-from .graph import Link, TopologyGraph
+from .graph import TopologyGraph
 
-__all__ = ["RoutingTable", "RoutedView"]
-
-
-class RoutingTable:
-    """Fixed shortest-path routes for every ordered node pair.
-
-    Parameters
-    ----------
-    graph:
-        The (possibly cyclic) topology to route.
-    weight:
-        Edge weight attribute: ``"hops"`` (default) or ``"latency"``.
-
-    Routes are symmetric by construction (the tie-break is order-independent)
-    and stable across runs, matching the paper's static-routing assumption.
-    """
-
-    def __init__(self, graph: TopologyGraph, weight: str = "hops") -> None:
-        if weight not in ("hops", "latency"):
-            raise ValueError(f"unknown weight {weight!r}")
-        self._graph = graph
-        self._weight = weight
-        # parent maps per source, computed lazily per source node.
-        self._parents: dict[str, dict[str, str]] = {}
-
-    def _edge_weight(self, link: Link) -> float:
-        return 1.0 if self._weight == "hops" else max(link.latency, 1e-12)
-
-    def _compute_from(self, src: str) -> dict[str, str]:
-        """Dijkstra from ``src`` with deterministic (dist, name) ordering."""
-        graph = self._graph
-        dist: dict[str, float] = {src: 0.0}
-        parent: dict[str, str] = {src: src}
-        heap: list[tuple[float, str]] = [(0.0, src)]
-        done: set[str] = set()
-        while heap:
-            d, cur = heapq.heappop(heap)
-            if cur in done:
-                continue
-            done.add(cur)
-            for link in graph.incident_links(cur):
-                nxt = link.other(cur)
-                nd = d + self._edge_weight(link)
-                if nxt not in dist or nd < dist[nxt] - 1e-15 or (
-                    abs(nd - dist[nxt]) <= 1e-15 and parent.get(nxt, "") > cur
-                ):
-                    dist[nxt] = nd
-                    parent[nxt] = cur
-                    heapq.heappush(heap, (nd, nxt))
-        return parent
-
-    def _parent_map(self, src: str) -> dict[str, str]:
-        table = self._parents.get(src)
-        if table is None:
-            if not self._graph.has_node(src):
-                raise KeyError(f"no node {src!r}")
-            table = self._compute_from(src)
-            self._parents[src] = table
-        return table
-
-    def invalidate(self) -> None:
-        """Drop cached routes (call after topology changes)."""
-        self._parents.clear()
-
-    def route(self, src: str, dst: str) -> Optional[list[str]]:
-        """The fixed path from ``src`` to ``dst`` (None if disconnected).
-
-        Paths are returned src→dst inclusive.  The route is read from the
-        *destination's* shortest-path tree so that ``route(a, b)`` is the
-        reverse of ``route(b, a)`` — bidirectional traffic between a pair
-        shares one physical path, as on a statically routed network.
-        """
-        if not self._graph.has_node(dst):
-            raise KeyError(f"no node {dst!r}")
-        if src == dst:
-            return [src] if self._graph.has_node(src) else None
-        parent = self._parent_map(dst)
-        if src not in parent:
-            if not self._graph.has_node(src):
-                raise KeyError(f"no node {src!r}")
-            return None
-        path = [src]
-        while path[-1] != dst:
-            path.append(parent[path[-1]])
-        return path
-
-    def route_links(self, src: str, dst: str) -> Optional[list[Link]]:
-        """Links along the fixed route (None if disconnected)."""
-        path = self.route(src, dst)
-        if path is None:
-            return None
-        return self._graph.path_links(path)
-
-    def bottleneck_bandwidth(self, src: str, dst: str) -> float:
-        """Available bandwidth src→dst along the routed path (bps)."""
-        if src == dst:
-            return float("inf")
-        path = self.route(src, dst)
-        if path is None:
-            return 0.0
-        return min(
-            self._graph.link(a, b).available_towards(b)
-            for a, b in zip(path, path[1:])
-        )
-
-    def latency(self, src: str, dst: str) -> float:
-        """Total latency along the routed path (``inf`` if disconnected)."""
-        if src == dst:
-            return 0.0
-        links = self.route_links(src, dst)
-        if links is None:
-            return float("inf")
-        return sum(l.latency for l in links)
+__all__ = ["RoutedView"]
 
 
 class RoutedView:
@@ -148,11 +38,9 @@ class RoutedView:
     def __init__(
         self,
         graph: TopologyGraph,
-        routing: Optional[RoutingTable] = None,
         compute_nodes: Optional[Iterable[str]] = None,
     ) -> None:
         self.graph = graph
-        self.routing = routing or RoutingTable(graph)
         if compute_nodes is None:
             self.compute_names = [n.name for n in graph.compute_nodes()]
         else:
@@ -164,9 +52,9 @@ class RoutedView:
         names = self.compute_names
         for i, a in enumerate(names):
             for b in names[i + 1:]:
-                links = self.routing.route_links(a, b)
-                if links:
-                    used.update(l.key for l in links)
+                path = self.graph.path(a, b)
+                if path:
+                    used.update(l.key for l in self.graph.path_links(path))
         return used
 
     def overlay(self) -> TopologyGraph:
@@ -187,5 +75,5 @@ class RoutedView:
         for a in self.compute_names:
             for b in self.compute_names:
                 if a != b:
-                    out[(a, b)] = self.routing.bottleneck_bandwidth(a, b)
+                    out[(a, b)] = self.graph.path_available_bandwidth(a, b)
         return out

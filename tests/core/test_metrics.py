@@ -18,7 +18,7 @@ from repro.topology import (
 )
 from repro.units import Mbps
 
-from ..oracles import bfs_path
+from ..oracles import routing_table_route
 
 
 class TestReferences:
@@ -147,14 +147,14 @@ class TestSetObjectives:
 
 
 def _pairwise_oracle(g, names, link_bandwidth):
-    """Both pairwise minima the long way: a BFS route per ordered pair,
-    every hop counted in its own direction."""
+    """Both pairwise minima the long way: the reference route of every
+    ordered pair, every hop counted in its own direction."""
     fraction = bps = float("inf")
     for a in names:
         for b in names:
             if a == b:
                 continue
-            path = bfs_path(g, a, b)
+            path = routing_table_route(g, a, b)
             if path is None:
                 return 0.0, 0.0
             for x, y in zip(path, path[1:]):

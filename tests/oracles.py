@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import replace
@@ -46,6 +47,40 @@ def bfs_path(graph: TopologyGraph, src: str, dst: str) -> Optional[list[str]]:
                 return out
             queue.append(nxt)
     return None
+
+
+def routing_table_route(
+    graph: TopologyGraph, src: str, dst: str
+) -> Optional[list[str]]:
+    """The fixed route as ``RoutingTable(graph).route`` found it before
+    ``TopologyGraph.path`` was the one rule: Dijkstra on hop counts from
+    ``dst`` with name tie-breaks, read back from ``src``."""
+    for name in (src, dst):
+        if not graph.has_node(name):
+            raise KeyError(f"no node {name!r}")
+    dist: dict[str, float] = {dst: 0.0}
+    parent: dict[str, str] = {dst: dst}
+    heap: list[tuple[float, str]] = [(0.0, dst)]
+    done: set[str] = set()
+    while heap:
+        d, cur = heapq.heappop(heap)
+        if cur in done:
+            continue
+        done.add(cur)
+        for nxt in graph.neighbors(cur):
+            nd = d + 1.0
+            if nxt not in dist or nd < dist[nxt] or (
+                nd == dist[nxt] and parent[nxt] > cur
+            ):
+                dist[nxt] = nd
+                parent[nxt] = cur
+                heapq.heappush(heap, (nd, nxt))
+    if src not in parent:
+        return None
+    path = [src]
+    while path[-1] != dst:
+        path.append(parent[path[-1]])
+    return path
 
 
 def pairwise_minima_by_paths(

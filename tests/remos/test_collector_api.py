@@ -243,7 +243,7 @@ class TestRemosAPI:
             oracle = full_sweep_topology(api)
 
             def fair(src, dst):
-                path = cluster.routing.route(src, dst)
+                path = g.path(src, dst)
                 return [(frozenset((a, b)), b) for a, b in zip(path, path[1:])]
 
             flows = {i: fair(*pair) for i, pair in enumerate(pairs)}

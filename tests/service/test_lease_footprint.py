@@ -34,7 +34,7 @@ from repro.service import (
 )
 from repro.service.cache import _SELECTION_MEMO_LIMIT
 from repro.service.ledger import ledger_order
-from repro.topology import RoutingTable, TopologyGraph, grid, random_tree
+from repro.topology import TopologyGraph, grid, random_tree
 from repro.units import Mbps
 
 from ..oracles import pairwise_minima_by_paths
@@ -143,28 +143,29 @@ def test_minima_equal_the_pair_walk_on_a_cyclic_grid(names, refs):
 # -- routing -------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(forests(), st.booleans())
-def test_route_cache_equals_ordered_route_edges_on_forests(forest, routed):
+@given(forests())
+def test_route_cache_equals_ordered_route_edges_on_forests(forest):
     g, names = forest
-    routing = RoutingTable(g) if routed else None
-    cache = RouteCache(g, routing)
-    want = ordered(route_edges(g, names, routing))
+    cache = RouteCache(g)
+    want = ordered(route_edges(g, names))
     got = cache.edges_for(names)
     assert got == want and isinstance(got, tuple)
     assert cache.edges_for(list(reversed(names))) is got  # the memo's own
-    if not routed:
-        assert not cache._pairs  # nothing was walked pair by pair
+    assert not cache._pairs  # nothing was walked pair by pair
 
 
-@pytest.mark.parametrize("routed", [False, True])
-def test_route_cache_equals_ordered_route_edges_on_a_cyclic_grid(routed):
+@pytest.mark.parametrize("reverse", [False, True])
+def test_route_cache_equals_ordered_route_edges_on_a_cyclic_grid(reverse):
+    """Each set is asked in name order or reversed: on a cycle a pair's
+    path is not always its reverse's, so the answer must still cover
+    every ordered pair whichever name comes first."""
     g = grid(3, 3)
-    routing = RoutingTable(g) if routed else None
-    cache = RouteCache(g, routing)
+    cache = RouteCache(g)
     hosts = g.node_names()
     for names in itertools.combinations(hosts, 3):
-        assert cache.edges_for(names) == \
-            ordered(route_edges(g, names, routing))
+        if reverse:
+            names = names[::-1]
+        assert cache.edges_for(names) == ordered(route_edges(g, names))
 
 
 def test_route_memo_is_bounded():
@@ -181,9 +182,9 @@ def test_route_memo_is_bounded():
 
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_pair_memo_is_bounded_where_pairs_are_walked(cyclic, monkeypatch):
-    """A cyclic graph and a routing table resolve pair by pair, for
-    ``edges_for``, ``connected`` and ``edges_between`` alike; the pair
-    memo holds the square of what the others hold (the routers' live
+    """``connected`` and ``edges_between`` resolve pair by pair on any
+    graph, and ``edges_for`` does too on a cyclic one; the pair memo
+    holds the square of what the others hold (the routers' live
     pair sets on ``sharded_10k`` / ``workers_10k`` are 336 and 379:
     at the plain limit they were re-walked after every clear)."""
     limit = 4
@@ -191,13 +192,11 @@ def test_pair_memo_is_bounded_where_pairs_are_walked(cyclic, monkeypatch):
     g = grid(3, 3) if cyclic else random_tree(
         9, 3, np.random.default_rng(2)
     )
-    routing = None if cyclic else RoutingTable(g)
-    cache = RouteCache(g, routing)
+    cache = RouteCache(g)
     hosts = g.node_names()[:9]
     assert len(hosts) * (len(hosts) - 1) > 2 * limit ** 2
     for names in itertools.combinations(hosts, 3):
-        assert cache.edges_for(names) == \
-            ordered(route_edges(g, names, routing))
+        assert cache.edges_for(names) == ordered(route_edges(g, names))
         assert len(cache._sets) <= limit
         assert len(cache._pairs) <= limit ** 2
     for a, b in itertools.permutations(hosts, 2):
@@ -206,7 +205,7 @@ def test_pair_memo_is_bounded_where_pairs_are_walked(cyclic, monkeypatch):
     halves = [hosts[:4], hosts[4:]]
     assert cache.edges_between(halves) == {
         edge for a in halves[0] for b in halves[1]
-        for edge in route_edges(g, (a, b), routing)
+        for edge in route_edges(g, (a, b))
     }
     assert 0 < len(cache._pairs) <= limit ** 2
 

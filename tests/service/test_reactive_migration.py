@@ -109,24 +109,6 @@ class TestProactiveMigration:
         assert service.metrics.evicted == 1
         assert service.status("app").status == Decision.EVICTED
 
-    def test_migrate_on_degrade_can_be_disabled(self):
-        sim, cluster, collector, api, service, injector = make_rig()
-        service.enable_push(collector, migrate_on_degrade=False)
-        sim.run(until=3.0)
-        grant = service.request(
-            "app", ApplicationSpec(num_nodes=2), cpu_fraction=0.3,
-        )
-        victim = grant.selection.nodes[0]
-        injector.schedule([
-            AgentOutage(device=victim, at=sim.now + 0.5, duration=1e6),
-        ])
-        sim.run(until=sim.now + 6.0)
-        # Events still invalidate the cache, but nothing migrates.
-        assert service.metrics.push_events >= 1
-        assert service.metrics.migrations == 0
-        assert victim in service.ledger.reservations["app"].nodes
-
-
     def test_bandwidth_only_lease_never_raises_into_the_collector(self):
         # A zero-CPU lease records no node claim; crediting it back for
         # the advisor's trial must not look one up.  Any exception here

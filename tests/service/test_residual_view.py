@@ -29,7 +29,7 @@ from repro.service import (
 )
 from repro.service.admission import SelectionRequest
 from repro.service.ledger import ledger_order
-from repro.topology import RoutingTable, dumbbell, grid, star
+from repro.topology import dumbbell, grid, star
 from repro.topology.residual import residual_graph
 from repro.units import Mbps
 
@@ -208,16 +208,14 @@ class TestEpochMemoization:
         assert cache.edges_for(nodes) == want  # memo hit
         assert cache.hits == 1 and cache.misses == 1
 
-    @pytest.mark.parametrize("routed", [False, True])
-    def test_route_cache_matches_route_edges_on_cyclic_graph(self, routed):
+    def test_route_cache_matches_route_edges_on_cyclic_graph(self):
         from repro.service import route_edges
 
         g = grid(3, 3)
-        routing = RoutingTable(g) if routed else None
         nodes = ["g0-0", "g1-2", "g2-1"]
-        want = tuple(sorted(route_edges(g, nodes, routing), key=ledger_order))
+        want = tuple(sorted(route_edges(g, nodes), key=ledger_order))
         assert want
-        assert RouteCache(g, routing).edges_for(nodes) == want
+        assert RouteCache(g).edges_for(nodes) == want
 
     def test_schedule_cache_clean_reuse_and_dirty_merge(self):
         from repro.core.metrics import References

@@ -152,6 +152,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"error: {flag} must be >= " in err and value in err
 
+    @pytest.mark.parametrize("args", [
+        ["--demo", "2", "--shards", "0"], ["--demo", "2", "--shards", "-2"],
+        ["--demo", "-3"],
+    ])
+    def test_out_of_range_size_returns_2(self, topo_file, capsys, args):
+        assert main([topo_file, *args]) == 2
+        flag, value = args[-2:]
+        out, err = capsys.readouterr()
+        assert f"error: {flag} must be >= " in err and value in err
+        assert out == ""  # nothing ran
+
     @pytest.mark.parametrize("shards, built", [
         ("1", "selection service"), ("2", "shard router"),
     ])

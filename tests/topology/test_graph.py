@@ -19,7 +19,7 @@ from repro.topology import (
 )
 from repro.units import Mbps
 
-from ..oracles import bfs_path
+from ..oracles import bfs_path, routing_table_route
 
 
 @pytest.fixture
@@ -355,14 +355,16 @@ class TestViews:
 
 
 def _assert_paths_match_bfs(g: TopologyGraph) -> None:
-    """Every answer the forest index gives equals the BFS it replaced."""
+    """Every answer equals its reference: on a forest the BFS the index
+    replaced, with a cycle the routing-table rule the next-hop maps
+    replaced."""
+    acyclic = g.num_links == g.num_nodes - len(g.connected_components())
+    want = bfs_path if acyclic else routing_table_route
     names = g.node_names()
     for a in names:
         for b in names:
-            assert g.path(a, b) == bfs_path(g, a, b), (a, b)
-    assert g.is_acyclic() == (
-        g.num_links == g.num_nodes - len(g.connected_components())
-    )
+            assert g.path(a, b) == want(g, a, b), (a, b)
+    assert g.is_acyclic() == acyclic
     for pair in (("ghost", "ghost"), ("ghost", names[0]), (names[0], "ghost")):
         with pytest.raises(KeyError):
             g.path(*pair)
@@ -453,6 +455,28 @@ class TestForestIndex:
             else:
                 g = pickle.loads(pickle.dumps(g))
             _assert_paths_match_bfs(g)
+
+    def test_next_hops_are_shared_by_replaced_and_dropped_by_copies(
+        self, small_tree
+    ):
+        g = small_tree
+        g.add_link("a", "c", 100 * Mbps)  # a cycle: a-sw0-sw1-c-a
+        assert g.path("b", "d") == ["b", "sw0", "sw1", "d"]
+        kept = g._next_hops
+        assert set(kept) == {"d"}
+        patched = g.replaced(links=[Link("sw0", "sw1", 100 * Mbps)])
+        assert patched._next_hops is kept
+        assert patched.path("d", "b") == ["d", "sw1", "sw0", "b"]
+        assert set(g._next_hops) == {"b", "d"}  # built once, for both
+        for other in (g.copy(), pickle.loads(pickle.dumps(g))):
+            assert other._next_hops is None
+            assert other.path("b", "d") == ["b", "sw0", "sw1", "d"]
+        assert "_next_hops" not in g.__getstate__()
+        # A structural change to the patched graph leaves the original's.
+        patched.remove_link("sw0", "sw1")
+        assert patched.path("b", "d") == ["b", "sw0", "a", "c", "sw1", "d"]
+        assert g._next_hops is kept
+        assert g.path("b", "d") == ["b", "sw0", "sw1", "d"]
 
     def test_index_is_not_pickled_and_defaults_on_old_pickles(self, small_tree):
         assert small_tree.path("a", "d") == ["a", "sw0", "sw1", "d"]
