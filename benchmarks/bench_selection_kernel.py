@@ -34,8 +34,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import format_table  # noqa: E402
 from repro.core.kernel import (  # noqa: E402
-    kernel_select_balanced,
-    kernel_select_max_bandwidth,
+    select_balanced,
+    select_max_bandwidth,
 )
 from repro.core.reference import (  # noqa: E402
     reference_select_balanced,
@@ -53,11 +53,11 @@ M = 8
 
 ALGORITHMS = {
     "select_balanced": (
-        lambda g, m: kernel_select_balanced(g, m),
+        lambda g, m: select_balanced(g, m),
         lambda g, m: reference_select_balanced(g, m),
     ),
     "select_max_bandwidth": (
-        lambda g, m: kernel_select_max_bandwidth(g, m),
+        lambda g, m: select_max_bandwidth(g, m),
         lambda g, m: reference_select_max_bandwidth(g, m),
     ),
 }

@@ -16,16 +16,14 @@ The :class:`NodeSelector` facade dispatches an :class:`ApplicationSpec`
 against a topology provider (typically the Remos API).
 """
 
-from .balanced import select_balanced
-from .bandwidth import select_max_bandwidth
 from .baselines import select_exhaustive, select_random, select_static
 from .compute import select_max_compute, top_compute_nodes
 from .estimate import PhaseWorkload, estimate_runtime, speedup_model
 from .kernel import (
-    kernel_select_balanced,
-    kernel_select_max_bandwidth,
-    kernel_select_with_bandwidth_floor,
     peel_order,
+    select_balanced,
+    select_max_bandwidth,
+    select_with_bandwidth_floor,
 )
 from .latency import max_pairwise_latency, select_with_latency_bound
 from .reference import (
@@ -38,7 +36,6 @@ from .generalized import (
     select_client_server,
     select_routed,
     select_variable_nodes,
-    select_with_bandwidth_floor,
     select_with_cpu_floor,
 )
 from .metrics import (
@@ -58,10 +55,7 @@ from .pattern_aware import (
 )
 from .selector import (
     NodeSelector,
-    Procedure,
     TopologyProvider,
-    default_procedures,
-    register_procedure,
     select,
     unhealthy_nodes,
 )
@@ -87,15 +81,10 @@ __all__ = [
     "NodeSelector",
     "Objective",
     "PhaseWorkload",
-    "Procedure",
     "References",
     "Selection",
     "SelfFootprint",
     "TopologyProvider",
-    "default_procedures",
-    "kernel_select_balanced",
-    "kernel_select_max_bandwidth",
-    "kernel_select_with_bandwidth_floor",
     "link_bandwidth_fraction",
     "min_cpu_fraction",
     "min_pairwise_bandwidth",
@@ -108,7 +97,6 @@ __all__ = [
     "reference_select_balanced",
     "reference_select_max_bandwidth",
     "reference_select_with_bandwidth_floor",
-    "register_procedure",
     "unhealthy_nodes",
     "effective_pattern_bandwidth",
     "estimate_runtime",

@@ -122,7 +122,7 @@ def speedup_model(
     returned callable is what :func:`repro.core.select_variable_nodes`
     expects.
     """
-    from .balanced import select_balanced
+    from .kernel import select_balanced
     from .types import NoFeasibleSelection
 
     idle = graph.copy()

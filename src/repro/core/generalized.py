@@ -4,10 +4,10 @@ The balanced algorithm already absorbs heterogeneity and prioritization via
 :class:`~repro.core.metrics.References`.  This module adds the remaining
 generalizations:
 
-- **Fixed requirements**: a hard bandwidth floor while maximizing CPU, or a
-  hard CPU floor while maximizing bandwidth ("the algorithm structure is
-  not modified and new constraints are added that define eligible node
-  sets").
+- **Fixed requirements**: a hard CPU floor while maximizing bandwidth ("the
+  algorithm structure is not modified and new constraints are added that
+  define eligible node sets"); its dual, the bandwidth floor, is
+  :func:`repro.core.kernel.select_with_bandwidth_floor`.
 - **Cyclic topologies with static routing**: selection on the routed
   overlay, falling back to a pairwise greedy when the overlay itself is
   cyclic.
@@ -28,10 +28,8 @@ from typing import Callable, Optional, Sequence
 
 from ..topology.graph import Node, TopologyGraph
 from ..topology.routing import RoutedView
-from .balanced import select_balanced
-from .bandwidth import select_max_bandwidth
 from .compute import select_max_compute, top_compute_nodes
-from .kernel import kernel_select_with_bandwidth_floor
+from .kernel import select_balanced, select_max_bandwidth
 from .metrics import (
     DEFAULT_REFERENCES,
     References,
@@ -43,35 +41,11 @@ from .metrics import (
 from .types import ExtrasKey, NoFeasibleSelection, Selection
 
 __all__ = [
-    "select_with_bandwidth_floor",
     "select_with_cpu_floor",
     "select_routed",
     "select_client_server",
     "select_variable_nodes",
 ]
-
-
-def select_with_bandwidth_floor(
-    graph: TopologyGraph,
-    m: int,
-    *,
-    floor_bps: float,
-    refs: References = DEFAULT_REFERENCES,
-    eligible: Optional[Callable[[Node], bool]] = None,
-) -> Selection:
-    """Maximize CPU availability subject to a pairwise bandwidth floor.
-
-    §3.3: "satisfy a fixed bandwidth requirement (e.g. a minimum of 50 Mbps
-    between any selected nodes) and maximize processor availability under
-    that constraint".  Every edge whose available bandwidth is below the
-    floor is ignored — any surviving component guarantees the floor between
-    all of its nodes — and the component whose best ``m`` nodes have the
-    highest minimum CPU fraction wins.  Runs as a best-first walk of the
-    candidates (:func:`repro.core.kernel.kernel_select_with_bandwidth_floor`).
-    """
-    return kernel_select_with_bandwidth_floor(
-        graph, m, floor_bps=floor_bps, refs=refs, eligible=eligible
-    )
 
 
 def select_with_cpu_floor(
@@ -84,8 +58,9 @@ def select_with_cpu_floor(
 ) -> Selection:
     """Maximize pairwise bandwidth subject to a per-node CPU-fraction floor.
 
-    The dual of :func:`select_with_bandwidth_floor`: nodes below the floor
-    are simply ineligible, and Figure 2 runs on the survivors.
+    The dual of :func:`repro.core.kernel.select_with_bandwidth_floor`:
+    nodes below the floor are simply ineligible, and Figure 2 runs on the
+    survivors.
     """
     if not 0 <= floor <= 1:
         raise ValueError(f"cpu floor must be in [0, 1], got {floor}")

@@ -1,11 +1,52 @@
-"""Incremental edge-peeling kernel for the Figure 2/3 selection algorithms.
+"""The Figure 2 and Figure 3 selection algorithms and the bandwidth floor.
 
-The naive implementations (:mod:`repro.core.reference`) re-derive everything
-from scratch after every edge removal: a full scan for the minimum-bandwidth
-link, a BFS for connected components, and a fresh candidate ranking per
-component.  That is O(E · (V + E)) per selection and dominates the admission
-path of the multi-tenant service once topologies grow past a few hundred
-nodes.
+**Figure 2** (§3.2): *maximize the minimum available bandwidth between any
+pair of selected nodes* — minimize the bottleneck communication path.
+The algorithm exploits the key acyclic-graph fact the paper states: the
+least bandwidth between any pair of connected nodes cannot be less than the
+lowest edge bandwidth in (their component of) the graph.  So: repeatedly
+remove the globally minimum-available-bandwidth edge; as long as some
+connected component still contains ``m`` compute nodes, those nodes only
+communicate over edges *better* than everything removed so far.  When no
+such component survives, the last surviving candidate set is optimal.
+
+The paper's Figure 2 states the loop guard as ``l > m``; continuing while
+``l >= m`` is the intended reading (the text says "testing if enough
+connected nodes exist" and "eventually this size will become less than
+m"), and strictly dominates: with exactly ``m`` survivors the set is still
+feasible and its bottleneck can only be higher.  We implement ``l >= m``.
+
+**Figure 3** (§3.2): select ``m`` nodes maximizing
+
+    ``minresource = min(mincpu, minbw)``
+
+where ``mincpu`` is the minimum fractional CPU capacity over the chosen
+nodes and ``minbw`` the minimum fractional bandwidth over the edges of
+their component — i.e. the largest fraction of peak compute and
+communication capacity deliverable *simultaneously*.
+
+The algorithm starts from the best pure-compute choice and then greedily
+removes the minimum-fractional-bandwidth edge: removal can only raise the
+component's ``minbw`` but may exile high-CPU nodes and thus lower
+``mincpu``.  After each removal, every surviving component with ``m``
+compute nodes is scored and the best seen set is kept; the loop stops when
+a removal fails to improve ``minresource`` (greedy) or no feasible
+component remains.
+
+Generalizations of §3.3 are folded in through :class:`References`:
+heterogeneous node/link capacities (reference scaling) and the
+computation/communication priority factor.  An optional ``strict_greedy``
+flag reproduces the paper's literal stopping rule; the default keeps
+peeling through plateaus (removals that neither help nor hurt), which
+never returns a worse set and handles ties between equal-bandwidth edges
+more robustly.
+
+**Execution.**  The naive implementations (:mod:`repro.core.reference`)
+re-derive everything from scratch after every edge removal: a full scan
+for the minimum-bandwidth link, a BFS for connected components, and a
+fresh candidate ranking per component.  That is O(E · (V + E)) per
+selection and dominates the admission path of the multi-tenant service
+once topologies grow past a few hundred nodes.
 
 The kernel exploits the structural fact that makes the peeling loops cheap:
 **the peel order is fixed up front**.  Edge ``i`` is removed before edge
@@ -82,9 +123,9 @@ from .types import ExtrasKey, NoFeasibleSelection, Selection
 __all__ = [
     "ComputeRanking",
     "peel_order",
-    "kernel_select_balanced",
-    "kernel_select_max_bandwidth",
-    "kernel_select_with_bandwidth_floor",
+    "select_balanced",
+    "select_max_bandwidth",
+    "select_with_bandwidth_floor",
 ]
 
 _INF = float("inf")
@@ -292,7 +333,7 @@ def _finish(
     )
 
 
-def kernel_select_balanced(
+def select_balanced(
     graph: TopologyGraph,
     m: int,
     *,
@@ -300,10 +341,36 @@ def kernel_select_balanced(
     eligible: Optional[Callable[[Node], bool]] = None,
     strict_greedy: bool = False,
 ) -> Selection:
-    """Incremental Figure 3: identical output to the naive reference.
+    """Select ``m`` nodes maximizing ``min(mincpu, minbw)`` (Figure 3).
 
-    See :func:`repro.core.select_balanced` for the algorithm contract; this
-    is the fast path it dispatches to.
+    Parameters
+    ----------
+    graph:
+        Topology snapshot; not mutated.
+    m:
+        Number of compute nodes required.
+    refs:
+        Reference capacities and compute/comm priority weighting (§3.3).
+    eligible:
+        Optional predicate restricting candidate compute nodes.
+    strict_greedy:
+        If True, stop at the first removal that does not *strictly* improve
+        ``minresource`` (the paper's literal Figure 3 rule).  The default
+        (False) continues while feasible components remain, still keeping
+        the best set seen — never worse, and immune to plateaus caused by
+        equal-bandwidth edges.
+
+    Returns
+    -------
+    Selection
+        ``objective`` is the achieved (scaled) minresource as computed by
+        the algorithm's conservative component-wide bound; the exact
+        path-based fractions are also reported.
+
+    Raises
+    ------
+    NoFeasibleSelection
+        If fewer than ``m`` eligible compute nodes exist in one component.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -362,19 +429,48 @@ def kernel_select_balanced(
     )
 
 
-def kernel_select_max_bandwidth(
+def select_max_bandwidth(
     graph: TopologyGraph,
     m: int,
     *,
     refs: References = DEFAULT_REFERENCES,
     eligible: Optional[Callable[[Node], bool]] = None,
 ) -> Selection:
-    """Incremental Figure 2: identical output to the naive reference.
+    """Select ``m`` nodes maximizing the minimum pairwise available bandwidth.
+
+    Implements Figure 2 without mutating ``graph``.  Among equally-optimal
+    node subsets inside the surviving component, the ``m`` nodes with the
+    highest CPU fraction are returned ("any m compute nodes" in the paper —
+    the communication objective is indifferent, so we use spare CPU as the
+    tie-break).
 
     The forward loop keeps peeling while the largest component still holds
     ``m`` eligible compute nodes, so its answer is the pick from the *last*
     feasible state.  In reverse that is simply the first state at which any
     component reaches ``m`` candidates — the replay stops there.
+
+    Parameters
+    ----------
+    graph:
+        Topology snapshot; must be acyclic for the optimality guarantee
+        (use :func:`repro.core.generalized.select_routed` on cyclic graphs).
+    m:
+        Number of compute nodes required.
+    refs:
+        Reference capacities (used only for reporting fractions and the
+        CPU tie-break; the criterion itself is absolute bandwidth).
+    eligible:
+        Optional predicate restricting candidate compute nodes.
+
+    Returns
+    -------
+    Selection
+        ``objective`` is the achieved minimum pairwise bandwidth in bps.
+
+    Raises
+    ------
+    NoFeasibleSelection
+        If no connected component contains ``m`` eligible compute nodes.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -472,7 +568,7 @@ class ComputeRanking:
         return keys
 
 
-def kernel_select_with_bandwidth_floor(
+def select_with_bandwidth_floor(
     graph: TopologyGraph,
     m: int,
     *,
@@ -480,7 +576,15 @@ def kernel_select_with_bandwidth_floor(
     refs: References = DEFAULT_REFERENCES,
     eligible: Optional[Callable[[Node], bool]] = None,
 ) -> Selection:
-    """Bandwidth-floor selection without copying or mutating the graph.
+    """Maximize CPU availability subject to a pairwise bandwidth floor.
+
+    §3.3: "satisfy a fixed bandwidth requirement (e.g. a minimum of 50 Mbps
+    between any selected nodes) and maximize processor availability under
+    that constraint".  Every edge whose available bandwidth is below the
+    floor is ignored — any surviving component guarantees the floor between
+    all of its nodes — and the component whose best ``m`` nodes have the
+    highest minimum CPU fraction wins.  The graph is neither copied nor
+    mutated.
 
     Candidates are walked best first (:class:`ComputeRanking`) and filed
     under their component of the floor-filtered graph

@@ -16,10 +16,11 @@ and, in practice, exhaustive search at topology scale.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional
 
 from ..topology.graph import Node, TopologyGraph
-from .balanced import select_balanced
+from .kernel import select_balanced
 from .metrics import (
     DEFAULT_REFERENCES,
     References,
@@ -32,13 +33,16 @@ __all__ = ["max_pairwise_latency", "select_with_latency_bound"]
 
 def max_pairwise_latency(graph: TopologyGraph, nodes) -> float:
     """The latency diameter of a node set (``inf`` if any pair is
-    disconnected, ``0`` for singletons)."""
-    names = list(nodes)
-    worst = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            worst = max(worst, graph.path_latency(a, b))
-    return worst
+    disconnected, ``0`` for singletons).
+
+    Each ordered pair is measured along its own route, so the answer does
+    not depend on the order ``nodes`` are named in.
+    """
+    return max(
+        (graph.path_latency(a, b)
+         for a, b in itertools.permutations(nodes, 2)),
+        default=0.0,
+    )
 
 
 def select_with_latency_bound(

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from ..network.fairshare import max_min_fair
 from ..topology.graph import Node, TopologyGraph
-from .balanced import select_balanced
+from .kernel import select_balanced
 from .metrics import (
     DEFAULT_REFERENCES,
     References,

@@ -2,10 +2,9 @@
 
 These are the direct transcriptions of the paper's Figure 2 and Figure 3
 loops (and the §3.3 bandwidth-floor variant) that the public entry points
-in :mod:`repro.core.balanced`, :mod:`repro.core.bandwidth`, and
-:mod:`repro.core.generalized` used to run: after every edge removal they
-re-scan for the minimum-bandwidth link, re-derive connected components by
-BFS, and re-rank candidates per component.
+in :mod:`repro.core.kernel` replace: after every edge removal they re-scan
+for the minimum-bandwidth link, re-derive connected components by BFS,
+and re-rank candidates per component.
 
 They are kept verbatim as the *semantic oracle* for the incremental kernel
 (:mod:`repro.core.kernel`): ``tests/core/test_kernel_differential.py``
@@ -256,7 +255,7 @@ def reference_select_with_bandwidth_floor(
 ) -> Selection:
     """Bandwidth-floor selection by copy-and-delete (the naive path).
 
-    See :func:`repro.core.select_with_bandwidth_floor` for the contract.
+    See :func:`repro.core.kernel.select_with_bandwidth_floor` for the contract.
     """
     if floor_bps < 0:
         raise ValueError(f"floor must be non-negative, got {floor_bps}")

@@ -5,13 +5,9 @@ This is the piece that ties the framework of §2 together: it accepts an
 topology (directly, or through a Remos query interface), and dispatches to
 the appropriate selection procedure of §3.
 
-Dispatch is driven by a declarative **procedure registry** rather than a
-hard-coded if-chain: each :class:`Procedure` pairs a predicate over
-``(spec, graph)`` with a runner, and the first match in precedence order
-wins.  The registry is data, so embedders can inspect the dispatch table
-(:meth:`NodeSelector.procedure_for`), reorder it, or plug in their own
-procedures (:func:`register_procedure`) without monkey-patching
-``select``.
+Dispatch is one function, :func:`_dispatch`: it tests the spec's features
+in precedence order, calls the procedure that fits, and names it in
+``extras["procedure"]``.
 
 Selection is resilient to partial information: snapshots mark crashed
 (``attrs["down"]``) and unmonitorable (``attrs["unmonitorable"]``) nodes,
@@ -23,7 +19,6 @@ link fails mid-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Callable,
     Optional,
@@ -33,15 +28,17 @@ from typing import (
 )
 
 from ..topology.graph import Node, TopologyGraph
-from .balanced import select_balanced
-from .bandwidth import select_max_bandwidth
 from .compute import select_max_compute
 from .generalized import (
     select_client_server,
     select_routed,
     select_variable_nodes,
-    select_with_bandwidth_floor,
     select_with_cpu_floor,
+)
+from .kernel import (
+    select_balanced,
+    select_max_bandwidth,
+    select_with_bandwidth_floor,
 )
 from .latency import select_with_latency_bound
 from .pattern_aware import select_pattern_aware
@@ -51,16 +48,13 @@ from .types import ExtrasKey, NoFeasibleSelection, Selection, node_is_selectable
 
 __all__ = [
     "NodeSelector",
-    "Procedure",
     "TopologyProvider",
-    "default_procedures",
-    "register_procedure",
     "select",
     "unhealthy_nodes",
 ]
 
-#: Eligibility predicate handed to every procedure runner (health gate
-#: already composed with the spec's own predicate).
+#: Eligibility predicate handed to every procedure (health gate already
+#: composed with the spec's own predicate).
 Eligible = Optional[Callable[[Node], bool]]
 
 
@@ -95,33 +89,7 @@ class TopologyProvider(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class Procedure:
-    """One entry of the selection dispatch table.
-
-    Attributes
-    ----------
-    name:
-        Stable identifier; recorded in ``Selection.extras["procedure"]``.
-    matches:
-        Predicate over ``(spec, graph)`` deciding whether this procedure
-        should handle the request.  The first matching procedure in
-        registry order wins, so put more specific features earlier.
-    run:
-        Runner ``(graph, spec, refs, eligible) -> Selection``; ``eligible``
-        arrives already composed with the selector's health gate.
-    """
-
-    name: str
-    matches: Callable[[ApplicationSpec, TopologyGraph], bool]
-    run: Callable[
-        [TopologyGraph, ApplicationSpec, References, Eligible], Selection
-    ]
-
-
-# -- default procedure runners ----------------------------------------------
-
-def _run_groups(
+def _select_groups(
     g: TopologyGraph, spec: ApplicationSpec, refs: References,
     eligible: Eligible,
 ) -> Selection:
@@ -164,181 +132,58 @@ def _run_groups(
     return sel
 
 
-def _run_variable_m(
+def _dispatch(
     g: TopologyGraph, spec: ApplicationSpec, refs: References,
     eligible: Eligible,
-) -> Selection:
-    assert spec.num_nodes_range is not None and spec.speedup_model is not None
-    return select_variable_nodes(
-        g, spec.num_nodes_range, speedup=spec.speedup_model, refs=refs,
-        eligible=eligible,
-    )
-
-
-def _run_bandwidth_floor(
-    g: TopologyGraph, spec: ApplicationSpec, refs: References,
-    eligible: Eligible,
-) -> Selection:
-    assert spec.min_bandwidth_bps is not None
-    return select_with_bandwidth_floor(
-        g, spec.num_nodes, floor_bps=spec.min_bandwidth_bps, refs=refs,
-        eligible=eligible,
-    )
-
-
-def _run_cpu_floor(
-    g: TopologyGraph, spec: ApplicationSpec, refs: References,
-    eligible: Eligible,
-) -> Selection:
-    assert spec.min_cpu_fraction is not None
-    return select_with_cpu_floor(
-        g, spec.num_nodes, floor=spec.min_cpu_fraction, refs=refs,
-        eligible=eligible,
-    )
-
-
-def _run_latency_bound(
-    g: TopologyGraph, spec: ApplicationSpec, refs: References,
-    eligible: Eligible,
-) -> Selection:
-    assert spec.max_latency_s is not None
-    return select_with_latency_bound(
-        g, spec.num_nodes, max_latency_s=spec.max_latency_s, refs=refs,
-        eligible=eligible,
-    )
-
-
-def _run_pattern_aware(
-    g: TopologyGraph, spec: ApplicationSpec, refs: References,
-    eligible: Eligible,
-) -> Selection:
-    return select_pattern_aware(
-        g, spec.num_nodes, pattern=spec.pattern, refs=refs, eligible=eligible
-    )
-
-
-def _run_routed(
-    g: TopologyGraph, spec: ApplicationSpec, refs: References,
-    eligible: Eligible,
-) -> Selection:
-    # Cycles + static routing (§3.3): route-aware procedures.
-    return select_routed(
-        g, spec.num_nodes, objective=spec.objective, refs=refs,
-        eligible=eligible,
-    )
-
-
-def _run_max_compute(
-    g: TopologyGraph, spec: ApplicationSpec, refs: References,
-    eligible: Eligible,
-) -> Selection:
-    return select_max_compute(g, spec.num_nodes, refs=refs, eligible=eligible)
-
-
-def _run_max_bandwidth(
-    g: TopologyGraph, spec: ApplicationSpec, refs: References,
-    eligible: Eligible,
-) -> Selection:
-    return select_max_bandwidth(g, spec.num_nodes, refs=refs, eligible=eligible)
-
-
-def _run_balanced(
-    g: TopologyGraph, spec: ApplicationSpec, refs: References,
-    eligible: Eligible,
-) -> Selection:
-    return select_balanced(g, spec.num_nodes, refs=refs, eligible=eligible)
-
-
-def default_procedures() -> list[Procedure]:
-    """A fresh copy of the built-in dispatch table, in precedence order.
+) -> tuple[str, Selection]:
+    """Run the §3 procedure that fits ``spec`` on ``g``: ``(name, result)``.
 
     Spec *features* (groups, variable node counts, hard floors, latency
     bounds, simultaneous-stream accounting) outrank topology shape
     (cyclic → routed), which outranks the plain ``objective`` procedures;
-    the balanced algorithm is the unconditional fallback.
+    the balanced algorithm is the fallback.
     """
-    return [
-        Procedure(
-            "groups",
-            lambda spec, g: bool(spec.groups),
-            _run_groups,
-        ),
-        Procedure(
-            "variable-m",
-            lambda spec, g: spec.num_nodes_range is not None,
-            _run_variable_m,
-        ),
-        Procedure(
-            "bandwidth-floor",
-            lambda spec, g: spec.min_bandwidth_bps is not None,
-            _run_bandwidth_floor,
-        ),
-        Procedure(
-            "cpu-floor",
-            lambda spec, g: spec.min_cpu_fraction is not None,
-            _run_cpu_floor,
-        ),
-        Procedure(
-            "latency-bound",
-            lambda spec, g: spec.max_latency_s is not None,
-            _run_latency_bound,
-        ),
-        Procedure(
-            "pattern-aware",
-            lambda spec, g: spec.account_simultaneous_streams,
-            _run_pattern_aware,
-        ),
-        Procedure(
-            "routed",
-            lambda spec, g: not g.is_acyclic(),
-            _run_routed,
-        ),
-        Procedure(
-            "max-compute",
-            lambda spec, g: spec.objective == Objective.COMPUTE,
-            _run_max_compute,
-        ),
-        Procedure(
-            "max-bandwidth",
-            lambda spec, g: spec.objective == Objective.BANDWIDTH,
-            _run_max_bandwidth,
-        ),
-        Procedure(
-            "balanced",
-            lambda spec, g: True,
-            _run_balanced,
-        ),
-    ]
-
-
-#: The shared registry new :class:`NodeSelector` instances copy.
-PROCEDURES: list[Procedure] = default_procedures()
-
-
-def register_procedure(
-    procedure: Procedure,
-    *,
-    before: Optional[str] = None,
-    registry: Optional[list[Procedure]] = None,
-) -> None:
-    """Insert ``procedure`` into the dispatch table.
-
-    ``before`` names an existing procedure to take precedence over
-    (default: the ``"balanced"`` fallback, i.e. after every built-in
-    feature but before the catch-all).  Pass a selector's own
-    ``procedures`` list as ``registry`` to scope the registration to one
-    instance; the default mutates the shared module-level table used by
-    selectors created afterwards.
-    """
-    table = PROCEDURES if registry is None else registry
-    if any(p.name == procedure.name for p in table):
-        raise ValueError(f"procedure {procedure.name!r} already registered")
-    anchor = before if before is not None else "balanced"
-    for i, existing in enumerate(table):
-        if existing.name == anchor:
-            table.insert(i, procedure)
-            return
-    raise ValueError(f"no procedure named {anchor!r} to insert before")
+    m = spec.num_nodes
+    if spec.groups:
+        return "groups", _select_groups(g, spec, refs, eligible)
+    if spec.num_nodes_range is not None:
+        assert spec.speedup_model is not None
+        return "variable-m", select_variable_nodes(
+            g, spec.num_nodes_range, speedup=spec.speedup_model, refs=refs,
+            eligible=eligible,
+        )
+    if spec.min_bandwidth_bps is not None:
+        return "bandwidth-floor", select_with_bandwidth_floor(
+            g, m, floor_bps=spec.min_bandwidth_bps, refs=refs,
+            eligible=eligible,
+        )
+    if spec.min_cpu_fraction is not None:
+        return "cpu-floor", select_with_cpu_floor(
+            g, m, floor=spec.min_cpu_fraction, refs=refs, eligible=eligible,
+        )
+    if spec.max_latency_s is not None:
+        return "latency-bound", select_with_latency_bound(
+            g, m, max_latency_s=spec.max_latency_s, refs=refs,
+            eligible=eligible,
+        )
+    if spec.account_simultaneous_streams:
+        return "pattern-aware", select_pattern_aware(
+            g, m, pattern=spec.pattern, refs=refs, eligible=eligible,
+        )
+    if not g.is_acyclic():
+        # Cycles + static routing (§3.3): route-aware procedures.
+        return "routed", select_routed(
+            g, m, objective=spec.objective, refs=refs, eligible=eligible,
+        )
+    if spec.objective == Objective.COMPUTE:
+        return "max-compute", select_max_compute(
+            g, m, refs=refs, eligible=eligible,
+        )
+    if spec.objective == Objective.BANDWIDTH:
+        return "max-bandwidth", select_max_bandwidth(
+            g, m, refs=refs, eligible=eligible,
+        )
+    return "balanced", select_balanced(g, m, refs=refs, eligible=eligible)
 
 
 class NodeSelector:
@@ -355,10 +200,6 @@ class NodeSelector:
         unmonitorable are never selected, whatever procedure runs.  Setting
         False restores the naive behaviour (the fault-resilience bench uses
         it as the control arm).
-    procedures:
-        Optional dispatch table overriding the shared registry (a copy of
-        which is taken at construction, so later global registrations do
-        not mutate existing selectors).
 
     Examples
     --------
@@ -373,13 +214,9 @@ class NodeSelector:
         self,
         provider: TopologyProvider | TopologyGraph,
         exclude_unhealthy: bool = True,
-        procedures: Optional[Sequence[Procedure]] = None,
     ) -> None:
         self._provider = provider
         self.exclude_unhealthy = exclude_unhealthy
-        self.procedures: list[Procedure] = list(
-            PROCEDURES if procedures is None else procedures
-        )
 
     def snapshot(self) -> TopologyGraph:
         """A fresh topology snapshot from the provider."""
@@ -411,23 +248,6 @@ class NodeSelector:
         """
         return unhealthy_nodes(self.snapshot(), nodes)
 
-    def procedure_for(
-        self, spec: ApplicationSpec, graph: Optional[TopologyGraph] = None
-    ) -> Procedure:
-        """The registry entry that would handle ``spec`` on ``graph``.
-
-        ``graph`` defaults to a fresh snapshot (topology shape participates
-        in matching — cyclic graphs dispatch to the routed procedures).
-        """
-        g = graph if graph is not None else self.snapshot()
-        for procedure in self.procedures:
-            if procedure.matches(spec, g):
-                return procedure
-        raise LookupError(
-            "no registered procedure matches the spec; the default table "
-            "ends with an unconditional 'balanced' fallback"
-        )
-
     def select(
         self,
         spec: ApplicationSpec,
@@ -438,8 +258,8 @@ class NodeSelector:
         """Run the appropriate selection procedure for ``spec``.
 
         ``graph`` overrides the provider snapshot (used by the migration
-        engine, which pre-adjusts the snapshot for self-load).  The chosen
-        registry entry is recorded in ``extras["procedure"]``.
+        engine, which pre-adjusts the snapshot for self-load).  The
+        procedure that ran is named in ``extras["procedure"]``.
 
         ``explain=True`` attaches provenance — the peel sequence, the
         bottleneck edge fixing the final min-bandwidth, per-node CPU, and
@@ -452,10 +272,8 @@ class NodeSelector:
             compute_priority=spec.compute_priority,
             comm_priority=spec.comm_priority,
         )
-        procedure = self.procedure_for(spec, g)
-        eligible = self._gate(spec.eligible)
-        sel = procedure.run(g, spec, refs, eligible)
-        sel.extras.setdefault(ExtrasKey.PROCEDURE, procedure.name)
+        name, sel = _dispatch(g, spec, refs, self._gate(spec.eligible))
+        sel.extras[ExtrasKey.PROCEDURE] = name
         if explain:
             # Deferred import: repro.obs.explain imports core.kernel and
             # core.metrics, and nothing pays for it unless asked.
@@ -485,7 +303,7 @@ def select(
         repro.select(remos_api, ApplicationSpec(num_nodes=4)) # or pass one
 
     Equivalent to ``NodeSelector(graph_or_provider).select(spec)`` with the
-    default health gating and procedure registry.  ``explain=True``
+    default health gating.  ``explain=True``
     attaches an :class:`repro.obs.ExplainRecord` under
     ``extras[ExtrasKey.EXPLAIN]``.
     """

@@ -75,7 +75,7 @@ EXTRAS_SCHEMA: dict[str, str] = {
         "pattern-aware: max-min fair rate of the slowest simultaneous "
         "flow (bps)"
     ),
-    ExtrasKey.PROCEDURE: "selector: registry procedure that produced this",
+    ExtrasKey.PROCEDURE: "selector: the §3 procedure that produced this",
     ExtrasKey.EXPLAIN: (
         "selector: ExplainRecord provenance (present iff explain=True "
         "was requested)"

@@ -504,8 +504,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.metrics_port is not None:
         try:
             metrics_server = serve_metrics(service.registry, args.metrics_port)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:
+            # OverflowError: a port outside 0-65535.
             print(f"error: cannot bind metrics port: {exc}", file=sys.stderr)
+            service.close()  # final compacted snapshot when durable
             return 2
         host, port = metrics_server.server_address[:2]
         print(f"serving metrics on http://{host}:{port}/metrics",

@@ -192,8 +192,6 @@ class SelectionService:
     clock:
         Override the time source (defaults to the provider's simulator
         when it has one, else a manual clock for static graphs).
-    exclude_unhealthy:
-        Passed through to the underlying :class:`NodeSelector`.
     tracer:
         A :class:`repro.obs.Tracer` for per-request trace trees.  Default
         is the shared null tracer (tracing off, near-zero overhead).
@@ -237,7 +235,6 @@ class SelectionService:
         queue_limit: int = 16,
         cpu_cap: float = 1.0,
         clock: Optional[Callable[[], float]] = None,
-        exclude_unhealthy: bool = True,
         tracer=None,
         registry: Optional[MetricsRegistry] = None,
         state_dir: Optional[str] = None,
@@ -276,9 +273,7 @@ class SelectionService:
         self.cache = SnapshotCache(
             provider, ttl=snapshot_ttl, clock=clock, tracer=self.tracer
         )
-        self.selector = NodeSelector(
-            self.cache, exclude_unhealthy=exclude_unhealthy
-        )
+        self.selector = NodeSelector(self.cache)
         self.queue = AdmissionQueue(queue_limit)
         self.metrics = ServiceMetrics(self.registry)
         #: Rolling-window health objectives (admit latency,

@@ -194,7 +194,6 @@ class ShardRouter:
         lease_s: float = 60.0,
         cpu_cap: float = 1.0,
         clock=None,
-        exclude_unhealthy: bool = True,
         tracer=None,
         registry: Optional[MetricsRegistry] = None,
         state_dir: Optional[str] = None,
@@ -267,7 +266,6 @@ class ShardRouter:
         self._build_shards(workers, state_dir, {
             "snapshot_ttl": snapshot_ttl,
             "cpu_cap": cpu_cap,
-            "exclude_unhealthy": exclude_unhealthy,
             "queue_limit": 0,
             "wal_fsync": bool(wal_fsync),
             "wal_snapshot_every": int(wal_snapshot_every),

@@ -17,6 +17,7 @@ cyclic topology to the overlay its compute traffic routes over.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional
 
 from .graph import TopologyGraph
@@ -47,14 +48,16 @@ class RoutedView:
             self.compute_names = list(compute_nodes)
 
     def used_link_keys(self) -> set[frozenset]:
-        """Keys of links used by at least one routed compute-pair path."""
+        """Keys of links used by at least one routed compute-pair path.
+
+        Routes belong to ordered pairs (``path(b, a)`` need not retrace
+        ``path(a, b)``), so both directions of every pair are walked.
+        """
         used: set[frozenset] = set()
-        names = self.compute_names
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                path = self.graph.path(a, b)
-                if path:
-                    used.update(l.key for l in self.graph.path_links(path))
+        for a, b in itertools.permutations(self.compute_names, 2):
+            path = self.graph.path(a, b)
+            if path:
+                used.update(l.key for l in self.graph.path_links(path))
         return used
 
     def overlay(self) -> TopologyGraph:

@@ -1,7 +1,10 @@
 """Tests for the §3.3/§3.4 generalized selection procedures."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     NoFeasibleSelection,
@@ -19,6 +22,8 @@ from repro.topology import (
     star,
 )
 from repro.units import Mbps
+
+from .cyclic_graphs import asymmetric_ring, random_cyclic
 
 
 class TestBandwidthFloor:
@@ -140,6 +145,35 @@ class TestRouted:
             routed = select_routed(g, 3, objective="bandwidth")
             tree = select_max_bandwidth(g, 3)
             assert routed.objective == pytest.approx(tree.objective)
+
+    def test_reverse_route_bounds_the_pair(self):
+        # Only path(b, a) crosses the 10 Mbps link: the overlay holds
+        # both directions' routes, so the pair reports that link.
+        g = asymmetric_ring(slow_bps=10 * Mbps)
+        sel = select_routed(g, 2)
+        assert sel.min_bw_bps == 10 * Mbps
+        assert sel.min_bw_bps == min_pairwise_bandwidth(g, sel.nodes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        chords=st.integers(1, 4),
+        m=st.integers(2, 4),
+        objective=st.sampled_from(["balanced", "bandwidth", "compute"]),
+    )
+    def test_min_bw_is_the_pairwise_minimum_on_cyclic_graphs(
+        self, seed, chords, m, objective
+    ):
+        g = random_cyclic(seed, chords=chords)
+        sel = select_routed(g, m, objective=objective)
+        assert sel.min_bw_bps == min_pairwise_bandwidth(g, sel.nodes)
+        # Two eligible hosts keep the overlay to their two routes, so a
+        # missed reverse route is what would leave it acyclic.
+        for pair in itertools.combinations(g.compute_nodes(), 2):
+            names = {n.name for n in pair}
+            sel = select_routed(g, 2, objective=objective,
+                                eligible=lambda n: n.name in names)
+            assert sel.min_bw_bps == min_pairwise_bandwidth(g, sel.nodes)
 
 
 class TestClientServer:

@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core import NoFeasibleSelection, References
 from repro.core.types import node_is_selectable
 from repro.core.kernel import (
-    kernel_select_balanced,
-    kernel_select_max_bandwidth,
-    kernel_select_with_bandwidth_floor,
+    select_balanced,
+    select_max_bandwidth,
+    select_with_bandwidth_floor,
 )
 from repro.core.reference import (
     reference_select_balanced,
@@ -110,7 +110,7 @@ def test_balanced_matches_reference(
     g = build_graph(seed, n, switches, quantize, drop)
     eligible = (lambda node: node.name.endswith(("0", "1", "2"))) if restrict else None
     _assert_identical(
-        kernel_select_balanced,
+        select_balanced,
         reference_select_balanced,
         g, m, refs=REFS[refs_i], eligible=eligible, strict_greedy=strict,
     )
@@ -133,7 +133,7 @@ def test_max_bandwidth_matches_reference(
     g = build_graph(seed, n, switches, quantize, drop)
     eligible = (lambda node: node.name.endswith(("0", "1", "2"))) if restrict else None
     _assert_identical(
-        kernel_select_max_bandwidth,
+        select_max_bandwidth,
         reference_select_max_bandwidth,
         g, m, refs=REFS[refs_i], eligible=eligible,
     )
@@ -179,7 +179,7 @@ def test_bandwidth_floor_matches_reference(
         )
 
     _assert_identical(
-        kernel_select_with_bandwidth_floor,
+        select_with_bandwidth_floor,
         reference_select_with_bandwidth_floor,
         g, m, floor_bps=floor_bps, refs=REFS[refs_i],
         eligible=eligible if restrict or unhealthy else None,
@@ -201,7 +201,7 @@ class TestDegenerateTies:
     def test_balanced_all_ties(self, m, strict):
         g = self._uniform_graph()
         _assert_identical(
-            kernel_select_balanced, reference_select_balanced,
+            select_balanced, reference_select_balanced,
             g, m, strict_greedy=strict,
         )
 
@@ -209,23 +209,23 @@ class TestDegenerateTies:
     def test_bandwidth_all_ties(self, m):
         g = self._uniform_graph()
         _assert_identical(
-            kernel_select_max_bandwidth, reference_select_max_bandwidth, g, m
+            select_max_bandwidth, reference_select_max_bandwidth, g, m
         )
 
     def test_invalid_m_matches(self):
         g = self._uniform_graph(4)
         for fn_pair in (
-            (kernel_select_balanced, reference_select_balanced),
-            (kernel_select_max_bandwidth, reference_select_max_bandwidth),
+            (select_balanced, reference_select_balanced),
+            (select_max_bandwidth, reference_select_max_bandwidth),
         ):
             _assert_identical(*fn_pair, g, 0)
         _assert_identical(
-            kernel_select_with_bandwidth_floor,
+            select_with_bandwidth_floor,
             reference_select_with_bandwidth_floor,
             g, 0, floor_bps=1.0,
         )
         _assert_identical(
-            kernel_select_with_bandwidth_floor,
+            select_with_bandwidth_floor,
             reference_select_with_bandwidth_floor,
             g, 2, floor_bps=-1.0,
         )

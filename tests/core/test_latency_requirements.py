@@ -1,6 +1,9 @@
 """Tests for latency-bounded selection and node requirements (§3.4)."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     NoFeasibleSelection,
@@ -11,6 +14,8 @@ from repro.core import (
 )
 from repro.topology import Node, dumbbell, linear_lan_chain, star
 from repro.units import MB
+
+from .cyclic_graphs import asymmetric_ring, random_cyclic
 
 
 def wan_dumbbell(trunk_latency=0.020):
@@ -37,6 +42,22 @@ class TestMaxPairwiseLatency:
         g = dumbbell(2, 2)
         g.remove_link("sw-left", "sw-right")
         assert max_pairwise_latency(g, ["l0", "r0"]) == float("inf")
+
+    def test_reverse_route_counts(self):
+        # Only path(b, a) crosses the 0.5 s link.
+        g = asymmetric_ring(slow_latency=0.5)
+        assert max_pairwise_latency(g, ["a", "b"]) == pytest.approx(0.502)
+        assert max_pairwise_latency(g, ["b", "a"]) == pytest.approx(0.502)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), chords=st.integers(1, 4),
+           size=st.integers(2, 4))
+    def test_order_of_names_never_matters(self, seed, chords, size):
+        g = random_cyclic(seed, hosts=6, chords=chords)
+        names = [n.name for n in g.compute_nodes()][:size]
+        want = max_pairwise_latency(g, names)
+        for order in itertools.permutations(names):
+            assert max_pairwise_latency(g, order) == want
 
 
 class TestLatencyBound:

@@ -1,9 +1,8 @@
-"""The unified selection API: procedure registry + ``repro.select``.
+"""The unified selection API: one dispatch + ``repro.select``.
 
-Covers the declarative dispatch table (:class:`repro.core.Procedure`),
-its extension point (:func:`repro.core.register_procedure`), the
-``extras["procedure"]`` provenance key, the documented extras schema, and
-the one-call ``repro.select`` entry point.
+Covers which procedure each spec dispatches to, the ``extras["procedure"]``
+provenance key, the documented extras schema, and the one-call
+``repro.select`` entry point.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ from repro.core import (
     ExtrasKey,
     NodeSelector,
     Objective,
-    Procedure,
-    Selection,
-    default_procedures,
-    register_procedure,
     select,
 )
 from repro.topology import dumbbell, fat_tree_pod, star
@@ -46,11 +41,11 @@ class TestProcedureRegistry:
                              speedup_model=lambda m: float(m)), "variable-m"),
         ]
         for spec, expected in cases:
-            assert sel.procedure_for(spec).name == expected
+            assert sel.select(spec).extras[ExtrasKey.PROCEDURE] == expected
 
     def test_cyclic_graph_dispatches_routed(self):
-        sel = NodeSelector(fat_tree_pod())
-        assert sel.procedure_for(ApplicationSpec(num_nodes=4)).name == "routed"
+        out = NodeSelector(fat_tree_pod()).select(ApplicationSpec(num_nodes=4))
+        assert out.extras[ExtrasKey.PROCEDURE] == "routed"
 
     def test_procedure_recorded_in_extras(self):
         out = NodeSelector(star(8)).select(ApplicationSpec(num_nodes=4))
@@ -66,53 +61,8 @@ class TestProcedureRegistry:
             objective=Objective.COMPUTE,
             min_bandwidth_bps=1.0,
         )
-        assert NodeSelector(star(8)).procedure_for(spec).name == "bandwidth-floor"
-
-    def test_default_procedures_returns_fresh_copy(self):
-        a, b = default_procedures(), default_procedures()
-        assert [p.name for p in a] == [p.name for p in b]
-        a.pop()
-        assert len(default_procedures()) == len(b)
-
-    def test_register_custom_procedure_per_instance(self):
-        marker = Selection(
-            nodes=["h0"], objective=1.0, min_cpu_fraction=1.0,
-            min_bw_fraction=1.0, min_bw_bps=1.0, algorithm="custom",
-        )
-        custom = Procedure(
-            "custom",
-            lambda spec, g: spec.num_nodes == 1,
-            lambda g, spec, refs, eligible: marker,
-        )
-        table = default_procedures()
-        register_procedure(custom, registry=table)
-        sel = NodeSelector(star(4), procedures=table)
-        out = sel.select(ApplicationSpec(num_nodes=1))
-        assert out.algorithm == "custom"
-        assert out.extras[ExtrasKey.PROCEDURE] == "custom"
-        # Other selectors are unaffected.
-        out = NodeSelector(star(4)).select(ApplicationSpec(num_nodes=1))
-        assert out.algorithm != "custom"
-        # Catch-all still reachable for non-matching specs.
-        out = sel.select(ApplicationSpec(num_nodes=2))
-        assert out.extras[ExtrasKey.PROCEDURE] == "balanced"
-
-    def test_register_rejects_duplicates_and_bad_anchor(self):
-        table = default_procedures()
-        dup = Procedure("balanced", lambda s, g: True, lambda *a: None)
-        with pytest.raises(ValueError):
-            register_procedure(dup, registry=table)
-        novel = Procedure("novel", lambda s, g: False, lambda *a: None)
-        with pytest.raises(ValueError):
-            register_procedure(novel, before="nonexistent", registry=table)
-        register_procedure(novel, before="routed", registry=table)
-        names = [p.name for p in table]
-        assert names.index("novel") == names.index("routed") - 1
-
-    def test_empty_registry_raises_lookup_error(self):
-        sel = NodeSelector(star(4), procedures=[])
-        with pytest.raises(LookupError):
-            sel.select(ApplicationSpec(num_nodes=2))
+        out = NodeSelector(star(8)).select(spec)
+        assert out.extras[ExtrasKey.PROCEDURE] == "bandwidth-floor"
 
 
 class TestTopLevelSelect:

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core import References
 from repro.core import kernel
-from repro.core.kernel import kernel_select_with_bandwidth_floor
+from repro.core.kernel import select_with_bandwidth_floor
 from repro.core.reference import reference_select_with_bandwidth_floor
 from repro.core.types import node_is_selectable
 from repro.service import LedgerError, ReservationLedger, ResidualView
@@ -102,9 +102,9 @@ class Rig:
         kwargs = dict(floor_bps=floor, refs=REFS[refs],
                       eligible=self.eligible(who))
         rebuilt = self.rebuilt()
-        live = outcome(kernel_select_with_bandwidth_floor,
+        live = outcome(select_with_bandwidth_floor,
                        self.view.graph, m, **kwargs)
-        cold = outcome(kernel_select_with_bandwidth_floor,
+        cold = outcome(select_with_bandwidth_floor,
                        rebuilt, m, **kwargs)
         naive = outcome(reference_select_with_bandwidth_floor,
                         rebuilt, m, **kwargs)
@@ -341,7 +341,7 @@ def test_work_is_bounded_by_the_walk_not_the_graph(monkeypatch):
 
     def select(m):
         del asked[:], keyed[:]
-        return kernel_select_with_bandwidth_floor(
+        return select_with_bandwidth_floor(
             view.graph, m, floor_bps=0.0, eligible=eligible,
         )
 
@@ -426,10 +426,10 @@ def same_selection(g, m, **kwargs):
         want = reference_select_with_bandwidth_floor(g, m, **kwargs)
     except kernel.NoFeasibleSelection as refusal:
         with pytest.raises(kernel.NoFeasibleSelection) as mine:
-            kernel_select_with_bandwidth_floor(g, m, **kwargs)
+            select_with_bandwidth_floor(g, m, **kwargs)
         assert str(mine.value) == str(refusal)
         return None
-    got = kernel_select_with_bandwidth_floor(g, m, **kwargs)
+    got = select_with_bandwidth_floor(g, m, **kwargs)
     assert got == want
     return got
 
@@ -496,7 +496,7 @@ def walk_of(g, m):
         asked.append(node.name)
         return True
 
-    kernel_select_with_bandwidth_floor(
+    select_with_bandwidth_floor(
         g, m, floor_bps=50 * Mbps, eligible=eligible
     )
     mine = list(asked)
@@ -570,7 +570,7 @@ def test_tied_work_is_bounded_by_the_picks_not_the_plateau():
     g.floor_components = counting
     for m in range(1, 7):
         del asked[:], climbed[:]
-        sel = kernel_select_with_bandwidth_floor(
+        sel = select_with_bandwidth_floor(
             g, m, floor_bps=0.0, eligible=eligible
         )
         assert asked == sel.nodes == sorted(n.name for n in g.compute_nodes())[:m]

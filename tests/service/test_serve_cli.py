@@ -175,6 +175,16 @@ class TestErrors:
         assert "lease_s must be positive" in err
         assert "shard topology" not in err
 
+    @pytest.mark.parametrize("port", ["70000", "-5"])
+    def test_metrics_port_out_of_range_returns_2(self, topo_file, tmp_path,
+                                                 capsys, port):
+        state = tmp_path / "state"
+        assert main([topo_file, "--demo", "2", "--state-dir", str(state),
+                     "--metrics-port", port]) == 2
+        assert "error: cannot bind metrics port" in capsys.readouterr().err
+        # The service was closed: the durable run wrote its snapshot.
+        assert (state / "snapshot.json").exists()
+
     def test_missing_topology_returns_2(self, capsys):
         assert main(["/nonexistent.json", "--demo", "1"]) == 2
         assert "cannot load topology" in capsys.readouterr().err
