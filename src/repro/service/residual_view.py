@@ -32,11 +32,12 @@ and across snapshots, and moves it in place:
   through the ``peel_schedule_provider`` graph hook, so selections
   against the view skip the O(E log E) re-sort when the ledger's dirty
   link set is small, a :class:`ChannelTable` resolving each channel to
-  its overlay link once, and a :class:`~repro.core.kernel.ComputeRanking`
-  on the ``compute_ranking`` hook — the candidates best first, for the
-  bandwidth-floor procedure and the batch planner to walk.  A node
-  update only names what moved; the next selection to read the ranking
-  re-keys it, so a cycle the selection memo answers pays nothing;
+  its overlay and base links once, and a
+  :class:`~repro.core.kernel.ComputeRanking` on the ``compute_ranking``
+  hook — the candidates best first, for the bandwidth-floor procedure
+  and the batch planner to walk.  A node update only names what moved;
+  the next selection to read the ranking re-keys it, so a cycle the
+  selection memo answers pays nothing;
 - a new snapshot that says which resources it replaced
   (:attr:`TopologyGraph.measurement`; ``RemosAPI.topology()`` does) is
   adopted by :meth:`rebase`: the same recompute-from-base over those
@@ -54,7 +55,7 @@ from __future__ import annotations
 from typing import Collection, Iterable, Optional
 
 from ..core.kernel import ComputeRanking
-from ..topology.graph import TopologyGraph, load_from_cpu_fraction
+from ..topology.graph import MAXBW_SLACK, TopologyGraph, load_from_cpu_fraction
 from ..topology.residual import (
     _MIN_RESIDUAL_CPU,
     DirectedEdge,
@@ -67,22 +68,25 @@ __all__ = ["ChannelTable", "ResidualView"]
 
 
 class ChannelTable(dict):
-    """Directed channel -> ``(link, towards_v)``: ``graph``'s own link
-    object and whether the channel runs towards its ``v`` end (so its
-    availability is ``available_fwd``, else ``available_rev``); ``None``
-    when ``graph`` has no such link.
+    """Directed channel -> ``(link, towards_v, base_link)``: ``graph``'s
+    own link object, whether the channel runs towards its ``v`` end (so
+    its availability is ``available_fwd``, else ``available_rev``), and
+    ``base``'s link of the same key, which the overlay recomputes it
+    from; ``None`` when ``graph`` has no such link.
 
-    An entry is filled on first use, which is the one key lookup and
-    endpoint check it costs, and stays right for as long as ``graph``
-    keeps its link objects: an overlay's for the view's life, re-bases
-    included (they write into the same links).
+    An entry is filled on first use, which is the one pair of key
+    lookups and endpoint check it costs.  Its overlay link stays right
+    for as long as ``graph`` keeps its link objects — an overlay's for
+    the view's life, re-bases included (they write into the same
+    links); its base link is re-pointed by :meth:`rebase`.
     """
 
-    __slots__ = ("graph",)
+    __slots__ = ("graph", "base")
 
-    def __init__(self, graph: TopologyGraph) -> None:
+    def __init__(self, graph: TopologyGraph, base: TopologyGraph) -> None:
         super().__init__()
         self.graph = graph
+        self.base = base
 
     def __missing__(self, edge: DirectedEdge) -> Optional[tuple]:
         key, dst = edge
@@ -91,9 +95,20 @@ class ChannelTable(dict):
         if link is not None:
             if dst != link.v and dst != link.u:
                 raise KeyError(f"{dst!r} is not an endpoint of {link!r}")
-            entry = (link, dst == link.v)
+            entry = (link, dst == link.v, self.base.link_by_key(key))
         self[edge] = entry
         return entry
+
+    def rebase(self, base: TopologyGraph, keys: Iterable[frozenset]) -> None:
+        """Adopt ``base``, whose links differ from the current base's in
+        ``keys`` only: the entries of those channels carry its links."""
+        self.base = base
+        for key in keys:
+            for dst in key:
+                entry = self.get((key, dst))
+                if entry is not None:
+                    link = base.link_by_key(key)
+                    self[key, dst] = (entry[0], entry[1], link)
 
 
 class ResidualView:
@@ -126,9 +141,9 @@ class ResidualView:
             base, ledger.node_claims(), ledger.edge_claims()
         )
         self.routes = RouteCache(base)
-        #: The overlay's channels, resolved once each (never the base's
-        #: links: those are replaced by a re-base, the overlay's are not).
-        self.channels = ChannelTable(self.graph)
+        #: The overlay's channels, resolved once each to the overlay's
+        #: link and the base link it is recomputed from.
+        self.channels = ChannelTable(self.graph, base)
         self.schedules = PeelScheduleCache(base)
         # The kernel hook (see repro.core.kernel._schedule): selections
         # against this overlay reuse the base peel sort, re-merging only
@@ -181,22 +196,34 @@ class ResidualView:
 
     def refresh_edges(self, edges: Iterable[DirectedEdge]) -> None:
         """Reset each directed channel from base availability and the
-        ledger's current total claim (absent links ignored)."""
-        channels, base = self.channels, self.base.link_by_key
+        ledger's current total claim (absent links ignored).
+
+        Walks the channels' resolved entries: the base read and the
+        overlay write are attribute accesses, and the write keeps
+        :meth:`Link.set_available`'s range check."""
+        channels = self.channels
         claims = self.ledger._edge_claims  # the live totals, read in place
         for edge in edges:
             entry = channels[edge]
             if entry is None:
                 continue
-            key, dst = edge
-            link = entry[0]
-            base_avail = base(key).available_towards(dst)
+            link, towards_v, base = entry
+            base_avail = (
+                base.available_fwd if towards_v else base.available_rev
+            )
             claim = claims.get(edge, 0.0)
             if claim <= 0.0:
                 remaining = base_avail
             else:
                 remaining = max(base_avail - claim, 0.0)
-            link.set_available(remaining, direction=dst)
+            if remaining < 0 or remaining > link.maxbw + MAXBW_SLACK:
+                raise ValueError(
+                    f"available bw {remaining} outside [0, maxbw={link.maxbw}]"
+                )
+            if towards_v:
+                link.available_fwd = remaining
+            else:
+                link.available_rev = remaining
 
     def apply_delta(self, reservation: Reservation) -> None:
         """Fold one reservation's grant or release into the overlay.
@@ -227,6 +254,7 @@ class ResidualView:
         """
         self.schedules.rebase(base, links)
         self.base = self.routes.graph = base
+        self.channels.rebase(base, links)
         self.graph.measurement = base.measurement
         self.selections.clear()
         for name in nodes:

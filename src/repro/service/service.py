@@ -720,10 +720,10 @@ class SelectionService:
                 edges, channels = view.routes.edges_for(nodes), view.channels
             else:
                 edges = route_edges(graph, nodes)
-                channels = ChannelTable(graph)
+                channels = ChannelTable(graph, graph)
             bw = req.bw_bps
             for edge in edges:
-                link, towards_v = channels[edge]
+                link, towards_v, _base = channels[edge]
                 available = (
                     link.available_fwd if towards_v else link.available_rev
                 )

@@ -11,7 +11,8 @@ running.  This module makes the control plane restartable:
   ``preempt``, and ``preempt_clamp`` (the grace-period deadline clamp).
   Records are flushed to the OS per append; ``fsync=True`` additionally
   forces them to stable storage (power-loss durability at a latency
-  cost).
+  cost).  A grant line takes each channel's text from a memo, so what a
+  grant encodes afresh is its own fields, not its channels.
 - Every ``snapshot_every`` records the WAL **compacts**: the full ledger
   state is written atomically to ``snapshot.json`` (temp file +
   ``os.replace``) and the log is truncated.  Monotonic sequence numbers
@@ -88,23 +89,37 @@ def decode_edge(raw) -> DirectedEdge:
     return (frozenset(ends), dst)
 
 
-def _encode_reservation(r: Reservation, caps: list[float]) -> dict:
-    """The grant/snapshot payload for one reservation.
+def _encode_reservation(
+    r: Reservation, edges: Optional[list], caps: Optional[list]
+) -> dict:
+    """The grant/snapshot payload for one reservation: the one place its
+    fields are ordered.
 
-    ``caps`` are the claimed channels' peak capacities (aligned with
-    ``r.edges``) — recorded so recovery never needs the topology graph.
+    ``edges`` are ``r.edges`` encoded (:func:`encode_edge`) and ``caps``
+    the claimed channels' peak capacities, aligned with them — recorded
+    so recovery never needs the topology graph.  A grant line passes
+    ``None`` for both and splices its channels in at :data:`_CHANNELS`.
     """
     return {
         "app": r.app_id,
         "nodes": list(r.nodes),
         "cpu": r.cpu_fraction,
         "bw": r.bw_bps,
-        "edges": [encode_edge(e) for e in r.edges],
+        "edges": edges,
         "caps": caps,
         "priority": r.priority,
         "granted_at": r.granted_at,
         "expires_at": r.expires_at,
     }
+
+
+#: A log line's encoder: ``json.dumps(obj, separators=(",", ":"))``.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Where a grant line's channels go: the text ``_encode`` gives a payload
+#: whose ``edges`` and ``caps`` are ``None``.  Inside a JSON string every
+#: ``"`` is escaped, so this text can only be the field pair itself.
+_CHANNELS = '"edges":null,"caps":null'
 
 
 def _decode_reservation(payload: dict) -> tuple[Reservation, list[float]]:
@@ -250,6 +265,11 @@ class LedgerWal:
         self._since_snapshot = len(records)
         self._fh = open(self.wal_path, "a", encoding="utf-8")
         self._ledger = None
+        #: Directed channel -> ``(text, cap, cap text)``: its JSON in a
+        #: grant line and its cap's, kept while the ledger records the
+        #: same cap object for it.  One entry per channel logged, so
+        #: bounded by the topology's directed channels.
+        self._channel_text: dict[DirectedEdge, tuple[str, float, str]] = {}
         #: Appended records over this WAL's lifetime (metrics).
         self.appended = 0
         #: Snapshots written over this WAL's lifetime (metrics).
@@ -264,34 +284,34 @@ class LedgerWal:
     def on_event(self, kind: str, reservation: Reservation) -> None:
         """Ledger listener: map a mutation to its WAL record."""
         if kind == "reserve":
-            caps = [
-                self._ledger._edge_caps[e] for e in reservation.edges
-            ] if self._ledger is not None else []
-            record = {"kind": "grant"}
-            record.update(_encode_reservation(reservation, caps))
+            self.append(reservation)
         elif kind in DEADLINE_KINDS:
-            record = {
+            self.append({
                 "kind": kind,
                 "app": reservation.app_id,
                 "expires_at": reservation.expires_at,
-            }
-        elif kind in CAPACITY_RETURNING_KINDS:
-            record = {"kind": kind, "app": reservation.app_id}
-        else:  # pragma: no cover - future-proofing
-            record = {"kind": kind, "app": reservation.app_id}
-        self.append(record)
+            })
+        else:  # CAPACITY_RETURNING_KINDS
+            self.append({"kind": kind, "app": reservation.app_id})
 
-    def append(self, record: dict) -> int:
-        """Write one record (assigns ``seq``); returns the sequence number.
+    def append(self, record: dict | Reservation) -> int:
+        """Write one record — a dict, or a granted reservation as its
+        ``grant`` record — and return the sequence number it was given.
 
-        Compacts into a snapshot once ``snapshot_every`` records have
-        accumulated since the last one.
+        The one writer: assigns ``seq``, writes the line and flushes it
+        to the OS (what lets it survive a process crash), fsyncs when
+        configured, and compacts into a snapshot once
+        ``snapshot_every`` records have accumulated since the last one.
         """
         if self._fh is None:
             raise WalError("WAL is closed")
-        self._seq += 1
-        record = {"seq": self._seq, **record}
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        seq = self._seq + 1
+        if isinstance(record, Reservation):
+            line = self._grant_line(seq, record)
+        else:
+            line = _encode({"seq": seq, **record})
+        self._seq = seq
+        self._fh.write(line + "\n")
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
@@ -299,7 +319,36 @@ class LedgerWal:
         self._since_snapshot += 1
         if self._since_snapshot >= self.snapshot_every:
             self.snapshot()
-        return self._seq
+        return seq
+
+    def _grant_line(self, seq: int, r: Reservation) -> str:
+        """``r``'s grant record: the text of ``{"seq": seq, "kind":
+        "grant", **payload}``, its caps read off the attached ledger and
+        each channel's two fragments taken from the memo."""
+        ledger = self._ledger
+        if ledger is None:
+            raise WalError(
+                "a grant is logged with its ledger's channel capacities: "
+                "attach() the WAL instead of subscribing it"
+            )
+        head, _, tail = _encode(
+            {"seq": seq, "kind": "grant", **_encode_reservation(r, None, None)}
+        ).partition(_CHANNELS)
+        memo, caps = self._channel_text, ledger._edge_caps
+        edge_texts, cap_texts = [], []
+        for edge in r.edges:
+            cap = caps[edge]
+            entry = memo.get(edge)
+            if entry is None or entry[1] is not cap:
+                entry = memo[edge] = (
+                    _encode(encode_edge(edge)), cap, _encode(cap)
+                )
+            edge_texts.append(entry[0])
+            cap_texts.append(entry[2])
+        return (
+            f'{head}"edges":[{",".join(edge_texts)}],'
+            f'"caps":[{",".join(cap_texts)}]{tail}'
+        )
 
     # -- snapshot / compaction ------------------------------------------------
     def snapshot(self) -> None:
@@ -320,7 +369,8 @@ class LedgerWal:
             "cpu_cap": ledger.cpu_cap,
             "reservations": [
                 _encode_reservation(
-                    r, [ledger._edge_caps[e] for e in r.edges]
+                    r, [encode_edge(e) for e in r.edges],
+                    [ledger._edge_caps[e] for e in r.edges],
                 )
                 for _, r in sorted(ledger.reservations.items())
             ],

@@ -120,6 +120,11 @@ class Node:
         )
 
 
+#: How far an availability may exceed ``maxbw`` (float noise) before
+#: :meth:`Link.set_available` refuses it.
+MAXBW_SLACK = 1e-9
+
+
 @dataclass
 class Link:
     """An edge of the topology graph: a communication link.
@@ -179,7 +184,7 @@ class Link:
 
     def set_available(self, bw: float, direction: Optional[str] = None) -> None:
         """Set available bandwidth (both directions, or towards ``direction``)."""
-        if bw < 0 or bw > self.maxbw + 1e-9:
+        if bw < 0 or bw > self.maxbw + MAXBW_SLACK:
             raise ValueError(
                 f"available bw {bw} outside [0, maxbw={self.maxbw}]"
             )

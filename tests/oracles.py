@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 from collections import deque
 from dataclasses import replace
 from typing import Optional, Sequence
+from unittest import mock
 
 from repro.core.metrics import References
 from repro.network.fabric import ChannelId
@@ -14,9 +16,16 @@ from repro.remos import AgentTimeout, Collector, DegradedPolicy, RemosAPI
 from repro.remos.api import _UNMONITORABLE_LOAD, NodeInfo
 from repro.remos.collector import _WRAP_RATE_SLACK, ResourceStatus
 from repro.remos.snmp import InterfaceRecord
-from repro.service import SelectionService, ShardPlan, ShardRouter, route_edges
+from repro.service import (
+    LedgerWal,
+    SelectionService,
+    ShardPlan,
+    ShardRouter,
+    route_edges,
+)
+from repro.service import wal as wal_module
 from repro.service.admission import SelectionRequest
-from repro.service.ledger import ledger_order
+from repro.service.ledger import Reservation, ledger_order
 from repro.service.residual_view import ChannelTable
 from repro.service.sharding.workers import InprocExecutor
 from repro.topology import TopologyGraph
@@ -123,11 +132,53 @@ def naive_rebuild_service(*args, **kwargs) -> SelectionService:
         overlay(base)
         view = service._view
         view.graph = service._capacity_view(base)
-        view.channels = ChannelTable(view.graph)
+        view.channels = ChannelTable(view.graph, base)
         return view.graph
 
     service._residual = rebuild
     return service
+
+
+def reference_grant_payload(r: Reservation, caps: list) -> dict:
+    """A reservation's grant/snapshot payload as the log built it before
+    grant lines were assembled from per-channel text: whole, every
+    channel encoded afresh."""
+    return {
+        "app": r.app_id,
+        "nodes": list(r.nodes),
+        "cpu": r.cpu_fraction,
+        "bw": r.bw_bps,
+        "edges": [[sorted(key), dst] for key, dst in r.edges],
+        "caps": caps,
+        "priority": r.priority,
+        "granted_at": r.granted_at,
+        "expires_at": r.expires_at,
+    }
+
+
+class ReferenceWal(LedgerWal):
+    """The log with every grant encoded whole: a grant line is
+    ``json.dumps`` of its full record, and a snapshot's reservations are
+    :func:`reference_grant_payload` rows."""
+
+    def _grant_line(self, seq: int, r: Reservation) -> str:
+        caps = [self._ledger._edge_caps[e] for e in r.edges]
+        record = {"seq": seq, "kind": "grant",
+                  **reference_grant_payload(r, caps)}
+        return json.dumps(record, separators=(",", ":"))
+
+    def snapshot(self) -> None:
+        def payload(r, _edges, caps):
+            return reference_grant_payload(r, caps)
+
+        with mock.patch.object(wal_module, "_encode_reservation", payload):
+            super().snapshot()
+
+
+def reference_wal_service(*args, **kwargs) -> SelectionService:
+    """A durable service that logs through :class:`ReferenceWal`."""
+    with mock.patch.object(wal_module, "LedgerWal", ReferenceWal):
+        return SelectionService(*args, **kwargs)
 
 
 def _no_schedule(_kind, _refs, _metric):

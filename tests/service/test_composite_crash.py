@@ -61,7 +61,7 @@ def test_a_composite_is_whole_or_absent_after_a_crash_at_any_append(
     appends, real_append = [], LedgerWal.append
 
     def append(wal, record):
-        appends.append(record["kind"])
+        appends.append(record)
         if len(appends) >= at:
             raise _Crash
         return real_append(wal, record)

@@ -6,7 +6,8 @@ candidate's floor-component by climbing the forest index (union-find on
 a graph with a cycle).  Three arms must agree after every step of a
 generated history — grants, releases, renewals, deadline clamps,
 expiries, health marks, measured re-bases, eligibility predicates, a
-switch of the reference node capacity — on a tree and on a cyclic grid:
+switch of the reference node capacity — on a tree, a cyclic grid and random
+cyclic graphs (`tests/core/cyclic_graphs.py::random_cyclic`):
 
 1. the kernel on the live overlay (kept ranking, lazily re-keyed);
 2. the same kernel on a fresh ``residual_graph()`` rebuild (no ranking:
@@ -24,6 +25,7 @@ values, the three cases its stop rule turns on built by hand, and the
 work bound again with every load 0.0.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +43,7 @@ from repro.topology import TopologyGraph, grid, random_tree
 from repro.topology.residual import residual_graph
 from repro.units import Mbps
 
+from ..core.cyclic_graphs import random_cyclic
 from ..core.test_kernel_differential import _outcome as outcome
 from ..oracles import PinnedNodes
 
@@ -238,9 +241,11 @@ actions = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(
-    build=st.sampled_from([small_tree, cyclic_grid]),
+    build=st.sampled_from([small_tree, cyclic_grid]) | st.integers(0, 999).map(
+        lambda seed: functools.partial(random_cyclic, seed)
+    ),
     history=st.lists(st.tuples(actions, queries), min_size=1, max_size=30),
 )
 def test_live_overlay_equals_rebuild_and_reference(build, history):

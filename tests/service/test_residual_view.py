@@ -30,6 +30,7 @@ from repro.service import (
 from repro.service.admission import SelectionRequest
 from repro.service.ledger import ledger_order
 from repro.topology import dumbbell, grid, star
+from repro.topology.graph import MAXBW_SLACK
 from repro.topology.residual import residual_graph
 from repro.units import Mbps
 
@@ -139,6 +140,32 @@ class TestResidualViewOverlay:
         view.refresh_edges(ledger.reservations["a"].edges)
         view.assert_matches_rebuild()
 
+    def test_refresh_keeps_the_maxbw_bound(self):
+        """A base availability above ``maxbw``, assigned to the attribute
+        as graph builders do (so nothing checked it), is refused when a
+        refresh writes it into the overlay — with or without a claim on
+        the channel — as ``Link.set_available`` refuses it."""
+        # A 1 bps trunk, so that the float slack is representable.
+        g = dumbbell(2, 2, cross_bandwidth=1.0)
+        trunk = g.link("sw-left", "sw-right")
+        ledger = ReservationLedger()
+        view = ResidualView(g, ledger)
+        towards_v = (trunk.key, trunk.v)
+        trunk.available_fwd = trunk.maxbw + MAXBW_SLACK / 2  # float noise
+        view.refresh_edges([towards_v])
+        assert view.graph.link_by_key(trunk.key).available_fwd == (
+            trunk.available_fwd
+        )
+        for over in (trunk.maxbw + 2 * MAXBW_SLACK, 1.5 * trunk.maxbw):
+            trunk.available_fwd = over
+            with pytest.raises(ValueError, match="outside"):
+                view.refresh_edges([towards_v])
+        ledger.reserve("a", ["l0", "r0"], cpu_fraction=0.0,
+                       bw_bps=0.1 * trunk.maxbw, graph=g, now=0.0,
+                       lease_s=60.0)
+        with pytest.raises(ValueError, match="outside"):
+            view.refresh_edges(ledger.reservations["a"].edges)
+
     def test_down_markers(self, rig):
         g, ledger, view = rig
         view.mark_down("l0")
@@ -158,9 +185,10 @@ class TestResidualViewOverlay:
 
 class TestChannelTable:
     def test_entries_are_the_overlays_links_across_a_rebase(self):
-        """A lease's channels resolve to the overlay's own links, once; a
-        re-base that moves one of them keeps the table, and a verify
-        reads the moved availability through it."""
+        """A lease's channels resolve to the overlay's own links and the
+        base's, once; a re-base that moves one of them keeps the table
+        and re-points that entry's base link, and a verify reads the
+        moved availability through it."""
         g = dumbbell(4, 4)
         svc = SelectionService(g, snapshot_ttl=1e9)
         nodes = ["l0", "r0"]
@@ -172,9 +200,10 @@ class TestChannelTable:
         view = svc.view
         table = view.channels
         assert set(table) == set(grant.reservation.edges)
-        for (key, dst), (link, towards_v) in table.items():
+        for (key, dst), (link, towards_v, base) in table.items():
             assert link is view.graph.link_by_key(key)
             assert towards_v == (dst == link.v)
+            assert base is g.link_by_key(key)
 
         trunk = frozenset({"sw-left", "sw-right"})
         moved = g.copy()
@@ -183,7 +212,13 @@ class TestChannelTable:
         view.assert_matches_rebuild()
         assert view.channels is table
         assert all(link is view.graph.link_by_key(key)
-                   for (key, _), (link, _) in table.items())
+                   and base is moved.link_by_key(key) is not g.link_by_key(key)
+                   for (key, _), (link, _, base) in table.items()
+                   if key == trunk)
+        assert all(link is view.graph.link_by_key(key)
+                   and base is g.link_by_key(key)
+                   for (key, _), (link, _, base) in table.items()
+                   if key != trunk)
 
         def fits(bw_bps):
             req = SelectionRequest(app_id="b", spec=spec(2), bw_bps=bw_bps)

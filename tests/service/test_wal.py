@@ -18,14 +18,19 @@ from hypothesis import strategies as st
 
 from repro.core import ApplicationSpec
 from repro.service import (
+    LedgerError,
     LedgerWal,
     RecoveryReport,
     ReservationLedger,
     SelectionService,
     WalCorruptError,
+    WalError,
 )
 from repro.service.wal import SNAPSHOT_NAME, WAL_NAME, open_ledger
-from repro.topology import dumbbell
+from repro.topology import TopologyGraph, dumbbell, star
+from repro.units import Mbps
+
+from ..oracles import ReferenceWal, reference_wal_service
 
 
 def make_ledger_with_wal(state_dir, **wal_kwargs):
@@ -106,6 +111,19 @@ class TestWalBasics:
         wal.close()
         with pytest.raises(Exception, match="closed"):
             wal.append({"kind": "release", "app": "a"})
+
+    def test_a_subscribed_but_unattached_wal_refuses_a_grant(self, tmp_path):
+        """Subscribed without ``attach()``, the log has no ledger to read
+        a grant's channel capacities from: it raises before writing a
+        record that recovery could not replay."""
+        ledger = ReservationLedger()
+        wal = LedgerWal(str(tmp_path))
+        ledger.subscribe(wal.on_event)
+        with pytest.raises(WalError, match="attach"):
+            grant(ledger, star(4), "a", ("h0", "h1"))
+        assert (tmp_path / WAL_NAME).read_bytes() == b""
+        assert wal.appended == 0
+        assert ReservationLedger.recover(str(tmp_path)).active == 0
 
 
 class TestRecovery:
@@ -348,3 +366,120 @@ class TestCrashRecoveryProperty:
         )
         recovered.expire(horizon + 1.0)
         assert recovered.active == 0
+
+
+# -- grant lines against the whole-record encoder ---------------------------
+
+#: Names the encoder must escape: quotes, backslashes, control and
+#: non-ASCII characters.
+_NAMES = st.text(alphabet='ab"\\/\n\u00e9\u2603', min_size=1, max_size=4)
+
+_LOG_OPS = st.lists(
+    st.tuples(
+        st.sampled_from("ggrnc"),
+        st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+        st.sampled_from([0.0, 0.1]),
+        st.sampled_from([0.0, 1e6]),
+        st.integers(0, 2),
+    ),
+    min_size=1, max_size=30,
+)
+
+#: Trunk capacities a grant may be checked against: a channel's cap
+#: moves between grants, and an ``int`` one encodes without ``.0``.
+_TRUNKS = (100 * Mbps, 40 * Mbps, 100_000_000)
+
+
+def _two_hop(names, trunk_bps):
+    """Hosts ``names[2:]`` split over switches ``names[0]`` and
+    ``names[1]``, so a grant across the trunk crosses it both ways."""
+    g = TopologyGraph()
+    left, right, hosts = names[0], names[1], names[2:]
+    g.add_network(left)
+    g.add_network(right)
+    g.add_link(left, right, trunk_bps)
+    for i, host in enumerate(hosts):
+        g.add_compute(host)
+        g.add_link(host, (left, right)[i % 2], 100 * Mbps)
+    return g
+
+
+def _same_files(one, two):
+    for name in (WAL_NAME, SNAPSHOT_NAME):
+        mine, theirs = one / name, two / name
+        assert mine.exists() == theirs.exists(), name
+        if mine.exists():
+            assert mine.read_bytes() == theirs.read_bytes(), name
+
+
+class TestGrantLineDifferential:
+    """A grant line is assembled from per-channel text; it must be the
+    bytes ``json.dumps`` of the whole record gives
+    (``tests/oracles.py::ReferenceWal``), and so must the snapshots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(_NAMES, min_size=5, max_size=8, unique=True),
+           ops=_LOG_OPS, snapshot_every=st.sampled_from([3, 1000]))
+    def test_every_grant_line_equals_the_reference(
+        self, tmp_path_factory, names, ops, snapshot_every
+    ):
+        graphs = [_two_hop(names, bps) for bps in _TRUNKS]
+        hosts = names[2:]
+        mine = tmp_path_factory.mktemp("memo")
+        theirs = tmp_path_factory.mktemp("reference")
+        ledger, _wal = make_ledger_with_wal(
+            mine, snapshot_every=snapshot_every
+        )
+        ReferenceWal(str(theirs), snapshot_every=snapshot_every).attach(
+            ledger
+        )
+        now = 0.0
+        for i, (op, picks, cpu, bw, trunk) in enumerate(ops):
+            now += 1.5
+            live = sorted(ledger.reservations)
+            if op == "g":
+                nodes = tuple(hosts[k % len(hosts)] for k in picks)
+                try:
+                    grant(ledger, graphs[trunk],
+                          f'{names[i % len(names)]}-{i}',
+                          tuple(dict.fromkeys(nodes)), cpu=cpu, bw=bw,
+                          now=now)
+                except LedgerError:
+                    pass  # over a cap: nothing logged
+            elif live and op == "r":
+                ledger.release(live[picks[0] % len(live)])
+            elif live and op == "n":
+                ledger.renew(live[picks[0] % len(live)], now, 30.0)
+            elif live and op == "c":
+                ledger.clamp_expiry(live[picks[0] % len(live)], now + 0.5)
+        _same_files(mine, theirs)
+
+    def test_a_durable_service_writes_the_reference_bytes(self, tmp_path):
+        """A mixed grant / release / renew stream through a durable
+        service — shared channels, zero bandwidth, zero CPU — leaves the
+        same log and snapshot as the reference's."""
+        outcomes = []
+        for state in (tmp_path / "memo", tmp_path / "reference"):
+            make = (SelectionService if state.name == "memo"
+                    else reference_wal_service)
+            svc = make(dumbbell(4, 4), snapshot_ttl=1e9, lease_s=60.0,
+                       state_dir=str(state), wal_snapshot_every=5)
+            got = []
+            for i in range(12):
+                svc.advance(0.75)
+                claim = {"cpu_fraction": (0.0, 0.1, 0.2)[i % 3],
+                         "bw_bps": (0.0, 2 * Mbps, 5 * Mbps)[i % 3]}
+                got.append(svc.request(
+                    f"t\u00e9\"{i}", ApplicationSpec(num_nodes=2 + i % 3),
+                    **claim,
+                ).status)
+                held = sorted(svc.ledger.reservations)
+                if i % 4 == 1 and held:
+                    svc.renew(held[0])
+                if i % 3 == 2 and held:
+                    svc.release(held[-1])
+            outcomes.append(got)
+            assert svc.wal.snapshots >= 2
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0].count("admitted") >= 8
+        _same_files(tmp_path / "memo", tmp_path / "reference")
