@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..network.fairshare import max_min_fair
+from ..network.fairshare import routed_fair_rates
 from ..topology.graph import Node, TopologyGraph
 from .kernel import select_balanced
 from .metrics import (
@@ -101,32 +101,12 @@ def effective_pattern_bandwidth(
     """Max-min fair rate of the slowest flow when the pattern fires at once.
 
     Capacities are the links' *available* bandwidths (background traffic
-    already subtracted), one channel per direction (or one shared channel
-    for half-duplex links).  Returns ``inf`` when the pattern induces no
-    flows and ``0`` when any required pair is disconnected.
+    already subtracted), shared as Remos flow queries share them
+    (:func:`~repro.network.fairshare.routed_fair_rates`).  Returns ``inf``
+    with no flows and ``0`` when any required pair is disconnected.
     """
     flows = pattern_flows(nodes, pattern, master=master)
-    if not flows:
-        return float("inf")
-    routes: dict[int, list] = {}
-    caps: dict = {}
-    for i, (src, dst) in enumerate(flows):
-        path = graph.path(src, dst)
-        if path is None:
-            return 0.0
-        chans = []
-        for a, b in zip(path, path[1:]):
-            link = graph.link(a, b)
-            if link.attrs.get("duplex") == "half":
-                cid = (link.key, "shared")
-                caps[cid] = link.available
-            else:
-                cid = (link.key, b)
-                caps[cid] = link.available_towards(b)
-            chans.append(cid)
-        routes[i] = chans
-    rates = max_min_fair(routes, caps)
-    return min(rates.values())
+    return min(routed_fair_rates(graph, graph, flows), default=float("inf"))
 
 
 def select_pattern_aware(

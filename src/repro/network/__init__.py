@@ -9,7 +9,7 @@ substitution preserves the quantities the selection algorithms consume.
 
 from .cluster import Cluster
 from .fabric import ChannelId, Fabric, Flow
-from .fairshare import max_min_fair
+from .fairshare import max_min_fair, routed_fair_rates
 from .host import ComputeTask, Host, HostDownError
 
 __all__ = [
@@ -21,4 +21,5 @@ __all__ = [
     "Host",
     "HostDownError",
     "max_min_fair",
+    "routed_fair_rates",
 ]

@@ -117,14 +117,9 @@ class Cluster:
             if not host.up:
                 g.node(name).attrs["down"] = True
         for link in g.links():
-            phys = self.graph.link(link.u, link.v)
-            if phys.attrs.get("duplex") == "half":
-                avail = self.fabric.available_bandwidth((phys.key, "shared"))
-                link.set_available(avail)
-            else:
-                for dst in (phys.u, phys.v):
-                    avail = self.fabric.available_bandwidth((phys.key, dst))
-                    link.set_available(avail, direction=dst)
+            for cid in link.channels():
+                avail = self.fabric.available_bandwidth(cid)
+                link.set_available(avail, direction=cid[1])
         return g
 
     def topology(self) -> TopologyGraph:

@@ -8,10 +8,11 @@ completion re-scheduled — the standard flow-level network simulation
 technique, which captures exactly what matters to the paper (who shares
 which link, and the resulting available bandwidth) without per-packet cost.
 
-Each topology link is modelled as two directional channels (full duplex,
-the default) or one shared channel (half duplex, ``link.attrs["duplex"] ==
-"half"``).  Per-channel byte counters are maintained for the simulated SNMP
-agents in :mod:`repro.remos.snmp`.
+Each topology link is modelled as the channels
+:meth:`~repro.topology.graph.Link.channel` names: two directional ones
+(full duplex, the default) or one shared one (half duplex).  Per-channel
+byte counters are maintained for the simulated SNMP agents in
+:mod:`repro.remos.snmp`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ import numpy as np
 
 from ..des.events import Event
 from ..des.simulator import Simulator
-from ..topology.graph import TopologyGraph
+from ..topology.graph import ChannelId, TopologyGraph
 from ..units import BITS_PER_BYTE
 from .fairshare import max_min_fair
 
 __all__ = ["Fabric", "Flow", "ChannelId"]
-
-#: A directional channel: (canonical link key, direction tag).
-ChannelId = tuple[frozenset, str]
 
 
 class Flow:
@@ -95,11 +93,8 @@ class Fabric:
         self._next_fid = 0
         self._capacities: dict[ChannelId, float] = {}
         for link in graph.links():
-            if link.attrs.get("duplex") == "half":
-                self._capacities[(link.key, "shared")] = link.maxbw
-            else:
-                for dst in (link.u, link.v):
-                    self._capacities[(link.key, dst)] = link.maxbw
+            for cid in link.channels():
+                self._capacities[cid] = link.maxbw
         #: channel -> its slot in the octet-counter column
         self._index: dict[ChannelId, int] = {
             cid: i for i, cid in enumerate(self._capacities)
@@ -113,10 +108,7 @@ class Fabric:
     # -- channel bookkeeping ---------------------------------------------------
     def channel_for(self, u: str, v: str) -> ChannelId:
         """The channel carrying traffic from ``u`` to ``v`` over link u--v."""
-        link = self.graph.link(u, v)
-        if link.attrs.get("duplex") == "half":
-            return (link.key, "shared")
-        return (link.key, v)
+        return self.graph.link(u, v).channel(v)
 
     def channels(self) -> list[ChannelId]:
         """All channel ids."""
@@ -183,12 +175,8 @@ class Fabric:
 
     def degrade_link(self, u: str, v: str, capacity_bps: float) -> None:
         """Set both directions of link ``u``--``v`` to ``capacity_bps``."""
-        link = self.graph.link(u, v)
-        if link.attrs.get("duplex") == "half":
-            self.set_capacity((link.key, "shared"), capacity_bps)
-        else:
-            self.set_capacity((link.key, link.u), capacity_bps)
-            self.set_capacity((link.key, link.v), capacity_bps)
+        for cid in self.graph.link(u, v).channels():
+            self.set_capacity(cid, capacity_bps)
 
     def restore_link(self, u: str, v: str) -> None:
         """Restore link ``u``--``v`` to its nominal peak capacity."""
@@ -200,11 +188,9 @@ class Fabric:
 
     def link_up(self, u: str, v: str) -> bool:
         """True while every channel of link ``u``--``v`` has capacity."""
-        link = self.graph.link(u, v)
-        if link.attrs.get("duplex") == "half":
-            return self._capacities[(link.key, "shared")] > 0
         return all(
-            self._capacities[(link.key, dst)] > 0 for dst in (link.u, link.v)
+            self._capacities[cid] > 0
+            for cid in self.graph.link(u, v).channels()
         )
 
     # -- transfers ---------------------------------------------------------------

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping, Sequence
 
-__all__ = ["max_min_fair"]
+from ..topology.graph import TopologyGraph
+
+__all__ = ["max_min_fair", "routed_fair_rates"]
 
 
 def max_min_fair(
@@ -100,3 +102,27 @@ def max_min_fair(
             for ch in flows[fid]:
                 live_count[ch] -= 1
     return rates
+
+
+def routed_fair_rates(
+    routes: TopologyGraph,
+    available: TopologyGraph,
+    pairs: Sequence[tuple[str, str]],
+) -> list[float]:
+    """Max-min fair rates of ``pairs`` at once, each routed on ``routes``
+    over :meth:`Link.channel`'s channels at what ``available`` (same
+    structure) reads on them; ``inf`` to itself (no hop), 0 disconnected."""
+    flows: dict[int, list] = {}
+    capacities: dict = {}
+    quotes: dict = {}
+    for i, (src, dst) in enumerate(pairs):
+        path = routes.path(src, dst)
+        if path is None:
+            quotes[i] = 0.0
+            continue
+        links = available.path_links(path)
+        flows[i] = [link.channel(b) for link, b in zip(links, path[1:])]
+        for link, (key, tag) in zip(links, flows[i]):
+            capacities[key, tag] = link.available_towards(tag)
+    quotes.update(max_min_fair(flows, capacities))
+    return [quotes[i] for i in range(len(pairs))]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..network.cluster import Cluster
-from ..network.fairshare import max_min_fair
+from ..network.fairshare import routed_fair_rates
 from ..obs.trace import NULL_TRACER
 from ..topology.graph import Measurement, TopologyGraph
 from .collector import Collector
@@ -189,12 +189,12 @@ class RemosAPI:
             names, *collector.host_columns(names)
         ):
             stale = misses >= stale_after
-            if not count:
+            if stale and worst:
+                load = float("inf")
+            elif not count:
                 # An unmonitored node looks idle — exactly the optimistic
                 # error a fresh monitor makes.
                 load = 0.0
-            elif stale and worst:
-                load = float("inf")
             elif predict is None:
                 load = max(0.0, newest)
             else:
@@ -225,9 +225,9 @@ class RemosAPI:
     def link_info(self, u: str, v: str) -> LinkInfo:
         """Capacity, measured utilization, latency and health for one link."""
         link = self.cluster.graph.link(u, v)
-        cids = _channels(link)
-        fwd = self._channel_utilization(cids[0])
-        rev = self._channel_utilization(cids[-1]) if len(cids) > 1 else fwd
+        cids = link.channels()
+        fwd = self._channel_utilization(cids[-1])
+        rev = self._channel_utilization(cids[0]) if len(cids) > 1 else fwd
         statuses = [self.collector.channel_status(cid) for cid in cids]
         age = max(s.age_s for s in statuses)
         stale = any(s.stale for s in statuses)
@@ -338,7 +338,7 @@ class RemosAPI:
             elif r[0] not in late:
                 late[r[0]] = max(
                     collector.channel_status(cid).age_s
-                    for cid in _channels(physical.link(*r[0]))
+                    for cid in physical.link(*r[0]).channels()
                 )
         first = old is None
         g.measurement = Measurement(
@@ -389,40 +389,7 @@ class RemosAPI:
                         f"unknown node {name!r} in flow query "
                         f"({src!r} -> {dst!r})"
                     )
-        topo = self.topology()
-        flows: dict[int, list] = {}
-        capacities: dict = {}
-        quotes: dict[int, float] = {}
-        for i, (src, dst) in enumerate(pairs):
-            if src == dst:
-                quotes[i] = float("inf")
-                continue
-            path = graph.path(src, dst)
-            if path is None:
-                quotes[i] = 0.0
-                continue
-            route = []
-            for a, b in zip(path, path[1:]):
-                link = topo.link(a, b)
-                if link.attrs.get("duplex") == "half":
-                    cid = (link.key, "shared")
-                else:
-                    cid = (link.key, b)
-                capacities[cid] = link.available_towards(b) if cid[1] != "shared" else link.available
-                route.append(cid)
-            flows[i] = route
-        if flows:
-            rates = max_min_fair(flows, capacities)
-            quotes.update(rates)
-        return [quotes[i] for i in range(len(pairs))]
-
-
-def _channels(link) -> list:
-    """A link's channel ids: ``u -> v`` then ``v -> u``, or the one
-    shared channel of a half-duplex link."""
-    if link.attrs.get("duplex") == "half":
-        return [(link.key, "shared")]
-    return [(link.key, link.v), (link.key, link.u)]
+        return routed_fair_rates(graph, self.topology(), pairs)
 
 
 def _stale_marks(graph: TopologyGraph, nodes, links) -> int:

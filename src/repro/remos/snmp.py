@@ -175,11 +175,8 @@ class InterfaceTable:
             device = node.name
             first = len(rows)
             for link in graph.incident_links(device):
-                if link.attrs.get("duplex") == "half":
-                    rows.append((link.key, "shared"))
-                else:
-                    # The outbound direction: towards the other endpoint.
-                    rows.append((link.key, link.other(device)))
+                # The outbound direction: towards the other endpoint.
+                rows.append(link.channel(link.other(device)))
             self.agents[device] = InterfaceAgent(
                 self, device, len(self.agents), slice(first, len(rows)),
                 tuple(rows[first:]),

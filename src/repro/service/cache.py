@@ -38,13 +38,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left, insort
-from typing import Callable, Collection, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from ..core.kernel import peel_order
 from ..core.metrics import References
 from ..obs.trace import NULL_TRACER
-from ..topology.graph import Link, TopologyGraph
-from ..topology.residual import DirectedEdge
+from ..topology.graph import ChannelId, Link, TopologyGraph
 from .ledger import ledger_order
 
 __all__ = ["PeelScheduleCache", "RouteCache", "SnapshotCache"]
@@ -149,7 +148,7 @@ class RouteCache:
     only on topology *structure*, which neither capacity claims nor
     fresh measurements touch, so a node *set* resolves to its channels
     once and is remembered (up to :data:`_SELECTION_MEMO_LIMIT` sets).
-    On a forest they are both directions of every
+    On a forest they are the channels of every
     :meth:`~repro.topology.TopologyGraph.span` link, O(m · depth); with
     a cycle every ordered pair is resolved through the per-pair memo
     (bounded at the square; each miss follows the graph's kept next-hop
@@ -165,16 +164,18 @@ class RouteCache:
 
     def __init__(self, graph: TopologyGraph) -> None:
         self.graph = graph
+        #: Half-duplex link key -> its one channel (see :meth:`_named`).
+        self._shared = {l.key: l.channel(l.u) for l in graph.links() if l.shared}
         #: Ordered pair -> channel tuple (None: pair is disconnected).
         self._pairs: dict[
-            tuple[str, str], Optional[tuple[DirectedEdge, ...]]
+            tuple[str, str], Optional[tuple[ChannelId, ...]]
         ] = {}
         #: Sorted node tuple -> its channels, in ledger order.
-        self._sets: dict[tuple[str, ...], tuple[DirectedEdge, ...]] = {}
+        self._sets: dict[tuple[str, ...], tuple[ChannelId, ...]] = {}
         self.hits = 0
         self.misses = 0
 
-    def _pair_edges(self, a: str, b: str) -> Optional[tuple[DirectedEdge, ...]]:
+    def _pair_edges(self, a: str, b: str) -> Optional[tuple[ChannelId, ...]]:
         key = (a, b)
         if key in self._pairs:
             return self._pairs[key]
@@ -185,9 +186,16 @@ class RouteCache:
         self._pairs[key] = edges
         return edges
 
-    def _hops(self, path: list[str]) -> tuple[DirectedEdge, ...]:
+    def _hops(self, path: list[str]) -> tuple[ChannelId, ...]:
         """The channels the pair memo keeps of a routed ``path``: all."""
-        return tuple((frozenset((u, v)), v) for u, v in zip(path, path[1:]))
+        return self._named((frozenset((u, v)), v) for u, v in zip(path, path[1:]))
+
+    def _named(self, hops: Iterable[ChannelId]) -> tuple[ChannelId, ...]:
+        """``hops``, built as ``(key, dst)`` with no link looked up, as
+        :meth:`Link.channel` names them: a half-duplex link's, once."""
+        if not self._shared:
+            return tuple(hops)
+        return tuple(dict.fromkeys(self._shared.get(h[0], h) for h in hops))
 
     def connected(self, a: str, b: str) -> bool:
         """Whether a routed path exists from ``a`` to ``b`` (memoized).
@@ -197,8 +205,8 @@ class RouteCache:
         """
         return a == b or self._pair_edges(a, b) is not None
 
-    def edges_for(self, nodes: Sequence[str]) -> tuple[DirectedEdge, ...]:
-        """Directed channels used by traffic among ``nodes``: those of
+    def edges_for(self, nodes: Sequence[str]) -> tuple[ChannelId, ...]:
+        """Link channels used by traffic among ``nodes``: those of
         :func:`repro.service.route_edges` on the base snapshot (and so on
         any residual overlay of it), in ledger order.  The tuple is the
         memo's own and shared between callers.
@@ -214,12 +222,12 @@ class RouteCache:
             ends = sorted(
                 (l.u, l.v) if l.u < l.v else (l.v, l.u) for l in span[0]
             )
-            edges = tuple(
+            edges = self._named(
                 (key, dst) for key, pair in zip(map(frozenset, ends), ends)
                 for dst in pair
             )
         else:
-            found: set[DirectedEdge] = set()
+            found: set[ChannelId] = set()
             for a, b in itertools.permutations(nodes, 2):
                 found.update(self._pair_edges(a, b) or ())
             edges = tuple(sorted(found, key=ledger_order))
@@ -230,8 +238,8 @@ class RouteCache:
 
     def edges_between(
         self, groups: Sequence[Sequence[str]]
-    ) -> set[DirectedEdge]:
-        """Directed channels used by traffic *between* distinct groups
+    ) -> set[ChannelId]:
+        """Link channels used by traffic *between* distinct groups
         (those the pair memo keeps: see :meth:`_hops`).
 
         Pairs wholly inside one group are skipped — the sharded router
@@ -239,7 +247,7 @@ class RouteCache:
         shard whose internal routes never leave it, so only inter-group
         pairs can touch a boundary link.
         """
-        edges: set[DirectedEdge] = set()
+        edges: set[ChannelId] = set()
         for i, ga in enumerate(groups):
             for j, gb in enumerate(groups):
                 if i == j:

@@ -4,8 +4,8 @@ One `select()` against a fresh snapshot is correct for a single
 application, but two applications selecting concurrently would both be
 handed the same "best" nodes and trunk links.  The ledger is the service's
 account book: per admitted application it records the CPU fraction claimed
-on each selected node and the bandwidth claimed on each directed link
-channel its traffic routes over, and :meth:`ReservationLedger.apply`
+on each selected node and the bandwidth claimed on each link channel
+its traffic routes over (``Link.channel``), and :meth:`ReservationLedger.apply`
 debits those claims from any topology snapshot so the next selection sees
 *residual* capacity.
 
@@ -19,7 +19,7 @@ moment with :meth:`check_invariants`:
 
 - the summed CPU claims on any node never exceed ``cpu_cap`` (1.0 — a
   whole processor);
-- the summed bandwidth claims on any directed link channel never exceed
+- the summed bandwidth claims on any link channel never exceed
   that link's peak capacity.
 
 The ledger is durable when paired with :class:`~repro.service.LedgerWal`
@@ -37,8 +37,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from ..topology.graph import TopologyGraph
-from ..topology.residual import DirectedEdge, residual_graph
+from ..topology.graph import ChannelId, TopologyGraph
+from ..topology.residual import residual_graph
 
 __all__ = [
     "CAPACITY_RETURNING_KINDS",
@@ -62,9 +62,9 @@ def _slack(*magnitudes: float) -> float:
     return _EPS * max(1.0, *(abs(m) for m in magnitudes))
 
 
-def ledger_order(edge: DirectedEdge) -> tuple[list[str], str]:
+def ledger_order(edge: ChannelId) -> tuple[list[str], str]:
     """The one order :attr:`Reservation.edges` is kept (and so claimed,
-    logged and replayed) in: by the link's end names, then the far end."""
+    logged and replayed) in: by the link's end names, then the channel tag."""
     return sorted(edge[0]), edge[1]
 
 
@@ -123,7 +123,7 @@ class LedgerError(Exception):
 class Reservation:
     """One application's recorded claim on the shared network.
 
-    ``edges`` are the directed link channels the application's traffic
+    ``edges`` are the link channels the application's traffic
     crosses (union over the routed paths between its node pairs); the
     bandwidth claim applies once per channel — the ledger models the
     application's bandwidth *floor* on every link it touches, not a
@@ -134,7 +134,7 @@ class Reservation:
     nodes: tuple[str, ...]
     cpu_fraction: float
     bw_bps: float
-    edges: tuple[DirectedEdge, ...]
+    edges: tuple[ChannelId, ...]
     priority: str
     granted_at: float
     expires_at: float
@@ -145,21 +145,21 @@ class Reservation:
 
 def route_edges(
     graph: TopologyGraph, nodes: Sequence[str]
-) -> set[DirectedEdge]:
-    """Directed link channels used by traffic among ``nodes``.
+) -> set[ChannelId]:
+    """Link channels used by traffic among ``nodes``.
 
     Every ordered pair routes over its fixed path
     (:meth:`TopologyGraph.path`, the route the fabric sends it on); each
-    hop contributes the channel *towards* the next node.  Disconnected
-    pairs contribute nothing.
+    hop contributes the fabric's channel towards the next node
+    (:meth:`Link.channel`).  Disconnected pairs contribute nothing.
     """
-    edges: set[DirectedEdge] = set()
+    edges: set[ChannelId] = set()
     for a, b in itertools.permutations(nodes, 2):
         path = graph.path(a, b)
         if path is None:
             continue
         for u, v in zip(path, path[1:]):
-            edges.add((frozenset((u, v)), v))
+            edges.add(graph.link(u, v).channel(v))
     return edges
 
 
@@ -179,9 +179,9 @@ class ReservationLedger:
         self.cpu_cap = cpu_cap
         self.reservations: dict[str, Reservation] = {}
         self._node_claims: dict[str, float] = {}
-        self._edge_claims: dict[DirectedEdge, float] = {}
+        self._edge_claims: dict[ChannelId, float] = {}
         #: Peak capacity of each claimed channel, learned at reserve time.
-        self._edge_caps: dict[DirectedEdge, float] = {}
+        self._edge_caps: dict[ChannelId, float] = {}
         #: Min-heap of (expires_at, app_id) lease deadlines.  Entries are
         #: lazily deleted: release/renew leave them in place, and
         #: :meth:`expire` drops any popped entry whose deadline no longer
@@ -226,7 +226,7 @@ class ReservationLedger:
         now: float,
         lease_s: float,
         priority: str = "silver",
-        edges: Optional[Iterable[DirectedEdge]] = None,
+        edges: Optional[Iterable[ChannelId]] = None,
     ) -> Reservation:
         """Record a claim for ``app_id`` on ``nodes``.
 
@@ -511,7 +511,7 @@ class ReservationLedger:
     # -- the residual-capacity view -------------------------------------------
     def claims_without(
         self, reservations: Iterable[Reservation] = ()
-    ) -> tuple[dict[str, float], dict[DirectedEdge, float]]:
+    ) -> tuple[dict[str, float], dict[ChannelId, float]]:
         """``(node_claims, edge_claims)`` copies as they would read after
         releasing ``reservations`` in order — :meth:`release`'s own
         arithmetic, so trial feasibility equals post-release feasibility
@@ -539,14 +539,14 @@ class ReservationLedger:
         """Summed CPU fraction currently claimed on ``name``."""
         return self._node_claims.get(name, 0.0)
 
-    def edge_claim(self, edge: DirectedEdge) -> float:
-        """Summed bandwidth (bps) currently claimed on a directed channel."""
+    def edge_claim(self, edge: ChannelId) -> float:
+        """Summed bandwidth (bps) currently claimed on a channel."""
         return self._edge_claims.get(edge, 0.0)
 
     def node_claims(self) -> dict[str, float]:
         return dict(self._node_claims)
 
-    def edge_claims(self) -> dict[DirectedEdge, float]:
+    def edge_claims(self) -> dict[ChannelId, float]:
         return dict(self._edge_claims)
 
     def claim_counts(self) -> tuple[int, int]:
@@ -626,7 +626,7 @@ class ReservationLedger:
         from-scratch :func:`~repro.topology.residual.residual_graph` rebuild.
         """
         node_totals: dict[str, float] = {}
-        edge_totals: dict[DirectedEdge, float] = {}
+        edge_totals: dict[ChannelId, float] = {}
         for r in self.reservations.values():
             if r.cpu_fraction > 0.0:  # zero claims are never recorded
                 for name in r.nodes:

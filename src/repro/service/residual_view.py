@@ -55,12 +55,10 @@ from __future__ import annotations
 from typing import Collection, Iterable, Optional
 
 from ..core.kernel import ComputeRanking
-from ..topology.graph import MAXBW_SLACK, TopologyGraph, load_from_cpu_fraction
-from ..topology.residual import (
-    _MIN_RESIDUAL_CPU,
-    DirectedEdge,
-    residual_graph,
+from ..topology.graph import (
+    MAXBW_SLACK, SHARED, ChannelId, TopologyGraph, load_from_cpu_fraction,
 )
+from ..topology.residual import _MIN_RESIDUAL_CPU, residual_graph
 from .cache import PeelScheduleCache, RouteCache
 from .ledger import DEADLINE_KINDS, Reservation, ReservationLedger
 
@@ -68,11 +66,11 @@ __all__ = ["ChannelTable", "ResidualView"]
 
 
 class ChannelTable(dict):
-    """Directed channel -> ``(link, towards_v, base_link)``: ``graph``'s
-    own link object, whether the channel runs towards its ``v`` end (so
-    its availability is ``available_fwd``, else ``available_rev``), and
-    ``base``'s link of the same key, which the overlay recomputes it
-    from; ``None`` when ``graph`` has no such link.
+    """Channel -> ``(link, towards_v, base_link)``: ``graph``'s own link
+    object, whether the channel runs towards its ``v`` end (its
+    availability is ``available_fwd``, else ``available_rev``; ``None``:
+    a shared channel, both), and ``base``'s link of the same key, which
+    the overlay recomputes it from; ``None`` when ``graph`` has no link.
 
     An entry is filled on first use, which is the one pair of key
     lookups and endpoint check it costs.  Its overlay link stays right
@@ -88,14 +86,14 @@ class ChannelTable(dict):
         self.graph = graph
         self.base = base
 
-    def __missing__(self, edge: DirectedEdge) -> Optional[tuple]:
+    def __missing__(self, edge: ChannelId) -> Optional[tuple]:
         key, dst = edge
         link = self.graph.link_by_key(key)
         entry = None
         if link is not None:
-            if dst != link.v and dst != link.u:
-                raise KeyError(f"{dst!r} is not an endpoint of {link!r}")
-            entry = (link, dst == link.v, self.base.link_by_key(key))
+            link.available_towards(dst)  # a tag it has not: KeyError
+            towards_v = None if dst == SHARED else dst == link.v
+            entry = (link, towards_v, self.base.link_by_key(key))
         self[edge] = entry
         return entry
 
@@ -104,11 +102,22 @@ class ChannelTable(dict):
         ``keys`` only: the entries of those channels carry its links."""
         self.base = base
         for key in keys:
-            for dst in key:
-                entry = self.get((key, dst))
+            link = base.link_by_key(key)
+            for channel in link.channels():
+                entry = self.get(channel)
                 if entry is not None:
-                    link = base.link_by_key(key)
-                    self[key, dst] = (entry[0], entry[1], link)
+                    self[channel] = (entry[0], entry[1], link)
+
+
+def _refresh_shared(link, base, claim: float) -> None:
+    """:meth:`ResidualView.refresh_edges` on a shared channel of overlay
+    ``link``: a claim comes off ``base``'s ``available`` both ways; no claim
+    leaves each way as ``base`` reads it, as :func:`residual_graph` does."""
+    fwd, rev = base.available_fwd, base.available_rev
+    if claim > 0.0:
+        fwd = rev = max(base.available - claim, 0.0)
+    link.set_available(fwd, direction=link.v)
+    link.set_available(rev, direction=link.u)
 
 
 class ResidualView:
@@ -194,9 +203,9 @@ class ResidualView:
                     residual
                 )
 
-    def refresh_edges(self, edges: Iterable[DirectedEdge]) -> None:
-        """Reset each directed channel from base availability and the
-        ledger's current total claim (absent links ignored).
+    def refresh_edges(self, edges: Iterable[ChannelId]) -> None:
+        """Reset each channel from base availability and the ledger's
+        current total claim (absent links ignored).
 
         Walks the channels' resolved entries: the base read and the
         overlay write are attribute accesses, and the write keeps
@@ -208,10 +217,13 @@ class ResidualView:
             if entry is None:
                 continue
             link, towards_v, base = entry
+            claim = claims.get(edge, 0.0)
+            if towards_v is None:  # a half-duplex link's one channel
+                _refresh_shared(link, base, claim)
+                continue
             base_avail = (
                 base.available_fwd if towards_v else base.available_rev
             )
-            claim = claims.get(edge, 0.0)
             if claim <= 0.0:
                 remaining = base_avail
             else:
@@ -266,7 +278,7 @@ class ResidualView:
         for key in links:
             u, v = key
             self.graph.link(u, v).attrs = dict(base.link(u, v).attrs)
-        self.refresh_edges((key, dst) for key in links for dst in key)
+        self.refresh_edges(c for k in links for c in base.link_by_key(k).channels())
 
     def on_ledger_event(self, kind: str, reservation: Reservation) -> None:
         """Ledger subscription hook (``subscribe(view.on_ledger_event)``)."""

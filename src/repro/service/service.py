@@ -725,7 +725,8 @@ class SelectionService:
             for edge in edges:
                 link, towards_v, _base = channels[edge]
                 available = (
-                    link.available_fwd if towards_v else link.available_rev
+                    link.available if towards_v is None  # a shared channel
+                    else link.available_fwd if towards_v else link.available_rev
                 )
                 if available + _EPS < bw:
                     return False, None

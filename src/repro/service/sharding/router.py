@@ -130,7 +130,7 @@ class _TrunkRoutes(RouteCache):
 
     def _hops(self, path: list[str]) -> tuple:
         shard_of = self._shard_of
-        return tuple(
+        return self._named(
             (frozenset((u, v)), v) for u, v in zip(path, path[1:])
             if shard_of[u] != shard_of[v]
         )

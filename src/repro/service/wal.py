@@ -46,7 +46,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from ..topology.residual import DirectedEdge
+from ..topology.graph import ChannelId
 from .ledger import CAPACITY_RETURNING_KINDS, DEADLINE_KINDS, Reservation
 
 __all__ = [
@@ -77,13 +77,13 @@ class WalCorruptError(WalError):
     """
 
 
-def encode_edge(edge: DirectedEdge) -> list:
-    """JSON-safe form of a directed channel: ``[[u, v], dst]`` (sorted)."""
+def encode_edge(edge: ChannelId) -> list:
+    """JSON-safe form of a channel: ``[[u, v], tag]`` (ends sorted)."""
     key, dst = edge
     return [sorted(key), dst]
 
 
-def decode_edge(raw) -> DirectedEdge:
+def decode_edge(raw) -> ChannelId:
     """Inverse of :func:`encode_edge`."""
     ends, dst = raw
     return (frozenset(ends), dst)
@@ -265,11 +265,11 @@ class LedgerWal:
         self._since_snapshot = len(records)
         self._fh = open(self.wal_path, "a", encoding="utf-8")
         self._ledger = None
-        #: Directed channel -> ``(text, cap, cap text)``: its JSON in a
+        #: Channel -> ``(text, cap, cap text)``: its JSON in a
         #: grant line and its cap's, kept while the ledger records the
         #: same cap object for it.  One entry per channel logged, so
-        #: bounded by the topology's directed channels.
-        self._channel_text: dict[DirectedEdge, tuple[str, float, str]] = {}
+        #: bounded by the topology's channels.
+        self._channel_text: dict[ChannelId, tuple[str, float, str]] = {}
         #: Appended records over this WAL's lifetime (metrics).
         self.appended = 0
         #: Snapshots written over this WAL's lifetime (metrics).

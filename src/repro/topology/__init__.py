@@ -20,6 +20,8 @@ from .builders import (
     torus,
 )
 from .graph import (
+    SHARED,
+    ChannelId,
     Link,
     Measurement,
     Node,
@@ -28,12 +30,13 @@ from .graph import (
     cpu_fraction,
     load_from_cpu_fraction,
 )
-from .residual import DirectedEdge, residual_graph
+from .residual import residual_graph
 from .routing import RoutedView
 from .serialize import from_dict, from_json, to_dict, to_dot, to_json
 
 __all__ = [
-    "DirectedEdge",
+    "SHARED",
+    "ChannelId",
     "Link",
     "Measurement",
     "Node",

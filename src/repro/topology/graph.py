@@ -37,6 +37,8 @@ __all__ = [
     "NodeKind",
     "Node",
     "Link",
+    "ChannelId",
+    "SHARED",
     "Measurement",
     "TopologyGraph",
     "cpu_fraction",
@@ -124,6 +126,13 @@ class Node:
 #: :meth:`Link.set_available` refuses it.
 MAXBW_SLACK = 1e-9
 
+#: The direction tag of a half-duplex link's one channel.
+SHARED = "shared"
+
+#: A link channel as :meth:`Link.channel` names it: ``(link key, dst)``
+#: or, on a half-duplex link, ``(link key, SHARED)``.
+ChannelId = tuple[frozenset, str]
+
 
 @dataclass
 class Link:
@@ -133,7 +142,8 @@ class Link:
     per direction for full-duplex links with independent channels
     (``available_fwd`` = u→v, ``available_rev`` = v→u); the scalar
     ``available`` used by the selection algorithms is the minimum of the two
-    directions, per paper §3.3.
+    directions, per paper §3.3.  A half-duplex link (``attrs["duplex"] ==
+    "half"``) has one channel both directions share (:meth:`channel`).
     """
 
     u: str
@@ -174,12 +184,28 @@ class Link:
         """Fraction of peak bandwidth available: ``bw / maxbw`` (§3.1)."""
         return self.available / self.maxbw
 
+    @property
+    def shared(self) -> bool:
+        """Whether both directions share one channel (half duplex)."""
+        return self.attrs.get("duplex") == "half"
+
+    def channel(self, dst: str) -> ChannelId:
+        """The channel carrying traffic towards ``dst``: the one rule every
+        layer (fabric, SNMP, Remos, ledger) names a hop's channel by."""
+        return (self.key, SHARED if self.shared else dst)
+
+    def channels(self) -> list[ChannelId]:
+        """Every channel of the link: towards ``u``, then ``v``, once each."""
+        return list(dict.fromkeys((self.channel(self.u), self.channel(self.v))))
+
     def available_towards(self, dst: str) -> float:
-        """Available bandwidth in the direction ending at ``dst``."""
+        """Available bandwidth towards ``dst`` (:attr:`available`: SHARED)."""
         if dst == self.v:
             return self.available_fwd
         if dst == self.u:
             return self.available_rev
+        if dst == SHARED:
+            return self.available
         raise KeyError(f"{dst!r} is not an endpoint of {self!r}")
 
     def set_available(self, bw: float, direction: Optional[str] = None) -> None:
@@ -188,7 +214,7 @@ class Link:
             raise ValueError(
                 f"available bw {bw} outside [0, maxbw={self.maxbw}]"
             )
-        if direction is None:
+        if direction is None or direction == SHARED:
             self.available_fwd = bw
             self.available_rev = bw
         elif direction == self.v:

@@ -2,10 +2,11 @@
 
 A multi-tenant selection service admits several applications against one
 shared network (see :mod:`repro.service`).  Each admitted application
-*claims* a CPU fraction on its nodes and bandwidth on the directed link
-channels its traffic routes over.  This module turns a topology snapshot
-plus those claims into the **residual** graph subsequent selections must
-run on: what one more application would actually get.
+*claims* a CPU fraction on its nodes and bandwidth on the link channels
+its traffic routes over (:meth:`~repro.topology.graph.Link.channel`).
+This module turns a topology snapshot plus those claims into the
+**residual** graph subsequent selections must run on: what one more
+application would actually get.
 
 The debit rules mirror the paper's capacity model (§3.1):
 
@@ -13,22 +14,19 @@ The debit rules mirror the paper's capacity model (§3.1):
   leaves ``cpu - c``; the residual graph encodes that as the equivalent
   load average (``load_from_cpu_fraction``), so every downstream formula
   keeps working unchanged.
-- A bandwidth claim of ``b`` bps on a directed channel reduces that
-  direction's available bandwidth by ``b`` (floored at zero, capacities
-  untouched — claims never alter ``maxbw``).
+- A bandwidth claim of ``b`` bps on a channel reduces its available
+  bandwidth by ``b`` (floored at zero, capacities untouched — claims
+  never alter ``maxbw``); a half-duplex link's shared channel reads the
+  link's ``available`` and writes both directions.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .graph import TopologyGraph, load_from_cpu_fraction
+from .graph import ChannelId, TopologyGraph, load_from_cpu_fraction
 
-__all__ = ["DirectedEdge", "residual_graph"]
-
-#: A directed link channel: (undirected link key, endpoint traffic flows
-#: toward).  Matches the fabric's full-duplex channel identity.
-DirectedEdge = tuple[frozenset, str]
+__all__ = ["residual_graph"]
 
 #: Residual CPU fraction below which a node is considered fully claimed.
 #: Keeps the equivalent load average finite for serialization/arithmetic.
@@ -38,7 +36,7 @@ _MIN_RESIDUAL_CPU = 1e-9
 def residual_graph(
     graph: TopologyGraph,
     node_cpu_claims: Mapping[str, float],
-    edge_bw_claims: Mapping[DirectedEdge, float],
+    edge_bw_claims: Mapping[ChannelId, float],
 ) -> TopologyGraph:
     """A copy of ``graph`` with reserved capacity debited.
 

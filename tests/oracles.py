@@ -349,10 +349,10 @@ def node_info_from_history(api: RemosAPI, name: str) -> NodeInfo:
     history view, one status and one predictor call per host."""
     history = api.collector.load_history(name)
     status = api.collector.host_status(name)
-    if not history:
+    if status.stale and api.degraded == DegradedPolicy.CONSERVATIVE:
+        load = float("inf")  # never sampled included: assume the worst
+    elif not history:
         load = 0.0
-    elif status.stale and api.degraded == DegradedPolicy.CONSERVATIVE:
-        load = float("inf")
     else:
         load = max(0.0, api.predictor.predict(history))
     return NodeInfo(

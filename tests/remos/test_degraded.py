@@ -6,7 +6,12 @@ from repro.des import Simulator
 from repro.faults import AgentOutage, FaultInjector, NodeCrash
 from repro.network import Cluster
 from repro.obs import Tracer
-from repro.remos import Collector, DegradedPolicy, RemosAPI
+from repro.remos import (
+    Collector,
+    DegradedPolicy,
+    RemosAPI,
+    apply_degraded_policy,
+)
 from repro.topology import dumbbell
 from repro.units import MB, Mbps
 
@@ -208,3 +213,54 @@ class TestTracedSweepCountsStaleMarksAsItGoes:
             peaks = [c for c, nxt in zip(counts, counts[1:]) if c > nxt]
             assert len(peaks) >= 2 and 0 in counts[5:], counts
             assert max(counts) >= 3 and counts[-1] == 2, counts
+
+
+class TestLiveAndOfflinePoliciesAgree:
+    """A policy applied live (``RemosAPI(degraded=P)``) answers what the
+    same policy applied offline to the marked last-known-good snapshot
+    (:func:`apply_degraded_policy`) does: loads, both availabilities and
+    the marks.  The rig has a host down from t=0 (never sampled), a
+    busy host and both switches whose agents go silent for good, a
+    half-duplex trunk and traffic across it."""
+
+    @staticmethod
+    def answers(graph):
+        nodes = {
+            n.name: (n.load_average, bool(n.attrs.get("unmonitorable")))
+            for n in graph.nodes()
+        }
+        links = {
+            link.key: (link.available_fwd, link.available_rev,
+                       bool(link.attrs.get("stale")))
+            for link in graph.links()
+        }
+        return nodes, links
+
+    @pytest.mark.parametrize("policy", DegradedPolicy.ALL)
+    def test_live_policy_equals_offline_policy(self, policy):
+        sim = Simulator()
+        g = dumbbell(2, 2, latency=0.0)
+        g.link("sw-left", "sw-right").attrs["duplex"] = "half"
+        cluster = Cluster(sim, g, base_capacity=1.0, load_tau=5.0)
+        collector = Collector(
+            cluster, period=2.0, max_retries=1, backoff=0.5, stale_after=3
+        )
+        inj = FaultInjector(cluster, collector)
+        cluster.host("l0").fail()
+        cluster.compute("r1", 1e9)
+        cluster.transfer("l1", "r0", 1000 * MB)
+        inj.schedule([
+            AgentOutage(device="r1", at=8.5, duration=1e3),
+            AgentOutage(device="sw-left", at=8.5, duration=1e3),
+            AgentOutage(device="sw-right", at=8.5, duration=1e3),
+        ])
+        for until in (1.0, 6.0, 20.0, 40.0):
+            sim.run(until=until)
+            marked = RemosAPI(collector, degraded=DegradedPolicy.LAST_GOOD)
+            live = RemosAPI(collector, degraded=policy).topology()
+            offline = apply_degraded_policy(marked.topology(), policy)
+            assert self.answers(live) == self.answers(offline), until
+        # The rig reaches every case the policies tell apart.
+        nodes, links = self.answers(marked.topology())
+        assert nodes["l0"][1] and nodes["r1"][1] and nodes["r1"][0] > 0.5
+        assert links[frozenset(("sw-left", "sw-right"))][2]

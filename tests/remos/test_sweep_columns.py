@@ -155,9 +155,10 @@ def test_conservative_answers_for_each_state():
         h.poll()
     api = RemosAPI(h.collector, degraded=DegradedPolicy.CONSERVATIVE)
     info = {state: api.node_info(name) for state, name in HOST.items()}
-    # Never sampled means idle, whatever was missed since; stale is
-    # reported all the same.
-    assert (info["never"].load_average, info["never"].stale) == (0.0, True)
+    # Never sampled and stale is assumed the worst, as a stale sampled
+    # host is (and as apply_degraded_policy reads the marked snapshot).
+    assert (info["never"].load_average, info["never"].stale) == \
+        (float("inf"), True)
     assert info["never"].age_s == float("inf")
     assert (info["stale"].load_average, info["stale"].stale) == \
         (float("inf"), True)

@@ -7,6 +7,8 @@ shortest-path rules, so a grant could claim channels its traffic never
 crossed and leave the ones it did cross unclaimed.  Here the channels a
 lease claims are compared with the channels whose octet counters move
 when its nodes actually exchange traffic on a separately built fabric.
+A half-duplex link has one channel both directions share, and a lease
+crossing it claims that one channel, as the fabric moves its bytes.
 """
 
 import itertools
@@ -17,12 +19,27 @@ from repro.core.spec import ApplicationSpec
 from repro.des import Simulator
 from repro.network import Fabric
 from repro.service import SelectionService, ShardRouter
-from repro.topology import fat_tree_pod, torus
+from repro.topology import SHARED, dumbbell, fat_tree_pod, torus
 from repro.units import MB, Mbps
+
+from ..core.cyclic_graphs import asymmetric_ring
+
+
+def half_duplex(graph, *links):
+    """``graph`` with the named links (every link when none is named)
+    half duplex."""
+    for link in [graph.link(*ends) for ends in links] or graph.links():
+        link.attrs["duplex"] = "half"
+    return graph
+
 
 SHAPES = {
     "torus4x4": lambda: torus(4, 4),
     "fat_tree4": lambda: fat_tree_pod(4),
+    "half_duplex_ring": lambda: half_duplex(asymmetric_ring()),
+    "half_duplex_trunk": lambda: half_duplex(
+        dumbbell(3, 3), ("sw-left", "sw-right")
+    ),
 }
 
 
@@ -41,17 +58,20 @@ def fabric_channels(build, nodes) -> set:
     }
 
 
-def requests():
-    """Six bandwidth-claiming requests of two to four nodes."""
+def requests(graph, extra=0):
+    """Six bandwidth-claiming requests of two to four nodes (``extra``
+    more), as many as ``graph`` has hosts at most."""
+    hosts = len(graph.compute_nodes())
     for i in range(6):
-        yield f"app{i}", ApplicationSpec(num_nodes=2 + i % 3)
+        size = min(2 + i % 3 + extra, hosts)
+        yield f"app{i}", ApplicationSpec(num_nodes=size)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_every_grant_claims_the_channels_its_traffic_crosses(shape):
     build = SHAPES[shape]
     svc = SelectionService(build(), lease_s=1e6)
-    for app, spec in requests():
+    for app, spec in requests(build()):
         grant = svc.request(app, spec, cpu_fraction=0.1, bw_bps=1 * Mbps)
         assert grant.admitted, grant.reason
         claimed = svc.ledger.reservations[app].edges
@@ -70,8 +90,7 @@ def test_every_composite_claims_the_channels_its_traffic_crosses(shape):
     the grant's traffic is checked."""
     build = SHAPES[shape]
     router = ShardRouter(build(), shards=2, lease_s=1e6)
-    for app, spec in requests():
-        spec = ApplicationSpec(num_nodes=spec.num_nodes + 1)
+    for app, spec in requests(build(), extra=1):
         grant = router.request(app, spec, cpu_fraction=0.1,
                                bw_bps=1 * Mbps, spread=2)
         assert grant.admitted, grant.reason
@@ -96,3 +115,42 @@ def test_every_composite_claims_the_channels_its_traffic_crosses(shape):
         claimed.update(trunk)
         assert claimed <= fabric_channels(build, grant.selection.nodes)
     router.check_invariants()
+
+
+def test_a_half_duplex_lease_debits_both_directions_of_its_channels():
+    """A two-node lease on the half-duplex ring claims one shared channel
+    per link its two routes cross, and the overlay reads what is left of
+    each in both directions."""
+    svc = SelectionService(half_duplex(asymmetric_ring()), lease_s=1e6)
+    grant = svc.request("app", ApplicationSpec(num_nodes=2),
+                        cpu_fraction=0.1, bw_bps=5 * Mbps)
+    assert grant.admitted, grant.reason
+    edges = svc.ledger.reservations["app"].edges
+    assert len(edges) == 6 and all(tag == SHARED for _key, tag in edges)
+    link = svc.view.graph.link("a", "p")
+    assert link.available_towards("p") == link.available_towards("a") \
+        == 95 * Mbps
+    svc.check_invariants()
+
+
+def test_a_restarted_service_recovers_shared_channel_claims(tmp_path):
+    """The shared tag round-trips through the log: a durable service
+    restarted over a half-duplex grant holds the same claims and the
+    same overlay."""
+    state = str(tmp_path / "state")
+    build = SHAPES["half_duplex_trunk"]
+    svc = SelectionService(build(), state_dir=state, lease_s=1e6)
+    spec = ApplicationSpec(num_nodes=6)
+    assert svc.request("app", spec, cpu_fraction=0.1,
+                       bw_bps=5 * Mbps).admitted
+    trunk = frozenset(("sw-left", "sw-right"))
+    assert svc.ledger.edge_claim((trunk, SHARED)) == 5 * Mbps
+    claims = svc.ledger.claims_fingerprint()
+    restarted = SelectionService(build(), state_dir=state, lease_s=1e6)
+    assert restarted.ledger.claims_fingerprint() == claims
+    assert restarted.ledger.reservations == svc.ledger.reservations
+    assert restarted.request("next", ApplicationSpec(num_nodes=2),
+                             cpu_fraction=0.1, bw_bps=1 * Mbps).admitted
+    restarted.check_invariants()
+    svc.close()
+    restarted.close()
