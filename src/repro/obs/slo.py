@@ -47,6 +47,14 @@ DEFAULT_WINDOWS: tuple[tuple[float, float], ...] = (
     (3600.0, 6.0),
 )
 
+#: A request slower than this (wall seconds) is a bad ``admit_latency`` event.
+LATENCY_THRESHOLD_S = 0.005
+#: Good-event ratio targets of the two ratio objectives.
+LATENCY_TARGET = 0.99
+AVAILABILITY_TARGET = 0.95
+#: Shard-worker restarts allowed per hour.
+RESTART_BUDGET_PER_HOUR = 2.0
+
 _SLOTS = 60  # buckets per window horizon
 
 
@@ -179,37 +187,31 @@ class SloMonitor:
     Objectives:
 
     - ``admit_latency`` — requests admitted (or queued) in at most
-      ``latency_threshold_s`` wall seconds, target p-fraction 0.99.
+      :data:`LATENCY_THRESHOLD_S` wall seconds, target p-fraction
+      :data:`LATENCY_TARGET`.
     - ``availability`` — non-rejected fraction of requests, target
-      0.95.  Rejections are a normal admission-control outcome, so the
-      target is deliberately looser than the latency objective.
+      :data:`AVAILABILITY_TARGET`.  Rejections are a normal
+      admission-control outcome, so the target is deliberately looser
+      than the latency objective.
     - ``worker_restarts`` — shard-worker process restarts, budgeted at
-      ``restart_budget_per_hour`` (default 2/h).
+      :data:`RESTART_BUDGET_PER_HOUR`.
+
+    Every objective is evaluated over :data:`DEFAULT_WINDOWS`.
     """
 
     def __init__(
-        self,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-        latency_threshold_s: float = 0.005,
-        latency_target: float = 0.99,
-        availability_target: float = 0.95,
-        restart_budget_per_hour: float = 2.0,
-        windows: tuple[tuple[float, float], ...] = DEFAULT_WINDOWS,
+        self, *, clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.clock = clock
-        self.latency_threshold_s = latency_threshold_s
         self.objectives = {
             "admit_latency": SloObjective(
-                "admit_latency", target=latency_target, windows=windows,
+                "admit_latency", target=LATENCY_TARGET,
             ),
             "availability": SloObjective(
-                "availability", target=availability_target, windows=windows,
+                "availability", target=AVAILABILITY_TARGET,
             ),
             "worker_restarts": SloObjective(
-                "worker_restarts",
-                budget_per_hour=restart_budget_per_hour,
-                windows=windows,
+                "worker_restarts", budget_per_hour=RESTART_BUDGET_PER_HOUR,
             ),
         }
         self._latencies = [0.0] * _P99_RING
@@ -222,7 +224,7 @@ class SloMonitor:
     ) -> None:
         if now is None:
             now = self.clock()
-        fast = latency_s <= self.latency_threshold_s
+        fast = latency_s <= LATENCY_THRESHOLD_S
         self.objectives["admit_latency"].add(
             now, 1.0 if fast else 0.0, 0.0 if fast else 1.0,
         )

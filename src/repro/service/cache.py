@@ -25,9 +25,9 @@ the new snapshot names what differs from the one the overlay stands on
 :class:`RouteCache` (routed channel sets per node set — pure topology
 *structure*, unchanged by claims and measurements alike) is kept and
 :class:`PeelScheduleCache` (the kernel's pre-sorted peel schedules,
-reused across requests with claim-touched edges re-merged as a delta)
-re-inserts the moved links; otherwise, and after any invalidation, both
-are rebuilt with the overlay.
+reused across requests while no claimed link is in the overlay) forgets
+its schedules; otherwise, and after any invalidation, both are rebuilt
+with the overlay.
 
 Callers must treat the returned graph as shared and immutable — debit
 views (:class:`repro.service.ResidualView`) copy it anyway.
@@ -35,9 +35,7 @@ views (:class:`repro.service.ResidualView`) copy it anyway.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from bisect import bisect_left, insort
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from ..core.kernel import peel_order
@@ -118,6 +116,12 @@ class SnapshotCache:
             self._taken_at = float("-inf")
             self.invalidations += 1
             self.epoch += 1
+
+    @property
+    def held(self) -> Optional[TopologyGraph]:
+        """The snapshot held now, fresh or not (``None`` once dropped);
+        reading it never sweeps."""
+        return self._graph
 
     @property
     def age(self) -> float:
@@ -260,33 +264,21 @@ class RouteCache:
         return edges
 
 
-def _entry_key(entry: tuple[float, Link]) -> tuple[float, tuple[str, str]]:
-    """The peel-order sort key: ``(metric, sorted endpoint names)``."""
-    fraction, link = entry
-    ends = (link.u, link.v) if link.u < link.v else (link.v, link.u)
-    return (fraction, ends)
-
-
 class PeelScheduleCache:
     """Memoized kernel peel schedules against the base snapshot.
 
     The incremental kernel's first step is sorting every link into peel
     order — O(E log E) per selection, paid per admission attempt even
-    when nothing changed between requests.  Claims only perturb the
-    availability of the links they route over, so the schedule against a
-    *base* snapshot is computed once per ``(metric kind, references)``
-    and reused; a request against a ledger with live claims re-scores
-    only the claim-touched (*dirty*) links from the residual overlay and
-    merges them back in — O(E + D log D) with D dirty links, and a plain
-    list reuse when the ledger is quiescent (D = 0).
+    when nothing changed between requests.  While no claimed link is in
+    the residual overlay, its links read as the base snapshot's, so the
+    schedule against the *base* is sorted once per ``(metric kind,
+    references)`` and handed out as it is.  Once a claimed link is
+    there, the schedule is :func:`repro.core.kernel.peel_order` of the
+    residual itself, sorted on the spot — the kernel's bit-identical
+    guarantee holds by definition.
 
-    Because the peel order is a strict total order (the tie-break on
-    endpoint names is unique per link), the merge reproduces exactly the
-    schedule :func:`repro.core.kernel.peel_order` would build from the
-    residual graph — the kernel's bit-identical guarantee is preserved.
-
-    The same order lets :meth:`rebase` repair the base schedules when
-    the snapshot moves on, by bisection.
+    :meth:`rebase` forgets the base schedules: they are sorted afresh on
+    demand against the new snapshot.
 
     Instances are handed to the kernel through the
     ``peel_schedule_provider`` graph hook (see :mod:`repro.core.kernel`)
@@ -295,16 +287,13 @@ class PeelScheduleCache:
 
     def __init__(self, base: TopologyGraph) -> None:
         self.base = base
-        #: ``(kind, reference bandwidth) -> (metric, base schedule)``; the
-        #: metric is a pure function of the key, kept to re-score with.
-        self._schedules: dict[
-            tuple, tuple[Callable[[Link], float], list[tuple[float, Link]]]
-        ] = {}
+        #: ``(kind, reference bandwidth) -> base schedule``.
+        self._schedules: dict[tuple, list[tuple[float, Link]]] = {}
+        #: Schedules handed out from a base sort (the first one included).
         self.reused = 0
+        #: Schedules sorted from the residual because a claimed link was in it.
         self.adjusted = 0
         self.builds = 0
-        #: Total dirty edges re-scored across all adjusted schedules.
-        self.rescored = 0
 
     @staticmethod
     def _key(kind: str, refs: References) -> tuple:
@@ -321,51 +310,28 @@ class PeelScheduleCache:
         residual: TopologyGraph,
         dirty_keys: Collection[frozenset],
     ) -> list[tuple[float, Link]]:
-        """The peel schedule for ``residual``, reusing the base sort.
-
-        ``dirty_keys`` are the undirected link keys currently carrying
-        claims (the only links whose metric can differ from the base
-        snapshot's).  Keys absent from the snapshot are ignored, exactly
-        as the residual debit ignores them.
+        """The peel schedule for ``residual``: the base sort while none
+        of ``dirty_keys`` (the undirected link keys carrying claims) is
+        one of its links, else ``residual`` sorted afresh.  Keys absent
+        from the snapshot are ignored, exactly as the residual debit
+        ignores them.
         """
-        cached = self._schedules.get(self._key(kind, refs))
-        if cached is None:
-            self.builds += 1
-            base_sched = peel_order(self.base, metric)
-            self._schedules[self._key(kind, refs)] = (metric, base_sched)
-        else:
-            base_sched = cached[1]
         link_by_key = residual.link_by_key
-        dirty = {key for key in dirty_keys if link_by_key(key) is not None}
-        if not dirty:
-            self.reused += 1
-            return base_sched
-        self.adjusted += 1
-        self.rescored += len(dirty)
-        clean = [e for e in base_sched if e[1].key not in dirty]
-        touched = [(metric(link), link) for link in map(link_by_key, dirty)]
-        touched.sort(key=_entry_key)
-        return list(heapq.merge(clean, touched, key=_entry_key))
+        if any(link_by_key(key) is not None for key in dirty_keys):
+            self.adjusted += 1
+            return peel_order(residual, metric)
+        key = self._key(kind, refs)
+        sched = self._schedules.get(key)
+        if sched is None:
+            self.builds += 1
+            sched = self._schedules[key] = peel_order(self.base, metric)
+        self.reused += 1
+        return sched
 
-    def rebase(self, base: TopologyGraph, moved: Collection[frozenset]) -> None:
-        """Adopt ``base``, a same-structure snapshot differing from the
-        current one in the ``moved`` links only: each cached schedule
-        drops a moved link at its old key and re-inserts it at its new
-        one — O(D log E) comparisons — leaving exactly the list
-        :func:`peel_order` would sort from ``base``.  A schedule most of
-        whose links moved is forgotten and sorted afresh on demand."""
-        old, self.base = self.base, base
-        for key, (metric, sched) in list(self._schedules.items()):
-            if len(moved) * 4 > len(sched):
-                del self._schedules[key]
-                continue
-            for u, v in map(tuple, moved):
-                was = old.link(u, v)
-                del sched[bisect_left(
-                    sched, _entry_key((metric(was), was)), key=_entry_key
-                )]
-                now = base.link(u, v)
-                insort(sched, (metric(now), now), key=_entry_key)
+    def rebase(self, base: TopologyGraph) -> None:
+        """Adopt ``base``; the schedules of the old one are forgotten."""
+        self.base = base
+        self._schedules.clear()
 
     def provider(
         self,

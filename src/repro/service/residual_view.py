@@ -30,8 +30,8 @@ and across snapshots, and moves it in place:
   out of it in the ledger's order and are walked here as stored) and a
   :class:`~repro.service.cache.PeelScheduleCache` exposed to the kernel
   through the ``peel_schedule_provider`` graph hook, so selections
-  against the view skip the O(E log E) re-sort when the ledger's dirty
-  link set is small, a :class:`ChannelTable` resolving each channel to
+  against the view skip the O(E log E) re-sort while no claimed link is
+  in it, a :class:`ChannelTable` resolving each channel to
   its overlay and base links once, and a
   :class:`~repro.core.kernel.ComputeRanking` on the ``compute_ranking``
   hook — the candidates best first, for the bandwidth-floor procedure
@@ -41,13 +41,13 @@ and across snapshots, and moves it in place:
 - a new snapshot that says which resources it replaced
   (:attr:`TopologyGraph.measurement`; ``RemosAPI.topology()`` does) is
   adopted by :meth:`rebase`: the same recompute-from-base over those
-  nodes and links only, routes kept, peel schedules repaired.
+  nodes and links only, routes kept, peel schedules forgotten.
 
 The service rebuilds the view only when it has no such delta to go by —
 the first snapshot, a provider that publishes none (static graph,
 cluster oracle, a shard's subgraph), one that skipped a generation —
-and after :meth:`SnapshotCache.invalidate` or a change of the
-known-down node set.
+and after :meth:`SnapshotCache.invalidate`, which every change of the
+known-down node set follows.
 """
 
 from __future__ import annotations
@@ -155,17 +155,20 @@ class ResidualView:
         self.channels = ChannelTable(self.graph, base)
         self.schedules = PeelScheduleCache(base)
         # The kernel hook (see repro.core.kernel._schedule): selections
-        # against this overlay reuse the base peel sort, re-merging only
-        # the claim-touched links.
+        # against this overlay reuse the base peel sort while no claimed
+        # link is in it.
         self.graph.peel_schedule_provider = self.schedules.provider(
             self.graph, ledger.claimed_link_keys
         )
         # The other kernel hook: refresh_nodes() names what moved, the
         # next reader (floor procedure, batch planner) re-keys it.
         self.ranking = self.graph.compute_ranking = ComputeRanking(self.graph)
-        self._down: set[str] = set()
-        for name in down:
-            self.mark_down(name)
+        #: Nodes flagged ``down`` in the overlay's attrs, fixed for the
+        #: view's life: a new down set is a new view.
+        self._down = frozenset(down)
+        for name in self._down:
+            if self.graph.has_node(name):
+                self.graph.node(name).attrs["down"] = True
         #: In-place updates applied since construction (for metrics).
         self.deltas = 0
         #: Selection memo: ``(spec key, claimed nodes, claimed channels)
@@ -264,7 +267,7 @@ class ResidualView:
         equals a view built on ``base`` from scratch
         (:meth:`assert_matches_rebuild`).
         """
-        self.schedules.rebase(base, links)
+        self.schedules.rebase(base)
         self.base = self.routes.graph = base
         self.channels.rebase(base, links)
         self.graph.measurement = base.measurement
@@ -285,28 +288,9 @@ class ResidualView:
         if kind not in DEADLINE_KINDS:
             self.apply_delta(reservation)  # grant or release, no matter
 
-    # -- fault markers ----------------------------------------------------------
-    def mark_down(self, name: str) -> None:
-        """Flag ``name`` as crashed in the overlay's node attrs."""
-        self._down.add(name)
-        if self.graph.has_node(name):
-            self.graph.node(name).attrs["down"] = True
-
-    def mark_up(self, name: str) -> None:
-        """Clear the crash flag, restoring the base snapshot's attr."""
-        self._down.discard(name)
-        if not self.graph.has_node(name):
-            return
-        attrs = self.graph.node(name).attrs
-        base_attrs = self.base.node(name).attrs
-        if "down" in base_attrs:
-            attrs["down"] = base_attrs["down"]
-        else:
-            attrs.pop("down", None)
-
     @property
     def down(self) -> frozenset:
-        return frozenset(self._down)
+        return self._down
 
     # -- verification ------------------------------------------------------------
     def assert_matches_rebuild(self) -> None:

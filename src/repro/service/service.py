@@ -27,8 +27,8 @@ ledger events instead of rebuilding a residual graph per attempt, and it
 carries epoch-keyed route and peel-schedule memoization for the
 selection kernel.  A new snapshot that names what it replaced
 (:attr:`TopologyGraph.measurement`) is adopted by re-basing the overlay
-over just that; the overlay is rebuilt only when there is no such delta,
-after a cache invalidation, or when the known-down node set moves.
+over just that; the overlay is rebuilt only when there is no such delta
+or after a cache invalidation (every known-down change comes with one).
 
 Every walker — serial admission, :meth:`~SelectionService.probe`,
 ``admit_batch``'s planner, preemption planning, push migration — is a
@@ -288,13 +288,11 @@ class SelectionService:
         self._known_down: set[str] = set()
         #: The live residual overlay, re-based or rebuilt lazily by
         #: :meth:`_residual`; ``_view_key`` is the ``(snapshot epoch,
-        #: invalidations, down epoch)`` it is current for.
+        #: invalidations)`` it is current for.  Every change of
+        #: ``_known_down`` follows an invalidation (:meth:`attach_injector`),
+        #: so the key moves with the down set.
         self._view: Optional[ResidualView] = None
         self._view_key: Optional[tuple] = None
-        #: Bumped whenever the known-down set changes — part of the view
-        #: key, so a crash/recovery always forces an overlay rebuild even
-        #: if the snapshot cache had nothing to invalidate.
-        self._down_epoch = 0
         #: Bumped whenever capacity may have *increased*: a release
         #: (explicit, expiry, or eviction), a node recovery, or a fresh
         #: snapshot.  ``_drain_queue`` skips requests that already failed
@@ -306,7 +304,7 @@ class SelectionService:
         #: here keep the registry's counters monotone).
         self._view_totals = {
             "schedule_reused": 0, "schedule_adjusted": 0,
-            "schedule_builds": 0, "edges_rescored": 0,
+            "schedule_builds": 0,
             "route_hits": 0, "route_misses": 0,
         }
         #: Victims in their preemption grace period: app_id -> the gold
@@ -364,7 +362,6 @@ class SelectionService:
         t["schedule_reused"] += view.schedules.reused
         t["schedule_adjusted"] += view.schedules.adjusted
         t["schedule_builds"] += view.schedules.builds
-        t["edges_rescored"] += view.schedules.rescored
         t["route_hits"] += view.routes.hits
         t["route_misses"] += view.routes.misses
 
@@ -407,17 +404,14 @@ class SelectionService:
                     fn=lambda: self._kernel_stat(
                         "schedule_reused", lambda v: v.schedules.reused))
         reg.counter("repro_kernel_peel_schedule_adjusts_total",
-                    "Peel schedules rebuilt by merging dirty edges.",
+                    "Peel schedules sorted afresh because a claimed link "
+                    "was in the residual.",
                     fn=lambda: self._kernel_stat(
                         "schedule_adjusted", lambda v: v.schedules.adjusted))
         reg.counter("repro_kernel_peel_schedule_builds_total",
                     "Peel schedules sorted from scratch (cache misses).",
                     fn=lambda: self._kernel_stat(
                         "schedule_builds", lambda v: v.schedules.builds))
-        reg.counter("repro_kernel_edges_rescored_total",
-                    "Dirty edges re-scored across adjusted schedules.",
-                    fn=lambda: self._kernel_stat(
-                        "edges_rescored", lambda v: v.schedules.rescored))
         reg.counter("repro_kernel_route_cache_hits_total",
                     "Node-set route lookups answered from the route memo.",
                     fn=lambda: self._kernel_stat(
@@ -670,15 +664,15 @@ class SelectionService:
         """The residual graph admission runs on, O(Δ)-maintained: the
         live overlay, moved to a new snapshot by re-basing over what the
         snapshot says it replaced, and rebuilt only without such a delta
-        or when an invalidation or the known-down set intervened."""
+        or after an invalidation (which every known-down change follows)."""
         view = self._view
-        key = (self.cache.epoch, self.cache.invalidations, self._down_epoch)
+        key = (self.cache.epoch, self.cache.invalidations)
         if view is not None and view.base is base and self._view_key == key:
             return view.graph
         moved = None
         if (
             view is not None
-            and self._view_key[1:] == key[1:]
+            and self._view_key[1] == key[1]
             and base.measurement is not None
         ):
             moved = base.measurement.delta_from(view.base.measurement)
@@ -1321,17 +1315,13 @@ class SelectionService:
         def on_event(_t: float, kind: str, target: str) -> None:
             self.cache.invalidate()
             if kind == "node-recover":
-                if target in self._known_down:
-                    self._known_down.discard(target)
-                    self._down_epoch += 1
+                self._known_down.discard(target)
                 self._residual_epoch += 1  # capacity came back
                 self._drain_queue()
                 return
             if kind != "node-crash":
                 return
-            if target not in self._known_down:
-                self._known_down.add(target)
-                self._down_epoch += 1
+            self._known_down.add(target)
             for app_id in self.ledger.apps_on_node(target):
                 self.ledger.release(app_id, kind="evict")
                 self._preempt_pending.pop(app_id, None)

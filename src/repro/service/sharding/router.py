@@ -74,7 +74,7 @@ from ...obs.trace import NULL_TRACER
 from ...topology.graph import TopologyGraph
 from ..admission import Decision, Priority, plain_spec
 from ..api import BatchRequest, PlacementGrant, iter_batch
-from ..cache import RouteCache
+from ..cache import RouteCache, SnapshotCache
 from ..ledger import LedgerError, ReservationLedger, ledger_order
 from ..metrics import ServiceMetrics
 from ..service import (
@@ -106,14 +106,14 @@ class _CommitAbort(Exception):
 
 
 class _ShardProvider:
-    """One shard's topology source: the provider's sweep, restricted."""
+    """One shard's topology source: the router's snapshot, restricted."""
 
-    def __init__(self, provider, members: frozenset) -> None:
-        self._provider = provider
+    def __init__(self, snapshots: SnapshotCache, members: frozenset) -> None:
+        self._snapshots = snapshots
         self._members = members
 
     def topology(self) -> TopologyGraph:
-        return self._provider.topology().subgraph(self._members)
+        return self._snapshots.topology().subgraph(self._members)
 
 
 class _TrunkRoutes(RouteCache):
@@ -167,7 +167,7 @@ class ShardRouter:
         ``"process"`` with a
         :class:`~repro.service.sharding.ShardWorkerPool` of
         ``multiprocessing`` workers (``repro-serve --workers N``), where
-        cross-shard probes and commits run on their workers
+        a cross-shard commit's parts run on their workers
         concurrently, a sub-batch is one envelope and releases are
         posted (acked later, see :meth:`ShardWorkerPool.drain`).  The
         pool requires a static :class:`TopologyGraph` provider; grants
@@ -239,9 +239,13 @@ class ShardRouter:
         self._services: Optional[list[SelectionService]] = None
         #: ``per_shard`` as last read; served once the executor is closed.
         self._per_shard: dict = {}
-        #: The full topology, captured once: structure-only uses (trunk
-        #: routing, link capacities) never change within a deployment.
-        self._full = provider.topology()
+        #: The router's one snapshot cache over the provider: every
+        #: shard is cut from it (:class:`_ShardProvider`) and the trunk
+        #: reads availability from it, so a period costs one sweep.
+        self._snapshots = SnapshotCache(provider, snapshot_ttl, self.clock)
+        #: The first snapshot, for structure only (the plan, trunk
+        #: routes, link capacities), which never changes in a deployment.
+        self._full = self._snapshots.topology()
         if plan is None:
             plan = partition_topology(self._full, shards)
         self.plan = plan
@@ -326,7 +330,7 @@ class ShardRouter:
         else:
             self._exec = InprocExecutor(
                 {
-                    shard: _ShardProvider(self.provider, members)
+                    shard: _ShardProvider(self._snapshots, members)
                     for shard, members in enumerate(plan.shards)
                 },
                 **build,
@@ -496,17 +500,20 @@ class ShardRouter:
             )
 
     def _trunk_headroom(self, channel) -> float:
-        """Unclaimed capacity (bps) on a trunk channel: measured
-        availability on the full graph minus the trunk's claim."""
+        """Unclaimed capacity (bps) on a trunk channel: availability in
+        the snapshot the router holds, minus the trunk's claim.  Reading
+        it never sweeps (a scrape asks too); the request path refreshes
+        the snapshot first."""
         key, dst = channel
-        available = self._full.link_by_key(key).available_towards(dst)
+        graph = self._snapshots.held  # never dropped: nothing invalidates it
+        available = graph.link_by_key(key).available_towards(dst)
         return available - self.trunk.edge_claim(channel)
 
     def _trunk_min_headroom(self) -> float:
         """Worst remaining-capacity fraction over claimed trunk channels."""
-        worst = 1.0
+        graph, worst = self._snapshots.held, 1.0
         for key, dst in self.trunk.edge_claims():
-            capacity = self._full.link_by_key(key).available_towards(dst)
+            capacity = graph.link_by_key(key).available_towards(dst)
             if capacity <= 0.0:
                 return 0.0
             worst = min(worst, self._trunk_headroom((key, dst)) / capacity)
@@ -834,9 +841,6 @@ class ShardRouter:
         """
         m = spec.num_nodes
         cap = math.ceil(m / min_parts)
-        probed = self._prewarm_probes(
-            spec, cpu_fraction, bw_bps, order, min_parts, cap
-        )
         remaining = m
         split: list[tuple[int, ApplicationSpec, Selection]] = []
         for shard in order:
@@ -847,14 +851,11 @@ class ShardRouter:
             size = min(cap, remaining - still_needed,
                        self._shard_facts[shard]["hosts"])
             while size >= 1:
-                if (shard, size) in probed:
-                    sub_spec, selection = probed[shard, size]
-                else:
-                    sub_spec = replace(spec, num_nodes=size)
-                    selection = self._exec.call(
-                        shard, "probe", sub_spec,
-                        cpu_fraction=cpu_fraction, bw_bps=bw_bps,
-                    )
+                sub_spec = replace(spec, num_nodes=size)
+                selection = self._exec.call(
+                    shard, "probe", sub_spec,
+                    cpu_fraction=cpu_fraction, bw_bps=bw_bps,
+                )
                 if selection is not None:
                     split.append((shard, sub_spec, selection))
                     remaining -= size
@@ -863,57 +864,6 @@ class ShardRouter:
         if remaining > 0 or len(split) < min_parts:
             return None
         return split
-
-    def _prewarm_probes(
-        self,
-        spec: ApplicationSpec,
-        cpu_fraction: float,
-        bw_bps: float,
-        order: list[int],
-        min_parts: int,
-        cap: int,
-    ) -> dict[tuple[int, int], tuple[ApplicationSpec, Optional[Selection]]]:
-        """Concurrent pre-warm of the split loop's first probe per shard.
-
-        Replays the greedy size schedule assuming every probe succeeds
-        (the common case) and issues those probes to all candidate
-        workers at once via :meth:`ShardWorkerPool.call_many`.  Probes
-        are read-only and deterministic, so the serial loop consuming
-        this cache reproduces the unfanned walk bit-for-bit; any probe
-        that fails (or any worker that crashes) just drops the
-        speculation and the loop falls back to its own serial RPCs.
-        Maps ``(shard, size)`` to ``(sub_spec, answer)``.  Returns
-        ``{}`` under the in-process executor: speculation only pays
-        where calls overlap.
-        """
-        if self._pool is None:
-            return {}
-        sizes: list[tuple[int, int, ApplicationSpec]] = []
-        remaining = spec.num_nodes
-        for shard in order:
-            if remaining <= 0:
-                break
-            still_needed = max(0, min_parts - len(sizes) - 1)
-            size = min(cap, remaining - still_needed,
-                       self._shard_facts[shard]["hosts"])
-            if size < 1:
-                continue
-            sizes.append((shard, size, replace(spec, num_nodes=size)))
-            remaining -= size
-        if not sizes:
-            return {}
-        replies = self._pool.call_many([
-            (
-                shard, "probe", (sub_spec,),
-                {"cpu_fraction": cpu_fraction, "bw_bps": bw_bps},
-            )
-            for shard, _size, sub_spec in sizes
-        ])
-        return {
-            (shard, size): (sub_spec, payload)
-            for (shard, size, sub_spec), (kind, payload) in zip(sizes, replies)
-            if kind == "ok"
-        }
 
     def _cross_shard(
         self,
@@ -962,6 +912,7 @@ class ShardRouter:
                 self.routes.edges_between([sel.nodes for _, _, sel in split]),
                 key=ledger_order,
             ))
+            self._snapshots.topology()  # fresh for _trunk_headroom
             for channel in channels:
                 headroom = self._trunk_headroom(channel)
                 if headroom + _EPS * max(1.0, bw_bps) < bw_bps:

@@ -25,8 +25,8 @@ Design points:
 * **Transport** — one duplex :func:`multiprocessing.Pipe` per worker,
   one reply per envelope, in pipe order.  A worker executes its
   commands serially in arrival order; *different* workers run
-  concurrently, which is where fan-out probes and paired cross-shard
-  commits get their parallelism.  Each worker's unacked envelopes sit
+  concurrently, which is where a cross-shard commit's parts get their
+  parallelism (its probes run one by one).  Each worker's unacked envelopes sit
   in one FIFO (``_WorkerProc.unacked``): an *awaited* envelope's caller
   blocks for its reply, a *posted* one (``call_many(wait=False)`` — the
   router's releases) is sent now and its ack read before the next

@@ -92,7 +92,7 @@ class TestSloMonitor:
 
     def test_latency_objective_counts_slow_requests(self):
         clock = ManualClock()
-        monitor = SloMonitor(clock=clock, latency_threshold_s=0.005)
+        monitor = SloMonitor(clock=clock)
         for _ in range(99):
             monitor.observe_request(0.001, ok=True)
         monitor.observe_request(0.050, ok=True)
@@ -104,7 +104,7 @@ class TestSloMonitor:
 
     def test_rejections_burn_availability(self):
         clock = ManualClock()
-        monitor = SloMonitor(clock=clock, availability_target=0.95)
+        monitor = SloMonitor(clock=clock)
         for _ in range(8):
             monitor.observe_request(0.001, ok=True)
         for _ in range(2):
@@ -116,7 +116,7 @@ class TestSloMonitor:
 
     def test_restart_budget(self):
         clock = ManualClock()
-        monitor = SloMonitor(clock=clock, restart_budget_per_hour=2.0)
+        monitor = SloMonitor(clock=clock)
         monitor.observe_restart(3)
         out = monitor.evaluate()
         status = out["objectives"]["worker_restarts"]["status"]

@@ -82,7 +82,7 @@ class Rig:
     def __init__(self, base) -> None:
         self.ledger = ReservationLedger()
         self.view = ResidualView(base, self.ledger)
-        self.ledger.subscribe(self.view.on_ledger_event)
+        self.ledger.subscribe(lambda *event: self.view.on_ledger_event(*event))
         self.hosts = sorted(n.name for n in base.compute_nodes())
         self.now = 0.0
         self.apps = 0
@@ -174,10 +174,11 @@ class Rig:
         elif kind == "advance":
             self.now += args[0]
             ledger.expire(self.now)
-        elif kind == "down":
-            view.mark_down(self.hosts[args[0] % len(self.hosts)])
-        elif kind == "up":
-            view.mark_up(self.hosts[args[0] % len(self.hosts)])
+        elif kind in ("down", "up"):
+            # A new down set is a new view, as the service builds it.
+            host = {self.hosts[args[0] % len(self.hosts)]}
+            down = view.down | host if kind == "down" else view.down - host
+            self.view = ResidualView(view.base, ledger, down=down)
         elif kind == "rebase":
             self.rebase(*args)
 

@@ -157,10 +157,10 @@ def check_chain(rig: Rig) -> None:
     def metric(link):
         return link.available
 
-    repaired = residual.peel_schedule_provider(
+    scheduled = residual.peel_schedule_provider(
         "available", DEFAULT_REFERENCES, metric
     )
-    assert [(f, l.u, l.v) for f, l in repaired] == [
+    assert [(f, l.u, l.v) for f, l in scheduled] == [
         (f, l.u, l.v) for f, l in peel_order(rebuilt, metric)
     ]
 

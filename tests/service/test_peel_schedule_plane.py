@@ -3,8 +3,8 @@
 One stream of bandwidth-free requests — balanced and max-bandwidth
 objectives alternating, a live window of leases so the selection memo
 misses — runs twice: on the shipped service, whose overlay hands the
-kernel a cached schedule (reused verbatim on a quiet ledger, merged
-with the claim-touched links otherwise), and on
+kernel a cached schedule (reused verbatim on a quiet ledger, the
+residual sorted afresh once a claimed link is in it), and on
 ``tests/oracles.py::scheduleless_service``, where the hook answers
 ``None`` and every peel sorts on the spot.  Every grant must be
 identical, and the shipped arm must have run both its reuse and its
@@ -47,7 +47,7 @@ def _run(make):
     for i in range(120):
         if i == 60:
             # Standing bandwidth tenants: from here on the ledger claims
-            # links, so a cached schedule must merge them back in.
+            # links, so the base schedule no longer answers.
             for t in range(3):
                 assert svc.request(
                     f"tenant-{t}", ApplicationSpec(num_nodes=2),

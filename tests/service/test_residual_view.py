@@ -167,14 +167,20 @@ class TestResidualViewOverlay:
             view.refresh_edges(ledger.reservations["a"].edges)
 
     def test_down_markers(self, rig):
-        g, ledger, view = rig
-        view.mark_down("l0")
+        """The marks are the constructor's ``down=`` and outlive a
+        re-base; a new down set is a new view."""
+        g, ledger, _view = rig
+        view = ResidualView(g, ledger, down=["l0"])
+        assert view.down == {"l0"}
         assert view.graph.node("l0").attrs.get("down") is True
         assert "down" not in g.node("l0").attrs  # base untouched
         view.assert_matches_rebuild()
-        view.mark_up("l0")
-        assert "down" not in view.graph.node("l0").attrs
+        moved = g.node("l0").copy()
+        moved.load_average = 0.5
+        view.rebase(g.replaced([moved], ()), ["l0"], ())
+        assert view.graph.node("l0").attrs.get("down") is True
         view.assert_matches_rebuild()
+        assert "down" not in ResidualView(g, ledger).graph.node("l0").attrs
 
     def test_detects_tampering(self, rig):
         g, ledger, view = rig
@@ -265,8 +271,8 @@ class TestEpochMemoization:
         assert clean == base_sched
         assert cache.reused == 1
 
-        # Debit one link, mark it dirty: the merged schedule must equal
-        # a from-scratch peel_order of the debited graph.
+        # Debit one link, mark it dirty: the schedule is the debited
+        # graph's own peel_order, not the base's.
         bottleneck = frozenset(("sw-left", "sw-right"))
         debited = residual_graph(
             g, {}, {(bottleneck, "sw-right"): 30 * Mbps},
@@ -330,6 +336,43 @@ class TestEpochMemoization:
         assert measured.metrics.view_rebuilds == 3
         measured.check_invariants()
 
+    def test_view_marks_the_known_down_set_after_a_quiet_invalidation(self):
+        """A crash and a recovery land while the snapshot is already
+        dropped, so neither moves the invalidation count: the next view
+        still carries exactly the known-down marks, because it is
+        rebuilt from the set as it stands then."""
+        sim, cluster, api, measured = self._measured_service()
+        injector = FaultInjector(cluster, api.collector)
+        measured.attach_injector(injector)
+        sim.run(until=6.0)
+        measured.request("a", spec(2), cpu_fraction=0.2)
+
+        def marked():
+            graph = measured.view.graph
+            return {n for n in graph.node_names()
+                    if graph.node(n).attrs.get("down")
+                    and not measured.view.base.node(n).attrs.get("down")}
+
+        for earlier, host in (
+            (lambda: injector.crash_node("r3"), "r2"),
+            (lambda: injector.fail_link("sw-left", "sw-right"), "l1"),
+        ):
+            first = measured.view
+            earlier()  # drops the snapshot
+            invalidations = measured.cache.invalidations
+            injector.crash_node(host)
+            injector.recover_node(host)
+            injector.crash_node("l0")
+            assert measured.cache.invalidations == invalidations
+            sim.run(until=sim.now + 1.0)
+            measured.request(f"after-{host}", spec(2), cpu_fraction=0.2)
+            assert measured.view is not first
+            assert measured.view.down == measured._known_down
+            assert marked() == measured._known_down
+            measured.check_invariants()
+            injector.recover_node("l0")
+        assert measured._known_down == {"r3"}
+
     @staticmethod
     def _measured_service():
         sim = Simulator()
@@ -362,15 +405,23 @@ class TestEpochMemoization:
         assert api.topology_sweeps == 2
         service.check_invariants()
 
-    def test_schedule_cache_repairs_moved_links(self):
+    def test_schedule_cache_resorts_after_rebase_or_claim(self):
+        """A re-based cache sorts the new base afresh; a residual holding
+        a claimed link is sorted on the spot.  Either way the schedule
+        is peel_order of the residual."""
         g0 = dumbbell(4, 4)
 
         def metric(link):
             return link.available
 
+        def entries(schedule):
+            return [(f, l.u, l.v) for f, l in schedule]
+
         cache = PeelScheduleCache(g0)
         refs = DEFAULT_REFERENCES
-        cache.schedule("available", refs, metric, g0, ())
+        first = cache.schedule("available", refs, metric, g0, ())
+        assert cache.schedule("available", refs, metric, g0, ()) is first
+        assert (cache.builds, cache.reused) == (1, 2)
         moved = [g0.link("l1", "sw-left"), g0.link("sw-left", "sw-right")]
         changed = []
         for link, bw in zip(moved, (3 * Mbps, 99 * Mbps)):
@@ -378,18 +429,23 @@ class TestEpochMemoization:
             link.set_available(bw, direction=link.u)
             changed.append(link)
         g1 = g0.replaced(links=changed)
-        cache.rebase(g1, {link.key for link in changed})
+        cache.rebase(g1)
         got = cache.schedule("available", refs, metric, g1, ())
-        assert cache.builds == 1 and cache.reused == 2
-        assert [(f, l.u, l.v) for f, l in got] == [
-            (f, l.u, l.v) for f, l in peel_order(g1, metric)
-        ]
+        assert (cache.builds, cache.reused) == (2, 3)
+        assert entries(got) == entries(peel_order(g1, metric))
         assert all(l is g1.link(l.u, l.v) for _f, l in got)
-        # Most links moved: forgotten, and sorted afresh on demand.
-        g2 = g1.replaced(links=[l.copy() for l in g1.links()])
-        cache.rebase(g2, {l.key for l in g2.links()})
-        cache.schedule("available", refs, metric, g2, ())
-        assert cache.builds == 2
+
+        trunk = frozenset(("sw-left", "sw-right"))
+        debited = residual_graph(g1, {}, {(trunk, "sw-right"): 30 * Mbps})
+        got = cache.schedule("available", refs, metric, debited, {trunk})
+        assert (cache.builds, cache.adjusted) == (2, 1)
+        assert entries(got) == entries(peel_order(debited, metric))
+        # A claimed key the residual lacks reads as no claim.
+        absent = frozenset(("x", "y"))
+        assert entries(
+            cache.schedule("available", refs, metric, g1, {absent})
+        ) == entries(peel_order(g1, metric))
+        assert (cache.builds, cache.reused, cache.adjusted) == (2, 4, 1)
 
     @staticmethod
     def _stream(service):

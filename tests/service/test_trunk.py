@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.spec import ApplicationSpec
+from repro.des import Simulator
+from repro.network import Cluster
+from repro.remos import Collector, RemosAPI
 from repro.service import LedgerError, ShardRouter
 from repro.service.ledger import ledger_order
-from repro.topology import dumbbell, grid, random_tree, torus
+from repro.topology import dumbbell, grid, random_tree, torus, two_campus
 from repro.units import Mbps
 
 from ..oracles import routed_trunk_channels
@@ -151,6 +154,39 @@ class TestReserve:
         _cross(r, bw_bps=5 * Mbps)
         assert r._trunk_headroom(CH) == pytest.approx(before - 5 * Mbps)
         assert r.trunk.active == 1 and "x" in r.trunk.reservations
+
+    def test_headroom_reads_the_measured_trunk(self):
+        """The trunk's headroom is the router's current snapshot, not
+        the one it was built with: three transfers each way leave 15 of
+        the WAN's 45 Mbps free, so a 20 Mbps split is refused.  The
+        shards are cut from the same snapshot, and a scrape sweeps
+        nothing."""
+        sim = Simulator()
+        cluster = Cluster(sim, two_campus(fast_hosts=4, slow_hosts=4))
+        api = RemosAPI(Collector(cluster, period=1.0))
+        sim.run(until=1.5)
+        r = ShardRouter(api, shards=2, snapshot_ttl=1.0)
+        wan = frozenset({"campusA", "campusB"})
+        assert r.plan.trunk_keys == {wan}
+        for i in range(3):
+            cluster.transfer(f"a{i}", f"b{i}", 1e12)
+            cluster.transfer(f"b{i + 1}", f"a{i + 1}", 1e12)
+        sim.run(until=5.0)
+        grant = r.request("x", ApplicationSpec(num_nodes=2),
+                          bw_bps=20 * Mbps, spread=2)
+        assert not grant.admitted
+        assert grant.reason.startswith("trunk channel campusA--campusB")
+        assert "(1.5e+07 available)" in grant.reason
+        assert r.metrics.trunk_rejections == 1
+        held = r._snapshots.held
+        assert held.link_by_key(wan).available_fwd == 15 * Mbps
+        sweeps = api.topology_sweeps
+        r.registry.expose_text()
+        assert api.topology_sweeps == sweeps
+        assert r._snapshots.held is held
+        assert r.request("y", ApplicationSpec(num_nodes=2),
+                         bw_bps=10 * Mbps, spread=2).admitted
+        r.check_invariants()
 
     def test_non_trunk_channels_filtered_out(self):
         r = _router()
