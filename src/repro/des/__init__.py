@@ -9,27 +9,23 @@ Public API
 ----------
 - :class:`Simulator` — clock, event queue, ``run``/``step``.
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` — events.
-- :class:`Process`, :class:`Interrupt` — coroutine processes.
-- :class:`Resource`, :class:`Container`, :class:`Store` — shared resources.
+- :class:`Process` — coroutine processes.
+- :class:`Store` — a shared FIFO of objects.
 """
 
-from .events import AllOf, AnyOf, Condition, Event, Interrupt, Timeout
+from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .process import Process, ProcessGenerator
-from .resources import Container, Request, Resource, Store
+from .resources import Store
 from .simulator import EmptySchedule, Simulator
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "EmptySchedule",
     "Event",
-    "Interrupt",
     "Process",
     "ProcessGenerator",
-    "Request",
-    "Resource",
     "Simulator",
     "Store",
     "Timeout",

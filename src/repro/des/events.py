@@ -33,7 +33,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "PENDING",
 ]
 
@@ -49,19 +48,6 @@ class _PendingType:
 
 #: Sentinel used as the value of untriggered events.
 PENDING = _PendingType()
-
-
-class Interrupt(Exception):
-    """Raised inside a process that has been interrupted.
-
-    The ``cause`` attribute carries the object passed to
-    :meth:`repro.des.process.Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to ``Process.interrupt``."""
-        return self.args[0]
 
 
 class Event:

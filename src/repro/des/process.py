@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .events import Event, Interrupt
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
@@ -75,34 +75,10 @@ class Process(Event):
         """The event the process is currently suspended on."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a finished process is an error.  Interruption is
-        asynchronous: the exception is delivered via a zero-delay event so
-        the interrupter continues first (matching SimPy semantics).
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        ev = Event(self.sim)
-        ev._ok = False
-        ev._value = Interrupt(cause)
-        ev._defused = True
-        ev.callbacks.append(self._resume)
-        self.sim._schedule(ev, delay=0.0, priority=-1)
-
     # -- kernel plumbing ----------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         self.sim._active_process = self
-        # Detach from the event we were waiting on (relevant for interrupts,
-        # where the original target will still fire later).
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
         self._target = None
 
         while True:

@@ -1,16 +1,9 @@
-"""Shared-resource primitives built on the DES kernel.
+"""A shared-resource primitive built on the DES kernel.
 
-These mirror the classic SimPy trio:
-
-:class:`Resource`
-    A fixed number of slots; processes request/release them.
-:class:`Container`
-    A continuous quantity with bounded capacity (put/get amounts).
-:class:`Store`
-    A FIFO of Python objects (put/get items), with an optional filtered get.
-
-All acquisition methods return events, so they compose with timeouts and
-conditions (``yield req | sim.timeout(1.0)``).
+:class:`Store` is a FIFO of Python objects (put/get items), with an
+optional filtered get, after SimPy's.  Its methods return events, so
+they compose with timeouts and conditions
+(``yield store.get() | sim.timeout(1.0)``).
 """
 
 from __future__ import annotations
@@ -23,147 +16,7 @@ from .events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
 
-__all__ = ["Resource", "Request", "Container", "Store"]
-
-
-class Request(Event):
-    """A pending or held claim on a :class:`Resource`.
-
-    Fires (with value ``None``) once the slot is granted.  Supports use as a
-    context manager inside process generators::
-
-        with resource.request() as req:
-            yield req
-            ...  # slot held here
-        # slot released
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._grant()
-
-    def cancel(self) -> None:
-        """Withdraw the request / release the slot, whichever applies."""
-        self.resource.release(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.cancel()
-
-
-class Resource:
-    """``capacity`` identical slots granted FIFO."""
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._queue: deque[Request] = deque()
-        self._users: list[Request] = []
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests still waiting."""
-        return len(self._queue)
-
-    def request(self) -> Request:
-        """Ask for a slot; the returned event fires when granted."""
-        return Request(self)
-
-    def release(self, request: Request) -> None:
-        """Return a held slot (or withdraw a waiting request)."""
-        if request in self._users:
-            self._users.remove(request)
-            self._grant()
-        else:
-            try:
-                self._queue.remove(request)
-            except ValueError:
-                pass  # releasing twice is a harmless no-op
-
-    def _grant(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            req = self._queue.popleft()
-            self._users.append(req)
-            req.succeed()
-
-
-class Container:
-    """A homogeneous continuous quantity (e.g. fuel, tokens, bytes).
-
-    ``put`` blocks while the container would overflow; ``get`` blocks while
-    it would underflow.  Waiters are served FIFO per direction.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.sim = sim
-        self.capacity = float(capacity)
-        self._level = float(init)
-        self._putters: deque[tuple[Event, float]] = deque()
-        self._getters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; the event fires once it fits."""
-        if amount <= 0:
-            raise ValueError(f"put amount must be positive, got {amount}")
-        ev = Event(self.sim)
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; the event fires once it is available."""
-        if amount <= 0:
-            raise ValueError(f"get amount must be positive, got {amount}")
-        ev = Event(self.sim)
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    ev.succeed()
-                    progress = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    ev.succeed()
-                    progress = True
+__all__ = ["Store"]
 
 
 class Store:

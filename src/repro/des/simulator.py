@@ -19,7 +19,7 @@ class Simulator:
     """A discrete-event simulation kernel.
 
     The simulator owns the clock (``now``) and a priority queue of triggered
-    events ordered by ``(time, priority, sequence)``.  All simulated entities
+    events ordered by ``(time, sequence)``.  All simulated entities
     (hosts, links, generators, applications, monitors) are driven by
     processes registered on one simulator instance.
 
@@ -37,7 +37,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
 
@@ -93,14 +93,11 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling (kernel-internal) -------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 0) -> None:
-        """Queue a triggered event to fire ``delay`` from now.
-
-        ``priority`` breaks ties at equal times: lower runs first.  Interrupt
-        delivery uses priority -1 so interrupts preempt same-time timeouts.
-        """
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        """Queue a triggered event to fire ``delay`` from now; events due
+        at the same time fire in the order they were scheduled."""
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
 
     # -- run loop ----------------------------------------------------------
     def peek(self) -> float:
@@ -111,7 +108,7 @@ class Simulator:
         """Process exactly one event (advancing the clock to it)."""
         if not self._queue:
             raise EmptySchedule()
-        when, _prio, _eid, event = heapq.heappop(self._queue)
+        when, _eid, event = heapq.heappop(self._queue)
         if when < self._now:  # pragma: no cover - internal invariant
             raise RuntimeError("event scheduled in the past")
         self._now = when

@@ -18,7 +18,7 @@ from .api import (
     apply_degraded_policy,
 )
 from .collector import Collector, ResourceStatus
-from .predictor import Ewma, LastValue, Predictor, SlidingMean, sample_age
+from .predictor import Ewma, LastValue, Predictor, SlidingMean
 from .snmp import (
     AgentTimeout,
     HostAgent,
@@ -48,5 +48,4 @@ __all__ = [
     "SlidingMean",
     "apply_degraded_policy",
     "build_agents",
-    "sample_age",
 ]

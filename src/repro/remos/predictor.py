@@ -14,21 +14,9 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence, runtime_checkable
 
-__all__ = ["Predictor", "LastValue", "SlidingMean", "Ewma", "sample_age"]
+__all__ = ["Predictor", "LastValue", "SlidingMean", "Ewma"]
 
 Sample = tuple[float, float]
-
-
-def sample_age(history: Sequence[Sample], now: float) -> float:
-    """Seconds between ``now`` and the newest sample (inf for no samples).
-
-    The degraded-mode query layer reports this next to every answer so
-    callers can judge how much to trust a forecast derived from the
-    history.
-    """
-    if not history:
-        return float("inf")
-    return now - history[-1][0]
 
 
 @runtime_checkable

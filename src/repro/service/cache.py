@@ -18,8 +18,9 @@ front of a :class:`~repro.core.NodeSelector`:
   service wires it to fault/recovery events so a crash never serves a
   pre-crash snapshot for up to a TTL.
 
-Every sweep and every invalidation advances :attr:`SnapshotCache.epoch`,
-the generation counter the rest of the hot path revalidates on.  When
+Every sweep that answers a new graph and every invalidation advances
+:attr:`SnapshotCache.epoch`, the generation counter the rest of the hot
+path revalidates on.  When
 the new snapshot names what differs from the one the overlay stands on
 (:attr:`TopologyGraph.measurement`), the overlay is re-based:
 :class:`RouteCache` (routed channel sets per node set — pure topology
@@ -81,7 +82,8 @@ class SnapshotCache:
         self.misses = 0
         self.coalesced = 0
         self.invalidations = 0
-        #: Snapshot generation: advances on every sweep and invalidation.
+        #: Snapshot generation: advances on every invalidation and every
+        #: sweep whose answer is not the held graph.
         #: Anything memoized against a snapshot (residual overlays, route
         #: and peel-schedule caches) revalidates when this moves.
         self.epoch = 0
@@ -102,11 +104,14 @@ class SnapshotCache:
         else:
             graph = self.provider.topology()
         # Counted only once there is a graph to show for it: a sweep
-        # that raised leaves the previous snapshot and its epoch standing.
-        self._graph = graph
+        # that raised leaves the previous snapshot and its epoch standing,
+        # and one that answered the held graph (a static provider's)
+        # is no new snapshot.
         self._taken_at = now
         self.misses += 1
-        self.epoch += 1
+        if graph is not self._graph:
+            self._graph = graph
+            self.epoch += 1
         return graph
 
     def invalidate(self) -> None:

@@ -30,10 +30,12 @@ workload file.
 recovered from DIR's snapshot + write-ahead log at startup (a corrupt,
 unreplayable WAL exits with status 2 instead of a traceback; a torn
 final record from a mid-append crash is tolerated) and every mutation is
-logged.  SIGTERM/SIGINT trigger a graceful shutdown — remaining
-operations are skipped and a final compacted snapshot is flushed before
-exit.  ``--preempt`` additionally lets infeasible gold requests reclaim
-bronze/silver leases (``--preempt-grace`` gives victims a wind-down).
+logged.  SIGTERM/SIGINT trigger a graceful shutdown: the operation
+(or batch) running when the signal lands finishes and is reported, the
+remaining ones are skipped, and a final compacted snapshot is flushed
+before exit.  ``--preempt`` additionally lets infeasible gold requests
+reclaim bronze/silver leases (``--preempt-grace`` gives victims a
+wind-down).
 
 ``--shards K`` runs the sharded deployment instead: the topology is cut
 into K connected shards, each behind its own service, with cross-shard
@@ -48,6 +50,11 @@ into N ``multiprocessing`` worker processes behind the router: probes
 and admission batches fan out across cores, crashed workers are
 restarted and recovered from their shard WALs, and grants stay
 bit-identical to the in-process router for the same request stream.
+
+``--batch-max N`` (N > 1) coalesces runs of consecutive plain request
+ops (no ``spread``) into one ``admit_batch()`` call of up to N: a run
+ends at N ops, at any other op and at the end of the file, and runs at
+the time of its last op.  The default, 1, serves every op on its own.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ import signal
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Optional
+from typing import Iterator, Optional, Union
 
 from ..core.spec import ApplicationSpec, Objective
 from ..obs import MetricsRegistry, Tracer
@@ -71,14 +78,6 @@ from .sharding import ShardRouter
 from .wal import WalCorruptError
 
 __all__ = ["main", "build_parser", "serve_metrics"]
-
-
-class _GracefulExit(Exception):
-    """Raised by the signal handlers to unwind the workload loop."""
-
-    def __init__(self, signame: str) -> None:
-        super().__init__(signame)
-        self.signame = signame
 
 
 def serve_metrics(registry: MetricsRegistry, port: int) -> HTTPServer:
@@ -172,26 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="victim wind-down before reclamation "
                              "(default: 0 — immediate)")
-    parser.add_argument("--async", dest="async_mode", action="store_true",
-                        help="serve the workload through an asyncio loop: "
-                             "arrivals flow through a bounded queue, request "
-                             "ops within --batch-window of each other "
-                             "coalesce into one admit_batch() call, and "
-                             "SIGTERM/SIGINT drain already-queued operations "
-                             "before exiting")
-    parser.add_argument("--batch-window", type=float, default=0.05,
-                        metavar="SECONDS",
-                        help="async coalescing window: how long to hold an "
-                             "open batch for more arrivals (default: 0.05)")
-    parser.add_argument("--batch-max", type=int, default=32, metavar="N",
-                        help="async batch size cap: flush when N request ops "
-                             "have coalesced (default: 32)")
-    parser.add_argument("--queue-size", type=int, default=256, metavar="N",
-                        help="async arrival queue bound; producers block when "
-                             "full (default: 256)")
-    parser.add_argument("--pace", type=float, default=0.0, metavar="SECONDS",
-                        help="async wall-clock delay between arrivals "
-                             "(default: 0 — replay as fast as possible)")
+    parser.add_argument("--batch-max", type=int, default=1, metavar="N",
+                        help="coalesce up to N consecutive plain request ops "
+                             "into one admit_batch() call (default: 1 — "
+                             "every op on its own)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format")
     parser.add_argument("--profile", action="store_true",
@@ -298,115 +281,56 @@ def _run_op(service, op: dict) -> dict:
     return record
 
 
-def _serve_async(
-    service,
-    ops: list[dict],
-    *,
-    pace: float,
-    window: float,
-    batch_max: int,
-    queue_size: int,
-) -> tuple[list[dict], Optional[str], int]:
-    """Run the workload through an asyncio producer/consumer pipeline.
+def _steps(
+    service, ops: list[dict], batch_max: int,
+) -> Iterator[tuple[float, Union[dict, list[dict]]]]:
+    """The workload as ``(at, step)`` in file order: ``step`` is one op,
+    or (``batch_max > 1``) a run of up to ``batch_max`` consecutive
+    plain request ops, due at its last op's time.  An op without an
+    ``at`` is due with the op before it; one due earlier than that
+    raises ``ValueError``."""
+    batch: list[dict] = []
+    batch_at = 0.0
+    for op in ops:
+        before = batch_at if batch else service.now
+        at = float(op.get("at", before))
+        if at < before:
+            raise ValueError(
+                f"operations must be time-ordered: {at} < {before}"
+            )
+        if (batch_max > 1 and op.get("op", "request") == "request"
+                and "spread" not in op):
+            batch.append(op)
+            batch_at = at
+            if len(batch) == batch_max:
+                yield at, batch
+                batch = []
+            continue
+        if batch:
+            yield batch_at, batch
+            batch = []
+        yield at, op
+    if batch:
+        yield batch_at, batch
 
-    The producer feeds operations into a bounded queue (pacing arrivals
-    by ``pace`` wall-clock seconds); the consumer coalesces consecutive
-    *request* ops into one :meth:`admit_batch` call, flushing when the
-    ``window`` elapses with an open batch, when ``batch_max`` arrivals
-    have coalesced, or when a non-batchable op (release / renew / tick /
-    spread request) arrives and must run serially in arrival order.
 
-    SIGTERM/SIGINT stop the producer; the consumer **drains** every
-    already-queued operation before returning — a graceful shutdown
-    never drops work it accepted.  Returns ``(outcomes, signame,
-    enqueued)`` where ``signame`` is the signal that stopped the run
-    (``None`` when it completed) and ``enqueued`` counts the operations
-    that entered the pipeline.
-    """
-    import asyncio
-
+def _replay(service, ops: list[dict], batch_max: int,
+            stopped: list[str]) -> list[dict]:
+    """Run the workload's steps in order, each at its time; returns the
+    outcome records.  Stops before the next step once ``stopped`` names
+    a signal: a step that has started always finishes."""
     outcomes: list[dict] = []
-    state: dict = {"signame": None, "enqueued": 0}
-
-    def _advance_to(at: float) -> None:
-        # Batching can observe an earlier op after a later one's clock
-        # advance; the clock only ever moves forward.
-        if at > service.now:
-            service.advance(at - service.now)
-
-    def _flush(batch: list[dict]) -> None:
-        if not batch:
-            return
-        _advance_to(max(float(op.get("at", service.now)) for op in batch))
-        grants = service.admit_batch([_parse_request(op) for op in batch])
-        outcomes.extend(_grant_record(service, grant) for grant in grants)
-
-    async def _runner() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
-
-        def _request_stop(signame: str) -> None:
-            state["signame"] = signame
-            stop.set()
-
-        installed = []
-        if threading.current_thread() is threading.main_thread():
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(
-                        signum, _request_stop, signal.Signals(signum).name
-                    )
-                    installed.append(signum)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass  # platform without signal support in loops
-
-        async def producer() -> None:
-            for op in ops:
-                if stop.is_set():
-                    break
-                if pace > 0:
-                    await asyncio.sleep(pace)
-                    if stop.is_set():
-                        break
-                await queue.put(op)
-                state["enqueued"] += 1
-            await queue.put(None)  # sentinel: no more arrivals
-
-        async def consumer() -> None:
-            batch: list[dict] = []
-            while True:
-                try:
-                    op = await asyncio.wait_for(
-                        queue.get(), timeout=window if batch else None
-                    )
-                except asyncio.TimeoutError:
-                    _flush(batch)
-                    batch = []
-                    continue
-                if op is None:
-                    _flush(batch)
-                    return
-                kind = op.get("op", "request")
-                if kind == "request" and "spread" not in op:
-                    batch.append(op)
-                    if len(batch) >= batch_max:
-                        _flush(batch)
-                        batch = []
-                else:
-                    _flush(batch)
-                    batch = []
-                    _advance_to(float(op.get("at", service.now)))
-                    outcomes.append(_run_op(service, op))
-
-        try:
-            await asyncio.gather(producer(), consumer())
-        finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
-
-    asyncio.run(_runner())
-    return outcomes, state["signame"], state["enqueued"]
+    for at, step in _steps(service, ops, batch_max):
+        if stopped:
+            break
+        # The clock only moves forward (a batch's own advance can round).
+        service.advance(max(0.0, at - service.now))
+        if isinstance(step, dict):
+            outcomes.append(_run_op(service, step))
+        else:
+            grants = service.admit_batch([_parse_request(op) for op in step])
+            outcomes.extend(_grant_record(service, grant) for grant in grants)
+    return outcomes
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -445,9 +369,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     for flag, value, least in (
         ("--shards", args.shards, 1), ("--demo", args.demo, 0),
-        ("--workers", args.workers, 1), ("--queue-size", args.queue_size, 1),
-        ("--batch-max", args.batch_max, 1),
-        ("--batch-window", args.batch_window, 0), ("--pace", args.pace, 0),
+        ("--workers", args.workers, 1), ("--batch-max", args.batch_max, 1),
     ):
         if value is not None and value < least:
             print(f"error: {flag} must be >= {least}: {value}",
@@ -513,59 +435,31 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"serving metrics on http://{host}:{port}/metrics",
               file=sys.stderr)
 
+    stopped: list[str] = []
+
     def _on_signal(signum, _frame):
-        raise _GracefulExit(signal.Signals(signum).name)
+        stopped.append(signal.Signals(signum).name)
 
     # Signal handlers only install on the main thread (embedders calling
-    # main() from a worker thread keep their own handling).  Async mode
-    # installs its own loop-scoped drain handlers instead.
+    # main() from a worker thread keep their own handling).
     restore: dict = {}
-    if (not args.async_mode
-            and threading.current_thread() is threading.main_thread()):
+    if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGTERM, signal.SIGINT):
             restore[signum] = signal.signal(signum, _on_signal)
 
-    outcomes = []
     try:
-        if args.async_mode:
-            outcomes, signame, enqueued = _serve_async(
-                service, ops,
-                pace=args.pace,
-                window=args.batch_window,
-                batch_max=args.batch_max,
-                queue_size=args.queue_size,
+        outcomes = _replay(service, ops, args.batch_max, stopped)
+        if stopped:
+            print(
+                f"received {stopped[0]} after {len(outcomes)}/{len(ops)} "
+                "operations: shutting down"
+                + (", flushing final snapshot" if service.wal is not None
+                   else ""),
+                file=sys.stderr,
             )
-            if signame is not None:
-                print(
-                    f"received {signame} after {enqueued}/{len(ops)} "
-                    f"operations accepted: drained {len(outcomes)} and "
-                    "shutting down"
-                    + (", flushing final snapshot" if service.wal is not None
-                       else ""),
-                    file=sys.stderr,
-                )
-        else:
-            for op in ops:
-                at = float(op.get("at", service.now))
-                if at < service.now:
-                    raise ValueError(
-                        f"operations must be time-ordered: "
-                        f"{at} < {service.now}"
-                    )
-                service.advance(at - service.now)
-                outcomes.append(_run_op(service, op))
     except (KeyError, ValueError) as exc:
         print(f"error: bad workload operation: {exc}", file=sys.stderr)
         return 2
-    except _GracefulExit as exc:
-        done = len(outcomes)
-        print(
-            f"received {exc.signame} after {done}/{len(ops)} operations: "
-            "shutting down"
-            + (", flushing final snapshot" if service.wal is not None
-               else ""),
-            file=sys.stderr,
-        )
     finally:
         service.close()  # final compacted snapshot when durable
         for signum, handler in restore.items():

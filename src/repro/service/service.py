@@ -79,7 +79,7 @@ from .metrics import ServiceMetrics
 from .residual_view import ChannelTable, ResidualView
 from .wal import LedgerWal, open_ledger
 
-__all__ = ["Grant", "SelectionService"]
+__all__ = ["FrontDoor", "Grant", "SelectionService"]
 
 logger = logging.getLogger("repro.service")
 
@@ -142,27 +142,161 @@ class ManualClock:
         return self.now
 
 
-def resolve_provider(provider, clock: Optional[Callable[[], float]] = None):
-    """``(provider, clock, manual_clock)`` for a service or router.
+class FrontDoor:
+    """What every placement backend does around placing a request: the
+    clock, the count, expiry and duplicate check that open a request or
+    (atomically) a batch, the span and SLO sample around a request, the
+    release kinds and the standing outcome of every application.
 
-    A bare :class:`TopologyGraph` becomes a static provider on a
-    hand-advanced :class:`ManualClock` (also returned as
-    ``manual_clock``, else ``None``); any other provider follows its
-    simulator, else wall time.  An explicit ``clock`` always wins.
+    A bare :class:`TopologyGraph` is served as a static provider on a
+    hand-advanced :class:`ManualClock`; any other provider follows its
+    simulator, else wall time; an explicit ``clock`` always wins.  A
+    backend (:class:`SelectionService`, the shard router) names its
+    request span (``_SPAN``) and supplies :meth:`_holds`, ``tick``,
+    ``renew``, ``check_invariants`` and its metrics.
     """
-    manual_clock = None
-    if isinstance(provider, TopologyGraph):
-        provider = _StaticProvider(provider)
+
+    #: The trace span each request runs in.
+    _SPAN = ""
+
+    def __init__(
+        self,
+        provider,
+        *,
+        lease_s: float,
+        clock: Optional[Callable[[], float]],
+        tracer,
+        registry: Optional[MetricsRegistry],
+    ) -> None:
+        if lease_s <= 0:
+            raise ValueError(f"lease_s must be positive: {lease_s}")
+        self._manual_clock: Optional[ManualClock] = None
+        if isinstance(provider, TopologyGraph):
+            provider = _StaticProvider(provider)
+            if clock is None:
+                clock = self._manual_clock = ManualClock()
         if clock is None:
-            clock = manual_clock = ManualClock()
-    if clock is None:
-        collector = getattr(provider, "collector", None)
-        if collector is not None:  # a RemosAPI
-            sim = collector.cluster.sim
-        else:  # a Cluster (oracle provider), if anything
-            sim = getattr(provider, "sim", None)
-        clock = (lambda: sim.now) if sim is not None else time.monotonic
-    return provider, clock, manual_clock
+            collector = getattr(provider, "collector", None)
+            if collector is not None:  # a RemosAPI
+                sim = collector.cluster.sim
+            else:  # a Cluster (oracle provider), if anything
+                sim = getattr(provider, "sim", None)
+            clock = (lambda: sim.now) if sim is not None else time.monotonic
+        self.provider = provider
+        self.clock = clock
+        self.lease_s = float(lease_s)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.metrics = ServiceMetrics(self.registry)
+        #: Admit latency and availability objectives (``metrics_snapshot``).
+        self.slo = SloMonitor(clock=clock)
+        #: Latest standing outcome per application (poll with :meth:`status`).
+        self.outcomes: dict[str, PlacementGrant] = {}
+        #: RecoveryReport when the ledgers were restored from a state dir.
+        self.recovery = None
+
+    # -- time -----------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        return self.clock()
+
+    def advance(self, dt: float) -> None:
+        """Advance the manual clock (static-provider mode only), then tick."""
+        if self._manual_clock is None:
+            raise RuntimeError(
+                "advance() only applies to the manual clock; this backend "
+                "follows its provider's simulator"
+            )
+        if dt < 0:
+            raise ValueError(f"dt cannot be negative: {dt}")
+        self._manual_clock.now += dt
+        self.tick()
+
+    def _catch_up(self, latest: float) -> None:
+        """Never restart behind recovered grants: a replayed lease was
+        granted at a simulated time a fresh manual clock has not reached."""
+        if self._manual_clock is not None and latest > self._manual_clock.now:
+            self._manual_clock.now = latest
+
+    # -- the way in -------------------------------------------------------------
+    def _holds(self, app_id: str) -> bool:
+        """Whether ``app_id`` has a live request (a lease or a queue slot)."""
+        raise NotImplementedError
+
+    def _open_request(self, app_id: str) -> None:
+        """Count one admission attempt, expire what lapsed, and refuse
+        an ``app_id`` that already has a live request."""
+        self.metrics.requests += 1
+        self.tick()
+        if self._holds(app_id):
+            raise ValueError(
+                f"application {app_id!r} already has a live request; "
+                "release() it first"
+            )
+
+    def _open_batch(self, requests: Sequence[BatchRequest]) -> list:
+        """:meth:`_open_request` for a whole batch, atomically: a
+        duplicate ``app_id`` in the batch or against a live request raises
+        ``ValueError`` before anything is counted or admitted."""
+        batch = list(iter_batch(requests))
+        if not batch:
+            return batch
+        self.tick()
+        for b in batch:
+            if self._holds(b.app_id):
+                raise ValueError(
+                    f"application {b.app_id!r} already has a live request; "
+                    "release() it first (no request from this batch was "
+                    "admitted)"
+                )
+        self.metrics.requests += len(batch)
+        self.metrics.batches += 1
+        self.metrics.batch_requests += len(batch)
+        return batch
+
+    def _serve(self, place: Callable, args: tuple, **attrs) -> PlacementGrant:
+        """``place(*args)`` as one request: inside its ``_SPAN`` span
+        (``attrs``, then the outcome) when tracing, and timed into the
+        SLO sample.  A queued request counts as available: it is parked,
+        not refused."""
+        t0 = perf_counter()
+        if not self.tracer.enabled:
+            grant = place(*args)
+        else:
+            with self.tracer.span(self._SPAN, **attrs) as span:
+                grant = place(*args)
+                span.set(**self._span_outcome(grant))
+        self.slo.observe_request(
+            perf_counter() - t0, ok=grant.status != Decision.REJECTED,
+        )
+        return grant
+
+    def _span_outcome(self, grant: PlacementGrant) -> dict:
+        """The attributes a request span closes with."""
+        return {"outcome": grant.status}
+
+    # -- releases and outcomes ----------------------------------------------------
+    def _release_status(self, kind: str) -> str:
+        """The outcome status of release ``kind`` (one of the ledger's
+        :data:`~repro.service.CAPACITY_RETURNING_KINDS`)."""
+        status = _STATUS_BY_RELEASE_KIND.get(kind)
+        if status is None:
+            raise ValueError(
+                f"unknown release kind {kind!r}; expected one of "
+                f"{sorted(_STATUS_BY_RELEASE_KIND)}"
+            )
+        return status
+
+    def _count_release(self, kind: str) -> None:
+        attr = _METRIC_BY_RELEASE_KIND[kind]
+        setattr(self.metrics, attr, getattr(self.metrics, attr) + 1)
+
+    def status(self, app_id: str) -> PlacementGrant:
+        """The standing outcome for ``app_id`` (admitted apps stay admitted)."""
+        try:
+            return self.outcomes[app_id]
+        except KeyError:
+            raise KeyError(f"unknown application {app_id!r}") from None
 
 
 def _untimed(_name: str, start: float, **_attrs) -> float:
@@ -170,7 +304,7 @@ def _untimed(_name: str, start: float, **_attrs) -> float:
     return start
 
 
-class SelectionService:
+class SelectionService(FrontDoor):
     """Admission-controlled node selection for concurrent applications.
 
     Parameters
@@ -226,6 +360,8 @@ class SelectionService:
         request, which admission drains once the grace elapses.
     """
 
+    _SPAN = "service.request"
+
     def __init__(
         self,
         provider,
@@ -243,22 +379,16 @@ class SelectionService:
         preempt: bool = False,
         preempt_grace_s: float = 0.0,
     ) -> None:
-        if lease_s <= 0:
-            raise ValueError(f"lease_s must be positive: {lease_s}")
         if preempt_grace_s < 0:
             raise ValueError(
                 f"preempt_grace_s cannot be negative: {preempt_grace_s}"
             )
-        provider, clock, self._manual_clock = resolve_provider(provider, clock)
-        self.provider = provider
-        self.clock = clock
-        self.lease_s = float(lease_s)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.registry = registry if registry is not None else MetricsRegistry()
+        super().__init__(
+            provider, lease_s=lease_s, clock=clock, tracer=tracer,
+            registry=registry,
+        )
         self.preempt = bool(preempt)
         self.preempt_grace_s = float(preempt_grace_s)
-        #: RecoveryReport when the ledger was restored from a state dir.
-        self.recovery = None
         self.wal: Optional[LedgerWal] = None
         if state_dir is not None:
             # Durability first: the WAL sees every mutation before any
@@ -271,16 +401,11 @@ class SelectionService:
         else:
             self.ledger = ReservationLedger(cpu_cap=cpu_cap)
         self.cache = SnapshotCache(
-            provider, ttl=snapshot_ttl, clock=clock, tracer=self.tracer
+            self.provider, ttl=snapshot_ttl, clock=self.clock,
+            tracer=self.tracer,
         )
         self.selector = NodeSelector(self.cache)
         self.queue = AdmissionQueue(queue_limit)
-        self.metrics = ServiceMetrics(self.registry)
-        #: Rolling-window health objectives (admit latency,
-        #: availability); evaluated into ``metrics_snapshot()["slo"]``.
-        self.slo = SloMonitor(clock=clock)
-        #: Latest standing outcome per application (poll with :meth:`status`).
-        self.outcomes: dict[str, Grant] = {}
         #: Nodes an attached injector reported crashed and not yet
         #: recovered.  Ground truth that outruns the monitor: the collector
         #: only notices a dead host after missed polls, but the service
@@ -329,14 +454,10 @@ class SelectionService:
                     reservation=r,
                     reason="recovered from WAL",
                 )
-            if self._manual_clock is not None and self.ledger.reservations:
-                # Never restart behind the recovered grants: replayed
-                # leases were granted at simulated times the fresh
-                # manual clock (t=0) has not reached yet.
-                self._manual_clock.now = max(
-                    r.granted_at
-                    for r in self.ledger.reservations.values()
-                )
+            self._catch_up(max(
+                (r.granted_at for r in self.ledger.reservations.values()),
+                default=0.0,
+            ))
             logger.info(
                 "recovered %d leases from WAL (%d records, snapshot seq "
                 "%d%s)",
@@ -471,23 +592,6 @@ class SelectionService:
                 )),
             )
 
-    # -- time -----------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.clock()
-
-    def advance(self, dt: float) -> None:
-        """Advance the manual clock (static-provider mode only)."""
-        if self._manual_clock is None:
-            raise RuntimeError(
-                "advance() only applies to the manual clock; this service "
-                "follows its provider's simulator"
-            )
-        if dt < 0:
-            raise ValueError(f"dt cannot be negative: {dt}")
-        self._manual_clock.now += dt
-        self.tick()
-
     # -- the request path -------------------------------------------------------
     def request(
         self,
@@ -511,37 +615,14 @@ class SelectionService:
         bottleneck edge on the residual view the decision ran against;
         for queued/rejected requests, the failing pipeline stage.
         """
-        tracer = self.tracer
-        t0 = perf_counter()
-        if not tracer.enabled:
-            grant = self._request_inner(
-                app_id, spec, cpu_fraction, bw_bps, priority, explain
-            )
-        else:
-            with tracer.span(
-                "service.request", app=app_id, m=spec.num_nodes,
-                priority=priority,
-            ) as span:
-                grant = self._request_inner(
-                    app_id, spec, cpu_fraction, bw_bps, priority, explain
-                )
-                span.set(outcome=grant.status)
-        # Queued counts as available: the request is parked, not refused.
-        self.slo.observe_request(
-            perf_counter() - t0, ok=grant.status != Decision.REJECTED,
+        return self._serve(
+            self._request_inner,
+            (app_id, spec, cpu_fraction, bw_bps, priority, explain),
+            app=app_id, m=spec.num_nodes, priority=priority,
         )
-        return grant
 
-    def _open_request(self, app_id: str) -> None:
-        """Count one admission attempt, expire what lapsed, and refuse
-        an ``app_id`` that already holds a lease or a queue slot."""
-        self.metrics.requests += 1
-        self.tick()
-        if app_id in self.ledger.reservations or app_id in self.queue:
-            raise ValueError(
-                f"application {app_id!r} already has a live request; "
-                "release() it first"
-            )
+    def _holds(self, app_id: str) -> bool:
+        return app_id in self.ledger.reservations or app_id in self.queue
 
     def _request_inner(
         self,
@@ -1027,20 +1108,7 @@ class SelectionService:
         tail never rolls back an already-admitted head (see DESIGN.md
         §15 for the non-guarantees).
         """
-        batch = list(iter_batch(requests))
-        if not batch:
-            return []
-        self.tick()
-        for b in batch:
-            if b.app_id in self.ledger.reservations or b.app_id in self.queue:
-                raise ValueError(
-                    f"application {b.app_id!r} already has a live request; "
-                    "release() it first (no request from this batch was "
-                    "admitted)"
-                )
-        self.metrics.requests += len(batch)
-        self.metrics.batches += 1
-        self.metrics.batch_requests += len(batch)
+        batch = self._open_batch(requests)
         now = self.now
         reqs = [
             SelectionRequest(
@@ -1200,12 +1268,7 @@ class SelectionService:
         of a dead client pass ``kind="evict"`` so the WAL and metrics
         say what actually happened.
         """
-        status = _STATUS_BY_RELEASE_KIND.get(kind)
-        if status is None:
-            raise ValueError(
-                f"unknown release kind {kind!r}; expected one of "
-                f"{sorted(_STATUS_BY_RELEASE_KIND)}"
-            )
+        status = self._release_status(kind)
         if self.queue.remove(app_id) is not None:
             grant = Grant(app_id=app_id, status=Decision.RELEASED,
                           reason="withdrawn from queue")
@@ -1213,8 +1276,7 @@ class SelectionService:
         else:
             self.ledger.release(app_id, kind=kind)  # KeyError when unknown
             grant = Grant(app_id=app_id, status=status)
-            attr = _METRIC_BY_RELEASE_KIND[kind]
-            setattr(self.metrics, attr, getattr(self.metrics, attr) + 1)
+            self._count_release(kind)
         self._preempt_pending.pop(app_id, None)
         self.outcomes[app_id] = grant
         self._drain_queue()
@@ -1465,13 +1527,6 @@ class SelectionService:
         return True
 
     # -- introspection --------------------------------------------------------------
-    def status(self, app_id: str) -> Grant:
-        """The standing outcome for ``app_id`` (admitted apps stay admitted)."""
-        try:
-            return self.outcomes[app_id]
-        except KeyError:
-            raise KeyError(f"unknown application {app_id!r}") from None
-
     def active_apps(self) -> list[str]:
         """Applications currently holding a lease, sorted."""
         return sorted(self.ledger.reservations)

@@ -5,8 +5,8 @@
 :class:`~repro.service.SelectionService` per shard (each with its own
 shard-local snapshot cache, residual view, and epoch — the global
 residual sweep the ROADMAP names as the scale wall simply no longer
-exists), and fronts them with one request API shaped like the single
-service's.
+exists), behind the single service's front door
+(:class:`~repro.service.service.FrontDoor`).
 
 Routing:
 
@@ -69,20 +69,12 @@ from typing import Iterable, Optional, Sequence
 from ...core.spec import ApplicationSpec
 from ...core.types import Selection
 from ...obs.metrics import MetricsFederation, MetricsRegistry
-from ...obs.slo import SloMonitor
-from ...obs.trace import NULL_TRACER
 from ...topology.graph import TopologyGraph
 from ..admission import Decision, Priority, plain_spec
-from ..api import BatchRequest, PlacementGrant, iter_batch
+from ..api import BatchRequest, PlacementGrant
 from ..cache import RouteCache, SnapshotCache
 from ..ledger import LedgerError, ReservationLedger, ledger_order
-from ..metrics import ServiceMetrics
-from ..service import (
-    _METRIC_BY_RELEASE_KIND,
-    _STATUS_BY_RELEASE_KIND,
-    SelectionService,
-    resolve_provider,
-)
+from ..service import FrontDoor, SelectionService
 from ..wal import RecoveryReport, open_ledger
 from .partition import ShardPlan, partition_topology
 from .workers import (
@@ -106,14 +98,21 @@ class _CommitAbort(Exception):
 
 
 class _ShardProvider:
-    """One shard's topology source: the router's snapshot, restricted."""
+    """One shard's topology source: the router's snapshot, restricted.
+    A router snapshot is cut once, so the shard's cache sees a new graph
+    only when the router holds a new snapshot."""
 
     def __init__(self, snapshots: SnapshotCache, members: frozenset) -> None:
         self._snapshots = snapshots
         self._members = members
+        self._full: Optional[TopologyGraph] = None
+        self._cut: Optional[TopologyGraph] = None
 
     def topology(self) -> TopologyGraph:
-        return self._snapshots.topology().subgraph(self._members)
+        full = self._snapshots.topology()
+        if full is not self._full:
+            self._full, self._cut = full, full.subgraph(self._members)
+        return self._cut
 
 
 class _TrunkRoutes(RouteCache):
@@ -136,7 +135,7 @@ class _TrunkRoutes(RouteCache):
         )
 
 
-class ShardRouter:
+class ShardRouter(FrontDoor):
     """One :class:`SelectionService` per shard behind a single request API.
 
     Parameters
@@ -184,6 +183,8 @@ class ShardRouter:
     shard's queue while another has capacity.
     """
 
+    _SPAN = "router.request"
+
     def __init__(
         self,
         provider,
@@ -218,19 +219,15 @@ class ShardRouter:
                 f"workers={workers!r} needs executor=\"process\": the "
                 "in-process executor has no workers to count"
             )
-        provider, clock, self._manual_clock = resolve_provider(provider, clock)
-        self.provider = provider
-        self.clock = clock
-        self.lease_s = float(lease_s)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.registry = registry if registry is not None else MetricsRegistry()
+        super().__init__(
+            provider, lease_s=lease_s, clock=clock, tracer=tracer,
+            registry=registry,
+        )
         #: Merges worker/shard registries into :attr:`registry` under a
         #: ``shard=`` label, keeping counters monotone across worker
         #: restarts (DESIGN.md §17).
         self._federation = MetricsFederation(self.registry)
-        #: Rolling-window health objectives; fed by the request path and
-        #: worker-restart sweeps, surfaced via ``metrics_snapshot()``.
-        self.slo = SloMonitor(clock=self.clock)
+        #: Worker restarts already fed to the SLO monitor.
         self._slo_restarts_seen = 0
         self.executor = executor
         #: The worker pool: ``_exec`` again when that is one, else
@@ -242,7 +239,7 @@ class ShardRouter:
         #: The router's one snapshot cache over the provider: every
         #: shard is cut from it (:class:`_ShardProvider`) and the trunk
         #: reads availability from it, so a period costs one sweep.
-        self._snapshots = SnapshotCache(provider, snapshot_ttl, self.clock)
+        self._snapshots = SnapshotCache(self.provider, snapshot_ttl, self.clock)
         #: The first snapshot, for structure only (the plan, trunk
         #: routes, link capacities), which never changes in a deployment.
         self._full = self._snapshots.topology()
@@ -261,14 +258,12 @@ class ShardRouter:
         self._order_key = [(0.0, shard) for shard in range(plan.k)]
         #: Full-graph route memo that keeps trunk channels only.
         self.routes = _TrunkRoutes(self._full, plan.shard_of)
-        self.metrics = ServiceMetrics(self.registry)
-        #: Latest standing outcome per application.
-        self.outcomes: dict[str, PlacementGrant] = {}
         #: Admitted composites still holding capacity.
         self._active: dict[str, PlacementGrant] = {}
-        self.recovery: Optional[RecoveryReport] = None
         self._build_shards(workers, state_dir, {
-            "snapshot_ttl": snapshot_ttl,
+            # The router's TTL is the only one: a shard re-reads the
+            # router's snapshot on every request.
+            "snapshot_ttl": 0.0,
             "cpu_cap": cpu_cap,
             "queue_limit": 0,
             "wal_fsync": bool(wal_fsync),
@@ -410,10 +405,7 @@ class ShardRouter:
         for app_id in sorted(trunk.keys() - self._active.keys()):
             logger.warning("evicting the trunk record of %r", app_id)
             self.trunk.release(app_id, kind="evict")
-        if self._manual_clock is not None and latest > self._manual_clock.now:
-            # Never restart behind the recovered grants (mirrors the
-            # single service's manual-clock fast-forward).
-            self._manual_clock.now = latest
+        self._catch_up(latest)
         reports = [*self._exec.recoveries.values(), self.trunk.recovery]
         reports = [r for r in reports if r is not None]
         self.recovery = RecoveryReport(
@@ -535,22 +527,6 @@ class ShardRouter:
                 self._federation.ingest(shard, payload)
 
     # -- time ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.clock()
-
-    def advance(self, dt: float) -> None:
-        """Advance the manual clock (static-provider mode only)."""
-        if self._manual_clock is None:
-            raise RuntimeError(
-                "advance() only applies to the manual clock; this router "
-                "follows its provider's simulator"
-            )
-        if dt < 0:
-            raise ValueError(f"dt cannot be negative: {dt}")
-        self._manual_clock.now += dt
-        self.tick()
-
     def tick(self) -> list[str]:
         """Expire lapsed leases in every shard + the trunk; returns the
         composite apps whose grants lapsed."""
@@ -645,34 +621,23 @@ class ShardRouter:
         """
         if spread < 1:
             raise ValueError(f"spread must be >= 1: {spread}")
-        self.metrics.requests += 1
-        self.tick()
-        if app_id in self._active:
-            raise ValueError(
-                f"application {app_id!r} already has a live request; "
-                "release() it first"
-            )
+        # The tick stays outside the span and the SLO sample.
+        self._open_request(app_id)
         spread = min(int(spread), self.plan.k)
-        tracer = self.tracer
-        t0 = perf_counter()
-        if not tracer.enabled:
-            grant = self._request_inner(
-                app_id, spec, cpu_fraction, bw_bps, priority, spread
-            )
-        else:
-            with tracer.span(
-                "router.request", app=app_id, m=spec.num_nodes,
-                priority=priority, spread=spread,
-            ) as span:
-                grant = self._request_inner(
-                    app_id, spec, cpu_fraction, bw_bps, priority, spread
-                )
-                span.set(
-                    outcome=grant.status,
-                    shards=",".join(str(s) for s in grant.shards),
-                )
-        self.slo.observe_request(perf_counter() - t0, ok=grant.admitted)
-        return grant
+        return self._serve(
+            self._request_inner,
+            (app_id, spec, cpu_fraction, bw_bps, priority, spread),
+            app=app_id, m=spec.num_nodes, priority=priority, spread=spread,
+        )
+
+    def _holds(self, app_id: str) -> bool:
+        return app_id in self._active
+
+    def _span_outcome(self, grant: PlacementGrant) -> dict:
+        return {
+            "outcome": grant.status,
+            "shards": ",".join(str(s) for s in grant.shards),
+        }
 
     def _shard_order(self) -> list[int]:
         """Shards by load headroom: least-loaded (per host) first, by
@@ -771,20 +736,7 @@ class ShardRouter:
         are bit-identical between them.  A worker that dies mid-batch
         has its sub-batch moved on to the next shard.
         """
-        batch = list(iter_batch(requests))
-        if not batch:
-            return []
-        self.tick()
-        for b in batch:
-            if b.app_id in self._active:
-                raise ValueError(
-                    f"application {b.app_id!r} already has a live request; "
-                    "release() it first (no request from this batch was "
-                    "admitted)"
-                )
-        self.metrics.requests += len(batch)
-        self.metrics.batches += 1
-        self.metrics.batch_requests += len(batch)
+        batch = self._open_batch(requests)
         grants: dict[str, PlacementGrant] = {}
         pending = list(batch)
         for shard in self._shard_order():
@@ -1033,12 +985,7 @@ class ShardRouter:
         (``release``/``expire``/``evict``/``preempt``), exactly as on
         :meth:`SelectionService.release`.
         """
-        status = _STATUS_BY_RELEASE_KIND.get(kind)
-        if status is None:
-            raise ValueError(
-                f"unknown release kind {kind!r}; expected one of "
-                f"{sorted(_STATUS_BY_RELEASE_KIND)}"
-            )
+        status = self._release_status(kind)
         grant = self._active.get(app_id)
         if grant is None:
             raise KeyError(f"no live grant for {app_id!r}")
@@ -1048,8 +995,7 @@ class ShardRouter:
         if app_id in self.trunk.reservations:
             self.trunk.release(app_id, kind=kind)
         del self._active[app_id]
-        attr = _METRIC_BY_RELEASE_KIND[kind]
-        setattr(self.metrics, attr, getattr(self.metrics, attr) + 1)
+        self._count_release(kind)
         out = PlacementGrant(
             app_id=app_id, status=status, shards=grant.shards,
         )
@@ -1087,13 +1033,6 @@ class ShardRouter:
     @property
     def k(self) -> int:
         return self.plan.k
-
-    def status(self, app_id: str) -> PlacementGrant:
-        """The standing outcome for ``app_id``."""
-        try:
-            return self.outcomes[app_id]
-        except KeyError:
-            raise KeyError(f"unknown application {app_id!r}") from None
 
     def active_apps(self) -> list[str]:
         return sorted(self._active)

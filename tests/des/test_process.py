@@ -1,8 +1,8 @@
-"""Unit tests for DES processes: lifecycle, interrupts, waiting."""
+"""Unit tests for DES processes: lifecycle and waiting."""
 
 import pytest
 
-from repro.des import Interrupt, Simulator
+from repro.des import Simulator
 
 
 @pytest.fixture
@@ -102,108 +102,6 @@ class TestLifecycle:
             sim.process(worker(sim, i))
         sim.run()
         assert log == list(range(50))
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
-        def victim(sim):
-            try:
-                yield sim.timeout(100)
-            except Interrupt as i:
-                return ("interrupted", i.cause, sim.now)
-
-        def attacker(sim, v):
-            yield sim.timeout(5)
-            v.interrupt("stop it")
-
-        v = sim.process(victim(sim))
-        sim.process(attacker(sim, v))
-        sim.run()
-        assert v.value == ("interrupted", "stop it", 5.0)
-
-    def test_interrupted_process_can_continue(self, sim):
-        def victim(sim):
-            try:
-                yield sim.timeout(100)
-            except Interrupt:
-                pass
-            yield sim.timeout(10)
-            return sim.now
-
-        def attacker(sim, v):
-            yield sim.timeout(5)
-            v.interrupt()
-
-        v = sim.process(victim(sim))
-        sim.process(attacker(sim, v))
-        sim.run()
-        assert v.value == 15.0
-
-    def test_interrupt_finished_process_raises(self, sim):
-        def quick(sim):
-            yield sim.timeout(1)
-
-        p = sim.process(quick(sim))
-        sim.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_unhandled_interrupt_kills_process(self, sim):
-        def victim(sim):
-            yield sim.timeout(100)
-
-        def attacker(sim, v):
-            yield sim.timeout(1)
-            v.interrupt("die")
-
-        v = sim.process(victim(sim))
-        sim.process(attacker(sim, v))
-        with pytest.raises(Interrupt):
-            sim.run()
-
-    def test_original_target_still_fires_after_interrupt(self, sim):
-        """Interrupting must not cancel the awaited timeout itself."""
-        fired = []
-
-        def victim(sim, t):
-            try:
-                yield t
-            except Interrupt:
-                return "out"
-
-        def attacker(sim, v):
-            yield sim.timeout(1)
-            v.interrupt()
-
-        t = sim.timeout(50)
-        t.callbacks.append(lambda e: fired.append(sim.now))
-        v = sim.process(victim(sim, t))
-        sim.process(attacker(sim, v))
-        sim.run()
-        assert v.value == "out"
-        assert fired == [50.0]
-
-    def test_double_interrupt(self, sim):
-        causes = []
-
-        def victim(sim):
-            for _ in range(2):
-                try:
-                    yield sim.timeout(100)
-                except Interrupt as i:
-                    causes.append(i.cause)
-            return causes
-
-        def attacker(sim, v):
-            yield sim.timeout(1)
-            v.interrupt("first")
-            yield sim.timeout(1)
-            v.interrupt("second")
-
-        v = sim.process(victim(sim))
-        sim.process(attacker(sim, v))
-        sim.run()
-        assert v.value == ["first", "second"]
 
 
 class TestActiveProcess:

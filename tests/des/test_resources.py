@@ -1,154 +1,13 @@
-"""Unit tests for Resource / Container / Store."""
+"""Unit tests for Store."""
 
 import pytest
 
-from repro.des import Container, Resource, Simulator, Store
+from repro.des import Simulator, Store
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestResource:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_grant_within_capacity_is_immediate(self, sim):
-        res = Resource(sim, capacity=2)
-        r1, r2 = res.request(), res.request()
-        assert r1.triggered and r2.triggered
-        assert res.count == 2
-
-    def test_queue_beyond_capacity(self, sim):
-        res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        assert r1.triggered and not r2.triggered
-        assert res.queue_length == 1
-        res.release(r1)
-        assert r2.triggered
-
-    def test_fifo_order(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def user(sim, res, i, hold):
-            with res.request() as req:
-                yield req
-                order.append(i)
-                yield sim.timeout(hold)
-
-        for i in range(5):
-            sim.process(user(sim, res, i, hold=1.0))
-        sim.run()
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_context_manager_releases(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def user(sim, res):
-            with res.request() as req:
-                yield req
-                yield sim.timeout(1)
-
-        sim.process(user(sim, res))
-        sim.run()
-        assert res.count == 0
-
-    def test_cancel_waiting_request(self, sim):
-        res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        r2.cancel()
-        res.release(r1)
-        assert not r2.triggered
-        assert res.count == 0
-
-    def test_double_release_is_noop(self, sim):
-        res = Resource(sim, capacity=1)
-        r = res.request()
-        res.release(r)
-        res.release(r)
-        assert res.count == 0
-
-    def test_utilization_pattern(self, sim):
-        """Three 2-second jobs on a 1-slot resource finish at 2, 4, 6."""
-        res = Resource(sim, capacity=1)
-        ends = []
-
-        def job(sim, res):
-            with res.request() as req:
-                yield req
-                yield sim.timeout(2.0)
-                ends.append(sim.now)
-
-        for _ in range(3):
-            sim.process(job(sim, res))
-        sim.run()
-        assert ends == [2.0, 4.0, 6.0]
-
-
-class TestContainer:
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, capacity=0)
-        with pytest.raises(ValueError):
-            Container(sim, capacity=1, init=2)
-        c = Container(sim, capacity=10, init=3)
-        with pytest.raises(ValueError):
-            c.put(0)
-        with pytest.raises(ValueError):
-            c.get(-1)
-
-    def test_get_blocks_until_put(self, sim):
-        c = Container(sim, capacity=100)
-        got = []
-
-        def getter(sim, c):
-            yield c.get(5)
-            got.append(sim.now)
-
-        def putter(sim, c):
-            yield sim.timeout(3)
-            yield c.put(5)
-
-        sim.process(getter(sim, c))
-        sim.process(putter(sim, c))
-        sim.run()
-        assert got == [3.0]
-        assert c.level == 0
-
-    def test_put_blocks_at_capacity(self, sim):
-        c = Container(sim, capacity=10, init=8)
-        done = []
-
-        def putter(sim, c):
-            yield c.put(5)  # needs 3 units drained first
-            done.append(sim.now)
-
-        def getter(sim, c):
-            yield sim.timeout(2)
-            yield c.get(3)
-
-        sim.process(putter(sim, c))
-        sim.process(getter(sim, c))
-        sim.run()
-        assert done == [2.0]
-        assert c.level == 10
-
-    def test_level_tracks_net_flow(self, sim):
-        c = Container(sim, capacity=100, init=50)
-
-        def proc(sim, c):
-            yield c.put(10)
-            yield c.get(30)
-            yield c.put(5)
-
-        sim.process(proc(sim, c))
-        sim.run()
-        assert c.level == 35
 
 
 class TestStore:

@@ -116,3 +116,12 @@ class TestDeterminism:
             return trace
 
         assert build() == build()
+
+    def test_same_time_events_fire_in_schedule_order(self):
+        sim = Simulator()
+        order = []
+        for i in range(5):
+            sim.call_in(1.0, lambda i=i: order.append(i))
+        sim.call_in(0.5, lambda: order.append("early"))
+        sim.run()
+        assert order == ["early", 0, 1, 2, 3, 4]

@@ -182,4 +182,6 @@ class TestSnapshotCache:
         assert (cache.epoch, cache.misses) == before
         assert cache.age == pytest.approx(6.0)  # still the first snapshot's
         assert cache.topology() is first  # the static graph, swept again
-        assert cache.epoch == before[0] + 1 and cache.age == 0.0
+        # ...which is no new snapshot: the sweep counts, the epoch stays.
+        assert cache.misses == before[1] + 1 and cache.age == 0.0
+        assert cache.epoch == before[0]

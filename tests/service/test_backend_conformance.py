@@ -11,6 +11,8 @@ one) fails loudly in one place.
 import pytest
 
 from repro.core.spec import ApplicationSpec
+from repro.des import Simulator
+from repro.network import Cluster
 from repro.service import (
     BatchRequest,
     Decision,
@@ -139,6 +141,21 @@ class TestLeaseClock:
         else:
             backend.clock.now += 11.0
         assert backend.tick() == ["a"]
+
+
+@pytest.mark.parametrize("make", [SelectionService, ShardRouter],
+                         ids=["service", "router-inproc"])
+def test_advance_refused_on_a_provider_clock(make):
+    """A backend whose clock comes from its provider's simulator has no
+    manual clock to advance."""
+    sim = Simulator()
+    backend = make(Cluster(sim, _graph()))
+    try:
+        with pytest.raises(RuntimeError, match="manual clock"):
+            backend.advance(1.0)
+        assert backend.now == sim.now
+    finally:
+        backend.close()
 
 
 class TestBatch:

@@ -18,7 +18,7 @@ from repro.faults import FaultInjector, LinkFlap, NodeCrash
 from repro.network import Cluster
 from repro.obs import MetricsRegistry, Tracer, validate_exposition
 from repro.remos import Collector, RemosAPI
-from repro.service import SelectionService
+from repro.service import SelectionService, ShardRouter
 from repro.topology import dumbbell, star
 from repro.units import Mbps
 
@@ -69,6 +69,29 @@ class TestRequestTracing:
         )
         assert admit["attrs"]["outcome"] == "infeasible"
         assert "reason" in admit["attrs"]
+
+    def test_request_span_attributes(self):
+        """Each backend's request span opens with its own name and
+        attributes and closes with the outcome (the router adds its
+        shards)."""
+        tracer = Tracer()
+        service = SelectionService(dumbbell(4, 4), tracer=tracer)
+        service.request("a", spec(2), cpu_fraction=0.2, priority="gold")
+        router = ShardRouter(dumbbell(4, 4), shards=2, tracer=tracer)
+        router.request("b", spec(2), cpu_fraction=0.2, spread=5)
+        router.request("c", spec(99))
+        roots = [(s["name"], s["attrs"]) for s in tracer.spans
+                 if s["parent"] is None]
+        assert roots == [
+            ("service.request", {"app": "a", "m": 2, "priority": "gold",
+                                 "outcome": "admitted"}),
+            ("router.request", {"app": "b", "m": 2, "priority": "silver",
+                                "spread": 2, "outcome": "admitted",
+                                "shards": "0,1"}),
+            ("router.request", {"app": "c", "m": 99, "priority": "silver",
+                                "spread": 1, "outcome": "rejected",
+                                "shards": ""}),
+        ]
 
     def test_untraced_service_stays_silent(self):
         service = SelectionService(dumbbell(2, 2))

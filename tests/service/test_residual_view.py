@@ -8,6 +8,8 @@ heap-driven lazy-deletion expiry, the residual-epoch drain gate, and the per-sta
 latency timers surfaced by ``ServiceMetrics``.
 """
 
+import json
+
 import pytest
 
 from repro.core import ApplicationSpec
@@ -28,8 +30,9 @@ from repro.service import (
     ShardRouter,
 )
 from repro.service.admission import SelectionRequest
+from repro.service.cli import main as serve_main
 from repro.service.ledger import ledger_order
-from repro.topology import dumbbell, grid, star
+from repro.topology import dumbbell, grid, star, to_json, two_campus
 from repro.topology.graph import MAXBW_SLACK
 from repro.topology.residual import residual_graph
 from repro.units import Mbps
@@ -301,8 +304,9 @@ class TestEpochMemoization:
         service.check_invariants()
 
     def test_view_rebuilt_when_snapshot_epoch_moves(self):
-        """No delta to go by (a static graph publishes none), an
-        invalidation, a change of the known-down set: rebuilt."""
+        """An invalidation or a change of the known-down set: rebuilt.
+        A TTL lapse that sweeps the same static graph again is no new
+        snapshot, so the overlay stands."""
         service = SelectionService(dumbbell(4, 4), snapshot_ttl=5.0)
         service.request("a", spec(2), cpu_fraction=0.2)
         first = service.view
@@ -313,9 +317,9 @@ class TestEpochMemoization:
         service.request("c", spec(2), cpu_fraction=0.2)
         assert service.view is not first  # epoch moved: rebuilt
         assert service.metrics.view_rebuilds == 2
-        service.advance(6.0)  # TTL lapse on a provider without deltas
+        service.advance(6.0)  # TTL lapse: the static graph comes back
         service.request("d", spec(2), cpu_fraction=0.2)
-        assert service.metrics.view_rebuilds == 3
+        assert service.metrics.view_rebuilds == 2  # no new snapshot
         service.check_invariants()
 
         sim, cluster, api, measured = self._measured_service()
@@ -495,6 +499,65 @@ class TestEpochMemoization:
         # after the first is answered from the per-view selection memo.
         assert service.metrics.select_memo_hits == 3
         service.check_invariants()
+
+
+class TestSameSnapshot:
+    """A provider that answers the graph the cache holds gives no new
+    snapshot: no epoch, no view rebuild.  A router's shards read its
+    snapshot through one TTL, the router's."""
+
+    def test_service_on_a_static_graph_builds_one_view(self):
+        service = SelectionService(star(8), snapshot_ttl=5)
+        for i in range(6):  # 3 s apart: a TTL lapse every other request
+            service.advance(3.0 if i else 0.0)
+            service.request(f"a{i}", spec(1), cpu_fraction=0.1)
+        assert service.cache.misses == 3
+        assert service.metrics.view_rebuilds == 1
+        service.check_invariants()
+
+    def test_serve_demo_builds_one_view(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text(to_json(two_campus(6, 6)))
+        assert serve_main([str(topo), "--demo", "50",
+                           "--format", "json"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics["view_rebuilds"] == 1
+
+    def test_router_builds_one_view_per_shard(self):
+        router = ShardRouter(two_campus(4, 4), shards=2, snapshot_ttl=5)
+        for i in range(12):
+            router.advance(3.0 if i else 0.0)
+            router.request(f"a{i}", spec(1), cpu_fraction=0.05)
+        assert {s.metrics.view_rebuilds for s in router.services} == {1}
+        router.check_invariants()
+
+    def test_a_shard_reads_no_router_snapshot_older_than_the_ttl(self):
+        ttl = 5.0
+
+        class Stamped:
+            """A fresh graph per sweep, every node stamped with when."""
+
+            def __init__(self, graph):
+                self.graph, self.now = graph, 0.0
+
+            def topology(self):
+                g = self.graph.copy()
+                for node in g.nodes():
+                    node.attrs["swept_at"] = self.now
+                return g
+
+        provider = Stamped(two_campus(4, 4))
+        router = ShardRouter(provider, shards=2, snapshot_ttl=ttl,
+                             clock=lambda: provider.now, lease_s=1e9)
+        for i in range(16):
+            provider.now = 2.0 * i
+            grant = router.request(f"a{i}", spec(1), cpu_fraction=0.05)
+            (shard,) = grant.shards
+            held = router.services[shard].cache.held
+            swept_at = {n.attrs["swept_at"] for n in held.nodes()}
+            assert len(swept_at) == 1
+            assert provider.now - swept_at.pop() <= ttl
+        router.check_invariants()
 
 
 class TestHeapExpiry:

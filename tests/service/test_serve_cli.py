@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.service import SelectionService
 from repro.service.cli import build_parser, main
 from repro.topology import dumbbell, to_json
 
@@ -140,12 +141,11 @@ class TestWorkloadFile:
 
 class TestErrors:
     @pytest.mark.parametrize("flag, value", [
-        ("--queue-size", "0"), ("--batch-max", "0"),
-        ("--batch-window", "-0.1"), ("--pace", "-1"), ("--workers", "0"),
+        ("--batch-max", "0"), ("--workers", "0"),
     ])
     def test_out_of_range_flag_returns_2(self, topo_file, capsys, flag,
                                          value):
-        args = [topo_file, "--demo", "2", "--async", flag, value]
+        args = [topo_file, "--demo", "2", flag, value]
         if flag == "--workers":
             args += ["--shards", "2"]
         assert main(args) == 2
@@ -341,21 +341,27 @@ class TestDurability:
             record = real_run_op(service, op)
             calls["n"] += 1
             if calls["n"] == 2:
-                # Delivered synchronously on the main thread: the
-                # handler raises _GracefulExit inside the workload loop.
+                # Delivered synchronously on the main thread, after the
+                # second op's grant hit the WAL and before its outcome
+                # is recorded: the handler only notes the signal.
                 os.kill(os.getpid(), signal.SIGTERM)
             return record
 
         monkeypatch.setattr(cli_mod, "_run_op", run_then_term)
-        assert main([topo_file, "--requests", workload,
-                     "--lease", "1000", "--state-dir", state]) == 0
-        err = capsys.readouterr().err
-        # The signal lands inside the second op — after its grant hit
-        # the WAL, before its outcome was recorded: 1 outcome, 2 leases.
-        assert "received SIGTERM after 1/5 operations" in err
-        assert "flushing final snapshot" in err
+        assert main([topo_file, "--requests", workload, "--lease", "1000",
+                     "--state-dir", state, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        # The op the signal lands in finishes and is reported; the rest
+        # are skipped.
+        assert "received SIGTERM after 2/5 operations" in captured.err
+        assert "flushing final snapshot" in captured.err
+        reported = {rec["app"] for rec in json.loads(captured.out)["outcomes"]}
+        # Every lease a restart recovers had its outcome reported.
+        restarted = SelectionService(dumbbell(4, 4), state_dir=state)
+        recovered = set(restarted.ledger.reservations)
+        restarted.close()
+        assert recovered == {"app0", "app1"} and recovered <= reported
         monkeypatch.setattr(cli_mod, "_run_op", real_run_op)
-        capsys.readouterr()
         assert main([topo_file, "--demo", "0", "--state-dir", state]) == 0
         assert "recovered 2 leases from WAL" in capsys.readouterr().err
 
@@ -454,19 +460,46 @@ class TestSharded:
         assert payload["outcomes"][0]["status"] == "released"
 
 
-class TestAsyncServe:
-    def test_async_demo_coalesces_batches(self, topo_file, capsys):
+class TestBatchMax:
+    def test_demo_coalesces_batches(self, topo_file, capsys):
         assert main([
-            topo_file, "--demo", "12", "--async", "--batch-max", "4",
+            topo_file, "--demo", "12", "--batch-max", "4",
             "--cpu", "0.1", "--format", "json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["outcomes"]) == 12
         assert payload["metrics"]["batches"] == 3
         assert payload["metrics"]["batch_requests"] == 12
+        # Each batch runs at its last op's time.
+        assert [o["at"] for o in payload["outcomes"][:4]] == [3.0] * 4
 
-    def test_async_mixed_workload_keeps_arrival_order(self, topo_file,
-                                                      tmp_path, capsys):
+    def test_steps_cut_runs_at_other_ops_and_spread(self):
+        from repro.service.cli import _steps
+
+        def req(app, **kw):
+            return {"op": "request", "app": app, **kw}
+
+        ops = [req("a", at=0), req("b", at=1), {"op": "tick", "at": 1},
+               req("c", at=2, spread=2), req("d", at=3), req("e"),
+               req("f", at=4), req("g", at=4)]
+        service = SelectionService(dumbbell(2, 2))
+        steps = [(at, [o["app"] for o in step] if isinstance(step, list)
+                  else step.get("app", step["op"]))
+                 for at, step in _steps(service, ops, 3)]
+        assert steps == [
+            (1.0, ["a", "b"]), (1.0, "tick"), (2.0, "c"),
+            (4.0, ["d", "e", "f"]), (4.0, ["g"]),
+        ]
+        assert [step for _, step in _steps(service, ops, 1)] == ops
+
+    def test_default_is_serial(self, topo_file, capsys):
+        assert main([topo_file, "--demo", "4", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["metrics"]["batches"] == 0
+        assert [o["at"] for o in payload["outcomes"]] == [0.0, 1.0, 2.0, 3.0]
+
+    def test_mixed_workload_keeps_file_order(self, topo_file, tmp_path,
+                                             capsys):
         workload = write_workload(tmp_path, [
             {"op": "request", "app": "a", "at": 0, "nodes": 2, "cpu": 0.3},
             {"op": "request", "app": "b", "at": 0, "nodes": 2, "cpu": 0.3},
@@ -475,63 +508,87 @@ class TestAsyncServe:
             {"op": "release", "app": "b", "at": 7},
         ])
         assert main([
-            topo_file, "--requests", workload, "--async",
+            topo_file, "--requests", workload, "--batch-max", "32",
             "--format", "json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         records = [(o["op"], o.get("app")) for o in payload["outcomes"]]
         # The renew flushes the open {a, b} batch before running, so
-        # every operation settles in arrival order.
+        # every operation settles in file order.
         assert records == [
             ("request", "a"), ("request", "b"), ("renew", "a"),
             ("request", "c"), ("release", "b"),
         ]
         assert payload["outcomes"][2]["expires_at"] == pytest.approx(65.0)
+        assert payload["metrics"]["batches"] == 2
 
-    def test_async_sharded_workload(self, topo_file, capsys):
+    def test_out_of_order_ops_rejected(self, topo_file, tmp_path, capsys):
+        workload = write_workload(tmp_path, [
+            {"op": "request", "app": "a", "at": 5, "nodes": 1},
+            {"op": "request", "app": "b", "at": 1, "nodes": 1},
+        ])
+        assert main([topo_file, "--requests", workload,
+                     "--batch-max", "4"]) == 2
+        assert "time-ordered" in capsys.readouterr().err
+
+    def test_sharded_workload(self, topo_file, capsys):
         assert main([
-            topo_file, "--demo", "6", "--async", "--shards", "2",
+            topo_file, "--demo", "6", "--batch-max", "4", "--shards", "2",
             "--cpu", "0.2", "--format", "json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["outcomes"]) == 6
-        assert payload["metrics"]["batches"] >= 1
+        assert payload["metrics"]["batches"] == 2
 
     @pytest.mark.parametrize("sharded", [[], ["--shards", "2"]])
-    def test_async_batches_of_one_match_the_serial_outcomes(
-            self, topo_file, capsys, sharded):
-        """Serial and async runs parse a request op and record its grant
-        through the same two functions, so the outcomes are equal."""
-        argv = [topo_file, "--demo", "20", "--nodes", "3", "--cpu", "0.4",
+    def test_batches_of_one_match_the_serial_outcomes(
+            self, topo_file, tmp_path, capsys, sharded):
+        """A tick between every two requests cuts every batch to one
+        request, which admits exactly as a serial request does."""
+        ops = []
+        for i in range(20):
+            ops.append({"op": "request", "app": f"app-{i:02d}", "at": i,
+                        "nodes": 3, "cpu": 0.4})
+            ops.append({"op": "tick", "at": i})
+        argv = [topo_file, "--requests", write_workload(tmp_path, ops),
                 "--format", "json", *sharded]
         assert main(argv) == 0
         serial = json.loads(capsys.readouterr().out)["outcomes"]
-        assert main([*argv, "--async", "--batch-max", "1"]) == 0
-        batched = json.loads(capsys.readouterr().out)["outcomes"]
-        assert len(serial) == 20 and batched == serial
-        assert {"admitted"} < {o["status"] for o in serial}
+        assert main([*argv, "--batch-max", "8"]) == 0
+        batched = json.loads(capsys.readouterr().out)
+        assert len(serial) == 40 and batched["outcomes"] == serial
+        assert batched["metrics"]["batches"] == 20
+        assert {"admitted"} < {
+            o["status"] for o in serial if o["op"] == "request"
+        }
 
-    def test_async_sigterm_drains_accepted_work(self, topo_file):
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.service.cli", topo_file,
-                "--demo", "60", "--async", "--pace", "0.2",
-                "--cpu", "0.05", "--format", "json",
-            ],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": "src"},
-        )
-        try:
-            time.sleep(2.5)
-            proc.send_signal(signal.SIGTERM)
-            out, err = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-        assert proc.returncode == 0
-        assert "drained" in err and "shutting down" in err
-        payload = json.loads(out)
-        # Partial progress, none of it dropped: every accepted op has an
-        # outcome, and the run stopped well short of the full demo.
-        accepted = int(err.split(" after ")[1].split("/")[0])
-        assert 0 < len(payload["outcomes"]) == accepted < 60
+    def test_sigterm_inside_a_batch_reports_all_its_grants(
+        self, topo_file, tmp_path, capsys, monkeypatch,
+    ):
+        state = str(tmp_path / "state")
+        real_admit_batch = SelectionService.admit_batch
+
+        def term_then_admit(service, requests):
+            # Delivered synchronously on the main thread, before the
+            # batch's first grant: the handler only notes the signal.
+            os.kill(os.getpid(), signal.SIGTERM)
+            return real_admit_batch(service, requests)
+
+        monkeypatch.setattr(SelectionService, "admit_batch", term_then_admit)
+        assert main([
+            topo_file, "--demo", "12", "--batch-max", "4", "--cpu", "0.1",
+            "--lease", "1000", "--state-dir", state, "--format", "json",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "received SIGTERM after 4/12 operations" in captured.err
+        outcomes = json.loads(captured.out)["outcomes"]
+        assert [o["app"] for o in outcomes] == [
+            f"app-{i:03d}" for i in range(4)
+        ]
+        assert all(o["status"] == "admitted" for o in outcomes)
+        monkeypatch.undo()
+        restarted = SelectionService(dumbbell(4, 4), state_dir=state)
+        assert set(restarted.ledger.reservations) == {
+            o["app"] for o in outcomes
+        }
+        restarted.close()

@@ -153,6 +153,9 @@ class TestCacheWiring:
         service.advance(6.0)  # past the 5 s TTL
         service.request("b", spec(1), cpu_fraction=0.1)
         assert service.cache.misses == 2
+        # The static graph came back: no new epoch, the overlay stands.
+        assert service.cache.epoch == 1
+        assert service.metrics.view_rebuilds == 1
 
 
 class TestClockModes:

@@ -247,3 +247,27 @@ def test_paths_the_traffic_takes():
         r"_prewarm_probes|insort|heapq.merge|_down_epoch"
         r"|def mark_down|def mark_up", SERVICE, py_only=False,
     )
+
+
+def test_one_way_in():
+    """``repro-serve`` serves every mode through one synchronous loop,
+    the service and the router share one front door (``FrontDoor``, with
+    the release-kind tables beside it), and the DES kernel keeps only
+    what the simulator uses."""
+    assert not grep(
+        r"asyncio|--async|--pace|--batch-window|--queue-size",
+        SERVICE / "cli.py",
+    ), "one serving loop: coalescing is --batch-max, no asyncio path"
+    tables = grep(r"_STATUS_BY_RELEASE_KIND|_METRIC_BY_RELEASE_KIND", SRC)
+    assert tables and all(
+        line.startswith("src/repro/service/service.py:") for line in tables
+    ), "the release-kind tables are the front door's"
+    # One body; the PlacementBackend protocol only declares it.
+    assert len([
+        line for line in grep(r"def advance\b", SERVICE)
+        if not line.endswith(": ...")
+    ]) == 1
+    assert not grep(
+        r"class Resource\b|class Container\b|def interrupt\b",
+        SRC / "repro" / "des",
+    )
