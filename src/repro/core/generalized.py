@@ -29,7 +29,11 @@ from typing import Callable, Optional, Sequence
 from ..topology.graph import Node, TopologyGraph
 from ..topology.routing import RoutedView
 from .compute import select_max_compute, top_compute_nodes
-from .kernel import select_balanced, select_max_bandwidth
+from .kernel import (
+    select_balanced,
+    select_max_bandwidth,
+    select_with_bandwidth_floor,
+)
 from .metrics import (
     DEFAULT_REFERENCES,
     References,
@@ -41,6 +45,7 @@ from .metrics import (
 from .types import ExtrasKey, NoFeasibleSelection, Selection
 
 __all__ = [
+    "cpu_floor_eligible",
     "select_with_cpu_floor",
     "select_routed",
     "select_client_server",
@@ -62,6 +67,20 @@ def select_with_cpu_floor(
     nodes below the floor are simply ineligible, and Figure 2 runs on the
     survivors.
     """
+    sel = select_max_bandwidth(
+        graph, m, refs=refs, eligible=cpu_floor_eligible(floor, refs, eligible),
+    )
+    sel.algorithm = "cpu-floor"
+    return sel
+
+
+def cpu_floor_eligible(
+    floor: float,
+    refs: References = DEFAULT_REFERENCES,
+    eligible: Optional[Callable[[Node], bool]] = None,
+) -> Callable[[Node], bool]:
+    """``eligible`` narrowed to nodes whose CPU fraction is at least
+    ``floor``: how a CPU floor enters any procedure."""
     if not 0 <= floor <= 1:
         raise ValueError(f"cpu floor must be in [0, 1], got {floor}")
 
@@ -70,9 +89,7 @@ def select_with_cpu_floor(
             return False
         return node_compute_fraction(node, refs) >= floor
 
-    sel = select_max_bandwidth(graph, m, refs=refs, eligible=ok)
-    sel.algorithm = "cpu-floor"
-    return sel
+    return ok
 
 
 def select_routed(
@@ -80,6 +97,7 @@ def select_routed(
     m: int,
     *,
     objective: str = "balanced",
+    floor_bps: Optional[float] = None,
     refs: References = DEFAULT_REFERENCES,
     eligible: Optional[Callable[[Node], bool]] = None,
 ) -> Selection:
@@ -91,9 +109,19 @@ def select_routed(
     on it unchanged.  Otherwise a pairwise greedy operates directly on the
     routed bottleneck-bandwidth matrix: starting from the best pair, grow
     the set by the node maximizing the resulting objective.
+
+    ``floor_bps`` is the bandwidth floor on routes (objective
+    ``"compute"`` only): every ordered pair of the set must route at
+    least that much.  On a tree overlay that is
+    :func:`~repro.core.kernel.select_with_bandwidth_floor`; on a cyclic
+    one, pairs below the floor are dropped from the matrix, and seeds
+    are grown past the usual count until one completes, so a feasible
+    pair (``m = 2``) or triangle (``m = 3``) is always found.
     """
     if objective not in ("balanced", "bandwidth", "compute"):
         raise ValueError(f"unknown objective {objective!r}")
+    if floor_bps is not None and objective != "compute":
+        raise ValueError("a bandwidth floor maximizes the compute objective")
     candidates = [
         n.name for n in graph.compute_nodes()
         if eligible is None or eligible(n)
@@ -106,7 +134,11 @@ def select_routed(
     overlay = view.overlay()
 
     if overlay.is_acyclic():
-        if objective == "balanced":
+        if floor_bps is not None:
+            sel = select_with_bandwidth_floor(
+                overlay, m, floor_bps=floor_bps, refs=refs, eligible=eligible,
+            )
+        elif objective == "balanced":
             sel = select_balanced(overlay, m, refs=refs, eligible=eligible)
         elif objective == "bandwidth":
             sel = select_max_bandwidth(overlay, m, refs=refs, eligible=eligible)
@@ -120,6 +152,9 @@ def select_routed(
 
     def pair_bw(a: str, b: str) -> float:
         return min(matrix[(a, b)], matrix[(b, a)])
+
+    def clears(a: str, b: str) -> bool:
+        return floor_bps is None or pair_bw(a, b) >= floor_bps
 
     def cpu_frac(name: str) -> float:
         return node_compute_fraction(graph.node(name), refs)
@@ -137,10 +172,15 @@ def select_routed(
             return cpu
         return min(refs.scale_cpu(cpu), refs.scale_bw(bw_frac))
 
-    def grow(seed: list[str]) -> list[str]:
+    def grow(seed: list[str]) -> Optional[list[str]]:
         out = list(seed)
         while len(out) < m:
-            remaining = [c for c in candidates if c not in out]
+            remaining = [
+                c for c in candidates
+                if c not in out and all(clears(c, o) for o in out)
+            ]
+            if not remaining:
+                return None
             nxt = max(remaining, key=lambda c: (set_score(out + [c]), c))
             out.append(nxt)
         return sorted(out)
@@ -157,11 +197,23 @@ def select_routed(
                 (set_score([a, b]), (a, b))
                 for i, a in enumerate(candidates)
                 for b in candidates[i + 1:]
+                if clears(a, b)
             ),
             key=lambda t: (-t[0], t[1]),
         )
-        max_seeds = min(len(pairs), max(8, len(candidates)))
-        grown = [grow(list(pair)) for _score, pair in pairs[:max_seeds]]
+        max_seeds = max(8, len(candidates))
+        grown: list[list[str]] = []
+        for tried, (_score, pair) in enumerate(pairs, 1):
+            names = grow(list(pair))
+            if names is not None:
+                grown.append(names)
+            if grown and tried >= max_seeds:
+                break
+        if not grown:
+            raise NoFeasibleSelection(
+                f"no {m} eligible compute nodes route the floor of "
+                f"{floor_bps!r} bps between every pair"
+            )
         chosen = max(grown, key=lambda names: (set_score(names), names))
 
     bw = min(

@@ -30,6 +30,7 @@ from typing import (
 from ..topology.graph import Node, TopologyGraph
 from .compute import select_max_compute
 from .generalized import (
+    cpu_floor_eligible,
     select_client_server,
     select_routed,
     select_variable_nodes,
@@ -141,7 +142,10 @@ def _dispatch(
     Spec *features* (groups, variable node counts, hard floors, latency
     bounds, simultaneous-stream accounting) outrank topology shape
     (cyclic → routed), which outranks the plain ``objective`` procedures;
-    the balanced algorithm is the fallback.
+    the balanced algorithm is the fallback.  A floor is the exception: on
+    a graph with a cycle it runs the routed procedure, the CPU floor as
+    eligibility and the bandwidth floor on the routed pair matrix, since
+    the raw graph's components are not the routes its traffic takes.
     """
     m = spec.num_nodes
     if spec.groups:
@@ -153,11 +157,24 @@ def _dispatch(
             eligible=eligible,
         )
     if spec.min_bandwidth_bps is not None:
+        if not g.is_acyclic():
+            # A floor holds on the routes the traffic takes (§3.3).
+            return "bandwidth-floor", select_routed(
+                g, m, objective="compute", floor_bps=spec.min_bandwidth_bps,
+                refs=refs, eligible=eligible,
+            )
         return "bandwidth-floor", select_with_bandwidth_floor(
             g, m, floor_bps=spec.min_bandwidth_bps, refs=refs,
             eligible=eligible,
         )
     if spec.min_cpu_fraction is not None:
+        if not g.is_acyclic():
+            return "cpu-floor", select_routed(
+                g, m, objective="bandwidth", refs=refs,
+                eligible=cpu_floor_eligible(
+                    spec.min_cpu_fraction, refs, eligible,
+                ),
+            )
         return "cpu-floor", select_with_cpu_floor(
             g, m, floor=spec.min_cpu_fraction, refs=refs, eligible=eligible,
         )

@@ -19,9 +19,16 @@ BFS spanning tree:
   ``residual / shards_left`` is cut off as a shard — both the cut
   subtree and the residual stay connected, and recomputing the target
   keeps the pieces near ``n / k`` wherever the structure allows;
-- degree-1 compute nodes always travel with their uplink (a leaf's only
-  tree edge is the uplink itself), so LAN membership stays intact and
-  host-switch edges never become trunk edges.
+- degree-1 compute nodes travel with their uplink: a leaf's only link
+  is its tree edge to its parent, so a cut takes it with its uplink
+  unless it takes the leaf alone, and LAN membership stays intact.
+
+What it costs: one BFS (which is also the connectivity check), one sort
+of the subtree index, a bisection and a partial merge per cut, and a
+:meth:`ShardPlan.validate` that copies no shard.  Plans must equal
+those of ``tests/oracles.py::reference_partition``, a frozen
+partitioner that scans the whole tree per cut and copies each shard to
+validate it.
 
 The cut is static: the logical topology is an input (paper §2.2), and a
 router keeps one plan for its whole life (its ledgers and WAL
@@ -32,7 +39,9 @@ parked in ROADMAP, and not something this module has a stub for.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+import math
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 
 from ...topology.graph import Link, TopologyGraph
@@ -99,31 +108,62 @@ class ShardPlan:
         return links
 
     def validate(self) -> None:
-        """Assert the partition invariants.
+        """Check the partition invariants; ``ValueError`` names the first
+        one broken.
 
         Every node lands in exactly one shard; every link is intra-shard
-        XOR trunk; every shard is non-empty and connected.
+        XOR trunk; every shard is non-empty and connected.  No shard is
+        copied: one pass over the links joins the ends of every
+        intra-shard link (union-find), and a shard is connected when
+        that joined its members ``len(members) - 1`` times.
         """
-        names = set(self.graph.node_names())
-        covered = [name for members in self.shards for name in members]
-        assert len(covered) == len(names) and set(covered) == names, (
-            "shards must cover every node exactly once"
-        )
-        assert set(self.shard_of) == names, "shard_of must cover every node"
-        for name, shard in self.shard_of.items():
-            assert name in self.shards[shard], (
-                f"{name!r} maps to shard {shard} but is not a member"
-            )
-        for link in self.graph.links():
-            intra = self.shard_of[link.u] == self.shard_of[link.v]
-            assert intra != (link.key in self.trunk_keys), (
-                f"link {sorted(link.key)} must be intra-shard XOR trunk"
-            )
-        for shard, members in enumerate(self.shards):
-            assert members, f"shard {shard} is empty"
-            assert self.graph.subgraph(members).is_connected(), (
-                f"shard {shard} is disconnected"
-            )
+        graph, shard_of, shards = self.graph, self.shard_of, self.shards
+        names = set(graph.node_names())
+        if sum(map(len, shards)) != len(names) \
+                or set().union(*shards) != names:
+            raise ValueError("shards must cover every node exactly once")
+        if shard_of.keys() != names:
+            raise ValueError("shard_of must cover every node")
+        for name, shard in shard_of.items():
+            if not 0 <= shard < len(shards) or name not in shards[shard]:
+                raise ValueError(
+                    f"{name!r} maps to shard {shard} but is not a member"
+                )
+        up: dict[str, str] = {}  # union-find parent; roots are absent
+        joined = [0] * len(shards)
+
+        def find(name: str) -> str:
+            while name in up:
+                above = up[name]
+                if above in up:  # path halving
+                    up[name] = above = up[above]
+                name = above
+            return name
+
+        for link in graph.links():
+            shard = shard_of[link.u]
+            if shard != shard_of[link.v]:
+                if link.key not in self.trunk_keys:
+                    raise ValueError(
+                        f"link {sorted(link.key)} must be intra-shard "
+                        "XOR trunk"
+                    )
+                continue
+            a, b = find(link.u), find(link.v)
+            if a != b:
+                up[a] = b
+                joined[shard] += 1
+        for key in self.trunk_keys:
+            link = graph.link_by_key(key)
+            if link is None or shard_of[link.u] == shard_of[link.v]:
+                raise ValueError(
+                    f"link {sorted(key)} must be intra-shard XOR trunk"
+                )
+        for shard, members in enumerate(shards):
+            if not members:
+                raise ValueError(f"shard {shard} is empty")
+            if joined[shard] != len(members) - 1:
+                raise ValueError(f"shard {shard} is disconnected")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = ",".join(str(len(s)) for s in self.shards)
@@ -145,19 +185,22 @@ def _pick_root(graph: TopologyGraph) -> str:
 
 def _spanning_tree(
     graph: TopologyGraph, root: str
-) -> tuple[dict, list[str]]:
-    """BFS spanning tree: ``(parent map, BFS order)``, root first."""
+) -> tuple[dict, list[str], dict[str, list[str]]]:
+    """BFS spanning tree: ``(parent map, BFS order, children)``, root
+    first; ``children`` lists each inner node's children in name order
+    (leaves have no entry)."""
     parent: dict[str, object] = {root: None}
     order = [root]
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
+    children: dict[str, list[str]] = {}
+    for cur in order:  # the order is the BFS queue
+        first = len(order)
         for nxt in sorted(graph.neighbors(cur)):
             if nxt not in parent:
                 parent[nxt] = cur
                 order.append(nxt)
-                queue.append(nxt)
-    return parent, order
+        if len(order) > first:
+            children[cur] = order[first:]
+    return parent, order, children
 
 
 def _grow_regions(graph: TopologyGraph, k: int) -> dict[str, int]:
@@ -171,72 +214,110 @@ def _grow_regions(graph: TopologyGraph, k: int) -> dict[str, int]:
     hubs degrade gracefully to singleton leaves plus the hub remainder,
     the best any connected partition can do there.
 
+    The spanning tree is the connectivity check: a ``ValueError`` when
+    it misses a node.  Each cut is read from ``index``, the non-root
+    nodes sorted by ``(residual size, name)`` (:func:`_closest`).  A cut
+    re-keys its ancestors only, in one merge over the index from the
+    first place their new entries reach; its own subtree stays in the
+    index, skipped.  One BFS, one sort, and a partial merge per cut.
+
+    An entry is one integer, ``size * len(names) + rank``, ``rank`` the
+    node's place in ``names`` (sorted): integers order as the pairs do,
+    and a list of them is no work for the garbage collector.
+
     (Nearest-seed Voronoi growth was tried first and collapses on
     irregular topologies: farthest-point seeds sit on the periphery, and
     one central region absorbs nearly the whole graph — a 10k-host
     random tree cut 16 ways left one shard holding 78% of the hosts.)
     """
     root = _pick_root(graph)
-    parent, order = _spanning_tree(graph, root)
-    children: dict[str, list[str]] = {name: [] for name in order}
-    for name in order[1:]:
-        children[parent[name]].append(name)
+    parent, order, children = _spanning_tree(graph, root)
+    if len(order) != graph.num_nodes:
+        raise ValueError("partitioning requires a connected topology")
     #: Residual subtree sizes — updated as cuts are taken out.
     size = {name: 1 for name in order}
     for name in reversed(order[1:]):
         size[parent[name]] += size[name]
+    names = sorted(order[1:])
+    rank = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    index = sorted(size[name] * n + i for i, name in enumerate(names))
     shard_of: dict[str, int] = {}
     residual = size[root]
     for cut in range(k - 1):
         shards_left = k - cut  # shards still to produce, incl. residual
         target = residual / shards_left
         limit = residual - (shards_left - 1)  # leave 1+ node per shard
-        best = None
-        for name in order[1:]:
-            if name in shard_of or size[name] > limit:
-                continue
-            score = (abs(size[name] - target), name)
-            if best is None or score < best[0]:
-                best = (score, name)
-        assert best is not None, "a connected graph always has a cut"
-        chosen = best[1]
+        chosen = _closest(index, names, shard_of, target, limit)
         queue = deque([chosen])
         while queue:
             cur = queue.popleft()
             shard_of[cur] = cut
             queue.extend(
-                c for c in children[cur] if c not in shard_of
+                c for c in children.get(cur, ()) if c not in shard_of
             )
-        residual -= size[chosen]
+        taken = size[chosen]
+        residual -= taken
+        # Re-key the ancestors: their new entries ascend (sizes grow
+        # towards the root), merged in from the first one's place in the
+        # same pass that drops their old entries.
+        old, new = set(), []
         ancestor = parent[chosen]
-        while ancestor is not None:
-            size[ancestor] -= size[chosen]
+        while ancestor != root:
+            old.add(size[ancestor] * n + rank[ancestor])
+            size[ancestor] -= taken
+            new.append(size[ancestor] * n + rank[ancestor])
             ancestor = parent[ancestor]
+        if new:
+            start = bisect_left(index, new[0])
+            tail = [entry for entry in index[start:] if entry not in old]
+            tail += new
+            tail.sort()
+            index[start:] = tail
     for name in order:
         if name not in shard_of:
             shard_of[name] = k - 1
     return shard_of
 
 
-def _pull_leaves(graph: TopologyGraph, shard_of: dict[str, int]) -> None:
-    """Reassign stranded leaf hosts to their uplink's shard.
+def _closest(
+    index: list[int], names: list[str], cut: dict[str, int],
+    target: float, limit: int,
+) -> str:
+    """The subtree to cut: the smallest ``(|size - target|, name)`` over
+    the entries of ``index`` not yet ``cut`` whose size is at most
+    ``limit``.
 
-    A degree-1 compute node whose only link crosses the boundary would
-    make that host-switch edge a trunk edge — every one of its requests
-    cross-shard.  Pulling it over keeps LAN membership intact and cannot
-    disconnect either side (a leaf carries no other shard's paths).
-    Skipped when the move would empty the leaf's current shard.
+    Only two sizes can win — the largest at or below ``target`` and the
+    smallest above it — and each one's first uncut entry holds its
+    smallest name, so the answer lies next to one bisection.
     """
-    counts = Counter(shard_of.values())
-    for node in graph.nodes():
-        if not node.is_compute or graph.degree(node.name) != 1:
-            continue
-        uplink = graph.neighbors(node.name)[0]
-        mine, theirs = shard_of[node.name], shard_of[uplink]
-        if mine != theirs and counts[mine] > 1:
-            shard_of[node.name] = theirs
-            counts[mine] -= 1
-            counts[theirs] += 1
+    n = len(names)
+
+    def is_cut(at: int) -> bool:
+        return names[index[at] % n] in cut
+
+    split = bisect_left(index, (min(math.floor(target), limit) + 1) * n)
+    best = None
+    above = split
+    while above < len(index) and is_cut(above):
+        above += 1
+    if above < len(index):
+        size, at = divmod(index[above], n)
+        if size <= limit:
+            best = (size - target, names[at])
+    below = split - 1
+    while below >= 0 and is_cut(below):
+        below -= 1
+    if below >= 0:
+        below = bisect_left(index, index[below] // n * n)
+        while is_cut(below):
+            below += 1
+        size, at = divmod(index[below], n)
+        if best is None or (target - size, names[at]) < best:
+            best = (target - size, names[at])
+    assert best is not None, "a connected graph always has a cut"
+    return best[1]
 
 
 def partition_topology(graph: TopologyGraph, k: int) -> ShardPlan:
@@ -251,20 +332,7 @@ def partition_topology(graph: TopologyGraph, k: int) -> ShardPlan:
         raise ValueError(
             f"cannot cut {graph.num_nodes} nodes into {k} shards"
         )
-    if not graph.is_connected():
-        raise ValueError("partitioning requires a connected topology")
-    if k == 1:
-        names = graph.node_names()
-        plan = ShardPlan(
-            graph=graph,
-            shard_of={name: 0 for name in names},
-            shards=(frozenset(names),),
-            trunk_keys=frozenset(),
-        )
-        plan.validate()
-        return plan
     shard_of = _grow_regions(graph, k)
-    _pull_leaves(graph, shard_of)
     members: list[set[str]] = [set() for _ in range(k)]
     for name, shard in shard_of.items():
         members[shard].add(name)
@@ -275,7 +343,7 @@ def partition_topology(graph: TopologyGraph, k: int) -> ShardPlan:
     )
     plan = ShardPlan(
         graph=graph,
-        shard_of=dict(shard_of),
+        shard_of=shard_of,
         shards=tuple(frozenset(m) for m in members),
         trunk_keys=trunk_keys,
     )

@@ -290,6 +290,93 @@ def routed_trunk_channels(plan: ShardPlan, groups) -> tuple:
     ))
 
 
+def reference_partition(graph: TopologyGraph, k: int) -> ShardPlan:
+    """``partition_topology`` as it was before the cut was indexed: a
+    connectivity BFS up front, a full scan of the spanning tree for every
+    cut, and a ``validate`` that copies each shard to ask whether it is
+    connected.  Frozen; the library must return the same plan."""
+    if k < 1 or k > graph.num_nodes:
+        raise ValueError(f"cannot cut {graph.num_nodes} nodes into {k}")
+    if not graph.is_connected():
+        raise ValueError("partitioning requires a connected topology")
+    network = [n.name for n in graph.network_nodes()]
+    root = network[0] if network else graph.node_names()[0]
+    parent: dict = {root: None}
+    order = [root]
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt in sorted(graph.neighbors(cur)):
+            if nxt not in parent:
+                parent[nxt] = cur
+                order.append(nxt)
+                queue.append(nxt)
+    children: dict = {name: [] for name in order}
+    for name in order[1:]:
+        children[parent[name]].append(name)
+    size = {name: 1 for name in order}
+    for name in reversed(order[1:]):
+        size[parent[name]] += size[name]
+    shard_of: dict = {}
+    residual = size[root]
+    for cut in range(k - 1):
+        shards_left = k - cut
+        target = residual / shards_left
+        limit = residual - (shards_left - 1)
+        best = None
+        for name in order[1:]:
+            if name in shard_of or size[name] > limit:
+                continue
+            score = (abs(size[name] - target), name)
+            if best is None or score < best[0]:
+                best = (score, name)
+        chosen = best[1]
+        queue = deque([chosen])
+        while queue:
+            cur = queue.popleft()
+            shard_of[cur] = cut
+            queue.extend(c for c in children[cur] if c not in shard_of)
+        residual -= size[chosen]
+        ancestor = parent[chosen]
+        while ancestor is not None:
+            size[ancestor] -= size[chosen]
+            ancestor = parent[ancestor]
+    for name in order:
+        if name not in shard_of:
+            shard_of[name] = k - 1
+    counts: dict = {}
+    for shard in shard_of.values():
+        counts[shard] = counts.get(shard, 0) + 1
+    for node in graph.nodes():
+        if not node.is_compute or graph.degree(node.name) != 1:
+            continue
+        uplink = graph.neighbors(node.name)[0]
+        mine, theirs = shard_of[node.name], shard_of[uplink]
+        if mine != theirs and counts[mine] > 1:
+            shard_of[node.name] = theirs
+            counts[mine] -= 1
+            counts[theirs] += 1
+    members: list = [set() for _ in range(k)]
+    for name, shard in shard_of.items():
+        members[shard].add(name)
+    plan = ShardPlan(
+        graph=graph,
+        shard_of=shard_of,
+        shards=tuple(frozenset(m) for m in members),
+        trunk_keys=frozenset(
+            link.key for link in graph.links()
+            if shard_of[link.u] != shard_of[link.v]
+        ),
+    )
+    for link in graph.links():
+        intra = shard_of[link.u] == shard_of[link.v]
+        assert intra != (link.key in plan.trunk_keys)
+    for shard_members in plan.shards:
+        assert shard_members
+        assert graph.subgraph(shard_members).is_connected()
+    return plan
+
+
 def shard_order_by_sort(router: ShardRouter) -> list[int]:
     """``ShardRouter._shard_order`` as it was before the order was kept:
     every shard re-sorted by its live count per host."""

@@ -1,18 +1,25 @@
 """Tests for the topology partitioner (service.sharding.partition)."""
 
+import numpy as np
 import pytest
 
 from repro.service.sharding import (
+    ShardPlan,
     graph_fingerprint,
     partition_topology,
     reassemble,
 )
 from repro.topology import (
+    TopologyGraph,
     balanced_tree,
     dumbbell,
     grid,
+    random_tree,
+    torus,
     two_campus,
 )
+from tests.core.cyclic_graphs import random_cyclic
+from tests.oracles import reference_partition
 
 
 class TestPartitionTopology:
@@ -69,12 +76,14 @@ class TestPartitionTopology:
             partition_topology(g, g.num_nodes + 1)
 
     def test_disconnected_graph_rejected(self):
-        from repro.topology import TopologyGraph
         g = TopologyGraph()
         g.add_compute("a")
         g.add_compute("b")
-        with pytest.raises(ValueError, match="connected"):
-            partition_topology(g, 2)
+        for k in (1, 2):
+            with pytest.raises(
+                ValueError, match="partitioning requires a connected topology"
+            ):
+                partition_topology(g, k)
 
     def test_subgraph_is_a_copy(self):
         g = dumbbell(3, 3)
@@ -83,6 +92,109 @@ class TestPartitionTopology:
         name = sub.compute_nodes()[0].name
         sub.node(name).load_average = 99.0
         assert g.node(name).load_average != 99.0
+
+
+def _assert_same_plan(graph, k):
+    got, want = partition_topology(graph, k), reference_partition(graph, k)
+    assert got.shard_of == want.shard_of
+    assert got.trunk_keys == want.trunk_keys
+    assert got.shards == want.shards
+
+
+class TestSamePlanAsReference:
+    """The indexed cut and the copy-free validation return the plans of
+    the full-scan partitioner they replaced, frozen in
+    ``tests/oracles.py::reference_partition``."""
+
+    @pytest.mark.parametrize("graph", [
+        dumbbell(4, 4),
+        two_campus(fast_hosts=6, slow_hosts=6),
+        balanced_tree(depth=3, fanout=3),
+        grid(6, 6),
+        torus(6, 6),
+        random_cyclic(3, 14, 8, 4),
+        random_cyclic(11, 20, 6, 7),
+    ], ids=["dumbbell", "two_campus", "balanced_tree", "grid", "torus",
+            "random_cyclic-3", "random_cyclic-11"])
+    def test_named_shapes(self, graph):
+        for k in range(1, min(12, graph.num_nodes) + 1):
+            _assert_same_plan(graph, k)
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_random_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        hosts = int(rng.integers(4, 300))
+        graph = random_tree(hosts, int(rng.integers(1, hosts // 2 + 2)), rng)
+        for k in range(1, min(12, graph.num_nodes) + 1):
+            _assert_same_plan(graph, k)
+
+    def test_a_path_cut_everywhere(self):
+        graph = grid(1, 40)
+        for k in range(1, 41):
+            _assert_same_plan(graph, k)
+
+    def test_two_thousand_hosts_sixteen_ways(self):
+        graph = random_tree(2000, 400, np.random.default_rng(7))
+        _assert_same_plan(graph, 16)
+
+
+def _ring_plan(**overrides) -> ShardPlan:
+    """A valid two-shard plan of the ring a-b-c-d-a, cut between b|c and
+    d|a, with ``overrides`` applied to its fields."""
+    g = TopologyGraph()
+    for name in "abcd":
+        g.add_compute(name)
+    for u, v in ("ab", "bc", "cd", "da"):
+        g.add_link(u, v, 1e8)
+    fields = dict(
+        graph=g,
+        shard_of={"a": 0, "b": 0, "c": 1, "d": 1},
+        shards=(frozenset("ab"), frozenset("cd")),
+        trunk_keys=frozenset({frozenset("bc"), frozenset("da")}),
+    )
+    fields.update(overrides)
+    return ShardPlan(**fields)
+
+
+class TestValidateRejects:
+    """One hand-built plan per broken invariant; ``validate`` raises
+    ``ValueError`` (not ``assert``, so ``python -O`` keeps the checks)."""
+
+    def test_the_ring_plan_is_valid(self):
+        _ring_plan().validate()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(  # a-b-c-d-a cut so that shard 0 holds a and c only
+            shard_of={"a": 0, "c": 0, "b": 1, "d": 1},
+            shards=(frozenset("ac"), frozenset("bd")),
+            trunk_keys=frozenset(frozenset(p) for p in ("ab", "bc", "cd",
+                                                          "da")),
+        ), "shard 0 is disconnected"),
+        (dict(
+            shard_of={"a": 0, "b": 0, "c": 0, "d": 0},
+            shards=(frozenset("abcd"), frozenset()),
+            trunk_keys=frozenset(),
+        ), "shard 1 is empty"),
+        (dict(shards=(frozenset("ab"), frozenset("c"))),
+         "shards must cover every node exactly once"),
+        (dict(shards=(frozenset("abc"), frozenset("cd"))),
+         "shards must cover every node exactly once"),
+        (dict(shard_of={"a": 0, "b": 0, "c": 1}),
+         "shard_of must cover every node"),
+        (dict(shard_of={"a": 0, "b": 1, "c": 1, "d": 1}),
+         "'b' maps to shard 1 but is not a member"),
+        (dict(trunk_keys=frozenset(
+            frozenset(p) for p in ("ab", "bc", "da"))),
+         r"link \['a', 'b'\] must be intra-shard XOR trunk"),
+        (dict(trunk_keys=frozenset({frozenset("bc")})),
+         r"link \['a', 'd'\] must be intra-shard XOR trunk"),
+    ], ids=["disconnected", "empty", "node-in-no-shard",
+            "node-in-two-shards", "shard_of-short",
+            "shard_of-disagrees", "intra-link-as-trunk",
+            "crossing-link-not-trunk"])
+    def test_rejects(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _ring_plan(**overrides).validate()
 
 
 class TestReassemble:

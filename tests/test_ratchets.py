@@ -271,3 +271,25 @@ def test_one_way_in():
         r"class Resource\b|class Container\b|def interrupt\b",
         SRC / "repro" / "des",
     )
+
+
+def test_partition():
+    """The partitioner copies a shard only when asked for one: validation
+    and cutting read the full graph, and each cut is read from the sorted
+    subtree index, not found by a scan of the spanning tree."""
+    partition = SHARDING / "partition.py"
+    copies = grep(r"graph\.subgraph\(", partition)
+    assert len(copies) == 1 and _matching(r"graph\.subgraph\(", section(
+        partition, r"    def subgraph\(", r"^\s+return ",
+    )), copies
+    for start, end in ((r"    def validate\(", r"    def __repr__\("),
+                       (r"^def _grow_regions\(", r"^def _closest\("),
+                       (r"^def partition_topology\(", r"^def reassemble\(")):
+        assert not _matching(r"subgraph\(", section(partition, start, end))
+    # The cut loop ends at the first line back at the function body's
+    # indentation (which the section includes).
+    cut_loop = section(partition, r"^    for cut in range\(", r"^    \S")
+    assert cut_loop and not _matching(r"for \w+ in order\b", cut_loop[:-1])
+    assert not _matching(
+        r"^\s+for ", section(partition, r"^def _closest\(", r"return best")
+    ), "a cut is read next to one bisection of the index"
