@@ -68,8 +68,8 @@ class Decision:
     RELEASED = "released"
     EXPIRED = "expired"
     EVICTED = "evicted"
-    #: Lease reclaimed (or marked for grace-period reclamation) to make
-    #: an otherwise-infeasible gold request feasible.
+    #: Lease released at once to make an otherwise-infeasible gold
+    #: request feasible.
     PREEMPTED = "preempted"
 
     ALL = (

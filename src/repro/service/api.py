@@ -107,9 +107,9 @@ class BatchRequest:
                 f"unknown priority {self.priority!r}; "
                 f"expected one of {Priority.ALL}"
             )
-        if self.cpu_fraction < 0:
+        if not 0 <= self.cpu_fraction <= 1.0:
             raise ValueError(
-                f"cpu_fraction cannot be negative: {self.cpu_fraction}"
+                f"cpu_fraction must be in [0, 1]: {self.cpu_fraction}"
             )
         if self.bw_bps < 0:
             raise ValueError(f"bw_bps cannot be negative: {self.bw_bps}")

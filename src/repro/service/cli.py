@@ -34,8 +34,7 @@ logged.  SIGTERM/SIGINT trigger a graceful shutdown: the operation
 (or batch) running when the signal lands finishes and is reported, the
 remaining ones are skipped, and a final compacted snapshot is flushed
 before exit.  ``--preempt`` additionally lets infeasible gold requests
-reclaim bronze/silver leases (``--preempt-grace`` gives victims a
-wind-down).
+reclaim bronze/silver leases, which are released at once.
 
 ``--shards K`` runs the sharded deployment instead: the topology is cut
 into K connected shards, each behind its own service, with cross-shard
@@ -151,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "processes (executor='process'): probes and "
                              "batches fan out across cores; requires "
                              "--shards > 1 (default: in-process shards)")
-    parser.add_argument("--cpu-cap", type=float, default=1.0,
-                        help="per-node cap on summed CPU claims (default: 1.0)")
     parser.add_argument("--state-dir", metavar="DIR",
                         help="durability directory: recover the ledger from "
                              "DIR's snapshot + WAL at startup and log every "
@@ -167,10 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preempt", action="store_true",
                         help="let infeasible gold requests preempt "
                              "bronze/silver leases")
-    parser.add_argument("--preempt-grace", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="victim wind-down before reclamation "
-                             "(default: 0 — immediate)")
     parser.add_argument("--batch-max", type=int, default=1, metavar="N",
                         help="coalesce up to N consecutive plain request ops "
                              "into one admit_batch() call (default: 1 — "
@@ -383,7 +376,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 shards=args.shards,
                 snapshot_ttl=args.ttl,
                 lease_s=args.lease,
-                cpu_cap=args.cpu_cap,
                 tracer=tracer,
                 state_dir=args.state_dir,
                 wal_fsync=args.wal_fsync,
@@ -398,13 +390,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 snapshot_ttl=args.ttl,
                 lease_s=args.lease,
                 queue_limit=args.queue_limit,
-                cpu_cap=args.cpu_cap,
                 tracer=tracer,
                 state_dir=args.state_dir,
                 wal_fsync=args.wal_fsync,
                 wal_snapshot_every=args.snapshot_every,
                 preempt=args.preempt,
-                preempt_grace_s=args.preempt_grace,
             )
     except WalCorruptError as exc:
         print(f"error: corrupt WAL state: {exc}", file=sys.stderr)

@@ -12,13 +12,16 @@ debits those claims from any topology snapshot so the next selection sees
 Claims are **leases**: each reservation carries an expiry time, and
 :meth:`expire` reclaims capacity from applications that stopped renewing
 — a crashed client (PR 1's fault machinery) cannot leak capacity forever.
-Explicit :meth:`release` and :meth:`renew` complete the lifecycle.
+Explicit :meth:`release` and :meth:`renew` complete the lifecycle: a
+lease ends only through a release of one of the
+:data:`CAPACITY_RETURNING_KINDS`, and its deadline moves only through
+:meth:`renew`.
 
 Hard invariants, enforced at :meth:`reserve` time and checkable at any
 moment with :meth:`check_invariants`:
 
-- the summed CPU claims on any node never exceed ``cpu_cap`` (1.0 — a
-  whole processor);
+- the summed CPU claims on any node never exceed 1.0 — the whole
+  node, the paper's one processor per node;
 - the summed bandwidth claims on any link channel never exceed
   that link's peak capacity.
 
@@ -112,7 +115,7 @@ CAPACITY_RETURNING_KINDS = frozenset(
 
 #: Listener kinds that move a lease's deadline and no claim: the log keeps
 #: them, whoever mirrors the claims (the residual overlay) passes them over.
-DEADLINE_KINDS = frozenset({"renew", "preempt_clamp"})
+DEADLINE_KINDS = frozenset({"renew"})
 
 
 class LedgerError(Exception):
@@ -164,19 +167,9 @@ def route_edges(
 
 
 class ReservationLedger:
-    """Tracks capacity claims for all admitted applications.
+    """Tracks capacity claims for all admitted applications."""
 
-    Parameters
-    ----------
-    cpu_cap:
-        Maximum summed CPU claim per node (default 1.0 — one full
-        processor; lower it to keep headroom for system load).
-    """
-
-    def __init__(self, cpu_cap: float = 1.0) -> None:
-        if not 0 < cpu_cap <= 1.0:
-            raise ValueError(f"cpu_cap must be in (0, 1], got {cpu_cap}")
-        self.cpu_cap = cpu_cap
+    def __init__(self) -> None:
         self.reservations: dict[str, Reservation] = {}
         self._node_claims: dict[str, float] = {}
         self._edge_claims: dict[ChannelId, float] = {}
@@ -203,8 +196,8 @@ class ReservationLedger:
 
     def subscribe(self, fn: Callable[[str, Reservation], None]) -> None:
         """Observe mutations: ``fn(kind, reservation)`` after every
-        successful :meth:`reserve` (kind ``"reserve"``), every deadline
-        move (``"renew"`` / ``"preempt_clamp"``), and every removal —
+        successful :meth:`reserve` (kind ``"reserve"``), every
+        :meth:`renew` (``"renew"``), and every removal —
         ``"release"``, ``"expire"`` (lease lapsed), ``"evict"`` (node
         crash), or ``"preempt"`` (priority reclamation).  The removal
         kinds all return capacity (:data:`CAPACITY_RETURNING_KINDS`)."""
@@ -267,10 +260,10 @@ class ReservationLedger:
             edges = tuple(sorted(edges, key=ledger_order))
         for name in nodes:
             claimed = self._node_claims.get(name, 0.0)
-            if claimed + cpu_fraction > self.cpu_cap + _EPS:
+            if claimed + cpu_fraction > 1.0 + _EPS:
                 raise LedgerError(
                     f"node {name!r} oversubscribed: "
-                    f"{claimed:.3f} + {cpu_fraction:.3f} > {self.cpu_cap}"
+                    f"{claimed:.3f} + {cpu_fraction:.3f} > 1.0"
                 )
         claims, link_by_key = self._edge_claims, graph.link_by_key
         totals, caps = [], []
@@ -340,10 +333,6 @@ class ReservationLedger:
         self._notify(kind, reservation)
         return reservation
 
-    def preempt(self, app_id: str) -> Reservation:
-        """Reclaim ``app_id``'s capacity for a higher-priority request."""
-        return self.release(app_id, kind="preempt")
-
     def renew(self, app_id: str, now: float, lease_s: float) -> Reservation:
         """Extend ``app_id``'s lease to ``now + lease_s``."""
         try:
@@ -360,28 +349,6 @@ class ReservationLedger:
         self._note_stale_deadline()
         self._notify("renew", renewed)
         return renewed
-
-    def clamp_expiry(self, app_id: str, deadline: float) -> Reservation:
-        """Shorten ``app_id``'s lease to end no later than ``deadline``.
-
-        The grace-period half of preemption: the victim keeps its
-        capacity for a bounded wind-down, after which the normal expiry
-        path reclaims it.  A deadline at or past the current expiry is a
-        no-op (the lease already ends sooner).  Notifies listeners with
-        kind ``"preempt_clamp"`` so the WAL records the moved deadline.
-        """
-        try:
-            reservation = self.reservations[app_id]
-        except KeyError:
-            raise KeyError(f"no reservation for {app_id!r}") from None
-        if deadline >= reservation.expires_at:
-            return reservation
-        clamped = dataclasses.replace(reservation, expires_at=deadline)
-        self.reservations[app_id] = clamped
-        heapq.heappush(self._deadlines, (clamped.expires_at, app_id))
-        self._note_stale_deadline()
-        self._notify("preempt_clamp", clamped)
-        return clamped
 
     def expire(self, now: float) -> list[str]:
         """Release every lease past its expiry; returns the reclaimed apps.
@@ -440,7 +407,7 @@ class ReservationLedger:
 
     # -- durability (see repro.service.wal) ------------------------------------
     @classmethod
-    def recover(cls, state_dir: str, *, cpu_cap: float = 1.0):
+    def recover(cls, state_dir: str):
         """Rebuild a ledger from a state directory's snapshot + WAL.
 
         Replay repeats the original process's claim arithmetic in the
@@ -450,12 +417,11 @@ class ReservationLedger:
         :class:`~repro.service.wal.RecoveryReport` on ``.recovery``.
         Raises :class:`~repro.service.wal.WalCorruptError` on damage a
         torn-tail truncation cannot repair, and ``AssertionError`` if
-        the replayed state violates the ledger invariants (e.g. a
-        tighter ``cpu_cap`` than the state was admitted under).
+        the replayed state violates the ledger invariants.
         """
         from .wal import recover_ledger
 
-        return recover_ledger(state_dir, cpu_cap=cpu_cap)
+        return recover_ledger(state_dir)
 
     def _restore_grant(
         self, reservation: Reservation, edge_caps: Sequence[float]
@@ -493,7 +459,7 @@ class ReservationLedger:
         )
 
     def _restore_deadline(self, app_id: str, expires_at: float) -> None:
-        """Replay one renew/clamp record: move the lease deadline."""
+        """Replay one deadline record: move the lease deadline."""
         reservation = self.reservations[app_id]  # KeyError -> corrupt WAL
         moved = dataclasses.replace(reservation, expires_at=expires_at)
         self.reservations[app_id] = moved
@@ -640,8 +606,8 @@ class ReservationLedger:
                 f"{r.app_id!r}: edges out of ledger order"
             )
         for name, total in node_totals.items():
-            assert total <= self.cpu_cap + _slack(self.cpu_cap), (
-                f"node {name!r} oversubscribed: {total} > {self.cpu_cap}"
+            assert total <= 1.0 + _EPS, (
+                f"node {name!r} oversubscribed: {total} > 1.0"
             )
             tally = self._node_claims.get(name, 0.0)
             assert abs(total - tally) <= _slack(total, tally), (

@@ -49,7 +49,6 @@ COUNTERS = {
     "renewed": "Lease renewals.",
     "expired": "Leases reclaimed after missed renewals.",
     "evicted": "Leases reclaimed because a reserved node crashed.",
-    # Immediately, or clamped to a grace deadline.
     "preempted": "Leases preempted for gold admissions.",
     "admitted_from_queue": "Queued requests admitted later.",
     "queue_displaced": "Queued requests displaced by priority.",

@@ -320,9 +320,6 @@ class SelectionService(FrontDoor):
         Lease duration granted at admission and on each renewal.
     queue_limit:
         Bound on the admission queue (0: never queue, reject instead).
-    cpu_cap:
-        Per-node cap on summed CPU claims (see
-        :class:`~repro.service.ReservationLedger`).
     clock:
         Override the time source (defaults to the provider's simulator
         when it has one, else a manual clock for static graphs).
@@ -352,12 +349,9 @@ class SelectionService(FrontDoor):
         infeasible on residual capacity may reclaim the cheapest set of
         bronze (then silver) leases whose release makes it feasible.
         Victims are never gold, and nothing is evicted unless the
-        reclamation actually yields feasibility.
-    preempt_grace_s:
-        Victim wind-down.  ``0`` (default) releases victims immediately
-        and admits the gold request in the same call; ``> 0`` clamps
-        each victim's lease to ``now + grace`` and queues the gold
-        request, which admission drains once the grace elapses.
+        reclamation actually yields feasibility.  The victims are
+        released (kind ``"preempt"``) and the gold request admitted in
+        the same call.
     """
 
     _SPAN = "service.request"
@@ -369,7 +363,6 @@ class SelectionService(FrontDoor):
         snapshot_ttl: float = 5.0,
         lease_s: float = 60.0,
         queue_limit: int = 16,
-        cpu_cap: float = 1.0,
         clock: Optional[Callable[[], float]] = None,
         tracer=None,
         registry: Optional[MetricsRegistry] = None,
@@ -377,29 +370,23 @@ class SelectionService(FrontDoor):
         wal_fsync: bool = False,
         wal_snapshot_every: int = 256,
         preempt: bool = False,
-        preempt_grace_s: float = 0.0,
     ) -> None:
-        if preempt_grace_s < 0:
-            raise ValueError(
-                f"preempt_grace_s cannot be negative: {preempt_grace_s}"
-            )
         super().__init__(
             provider, lease_s=lease_s, clock=clock, tracer=tracer,
             registry=registry,
         )
         self.preempt = bool(preempt)
-        self.preempt_grace_s = float(preempt_grace_s)
         self.wal: Optional[LedgerWal] = None
         if state_dir is not None:
             # Durability first: the WAL sees every mutation before any
             # derived state (overlay, metrics) reacts to it.
             self.ledger, self.wal = open_ledger(
-                state_dir, cpu_cap=cpu_cap,
-                snapshot_every=wal_snapshot_every, fsync=wal_fsync,
+                state_dir, snapshot_every=wal_snapshot_every,
+                fsync=wal_fsync,
             )
             self.recovery = self.ledger.recovery
         else:
-            self.ledger = ReservationLedger(cpu_cap=cpu_cap)
+            self.ledger = ReservationLedger()
         self.cache = SnapshotCache(
             self.provider, ttl=snapshot_ttl, clock=self.clock,
             tracer=self.tracer,
@@ -432,11 +419,6 @@ class SelectionService(FrontDoor):
             "schedule_builds": 0,
             "route_hits": 0, "route_misses": 0,
         }
-        #: Victims in their preemption grace period: app_id -> the gold
-        #: app that preempted them.  Their shortened leases flow through
-        #: the normal expiry path; :meth:`tick` labels the outcome
-        #: PREEMPTED instead of EXPIRED.
-        self._preempt_pending: dict[str, str] = {}
         #: The spec each live lease was admitted with — proactive
         #: migration re-runs selection with the original shape.  Entries
         #: drop when the ledger returns the capacity.  (WAL-recovered
@@ -489,7 +471,7 @@ class SelectionService(FrontDoor):
     def _ledger_headroom(self, resource: str) -> float:
         util = self.ledger.utilization()
         if resource == "cpu":
-            return max(0.0, self.ledger.cpu_cap - util["max_node_claim"])
+            return max(0.0, 1.0 - util["max_node_claim"])
         return max(0.0, 1.0 - util["max_edge_claim_fraction"])
 
     def _bind_registry(self) -> None:
@@ -1163,8 +1145,8 @@ class SelectionService(FrontDoor):
     ) -> Optional[list[Reservation]]:
         """The cheapest victim set whose reclamation admits ``req``.
 
-        Candidates are every non-gold lease not already winding down,
-        ordered bronze before silver and cheapest first within a class.
+        Candidates are every non-gold lease, ordered bronze before silver
+        and cheapest first within a class.
         Victims are accumulated greedily: after each addition the request
         is re-placed on a *trial* residual with the victims' claims
         credited back by :meth:`ReservationLedger.release`'s own
@@ -1176,7 +1158,6 @@ class SelectionService(FrontDoor):
         candidates = [
             r for r in self.ledger.reservations.values()
             if r.priority != Priority.GOLD
-            and r.app_id not in self._preempt_pending
         ]
         candidates.sort(
             key=lambda r: (
@@ -1196,12 +1177,8 @@ class SelectionService(FrontDoor):
         """Admit an infeasible gold request by reclaiming lesser leases.
 
         Plans first, commits only on a feasible plan: no lease is touched
-        unless the planned evictions provably admit ``req``.  With zero
-        grace the victims are preempted immediately and the gold request
-        is admitted in this same call; with a positive grace each
-        victim's lease is clamped to ``now + grace`` and ``None`` is
-        returned — the gold request queues and drains once the grace
-        elapses.
+        unless the planned evictions provably admit ``req``.  The victims
+        are released and the gold request is admitted in this same call.
         """
         base = self.cache.topology()
         victims = self._plan_preemption(req, base)
@@ -1210,13 +1187,11 @@ class SelectionService(FrontDoor):
                 "infeasible even after preempting all lower-priority leases"
             )
             return None
-        grace = self.preempt_grace_s
         with self.tracer.span(
             "service.preempt",
             app=req.app_id,
             victims=",".join(v.app_id for v in victims),
             n_victims=len(victims),
-            grace_s=grace,
         ):
             for v in victims:
                 self.metrics.preempted += 1
@@ -1224,32 +1199,15 @@ class SelectionService(FrontDoor):
                     self.metrics.preempted_by_class.get(v.priority, 0) + 1
                 )
                 logger.warning(
-                    "lease preempted: app=%r class=%s by=%r grace_s=%g",
-                    v.app_id, v.priority, req.app_id, grace,
+                    "lease preempted: app=%r class=%s by=%r",
+                    v.app_id, v.priority, req.app_id,
                 )
-                if grace <= 0:
-                    self.ledger.preempt(v.app_id)
-                    self.outcomes[v.app_id] = Grant(
-                        app_id=v.app_id,
-                        status=Decision.PREEMPTED,
-                        reason=(
-                            f"preempted for gold request {req.app_id!r}"
-                        ),
-                    )
-                else:
-                    self.ledger.clamp_expiry(v.app_id, self.now + grace)
-                    self._preempt_pending[v.app_id] = req.app_id
-                    self.outcomes[v.app_id] = Grant(
-                        app_id=v.app_id,
-                        status=Decision.ADMITTED,
-                        reservation=self.ledger.reservations[v.app_id],
-                        reason=(
-                            f"winding down: preempted for gold request "
-                            f"{req.app_id!r}, grace {grace:g}s"
-                        ),
-                    )
-            if grace > 0:
-                return None  # the gold request queues until grace elapses
+                self.ledger.release(v.app_id, kind="preempt")
+                self.outcomes[v.app_id] = Grant(
+                    app_id=v.app_id,
+                    status=Decision.PREEMPTED,
+                    reason=f"preempted for gold request {req.app_id!r}",
+                )
             grant = self._try_admit(req)
         if grant is None:  # pragma: no cover - planning guarantees success
             logger.error(
@@ -1277,7 +1235,6 @@ class SelectionService(FrontDoor):
             self.ledger.release(app_id, kind=kind)  # KeyError when unknown
             grant = Grant(app_id=app_id, status=status)
             self._count_release(kind)
-        self._preempt_pending.pop(app_id, None)
         self.outcomes[app_id] = grant
         self._drain_queue()
         return grant
@@ -1286,15 +1243,8 @@ class SelectionService(FrontDoor):
         """Extend ``app_id``'s lease; returns the refreshed grant.
 
         ``extend`` overrides the service's lease duration for this one
-        renewal (``None``: the configured ``lease_s``).  A lease winding
-        down under preemption cannot renew its way out of the grace
-        deadline — renewal raises :class:`LedgerError`.
+        renewal (``None``: the configured ``lease_s``).
         """
-        if app_id in self._preempt_pending:
-            raise LedgerError(
-                f"lease for {app_id!r} is being preempted for "
-                f"{self._preempt_pending[app_id]!r}; renewal refused"
-            )
         lease = self.lease_s if extend is None else float(extend)
         reservation = self.ledger.renew(app_id, self.now, lease)
         self.metrics.renewed += 1
@@ -1318,20 +1268,6 @@ class SelectionService(FrontDoor):
         """
         expired = self.ledger.expire(self.now)
         for app_id in expired:
-            preemptor = self._preempt_pending.pop(app_id, None)
-            if preemptor is not None:
-                # The grace period elapsed: this lease lapsed because it
-                # was clamped by preemption, not because the holder
-                # stopped renewing — label the outcome accordingly.
-                self.outcomes[app_id] = Grant(
-                    app_id=app_id,
-                    status=Decision.PREEMPTED,
-                    reason=(
-                        f"preemption grace elapsed "
-                        f"(preempted for {preemptor!r})"
-                    ),
-                )
-                continue
             self.metrics.expired += 1
             self.outcomes[app_id] = Grant(
                 app_id=app_id,
@@ -1386,7 +1322,6 @@ class SelectionService(FrontDoor):
             self._known_down.add(target)
             for app_id in self.ledger.apps_on_node(target):
                 self.ledger.release(app_id, kind="evict")
-                self._preempt_pending.pop(app_id, None)
                 self.metrics.evicted += 1
                 # The known-down set has outrun the monitor: make the
                 # divergence observable without reading code — one
@@ -1612,7 +1547,6 @@ class _BatchPlanner:
         m = req.spec.num_nodes
         need = req.cpu_fraction
         caps = service.ledger._node_claims
-        cap = service.ledger.cpu_cap
         graph = view.graph
         chosen: list[str] = []
         avail = 0.0
@@ -1621,7 +1555,7 @@ class _BatchPlanner:
             if avail + _EPS < need:
                 break  # best first: nobody further down has it either
             if (
-                caps.get(name, 0.0) + need > cap + _EPS
+                caps.get(name, 0.0) + need > 1.0 + _EPS
                 or not node_is_selectable(graph.node(name))
                 or (chosen and not view.routes.connected(chosen[0], name))
             ):

@@ -193,7 +193,6 @@ class ShardRouter(FrontDoor):
         plan: Optional[ShardPlan] = None,
         snapshot_ttl: float = 5.0,
         lease_s: float = 60.0,
-        cpu_cap: float = 1.0,
         clock=None,
         tracer=None,
         registry: Optional[MetricsRegistry] = None,
@@ -264,7 +263,6 @@ class ShardRouter(FrontDoor):
             # The router's TTL is the only one: a shard re-reads the
             # router's snapshot on every request.
             "snapshot_ttl": 0.0,
-            "cpu_cap": cpu_cap,
             "queue_limit": 0,
             "wal_fsync": bool(wal_fsync),
             "wal_snapshot_every": int(wal_snapshot_every),
@@ -275,7 +273,7 @@ class ShardRouter(FrontDoor):
             self.trunk, self.wal = ReservationLedger(), None
         else:
             self.trunk, self.wal = open_ledger(
-                os.path.join(state_dir, "trunk"), cpu_cap=1.0,
+                os.path.join(state_dir, "trunk"),
                 snapshot_every=int(wal_snapshot_every), fsync=bool(wal_fsync),
             )
             self._recover_composites()

@@ -7,8 +7,8 @@ running.  This module makes the control plane restartable:
 
 - :class:`LedgerWal` subscribes to the ledger's listener path
   (:meth:`ReservationLedger.subscribe`) and appends one JSONL record per
-  mutation — ``grant``, ``renew``, ``release``, ``expire``, ``evict``,
-  ``preempt``, and ``preempt_clamp`` (the grace-period deadline clamp).
+  mutation — ``grant``, ``renew``, ``release``, ``expire``, ``evict``
+  and ``preempt``.
   Records are flushed to the OS per append; ``fsync=True`` additionally
   forces them to stable storage (power-loss durability at a latency
   cost).  A grant line takes each channel's text from a memo, so what a
@@ -366,7 +366,7 @@ class LedgerWal:
         snap = {
             "version": 1,
             "seq": self._seq,
-            "cpu_cap": ledger.cpu_cap,
+            "cpu_cap": 1.0,  # the whole node; kept for the format
             "reservations": [
                 _encode_reservation(
                     r, [encode_edge(e) for e in r.edges],
@@ -416,21 +416,19 @@ class LedgerWal:
         )
 
 
-def recover_ledger(state_dir: str, *, cpu_cap: float = 1.0):
+def recover_ledger(state_dir: str):
     """Rebuild a ledger from ``state_dir``'s snapshot + WAL.
 
     The implementation behind :meth:`ReservationLedger.recover`.  Returns
     the recovered ledger with a :class:`RecoveryReport` on its
-    ``recovery`` attribute.  ``cpu_cap`` is the *configured* cap for the
-    new process — if it is tighter than what the recovered claims allow,
-    the closing ``check_invariants()`` fails loudly rather than admitting
-    an inconsistent ledger.
+    ``recovery`` attribute; a replayed state that breaks the ledger
+    invariants fails the closing ``check_invariants()`` loudly.
     """
     from .ledger import ReservationLedger
 
     snap = _read_snapshot(os.path.join(state_dir, SNAPSHOT_NAME))
     records, truncated, _ = _read_wal(os.path.join(state_dir, WAL_NAME))
-    ledger = ReservationLedger(cpu_cap=cpu_cap)
+    ledger = ReservationLedger()
     snapshot_seq = 0
     if snap is not None:
         snapshot_seq = int(snap["seq"])
@@ -461,7 +459,9 @@ def recover_ledger(state_dir: str, *, cpu_cap: float = 1.0):
             if kind == "grant":
                 reservation, caps = _decode_reservation(record)
                 ledger._restore_grant(reservation, caps)
-            elif kind in DEADLINE_KINDS:
+            elif kind in DEADLINE_KINDS or kind == "preempt_clamp":
+                # ``preempt_clamp``: a deadline move in state dirs
+                # written while preemption could defer its release.
                 ledger._restore_deadline(
                     record["app"], float(record["expires_at"])
                 )
@@ -494,9 +494,7 @@ def recover_ledger(state_dir: str, *, cpu_cap: float = 1.0):
     return ledger
 
 
-def open_ledger(
-    state_dir: str, *, cpu_cap: float, snapshot_every: int, fsync: bool
-):
+def open_ledger(state_dir: str, *, snapshot_every: int, fsync: bool):
     """Open a durable ledger: recover ``state_dir``, then log to it.
 
     The one durable-open sequence: :func:`recover_ledger` replays the
@@ -506,7 +504,7 @@ def open_ledger(
     sees every later mutation first.  Returns ``(ledger, wal)``; the
     ledger carries its :class:`RecoveryReport` on ``recovery``.
     """
-    ledger = recover_ledger(state_dir, cpu_cap=cpu_cap)
+    ledger = recover_ledger(state_dir)
     wal = LedgerWal(state_dir, snapshot_every=snapshot_every, fsync=fsync)
     wal.attach(ledger)
     return ledger, wal

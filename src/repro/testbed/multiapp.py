@@ -120,7 +120,6 @@ def run_multi_tenant(
     trace_out: Optional[str] = None,
     metrics_out: Optional[str] = None,
     preempt: bool = False,
-    preempt_grace_s: float = 0.0,
     shards: int = 1,
     reactive: bool = False,
 ) -> MultiTenantResult:
@@ -138,8 +137,8 @@ def run_multi_tenant(
 
     ``preempt=True`` runs the preemption-enabled arm: gold tenants that
     arrive infeasible reclaim bronze/silver leases instead of queueing
-    behind them (``preempt_grace_s`` gives victims a wind-down; the
-    campaign's metrics then carry ``preempted`` counts).
+    behind them (the campaign's metrics then carry ``preempted``
+    counts).
 
     ``shards=K`` (K > 1) runs the sharded arm: a
     :class:`~repro.service.ShardRouter` partitions the live topology and
@@ -192,7 +191,6 @@ def run_multi_tenant(
             tracer=tracer,
             registry=registry,
             preempt=preempt,
-            preempt_grace_s=preempt_grace_s,
         )
         service.attach_injector(injector)
         if reactive:

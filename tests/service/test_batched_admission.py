@@ -84,6 +84,26 @@ class TestValidation:
                 cpu_fraction=-0.1,
             )
 
+    @pytest.mark.parametrize("backend", ["service", "router"])
+    def test_cpu_claim_above_one_node_is_refused_before_counting(
+        self, backend
+    ):
+        """A claim above the whole node cannot be built, so a batch
+        holding one never reaches ``admit_batch`` and counts nothing."""
+        target = (make_service() if backend == "service"
+                  else ShardRouter(make_graph(hosts=16), shards=2,
+                                   snapshot_ttl=1e9, lease_s=1e9))
+        spec = ApplicationSpec(num_nodes=1)
+        BatchRequest("whole", spec, cpu_fraction=1.0)  # the cap itself fits
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]: 1.5"):
+            target.admit_batch([
+                BatchRequest("ok", spec, cpu_fraction=0.1),
+                BatchRequest("b", spec, cpu_fraction=1.5),
+            ])
+        m = target.metrics
+        assert (m.requests, m.batches, m.batch_requests) == (0, 0, 0)
+        assert target.active_apps() == []
+
 
 class TestSingletonBitIdentity:
     def test_batch_of_one_equals_request(self):

@@ -4,10 +4,11 @@ The floor kernel walks the residual overlay's kept
 :class:`~repro.core.kernel.ComputeRanking` best first and finds each
 candidate's floor-component by climbing the forest index (union-find on
 a graph with a cycle).  Three arms must agree after every step of a
-generated history — grants, releases, renewals, deadline clamps,
-expiries, health marks, measured re-bases, eligibility predicates, a
-switch of the reference node capacity — on a tree, a cyclic grid and random
-cyclic graphs (`tests/core/cyclic_graphs.py::random_cyclic`):
+generated history — grants, releases, renewals (to later and earlier
+deadlines), expiries, health marks, measured re-bases, eligibility
+predicates, a switch of the reference node capacity — on a tree, a
+cyclic grid and random cyclic graphs
+(`tests/core/cyclic_graphs.py::random_cyclic`):
 
 1. the kernel on the live overlay (kept ranking, lazily re-keyed);
 2. the same kernel on a fresh ``residual_graph()`` rebuild (no ranking:
@@ -169,8 +170,10 @@ class Rig:
             ledger.release(live[args[0] % len(live)])
         elif kind == "renew" and live:
             ledger.renew(live[args[0] % len(live)], self.now, 10.0)
-        elif kind == "clamp" and live:
-            ledger.clamp_expiry(live[args[0] % len(live)], self.now + args[1])
+        elif kind == "shorten" and live:
+            app = live[args[0] % len(live)]
+            if self.now + args[1] < ledger.reservations[app].expires_at:
+                ledger.renew(app, self.now, args[1])  # the deadline earlier
         elif kind == "advance":
             self.now += args[0]
             ledger.expire(self.now)
@@ -227,7 +230,7 @@ actions = st.one_of(
               st.sampled_from([0.0, 5.0, 20.0])),
     st.tuples(st.just("release"), index),
     st.tuples(st.just("renew"), index),
-    st.tuples(st.just("clamp"), index, st.sampled_from([0.5, 3.0, 20.0])),
+    st.tuples(st.just("shorten"), index, st.sampled_from([0.5, 3.0, 20.0])),
     st.tuples(st.just("advance"), st.sampled_from([1.0, 4.0, 11.0])),
     st.tuples(st.just("down"), index),
     st.tuples(st.just("up"), index),

@@ -108,12 +108,6 @@ class TestReserve:
         with pytest.raises(ValueError):
             ledger.reserve("a", ["l0"], graph=graph, now=0.0, **kwargs)
 
-    def test_cpu_cap_validation(self):
-        with pytest.raises(ValueError):
-            ReservationLedger(cpu_cap=0.0)
-        with pytest.raises(ValueError):
-            ReservationLedger(cpu_cap=1.5)
-
 
 class TestLifecycle:
     def test_release_returns_capacity(self, graph):

@@ -8,7 +8,6 @@ metrics, trace spans, and WAL records all reflecting what happened.
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,57 +181,6 @@ class TestTrialCredit:
         assert trial_nodes == ledger.node_claims()
         assert trial_edges == ledger.edge_claims()
         ledger.check_invariants()
-
-
-class TestGracePeriod:
-    def make(self, grace=10.0):
-        service = SelectionService(
-            dumbbell(2, 2), preempt=True, preempt_grace_s=grace,
-            lease_s=60.0,
-        )
-        fill(service, [(f"w{i}", Priority.BRONZE, 0.9) for i in range(4)])
-        return service
-
-    def test_victims_wind_down_and_gold_queues(self):
-        service = self.make(grace=10.0)
-        grant = service.request("gold", spec(4), cpu_fraction=0.9,
-                                priority=Priority.GOLD)
-        assert grant.status == Decision.QUEUED
-        for i in range(4):
-            outcome = service.status(f"w{i}")
-            assert outcome.admitted  # still holding, winding down
-            assert "winding down" in outcome.reason
-            assert service.ledger.reservations[f"w{i}"].expires_at == 10.0
-
-    def test_grace_elapses_into_preempted_not_expired(self):
-        service = self.make(grace=10.0)
-        service.request("gold", spec(4), cpu_fraction=0.9,
-                        priority=Priority.GOLD)
-        service.advance(11.0)
-        assert service.status("gold").admitted
-        for i in range(4):
-            assert service.status(f"w{i}").status == Decision.PREEMPTED
-        assert service.metrics.expired == 0
-        assert service.metrics.preempted == 4
-        service.check_invariants()
-
-    def test_victims_cannot_renew_out_of_the_grace(self):
-        service = self.make(grace=10.0)
-        service.request("gold", spec(4), cpu_fraction=0.9,
-                        priority=Priority.GOLD)
-        with pytest.raises(LedgerError, match="preempted"):
-            service.renew("w0")
-
-    def test_voluntary_release_during_grace_is_a_release(self):
-        service = self.make(grace=10.0)
-        service.request("gold", spec(4), cpu_fraction=0.9,
-                        priority=Priority.GOLD)
-        assert service.release("w0").status == Decision.RELEASED
-        service.advance(11.0)
-        # w0 released before the grace elapsed; the others were reaped.
-        assert service.status("w0").status == Decision.RELEASED
-        assert service.status("w1").status == Decision.PREEMPTED
-        assert service.status("gold").admitted
 
 
 class TestObservability:

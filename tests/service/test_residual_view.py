@@ -72,8 +72,9 @@ class TestResidualViewOverlay:
         view.assert_matches_rebuild()
 
     def test_a_deadline_move_is_not_a_claim_move(self, rig):
-        """``renew`` and ``clamp_expiry`` move ``expires_at`` and nothing
-        the overlay mirrors: no delta, no node marked for re-keying."""
+        """A ``renew`` moves ``expires_at`` — later or earlier — and
+        nothing the overlay mirrors: no delta, no node marked for
+        re-keying."""
         g, ledger, view = rig
         ledger.reserve(
             "a", ["l0", "r1"], cpu_fraction=0.25, bw_bps=5 * Mbps,
@@ -81,7 +82,7 @@ class TestResidualViewOverlay:
         )
         view.ranking.keys(view.ranking.refs)  # re-keyed: nothing dirty
         ledger.renew("a", 10.0, 60.0)
-        ledger.clamp_expiry("a", 30.0)
+        ledger.renew("a", 20.0, 10.0)  # earlier than 70.0
         assert ledger.reservations["a"].expires_at == 30.0
         assert view.deltas == 1 and not view.ranking._dirty
         view.assert_matches_rebuild()
@@ -295,11 +296,11 @@ class TestEpochMemoization:
         ).admitted
         deltas, epoch = service.view.deltas, service._residual_epoch
         service.renew("a")
-        service.ledger.clamp_expiry("a", 1.0)
+        service.renew("a", extend=1.0)  # earlier than the first renew's
         assert (service.view.deltas, service._residual_epoch) == (deltas, epoch)
         service.check_invariants()
         service.advance(2.0)
-        service.tick()  # the clamped lease lapses: that is a claim move
+        service.tick()  # the shortened lease lapses: that is a claim move
         assert service.view.deltas == deltas + 1
         service.check_invariants()
 

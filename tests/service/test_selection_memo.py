@@ -5,11 +5,11 @@ the two claim counts and lets it answer only while the claim totals it
 was stored with equal the ledger's.  Four things must hold:
 
 (a) exactness — over a generated history of requests, releases,
-    renewals, deadline clamps, expiries and node crashes, with CPU and
-    bandwidth claims chosen so that ``(a + x) - x != a`` happens, every
-    grant and refusal equals that of a twin that rebuilds its residual
-    graph per attempt and keeps no memo
-    (:func:`tests.oracles.naive_rebuild_service`); and whenever an entry
+    renewals (to later and earlier deadlines), expiries and node
+    crashes, with CPU and bandwidth claims chosen so that
+    ``(a + x) - x != a`` happens, every grant and refusal equals that
+    of a twin that rebuilds its residual graph per attempt and keeps no
+    memo (:func:`tests.oracles.naive_rebuild_service`); and whenever an entry
     answers, the ledger's ``claims_fingerprint()`` equals the one
     recorded here when that entry was stored;
 (b) recurrence — admit + release over standing tenants returns to the
@@ -139,12 +139,15 @@ class Rig:
                 if seen[-1][2]:
                     svc.release(f"app-{self.apps}")
             return seen
-        if kind in ("release", "renew", "clamp"):
+        if kind in ("release", "renew", "shorten"):
             live = svc.active_apps()
             if live:
                 app = live[args[0] % len(live)]
-                if kind == "clamp":
-                    svc.ledger.clamp_expiry(app, svc.now + args[1])
+                if kind == "shorten":
+                    ledger = svc.ledger
+                    if svc.now + args[1] < ledger.reservations[app].expires_at:
+                        # A renew that moves the deadline earlier.
+                        ledger.renew(app, svc.now, args[1])
                 else:
                     getattr(svc, kind)(app)
         elif kind == "advance":
@@ -161,7 +164,7 @@ steps = st.one_of(
     st.tuples(st.just("cycle"), *claims),
     st.tuples(st.just("release"), st.integers(0, 5)),
     st.tuples(st.just("renew"), st.integers(0, 5)),
-    st.tuples(st.just("clamp"), st.integers(0, 5),
+    st.tuples(st.just("shorten"), st.integers(0, 5),
               st.sampled_from([0.5, 12.0])),
     st.tuples(st.just("advance"), st.sampled_from([1.0, 10.0, 25.0])),
     st.tuples(st.just("crash"), st.sampled_from(HOSTS)),
@@ -191,7 +194,7 @@ def test_scripted_history_hits_misses_and_drifts():
     shipped = run_history([
         ("request", 0, 1, 1), ("cycle", 1, 3, 3), ("cycle", 1, 3, 3),
         ("request", 1, 3, 3), ("request", 1, 3, 3), ("request", 1, 3, 3),
-        ("cycle", 1, 3, 0), ("renew", 0), ("clamp", 1, 0.5),
+        ("cycle", 1, 3, 0), ("renew", 0), ("shorten", 1, 0.5),
         ("cycle", 0, 1, 1), ("advance", 1.0), ("cycle", 0, 1, 1),
         ("crash", HOSTS[0]), ("cycle", 0, 1, 1), ("recover", HOSTS[0]),
         ("advance", 25.0), ("cycle", 0, 1, 1),

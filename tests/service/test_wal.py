@@ -26,8 +26,9 @@ from repro.service import (
     WalCorruptError,
     WalError,
 )
+from repro.service.cli import main
 from repro.service.wal import SNAPSHOT_NAME, WAL_NAME, open_ledger
-from repro.topology import TopologyGraph, dumbbell, star
+from repro.topology import TopologyGraph, dumbbell, star, to_json
 from repro.units import Mbps
 
 from ..oracles import ReferenceWal, reference_wal_service
@@ -73,14 +74,15 @@ class TestWalBasics:
         assert kinds[1::2] == ["expire", "evict", "preempt"]
 
     def test_clamp_expiry_logs_the_moved_deadline(self, tmp_path):
+        """A renew that moves the deadline earlier is logged as one."""
         graph = dumbbell(2, 2)
         ledger, wal = make_ledger_with_wal(tmp_path)
         grant(ledger, graph, "a", ("l0",), now=0.0, lease=60.0)
-        ledger.clamp_expiry("a", 5.0)
+        ledger.renew("a", 1.0, 4.0)
         last = json.loads(
             (tmp_path / WAL_NAME).read_text().splitlines()[-1]
         )
-        assert last["kind"] == "preempt_clamp"
+        assert last["kind"] == "renew"
         assert last["expires_at"] == 5.0
 
     def test_snapshot_compacts_the_log(self, tmp_path):
@@ -189,7 +191,7 @@ class TestRecovery:
         path.write_bytes(path.read_bytes()[:-6])  # tear the renew
         shutil.copytree(one, two)
         opened, opened_wal = open_ledger(
-            str(one), cpu_cap=1.0, snapshot_every=256, fsync=False
+            str(one), snapshot_every=256, fsync=False
         )
         by_hand = ReservationLedger.recover(str(two))
         LedgerWal(str(two)).attach(by_hand)
@@ -240,6 +242,39 @@ class TestRecovery:
         assert recovered.recovery.records == 0  # all seq-covered, skipped
         assert recovered.reservations == ledger.reservations
         assert recovered.claims_fingerprint() == ledger.claims_fingerprint()
+
+    def test_legacy_preempt_clamp_record_replays(self, tmp_path, capsys):
+        """A state dir written while preemption could defer its release
+        holds ``preempt_clamp`` records: each replays as the deadline
+        move it logged, for the ledger and for ``repro-serve``."""
+        edges = ('[[["l0","sw-left"],"l0"],[["l0","sw-left"],"sw-left"],'
+                 '[["r0","sw-right"],"r0"],[["r0","sw-right"],"sw-right"],'
+                 '[["sw-left","sw-right"],"sw-left"],'
+                 '[["sw-left","sw-right"],"sw-right"]]')
+        (tmp_path / WAL_NAME).write_text(
+            '{"seq":1,"kind":"grant","app":"a","nodes":["l0","r0"],'
+            '"cpu":0.3,"bw":5000000.0,"edges":' + edges + ','
+            '"caps":[1e8,1e8,1e8,1e8,1e8,1e8],"priority":"bronze",'
+            '"granted_at":0.0,"expires_at":60.0}\n'
+            '{"seq":2,"kind":"preempt_clamp","app":"a","expires_at":10.0}\n'
+            '{"seq":3,"kind":"grant","app":"b","nodes":["l1"],"cpu":0.5,'
+            '"bw":0.0,"edges":[],"caps":[],"priority":"gold",'
+            '"granted_at":1.0,"expires_at":61.0}\n'
+        )
+        live = ReservationLedger()
+        graph = dumbbell(2, 2)
+        grant(live, graph, "a", ("l0", "r0"), cpu=0.3, bw=5e6)
+        live.renew("a", 5.0, 5.0)  # the same move, made the one way left
+        grant(live, graph, "b", ("l1",), cpu=0.5, bw=0.0, now=1.0)
+        recovered = ReservationLedger.recover(str(tmp_path))
+        assert recovered.recovery.records == 3
+        assert recovered.reservations["a"].expires_at == 10.0
+        assert recovered.claims_fingerprint() == live.claims_fingerprint()
+        topo = tmp_path / "topo.json"
+        topo.write_text(to_json(graph))
+        assert main([str(topo), "--demo", "0",
+                     "--state-dir", str(tmp_path)]) == 0
+        assert "recovered 2 leases from WAL" in capsys.readouterr().err
 
 
 class TestServiceRecovery:
@@ -450,8 +485,8 @@ class TestGrantLineDifferential:
                 ledger.release(live[picks[0] % len(live)])
             elif live and op == "n":
                 ledger.renew(live[picks[0] % len(live)], now, 30.0)
-            elif live and op == "c":
-                ledger.clamp_expiry(live[picks[0] % len(live)], now + 0.5)
+            elif live and op == "c":  # a renew that lands earlier
+                ledger.renew(live[picks[0] % len(live)], now, 0.5)
         _same_files(mine, theirs)
 
     def test_a_durable_service_writes_the_reference_bytes(self, tmp_path):

@@ -293,3 +293,28 @@ def test_partition():
     assert not _matching(
         r"^\s+for ", section(partition, r"^def _closest\(", r"return best")
     ), "a cut is read next to one bisection of the index"
+
+
+def test_lease_lifecycle():
+    """A lease ends only through a capacity-returning release, its
+    deadline moves only through ``renew``, and its CPU claim is capped
+    at the whole node: no grace period, no settable cap, and the one
+    ``preempt_clamp`` left is the replay of records already on disk."""
+    assert not grep(
+        r"clamp_expiry|preempt_grace|_preempt_pending", SRC, py_only=False
+    ), "preemption releases its victims at once"
+    caps = grep(r"\bcpu_cap\b", SRC)
+    assert len(caps) == 1 and caps[0].startswith(
+        "src/repro/service/wal.py:"
+    ) and '"cpu_cap": 1.0' in caps[0], (
+        "the cap is the whole node: only the snapshot format names it",
+        caps,
+    )
+    wal = SERVICE / "wal.py"
+    clamps = grep(r"preempt_clamp", SRC, py_only=False)
+    replay = _matching(
+        r"preempt_clamp", section(wal, r"^def recover_ledger\(", r"^def ")
+    )
+    assert clamps and len(clamps) == len(replay) and all(
+        line.startswith("src/repro/service/wal.py:") for line in clamps
+    ), clamps
