@@ -18,12 +18,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..core.spec import ApplicationSpec
+from .ledger import check_claim
 
 __all__ = [
     "AdmissionQueue",
     "Decision",
     "Priority",
     "SelectionRequest",
+    "check_request",
     "plain_spec",
 ]
 
@@ -59,8 +61,28 @@ class Priority:
     RANK = {GOLD: 0, SILVER: 1, BRONZE: 2}
 
 
+def check_request(
+    app_id: str, *, cpu_fraction: float, bw_bps: float, priority: str
+) -> None:
+    """Refuse a request before any backend counts it: an empty
+    ``app_id``, an unknown priority class, or a claim
+    :func:`~repro.service.ledger.check_claim` refuses.  Both request
+    records (:class:`SelectionRequest`, :class:`~repro.service.BatchRequest`)
+    run it when built, the shard router on its arguments."""
+    if not app_id:
+        raise ValueError("app_id cannot be empty")
+    if priority not in Priority.ALL:
+        raise ValueError(
+            f"unknown priority {priority!r}; expected one of {Priority.ALL}"
+        )
+    check_claim(cpu_fraction, bw_bps)
+
+
 class Decision:
-    """Outcome states of a service request (see :class:`~repro.service.Grant`)."""
+    """Outcome states of a service request (see :class:`~repro.service.Grant`).
+
+    Each value is also the name of the metrics counter
+    (:data:`~repro.service.metrics.COUNTERS`) that counts the outcome."""
 
     ADMITTED = "admitted"
     QUEUED = "queued"
@@ -116,19 +138,8 @@ class SelectionRequest:
     spec_key: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.app_id:
-            raise ValueError("app_id cannot be empty")
-        if self.priority not in Priority.ALL:
-            raise ValueError(
-                f"unknown priority {self.priority!r}; "
-                f"expected one of {Priority.ALL}"
-            )
-        if not 0 <= self.cpu_fraction <= 1.0:
-            raise ValueError(
-                f"cpu_fraction must be in [0, 1]: {self.cpu_fraction}"
-            )
-        if self.bw_bps < 0:
-            raise ValueError(f"bw_bps cannot be negative: {self.bw_bps}")
+        check_request(self.app_id, cpu_fraction=self.cpu_fraction,
+                      bw_bps=self.bw_bps, priority=self.priority)
 
     @property
     def rank(self) -> tuple[int, float, int]:

@@ -39,7 +39,7 @@ from typing import (
 
 from ..core.spec import ApplicationSpec
 from ..core.types import Selection
-from .admission import Decision, Priority
+from .admission import Decision, Priority, check_request
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .ledger import Reservation
@@ -100,19 +100,8 @@ class BatchRequest:
     priority: str = Priority.SILVER
 
     def __post_init__(self) -> None:
-        if not self.app_id:
-            raise ValueError("app_id cannot be empty")
-        if self.priority not in Priority.ALL:
-            raise ValueError(
-                f"unknown priority {self.priority!r}; "
-                f"expected one of {Priority.ALL}"
-            )
-        if not 0 <= self.cpu_fraction <= 1.0:
-            raise ValueError(
-                f"cpu_fraction must be in [0, 1]: {self.cpu_fraction}"
-            )
-        if self.bw_bps < 0:
-            raise ValueError(f"bw_bps cannot be negative: {self.bw_bps}")
+        check_request(self.app_id, cpu_fraction=self.cpu_fraction,
+                      bw_bps=self.bw_bps, priority=self.priority)
 
 
 @runtime_checkable

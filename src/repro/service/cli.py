@@ -130,14 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="nodes per demo request (default: 2)")
     parser.add_argument("--cpu", type=float, default=0.25,
                         help="CPU-fraction claim per demo request (default: 0.25)")
-    parser.add_argument("--bw-mbps", type=float, default=0.0,
-                        help="bandwidth claim per demo request in Mbps")
     parser.add_argument("--ttl", type=float, default=5.0,
                         help="snapshot cache TTL in seconds (default: 5)")
     parser.add_argument("--lease", type=float, default=60.0,
                         help="lease duration in seconds (default: 60)")
-    parser.add_argument("--queue-limit", type=int, default=16,
-                        help="admission queue bound (default: 16)")
     parser.add_argument("--shards", type=int, default=1, metavar="K",
                         help="partition the topology into K connected shards "
                              "behind a router: per-shard services, trunk "
@@ -188,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _demo_ops(n: int, nodes: int, cpu: float, bw_mbps: float) -> list[dict]:
-    """N staggered requests cycling through the priority classes."""
+def _demo_ops(n: int, nodes: int, cpu: float) -> list[dict]:
+    """N staggered CPU-only requests cycling through the priority classes."""
     return [
         {
             "op": "request",
@@ -197,7 +193,6 @@ def _demo_ops(n: int, nodes: int, cpu: float, bw_mbps: float) -> list[dict]:
             "at": float(i),
             "nodes": nodes,
             "cpu": cpu,
-            "bw_mbps": bw_mbps,
             "priority": Priority.ALL[i % len(Priority.ALL)],
         }
         for i in range(n)
@@ -342,7 +337,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         if args.demo is not None:
-            ops = _demo_ops(args.demo, args.nodes, args.cpu, args.bw_mbps)
+            ops = _demo_ops(args.demo, args.nodes, args.cpu)
         else:
             with open(args.requests, "r", encoding="utf-8") as fh:
                 ops = json.load(fh)
@@ -389,7 +384,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 graph,
                 snapshot_ttl=args.ttl,
                 lease_s=args.lease,
-                queue_limit=args.queue_limit,
                 tracer=tracer,
                 state_dir=args.state_dir,
                 wal_fsync=args.wal_fsync,

@@ -49,6 +49,7 @@ __all__ = [
     "LedgerError",
     "Reservation",
     "ReservationLedger",
+    "check_claim",
     "ledger_order",
     "route_edges",
 ]
@@ -116,6 +117,17 @@ CAPACITY_RETURNING_KINDS = frozenset(
 #: Listener kinds that move a lease's deadline and no claim: the log keeps
 #: them, whoever mirrors the claims (the residual overlay) passes them over.
 DEADLINE_KINDS = frozenset({"renew"})
+
+
+def check_claim(cpu_fraction: float, bw_bps: float) -> None:
+    """Refuse a claim no lease can hold: a CPU fraction outside the
+    whole node, [0, 1], or a negative bandwidth.  The one copy of the
+    claim rule: both request records and :meth:`ReservationLedger.reserve`
+    run it."""
+    if not 0 <= cpu_fraction <= 1.0:
+        raise ValueError(f"cpu_fraction must be in [0, 1]: {cpu_fraction}")
+    if bw_bps < 0:
+        raise ValueError(f"bw_bps cannot be negative: {bw_bps}")
 
 
 class LedgerError(Exception):
@@ -243,10 +255,7 @@ class ReservationLedger:
             raise ValueError("reservation needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"duplicate nodes in reservation: {list(nodes)}")
-        if not 0 <= cpu_fraction <= 1.0:
-            raise ValueError(f"cpu_fraction must be in [0, 1]: {cpu_fraction}")
-        if bw_bps < 0:
-            raise ValueError(f"bw_bps cannot be negative: {bw_bps}")
+        check_claim(cpu_fraction, bw_bps)
         if lease_s <= 0:
             raise ValueError(f"lease_s must be positive: {lease_s}")
         for name in nodes:
@@ -294,20 +303,32 @@ class ReservationLedger:
             granted_at=now,
             expires_at=now + lease_s,
         )
+        self._write_grant(reservation, totals, caps)
+        return reservation
+
+    def _write_grant(
+        self, reservation: Reservation, totals: Sequence[float],
+        caps: Sequence[float],
+    ) -> None:
+        """The one grant write, of :meth:`reserve` and of replay: debit
+        the CPU claim on every node, set each channel's new claim total
+        and cap (in ``reservation.edges`` order), file the deadline and
+        tell the listeners (none yet while a log replays)."""
         # A zero claim is no claim: recording 0.0 entries would collapse
         # to deletion when ANY overlapping reservation releases, stranding
         # the rest (bandwidth-only reservations share nodes freely).
+        cpu_fraction = reservation.cpu_fraction
         if cpu_fraction > 0.0:
-            for name in nodes:
-                self._node_claims[name] = (
-                    self._node_claims.get(name, 0.0) + cpu_fraction
-                )
-        claims.update(zip(edges, totals))
-        self._edge_caps.update(zip(edges, caps))
-        self.reservations[app_id] = reservation
-        heapq.heappush(self._deadlines, (reservation.expires_at, app_id))
+            node_claims = self._node_claims
+            for name in reservation.nodes:
+                node_claims[name] = node_claims.get(name, 0.0) + cpu_fraction
+        self._edge_claims.update(zip(reservation.edges, totals))
+        self._edge_caps.update(zip(reservation.edges, caps))
+        self.reservations[reservation.app_id] = reservation
+        heapq.heappush(
+            self._deadlines, (reservation.expires_at, reservation.app_id)
+        )
         self._notify("reserve", reservation)
-        return reservation
 
     def release(self, app_id: str, *, kind: str = "release") -> Reservation:
         """Return ``app_id``'s capacity to the pool.
@@ -335,20 +356,24 @@ class ReservationLedger:
 
     def renew(self, app_id: str, now: float, lease_s: float) -> Reservation:
         """Extend ``app_id``'s lease to ``now + lease_s``."""
-        try:
-            reservation = self.reservations[app_id]
-        except KeyError:
-            raise KeyError(f"no reservation for {app_id!r}") from None
+        if app_id not in self.reservations:
+            raise KeyError(f"no reservation for {app_id!r}")
         if lease_s <= 0:
             raise ValueError(f"lease_s must be positive: {lease_s}")
-        renewed = dataclasses.replace(reservation, expires_at=now + lease_s)
-        self.reservations[app_id] = renewed
+        return self._write_deadline(app_id, now + lease_s)
+
+    def _write_deadline(self, app_id: str, expires_at: float) -> Reservation:
+        """The one deadline write, of :meth:`renew` and of replay."""
+        moved = dataclasses.replace(
+            self.reservations[app_id], expires_at=expires_at
+        )
+        self.reservations[app_id] = moved
         # The old heap entry is lazily deleted: when popped it no longer
         # matches the live reservation's deadline and is discarded.
-        heapq.heappush(self._deadlines, (renewed.expires_at, app_id))
+        heapq.heappush(self._deadlines, (expires_at, app_id))
         self._note_stale_deadline()
-        self._notify("renew", renewed)
-        return renewed
+        self._notify("renew", moved)
+        return moved
 
     def expire(self, now: float) -> list[str]:
         """Release every lease past its expiry; returns the reclaimed apps.
@@ -426,11 +451,9 @@ class ReservationLedger:
     def _restore_grant(
         self, reservation: Reservation, edge_caps: Sequence[float]
     ) -> None:
-        """Replay one grant record: apply claims without re-validation.
-
-        Mirrors :meth:`reserve`'s mutation block exactly (same float
-        additions in the same order) so replayed tallies stay
-        bit-identical to the originals.  Validation is skipped — the
+        """Replay one grant record through :meth:`reserve`'s own write
+        (the same float additions in the same order), so replayed tallies
+        stay bit-identical to the originals.  Validation is skipped — the
         original ``reserve`` already enforced the caps, and
         :meth:`check_invariants` re-checks the final replayed state.
         """
@@ -443,28 +466,9 @@ class ReservationLedger:
                 f"grant for {reservation.app_id!r} carries "
                 f"{len(edge_caps)} caps for {len(reservation.edges)} edges"
             )
-        if reservation.cpu_fraction > 0.0:  # mirror reserve(): no 0.0 entries
-            for name in reservation.nodes:
-                self._node_claims[name] = (
-                    self._node_claims.get(name, 0.0) + reservation.cpu_fraction
-                )
-        for edge, cap in zip(reservation.edges, edge_caps):
-            self._edge_claims[edge] = (
-                self._edge_claims.get(edge, 0.0) + reservation.bw_bps
-            )
-            self._edge_caps[edge] = cap
-        self.reservations[reservation.app_id] = reservation
-        heapq.heappush(
-            self._deadlines, (reservation.expires_at, reservation.app_id)
-        )
-
-    def _restore_deadline(self, app_id: str, expires_at: float) -> None:
-        """Replay one deadline record: move the lease deadline."""
-        reservation = self.reservations[app_id]  # KeyError -> corrupt WAL
-        moved = dataclasses.replace(reservation, expires_at=expires_at)
-        self.reservations[app_id] = moved
-        heapq.heappush(self._deadlines, (expires_at, app_id))
-        self._note_stale_deadline()
+        bw = reservation.bw_bps
+        totals = [self.edge_claim(edge) + bw for edge in reservation.edges]
+        self._write_grant(reservation, totals, edge_caps)
 
     def apps_on_node(self, name: str) -> list[str]:
         """Applications whose reservation includes node ``name``."""

@@ -98,20 +98,14 @@ def _copy_selection(selection: Selection) -> Selection:
     )
 
 
-#: Outcome status / metrics counter for each capacity-returning release
-#: kind (the :meth:`SelectionService.release` ``kind=`` vocabulary is the
-#: ledger's :data:`CAPACITY_RETURNING_KINDS`).
+#: Outcome status (and so metrics counter) for each capacity-returning
+#: release kind (the :meth:`SelectionService.release` ``kind=``
+#: vocabulary is the ledger's :data:`CAPACITY_RETURNING_KINDS`).
 _STATUS_BY_RELEASE_KIND = {
     "release": Decision.RELEASED,
     "expire": Decision.EXPIRED,
     "evict": Decision.EVICTED,
     "preempt": Decision.PREEMPTED,
-}
-_METRIC_BY_RELEASE_KIND = {
-    "release": "released",
-    "expire": "expired",
-    "evict": "evicted",
-    "preempt": "preempted",
 }
 
 
@@ -287,9 +281,16 @@ class FrontDoor:
             )
         return status
 
-    def _count_release(self, kind: str) -> None:
-        attr = _METRIC_BY_RELEASE_KIND[kind]
-        setattr(self.metrics, attr, getattr(self.metrics, attr) + 1)
+    def _note(self, grant: PlacementGrant) -> PlacementGrant:
+        """Make ``grant`` its application's standing outcome and count it
+        on the metrics counter its status names: the one way an outcome
+        is recorded.  Only an admitted outcome is written otherwise:
+        restored by WAL recovery (not counted), or rewritten by a renewal
+        or a migration (counted on ``renewed`` / ``migrations``)."""
+        self.outcomes[grant.app_id] = grant
+        metrics = self.metrics
+        setattr(metrics, grant.status, getattr(metrics, grant.status) + 1)
+        return grant
 
     def status(self, app_id: str) -> PlacementGrant:
         """The standing outcome for ``app_id`` (admitted apps stay admitted)."""
@@ -564,10 +565,10 @@ class SelectionService(FrontDoor):
             "Nodes the injector reported crashed and not recovered.",
             lambda: len(self._known_down),
         )
-        for cls in (Priority.BRONZE, Priority.SILVER):
+        for cls in Priority.ALL:
             reg.counter(
                 "repro_service_preemptions_total",
-                "Leases preempted for gold admissions, by victim class.",
+                "Leases preempted, by their priority class.",
                 labels={"class": cls},
                 fn=(lambda c=cls: float(
                     self.metrics.preempted_by_class.get(c, 0)
@@ -597,25 +598,6 @@ class SelectionService(FrontDoor):
         bottleneck edge on the residual view the decision ran against;
         for queued/rejected requests, the failing pipeline stage.
         """
-        return self._serve(
-            self._request_inner,
-            (app_id, spec, cpu_fraction, bw_bps, priority, explain),
-            app=app_id, m=spec.num_nodes, priority=priority,
-        )
-
-    def _holds(self, app_id: str) -> bool:
-        return app_id in self.ledger.reservations or app_id in self.queue
-
-    def _request_inner(
-        self,
-        app_id: str,
-        spec: ApplicationSpec,
-        cpu_fraction: float,
-        bw_bps: float,
-        priority: str,
-        explain: bool,
-    ) -> Grant:
-        self._open_request(app_id)
         req = SelectionRequest(
             app_id=app_id,
             spec=spec,
@@ -625,11 +607,21 @@ class SelectionService(FrontDoor):
             submitted_at=self.now,
             explain=explain,
         )
+        return self._serve(
+            self._request_inner, (req,),
+            app=app_id, m=spec.num_nodes, priority=priority,
+        )
+
+    def _holds(self, app_id: str) -> bool:
+        return app_id in self.ledger.reservations or app_id in self.queue
+
+    def _request_inner(self, req: SelectionRequest) -> Grant:
+        self._open_request(req.app_id)
         grant = self._admit_serial(req)
         if grant is not None:
             self._record_admit(req, grant)
             return grant
-        return self._settle_failure(req, explain)
+        return self._settle_failure(req)
 
     def _admit_serial(self, req: SelectionRequest) -> Optional[Grant]:
         """The exact one-request admission attempt (+ gold preemption)."""
@@ -644,11 +636,10 @@ class SelectionService(FrontDoor):
 
     def _record_admit(self, req: SelectionRequest, grant: Grant) -> None:
         """Bookkeeping shared by every successful admission path."""
-        self.metrics.admitted += 1
-        self.outcomes[req.app_id] = grant
+        self._note(grant)
         self._live_specs[req.app_id] = req.spec
 
-    def _settle_failure(self, req: SelectionRequest, explain: bool) -> Grant:
+    def _settle_failure(self, req: SelectionRequest) -> Grant:
         """Queue (or reject) a request admission could not place.
 
         The shared failure tail of :meth:`request` and
@@ -660,32 +651,27 @@ class SelectionService(FrontDoor):
         # is the one this failure was measured against.
         req.last_failed_epoch = self._residual_epoch
         displaced = self.queue.offer(req)
+        record = self._explain_failure(req) if req.explain else None
         if displaced is req:
-            grant = Grant(
+            return self._note(Grant(
                 app_id=req.app_id,
                 status=Decision.REJECTED,
                 reason="infeasible on residual capacity and queue full",
-                explain=self._explain_failure(req) if explain else None,
-            )
-            self.metrics.rejected += 1
-        else:
-            if displaced is not None:
-                self.metrics.queue_displaced += 1
-                self.metrics.rejected += 1
-                self.outcomes[displaced.app_id] = Grant(
-                    app_id=displaced.app_id,
-                    status=Decision.REJECTED,
-                    reason="displaced from queue by higher priority",
-                )
-            grant = Grant(
-                app_id=req.app_id,
-                status=Decision.QUEUED,
-                reason="waiting for capacity",
-                explain=self._explain_failure(req) if explain else None,
-            )
-            self.metrics.queued += 1
-        self.outcomes[req.app_id] = grant
-        return grant
+                explain=record,
+            ))
+        if displaced is not None:
+            self.metrics.queue_displaced += 1
+            self._note(Grant(
+                app_id=displaced.app_id,
+                status=Decision.REJECTED,
+                reason="displaced from queue by higher priority",
+            ))
+        return self._note(Grant(
+            app_id=req.app_id,
+            status=Decision.QUEUED,
+            reason="waiting for capacity",
+            explain=record,
+        ))
 
     def _explain_failure(self, req: SelectionRequest):
         """Rejection provenance from the request's last failed attempt."""
@@ -722,6 +708,10 @@ class SelectionService(FrontDoor):
         if kind in CAPACITY_RETURNING_KINDS:
             self._live_specs.pop(reservation.app_id, None)
             self._residual_epoch += 1
+            if kind == "preempt":  # every preempt path ends here
+                by_class = self.metrics.preempted_by_class
+                cls = reservation.priority
+                by_class[cls] = by_class.get(cls, 0) + 1
 
     def _residual(self, base: TopologyGraph) -> TopologyGraph:
         """The residual graph admission runs on, O(Δ)-maintained: the
@@ -1022,7 +1012,6 @@ class SelectionService(FrontDoor):
         longer fit are REJECTED, never queued.
         """
         t0 = perf_counter()
-        self._open_request(app_id)
         req = SelectionRequest(
             app_id=app_id,
             spec=spec,
@@ -1031,6 +1020,7 @@ class SelectionService(FrontDoor):
             priority=priority,
             submitted_at=self.now,
         )
+        self._open_request(app_id)
         base = self.cache.topology()
         residual = self._residual(base)
         start = perf_counter()
@@ -1043,14 +1033,12 @@ class SelectionService(FrontDoor):
             if fits else None
         )
         if grant is None:
-            self.metrics.rejected += 1
-            grant = Grant(
+            grant = self._note(Grant(
                 app_id=app_id,
                 status=Decision.REJECTED,
                 reason=req.last_reason
                 or "claims exceed residual capacity on the probed set",
-            )
-            self.outcomes[app_id] = grant
+            ))
         else:
             self._record_admit(req, grant)
         self.slo.observe_request(perf_counter() - t0, ok=grant.admitted)
@@ -1122,7 +1110,7 @@ class SelectionService(FrontDoor):
                 self._record_admit(req, grant)
                 grants.append(grant)
             else:
-                grants.append(self._settle_failure(req, explain=False))
+                grants.append(self._settle_failure(req))
         return grants
 
     # -- priority preemption ------------------------------------------------------
@@ -1194,20 +1182,16 @@ class SelectionService(FrontDoor):
             n_victims=len(victims),
         ):
             for v in victims:
-                self.metrics.preempted += 1
-                self.metrics.preempted_by_class[v.priority] = (
-                    self.metrics.preempted_by_class.get(v.priority, 0) + 1
-                )
                 logger.warning(
                     "lease preempted: app=%r class=%s by=%r",
                     v.app_id, v.priority, req.app_id,
                 )
                 self.ledger.release(v.app_id, kind="preempt")
-                self.outcomes[v.app_id] = Grant(
+                self._note(Grant(
                     app_id=v.app_id,
                     status=Decision.PREEMPTED,
                     reason=f"preempted for gold request {req.app_id!r}",
-                )
+                ))
             grant = self._try_admit(req)
         if grant is None:  # pragma: no cover - planning guarantees success
             logger.error(
@@ -1230,12 +1214,10 @@ class SelectionService(FrontDoor):
         if self.queue.remove(app_id) is not None:
             grant = Grant(app_id=app_id, status=Decision.RELEASED,
                           reason="withdrawn from queue")
-            self.metrics.released += 1
         else:
             self.ledger.release(app_id, kind=kind)  # KeyError when unknown
             grant = Grant(app_id=app_id, status=status)
-            self._count_release(kind)
-        self.outcomes[app_id] = grant
+        self._note(grant)
         self._drain_queue()
         return grant
 
@@ -1268,12 +1250,11 @@ class SelectionService(FrontDoor):
         """
         expired = self.ledger.expire(self.now)
         for app_id in expired:
-            self.metrics.expired += 1
-            self.outcomes[app_id] = Grant(
+            self._note(Grant(
                 app_id=app_id,
                 status=Decision.EXPIRED,
                 reason="lease lapsed without renewal",
-            )
+            ))
         if expired:
             self._drain_queue()
         return expired
@@ -1322,7 +1303,6 @@ class SelectionService(FrontDoor):
             self._known_down.add(target)
             for app_id in self.ledger.apps_on_node(target):
                 self.ledger.release(app_id, kind="evict")
-                self.metrics.evicted += 1
                 # The known-down set has outrun the monitor: make the
                 # divergence observable without reading code — one
                 # structured WARN line plus the known_down gauge.
@@ -1335,11 +1315,11 @@ class SelectionService(FrontDoor):
                 self.tracer.event(
                     "service.evict", app=app_id, node=target,
                 )
-                self.outcomes[app_id] = Grant(
+                self._note(Grant(
                     app_id=app_id,
                     status=Decision.EVICTED,
                     reason=f"reserved node {target!r} crashed",
-                )
+                ))
             self._drain_queue()
 
         injector.subscribe(on_event)

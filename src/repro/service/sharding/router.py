@@ -70,7 +70,7 @@ from ...core.spec import ApplicationSpec
 from ...core.types import Selection
 from ...obs.metrics import MetricsFederation, MetricsRegistry
 from ...topology.graph import TopologyGraph
-from ..admission import Decision, Priority, plain_spec
+from ..admission import Decision, Priority, check_request, plain_spec
 from ..api import BatchRequest, PlacementGrant
 from ..cache import RouteCache, SnapshotCache
 from ..ledger import LedgerError, ReservationLedger, ledger_order
@@ -580,13 +580,12 @@ class ShardRouter(FrontDoor):
                     # shard never logged it dead, so only the composite
                     # bookkeeping needs adjusting.
                     self._rekey(shard, self._sub_count[shard] - 1)
-            self.metrics.expired += 1
-            self.outcomes[app_id] = PlacementGrant(
+            self._note(PlacementGrant(
                 app_id=app_id,
                 status=Decision.EXPIRED,
                 shards=grant.shards,
                 reason="lease lapsed without renewal",
-            )
+            ))
             del self._active[app_id]
             expired.append(app_id)
         for sub in dead_subs:
@@ -619,12 +618,14 @@ class ShardRouter(FrontDoor):
         """
         if spread < 1:
             raise ValueError(f"spread must be >= 1: {spread}")
+        claim = {"cpu_fraction": cpu_fraction, "bw_bps": bw_bps,
+                 "priority": priority}
+        check_request(app_id, **claim)  # before anything counts it
         # The tick stays outside the span and the SLO sample.
         self._open_request(app_id)
         spread = min(int(spread), self.plan.k)
         return self._serve(
-            self._request_inner,
-            (app_id, spec, cpu_fraction, bw_bps, priority, spread),
+            self._request_inner, (app_id, spec, claim, spread),
             app=app_id, m=spec.num_nodes, priority=priority, spread=spread,
         )
 
@@ -652,34 +653,25 @@ class ShardRouter(FrontDoor):
         )
 
     def _request_inner(
-        self,
-        app_id: str,
-        spec: ApplicationSpec,
-        cpu_fraction: float,
-        bw_bps: float,
-        priority: str,
-        spread: int,
+        self, app_id: str, spec: ApplicationSpec, claim: dict, spread: int
     ) -> PlacementGrant:
+        """Place one checked and counted request — ``claim`` is the
+        ``cpu_fraction`` / ``bw_bps`` / ``priority`` keywords every shard
+        call takes — wholly inside one shard in headroom order, else
+        split across shards."""
         t0 = perf_counter()
         order = self._shard_order()
         if spread <= 1:
             for shard in order:
                 sub = f"{app_id}@{shard}"
                 try:
-                    g = self._exec.call(
-                        shard, "request", sub, spec,
-                        cpu_fraction=cpu_fraction, bw_bps=bw_bps,
-                        priority=priority,
-                    )
+                    g = self._exec.call(shard, "request", sub, spec, **claim)
                 except WorkerCrashError as exc:
                     self._give_back([(shard, sub)])
-                    self.metrics.rejected += 1
-                    grant = PlacementGrant(
+                    return self._note(PlacementGrant(
                         app_id=app_id, status=Decision.REJECTED,
                         reason=f"shard worker crashed mid-request: {exc}",
-                    )
-                    self.outcomes[app_id] = grant
-                    return grant
+                    ))
                 if g.admitted:
                     grant = PlacementGrant(
                         app_id=app_id,
@@ -688,28 +680,23 @@ class ShardRouter(FrontDoor):
                         shards=(shard,),
                         parts={shard: sub},
                     )
-                    self._commit(app_id, grant)
+                    self._commit(grant)
                     self.metrics.routed_local += 1
                     self.metrics.observe_stage(
                         "route_local", perf_counter() - t0
                     )
                     return grant
-        grant = self._cross_shard(
-            app_id, spec, cpu_fraction, bw_bps, priority, spread, order
-        )
-        if grant.admitted:
-            self._commit(app_id, grant)
-            self.metrics.routed_cross += 1
-            self.metrics.observe_stage("route_cross", perf_counter() - t0)
-        else:
-            self.metrics.rejected += 1
-            self.outcomes[app_id] = grant
+        grant = self._cross_shard(app_id, spec, claim, spread, order)
+        if not grant.admitted:
+            return self._note(grant)
+        self._commit(grant)
+        self.metrics.routed_cross += 1
+        self.metrics.observe_stage("route_cross", perf_counter() - t0)
         return grant
 
-    def _commit(self, app_id: str, grant: PlacementGrant) -> None:
-        self.metrics.admitted += 1
-        self._active[app_id] = grant
-        self.outcomes[app_id] = grant
+    def _commit(self, grant: PlacementGrant) -> None:
+        self._note(grant)
+        self._active[grant.app_id] = grant
         for shard in grant.parts:
             self._rekey(shard, self._sub_count[shard] + 1)
 
@@ -759,7 +746,7 @@ class ShardRouter(FrontDoor):
                         shards=(shard,),
                         parts={shard: g.app_id},
                     )
-                    self._commit(b.app_id, grant)
+                    self._commit(grant)
                     self.metrics.routed_local += 1
                     grants[b.app_id] = grant
                 else:
@@ -768,17 +755,13 @@ class ShardRouter(FrontDoor):
         for b in pending:
             # No single shard could host it — the serial path can still
             # split it across shards (or produce the rejection reason).
-            grants[b.app_id] = self._request_inner(
-                b.app_id, b.spec, b.cpu_fraction, b.bw_bps, b.priority, 1,
-            )
+            claim = {"cpu_fraction": b.cpu_fraction, "bw_bps": b.bw_bps,
+                     "priority": b.priority}
+            grants[b.app_id] = self._request_inner(b.app_id, b.spec, claim, 1)
         return [grants[b.app_id] for b in batch]
 
     def _plan_split(
-        self,
-        spec: ApplicationSpec,
-        cpu_fraction: float,
-        bw_bps: float,
-        order: list[int],
+        self, spec: ApplicationSpec, claim: dict, order: list[int],
         min_parts: int,
     ) -> Optional[list[tuple[int, ApplicationSpec, Selection]]]:
         """Greedy read-only split of ``spec.num_nodes`` across shards.
@@ -804,7 +787,7 @@ class ShardRouter(FrontDoor):
                 sub_spec = replace(spec, num_nodes=size)
                 selection = self._exec.call(
                     shard, "probe", sub_spec,
-                    cpu_fraction=cpu_fraction, bw_bps=bw_bps,
+                    cpu_fraction=claim["cpu_fraction"], bw_bps=claim["bw_bps"],
                 )
                 if selection is not None:
                     split.append((shard, sub_spec, selection))
@@ -816,16 +799,11 @@ class ShardRouter(FrontDoor):
         return split
 
     def _cross_shard(
-        self,
-        app_id: str,
-        spec: ApplicationSpec,
-        cpu_fraction: float,
-        bw_bps: float,
-        priority: str,
-        spread: int,
+        self, app_id: str, spec: ApplicationSpec, claim: dict, spread: int,
         order: list[int],
     ) -> PlacementGrant:
         """Phase 1 (probe, read-only) + phase 2 (commit) of a split grant."""
+        bw_bps = claim["bw_bps"]
         # Anything but a plain spec couples the node set globally;
         # splitting it per shard would silently change its meaning.
         if not plain_spec(spec):
@@ -845,7 +823,7 @@ class ShardRouter(FrontDoor):
                     f"{min_parts} shards"
                 ),
             )
-        split = self._plan_split(spec, cpu_fraction, bw_bps, order, min_parts)
+        split = self._plan_split(spec, claim, order, min_parts)
         if split is None:
             return PlacementGrant(
                 app_id=app_id, status=Decision.REJECTED,
@@ -882,8 +860,6 @@ class ShardRouter(FrontDoor):
         # No claim moves between the phases, so the rollback is defensive.
         nodes = [name for _, _, sel in split for name in sel.nodes]
         parts: dict[int, str] = {}
-        claim = {"cpu_fraction": cpu_fraction, "bw_bps": bw_bps,
-                 "priority": priority}
         subs = [(shard, f"{app_id}@{shard}") for shard, _spec, _sel in split]
         replies: list = []
         try:
@@ -891,7 +867,7 @@ class ShardRouter(FrontDoor):
             trunk_res = self.trunk.reserve(
                 app_id, nodes, cpu_fraction=0.0, bw_bps=bw_bps,
                 graph=self._full, now=self.now, lease_s=self.lease_s,
-                priority=priority, edges=channels,
+                priority=claim["priority"], edges=channels,
             )
             self.metrics.observe_stage(
                 "trunk_reserve", perf_counter() - t_trunk
@@ -993,12 +969,9 @@ class ShardRouter(FrontDoor):
         if app_id in self.trunk.reservations:
             self.trunk.release(app_id, kind=kind)
         del self._active[app_id]
-        self._count_release(kind)
-        out = PlacementGrant(
+        return self._note(PlacementGrant(
             app_id=app_id, status=status, shards=grant.shards,
-        )
-        self.outcomes[app_id] = out
-        return out
+        ))
 
     def renew(
         self, app_id: str, *, extend: Optional[float] = None

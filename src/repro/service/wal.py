@@ -462,7 +462,7 @@ def recover_ledger(state_dir: str):
             elif kind in DEADLINE_KINDS or kind == "preempt_clamp":
                 # ``preempt_clamp``: a deadline move in state dirs
                 # written while preemption could defer its release.
-                ledger._restore_deadline(
+                ledger._write_deadline(
                     record["app"], float(record["expires_at"])
                 )
             elif kind in CAPACITY_RETURNING_KINDS:

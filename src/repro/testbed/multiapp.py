@@ -36,6 +36,15 @@ from .cmu import cmu_testbed
 
 __all__ = ["TenantRequest", "MultiTenantResult", "run_multi_tenant"]
 
+#: Simulated seconds the collector is polled before the first tenant.
+_WARMUP_S = 60.0
+#: The collector's poll period, in simulated seconds.
+_REMOS_PERIOD_S = 5.0
+#: The lease every grant is given; nothing renews, so it bounds a hold.
+_LEASE_S = 120.0
+#: The single service's admission-queue bound.
+_QUEUE_LIMIT = 8
+
 
 @dataclass(frozen=True)
 class TenantRequest:
@@ -109,26 +118,22 @@ class MultiTenantResult:
 def run_multi_tenant(
     tenants: Sequence[TenantRequest],
     *,
-    warmup: float = 60.0,
     horizon: float = 300.0,
-    remos_period: float = 5.0,
-    snapshot_ttl: float = 5.0,
-    lease_s: float = 120.0,
-    queue_limit: int = 8,
     fault_plan: Sequence[Fault] = (),
     graph=None,
     trace_out: Optional[str] = None,
     metrics_out: Optional[str] = None,
     preempt: bool = False,
     shards: int = 1,
-    reactive: bool = False,
 ) -> MultiTenantResult:
     """Run a multi-tenant stream against one simulated network.
 
     Builds a fresh rig (``graph`` defaults to the CMU testbed), warms the
-    collector for ``warmup`` seconds, schedules every tenant's request at
-    ``warmup + tenant.at`` (and its release after ``hold_s``), injects
-    ``fault_plan``, and runs to ``warmup + horizon``.
+    collector for 60 s (``_WARMUP_S``), schedules every tenant's request
+    at ``_WARMUP_S + tenant.at`` (and its release after ``hold_s``),
+    injects ``fault_plan``, and runs to ``_WARMUP_S + horizon``.  Every
+    grant is a 120 s lease (``_LEASE_S``); the services keep their
+    default snapshot TTL.
 
     ``trace_out`` records every request's trace tree (plus collector
     sweeps and fault events) as JSONL; ``metrics_out`` writes the final
@@ -147,27 +152,21 @@ def run_multi_tenant(
     never queues, and fault injection / preemption are single-service
     features — combining them raises ``ValueError``.
 
-    ``reactive=True`` enables the push-driven pipeline on the single
-    service: the collector's staleness events invalidate the snapshot
-    cache the moment they fire, and leases on a degrading host are
-    proactively migrated through the
-    :class:`~repro.core.MigrationAdvisor` before crash eviction.
-
     Both arms are driven purely through the
     :class:`~repro.service.PlacementBackend` protocol — anything
     implementing it can stand in for the service here.
     """
-    if shards > 1 and (fault_plan or preempt or reactive):
+    if shards > 1 and (fault_plan or preempt):
         raise ValueError(
-            "shards > 1 does not compose with fault_plan, preempt, or "
-            "reactive; run those arms against the single service"
+            "shards > 1 does not compose with fault_plan or preempt; run "
+            "those arms against the single service"
         )
     sim = Simulator()
     tracer = Tracer() if trace_out else None
     registry = MetricsRegistry() if metrics_out else None
     cluster = Cluster(sim, graph if graph is not None else cmu_testbed())
     collector = Collector(
-        cluster, period=remos_period, stale_after=3,
+        cluster, period=_REMOS_PERIOD_S, stale_after=3,
         tracer=tracer, registry=registry,
     )
     api = RemosAPI(collector, tracer=tracer)
@@ -177,24 +176,20 @@ def run_multi_tenant(
         service = ShardRouter(
             api,
             shards=shards,
-            snapshot_ttl=snapshot_ttl,
-            lease_s=lease_s,
+            lease_s=_LEASE_S,
             tracer=tracer,
             registry=registry,
         )
     else:
         service = SelectionService(
             api,
-            snapshot_ttl=snapshot_ttl,
-            lease_s=lease_s,
-            queue_limit=queue_limit,
+            lease_s=_LEASE_S,
+            queue_limit=_QUEUE_LIMIT,
             tracer=tracer,
             registry=registry,
             preempt=preempt,
         )
         service.attach_injector(injector)
-        if reactive:
-            service.enable_push(collector)
     naive = NodeSelector(api)
     result = MultiTenantResult()
 
@@ -223,10 +218,10 @@ def run_multi_tenant(
             pass  # already expired, evicted, or never admitted
 
     for tenant in tenants:
-        sim.call_at(warmup + tenant.at, lambda t=tenant: submit(t))
+        sim.call_at(_WARMUP_S + tenant.at, lambda t=tenant: submit(t))
     if fault_plan:
         injector.schedule(fault_plan)
-    sim.run(until=warmup + horizon)
+    sim.run(until=_WARMUP_S + horizon)
 
     # Standing outcomes supersede arrival-time grants (queued tenants may
     # have been admitted later, crashed ones evicted).

@@ -8,6 +8,8 @@ pins the shared behavior — so a new backend (or a regression in an old
 one) fails loudly in one place.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.spec import ApplicationSpec
@@ -17,6 +19,7 @@ from repro.service import (
     BatchRequest,
     Decision,
     PlacementGrant,
+    Priority,
     SelectionService,
     ShardRouter,
 )
@@ -106,6 +109,27 @@ class TestGrantLifecycle:
     def test_status_unknown_app_raises(self, backend):
         with pytest.raises(KeyError, match="ghost"):
             backend.status("ghost")
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"cpu_fraction": 1.5}, r"must be in \[0, 1\]: 1.5"),
+        ({"bw_bps": -1.0}, "cannot be negative"),
+        ({"priority": "platinum"}, "unknown priority"),
+    ], ids=["cpu", "bw", "priority"])
+    def test_refused_request_counts_nothing(self, backend, bad, match):
+        """A request no lease could hold is refused before any counter
+        moves, on the backend and on every shard."""
+        def requests():
+            snap = backend.metrics_snapshot()
+            return [snap["requests"], *(
+                part["requests"] for part in snap.get("per_shard", {})
+                .values()
+            )]
+
+        before = requests()
+        with pytest.raises(ValueError, match=match):
+            backend.request("a", ApplicationSpec(num_nodes=2), **bad)
+        assert requests() == before
+        assert backend.active_apps() == []
 
 
 class TestLeaseClock:
@@ -209,3 +233,91 @@ class TestIntrospection:
         t0 = backend.now
         backend.advance(2.5)
         assert backend.now == pytest.approx(t0 + 2.5)
+
+
+class _OutcomeLog(dict):
+    """An outcomes table that tallies every status an application's
+    outcome becomes.  An admitted outcome rewritten admitted (a renewal,
+    a migration) stays admitted: it becomes nothing new."""
+
+    def __init__(self, outcomes):
+        super().__init__(outcomes)
+        self.became = Counter()
+
+    def __setitem__(self, app_id, grant):
+        prev = self.get(app_id)
+        if not (prev is not None and prev.admitted and grant.admitted):
+            self.became[grant.status] += 1
+        super().__setitem__(app_id, grant)
+
+
+def _assert_counters_match(backend, log):
+    snap = backend.metrics_snapshot()
+    assert {s: snap[s] for s in Decision.ALL} == \
+        {s: log.became[s] for s in Decision.ALL}
+
+
+class TestCountersAgreeWithOutcomes:
+    def test_every_backend(self, backend):
+        log = backend.outcomes = _OutcomeLog(backend.outcomes)
+        two = ApplicationSpec(num_nodes=2)
+        backend.request("a", two, cpu_fraction=0.3)
+        backend.request("big", ApplicationSpec(num_nodes=99))
+        backend.request("big", ApplicationSpec(num_nodes=99))
+        backend.admit_batch([BatchRequest("b", two), BatchRequest("c", two)])
+        backend.release("a")
+        backend.release("b", kind="evict")
+        backend.release("c", kind="preempt")
+        backend.request("d", two)
+        backend.renew("d")
+        backend.advance(11.0)  # lease_s=10: d expires
+        assert set(log.became) == {
+            Decision.ADMITTED, Decision.REJECTED, Decision.RELEASED,
+            Decision.EVICTED, Decision.PREEMPTED, Decision.EXPIRED,
+        }
+        _assert_counters_match(backend, log)
+
+    def test_service_queue_evict_and_preempt(self):
+        """The service's own outcomes: queued, displaced, drained from
+        the queue, withdrawn, preempted for gold and crash-evicted."""
+
+        class Injector:
+            def subscribe(self, fn):
+                self.fire = fn
+
+        service = _service(preempt=True)
+        service.queue.limit = 1
+        injector = Injector()
+        service.attach_injector(injector)
+        log = service.outcomes = _OutcomeLog(service.outcomes)
+        hosts = len(service.cache.topology().compute_nodes())
+        whole = ApplicationSpec(num_nodes=hosts)
+        two = ApplicationSpec(num_nodes=2)
+        bronze, silver = Priority.BRONZE, Priority.SILVER
+        assert service.request("fill", whole, cpu_fraction=1.0,
+                               priority=bronze).admitted
+        assert service.request("q1", two, cpu_fraction=0.5,
+                               priority=bronze).status == Decision.QUEUED
+        # q2 outranks q1 in a full queue: q1 is displaced, rejected.
+        assert service.request("q2", two, cpu_fraction=0.5,
+                               priority=silver).status == Decision.QUEUED
+        assert service.status("q1").status == Decision.REJECTED
+        assert service.request("g", whole, cpu_fraction=0.5,
+                               priority=Priority.GOLD).admitted
+        assert service.status("fill").status == Decision.PREEMPTED
+        service.release("g")  # the drain admits q2
+        assert service.status("q2").admitted
+        injector.fire(service.now, "node-crash",
+                      service.status("q2").selection.nodes[0])
+        assert service.status("q2").status == Decision.EVICTED
+        # Every node but the crashed one, then a request that waits and
+        # is withdrawn.
+        assert service.request("w", ApplicationSpec(num_nodes=hosts - 1),
+                               cpu_fraction=0.9).admitted
+        assert service.request("w2", two, cpu_fraction=0.9).status == \
+            Decision.QUEUED
+        assert service.release("w2").reason == "withdrawn from queue"
+        service.advance(11.0)  # lease_s=10: w expires
+        assert service.status("w").status == Decision.EXPIRED
+        assert set(log.became) == set(Decision.ALL)
+        _assert_counters_match(service, log)

@@ -223,6 +223,23 @@ class TestObservability:
             'repro_service_preemptions_total{class="silver"} 2' in text
         )
 
+    def test_operator_preempt_counts_the_victim_class(self):
+        """``release(kind="preempt")`` is a preemption too: the per-class
+        series sum to ``preempted_total`` whichever path preempted."""
+        service = SelectionService(dumbbell(2, 2))
+        fill(service, [("b0", Priority.BRONZE, 0.5)])
+        assert service.release("b0", kind="preempt").status == \
+            Decision.PREEMPTED
+        series = {}
+        for line in service.registry.expose_text().splitlines():
+            name, _, value = line.rpartition(" ")
+            if name.startswith(("repro_service_preempted_total",
+                                "repro_service_preemptions_total")):
+                series[name] = float(value)
+        assert series.pop("repro_service_preempted_total") == 1
+        assert series['repro_service_preemptions_total{class="bronze"}'] == 1
+        assert sum(series.values()) == 1
+
     def test_snapshot_schema_carries_preempted(self):
         service = SelectionService(dumbbell(2, 2), preempt=True)
         fill(service, [(f"w{i}", Priority.BRONZE, 0.9) for i in range(4)])

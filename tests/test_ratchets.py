@@ -318,3 +318,23 @@ def test_lease_lifecycle():
     assert clamps and len(clamps) == len(replay) and all(
         line.startswith("src/repro/service/wal.py:") for line in clamps
     ), clamps
+
+
+def test_one_outcome_rule():
+    """Each lease rule has one copy: an outcome is recorded (and counted
+    on the counter its status names) by ``FrontDoor._note``, a claim is
+    checked by ``ledger.check_claim``, and a replayed grant is written by
+    the block ``reserve`` writes through."""
+    assert not grep(
+        r"self\.metrics\.(admitted|queued|rejected|released|expired"
+        r"|evicted|preempted) *\+=", SERVICE,
+    ), "an outcome is counted by FrontDoor._note, from its status"
+    assert not grep(r"_METRIC_BY_RELEASE_KIND|_count_release", SRC), \
+        "a release kind's counter is its status"
+    assert len(grep(r"cpu_fraction must be in \[0, 1\]", SERVICE)) == 1, \
+        "ledger.py::check_claim is the one claim check"
+    restore = section(SERVICE / "ledger.py", r"def _restore_grant",
+                      r"^    def ")
+    assert restore and not _matching(r"_node_claims|_edge_claims", restore), (
+        "replay writes a grant through reserve's own block (_write_grant)"
+    )
