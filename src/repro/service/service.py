@@ -109,6 +109,15 @@ _STATUS_BY_RELEASE_KIND = {
 }
 
 
+#: How many ended outcomes (every status but admitted and queued) a
+#: backend keeps for :meth:`FrontDoor.status`, the most recent ones; a
+#: live outcome is kept for as long as it is live.
+KEPT_ENDED_OUTCOMES = 1024
+
+#: The statuses of a live request: a lease, or a queue slot.
+_LIVE_STATUSES = frozenset((Decision.ADMITTED, Decision.QUEUED))
+
+
 #: The service's answer (and later, the standing status) for one app.
 #: Since the PlacementBackend redesign this *is* the unified
 #: :class:`~repro.service.api.PlacementGrant` — the name ``Grant`` is
@@ -140,7 +149,8 @@ class FrontDoor:
     """What every placement backend does around placing a request: the
     clock, the count, expiry and duplicate check that open a request or
     (atomically) a batch, the span and SLO sample around a request, the
-    release kinds and the standing outcome of every application.
+    release kinds and the standing outcome of every live application
+    (and of the last :data:`KEPT_ENDED_OUTCOMES` that ended).
 
     A bare :class:`TopologyGraph` is served as a static provider on a
     hand-advanced :class:`ManualClock`; any other provider follows its
@@ -184,8 +194,15 @@ class FrontDoor:
         self.metrics = ServiceMetrics(self.registry)
         #: Admit latency and availability objectives (``metrics_snapshot``).
         self.slo = SloMonitor(clock=clock)
-        #: Latest standing outcome per application (poll with :meth:`status`).
+        #: Latest standing outcome per application (poll with
+        #: :meth:`status`): every live one, and the last
+        #: :data:`KEPT_ENDED_OUTCOMES` ended ones.
         self.outcomes: dict[str, PlacementGrant] = {}
+        #: The ended outcomes :meth:`_note` wrote, a ring of fixed length
+        #: whose next slot (``_ended_at``) holds the oldest.
+        self._ended: list[Optional[PlacementGrant]] = \
+            [None] * KEPT_ENDED_OUTCOMES
+        self._ended_at = 0
         #: RecoveryReport when the ledgers were restored from a state dir.
         self.recovery = None
 
@@ -286,14 +303,28 @@ class FrontDoor:
         on the metrics counter its status names: the one way an outcome
         is recorded.  Only an admitted outcome is written otherwise:
         restored by WAL recovery (not counted), or rewritten by a renewal
-        or a migration (counted on ``renewed`` / ``migrations``)."""
-        self.outcomes[grant.app_id] = grant
+        or a migration (counted on ``renewed`` / ``migrations``).
+
+        An ended outcome takes the ring slot of the oldest one kept,
+        which is forgotten unless its application has an outcome since:
+        O(1), nothing allocated."""
+        outcomes = self.outcomes
+        outcomes[grant.app_id] = grant
+        if grant.status not in _LIVE_STATUSES:
+            at = self._ended_at
+            oldest = self._ended[at]
+            if oldest is not None and outcomes.get(oldest.app_id) is oldest:
+                del outcomes[oldest.app_id]
+            self._ended[at] = grant
+            self._ended_at = at + 1 if at + 1 < KEPT_ENDED_OUTCOMES else 0
         metrics = self.metrics
         setattr(metrics, grant.status, getattr(metrics, grant.status) + 1)
         return grant
 
     def status(self, app_id: str) -> PlacementGrant:
-        """The standing outcome for ``app_id`` (admitted apps stay admitted)."""
+        """The standing outcome for ``app_id`` (admitted apps stay
+        admitted); ``KeyError`` once it ended and
+        :data:`KEPT_ENDED_OUTCOMES` others ended after it."""
         try:
             return self.outcomes[app_id]
         except KeyError:

@@ -100,7 +100,10 @@ class _CommitAbort(Exception):
 class _ShardProvider:
     """One shard's topology source: the router's snapshot, restricted.
     A router snapshot is cut once, so the shard's cache sees a new graph
-    only when the router holds a new snapshot."""
+    only when the router holds a new snapshot.  The cut shares the
+    snapshot's node and link objects (:meth:`TopologyGraph.restricted`):
+    a shard service reads its snapshot and writes only its overlay, a
+    copy, so the shard holds that one copy of its slice."""
 
     def __init__(self, snapshots: SnapshotCache, members: frozenset) -> None:
         self._snapshots = snapshots
@@ -111,7 +114,7 @@ class _ShardProvider:
     def topology(self) -> TopologyGraph:
         full = self._snapshots.topology()
         if full is not self._full:
-            self._full, self._cut = full, full.subgraph(self._members)
+            self._full, self._cut = full, full.restricted(self._members)
         return self._cut
 
 
@@ -314,7 +317,10 @@ class ShardRouter(FrontDoor):
         )
         if self.executor == "process":
             self._exec = self._pool = ShardWorkerPool(
-                {shard: plan.subgraph(shard) for shard in range(plan.k)},
+                {
+                    shard: plan.graph.restricted(members)
+                    for shard, members in enumerate(plan.shards)
+                },
                 workers=plan.k if workers is None else workers,
                 **build,
             )

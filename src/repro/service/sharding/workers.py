@@ -349,9 +349,10 @@ class ShardWorkerPool:
     Parameters (those of :class:`InprocExecutor`, plus ``workers``)
     ----------
     sources:
-        Shard id -> its induced subgraph (forked workers inherit them,
-        spawned workers get theirs pickled at startup); shard ``i``
-        runs in worker ``i % workers``.
+        Shard id -> its induced subgraph, a cut sharing the router
+        graph's objects (forked workers inherit them, spawned workers
+        get theirs pickled at startup); shard ``i`` runs in worker
+        ``i % workers``.
     workers:
         Worker process count (clamped to ``[1, len(sources)]``).
     clock:

@@ -77,7 +77,7 @@ class NodeKind:
     NETWORK = "network"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A vertex of the topology graph.
 
@@ -134,7 +134,7 @@ SHARED = "shared"
 ChannelId = tuple[frozenset, str]
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class Link:
     """An edge of the topology graph: a communication link.
 
@@ -144,35 +144,50 @@ class Link:
     ``available`` used by the selection algorithms is the minimum of the two
     directions, per paper §3.3.  A half-duplex link (``attrs["duplex"] ==
     "half"``) has one channel both directions share (:meth:`channel`).
+    Unless given, ``available_fwd`` is ``maxbw`` and ``available_rev`` is
+    ``available_fwd``.
+
+    ``key`` is the canonical undirected edge key, ``frozenset((u, v))``:
+    built once, by the constructor, and shared by every :meth:`copy`, so
+    the copies of a graph key their links by the same objects.
     """
 
     u: str
     v: str
     maxbw: float
-    latency: float = 0.0
-    available_fwd: Optional[float] = None
-    available_rev: Optional[float] = None
-    attrs: dict[str, Any] = field(default_factory=dict)
+    latency: float
+    available_fwd: float
+    available_rev: float
+    attrs: dict[str, Any]
+    key: frozenset = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"self-loop on {self.u!r} not allowed")
-        if self.maxbw <= 0:
-            raise ValueError(f"maxbw must be positive, got {self.maxbw}")
-        if self.latency < 0:
-            raise ValueError(f"latency cannot be negative: {self.latency}")
-        if self.available_fwd is None:
-            self.available_fwd = self.maxbw
-        if self.available_rev is None:
-            self.available_rev = self.available_fwd
-        for bw in (self.available_fwd, self.available_rev):
+    def __init__(
+        self,
+        u: str,
+        v: str,
+        maxbw: float,
+        latency: float = 0.0,
+        available_fwd: Optional[float] = None,
+        available_rev: Optional[float] = None,
+        attrs: Optional[dict[str, Any]] = None,
+    ) -> None:
+        if u == v:
+            raise ValueError(f"self-loop on {u!r} not allowed")
+        if maxbw <= 0:
+            raise ValueError(f"maxbw must be positive, got {maxbw}")
+        if latency < 0:
+            raise ValueError(f"latency cannot be negative: {latency}")
+        if available_fwd is None:
+            available_fwd = maxbw
+        if available_rev is None:
+            available_rev = available_fwd
+        for bw in (available_fwd, available_rev):
             if bw < 0:
                 raise ValueError(f"available bandwidth cannot be negative: {bw}")
-
-    @property
-    def key(self) -> frozenset:
-        """Canonical undirected edge key."""
-        return frozenset((self.u, self.v))
+        self.u, self.v, self.key = u, v, frozenset((u, v))
+        self.maxbw, self.latency = maxbw, latency
+        self.available_fwd, self.available_rev = available_fwd, available_rev
+        self.attrs = {} if attrs is None else attrs
 
     @property
     def available(self) -> float:
@@ -233,15 +248,15 @@ class Link:
         raise KeyError(f"{node!r} is not an endpoint of {self!r}")
 
     def copy(self) -> "Link":
-        return Link(
-            u=self.u,
-            v=self.v,
-            maxbw=self.maxbw,
-            latency=self.latency,
-            available_fwd=self.available_fwd,
-            available_rev=self.available_rev,
-            attrs=dict(self.attrs),
-        )
+        """An independent copy (attrs shallow-copied) with this link's
+        ``key``: a valid link's fields are taken as they are, unchecked."""
+        link = object.__new__(Link)
+        link.u, link.v, link.key = self.u, self.v, self.key
+        link.maxbw, link.latency = self.maxbw, self.latency
+        link.available_fwd = self.available_fwd
+        link.available_rev = self.available_rev
+        link.attrs = dict(self.attrs)
+        return link
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -402,10 +417,12 @@ class TopologyGraph:
     def _attach_link(self, link: Link) -> Link:
         """Insert a prebuilt link between two known, unlinked nodes.
 
-        The one place a link enters the graph (and the forest index is
-        dropped for it): :meth:`add_link`, :meth:`copy`,
-        :meth:`subgraph`, deserialization and shard reassembly, which
+        The one place a link enters a graph being built (and the forest
+        index is dropped for it): :meth:`add_link`, :meth:`copy` (so
+        :meth:`subgraph`), deserialization and shard reassembly, which
         must keep per-direction availabilities ``add_link`` cannot take.
+        :meth:`replaced` and :meth:`restricted` take a whole graph's
+        dicts instead.
         """
         self._links[link.key] = link
         self._adj[link.u][link.v] = link
@@ -827,18 +844,28 @@ class TopologyGraph:
         return g
 
     def subgraph(self, names: Iterable[str]) -> "TopologyGraph":
-        """The induced subgraph on ``names`` (links with both ends inside)."""
+        """The induced subgraph on ``names`` (links with both ends
+        inside), on copies of its nodes and links."""
+        return self.restricted(names).copy()
+
+    def restricted(self, names: Iterable[str]) -> "TopologyGraph":
+        """The induced subgraph on ``names``, *sharing* this graph's node
+        and link objects, as :meth:`replaced` does: O(V + E) pointer
+        copies, no node or link copied, insertion order kept.  Meant for
+        immutable snapshots; mutating a shared object shows in both."""
         keep = set(names)
-        missing = keep - set(self._nodes)
+        missing = keep - self._nodes.keys()
         if missing:
             raise KeyError(f"unknown nodes: {sorted(missing)}")
         g = TopologyGraph()
-        for name in self._nodes:  # preserve insertion order
-            if name in keep:
-                g.add_node(self._nodes[name].copy())
-        for link in self._links.values():
+        g._nodes = {
+            name: node for name, node in self._nodes.items() if name in keep
+        }
+        g._adj = {name: {} for name in g._nodes}
+        for key, link in self._links.items():
             if link.u in keep and link.v in keep:
-                g._attach_link(link.copy())
+                g._links[key] = link
+                g._adj[link.u][link.v] = g._adj[link.v][link.u] = link
         if self.measurement is not None:
             # Ages still hold; the delta names resources outside ``keep``.
             g.measurement = replace(self.measurement, nodes=None, links=None)

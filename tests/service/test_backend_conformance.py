@@ -23,6 +23,7 @@ from repro.service import (
     SelectionService,
     ShardRouter,
 )
+from repro.service.service import KEPT_ENDED_OUTCOMES
 from repro.topology import two_campus
 
 
@@ -321,3 +322,38 @@ class TestCountersAgreeWithOutcomes:
         assert service.status("w").status == Decision.EXPIRED
         assert set(log.became) == set(Decision.ALL)
         _assert_counters_match(service, log)
+
+
+class TestOutcomeBound:
+    def test_ended_outcomes_are_bounded_live_ones_kept(self, backend):
+        """A long-running backend keeps every live outcome and only the
+        last ``KEPT_ENDED_OUTCOMES`` ended ones, on every backend and on
+        every shard service behind a router."""
+        two = ApplicationSpec(num_nodes=2)
+        assert backend.request("live", two, cpu_fraction=0.1).admitted
+        # Ended early, then live again: its old ended outcome is recycled
+        # out of the ring long before the loop ends, its live one stays.
+        assert backend.request("back", two, cpu_fraction=0.1).admitted
+        backend.release("back")
+        assert backend.request("back", two, cpu_fraction=0.1).admitted
+        backend.request("huge", ApplicationSpec(num_nodes=99))  # rejected
+        cycles = 3000
+        for i in range(cycles):
+            assert backend.request(f"c{i}", two, cpu_fraction=0.1).admitted
+            backend.release(f"c{i}")
+        live = backend.active_apps()
+        assert live == ["back", "live"]
+        assert len(backend.outcomes) <= KEPT_ENDED_OUTCOMES + len(live)
+        assert backend.status(f"c{cycles - 1}").status == Decision.RELEASED
+        oldest_kept = f"c{cycles - KEPT_ENDED_OUTCOMES}"
+        assert backend.status(oldest_kept).status == Decision.RELEASED
+        for gone in ("c0", f"c{cycles - KEPT_ENDED_OUTCOMES - 1}", "huge"):
+            with pytest.raises(KeyError):
+                backend.status(gone)
+        assert backend.status("live").admitted
+        assert backend.status("back").admitted
+        if isinstance(backend, ShardRouter) and backend.pool is None:
+            for service in backend.services:
+                held = len(service.active_apps())
+                assert len(service.outcomes) <= KEPT_ENDED_OUTCOMES + held
+        backend.check_invariants()

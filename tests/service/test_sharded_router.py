@@ -340,6 +340,68 @@ class TestLifecycle:
             r.status("never-seen")
 
 
+class TestSharedCut:
+    """Each in-process shard cuts the router snapshot without copying
+    it: the cut holds the snapshot's own node and link objects, and
+    nothing a shard writes (its overlay, a renewal, an expiry) reaches
+    them."""
+
+    def test_cut_holds_the_snapshot_objects(self):
+        r = _router(shards=3)
+        snap = r._snapshots.topology()
+        for shard, service in enumerate(r.services):
+            cut = service.cache.topology()
+            assert cut.node_names() == [
+                name for name in snap.node_names()
+                if name in r.plan.shards[shard]
+            ]
+            for node in cut.nodes():
+                assert node is snap.node(node.name)
+            for key, link in cut._links.items():
+                assert link is snap.link(link.u, link.v)
+                assert key is link.key
+            service.request("probe", ApplicationSpec(num_nodes=1))
+            overlay = service._view.graph
+            for node in overlay.nodes():
+                assert node is not snap.node(node.name)
+            for link in overlay.links():
+                assert link is not snap.link(link.u, link.v)
+                assert link.key is snap.link(link.u, link.v).key
+
+    def test_mixed_history_leaves_the_snapshot_as_it_was(self):
+        from repro.service.sharding.partition import graph_fingerprint
+
+        r = _router(shards=3, lease_s=10.0)
+        snap = r._snapshots.topology()
+        before = graph_fingerprint(snap)
+        rng = np.random.default_rng(7)
+        live = []
+        for i in range(200):
+            op = rng.integers(4) if live else 0
+            if op <= 1:
+                spread = 1 if op == 0 else 2
+                size = 2 + int(rng.integers(3))
+                g = r.request(
+                    f"a{i}", ApplicationSpec(num_nodes=size),
+                    cpu_fraction=0.2, bw_bps=float(rng.integers(3)) * Mbps,
+                    spread=spread,
+                )
+                if g.admitted:
+                    live.append(g.app_id)
+            elif op == 2:
+                r.renew(live[int(rng.integers(len(live)))])
+            else:
+                r.release(live.pop(int(rng.integers(len(live)))))
+            if i % 25 == 24:
+                r.advance(6.0)  # some leases lapse
+                live = [app for app in live if app in r.active_apps()]
+            r.check_invariants()
+        assert r._snapshots.topology() is snap
+        assert graph_fingerprint(snap) == before
+        assert r.metrics.routed_cross and r.metrics.routed_local
+        assert r.metrics.expired and r.metrics.renewed
+
+
 class TestSingleShardEquivalence:
     def test_one_shard_router_matches_plain_service(self):
         from repro.service import SelectionService

@@ -338,3 +338,19 @@ def test_one_outcome_rule():
     assert restore and not _matching(r"_node_claims|_edge_claims", restore), (
         "replay writes a grant through reserve's own block (_write_grant)"
     )
+
+
+def test_graph_memory():
+    """A graph's nodes and links are slotted records, and a shard's cut
+    shares its router snapshot's objects instead of copying them."""
+    graph = _lines(SRC / "repro" / "topology" / "graph.py")
+    for cls in ("Node", "Link"):
+        at = graph.index(f"class {cls}:")
+        assert graph[at - 1].startswith("@dataclass(slots=True"), (
+            f"{cls} is a slotted record: no __dict__ per node or link"
+        )
+    provider = section(ROUTER, r"^class _ShardProvider\b", r"^class ")
+    assert provider and not _matching(r"\.subgraph\(", provider), (
+        "a shard cuts the router snapshot with TopologyGraph.restricted: "
+        "its one copy is its residual overlay"
+    )

@@ -488,3 +488,80 @@ class TestForestIndex:
         assert old.path("a", "d") == ["a", "sw0", "sw1", "d"]
         old.remove_link("sw0", "sw1")
         assert old.path("a", "d") is None
+
+
+def _keys_by_identity(graph):
+    """``{link key: the key object graph._links holds}``."""
+    return {key: key for key in graph._links}
+
+
+class TestGraphRecords:
+    """Nodes and links are slotted records, and every copy of a graph
+    keys its links by the source's own key objects."""
+
+    def test_nodes_and_links_have_no_instance_dict(self, small_tree):
+        for record in (*small_tree.nodes(), *small_tree.links()):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.extra = 1
+        link = small_tree.link("a", "sw0")
+        assert link.key == frozenset(("a", "sw0"))
+        assert link.copy().key is link.key
+        assert Link("a", "sw0", 100 * Mbps, latency=1e-4) == link
+
+    def test_copies_share_the_source_keys(self, small_tree):
+        from repro.service.ledger import ReservationLedger
+        from repro.service.residual_view import ResidualView
+
+        source = _keys_by_identity(small_tree)
+        view = ResidualView(small_tree, ReservationLedger())
+        copies = {
+            "copy": small_tree.copy(),
+            "subgraph": small_tree.subgraph(["a", "b", "sw0", "sw1"]),
+            "restricted": small_tree.restricted(["a", "b", "sw0", "sw1"]),
+            "overlay": view.graph,
+        }
+        for how, graph in copies.items():
+            assert graph._links, how
+            for key, link in graph._links.items():
+                assert key is source[key] is link.key, how
+            for name, row in graph._adj.items():
+                for other, link in row.items():
+                    assert link is graph._links[link.key], how
+
+    def test_restricted_shares_what_subgraph_copies(self, small_tree):
+        names = ["a", "b", "sw0"]
+        cut, sub = small_tree.restricted(names), small_tree.subgraph(names)
+        assert cut.node_names() == sub.node_names() == ["sw0", "a", "b"]
+        assert list(cut._links) == list(sub._links)
+        assert {n: list(r) for n, r in cut._adj.items()} == \
+            {n: list(r) for n, r in sub._adj.items()}
+        for name in names:
+            assert cut.node(name) is small_tree.node(name)
+            assert sub.node(name) is not small_tree.node(name)
+        for link in cut.links():
+            assert link is small_tree.link(link.u, link.v)
+            assert sub.link(link.u, link.v) is not link
+        cut.validate()
+        assert cut.path("a", "b") == ["a", "sw0", "b"]
+        # Structure is the cut's own: a removed link stays in the source.
+        cut.remove_link("a", "sw0")
+        assert small_tree.has_link("a", "sw0")
+        with pytest.raises(KeyError):
+            small_tree.restricted(["a", "ghost"])
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_slotted_graph_round_trips_through_pickle(
+        self, small_tree, protocol
+    ):
+        small_tree.link("a", "sw0").set_available(42.0, direction="sw0")
+        small_tree.node("c").load_average = 1.5
+        small_tree.node("d").attrs["arch"] = "alpha"
+        loaded = pickle.loads(pickle.dumps(small_tree, protocol=protocol))
+        assert list(loaded.nodes()) == list(small_tree.nodes())
+        assert list(loaded.links()) == list(small_tree.links())
+        assert loaded.node_names() == small_tree.node_names()
+        for key, link in loaded._links.items():
+            assert link.key is key  # one key object per link, still
+        loaded.validate()
+        assert loaded.path("a", "d") == small_tree.path("a", "d")
