@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -50,6 +51,7 @@ __all__ = [
     "Reservation",
     "ReservationLedger",
     "check_claim",
+    "check_lease",
     "ledger_order",
     "route_edges",
 ]
@@ -121,13 +123,24 @@ DEADLINE_KINDS = frozenset({"renew"})
 
 def check_claim(cpu_fraction: float, bw_bps: float) -> None:
     """Refuse a claim no lease can hold: a CPU fraction outside the
-    whole node, [0, 1], or a negative bandwidth.  The one copy of the
-    claim rule: both request records and :meth:`ReservationLedger.reserve`
-    run it."""
+    whole node, [0, 1], or a bandwidth that is negative, infinite or NaN.
+    The one copy of the claim rule: both request records and
+    :meth:`ReservationLedger.reserve` run it."""
     if not 0 <= cpu_fraction <= 1.0:
         raise ValueError(f"cpu_fraction must be in [0, 1]: {cpu_fraction}")
     if bw_bps < 0:
         raise ValueError(f"bw_bps cannot be negative: {bw_bps}")
+    if not math.isfinite(bw_bps):
+        raise ValueError(f"bw_bps must be finite: {bw_bps}")
+
+
+def check_lease(lease_s: float) -> None:
+    """Refuse a lease length that is not a positive finite number: ``not
+    lease_s > 0`` holds for NaN too, which no deadline could order, and
+    an infinite lease would never lapse (nor log as JSON).  The same rule
+    on non-finite values as :func:`check_claim`'s."""
+    if not (lease_s > 0 and math.isfinite(lease_s)):
+        raise ValueError(f"lease_s must be positive and finite: {lease_s}")
 
 
 class LedgerError(Exception):
@@ -256,8 +269,7 @@ class ReservationLedger:
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"duplicate nodes in reservation: {list(nodes)}")
         check_claim(cpu_fraction, bw_bps)
-        if lease_s <= 0:
-            raise ValueError(f"lease_s must be positive: {lease_s}")
+        check_lease(lease_s)
         for name in nodes:
             graph.node(name)  # unknown nodes raise KeyError here
 
@@ -274,11 +286,13 @@ class ReservationLedger:
                     f"node {name!r} oversubscribed: "
                     f"{claimed:.3f} + {cpu_fraction:.3f} > 1.0"
                 )
-        claims, link_by_key = self._edge_claims, graph.link_by_key
+        # The graph's key -> link dict, bound once and only read: one
+        # ``get`` per channel, not a ``link_by_key`` call.
+        claims, links = self._edge_claims, graph._links
         totals, caps = [], []
         for edge in edges:
             key, dst = edge
-            link = link_by_key(key)
+            link = links.get(key)
             if link is None:
                 raise KeyError("no link {!r}--{!r}".format(*sorted(key)))
             cap = link.maxbw
@@ -358,8 +372,7 @@ class ReservationLedger:
         """Extend ``app_id``'s lease to ``now + lease_s``."""
         if app_id not in self.reservations:
             raise KeyError(f"no reservation for {app_id!r}")
-        if lease_s <= 0:
-            raise ValueError(f"lease_s must be positive: {lease_s}")
+        check_lease(lease_s)
         return self._write_deadline(app_id, now + lease_s)
 
     def _write_deadline(self, app_id: str, expires_at: float) -> Reservation:

@@ -193,25 +193,33 @@ class ResidualView:
         are ignored (crashed/removed — their capacity is gone anyway).
         """
         self.ranking.mark(names)
+        # The graphs' name -> node dicts and the ledger's live totals,
+        # bound once and only read: no ``has_node`` / ``node`` /
+        # ``node_claim`` call per name.
+        nodes, base = self.graph._nodes, self.base._nodes
+        claims = self.ledger._node_claims
         for name in names:
-            if not self.graph.has_node(name):
+            node = nodes.get(name)
+            if node is None:
                 continue
-            base_node = self.base.node(name)
-            claim = self.ledger.node_claim(name)
+            base_node = base[name]
+            claim = claims.get(name, 0.0)
             if claim <= 0.0:
-                self.graph.node(name).load_average = base_node.load_average
+                node.load_average = base_node.load_average
             else:
-                residual = max(base_node.cpu - claim, _MIN_RESIDUAL_CPU)
-                self.graph.node(name).load_average = load_from_cpu_fraction(
-                    residual
-                )
+                residual = base_node.cpu - claim
+                if residual < _MIN_RESIDUAL_CPU:  # as max would, to the bit
+                    residual = _MIN_RESIDUAL_CPU
+                node.load_average = load_from_cpu_fraction(residual)
 
     def refresh_edges(self, edges: Iterable[ChannelId]) -> None:
         """Reset each channel from base availability and the ledger's
         current total claim (absent links ignored).
 
         Walks the channels' resolved entries: the base read and the
-        overlay write are attribute accesses, and the write keeps
+        overlay write are attribute accesses, the clamp an ``if`` (what
+        ``max`` returns, bit for bit: its first argument unless the
+        second is strictly greater), and the write keeps
         :meth:`Link.set_available`'s range check."""
         channels = self.channels
         claims = self.ledger._edge_claims  # the live totals, read in place
@@ -224,14 +232,12 @@ class ResidualView:
             if towards_v is None:  # a half-duplex link's one channel
                 _refresh_shared(link, base, claim)
                 continue
-            base_avail = (
-                base.available_fwd if towards_v else base.available_rev
-            )
-            if claim <= 0.0:
-                remaining = base_avail
-            else:
-                remaining = max(base_avail - claim, 0.0)
-            if remaining < 0 or remaining > link.maxbw + MAXBW_SLACK:
+            remaining = base.available_fwd if towards_v else base.available_rev
+            if not claim <= 0.0:  # residual_graph's test, negated
+                remaining -= claim
+                if remaining < 0.0:
+                    remaining = 0.0
+            if remaining < 0.0 or remaining > link.maxbw + MAXBW_SLACK:
                 raise ValueError(
                     f"available bw {remaining} outside [0, maxbw={link.maxbw}]"
                 )

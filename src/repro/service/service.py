@@ -73,6 +73,7 @@ from .ledger import (
     LedgerError,
     Reservation,
     ReservationLedger,
+    check_lease,
     route_edges,
 )
 from .metrics import ServiceMetrics
@@ -172,8 +173,7 @@ class FrontDoor:
         tracer,
         registry: Optional[MetricsRegistry],
     ) -> None:
-        if lease_s <= 0:
-            raise ValueError(f"lease_s must be positive: {lease_s}")
+        check_lease(lease_s)
         self._manual_clock: Optional[ManualClock] = None
         if isinstance(provider, TopologyGraph):
             provider = _StaticProvider(provider)

@@ -109,8 +109,12 @@ class Node:
 
     @property
     def cpu(self) -> float:
-        """Available CPU fraction, ``1/(1+load)`` (§3.1)."""
-        return cpu_fraction(self.load_average)
+        """Available CPU fraction, ``1/(1+load)`` (§3.1):
+        :func:`cpu_fraction` written out, since every claim reads it."""
+        load = self.load_average
+        if load < 0.0:
+            raise ValueError(f"load average cannot be negative: {load}")
+        return 1.0 / (1.0 + load)
 
     def copy(self) -> "Node":
         return Node(
@@ -191,8 +195,10 @@ class Link:
 
     @property
     def available(self) -> float:
-        """Available bandwidth ``bw`` (min over directions), in bps."""
-        return min(self.available_fwd, self.available_rev)
+        """Available bandwidth ``bw`` (min over directions), in bps.
+        ``min`` written out: ``rev`` only when strictly smaller."""
+        fwd, rev = self.available_fwd, self.available_rev
+        return rev if rev < fwd else fwd
 
     @property
     def bwfactor(self) -> float:

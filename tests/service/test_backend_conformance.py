@@ -114,8 +114,10 @@ class TestGrantLifecycle:
     @pytest.mark.parametrize("bad, match", [
         ({"cpu_fraction": 1.5}, r"must be in \[0, 1\]: 1.5"),
         ({"bw_bps": -1.0}, "cannot be negative"),
+        ({"bw_bps": float("nan")}, "must be finite: nan"),
+        ({"bw_bps": float("inf")}, "must be finite: inf"),
         ({"priority": "platinum"}, "unknown priority"),
-    ], ids=["cpu", "bw", "priority"])
+    ], ids=["cpu", "bw", "bw-nan", "bw-inf", "priority"])
     def test_refused_request_counts_nothing(self, backend, bad, match):
         """A request no lease could hold is refused before any counter
         moves, on the backend and on every shard."""
@@ -131,6 +133,28 @@ class TestGrantLifecycle:
             backend.request("a", ApplicationSpec(num_nodes=2), **bad)
         assert requests() == before
         assert backend.active_apps() == []
+
+    @pytest.mark.parametrize("extend", [float("nan"), float("inf"), 0.0,
+                                        -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_refused_renew_moves_no_deadline(self, backend, extend):
+        """A lease length no deadline can hold is refused, and the lease
+        lapses when it would have."""
+        backend.request("a", ApplicationSpec(num_nodes=2))
+        with pytest.raises(ValueError, match="lease_s must be positive"):
+            backend.renew("a", extend=extend)
+        backend.advance(11.0)  # lease_s=10
+        assert backend.active_apps() == []
+        assert backend.status("a").status == Decision.EXPIRED
+
+
+@pytest.mark.parametrize("lease_s", ["nan", "inf"])
+@pytest.mark.parametrize("make", [SelectionService, ShardRouter],
+                         ids=["service", "router"])
+def test_refused_lease_length(make, lease_s):
+    with pytest.raises(ValueError,
+                       match=f"lease_s must be positive and finite: {lease_s}"):
+        make(_graph(), lease_s=float(lease_s))
 
 
 class TestLeaseClock:

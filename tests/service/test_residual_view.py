@@ -11,6 +11,8 @@ latency timers surfaced by ``ServiceMetrics``.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ApplicationSpec
 from repro.core.kernel import peel_order
@@ -31,10 +33,10 @@ from repro.service import (
 )
 from repro.service.admission import SelectionRequest
 from repro.service.cli import main as serve_main
-from repro.service.ledger import ledger_order
+from repro.service.ledger import LedgerError, ledger_order, route_edges
 from repro.topology import dumbbell, grid, star, to_json, two_campus
-from repro.topology.graph import MAXBW_SLACK
-from repro.topology.residual import residual_graph
+from repro.topology.graph import MAXBW_SLACK, SHARED, TopologyGraph
+from repro.topology.residual import _MIN_RESIDUAL_CPU, residual_graph
 from repro.units import Mbps
 
 from ..oracles import naive_rebuild_service
@@ -191,6 +193,133 @@ class TestResidualViewOverlay:
         view.graph.node("l0").load_average += 0.5
         with pytest.raises(AssertionError):
             view.assert_matches_rebuild()
+
+
+_HOSTS = ("h0", "h1", "h2", "h3", "h4")
+_MAXBW = 1e8
+
+
+def _edge_graph(data) -> TopologyGraph:
+    """Two switches, five hosts; the trunk and, if drawn, one host link
+    half duplex.  Loads and per-direction availabilities come from the
+    values the clamps turn on: an idle or a loaded node, a full, a
+    drained (either zero) or an awkward availability."""
+    g = TopologyGraph()
+    g.add_network("sw0")
+    g.add_network("sw1")
+    loads = st.sampled_from([0.0, 0.5, 3.0, 4.0])
+    for i, name in enumerate(_HOSTS):
+        g.add_compute(name, load_average=data.draw(loads))
+        g.add_link(name, "sw0" if i < 3 else "sw1", _MAXBW)
+    g.add_link("sw0", "sw1", _MAXBW, duplex="half")
+    half = data.draw(st.sampled_from((None,) + _HOSTS))
+    if half is not None:
+        g.link(half, "sw0" if half < "h3" else "sw1").attrs["duplex"] = "half"
+    avail = st.sampled_from([_MAXBW, 0.0, -0.0, 3e7, 0.1 + 0.2])
+    for link in g.links():
+        link.available_fwd = data.draw(avail)
+        link.available_rev = data.draw(avail)
+    return g
+
+
+def _claims(data, g, nodes):
+    """A CPU and a bandwidth claim for ``nodes`` drawn onto the edges:
+    a node's whole CPU fraction, or just under it (a residual below
+    ``_MIN_RESIDUAL_CPU``, or at it), or more; a channel's whole
+    availability or more.  No claim is so small that the ledger's
+    slack takes it for zero (``test_ledger.py::TestSlackSizedClaims`` pins
+    what happens to one)."""
+    cpu = g.node(data.draw(st.sampled_from(nodes))).cpu
+    cpu_claim = data.draw(st.sampled_from([
+        0.0, 0.25, cpu, cpu - _MIN_RESIDUAL_CPU / 2,
+        cpu - _MIN_RESIDUAL_CPU, 1.0,
+    ]))
+    bw = 0.0
+    channels = sorted(route_edges(g, nodes), key=ledger_order)
+    if channels:
+        key, dst = data.draw(st.sampled_from(channels))
+        base = g.link_by_key(key).available_towards(dst)
+        bw = data.draw(st.sampled_from([
+            base, base + 1.0, base + 1e7, base / 3, 1.0,
+        ]))
+    return cpu_claim, min(bw, _MAXBW)
+
+
+def _assert_bits_equal(view, ledger) -> None:
+    """Every overlay float is the rebuild's, compared by ``float.hex``:
+    ``==`` would take ``-0.0`` for ``0.0``."""
+    rebuilt = residual_graph(
+        view.base, ledger.node_claims(), ledger.edge_claims()
+    )
+    for node in rebuilt.nodes():
+        mine = view.graph.node(node.name).load_average
+        assert mine.hex() == node.load_average.hex(), (node.name, mine)
+    for link in rebuilt.links():
+        mine = view.graph.link(link.u, link.v)
+        got = mine.available_fwd.hex(), mine.available_rev.hex()
+        want = link.available_fwd.hex(), link.available_rev.hex()
+        assert got == want, (link.u, link.v, got, want)
+
+
+class TestOverlayBits:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_float_is_the_rebuilds_to_the_bit(self, data):
+        """Claims drawn onto the clamps' edges — a channel claimed to
+        exactly its availability (``0.0``) or past it (clamped), a
+        half-duplex channel, a node left below ``_MIN_RESIDUAL_CPU`` —
+        and after every grant and release the overlay equals the
+        rebuild float for float, sign of zero included."""
+        g = _edge_graph(data)
+        ledger = ReservationLedger()
+        view = ResidualView(g, ledger)
+        ledger.subscribe(view.on_ledger_event)
+        live = []
+        for step in range(data.draw(st.integers(1, 10))):
+            if live and data.draw(st.booleans()):
+                ledger.release(live.pop(data.draw(
+                    st.integers(0, len(live) - 1)
+                )))
+            else:
+                nodes = data.draw(st.lists(
+                    st.sampled_from(_HOSTS), min_size=1, max_size=3,
+                    unique=True,
+                ))
+                cpu, bw = _claims(data, g, nodes)
+                try:
+                    ledger.reserve(
+                        f"a{step}", nodes, cpu_fraction=cpu, bw_bps=bw,
+                        graph=g, now=0.0, lease_s=60.0,
+                    )
+                except LedgerError:
+                    continue
+                live.append(f"a{step}")
+            _assert_bits_equal(view, ledger)
+
+    def test_the_edges_are_reached(self):
+        """The cases the property is for, pinned: an exact drain leaves
+        ``+0.0`` on a full-duplex and on the shared channel, and a node
+        claimed to its whole fraction is left at ``_MIN_RESIDUAL_CPU``."""
+        g = TopologyGraph()
+        g.add_network("sw")
+        for name in ("h0", "h1"):
+            g.add_compute(name, load_average=3.0)
+        g.add_link("h0", "sw", _MAXBW, available=3e7)
+        g.add_link("h1", "sw", _MAXBW, available=3e7, duplex="half")
+        ledger = ReservationLedger()
+        view = ResidualView(g, ledger)
+        ledger.subscribe(view.on_ledger_event)
+        ledger.reserve("a", ["h0", "h1"], cpu_fraction=0.25, bw_bps=3e7,
+                       graph=g, now=0.0, lease_s=60.0)
+        h0 = view.graph.link("h0", "sw")
+        h1 = view.graph.link("h1", "sw")
+        assert (h0.available_fwd.hex(), h0.available_rev.hex()) == (
+            (0.0).hex(), (0.0).hex()
+        )
+        assert ledger.edge_claim((h1.key, SHARED)) == 3e7
+        assert h1.available_fwd.hex() == h1.available_rev.hex() == (0.0).hex()
+        assert view.graph.node("h0").cpu == pytest.approx(_MIN_RESIDUAL_CPU)
+        _assert_bits_equal(view, ledger)
 
 
 class TestChannelTable:

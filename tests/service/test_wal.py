@@ -489,6 +489,20 @@ class TestGrantLineDifferential:
                 ledger.renew(live[picks[0] % len(live)], now, 0.5)
         _same_files(mine, theirs)
 
+    def test_a_logged_set_on_other_caps_is_spliced_again(self, tmp_path):
+        """The channel memo answers only for the cap object a channel
+        was logged with: the same channels granted again over a trunk of
+        another capacity, or of an equal int one, log that trunk's cap."""
+        graphs = [_two_hop(["sa", "sb", "h0", "h1"], bps) for bps in _TRUNKS]
+        mine, theirs = tmp_path / "memo", tmp_path / "reference"
+        ledger, wal = make_ledger_with_wal(mine, snapshot_every=1000)
+        ReferenceWal(str(theirs), snapshot_every=1000).attach(ledger)
+        # A float trunk, then an int of equal value, then another one.
+        for i, graph in enumerate(graphs[k] for k in (0, 2, 1, 0, 2)):
+            grant(ledger, graph, f"a{i}", ("h0", "h1"), bw=1e6, now=i)
+            ledger.release(f"a{i}")
+        _same_files(mine, theirs)
+
     def test_a_durable_service_writes_the_reference_bytes(self, tmp_path):
         """A mixed grant / release / renew stream through a durable
         service — shared channels, zero bandwidth, zero CPU — leaves the

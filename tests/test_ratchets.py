@@ -7,6 +7,7 @@ semantics are kept: a count is of matching *lines*, and a section is a
 the next line after it matching ``end``, both included.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -354,3 +355,41 @@ def test_graph_memory():
         "a shard cuts the router snapshot with TopologyGraph.restricted: "
         "its one copy is its residual overlay"
     )
+
+
+def _calls_outside_raise(path, cls, attr):
+    """The calls in ``cls.attr``'s body (``ast.unparse``), a ``raise``
+    statement's excepted."""
+    tree = ast.parse(Path(path).read_text())
+    body = next(
+        f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls
+        for f in c.body if isinstance(f, ast.FunctionDef) and f.name == attr
+    )
+    raised = {
+        id(n) for r in ast.walk(body) if isinstance(r, ast.Raise)
+        for n in ast.walk(r)
+    }
+    return [
+        ast.unparse(n) for n in ast.walk(body)
+        if isinstance(n, ast.Call) and id(n) not in raised
+    ]
+
+
+def test_claim_loops():
+    """Each claim applies §3.1's ``1/(1+load)`` and §3.3's smaller
+    direction per node and per channel as plain float arithmetic and
+    attribute reads: the clamps are ``if``s, the dicts are bound before
+    the loop, and the two graph properties every claim reads call
+    nothing."""
+    view = SERVICE / "residual_view.py"
+    loops = section(view, r"    def refresh_nodes\(", r"^    def ") \
+        + section(view, r"    def refresh_edges\(", r"^    def ") \
+        + section(SERVICE / "ledger.py", r"claims, links = ",
+                  r"reservation = Reservation\(")
+    assert len(loops) > 80, "a claim loop moved: update the sections"
+    assert not _matching(
+        r"\b(max|min)\(|\.node\(|\.has_node\(|\.link_by_key\(", loops
+    ), "a claim loop calls per element what an if or a bound dict does"
+    graph = SRC / "repro" / "topology" / "graph.py"
+    for cls, attr in (("Link", "available"), ("Node", "cpu")):
+        assert not _calls_outside_raise(graph, cls, attr), (cls, attr)
