@@ -37,7 +37,7 @@ views (:class:`repro.service.ResidualView`) copy it anyway.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from ..core.kernel import peel_order
 from ..core.metrics import References
@@ -163,7 +163,10 @@ class RouteCache:
     (bounded at the square; each miss follows the graph's kept next-hop
     map, O(path length)).  Either way the answer is a tuple in
     :func:`~repro.service.ledger.ledger_order`, which ``reserve`` stores
-    as it is.
+    as it is.  Its channels are interned (:meth:`_named`): a channel is
+    one object in every tuple the cache hands out, so the claim
+    verification, the ledger, the overlay and the WAL find it in their
+    dicts by identity.
 
     The cache answers for any graph sharing the base snapshot's structure
     (the residual overlay is a same-structure copy, and so is the next
@@ -173,8 +176,8 @@ class RouteCache:
 
     def __init__(self, graph: TopologyGraph) -> None:
         self.graph = graph
-        #: Half-duplex link key -> its one channel (see :meth:`_named`).
-        self._shared = {l.key: l.channel(l.u) for l in graph.links() if l.shared}
+        #: Link key -> the link's channels, built once (see :meth:`_named`).
+        self._channels: dict[frozenset, tuple[ChannelId, ...]] = {}
         #: Ordered pair -> channel tuple (None: pair is disconnected).
         self._pairs: dict[
             tuple[str, str], Optional[tuple[ChannelId, ...]]
@@ -197,14 +200,24 @@ class RouteCache:
 
     def _hops(self, path: list[str]) -> tuple[ChannelId, ...]:
         """The channels the pair memo keeps of a routed ``path``: all."""
-        return self._named((frozenset((u, v)), v) for u, v in zip(path, path[1:]))
+        return tuple(self._hop(u, v) for u, v in zip(path, path[1:]))
 
-    def _named(self, hops: Iterable[ChannelId]) -> tuple[ChannelId, ...]:
-        """``hops``, built as ``(key, dst)`` with no link looked up, as
-        :meth:`Link.channel` names them: a half-duplex link's, once."""
-        if not self._shared:
-            return tuple(hops)
-        return tuple(dict.fromkeys(self._shared.get(h[0], h) for h in hops))
+    def _hop(self, u: str, v: str) -> ChannelId:
+        """The channel of the hop from ``u`` to ``v``: towards ``v``."""
+        named = self._named(self.graph.link(u, v))
+        return named[-1] if u < v else named[0]
+
+    def _named(self, link: Link) -> tuple[ChannelId, ...]:
+        """``link``'s channels in ledger order, as :meth:`Link.channel`
+        names them from the graph's own ``link.key`` (a half-duplex
+        link's one channel once): built the first time the link is
+        named, the same objects for the cache's life.  The one place
+        the cache builds a channel."""
+        named = self._channels.get(link.key)
+        if named is None:
+            named = tuple(sorted(link.channels(), key=ledger_order))
+            self._channels[link.key] = named
+        return named
 
     def connected(self, a: str, b: str) -> bool:
         """Whether a routed path exists from ``a`` to ``b`` (memoized).
@@ -228,13 +241,14 @@ class RouteCache:
         self.misses += 1
         span = self.graph.span(nodes)
         if span is not None:
-            ends = sorted(
-                (l.u, l.v) if l.u < l.v else (l.v, l.u) for l in span[0]
-            )
-            edges = self._named(
-                (key, dst) for key, pair in zip(map(frozenset, ends), ends)
-                for dst in pair
-            )
+            named = self._named
+            hops: list[ChannelId] = []
+            # Distinct links have distinct ends: no link is compared.
+            for _ends, link in sorted(
+                ((l.u, l.v) if l.u < l.v else (l.v, l.u), l) for l in span[0]
+            ):
+                hops += named(link)
+            edges = tuple(hops)
         else:
             found: set[ChannelId] = set()
             for a, b in itertools.permutations(nodes, 2):

@@ -38,7 +38,7 @@ import dataclasses
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..topology.graph import ChannelId, TopologyGraph
@@ -62,6 +62,16 @@ __all__ = [
 #: by the magnitudes involved instead of using a fixed absolute epsilon.
 _EPS = 1e-9
 
+#: How far a claim tally may drift from the exact sum of its leases'
+#: claims, as a fraction of its resource's capacity.  One addition or
+#: subtraction rounds by at most 2**-53 of its result, and a tally never
+#: exceeds the capacity by more than slack, so this covers 2**17 of them
+#: all rounding the same way (and a random walk of far more).  A release
+#: drops a tally within it of zero, and a claim must exceed twice it:
+#: no live lease's claim is taken for zero, and no tally outlives every
+#: lease that held it.
+_DRIFT = 2.0 ** -36
+
 
 def _slack(*magnitudes: float) -> float:
     # Hot loops write the one-argument, non-negative case out in place.
@@ -74,14 +84,22 @@ def ledger_order(edge: ChannelId) -> tuple[list[str], str]:
     return sorted(edge[0]), edge[1]
 
 
-def _subtract(claims: dict, keys: Iterable, amount: float) -> list:
-    """Take ``amount`` off each ``claims[key]``; a remainder within slack
-    of zero deletes the entry.  Returns the deleted keys."""
+def _subtract(
+    claims: dict, keys: Iterable, amount: float, caps: Iterable[float]
+) -> list:
+    """Take ``amount`` off each ``claims[key]``; a remainder within
+    :data:`_DRIFT` of the key's capacity (``caps``, aligned with
+    ``keys``) deletes the entry.  Returns the deleted keys.
+
+    The bound scales with the capacity, not the tally: rounding grows
+    with the largest total a tally has held, and a small last claim may
+    follow a large one.  No live claim is within it: every positive
+    claim is more than twice it (:func:`check_claim` on a node,
+    :meth:`ReservationLedger.reserve` on a channel)."""
     dropped = []
-    for key in keys:
-        claimed = claims[key]
-        remaining = claimed - amount
-        if remaining <= (_EPS * claimed if claimed > 1.0 else _EPS):
+    for key, cap in zip(keys, caps):
+        remaining = claims[key] - amount
+        if remaining <= _DRIFT * cap:
             del claims[key]
             dropped.append(key)
         else:
@@ -99,8 +117,11 @@ def _credit(
     copies.  Returns the channels whose claim collapsed to nothing.
     """
     if reservation.cpu_fraction > 0.0:  # zero claims were never recorded
-        _subtract(node_claims, reservation.nodes, reservation.cpu_fraction)
-    return _subtract(edge_claims, reservation.edges, reservation.bw_bps)
+        _subtract(node_claims, reservation.nodes, reservation.cpu_fraction,
+                  itertools.repeat(1.0))  # the whole node
+    return _subtract(
+        edge_claims, reservation.edges, reservation.bw_bps, reservation.caps
+    )
 
 
 #: Stale deadline-heap entries tolerated before :meth:`release`/
@@ -123,11 +144,17 @@ DEADLINE_KINDS = frozenset({"renew"})
 
 def check_claim(cpu_fraction: float, bw_bps: float) -> None:
     """Refuse a claim no lease can hold: a CPU fraction outside the
-    whole node, [0, 1], or a bandwidth that is negative, infinite or NaN.
-    The one copy of the claim rule: both request records and
-    :meth:`ReservationLedger.reserve` run it."""
+    whole node, [0, 1], or positive but no more than twice the drift its
+    tally may carry (:data:`_DRIFT`), or a bandwidth that is negative,
+    infinite or NaN.  The one copy of the claim rule: both request
+    records and :meth:`ReservationLedger.reserve` run it (``reserve``
+    holds a bandwidth to the same floor, scaled to each channel)."""
     if not 0 <= cpu_fraction <= 1.0:
         raise ValueError(f"cpu_fraction must be in [0, 1]: {cpu_fraction}")
+    if 0 < cpu_fraction <= 2 * _DRIFT:
+        raise ValueError(
+            f"cpu_fraction must be 0 or above {2 * _DRIFT:g}: {cpu_fraction}"
+        )
     if bw_bps < 0:
         raise ValueError(f"bw_bps cannot be negative: {bw_bps}")
     if not math.isfinite(bw_bps):
@@ -155,7 +182,9 @@ class Reservation:
     crosses (union over the routed paths between its node pairs); the
     bandwidth claim applies once per channel — the ledger models the
     application's bandwidth *floor* on every link it touches, not a
-    per-flow sum.
+    per-flow sum.  ``caps`` are those channels' peak capacities, aligned
+    with ``edges``: what a release measures each tally's remainder
+    against.
     """
 
     app_id: str
@@ -166,6 +195,7 @@ class Reservation:
     priority: str
     granted_at: float
     expires_at: float
+    caps: tuple[float, ...] = field(repr=False)
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -258,7 +288,9 @@ class ReservationLedger:
         any other iterable is sorted.  One pass validates every channel
         against its capacity and works out its new total, so the
         mutation only writes.  Raises :class:`LedgerError` when the claim
-        would oversubscribe a node or channel, ``KeyError`` for an
+        would oversubscribe a node or channel or is too small for a
+        channel's tally to tell from its drift (:func:`check_claim`'s
+        floor, scaled to the channel's capacity), ``KeyError`` for an
         unknown node or link and ``ValueError`` on malformed requests;
         on error the ledger is unchanged.
         """
@@ -288,6 +320,9 @@ class ReservationLedger:
                 )
         # The graph's key -> link dict, bound once and only read: one
         # ``get`` per channel, not a ``link_by_key`` call.
+        # check_claim's floor on each channel, bw <= 2 * _DRIFT * cap,
+        # as cap >= floor_cap: exactly, 2 * _DRIFT being a power of two.
+        floor_cap = bw_bps / (2 * _DRIFT)
         claims, links = self._edge_claims, graph._links
         totals, caps = [], []
         for edge in edges:
@@ -304,6 +339,13 @@ class ReservationLedger:
                     f"channel {u}->{v} towards {dst!r} oversubscribed: "
                     f"{claimed:g} + {bw_bps:g} > capacity {cap:g} bps"
                 )
+            if cap >= floor_cap:
+                u, v = sorted(key)
+                raise LedgerError(
+                    f"channel {u}->{v} towards {dst!r} cannot hold "
+                    f"{bw_bps:g} bps: a claim must exceed "
+                    f"{2 * _DRIFT * cap:g} bps of its {cap:g} bps"
+                )
             totals.append(total)
             caps.append(cap)
 
@@ -316,13 +358,13 @@ class ReservationLedger:
             priority=priority,
             granted_at=now,
             expires_at=now + lease_s,
+            caps=tuple(caps),
         )
-        self._write_grant(reservation, totals, caps)
+        self._write_grant(reservation, totals)
         return reservation
 
     def _write_grant(
-        self, reservation: Reservation, totals: Sequence[float],
-        caps: Sequence[float],
+        self, reservation: Reservation, totals: Sequence[float]
     ) -> None:
         """The one grant write, of :meth:`reserve` and of replay: debit
         the CPU claim on every node, set each channel's new claim total
@@ -337,7 +379,7 @@ class ReservationLedger:
             for name in reservation.nodes:
                 node_claims[name] = node_claims.get(name, 0.0) + cpu_fraction
         self._edge_claims.update(zip(reservation.edges, totals))
-        self._edge_caps.update(zip(reservation.edges, caps))
+        self._edge_caps.update(zip(reservation.edges, reservation.caps))
         self.reservations[reservation.app_id] = reservation
         heapq.heappush(
             self._deadlines, (reservation.expires_at, reservation.app_id)
@@ -461,9 +503,7 @@ class ReservationLedger:
 
         return recover_ledger(state_dir)
 
-    def _restore_grant(
-        self, reservation: Reservation, edge_caps: Sequence[float]
-    ) -> None:
+    def _restore_grant(self, reservation: Reservation) -> None:
         """Replay one grant record through :meth:`reserve`'s own write
         (the same float additions in the same order), so replayed tallies
         stay bit-identical to the originals.  Validation is skipped — the
@@ -474,14 +514,15 @@ class ReservationLedger:
             raise ValueError(
                 f"duplicate grant for {reservation.app_id!r} in replay"
             )
-        if len(edge_caps) != len(reservation.edges):
+        if len(reservation.caps) != len(reservation.edges):
             raise ValueError(
                 f"grant for {reservation.app_id!r} carries "
-                f"{len(edge_caps)} caps for {len(reservation.edges)} edges"
+                f"{len(reservation.caps)} caps for "
+                f"{len(reservation.edges)} edges"
             )
         bw = reservation.bw_bps
         totals = [self.edge_claim(edge) + bw for edge in reservation.edges]
-        self._write_grant(reservation, totals, edge_caps)
+        self._write_grant(reservation, totals)
 
     def apps_on_node(self, name: str) -> list[str]:
         """Applications whose reservation includes node ``name``."""
@@ -635,8 +676,11 @@ class ReservationLedger:
             assert total <= cap + _slack(cap), (
                 f"channel {edge} oversubscribed: {total} > {cap}"
             )
+            # A tally's rounding grows with the largest total it has
+            # held, which the cap bounds; a lost or doubled claim is
+            # more than twice this off (reserve's floor).
             tally = self._edge_claims.get(edge, 0.0)
-            assert abs(total - tally) <= _slack(total, tally), (
+            assert abs(total - tally) <= _DRIFT * cap, (
                 f"channel {edge} tally drift"
             )
         assert set(node_totals) == set(self._node_claims), "node tally drift"

@@ -97,16 +97,17 @@ class ChannelTable(dict):
         self[edge] = entry
         return entry
 
-    def rebase(self, base: TopologyGraph, keys: Iterable[frozenset]) -> None:
+    def rebase(
+        self, base: TopologyGraph, channels: Iterable[ChannelId]
+    ) -> None:
         """Adopt ``base``, whose links differ from the current base's in
-        ``keys`` only: the entries of those channels carry its links."""
+        those ``channels`` run on only: their entries carry its links."""
         self.base = base
-        for key in keys:
-            link = base.link_by_key(key)
-            for channel in link.channels():
-                entry = self.get(channel)
-                if entry is not None:
-                    self[channel] = (entry[0], entry[1], link)
+        for channel in channels:
+            entry = self.get(channel)
+            if entry is not None:
+                link = base.link_by_key(channel[0])
+                self[channel] = (entry[0], entry[1], link)
 
 
 def _refresh_shared(link, base, claim: float) -> None:
@@ -275,7 +276,10 @@ class ResidualView:
         """
         self.schedules.rebase(base)
         self.base = self.routes.graph = base
-        self.channels.rebase(base, links)
+        # Named by the route cache, as every lease's channels are.
+        named = self.routes._named
+        channels = [c for k in links for c in named(base.link(*k))]
+        self.channels.rebase(base, channels)
         self.graph.measurement = base.measurement
         self.selections.clear()
         for name in nodes:
@@ -287,7 +291,7 @@ class ResidualView:
         for key in links:
             u, v = key
             self.graph.link(u, v).attrs = dict(base.link(u, v).attrs)
-        self.refresh_edges(c for k in links for c in base.link_by_key(k).channels())
+        self.refresh_edges(channels)
 
     def on_ledger_event(self, kind: str, reservation: Reservation) -> None:
         """Ledger subscription hook (``subscribe(view.on_ledger_event)``)."""

@@ -116,7 +116,7 @@ _STATUS_BY_RELEASE_KIND = {
 KEPT_ENDED_OUTCOMES = 1024
 
 #: The statuses of a live request: a lease, or a queue slot.
-_LIVE_STATUSES = frozenset((Decision.ADMITTED, Decision.QUEUED))
+_LIVE_STATUSES = frozenset({Decision.ADMITTED, Decision.QUEUED})
 
 
 #: The service's answer (and later, the standing status) for one app.

@@ -132,8 +132,8 @@ class _TrunkRoutes(RouteCache):
 
     def _hops(self, path: list[str]) -> tuple:
         shard_of = self._shard_of
-        return self._named(
-            (frozenset((u, v)), v) for u, v in zip(path, path[1:])
+        return tuple(
+            self._hop(u, v) for u, v in zip(path, path[1:])
             if shard_of[u] != shard_of[v]
         )
 

@@ -122,8 +122,8 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 _CHANNELS = '"edges":null,"caps":null'
 
 
-def _decode_reservation(payload: dict) -> tuple[Reservation, list[float]]:
-    reservation = Reservation(
+def _decode_reservation(payload: dict) -> Reservation:
+    return Reservation(
         app_id=payload["app"],
         nodes=tuple(payload["nodes"]),
         cpu_fraction=float(payload["cpu"]),
@@ -132,8 +132,8 @@ def _decode_reservation(payload: dict) -> tuple[Reservation, list[float]]:
         priority=payload["priority"],
         granted_at=float(payload["granted_at"]),
         expires_at=float(payload["expires_at"]),
+        caps=tuple(float(c) for c in payload["caps"]),
     )
-    return reservation, [float(c) for c in payload["caps"]]
 
 
 @dataclass(frozen=True)
@@ -434,7 +434,7 @@ def recover_ledger(state_dir: str):
         snapshot_seq = int(snap["seq"])
         try:
             for payload in snap["reservations"]:
-                reservation, _caps = _decode_reservation(payload)
+                reservation = _decode_reservation(payload)
                 ledger.reservations[reservation.app_id] = reservation
             ledger._node_claims = {
                 name: float(v) for name, v in snap["node_claims"].items()
@@ -457,8 +457,7 @@ def recover_ledger(state_dir: str):
         try:
             kind = record["kind"]
             if kind == "grant":
-                reservation, caps = _decode_reservation(record)
-                ledger._restore_grant(reservation, caps)
+                ledger._restore_grant(_decode_reservation(record))
             elif kind in DEADLINE_KINDS or kind == "preempt_clamp":
                 # ``preempt_clamp``: a deadline move in state dirs
                 # written while preemption could defer its release.

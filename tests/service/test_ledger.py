@@ -3,7 +3,7 @@
 import pytest
 
 from repro.service import LedgerError, ReservationLedger, route_edges
-from repro.service.ledger import _HEAP_COMPACT_MIN
+from repro.service.ledger import _DRIFT, _HEAP_COMPACT_MIN
 from repro.topology import dumbbell, star
 from repro.units import Mbps
 
@@ -271,19 +271,41 @@ class TestZeroCpuClaims:
 
 
 class TestSlackSizedClaims:
-    """A positive claim the release slack cannot tell from zero.  Known
-    defect, pinned until it is mended: ``_subtract`` drops a tally whose
-    remainder is within slack of zero, so releasing an overlapping lease
-    drops the survivor's claim with it, and the survivor's own release
-    then raises ``KeyError``."""
+    """A positive claim far below its resource's capacity, beside one
+    that fills it.  Releasing the large lease leaves the small one's
+    claim standing, and releasing the small one leaves no tally behind;
+    a claim too small for the tally to tell from its rounding drift is
+    refused up front, with nothing recorded."""
 
-    @pytest.mark.xfail(strict=True, raises=KeyError,
-                       reason="a slack-sized claim collapses with its "
-                              "neighbour's release")
-    def test_survives_an_overlapping_release(self, graph):
+    @pytest.mark.parametrize("kind, large, small", [
+        ("cpu", 0.25, 5e-10),
+        ("bw", 1e8 - 0.05, 0.05),  # one 1e8 bps channel's whole capacity
+        ("bw", 1e8 - 0.2, 0.2),  # its last release leaves ~3e-9 bps drift
+    ], ids=["cpu", "bw", "bw-residue"])
+    def test_survives_an_overlapping_release(self, kind, large, small):
+        graph = dumbbell(2, 2)
         ledger = ReservationLedger()
-        for app, cpu in (("a", 0.25), ("b", 5e-10)):
-            ledger.reserve(app, ["l0"], cpu_fraction=cpu, bw_bps=0.0,
-                           graph=graph, now=0.0, lease_s=60.0)
+
+        def claim(app, amount):
+            cpu, bw = (amount, 0.0) if kind == "cpu" else (0.0, amount)
+            return ledger.reserve(app, ["l0", "r0"], cpu_fraction=cpu,
+                                  bw_bps=bw, graph=graph, now=0.0,
+                                  lease_s=60.0)
+
+        claim("a", large)
+        before = ledger.claims_fingerprint()
+        with pytest.raises(ValueError if kind == "cpu" else LedgerError):
+            claim("c", 2 * _DRIFT * (1.0 if kind == "cpu" else 1e8))
+        assert ledger.claims_fingerprint() == before
+        assert "c" not in ledger.reservations
+        b = claim("b", small)
         ledger.release("a")
+        ledger.check_invariants()
+        held = (
+            [ledger.node_claim(name) for name in b.nodes] if kind == "cpu"
+            else [ledger.edge_claim(edge) for edge in b.edges]
+        )
+        assert held and all(c == pytest.approx(small) for c in held)
         ledger.release("b")
+        ledger.check_invariants()
+        assert ledger.node_claims() == ledger.edge_claims() == {}

@@ -226,13 +226,12 @@ def _claims(data, g, nodes):
     """A CPU and a bandwidth claim for ``nodes`` drawn onto the edges:
     a node's whole CPU fraction, or just under it (a residual below
     ``_MIN_RESIDUAL_CPU``, or at it), or more; a channel's whole
-    availability or more.  No claim is so small that the ledger's
-    slack takes it for zero (``test_ledger.py::TestSlackSizedClaims`` pins
-    what happens to one)."""
+    availability or more; and claims far below what their neighbours
+    hold (``test_ledger.py::TestSlackSizedClaims``'s two)."""
     cpu = g.node(data.draw(st.sampled_from(nodes))).cpu
     cpu_claim = data.draw(st.sampled_from([
         0.0, 0.25, cpu, cpu - _MIN_RESIDUAL_CPU / 2,
-        cpu - _MIN_RESIDUAL_CPU, 1.0,
+        cpu - _MIN_RESIDUAL_CPU, 1.0, 5e-10,
     ]))
     bw = 0.0
     channels = sorted(route_edges(g, nodes), key=ledger_order)
@@ -240,7 +239,7 @@ def _claims(data, g, nodes):
         key, dst = data.draw(st.sampled_from(channels))
         base = g.link_by_key(key).available_towards(dst)
         bw = data.draw(st.sampled_from([
-            base, base + 1.0, base + 1e7, base / 3, 1.0,
+            base, base + 1.0, base + 1e7, base / 3, 1.0, 0.05,
         ]))
     return cpu_claim, min(bw, _MAXBW)
 

@@ -107,7 +107,7 @@ def test_route():
 
 def test_channel():
     """Link.channel is the one channel rule; one channel type; one
-    routed max-min sharing function."""
+    routed max-min sharing function; a hop's channel reuses link.key."""
     graph = "src/repro/topology/graph.py:"
     assert not [
         hit for hit in grep(r'"duplex"|"shared"', SRC)
@@ -123,6 +123,15 @@ def test_channel():
         "flow quotes and pattern bandwidth share "
         "network/fairshare.py::routed_fair_rates"
     )
+    assert not grep(r"frozenset\(\(", SERVICE, SHARDING), (
+        "a hop's channel reuses the graph's link.key: no link key is "
+        "built afresh under service/ or sharding/"
+    )
+    assert [hit.split(":")[0] for hit in grep(r"\.channels?\(", SERVICE)] \
+        == ["src/repro/service/cache.py", "src/repro/service/ledger.py"], (
+            "route channels are named in RouteCache._named (the overlay's, "
+            "the router's trunk memo) and, cold, in ledger.route_edges"
+        )
 
 
 def test_selection():
