@@ -30,7 +30,8 @@ from typing import Optional
 from .core import ApplicationSpec, NoFeasibleSelection, NodeSelector, Objective
 from .core.types import ExtrasKey
 from .remos import DegradedPolicy, apply_degraded_policy
-from .topology import from_json, to_dot
+from .topology import to_dot
+from .topology.serialize import read_topology
 from .units import Mbps
 
 __all__ = ["main", "build_parser"]
@@ -125,15 +126,8 @@ def _print_explain_text(record) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    try:
-        if args.topology == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.topology, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        graph = from_json(text)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load topology: {exc}", file=sys.stderr)
+    graph = read_topology(args.topology)
+    if graph is None:
         return 2
 
     try:

@@ -26,7 +26,6 @@ from .snmp import (
     InterfaceAgent,
     InterfaceRecord,
     InterfaceTable,
-    build_agents,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "ResourceStatus",
     "SlidingMean",
     "apply_degraded_policy",
-    "build_agents",
 ]

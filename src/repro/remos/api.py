@@ -12,18 +12,21 @@ Remos exports network information at two levels of abstraction:
 
 All answers derive from the collector's measurement history — never from
 the simulator's hidden ground truth — passed through a configurable
-:class:`~repro.remos.predictor.Predictor` (§2.2: history window / current
-conditions / future estimate).
+:class:`~repro.remos.predictor.Predictor` (§2.2: a history window is
+``SlidingMean``, current conditions ``LastValue``, a future estimate
+``Ewma``).
 
 **Degraded mode.**  On a shared network the collector inevitably loses
 samples (agent timeouts, crashed nodes, flapping links).  Instead of
-raising, every answer carries its sample age and a staleness flag, and a
-:class:`DegradedPolicy` decides what value a stale resource reports:
+raising, every answer carries its sample age and a staleness flag.  A
+host or link is derived one way — its last-known-good value and the
+collector's stale flag — and one rule (:meth:`DegradedPolicy.rule`)
+decides what a stale resource then reports:
 
 - ``OPTIMISTIC``: last-known-good values, resources never marked — the
   pre-fault-model behaviour, kept as the naive baseline;
-- ``LAST_GOOD`` (default): last-known-good values, but stale nodes are
-  marked ``unmonitorable`` in the topology so selection can exclude them;
+- ``LAST_GOOD`` (default): last-known-good values, but the topology
+  marks stale nodes ``unmonitorable`` (selection can exclude them);
 - ``CONSERVATIVE``: additionally assume the worst — a stale link has zero
   available bandwidth and a stale node infinite load (CPU fraction 0).
 """
@@ -57,6 +60,21 @@ class DegradedPolicy:
     CONSERVATIVE = "conservative"
 
     ALL = (OPTIMISTIC, LAST_GOOD, CONSERVATIVE)
+
+    @staticmethod
+    def rule(policy: str) -> tuple[bool, bool]:
+        """``(worst, marked)``: whether ``policy`` answers a stale resource
+        with the worst case instead of its last-known-good value, and
+        whether it marks it stale.  The live sweep, the point queries and
+        :func:`apply_degraded_policy` all read a policy, and refuse an
+        unknown one (``ValueError``), here."""
+        if policy not in DegradedPolicy.ALL:
+            raise ValueError(
+                f"unknown degraded policy {policy!r}; "
+                f"expected one of {DegradedPolicy.ALL}"
+            )
+        return (policy == DegradedPolicy.CONSERVATIVE,
+                policy != DegradedPolicy.OPTIMISTIC)
 
 
 @dataclass(frozen=True)
@@ -126,11 +144,7 @@ class RemosAPI:
             raise TypeError(
                 f"collector must be a Collector, got {type(collector).__name__}"
             )
-        if degraded not in DegradedPolicy.ALL:
-            raise ValueError(
-                f"unknown degraded policy {degraded!r}; "
-                f"expected one of {DegradedPolicy.ALL}"
-            )
+        DegradedPolicy.rule(degraded)
         self.collector = collector
         self.predictor = predictor or LastValue()
         self.degraded = degraded
@@ -154,58 +168,55 @@ class RemosAPI:
     def cluster(self) -> Cluster:
         return self.collector.cluster
 
-    # -- §2.2 query levels ---------------------------------------------------
-    def current(self) -> "RemosAPI":
-        """A view answering from *current* conditions (last measurement)."""
-        return RemosAPI(self.collector, predictor=LastValue(),
-                        degraded=self.degraded, tracer=self.tracer)
+    # -- the one derivation ---------------------------------------------------
+    def _forecast(self):
+        """The predictor's ``predict``; ``None`` under :class:`LastValue`,
+        whose forecast is the collector's newest-value column."""
+        predictor = self.predictor
+        return None if type(predictor) is LastValue else predictor.predict
 
-    def windowed(self, seconds: float) -> "RemosAPI":
-        """A view answering from a fixed window of history (mean)."""
-        from .predictor import SlidingMean
-        return RemosAPI(self.collector, predictor=SlidingMean(seconds),
-                        degraded=self.degraded, tracer=self.tracer)
-
-    def forecast(self, alpha: float = 0.3) -> "RemosAPI":
-        """A view answering with an EWMA estimate of future availability."""
-        from .predictor import Ewma
-        return RemosAPI(self.collector, predictor=Ewma(alpha),
-                        degraded=self.degraded, tracer=self.tracer)
-
-    # -- node-level queries ------------------------------------------------------
-    def _node_rows(self, names):
-        """``(load_average, stale)`` as answered for each of ``names`` under
-        the degraded policy, read off the collector's columns (last-value
-        *is* the newest-value column; another predictor reads histories)."""
-        collector = self.collector
-        predict = (
-            None if type(self.predictor) is LastValue
-            else self.predictor.predict
+    def _last_good(self, keys, hosts=True):
+        """``(value, stale)`` per host name (or channel id, ``hosts=False``)
+        of ``keys``: the last-known-good answer and the collector's raw
+        stale flag, the policy not applied."""
+        c = self.collector
+        columns, history = (
+            (c.host_columns, c.load_history) if hosts
+            else (c.channel_columns, c.utilization_history)
         )
-        worst = self.degraded == DegradedPolicy.CONSERVATIVE
-        marked = self.degraded != DegradedPolicy.OPTIMISTIC
-        stale_after = collector.stale_after
-        for name, count, newest, misses in zip(
-            names, *collector.host_columns(names)
-        ):
-            stale = misses >= stale_after
-            if stale and worst:
-                load = float("inf")
-            elif not count:
-                # An unmonitored node looks idle — exactly the optimistic
-                # error a fresh monitor makes.
-                load = 0.0
+        predict = self._forecast()
+        for key, count, newest, misses in zip(keys, *columns(keys)):
+            if not count:
+                # An unmonitored resource looks idle — exactly the
+                # optimistic error a fresh monitor makes.
+                value = 0.0
             elif predict is None:
-                load = max(0.0, newest)
+                value = max(0.0, newest)
             else:
-                load = max(0.0, predict(collector.load_history(name)))
-            yield load, stale and marked
+                value = max(0.0, predict(history(key)))
+            yield value, misses >= c.stale_after
 
+    def _link_rows(self, links):
+        """``(utilization towards v, towards u, stale)`` per link: a
+        half-duplex link's one channel answers both ways, and a link is
+        stale when any of its channels is."""
+        pairs = [link.channels() for link in links]
+        rows = self._last_good([c for pair in pairs for c in pair], False)
+        for pair in pairs:
+            got = [next(rows) for _ in pair]  # towards u, then v
+            yield got[-1][0], got[0][0], got[0][1] or got[-1][1]
+
+    # -- point queries --------------------------------------------------------
     def node_info(self, name: str) -> NodeInfo:
         """Forecast load plus measurement health for one compute node."""
-        (load, stale), = self._node_rows([name])
-        age_s = self.collector.host_status(name).age_s
-        return NodeInfo(name, load, age_s=age_s, stale=stale)
+        (load, stale), = self._last_good([name])
+        worst, marked = DegradedPolicy.rule(self.degraded)
+        return NodeInfo(
+            name,
+            float("inf") if stale and worst else load,
+            age_s=self.collector.host_status(name).age_s,
+            stale=stale and marked,
+        )
 
     def node_load(self, name: str) -> float:
         """Forecast load average of a compute node.
@@ -215,23 +226,12 @@ class RemosAPI:
         """
         return self.node_info(name).load_average
 
-    # -- link-level queries ------------------------------------------------------
-    def _channel_utilization(self, channel) -> float:
-        history = self.collector.utilization_history(channel)
-        if not history:
-            return 0.0
-        return max(0.0, self.predictor.predict(history))
-
     def link_info(self, u: str, v: str) -> LinkInfo:
         """Capacity, measured utilization, latency and health for one link."""
         link = self.cluster.graph.link(u, v)
-        cids = link.channels()
-        fwd = self._channel_utilization(cids[-1])
-        rev = self._channel_utilization(cids[0]) if len(cids) > 1 else fwd
-        statuses = [self.collector.channel_status(cid) for cid in cids]
-        age = max(s.age_s for s in statuses)
-        stale = any(s.stale for s in statuses)
-        if stale and self.degraded == DegradedPolicy.CONSERVATIVE:
+        (fwd, rev, stale), = self._link_rows([link])
+        worst, marked = DegradedPolicy.rule(self.degraded)
+        if stale and worst:
             # Assume the worst of an unobservable link: fully utilized.
             fwd = rev = link.maxbw
         # Orient the answer to the argument order.
@@ -244,9 +244,14 @@ class RemosAPI:
             utilization_fwd_bps=fwd,
             utilization_rev_bps=rev,
             latency_s=link.latency,
-            age_s=age,
-            stale=stale and self.degraded != DegradedPolicy.OPTIMISTIC,
+            age_s=self._link_age(link),
+            stale=stale and marked,
         )
+
+    def _link_age(self, link) -> float:
+        """The oldest sample age over ``link``'s channels."""
+        status = self.collector.channel_status
+        return max(status(cid).age_s for cid in link.channels())
 
     # -- the logical topology query ----------------------------------------------
     def topology(self) -> TopologyGraph:
@@ -292,14 +297,14 @@ class RemosAPI:
         collector = self.collector
         physical = self.cluster.graph
         self._cursor, moved = collector.changes_since(self._cursor)
-        if type(self.predictor) is not LastValue:
+        if self._forecast() is not None:
             moved = None  # any new sample can move a forecast from history
         old = self._snapshot
         if old is None or moved is None:
             g = physical.copy()
             hosts = frozenset(self.cluster.hosts)
             links = frozenset(link.key for link in physical.links())
-            marks, counted = 0, g.node_names()
+            marks, counted = 0, frozenset(g.node_names())
         else:
             hosts = frozenset(r for r in moved if type(r) is str)
             links = frozenset(moved) - hosts
@@ -310,36 +315,30 @@ class RemosAPI:
             # The marks go with the objects the patch replaces.
             marks = self._marks - _stale_marks(old, hosts, links)
             counted = hosts
-        for name, (load, stale) in zip(hosts, self._node_rows(hosts)):
+        # Last-known-good values on everything touched, then the policy
+        # on what of it is stale: the rule apply_degraded_policy applies.
+        stale_nodes, stale_links = [], []
+        for name, (load, stale) in zip(hosts, self._last_good(hosts)):
             node = g.node(name)
-            node.load_average = (
-                load if load != float("inf") else _UNMONITORABLE_LOAD
-            )
+            node.load_average = load
             if stale:
-                node.attrs["unmonitorable"] = True
-        for key in links:
-            link = g.link(*key)
-            info = self.link_info(link.u, link.v)
-            link.set_available(
-                min(link.maxbw, info.available_fwd_bps), direction=link.v
-            )
-            link.set_available(
-                min(link.maxbw, info.available_rev_bps), direction=link.u
-            )
-            if info.stale:
-                link.attrs["stale"] = True
+                stale_nodes.append(node)
+        touched = [g.link(*key) for key in links]
+        for link, (fwd, rev, stale) in zip(touched, self._link_rows(touched)):
+            link.set_available(max(0.0, link.maxbw - fwd), direction=link.v)
+            link.set_available(max(0.0, link.maxbw - rev), direction=link.u)
+            if stale:
+                stale_links.append(link)
+        _degrade(self.degraded, stale_nodes, stale_links)
         self._marks = marks + _stale_marks(g, counted, links)
         # Ages are one number per round, not a stamp per resource: every
         # agent the round reached was sampled at ``round_at``.
-        late = {}
+        late: dict = {}
         for r in collector.late_resources():
             if type(r) is str:
                 late[r] = collector.host_status(r).age_s
             elif r[0] not in late:
-                late[r[0]] = max(
-                    collector.channel_status(cid).age_s
-                    for cid in physical.link(*r[0]).channels()
-                )
+                late[r[0]] = self._link_age(physical.link(*r[0]))
         first = old is None
         g.measurement = Measurement(
             source=self._lineage,
@@ -394,16 +393,35 @@ class RemosAPI:
 
 def _stale_marks(graph: TopologyGraph, nodes, links) -> int:
     """Unmonitorable among ``graph``'s ``nodes`` + stale among its ``links``."""
-    node, link = graph.node, graph.link_by_key
+    node, link = graph.node, graph.link
     return sum(
         1 for name in nodes if node(name).attrs.get("unmonitorable")
-    ) + sum(1 for key in links if link(key).attrs.get("stale"))
+    ) + sum(1 for key in links if link(*key).attrs.get("stale"))
 
 
 #: Load average stood in for "infinite" on unmonitorable nodes in topology
 #: snapshots: keeps ``cpu = 1/(1+load)`` effectively zero while remaining
 #: finite for serialization and arithmetic downstream.
 _UNMONITORABLE_LOAD = 1e9
+
+
+def _degrade(policy: str, nodes, links) -> None:
+    """Apply ``policy``'s :meth:`~DegradedPolicy.rule` to stale ``nodes``
+    and ``links`` (graph records holding last-known-good values, written
+    in place): the worst case instead of the value, and the mark set or
+    taken off.  A finite load stands in for the infinite one."""
+    worst, marked = DegradedPolicy.rule(policy)
+    for records, mark in ((nodes, "unmonitorable"), (links, "stale")):
+        for record in records:
+            if marked:
+                record.attrs[mark] = True
+            else:
+                record.attrs.pop(mark, None)
+    if worst:
+        for node in nodes:
+            node.load_average = _UNMONITORABLE_LOAD
+        for link in links:
+            link.set_available(0.0)
 
 
 def apply_degraded_policy(graph: TopologyGraph, policy: str) -> TopologyGraph:
@@ -413,33 +431,16 @@ def apply_degraded_policy(graph: TopologyGraph, policy: str) -> TopologyGraph:
     equivalent for *serialized* snapshots (``repro-select`` on a JSON file,
     an exported :meth:`RemosAPI.export_snapshot`).  The snapshot's
     ``unmonitorable`` / ``stale`` marks record which resources were stale
-    when it was taken; the policy decides what to make of them now:
-
-    - ``OPTIMISTIC``: strip the marks — every resource answers its
-      last-known-good value and nothing is excluded (the naive arm);
-    - ``LAST_GOOD``: keep the snapshot as-is (marks exclude stale nodes
-      from selection, values stay last-known-good);
-    - ``CONSERVATIVE``: additionally assume the worst — stale links carry
-      zero available bandwidth, unmonitorable nodes effectively no CPU.
-
+    when it was taken, and the policy decides what to make of them now
+    by the rule the live sweep applies (:meth:`DegradedPolicy.rule`):
+    ``OPTIMISTIC`` strips the marks, ``LAST_GOOD`` keeps the snapshot
+    as it is, ``CONSERVATIVE`` also assumes the worst of what they mark.
     Returns a copy; the input graph is never mutated.
     """
-    if policy not in DegradedPolicy.ALL:
-        raise ValueError(
-            f"unknown degraded policy {policy!r}; "
-            f"expected one of {DegradedPolicy.ALL}"
-        )
     g = graph.copy()
-    if policy == DegradedPolicy.OPTIMISTIC:
-        for node in g.nodes():
-            node.attrs.pop("unmonitorable", None)
-        for link in g.links():
-            link.attrs.pop("stale", None)
-    elif policy == DegradedPolicy.CONSERVATIVE:
-        for node in g.nodes():
-            if node.attrs.get("unmonitorable"):
-                node.load_average = _UNMONITORABLE_LOAD
-        for link in g.links():
-            if link.attrs.get("stale"):
-                link.set_available(0.0)
+    _degrade(
+        policy,
+        [node for node in g.nodes() if node.attrs.get("unmonitorable")],
+        [link for link in g.links() if link.attrs.get("stale")],
+    )
     return g

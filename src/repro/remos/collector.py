@@ -184,6 +184,14 @@ class _History(Sequence):
         return repr(self._ring.samples(self._col))
 
 
+def _columns(ring: _Ring, misses: np.ndarray, cols: list) -> tuple:
+    """Fill count, newest value and missed polls of ``ring``'s columns
+    ``cols``, as three lists."""
+    cols = np.array(cols, dtype=np.intp)
+    return (ring.count[cols].tolist(), ring.newest[cols].tolist(),
+            misses[cols].tolist())
+
+
 @dataclass(frozen=True)
 class ResourceStatus:
     """Health of one monitored resource, as seen by the collector."""
@@ -641,12 +649,18 @@ class Collector:
         meaningless where none was taken), consecutive missed polls."""
         agents = self.host_agents
         try:
-            cols = np.array([agents[h].index for h in hosts], dtype=np.intp)
+            cols = [agents[h].index for h in hosts]
         except KeyError as exc:
             raise KeyError(f"no monitored host {exc.args[0]!r}") from None
-        load = self._load
-        return (load.count[cols].tolist(), load.newest[cols].tolist(),
-                self._load_misses[cols].tolist())
+        return _columns(self._load, self._load_misses, cols)
+
+    def channel_columns(self, channels) -> tuple[list, list, list]:
+        """:meth:`host_columns` for channels (every one monitored):
+        utilization samples ever derived, the newest
+        (``utilization_history(c)[-1][1]``), consecutive missed polls."""
+        number = self._table.channel_number
+        cols = [number[c] for c in channels]
+        return _columns(self._util, self._channel_misses, cols)
 
     def channels(self) -> list[ChannelId]:
         """All channels with at least one derived utilization sample."""
@@ -705,10 +719,6 @@ class Collector:
             missed_polls=missed,
             stale=missed >= self.stale_after,
         )
-
-    def host_stale(self, host: str) -> bool:
-        """True once a node has missed ``stale_after`` consecutive rounds."""
-        return self.host_status(host).stale
 
     def stale_hosts(self) -> list[str]:
         """All currently unmonitorable compute nodes, sorted."""

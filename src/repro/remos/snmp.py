@@ -51,7 +51,6 @@ __all__ = [
     "InterfaceTable",
     "HostAgent",
     "HostTable",
-    "build_agents",
 ]
 
 
@@ -331,13 +330,3 @@ class HostAgent(_FaultyAgent):
             raise AgentTimeout(f"agent on {self.name!r} not responding")
         return now, loads.item(0)
 
-
-def build_agents(
-    cluster: Cluster,
-    counter_bits: Optional[int] = None,
-) -> tuple[dict[str, InterfaceAgent], dict[str, HostAgent]]:
-    """One interface agent per device and one host agent per compute
-    node: the rows of an :class:`InterfaceTable` and a
-    :class:`HostTable`, each reachable as ``agent.table``."""
-    iface = InterfaceTable(cluster, counter_bits=counter_bits).agents
-    return iface, HostTable(cluster).agents

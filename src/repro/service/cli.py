@@ -68,7 +68,7 @@ from typing import Iterator, Optional, Union
 
 from ..core.spec import ApplicationSpec, Objective
 from ..obs import MetricsRegistry, Tracer
-from ..topology.serialize import from_json
+from ..topology.serialize import read_topology
 from ..units import Mbps
 from .admission import Priority
 from .api import BatchRequest
@@ -324,15 +324,8 @@ def _replay(service, ops: list[dict], batch_max: int,
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    try:
-        if args.topology == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.topology, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        graph = from_json(text)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load topology: {exc}", file=sys.stderr)
+    graph = read_topology(args.topology)
+    if graph is None:
         return 2
 
     try:

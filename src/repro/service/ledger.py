@@ -275,6 +275,7 @@ class ReservationLedger:
         lease_s: float,
         priority: str = "silver",
         edges: Optional[Iterable[ChannelId]] = None,
+        expires_at: Optional[float] = None,
     ) -> Reservation:
         """Record a claim for ``app_id`` on ``nodes``.
 
@@ -285,9 +286,11 @@ class ReservationLedger:
         compute on ``graph``.  A ``tuple`` is taken to be in
         :func:`ledger_order` already and becomes :attr:`Reservation.edges`
         as it is (the route cache's answer, an old lease's ``edges``);
-        any other iterable is sorted.  One pass validates every channel
-        against its capacity and works out its new total, so the
-        mutation only writes.  Raises :class:`LedgerError` when the claim
+        any other iterable is sorted.  The lease lapses at ``now +
+        lease_s``, or at ``expires_at`` when given: a lease that moves,
+        or is put back, keeps its own deadline.  One pass validates
+        every channel against its capacity and works out its new total,
+        so the mutation only writes.  Raises :class:`LedgerError` when the claim
         would oversubscribe a node or channel or is too small for a
         channel's tally to tell from its drift (:func:`check_claim`'s
         floor, scaled to the channel's capacity), ``KeyError`` for an
@@ -357,7 +360,7 @@ class ReservationLedger:
             edges=edges,
             priority=priority,
             granted_at=now,
-            expires_at=now + lease_s,
+            expires_at=now + lease_s if expires_at is None else expires_at,
             caps=tuple(caps),
         )
         self._write_grant(reservation, totals)

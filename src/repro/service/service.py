@@ -555,9 +555,6 @@ class SelectionService(FrontDoor):
                     "Node-set route lookups that ran BFS.",
                     fn=lambda: self._kernel_stat(
                         "route_misses", lambda v: v.routes.misses))
-        reg.counter("repro_kernel_select_memo_negative_hits_total",
-                    "Selection-memo hits on memoized infeasibility.",
-                    fn=lambda: float(self.metrics.select_memo_negative_hits))
         reg.gauge("repro_ledger_active_leases",
                   "Live reservations by priority class.",
                   labels={"class": "all"},
@@ -585,12 +582,6 @@ class SelectionService(FrontDoor):
         reg.gauge("repro_admission_queue_limit",
                   "Bound on the admission queue.",
                   fn=lambda: float(self.queue.limit))
-        reg.counter("repro_admission_queue_displaced_total",
-                    "Queued requests displaced by higher priority.",
-                    fn=lambda: float(self.metrics.queue_displaced))
-        reg.counter("repro_admission_drain_skipped_total",
-                    "Queue drains skipped by the residual-epoch gate.",
-                    fn=lambda: float(self.metrics.drain_skipped))
         self.metrics.gauge(
             "known_down_nodes", "repro_service_known_down_nodes",
             "Nodes the injector reported crashed and not recovered.",
@@ -891,8 +882,11 @@ class SelectionService(FrontDoor):
         edges,
         base: TopologyGraph,
         stage=_untimed,
+        expires_at: Optional[float] = None,
     ) -> Optional[Grant]:
-        """The one commit tail: reserve a verified placement, grant it.
+        """The one commit tail: reserve a verified placement, grant it
+        (lapsing ``lease_s`` from now, or at a moved lease's
+        ``expires_at``).
 
         A :class:`LedgerError` — claims fit measured availability but
         not the ledger caps, e.g. measured idle capacity on an already
@@ -911,6 +905,7 @@ class SelectionService(FrontDoor):
                 lease_s=self.lease_s,
                 priority=req.priority,
                 edges=edges,
+                expires_at=expires_at,
             )
         except LedgerError as exc:
             stage("ledger_commit", start, error=str(exc))
@@ -952,16 +947,18 @@ class SelectionService(FrontDoor):
             self.tracer.record(f"stage.{name}", start, end, **attrs)
         return end
 
-    def _try_admit(self, req: SelectionRequest) -> Optional[Grant]:
+    def _try_admit(
+        self, req: SelectionRequest, expires_at: Optional[float] = None
+    ) -> Optional[Grant]:
         """One admission attempt on current residual capacity: place on
         the live overlay (memo, stage timers, spans), then commit."""
         tracer = self.tracer
         if not tracer.enabled:
-            return self._try_admit_inner(req)
+            return self._try_admit_inner(req, expires_at)
         with tracer.span(
             "service.admit", app=req.app_id, priority=req.priority,
         ) as span:
-            grant = self._try_admit_inner(req)
+            grant = self._try_admit_inner(req, expires_at)
             span.set(
                 outcome="admitted" if grant is not None else "infeasible"
             )
@@ -969,7 +966,9 @@ class SelectionService(FrontDoor):
                 span.set(reason=req.last_reason)
             return grant
 
-    def _try_admit_inner(self, req: SelectionRequest) -> Optional[Grant]:
+    def _try_admit_inner(
+        self, req: SelectionRequest, expires_at: Optional[float] = None
+    ) -> Optional[Grant]:
         stage = self._stage
         start = perf_counter()
         base = self.cache.topology()
@@ -988,7 +987,7 @@ class SelectionService(FrontDoor):
         if selection is None:
             req.last_reason = reason
             return None
-        return self._commit(req, selection, edges, base, stage)
+        return self._commit(req, selection, edges, base, stage, expires_at)
 
     def probe(
         self,
@@ -1444,18 +1443,17 @@ class SelectionService(FrontDoor):
             priority=r.priority,
             submitted_at=self.now,
         )
-        grant = self._try_admit(req)
+        # The lease moves; its deadline does not (only renew moves one).
+        grant = self._try_admit(req, r.expires_at)
         if grant is None:
-            # Roll the original lease back; nothing changed.
-            lease = r.expires_at - self.now
-            if lease > 0:
-                self.ledger.reserve(
-                    app_id, r.nodes,
-                    cpu_fraction=r.cpu_fraction, bw_bps=r.bw_bps,
-                    graph=base, now=self.now, lease_s=lease,
-                    priority=r.priority,
-                    edges=r.edges,
-                )
+            # Put the original lease back as it was, lapsed or not: the
+            # next tick expires it if its time is up.
+            self.ledger.reserve(
+                app_id, r.nodes,
+                cpu_fraction=r.cpu_fraction, bw_bps=r.bw_bps,
+                graph=base, now=r.granted_at, lease_s=self.lease_s,
+                priority=r.priority, edges=r.edges, expires_at=r.expires_at,
+            )
             return False
         self.metrics.migrations += 1
         self._live_specs[app_id] = spec  # the original, not the pinned one

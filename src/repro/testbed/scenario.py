@@ -119,8 +119,7 @@ class Scenario:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.warmup < 0:
             raise ValueError("warmup cannot be negative")
-        if self.degraded not in DegradedPolicy.ALL:
-            raise ValueError(f"unknown degraded policy {self.degraded!r}")
+        DegradedPolicy.rule(self.degraded)  # refuses an unknown policy
         if self.load_config is None:
             self.load_config = default_load_config()
         if self.traffic_config is None:

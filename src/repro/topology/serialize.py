@@ -8,7 +8,8 @@ available/peak bandwidth in Mbps).
 from __future__ import annotations
 
 import json
-from typing import Any
+import sys
+from typing import Any, Optional
 
 from ..units import Mbps
 from .graph import Link, Node, TopologyGraph
@@ -57,6 +58,8 @@ def to_dict(graph: TopologyGraph) -> dict[str, Any]:
 
 def from_dict(data: dict[str, Any]) -> TopologyGraph:
     """Rebuild a graph from :func:`to_dict` output."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a topology is an object, not {type(data).__name__}")
     version = data.get("version")
     if version != _SCHEMA_VERSION:
         raise ValueError(f"unsupported topology schema version {version!r}")
@@ -98,6 +101,23 @@ def to_json(graph: TopologyGraph, indent: int = 2) -> str:
 def from_json(text: str) -> TopologyGraph:
     """Parse a graph from :func:`to_json` output."""
     return from_dict(json.loads(text))
+
+
+def read_topology(source: str) -> Optional[TopologyGraph]:
+    """The topology a command line names: a :func:`to_json` file, or
+    ``-`` for standard input.  One that cannot be read or parsed is
+    reported on stderr (``error: cannot load topology: ...``) and answers
+    ``None``; the command-line tools then exit 2."""
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return from_json(text)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: cannot load topology: {exc}", file=sys.stderr)
+        return None
 
 
 def _dot_escape(name: str) -> str:

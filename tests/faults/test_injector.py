@@ -122,7 +122,7 @@ class TestAgentOutageStaleness:
         assert api.node_info("l0").age_s > collector.period
         # The agent answers again after t=10.5; one good poll clears it.
         sim.run(until=13.0)
-        assert not collector.host_stale("l0")
+        assert not collector.host_status("l0").stale
         assert not api.node_info("l0").stale
 
     def test_short_glitch_absorbed_by_retries(self):
@@ -132,7 +132,7 @@ class TestAgentOutageStaleness:
         sim.run(until=9.0)
         assert collector.failed_polls > 0          # the poll at t=4 timed out
         assert collector.host_status("l0").missed_polls == 0
-        assert not collector.host_stale("l0")
+        assert not collector.host_status("l0").stale
 
     def test_stale_link_flagged_in_link_info(self):
         sim, cluster, collector, api, inj = make_rig()
@@ -174,7 +174,7 @@ class TestCrashExclusionAndRecovery:
         ).nodes
         sim.run(until=20.0)  # recovered at t=11; polls succeed again
         assert cluster.host("l0").up
-        assert not collector.host_stale("l0")
+        assert not collector.host_status("l0").stale
         sel = NodeSelector(api).select(ApplicationSpec(num_nodes=4))
         assert sorted(sel.nodes) == ["l0", "l1", "r0", "r1"]
 

@@ -5,7 +5,15 @@ import pytest
 from repro.des import Simulator
 from repro.network import Cluster
 from repro.obs import Tracer
-from repro.remos import Collector, Ewma, RemosAPI, build_agents
+from repro.remos import (
+    Collector,
+    Ewma,
+    HostTable,
+    InterfaceTable,
+    LastValue,
+    RemosAPI,
+    SlidingMean,
+)
 from repro.topology import TopologyGraph, dumbbell, star
 from repro.network.fairshare import max_min_fair
 from repro.units import MB, Mbps
@@ -32,7 +40,8 @@ def run_probe(sim, gen):
 class TestSnmpAgents:
     def test_interface_agent_covers_incident_links(self, rig):
         sim, g, cluster, *_ = rig
-        iface, hosts = build_agents(cluster)
+        iface = InterfaceTable(cluster).agents
+        hosts = HostTable(cluster).agents
         # sw-left touches l0, l1 and sw-right: 3 outbound channels.
         assert len(iface["sw-left"].interfaces) == 3
         assert len(iface["l0"].interfaces) == 1
@@ -40,7 +49,7 @@ class TestSnmpAgents:
 
     def test_counters_monotonic(self, rig):
         sim, g, cluster, *_ = rig
-        iface, _ = build_agents(cluster)
+        iface = InterfaceTable(cluster).agents
         cluster.transfer("l0", "r0", 50 * MB)
 
         def probe(sim):
@@ -57,7 +66,7 @@ class TestSnmpAgents:
 
     def test_host_agent_reads_load(self, rig):
         sim, g, cluster, *_ = rig
-        _, hosts = build_agents(cluster)
+        hosts = HostTable(cluster).agents
         cluster.compute("l0", 1e9)
 
         def probe(sim):
@@ -300,22 +309,33 @@ class TestRemosAPI:
 
 
 class TestQueryLevels:
-    """§2.2: history window / current conditions / future estimate."""
+    """§2.2: history window / current conditions / future estimate, each
+    a ``RemosAPI`` over one collector with its own predictor."""
+
+    @staticmethod
+    def views(collector, **kw):
+        return [
+            RemosAPI(collector, predictor=LastValue(), **kw),
+            RemosAPI(collector, predictor=SlidingMean(30.0), **kw),
+            RemosAPI(collector, predictor=Ewma(0.3), **kw),
+        ]
 
     def test_views_share_the_collector(self, rig):
         sim, g, cluster, collector, api = rig
-        assert api.current().collector is collector
-        assert api.windowed(30.0).collector is collector
-        assert api.forecast().collector is collector
+        for view in self.views(collector):
+            assert view.collector is collector
+        assert type(api.predictor) is LastValue  # the paper's default
 
     def test_views_differ_on_a_ramp(self, rig):
         """While load ramps up, current > window mean > heavy-smoothing."""
         sim, g, cluster, collector, api = rig
         cluster.compute("l0", 1e9)
         sim.run(until=20.0)  # partway up the damped ramp
-        current = api.current().node_load("l0")
-        window = api.windowed(60.0).node_load("l0")
-        smooth = api.forecast(alpha=0.1).node_load("l0")
+        current = RemosAPI(collector, predictor=LastValue()).node_load("l0")
+        window = RemosAPI(
+            collector, predictor=SlidingMean(60.0)
+        ).node_load("l0")
+        smooth = RemosAPI(collector, predictor=Ewma(0.1)).node_load("l0")
         assert current > window > 0
         assert current > smooth > 0
 
@@ -325,7 +345,7 @@ class TestQueryLevels:
         api = RemosAPI(collector, tracer=tracer)
         cluster.compute("l0", 1e9)
         sim.run(until=9.0)
-        views = [api.current(), api.windowed(30.0), api.forecast()]
+        views = self.views(collector, tracer=tracer)
         for view in views:
             assert view.tracer is tracer
             assert_same_snapshot(view.topology(), full_sweep_topology(view))
@@ -346,4 +366,5 @@ class TestQueryLevels:
         sim, g, cluster, collector, api = rig
         cluster.compute("l1", 1e9)
         sim.run(until=30.0)
-        assert api.current().node_load("l1") == api.node_load("l1")
+        current = RemosAPI(collector, predictor=LastValue())
+        assert current.node_load("l1") == api.node_load("l1")

@@ -9,9 +9,13 @@ from repro.obs import Tracer
 from repro.remos import (
     Collector,
     DegradedPolicy,
+    Ewma,
+    LastValue,
     RemosAPI,
+    SlidingMean,
     apply_degraded_policy,
 )
+from repro.remos.api import _UNMONITORABLE_LOAD
 from repro.topology import dumbbell
 from repro.units import MB, Mbps
 
@@ -147,10 +151,13 @@ class TestPolicyLadder:
         ).available_fwd_bps == pytest.approx(100 * Mbps)
 
     def test_views_propagate_policy(self):
-        sim, cluster, collector, api, _ = make_rig(DegradedPolicy.CONSERVATIVE)
-        assert api.current().degraded == DegradedPolicy.CONSERVATIVE
-        assert api.windowed(30.0).degraded == DegradedPolicy.CONSERVATIVE
-        assert api.forecast().degraded == DegradedPolicy.CONSERVATIVE
+        # Whatever the predictor, the policy answers the stale host.
+        sim, cluster, collector, _ = stale_node_rig(DegradedPolicy.LAST_GOOD)
+        for predictor in (LastValue(), SlidingMean(30.0), Ewma(0.3)):
+            api = RemosAPI(collector, predictor=predictor,
+                           degraded=DegradedPolicy.CONSERVATIVE)
+            assert api.node_info("l0").load_average == float("inf")
+            assert api.topology().node("l0").attrs.get("unmonitorable")
 
 
 class TestDegradedQueriesNeverRaise:
@@ -213,6 +220,68 @@ class TestTracedSweepCountsStaleMarksAsItGoes:
             peaks = [c for c, nxt in zip(counts, counts[1:]) if c > nxt]
             assert len(peaks) >= 2 and 0 in counts[5:], counts
             assert max(counts) >= 3 and counts[-1] == 2, counts
+
+
+def outage_rig():
+    """A host down from t=0 (never sampled), a busy host and both
+    switches whose agents go silent for good at t=8.5, a half-duplex
+    trunk and traffic across it."""
+    sim = Simulator()
+    g = dumbbell(2, 2, latency=0.0)
+    g.link("sw-left", "sw-right").attrs["duplex"] = "half"
+    cluster = Cluster(sim, g, base_capacity=1.0, load_tau=5.0)
+    collector = Collector(
+        cluster, period=2.0, max_retries=1, backoff=0.5, stale_after=3
+    )
+    inj = FaultInjector(cluster, collector)
+    cluster.host("l0").fail()
+    cluster.compute("r1", 1e9)
+    cluster.transfer("l1", "r0", 1000 * MB)
+    inj.schedule([
+        AgentOutage(device="r1", at=8.5, duration=1e3),
+        AgentOutage(device="sw-left", at=8.5, duration=1e3),
+        AgentOutage(device="sw-right", at=8.5, duration=1e3),
+    ])
+    return sim, cluster, collector
+
+
+class TestPointQueriesAgreeWithTheSweep:
+    """``node_info`` / ``link_info`` and ``topology()`` derive a resource
+    one way and read the policy from one rule, so under every policy and
+    predictor they agree on every value and mark — up to the two
+    substitutions a snapshot makes: an infinite load is stored as
+    ``_UNMONITORABLE_LOAD``, and a link utilized to capacity has zero
+    available bandwidth."""
+
+    @pytest.mark.parametrize("predictor", ["last", "mean", "ewma"])
+    @pytest.mark.parametrize("policy", DegradedPolicy.ALL)
+    def test_every_resource_every_round(self, policy, predictor):
+        sim, cluster, collector = outage_rig()
+        make = {"last": LastValue, "mean": lambda: SlidingMean(5.0),
+                "ewma": lambda: Ewma(0.3)}[predictor]
+        api = RemosAPI(collector, predictor=make(), degraded=policy)
+        seen = set()
+        for until in (1.0, 6.0, 12.0, 20.0, 30.0, 40.0):
+            sim.run(until=until)
+            topo = api.topology()  # full first, then patched (last value)
+            for name in cluster.hosts:
+                info, node = api.node_info(name), topo.node(name)
+                assert node.load_average == (
+                    _UNMONITORABLE_LOAD if info.load_average == float("inf")
+                    else info.load_average
+                ), (until, name)
+                assert bool(node.attrs.get("unmonitorable")) == info.stale
+                seen.add(("node", info.stale))
+            for link in topo.links():
+                info = api.link_info(link.u, link.v)
+                tag = (until, link.u, link.v)
+                assert link.available_fwd == info.available_fwd_bps, tag
+                assert link.available_rev == info.available_rev_bps, tag
+                assert bool(link.attrs.get("stale")) == info.stale, tag
+                seen.add(("link", info.stale))
+        # The rig reaches a stale host and a stale link (marked or not).
+        marked = policy != DegradedPolicy.OPTIMISTIC
+        assert {("node", marked), ("link", marked)} <= seen, seen
 
 
 class TestLiveAndOfflinePoliciesAgree:

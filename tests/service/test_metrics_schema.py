@@ -210,3 +210,19 @@ class TestRouterSnapshotAndExposition:
         assert 'repro_slo_status{objective="admit_latency"}' in text
         assert "repro_shard_trunk_min_headroom_fraction" in text
         router.close()
+
+
+class TestOneNamePerCounter:
+    def test_each_counter_is_exported_under_one_name(self):
+        # The service's own counters are ``repro_service_<key>_total``;
+        # no second series repeats one of them under another name.
+        svc = SelectionService(dumbbell(2, 2))
+        svc.request("app", ApplicationSpec(num_nodes=2), cpu_fraction=0.2)
+        text = svc.registry.expose_text()
+        for key in ("select_memo_negative_hits", "queue_displaced",
+                    "drain_skipped"):
+            assert f"repro_service_{key}_total " in text, key
+        for alias in ("repro_kernel_select_memo_negative_hits_total",
+                      "repro_admission_queue_displaced_total",
+                      "repro_admission_drain_skipped_total"):
+            assert alias not in text, alias

@@ -17,6 +17,7 @@ from repro.faults import AgentOutage, FaultInjector
 from repro.network import Cluster
 from repro.remos import Collector, RemosAPI
 from repro.service import Decision, SelectionService
+from repro.service.ledger import ReservationLedger
 from repro.testbed.cmu import cmu_testbed
 
 
@@ -133,6 +134,62 @@ class TestProactiveMigration:
         else:
             assert after == before  # left exactly as it was
         service.check_invariants()
+
+
+class TestMigrationKeepsTheDeadline:
+    """A deadline moves only through ``renew``: a migration moves the
+    lease and keeps its ``expires_at``, and a migration that cannot
+    re-admit puts the original lease back as it was."""
+
+    def start(self, **service_kw):
+        sim, cluster, collector, api, service, injector = make_rig(
+            **service_kw
+        )
+        service.enable_push(collector)
+        sim.run(until=3.0)
+        grant = service.request(
+            "app", ApplicationSpec(num_nodes=2), cpu_fraction=0.3,
+            bw_bps=1e6,
+        )
+        assert grant.admitted
+        victim = grant.selection.nodes[0]
+        injector.schedule([
+            AgentOutage(device=victim, at=sim.now + 0.5, duration=1e6),
+        ])
+        return sim, service, service.ledger.reservations["app"], victim
+
+    def test_a_moved_lease_keeps_its_expiry_and_replays(self, tmp_path):
+        state = str(tmp_path / "state")
+        sim, service, before, victim = self.start(
+            lease_s=100.0, state_dir=state
+        )
+        sim.run(until=sim.now + 6.0)
+        assert service.metrics.migrations == 1
+        assert service.metrics.renewed == 0
+        after = service.ledger.reservations["app"]
+        assert victim not in after.nodes
+        assert after.expires_at == before.expires_at == 103.0
+        service.check_invariants()
+        replayed = ReservationLedger.recover(state)
+        assert replayed.claims_fingerprint() == \
+            service.ledger.claims_fingerprint()
+        assert {a: r.expires_at for a, r in replayed.reservations.items()} \
+            == {"app": 103.0}
+
+    def test_a_failed_move_puts_the_lease_back_unchanged(self, monkeypatch):
+        # A short lease whose deadline passes before the host goes stale:
+        # it is put back as it was, and the next tick expires it.
+        sim, service, before, victim = self.start(lease_s=2.0)
+        monkeypatch.setattr(
+            service, "_try_admit", lambda req, expires_at=None: None
+        )
+        sim.run(until=sim.now + 6.0)
+        assert service.metrics.migrations == 0
+        assert service.ledger.reservations["app"] == before
+        assert before.expires_at < service.now
+        service.check_invariants()
+        assert service.tick() == ["app"]
+        assert service.status("app").status == Decision.EXPIRED
 
 
 class TestPushLifecycle:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import cli as serve_cli
 from repro.topology import dumbbell, star, to_json
 from repro.units import Mbps
 
@@ -224,3 +225,28 @@ class TestExplain:
         payload = json.loads(captured.out)
         assert payload["explain"]["rejection"]
         assert payload["explain"]["nodes"] == []
+
+
+class TestOneTopologyLoader:
+    """``repro-select`` and ``repro-serve`` read a topology through one
+    helper: the same refusal, message and exit code 2 for each way a
+    file can be bad."""
+
+    @pytest.mark.parametrize("text", [
+        "{not json",                       # not JSON: ValueError
+        "[1, 2]",                          # JSON, not an object
+        '{"version": 1, "nodes": []}',     # no "links": KeyError
+        None,                              # no such file: OSError
+    ])
+    def test_both_clis_refuse_a_malformed_file_alike(
+        self, tmp_path, capsys, text
+    ):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([str(path), "-m", "2"]) == 2
+        select_err = capsys.readouterr().err
+        assert serve_cli.main([str(path), "--demo", "1"]) == 2
+        serve_err = capsys.readouterr().err
+        assert select_err.startswith("error: cannot load topology: ")
+        assert select_err == serve_err

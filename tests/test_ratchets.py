@@ -236,6 +236,47 @@ def test_collector():
     assert not grep(r"collector\._", api)
 
 
+REMOS_API = SRC / "repro" / "remos" / "api.py"
+
+
+def test_degraded_rule():
+    """``DegradedPolicy.rule`` is the one reading of a degraded policy:
+    nothing else in ``src/`` compares against its worst-case or naive
+    value (the live sweep, the point queries and the offline
+    ``apply_degraded_policy`` ask the rule)."""
+    rule = section(REMOS_API, r"    def rule\(", r"^$")
+    assert len(_matching(r"return", rule)) == 1, "the rule moved"
+    compared = grep(
+        r"(==|!=)\s*\S*\b(OPTIMISTIC|CONSERVATIVE)\b"
+        r"|\b(OPTIMISTIC|CONSERVATIVE)\b\S*\s*(==|!=)"
+        r"|(==|!=)\s*[\"'](optimistic|conservative)[\"']",
+        SRC,
+    )
+    outside = [
+        hit for hit in compared
+        if not (hit.startswith("src/repro/remos/api.py:")
+                and hit.split(": ", 1)[1] in rule)
+    ]
+    assert len(compared) == 2 and not outside, (
+        "a policy is read by DegradedPolicy.rule only", outside
+    )
+
+
+def test_one_derivation():
+    """Remos derives a host and a link one way: ``LastValue`` is
+    type-tested once, the sweep reads links as columns rather than
+    through ``link_info``, and the thin wrappers stay gone."""
+    assert len(grep(
+        r"\bis (not )?LastValue\b|isinstance\([^)]*LastValue", SRC
+    )) == 1, "RemosAPI._forecast decides LastValue once"
+    sweep = section(REMOS_API, r"def _sweep", r"^    def ")
+    assert sweep and not _matching(r"link_info\(|_channel_utilization", sweep)
+    assert not grep(
+        r"def (current|windowed|forecast|host_stale|build_agents)\(",
+        SRC / "repro" / "remos",
+    ), "RemosAPI(collector, predictor=...) is the one way to pick a level"
+
+
 def test_metrics():
     """One store per reported number; the registry is given at
     construction."""

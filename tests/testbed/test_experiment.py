@@ -30,6 +30,8 @@ class TestScenario:
             Scenario(app_factory=small_fft, policy="psychic")
         with pytest.raises(ValueError):
             Scenario(app_factory=small_fft, warmup=-1)
+        with pytest.raises(ValueError, match="unknown degraded policy"):
+            Scenario(app_factory=small_fft, degraded="hopeful")
 
     def test_default_configs_attached(self):
         sc = Scenario(app_factory=small_fft)
