@@ -127,28 +127,38 @@ def _pairwise_minima(
     are :meth:`TopologyGraph.span`'s links, each crossed both ways: a
     link counts the smaller of its directions, O(m · depth), and since a
     minimum ignores the order of its terms the floats are the pair
-    walk's.  A graph with a cycle walks a path per ordered pair.
+    walk's.  That loop compares plain floats: ``b if b < a else a`` is
+    what ``min(a, b)`` returns, bit for bit, NaN included (its first
+    argument unless the second is strictly smaller).  A graph with a
+    cycle walks a path per ordered pair.
     """
     names = list(nodes)
     fraction = bps = float("inf")
     if len(names) < 2:
         return fraction, bps
+    ref_bw = refs.link_bandwidth
     span = graph.span(names)
     if span is not None:
         links, connected = span
         if not connected:
             return 0.0, 0.0
-        hops = [(min(l.available_fwd, l.available_rev), l) for l in links]
-    else:
-        hops = []
-        for src, dst in itertools.permutations(names, 2):
-            path = graph.path(src, dst)
-            if path is None:
-                return 0.0, 0.0
-            for x, y in zip(path, path[1:]):
-                link = graph.link(x, y)
-                hops.append((link.available_towards(y), link))
-    ref_bw = refs.link_bandwidth
+        for link in links:
+            fwd, rev = link.available_fwd, link.available_rev
+            bw = rev if rev < fwd else fwd
+            if bw < bps:
+                bps = bw
+            share = bw / (link.maxbw if ref_bw is None else ref_bw)
+            if share < fraction:
+                fraction = share
+        return fraction, bps
+    hops = []
+    for src, dst in itertools.permutations(names, 2):
+        path = graph.path(src, dst)
+        if path is None:
+            return 0.0, 0.0
+        for x, y in zip(path, path[1:]):
+            link = graph.link(x, y)
+            hops.append((link.available_towards(y), link))
     for bw, link in hops:
         bps = min(bps, bw)
         fraction = min(

@@ -168,10 +168,14 @@ class RouteCache:
     verification, the ledger, the overlay and the WAL find it in their
     dicts by identity.
 
-    The cache answers for any graph sharing the base snapshot's structure
-    (the residual overlay is a same-structure copy, and so is the next
-    snapshot a re-base moves the overlay to); the service discards it
-    only with the overlay, on a rebuild.
+    The cache answers for any graph sharing its graph's structure, and
+    every copy shares its links' keys, so the channels are the same
+    objects whichever copy named them.  A residual view routes on its
+    overlay, the graph its selections run on: a lease's span is then the
+    one :meth:`~repro.topology.TopologyGraph.span` just climbed to score
+    the selection, answered again without a climb.  The snapshots a
+    re-base moves the overlay to have the same structure; the service
+    discards the cache only with the overlay, on a rebuild.
     """
 
     def __init__(self, graph: TopologyGraph) -> None:
@@ -229,9 +233,9 @@ class RouteCache:
 
     def edges_for(self, nodes: Sequence[str]) -> tuple[ChannelId, ...]:
         """Link channels used by traffic among ``nodes``: those of
-        :func:`repro.service.route_edges` on the base snapshot (and so on
-        any residual overlay of it), in ledger order.  The tuple is the
-        memo's own and shared between callers.
+        :func:`repro.service.route_edges` on the cache's graph (and so on
+        any same-structure copy of it), in ledger order.  The tuple is
+        the memo's own and shared between callers.
         """
         key = tuple(sorted(nodes))
         edges = self._sets.get(key)

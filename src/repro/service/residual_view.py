@@ -150,7 +150,9 @@ class ResidualView:
         self.graph = residual_graph(
             base, ledger.node_claims(), ledger.edge_claims()
         )
-        self.routes = RouteCache(base)
+        # Routed on the overlay the kernel selects on: the span a
+        # selection is scored with is the one its lease is routed by.
+        self.routes = RouteCache(self.graph)
         #: The overlay's channels, resolved once each to the overlay's
         #: link and the base link it is recomputed from.
         self.channels = ChannelTable(self.graph, base)
@@ -275,7 +277,7 @@ class ResidualView:
         (:meth:`assert_matches_rebuild`).
         """
         self.schedules.rebase(base)
-        self.base = self.routes.graph = base
+        self.base = base
         # Named by the route cache, as every lease's channels are.
         named = self.routes._named
         channels = [c for k in links for c in named(base.link(*k))]

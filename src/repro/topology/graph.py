@@ -344,6 +344,12 @@ class TopologyGraph:
     #: by :meth:`replaced`, neither copied nor pickled.
     _next_hops: Optional[dict[str, dict[str, str]]] = None
 
+    #: The last :meth:`span`: ``(forest index, names, answer)``.  A repeat
+    #: of the same names against the same index is answered from it, so
+    #: a selection's scoring and its lease's routing climb once.  Derived
+    #: state like the forest index: neither copied nor pickled.
+    _last_span: Optional[tuple] = None
+
     #: Set on snapshots a measuring provider answers with; ``None`` on
     #: built, loaded and oracle graphs.  Copies carry it along.
     measurement: Optional[Measurement] = None
@@ -364,6 +370,7 @@ class TopologyGraph:
         state = self.__dict__.copy()
         state.pop("_forest", None)
         state.pop("_next_hops", None)
+        state.pop("_last_span", None)
         state.pop("compute_ranking", None)
         return state
 
@@ -711,10 +718,18 @@ class TopologyGraph:
         all pairs of ``names`` and whether every pair has a path; ``None``
         on a graph with a cycle.  Each name climbs to its root once,
         O(len(names) · depth); a link is kept when the subtree under it
-        holds some but not all of its tree's names."""
+        holds some but not all of its tree's names.  The same ``names``
+        asked again, in the same order and with no structural change in
+        between, get the same answer object back without a climb: the
+        links are this graph's own, read live, and the list is shared,
+        so do not mutate it."""
         index = self._forest_index()
         if index is None:
             return None
+        names = tuple(names)
+        last = self._last_span
+        if last is not None and last[0] is index and last[1] == names:
+            return last[2]
         parent, adj = index[0], self._adj
         held: dict[str, int] = {}  # names in the subtree under each node
         climbs = []
@@ -733,7 +748,9 @@ class TopologyGraph:
                 held[node] = 0  # taken: a later climb stops here
                 links.append(adj[node][parent[node]])
                 node = parent[node]
-        return links, len({root for _, root in climbs}) <= 1
+        answer = links, len({root for _, root in climbs}) <= 1
+        self._last_span = (index, names, answer)
+        return answer
 
     def floor_components(self, floor_bps: float) -> Callable[[str], Any]:
         """``name -> component id`` in the graph that keeps only the links

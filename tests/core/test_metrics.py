@@ -13,12 +13,13 @@ from repro.core import (
     minresource,
     node_compute_fraction,
 )
+from repro.core.metrics import _pairwise_minima
 from repro.topology import (
     Link, Node, TopologyGraph, dumbbell, grid, random_tree, star,
 )
 from repro.units import Mbps
 
-from ..oracles import routing_table_route
+from ..oracles import pairwise_minima_by_paths, routing_table_route
 
 
 class TestReferences:
@@ -165,30 +166,88 @@ def _pairwise_oracle(g, names, link_bandwidth):
     return fraction, bps
 
 
-@settings(max_examples=100, deadline=None)
+def _hex(minima):
+    return tuple(float(x).hex() for x in minima)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     cyclic=st.booleans(),
     drop=st.integers(0, 2),
+    half=st.integers(0, 4),
     k=st.integers(0, 5),
     link_bandwidth=st.sampled_from([None, 60 * Mbps]),
 )
 def test_pairwise_minima_match_per_direction_bfs(
-    seed, cyclic, drop, k, link_bandwidth
+    seed, cyclic, drop, half, k, link_bandwidth
 ):
     # On a forest each unordered pair is walked once and a hop counts
-    # the smaller of its two directions; the values must not change.
+    # the smaller of its two directions; the values must not change, to
+    # the bit, whatever the duplex of the links crossed.
     rng = np.random.default_rng(seed)
     g = grid(3, 3) if cyclic else random_tree(12, 4, rng, bandwidth=100 * Mbps)
     for link in g.links():
         link.available_fwd = float(rng.uniform(1, 100)) * Mbps
         link.available_rev = float(rng.uniform(1, 100)) * Mbps
-    for link in list(g.links())[:drop]:
+    links = list(g.links())
+    for i in rng.choice(len(links), size=min(half, len(links)), replace=False):
+        links[i].attrs["duplex"] = "half"
+    for link in links[:drop]:
         g.remove_link(link.u, link.v)
     hosts = [n.name for n in g.compute_nodes()]
     names = [str(n) for n in rng.choice(hosts, size=min(k, len(hosts)),
                                         replace=False)]
     refs = References(link_bandwidth=link_bandwidth)
+    got = (min_pairwise_bandwidth_fraction(g, names, refs),
+           min_pairwise_bandwidth(g, names))
     want = _pairwise_oracle(g, names, link_bandwidth)
-    assert min_pairwise_bandwidth_fraction(g, names, refs) == want[0]
-    assert min_pairwise_bandwidth(g, names) == want[1]
+    assert _hex(got) == _hex(want)
+    by_paths = pairwise_minima_by_paths(g, names, refs)
+    assert _hex(got) == _hex(
+        (by_paths[0], pairwise_minima_by_paths(g, names, References())[1])
+    )
+
+
+def _min_fold(g, names, refs):
+    """The forest branch as ``min`` wrote it, over the same span."""
+    links, connected = g.span(names)
+    if not connected:
+        return 0.0, 0.0
+    fraction = bps = float("inf")
+    ref_bw = refs.link_bandwidth
+    for link in links:
+        bw = min(link.available_fwd, link.available_rev)
+        bps = min(bps, bw)
+        fraction = min(fraction, bw / (link.maxbw if ref_bw is None else ref_bw))
+    return fraction, bps
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    nan=st.lists(st.tuples(st.integers(0, 30), st.booleans()), max_size=3),
+    k=st.integers(2, 5),
+    link_bandwidth=st.sampled_from([None, 60 * Mbps]),
+)
+def test_forest_minima_compare_as_min_does_nan_included(
+    seed, nan, k, link_bandwidth
+):
+    # ``min`` keeps its first argument unless the second is strictly
+    # smaller, so a NaN answers by where it sits: the plain compares
+    # must land on the same float, NaN or not.
+    rng = np.random.default_rng(seed)
+    g = random_tree(12, 4, rng, bandwidth=100 * Mbps)
+    links = list(g.links())
+    for link in links:
+        link.available_fwd = float(rng.uniform(1, 100)) * Mbps
+        link.available_rev = float(rng.uniform(1, 100)) * Mbps
+    for i, fwd in nan:
+        setattr(links[i % len(links)],
+                "available_fwd" if fwd else "available_rev", float("nan"))
+    hosts = [n.name for n in g.compute_nodes()]
+    names = [str(n) for n in rng.choice(hosts, size=min(k, len(hosts)),
+                                        replace=False)]
+    refs = References(link_bandwidth=link_bandwidth)
+    assert _hex(_pairwise_minima(g, names, refs)) == \
+        _hex(_min_fold(g, names, refs))

@@ -654,6 +654,31 @@ class scalar_collector(Collector):
     def channels(self):
         return list(self._util)
 
+    @staticmethod
+    def _columns(histories, misses) -> tuple[list, list, list]:
+        # A deque forgets how many samples it dropped: the count column
+        # is what it holds, which is nonzero exactly when the ring's is
+        # (all a reader asks of it).
+        return (
+            [len(h) for h in histories],
+            [h[-1][1] if h else 0.0 for h in histories],
+            misses,
+        )
+
+    def host_columns(self, hosts):
+        try:
+            rows = [(self._load[h], self._host_misses[h]) for h in hosts]
+        except KeyError as exc:
+            raise KeyError(f"no monitored host {exc.args[0]!r}") from None
+        return self._columns([h for h, _ in rows], [m for _, m in rows])
+
+    def channel_columns(self, channels):
+        channels = list(channels)
+        misses = [self._channel_misses[c] for c in channels]
+        return self._columns(
+            [self._util.get(c, ()) for c in channels], misses
+        )
+
     def age(self) -> float:
         newest = max(
             (t for t, _o in self._raw.values()),

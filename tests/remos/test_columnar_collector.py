@@ -18,6 +18,7 @@ there are; with every host loaded it is bounded by the number of hosts.
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -29,11 +30,12 @@ from hypothesis.stateful import (
 
 from repro.des.simulator import Simulator
 from repro.network.cluster import Cluster
-from repro.remos import Collector
+from repro.remos import Collector, DegradedPolicy, RemosAPI
+from repro.remos.predictor import LastValue, SlidingMean
 from repro.topology import dumbbell, random_tree
-from repro.units import MB, Mbps
+from repro.units import GB, MB, Gbps, Mbps
 
-from ..oracles import scalar_collector
+from ..oracles import assert_same_snapshot, scalar_collector
 
 HOSTS = ["l0", "l1", "l2", "r0", "r1", "r2"]
 SWITCHES = ["sw-left", "sw-right"]
@@ -284,6 +286,82 @@ def test_scripted_history_walks_the_rare_branches():
         if counter_bits == 8:
             assert c.wrap_disambiguations > 0
         m.teardown()
+
+
+# -- the Remos view over either collector ----------------------------------------
+
+def _remos_rig(make, degraded, predictor):
+    """``(sim, cluster, collector, api)``: a 1 Gbps dumbbell, one
+    half-duplex link, 32-bit counters (a saturated link wraps one about
+    every 34 s) and a Remos view over ``make``'s collector."""
+    graph = dumbbell(3, 3, bandwidth=1 * Gbps)
+    graph.link("r2", "sw-right").attrs["duplex"] = "half"
+    sim = Simulator()
+    cluster = Cluster(sim, graph)
+    collector = make(
+        cluster, period=5.0, history=3, max_retries=2, backoff=0.5,
+        stale_after=2, counter_bits=32,
+    )
+    api = RemosAPI(collector, predictor=predictor(), degraded=degraded)
+    return sim, cluster, collector, api
+
+
+def _measurement(graph):
+    m = graph.measurement
+    return (m.generation, m.nodes, m.links, m.age_s, dict(m.late))
+
+
+@pytest.mark.parametrize("degraded", [
+    DegradedPolicy.OPTIMISTIC, DegradedPolicy.LAST_GOOD,
+    DegradedPolicy.CONSERVATIVE,
+])
+@pytest.mark.parametrize("predictor", [LastValue, lambda: SlidingMean(3)],
+                         ids=["last-value", "sliding-mean"])
+def test_remos_answers_alike_over_either_collector(degraded, predictor):
+    """``RemosAPI`` over the scalar collector and over the shipped one:
+    every ``topology()`` answer equal (loads, availabilities, stale
+    marks, sample ages, the patch's ``Measurement``) and every point
+    query equal, round after round, through silenced agents, crashes
+    and counter wraps."""
+    rigs = [_remos_rig(make, degraded, predictor)
+            for make in (Collector, scalar_collector)]
+    rng = np.random.default_rng(7)
+    went_stale = 0
+    for step in range(48):
+        transfers = [(str(a), str(b)) for a, b in
+                     rng.choice(HOSTS, size=(2, 2)) if a != b]
+        silenced = str(rng.choice(DEVICES))
+        which = str(rng.choice(list("ihb")))
+        seconds = float(rng.choice([0.7, 1.6, 7.0, 16.0]))
+        for sim, cluster, collector, api in rigs:
+            for a, b in transfers:
+                if cluster.node_is_up(a) and cluster.node_is_up(b):
+                    cluster.transfer(a, b, 8 * GB)
+            if step % 3 == 0:
+                if which in "ib":
+                    collector.iface_agents[silenced].silence_for(seconds)
+                if which in "hb" and silenced in collector.host_agents:
+                    collector.host_agents[silenced].silence_for(seconds)
+            if step % 5 == 0 and cluster.node_is_up(HOSTS[step % 6]):
+                cluster.compute(HOSTS[step % 6], 60.0)
+            if step == 20:
+                cluster.fail_node("l2")
+            if step == 30:
+                cluster.recover_node("l2")
+            sim.run(until=sim.now + 5.0)
+        (_, _, shipped, ours), (_, _, scalar, theirs) = rigs
+        got, want = ours.topology(), theirs.topology()
+        assert_same_snapshot(got, want)
+        assert _measurement(got) == _measurement(want), step
+        assert ours._marks == theirs._marks, step
+        for name in HOSTS:
+            assert ours.node_info(name) == theirs.node_info(name), name
+        for u, v in LINKS:
+            assert ours.link_info(u, v) == theirs.link_info(u, v), (u, v)
+        went_stale += bool(shipped.stale_resources())
+    assert shipped.wrap_disambiguations == scalar.wrap_disambiguations > 0
+    assert shipped.failed_polls == scalar.failed_polls > 0
+    assert went_stale
 
 
 # -- the cost gate: calls per round, counted ------------------------------------

@@ -28,7 +28,7 @@ from repro.service import (
 )
 from repro.service.ledger import ledger_order
 from repro.service.sharding.router import _TrunkRoutes
-from repro.topology import random_tree
+from repro.topology import TopologyGraph, random_tree
 from repro.units import Mbps
 
 from ..core.cyclic_graphs import asymmetric_ring, random_cyclic
@@ -197,3 +197,46 @@ def test_trunk_channels_are_interned_too(case, shards, data):
         seen += got
         seen += routes.edges_between(groups)
     _assert_interned(graph, seen)
+
+
+def test_one_span_per_admission(monkeypatch):
+    """A bandwidth claim that misses both the selection memo and the
+    route cache climbs the selected set's span once: the kernel scores
+    the selection with it and the lease is routed by the same answer.
+    The grant's channels are still the pair walk's, named by the
+    overlay's route cache."""
+    svc = SelectionService(_tree(5), lease_s=60.0)
+    svc.request("warm", ApplicationSpec(num_nodes=2),
+                cpu_fraction=0.1, bw_bps=1 * Mbps)
+    view = svc._view
+    calls = []
+    span = TopologyGraph.span
+
+    def recording(self, names):
+        names = tuple(names)
+        answer = span(self, names)
+        calls.append((self, names, answer))  # keeps each answer alive
+        return answer
+
+    monkeypatch.setattr(TopologyGraph, "span", recording)
+    misses, memo = view.routes.misses, svc.metrics.select_memo_hits
+    grant = svc.request("counted", ApplicationSpec(num_nodes=4),
+                        cpu_fraction=0.1, bw_bps=1 * Mbps)
+    monkeypatch.undo()
+    assert grant.admitted
+    assert svc.metrics.select_memo_hits == memo
+    assert view.routes.misses == misses + 1
+    nodes = sorted(grant.selection.nodes)
+    mine = [c for c in calls if sorted(c[1]) == nodes]
+    assert len(mine) == 2  # the kernel's scoring, the lease's routing
+    climbs = {id(answer[0]) for _, _, answer in mine}
+    assert len(climbs) == 1, "the selected set's span was climbed twice"
+    assert all(graph is view.graph for graph, _, _ in mine)
+    edges = svc.ledger.reservations["counted"].edges
+    assert set(edges) == route_edges(view.base, grant.selection.nodes)
+    named = {
+        id(c) for e in edges
+        for c in view.routes._named(view.base.link_by_key(e[0]))
+    }
+    assert {id(e) for e in edges} <= named
+    svc.check_invariants()

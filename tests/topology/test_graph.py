@@ -478,6 +478,26 @@ class TestForestIndex:
         assert g._next_hops is kept
         assert g.path("b", "d") == ["b", "sw0", "sw1", "d"]
 
+    def test_a_repeated_span_is_answered_until_the_structure_changes(
+        self, small_tree
+    ):
+        g = small_tree
+        first = g.span(["a", "d"])
+        assert g.span(("a", "d")) is first  # the same names, in order
+        assert g.span(["d", "a"]) is not first
+        assert {l.key for l in g.span(["d", "a"])[0]} == \
+            {l.key for l in first[0]}
+        assert "_last_span" not in g.__getstate__()
+        assert g.copy()._last_span is None
+        g.remove_link("sw0", "sw1")
+        assert g.span(["a", "d"]) == ([], False)
+        g.add_link("sw0", "sw1", 100 * Mbps)
+        again = g.span(["a", "d"])
+        assert again is not first and again[1]
+        assert [l.key for l in again[0]] == [l.key for l in first[0]]
+        trunk = g.link("sw0", "sw1")  # the new link object
+        assert any(link is trunk for link in again[0])
+
     def test_index_is_not_pickled_and_defaults_on_old_pickles(self, small_tree):
         assert small_tree.path("a", "d") == ["a", "sw0", "sw1", "d"]
         state = small_tree.__getstate__()
