@@ -107,7 +107,8 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Callable, Optional
+import itertools
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..topology.graph import Link, Node, TopologyGraph
 from .metrics import (
@@ -318,13 +319,18 @@ def _finish(
     algorithm: str,
     iterations: int,
     extras: Optional[dict] = None,
+    mincpu: Optional[float] = None,
 ) -> Selection:
-    """Score the chosen set; ``objective=None`` is its pairwise bandwidth."""
+    """Score the chosen set; ``objective=None`` is its pairwise bandwidth
+    and ``mincpu=None`` its CPU minimum, read off the graph."""
     bw_fraction, bw_bps = _pairwise_minima(graph, names, refs)
     return Selection(
         nodes=names,
         objective=bw_bps if objective is None else objective,
-        min_cpu_fraction=min_cpu_fraction(graph, names, refs),
+        min_cpu_fraction=(
+            min_cpu_fraction(graph, names, refs) if mincpu is None
+            else mincpu
+        ),
         min_bw_fraction=bw_fraction,
         min_bw_bps=bw_bps,
         algorithm=algorithm,
@@ -515,23 +521,67 @@ def select_max_bandwidth(
     )
 
 
+#: The side run of a :class:`ComputeRanking` is merged into its main list
+#: once it holds more than this share of the list's keys.
+_SIDE_RUN_SHARE = 1 / 4
+
+#: Past every ranking key (``-fraction`` is never ``+inf``): what a
+#: merge compares against once the side run is spent.
+_PAST_END = (_INF, "")
+
+
+def _merged(
+    main: list[tuple[float, str]],
+    start: int,
+    side: list[tuple[float, str]],
+    moved: dict[str, tuple[float, str]],
+) -> Iterator[tuple[float, str]]:
+    """``main`` from ``start`` on, less the names in ``moved``, merged
+    with ``side``: two ascending runs of distinct keys, so the result
+    ascends too."""
+    rest = iter(side)
+    head = next(rest)
+    for key in itertools.islice(main, start, None):
+        if key[1] in moved:
+            continue
+        while head < key:
+            yield head
+            head = next(rest, _PAST_END)
+        yield key
+    if head is not _PAST_END:
+        yield head
+        yield from rest
+
+
 class ComputeRanking:
     """A graph's compute nodes, best first: the sorted ``(-fraction,
     name)`` keys :func:`repro.core.compute.top_compute_nodes` ranks by.
 
     Whoever moves the graph's loads in place keeps one on
     ``graph.compute_ranking`` and :meth:`mark`s the names it touched;
-    nothing is paid until :meth:`keys` is next read, which re-keys just
-    those.  The keys are for one ``refs.node_capacity`` at a time:
-    reading with another re-ranks everything.  Equal fractions (every
-    idle node of a cluster) sit together as a *plateau*, ascending by
-    name — which is what lets a walker stop inside one.
+    nothing is paid until :meth:`keys` is next read.  That read keys
+    just those names into a small sorted *side run*, which holds every
+    node moved since the last fold, and walks the main list (where
+    those nodes' entries are dead) merged with it; once the run
+    outgrows :data:`_SIDE_RUN_SHARE` of the list, one sort of the two
+    runs folds it in.  The keys are for one ``refs.node_capacity`` at a
+    time: reading with another re-ranks everything.  Equal fractions
+    (every idle node of a cluster) sit together as a *plateau*,
+    ascending by name — which is what lets a walker stop inside one.
     """
 
     def __init__(self, graph: TopologyGraph) -> None:
         self.graph = graph
+        #: The main list: every compute node's key as of the last fold.
         self._keys: Optional[list[tuple[float, str]]] = None
         self._key_of: dict[str, tuple[float, str]] = {}
+        #: The side run, sorted, and its keys by name: the nodes moved
+        #: since the last fold, whose main-list entries are dead.
+        self._side: list[tuple[float, str]] = []
+        self._moved: dict[str, tuple[float, str]] = {}
+        #: The main list's entries before this index are all dead: the
+        #: best nodes are the ones selections take, so they move first.
+        self._start = 0
         #: The keys are fractions of this ``refs.node_capacity``.
         self.refs = DEFAULT_REFERENCES
         self._dirty: set[str] = set()
@@ -539,32 +589,62 @@ class ComputeRanking:
         self.mark = self._dirty.update
 
     @staticmethod
-    def of(graph: TopologyGraph, refs: References) -> list[tuple[float, str]]:
+    def of(
+        graph: TopologyGraph, refs: References
+    ) -> Iterable[tuple[float, str]]:
         """The keys of ``graph``'s kept ranking, else ranked on the spot."""
         return (graph.compute_ranking or ComputeRanking(graph)).keys(refs)
 
-    def keys(self, refs: References) -> list[tuple[float, str]]:
-        """The sorted keys, current.  The list is live: do not mutate
-        it, and do not hold it across a change to the graph."""
-        graph, keys, key_of = self.graph, self._keys, self._key_of
+    def keys(self, refs: References) -> Iterable[tuple[float, str]]:
+        """The keys, current and ascending: the main list itself while
+        no side run is open, else a merge of the two.  Read it before
+        the graph changes again, and do not mutate it."""
+        keys = self._keys
         if keys is None or refs.node_capacity != self.refs.node_capacity:
             self.refs = refs
-            key_of = self._key_of = {
+            self._key_of = {
                 node.name: (-node_compute_fraction(node, refs), node.name)
-                for node in graph.nodes() if node.is_compute
+                for node in self.graph.nodes() if node.is_compute
             }
-            keys = self._keys = sorted(key_of.values())
-        else:
-            for name in self._dirty:
-                old = key_of.get(name)
-                if old is None:
-                    continue  # not a compute node of this graph
-                new = (-node_compute_fraction(graph.node(name), refs), name)
-                if new != old:
-                    del keys[bisect.bisect_left(keys, old)]
-                    bisect.insort(keys, new)
-                    key_of[name] = new
+            keys = self._keys = sorted(self._key_of.values())
+            self._side, self._moved, self._start = [], {}, 0
+        elif self._dirty:
+            keys = self._rekey(keys, refs)
         self._dirty.clear()
+        if not self._side:
+            return keys
+        return _merged(keys, self._start, self._side, self._moved)
+
+    def _rekey(
+        self, keys: list[tuple[float, str]], refs: References
+    ) -> list[tuple[float, str]]:
+        """Key the marked names into the side run; fold a full one into
+        the main list ``keys``, which is returned."""
+        nodes, key_of = self.graph._nodes, self._key_of
+        side, moved = self._side, self._moved
+        for name in self._dirty:
+            current = moved.get(name) or key_of.get(name)
+            if current is None:
+                continue  # not a compute node of this graph
+            new = (-node_compute_fraction(nodes[name], refs), name)
+            if new == current:
+                continue
+            if name in moved:
+                del side[bisect.bisect_left(side, current)]
+            moved[name] = new
+            bisect.insort(side, new)
+        if len(side) > _SIDE_RUN_SHARE * len(keys):
+            keys = [key for key in keys if key[1] not in moved]
+            keys += side
+            keys.sort()  # two ascending runs: one merge
+            self._keys = keys
+            key_of.update(moved)
+            self._side, self._moved, self._start = [], {}, 0
+            return keys
+        start, end = self._start, len(keys)
+        while start < end and keys[start][1] in moved:
+            start += 1
+        self._start = start
         return keys
 
 
@@ -605,7 +685,7 @@ def select_with_bandwidth_floor(
         raise ValueError(f"floor must be non-negative, got {floor_bps}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    component = graph.floor_components(floor_bps)
+    component, nodes = graph.floor_components(floor_bps), graph._nodes
     found: dict = {}
     best: Optional[list[str]] = None
     rivals, mincpu = 0, 0.0
@@ -616,7 +696,7 @@ def select_with_bandwidth_floor(
             break
         names = found.setdefault(component(name), [])
         if len(names) == m or not (
-            eligible is None or eligible(graph.node(name))
+            eligible is None or eligible(nodes[name])
         ):
             continue
         names.append(name)
@@ -641,4 +721,5 @@ def select_with_bandwidth_floor(
         objective=mincpu,
         algorithm="bandwidth-floor",
         iterations=0,
+        mincpu=mincpu,  # the m-th key, negated: the set's minimum
     )

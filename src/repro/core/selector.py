@@ -43,7 +43,7 @@ from .kernel import (
 )
 from .latency import select_with_latency_bound
 from .pattern_aware import select_pattern_aware
-from .metrics import References
+from .metrics import DEFAULT_REFERENCES, References
 from .spec import ApplicationSpec, Objective
 from .types import ExtrasKey, NoFeasibleSelection, Selection, node_is_selectable
 
@@ -234,6 +234,9 @@ class NodeSelector:
     ) -> None:
         self._provider = provider
         self.exclude_unhealthy = exclude_unhealthy
+        #: The last selection's references, reused while the spec's
+        #: priorities repeat.
+        self._refs = DEFAULT_REFERENCES
 
     def snapshot(self) -> TopologyGraph:
         """A fresh topology snapshot from the provider."""
@@ -245,11 +248,11 @@ class NodeSelector:
         """Compose an eligibility predicate with the health exclusion."""
         if not self.exclude_unhealthy:
             return eligible
+        if eligible is None:
+            return node_is_selectable
 
         def healthy(node: Node) -> bool:
-            return node_is_selectable(node) and (
-                eligible is None or eligible(node)
-            )
+            return node_is_selectable(node) and eligible(node)
 
         return healthy
 
@@ -285,10 +288,15 @@ class NodeSelector:
         procedures themselves are untouched.
         """
         g = graph if graph is not None else self.snapshot()
-        refs = References(
-            compute_priority=spec.compute_priority,
-            comm_priority=spec.comm_priority,
-        )
+        refs = self._refs
+        if (
+            spec.compute_priority != refs.compute_priority
+            or spec.comm_priority != refs.comm_priority
+        ):
+            refs = self._refs = References(
+                compute_priority=spec.compute_priority,
+                comm_priority=spec.comm_priority,
+            )
         name, sel = _dispatch(g, spec, refs, self._gate(spec.eligible))
         sel.extras[ExtrasKey.PROCEDURE] = name
         if explain:

@@ -230,6 +230,9 @@ class ReservationLedger:
         self._edge_claims: dict[ChannelId, float] = {}
         #: Peak capacity of each claimed channel, learned at reserve time.
         self._edge_caps: dict[ChannelId, float] = {}
+        #: Entries releases deleted from each tally since it was last
+        #: packed (see :meth:`claims_without`).
+        self._deleted_nodes = self._deleted_edges = 0
         #: Min-heap of (expires_at, app_id) lease deadlines.  Entries are
         #: lazily deleted: release/renew leave them in place, and
         #: :meth:`expire` drops any popped entry whose deadline no longer
@@ -404,8 +407,13 @@ class ReservationLedger:
             reservation = self.reservations.pop(app_id)
         except KeyError:
             raise KeyError(f"no reservation for {app_id!r}") from None
-        for edge in _credit(reservation, self._node_claims, self._edge_claims):
+        node_claims = self._node_claims
+        held = len(node_claims)
+        dropped = _credit(reservation, node_claims, self._edge_claims)
+        for edge in dropped:
             del self._edge_caps[edge]
+        self._deleted_nodes += held - len(node_claims)
+        self._deleted_edges += len(dropped)
         # The deadline heap entry stays behind (lazy deletion): expire()
         # discards it because the app_id no longer resolves to a live
         # reservation with that deadline.
@@ -542,8 +550,22 @@ class ReservationLedger:
         """``(node_claims, edge_claims)`` copies as they would read after
         releasing ``reservations`` in order — :meth:`release`'s own
         arithmetic, so trial feasibility equals post-release feasibility
-        bit for bit."""
-        nodes, edges = dict(self._node_claims), dict(self._edge_claims)
+        bit for bit.  No later grant or release touches them (the
+        selection memo keeps them).
+
+        CPython copies a dict as one block while at most half as many of
+        its slots are deleted as are live, and entry by entry past that.
+        A tally that releases have left past that is handed out itself,
+        and the ledger carries on with a packed copy of it."""
+        nodes, edges = self._node_claims, self._edge_claims
+        if 2 * self._deleted_nodes > len(nodes):
+            self._node_claims, self._deleted_nodes = dict(nodes), 0
+        else:
+            nodes = nodes.copy()
+        if 2 * self._deleted_edges > len(edges):
+            self._edge_claims, self._deleted_edges = dict(edges), 0
+        else:
+            edges = edges.copy()
         for reservation in reservations:
             _credit(reservation, nodes, edges)
         return nodes, edges

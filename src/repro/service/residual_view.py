@@ -360,8 +360,8 @@ class ResidualView:
                 f"rebuild {want!r}"
             )
         refs = self.ranking.refs
-        assert ComputeRanking.of(self.graph, refs) == \
-            ComputeRanking.of(rebuilt, refs), (
+        assert list(ComputeRanking.of(self.graph, refs)) == \
+            list(ComputeRanking.of(rebuilt, refs)), (
                 "kept compute ranking drifted from the rebuild's"
             )
 

@@ -103,6 +103,15 @@ class Node:
     compute_capacity: float = 1.0
     attrs: dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Negated, so that NaN (which JSON reads) is refused too: a NaN
+        # key breaks the order every ranking of the nodes relies on.
+        if not self.load_average >= 0.0:
+            raise ValueError(
+                f"load average must be a non-negative number, "
+                f"got {self.load_average}"
+            )
+
     @property
     def is_compute(self) -> bool:
         return self.kind == NodeKind.COMPUTE
@@ -117,13 +126,14 @@ class Node:
         return 1.0 / (1.0 + load)
 
     def copy(self) -> "Node":
-        return Node(
-            name=self.name,
-            kind=self.kind,
-            load_average=self.load_average,
-            compute_capacity=self.compute_capacity,
-            attrs=dict(self.attrs),
-        )
+        """An independent copy (attrs shallow-copied): a valid node's
+        fields are taken as they are, unchecked."""
+        node = object.__new__(Node)
+        node.name, node.kind = self.name, self.kind
+        node.load_average = self.load_average
+        node.compute_capacity = self.compute_capacity
+        node.attrs = dict(self.attrs)
+        return node
 
 
 #: How far an availability may exceed ``maxbw`` (float noise) before
@@ -177,17 +187,21 @@ class Link:
     ) -> None:
         if u == v:
             raise ValueError(f"self-loop on {u!r} not allowed")
-        if maxbw <= 0:
+        # Each check negated, so that NaN fails it too.
+        if not maxbw > 0:
             raise ValueError(f"maxbw must be positive, got {maxbw}")
-        if latency < 0:
+        if not latency >= 0:
             raise ValueError(f"latency cannot be negative: {latency}")
         if available_fwd is None:
             available_fwd = maxbw
         if available_rev is None:
             available_rev = available_fwd
         for bw in (available_fwd, available_rev):
-            if bw < 0:
-                raise ValueError(f"available bandwidth cannot be negative: {bw}")
+            if not bw >= 0:
+                raise ValueError(
+                    f"available bandwidth must be a non-negative number, "
+                    f"got {bw}"
+                )
         self.u, self.v, self.key = u, v, frozenset((u, v))
         self.maxbw, self.latency = maxbw, latency
         self.available_fwd, self.available_rev = available_fwd, available_rev

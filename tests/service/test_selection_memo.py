@@ -35,7 +35,12 @@ from repro.core.spec import ApplicationSpec, Objective
 from repro.des import Simulator
 from repro.network import Cluster
 from repro.remos import Collector, RemosAPI
-from repro.service import BatchRequest, ReservationLedger, SelectionService
+from repro.service import (
+    BatchRequest,
+    LedgerError,
+    ReservationLedger,
+    SelectionService,
+)
 from repro.service.metrics import COUNTERS
 from repro.topology import dumbbell, random_tree
 from repro.units import Mbps
@@ -384,3 +389,95 @@ def test_a_probe_hit_and_a_probe_miss_leave_no_trace():
     assert grant.selection.nodes == answers[4].nodes
     assert svc.metrics.select_memo_hits == 1
     svc.check_invariants()
+
+
+# -- (f) an entry's claims are exact and its own ---------------------------------
+
+MEMO_TREE = random_tree(60, 12, np.random.default_rng(3), bandwidth=100 * Mbps)
+MEMO_HOSTS = sorted(n.name for n in MEMO_TREE.compute_nodes())
+
+
+def frozen(nodes, edges):
+    return frozenset(nodes.items()), frozenset(edges.items())
+
+
+class StoreRig:
+    """A bare ledger and the claim copies a memo would have stored."""
+
+    def __init__(self) -> None:
+        self.ledger = ReservationLedger()
+        self.now = 0.0
+        self.apps = 0
+        #: (copies handed out, the claim state when they were)
+        self.held = []
+        self.handed_live = self.copied = 0
+
+    def reserve(self, i: int) -> None:
+        rng = np.random.default_rng(i)
+        nodes = list(rng.choice(MEMO_HOSTS, size=2 + i % 3, replace=False))
+        self.apps += 1
+        try:
+            self.ledger.reserve(
+                f"app-{self.apps}", nodes, cpu_fraction=0.05,
+                bw_bps=0.1 * Mbps + i, graph=MEMO_TREE, now=self.now,
+                lease_s=1.0 + i % 5,
+            )
+        except LedgerError:
+            pass
+
+    def release(self, i: int) -> None:
+        live = sorted(self.ledger.reservations)
+        if live:
+            self.ledger.release(live[i % len(live)])
+
+    def expire(self, i: int) -> None:
+        self.now += i % 4
+        self.ledger.expire(self.now)
+
+    def store(self, _i: int) -> None:
+        ledger = self.ledger
+        live = ledger._node_claims, ledger._edge_claims
+        copies = ledger.claims_without()
+        self.handed_live += sum(c is l for c, l in zip(copies, live))
+        self.copied += sum(c is not l for c, l in zip(copies, live))
+        self.held.append((copies, ledger.claims_fingerprint()))
+
+    def check(self) -> None:
+        ledger = self.ledger
+        state = ledger.claims_fingerprint()
+        assert frozen(ledger._node_claims, ledger._edge_claims) == state
+        for copies, when in self.held:
+            assert frozen(*copies) == when  # exact, and nobody's since
+            assert ledger.same_claims(*copies) == (state == when)
+
+
+def run_stores(ops) -> StoreRig:
+    rig = StoreRig()
+    for kind, i in ops:
+        getattr(rig, kind)(i)
+        rig.check()
+    return rig
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(["reserve", "reserve", "release", "expire",
+                               "store"]), st.integers(0, 40)),
+    min_size=1, max_size=80,
+))
+def test_stored_claims_stay_the_claim_state_they_were_stored_at(ops):
+    run_stores(ops)
+
+
+def test_a_store_hands_out_a_packed_tally_or_copies_a_live_one():
+    """Both ways a store is made: a tally that releases have emptied
+    past half its live entries is handed out itself (the ledger goes
+    on with a packed copy), any other is copied; either way the copies
+    are the state at the store, and the ledger's tallies stay exact."""
+    ops = [("reserve", i) for i in range(30)] + [("store", 0)]
+    ops += [("release", i) for i in range(24)] + [("store", 0)]
+    ops += [("reserve", i) for i in range(30, 36)] + [("store", 0)]
+    ops += [("expire", 3), ("store", 0), ("reserve", 40), ("store", 0)]
+    rig = run_stores(ops)
+    assert rig.handed_live and rig.copied
+    assert len({when for _, when in rig.held}) == len(rig.held)

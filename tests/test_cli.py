@@ -250,3 +250,29 @@ class TestOneTopologyLoader:
         serve_err = capsys.readouterr().err
         assert select_err.startswith("error: cannot load topology: ")
         assert select_err == serve_err
+
+    @pytest.mark.parametrize("where, field, value", [
+        ("nodes", "load_average", float("nan")),
+        ("nodes", "load_average", -1.0),
+        ("links", "maxbw", float("nan")),
+        ("links", "available_fwd", float("nan")),
+        ("links", "available_rev", float("nan")),
+    ], ids=["load-nan", "load-negative", "maxbw-nan", "fwd-nan", "rev-nan"])
+    def test_both_clis_refuse_a_value_that_is_not_a_number(
+        self, tmp_path, capsys, where, field, value
+    ):
+        """``json`` reads ``NaN``; a topology holding one is refused at
+        load, not placed on (``min cpu : nan``, exit 0, before)."""
+        data = json.loads(to_json(star(6)))
+        record = next(r for r in data[where]
+                      if where == "links" or r["name"] == "h0")
+        record[field] = value
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert main([str(path), "-m", "2", "--min-bandwidth-mbps", "1"]) == 2
+        select = capsys.readouterr()
+        assert serve_cli.main([str(path), "--demo", "1"]) == 2
+        serve_err = capsys.readouterr().err
+        assert select.out == ""
+        assert select.err.startswith("error: cannot load topology: ")
+        assert select.err == serve_err

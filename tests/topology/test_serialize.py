@@ -2,12 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.topology import (
+    Link,
+    Node,
     figure1_network,
     from_dict,
     from_json,
+    random_tree,
     star,
     to_dict,
     to_dot,
@@ -104,3 +108,40 @@ class TestDot:
         g = star(1)
         g.node("h0").load_average = 2.0
         assert "load=2.00" in to_dot(g)
+
+
+class TestNotANumberRefused:
+    """A topology enters through ``Node`` / ``Link`` construction, and
+    ``from_dict`` builds through them: a NaN load, peak or availability
+    (which ``json`` reads without complaint) and a negative load are
+    refused there, so no ranking or claim ever sees one."""
+
+    def test_a_nan_host_is_refused_before_any_service_sees_it(self):
+        # The churn rig that broke the kept ranking: one NaN host in a
+        # random tree.  It cannot be built.
+        data = to_dict(random_tree(40, 8, np.random.default_rng(7)))
+        host = next(nd for nd in data["nodes"] if nd["kind"] == "compute")
+        host["load_average"] = float("nan")
+        with pytest.raises(ValueError, match="load average"):
+            from_dict(data)
+        with pytest.raises(ValueError, match="load average"):
+            from_json(json.dumps(data))  # NaN survives json
+
+    @pytest.mark.parametrize("load", [float("nan"), -0.5])
+    def test_node_refuses_a_load_that_is_not_a_non_negative_number(
+        self, load
+    ):
+        with pytest.raises(ValueError, match="load average"):
+            Node(name="h", load_average=load)
+
+    @pytest.mark.parametrize("field", ["maxbw", "available_fwd",
+                                       "available_rev", "latency"])
+    def test_link_refuses_nan(self, field):
+        kwargs = {"maxbw": 100 * Mbps, field: float("nan")}
+        with pytest.raises(ValueError):
+            Link("a", "b", **kwargs)
+
+    def test_a_valid_node_copies_unchecked_and_equal(self):
+        node = Node(name="h", load_average=0.25, attrs={"arch": "x"})
+        twin = node.copy()
+        assert twin == node and twin.attrs is not node.attrs
