@@ -9,9 +9,12 @@ running.  This module makes the control plane restartable:
   (:meth:`ReservationLedger.subscribe`) and appends one JSONL record per
   mutation — ``grant``, ``renew``, ``release``, ``expire``, ``evict``
   and ``preempt``.
+  Each kind's line is formatted as text directly, with ``json``'s own
+  primitives, into exactly the bytes ``json.dumps`` of the record gives.
   Records are flushed to the OS per append; ``fsync=True`` additionally
-  forces them to stable storage (power-loss durability at a latency
-  cost).  A grant line takes each channel's text from a memo, so what a
+  forces them (and the directory entries a compaction moves) to stable
+  storage (power-loss durability at a latency cost).  A grant's channel
+  list is kept per route and each channel's text per channel, so what a
   grant encodes afresh is its own fields, not its channels.
 - Every ``snapshot_every`` records the WAL **compacts**: the full ledger
   state is written atomically to ``snapshot.json`` (temp file +
@@ -44,9 +47,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import is_
 from typing import Optional
 
 from ..topology.graph import ChannelId
+from .cache import _SELECTION_MEMO_LIMIT
 from .ledger import CAPACITY_RETURNING_KINDS, DEADLINE_KINDS, Reservation
 
 __all__ = [
@@ -89,16 +95,13 @@ def decode_edge(raw) -> ChannelId:
     return (frozenset(ends), dst)
 
 
-def _encode_reservation(
-    r: Reservation, edges: Optional[list], caps: Optional[list]
-) -> dict:
-    """The grant/snapshot payload for one reservation: the one place its
-    fields are ordered.
+def _encode_reservation(r: Reservation, edges: list, caps: list) -> dict:
+    """The snapshot payload for one reservation, its fields in a grant
+    line's order.
 
     ``edges`` are ``r.edges`` encoded (:func:`encode_edge`) and ``caps``
     the claimed channels' peak capacities, aligned with them — recorded
-    so recovery never needs the topology graph.  A grant line passes
-    ``None`` for both and splices its channels in at :data:`_CHANNELS`.
+    so recovery never needs the topology graph.
     """
     return {
         "app": r.app_id,
@@ -113,13 +116,28 @@ def _encode_reservation(
     }
 
 
-#: A log line's encoder: ``json.dumps(obj, separators=(",", ":"))``.
+#: ``json.dumps(obj, separators=(",", ":"))``: a snapshot row's and a
+#: log value's encoder where :func:`_text` has no shortcut.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-#: Where a grant line's channels go: the text ``_encode`` gives a payload
-#: whose ``edges`` and ``caps`` are ``None``.  Inside a JSON string every
-#: ``"`` is escaped, so this text can only be the field pair itself.
-_CHANNELS = '"edges":null,"caps":null'
+_INF = float("inf")
+
+
+def _text(value) -> str:
+    """``value``'s JSON text, the bytes ``_encode`` gives: an exact
+    ``str``, ``int`` or finite ``float`` through the primitive ``json``
+    itself calls (``encode_basestring_ascii``; ``repr``, which is
+    ``int.__repr__`` / ``float.__repr__`` for exactly those types),
+    anything else (``bool``, NaN, inf, a subclass) through ``_encode``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if -_INF < value < _INF:
+            return repr(value)
+    elif kind is int:
+        return repr(value)
+    return _encode(value)
 
 
 def _decode_reservation(payload: dict) -> Reservation:
@@ -214,6 +232,16 @@ def _read_snapshot(path: str) -> Optional[dict]:
     return snap
 
 
+def _fsync_dir(path: str) -> None:
+    """Force ``path``'s directory entries (a create, a rename) to
+    stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class LedgerWal:
     """Append-only durability for one :class:`ReservationLedger`.
 
@@ -226,7 +254,8 @@ class LedgerWal:
         Compact after this many appended records: write a full snapshot
         and truncate the log.  Bounds both replay time and log size.
     fsync:
-        Force every append (and snapshot) to stable storage.  Off by
+        Force every append, snapshot and directory change (the log's
+        creation, a snapshot's rename) to stable storage.  Off by
         default: the flush-to-OS path survives process crashes, which is
         the failure mode the service actually models; power-loss
         durability costs an fsync per mutation.
@@ -263,13 +292,22 @@ class LedgerWal:
             + [int(r.get("seq", 0)) for r in records]
         )
         self._since_snapshot = len(records)
+        created = fsync and not os.path.exists(self.wal_path)
         self._fh = open(self.wal_path, "a", encoding="utf-8")
+        if created:
+            _fsync_dir(state_dir)
         self._ledger = None
         #: Channel -> ``(text, cap, cap text)``: its JSON in a
-        #: grant line and its cap's, kept while the ledger records the
-        #: same cap object for it.  One entry per channel logged, so
+        #: grant line and its cap's, kept while grants carry the same
+        #: cap object for it.  One entry per channel logged, so
         #: bounded by the topology's channels.
         self._channel_text: dict[ChannelId, tuple[str, float, str]] = {}
+        #: ``id(edges)`` -> ``(edges, caps, text)``: a grant's
+        #: ``"edges":[…],"caps":[…]`` text, kept for the route tuple the
+        #: route cache hands out for its node set and reused while every
+        #: cap is the same object.  Holding ``edges`` keeps its id from
+        #: being reused; cleared when full, as the route cache is.
+        self._route_text: dict[int, tuple[tuple, tuple, str]] = {}
         #: Appended records over this WAL's lifetime (metrics).
         self.appended = 0
         #: Snapshots written over this WAL's lifetime (metrics).
@@ -282,34 +320,31 @@ class LedgerWal:
         ledger.subscribe(self.on_event)
 
     def on_event(self, kind: str, reservation: Reservation) -> None:
-        """Ledger listener: map a mutation to its WAL record."""
-        if kind == "reserve":
-            self.append(reservation)
-        elif kind in DEADLINE_KINDS:
-            self.append({
-                "kind": kind,
-                "app": reservation.app_id,
-                "expires_at": reservation.expires_at,
-            })
-        else:  # CAPACITY_RETURNING_KINDS
-            self.append({"kind": kind, "app": reservation.app_id})
+        """Ledger listener: log the mutation through :meth:`append`,
+        looked up per call, so a wrapper set on the instance sees every
+        record."""
+        self.append(kind, reservation)
 
-    def append(self, record: dict | Reservation) -> int:
-        """Write one record — a dict, or a granted reservation as its
-        ``grant`` record — and return the sequence number it was given.
+    def append(self, kind: str, reservation: Reservation) -> int:
+        """Log one ledger mutation — ``reserve`` (a ``grant`` record),
+        a deadline move or a release kind — and return the sequence
+        number it was given.
 
-        The one writer: assigns ``seq``, writes the line and flushes it
-        to the OS (what lets it survive a process crash), fsyncs when
-        configured, and compacts into a snapshot once
-        ``snapshot_every`` records have accumulated since the last one.
+        The one writer: assigns ``seq``, has the kind's formatter build
+        the line, writes it and flushes it to the OS (what lets it
+        survive a process crash), fsyncs when configured, and compacts
+        into a snapshot once ``snapshot_every`` records have accumulated
+        since the last one.
         """
         if self._fh is None:
             raise WalError("WAL is closed")
         seq = self._seq + 1
-        if isinstance(record, Reservation):
-            line = self._grant_line(seq, record)
-        else:
-            line = _encode({"seq": seq, **record})
+        if kind == "reserve":
+            line = self._grant_line(seq, reservation)
+        elif kind in DEADLINE_KINDS:
+            line = self._renew_line(seq, kind, reservation)
+        else:  # CAPACITY_RETURNING_KINDS
+            line = self._release_line(seq, kind, reservation)
         self._seq = seq
         self._fh.write(line + "\n")
         self._fh.flush()
@@ -323,31 +358,66 @@ class LedgerWal:
 
     def _grant_line(self, seq: int, r: Reservation) -> str:
         """``r``'s grant record: the text of ``{"seq": seq, "kind":
-        "grant", **payload}``, its caps read off the attached ledger and
-        each channel's two fragments taken from the memo."""
-        ledger = self._ledger
-        if ledger is None:
+        "grant", **payload}`` (:func:`_encode_reservation`'s fields),
+        its channels from :meth:`_channels_text`."""
+        if self._ledger is None:
             raise WalError(
-                "a grant is logged with its ledger's channel capacities: "
+                "a grant is logged into its ledger's snapshots: "
                 "attach() the WAL instead of subscribing it"
             )
-        head, _, tail = _encode(
-            {"seq": seq, "kind": "grant", **_encode_reservation(r, None, None)}
-        ).partition(_CHANNELS)
-        memo, caps = self._channel_text, ledger._edge_caps
+        text = _text
+        return (
+            f'{{"seq":{seq},"kind":"grant","app":{text(r.app_id)},'
+            f'"nodes":[{",".join(map(text, r.nodes))}],'
+            f'"cpu":{text(r.cpu_fraction)},"bw":{text(r.bw_bps)},'
+            f'{self._channels_text(r)},"priority":{text(r.priority)},'
+            f'"granted_at":{text(r.granted_at)},'
+            f'"expires_at":{text(r.expires_at)}}}'
+        )
+
+    def _channels_text(self, r: Reservation) -> str:
+        """``r``'s ``"edges":[…],"caps":[…]`` text: the route's kept
+        text while every cap is the object it was made with (an equal
+        ``int`` encodes differently), else spliced from each channel's
+        kept text and kept for the route."""
+        edges, caps = r.edges, r.caps
+        kept = self._route_text.get(id(edges))
+        if (kept is not None and kept[0] is edges
+                and all(map(is_, caps, kept[1]))):
+            return kept[2]
+        memo = self._channel_text
         edge_texts, cap_texts = [], []
-        for edge in r.edges:
-            cap = caps[edge]
+        for edge, cap in zip(edges, caps):
             entry = memo.get(edge)
             if entry is None or entry[1] is not cap:
+                key, dst = edge
                 entry = memo[edge] = (
-                    _encode(encode_edge(edge)), cap, _encode(cap)
+                    f'[[{",".join(map(_text, sorted(key)))}],{_text(dst)}]',
+                    cap, _text(cap),
                 )
             edge_texts.append(entry[0])
             cap_texts.append(entry[2])
+        out = (
+            f'"edges":[{",".join(edge_texts)}],'
+            f'"caps":[{",".join(cap_texts)}]'
+        )
+        routes = self._route_text
+        if len(routes) >= _SELECTION_MEMO_LIMIT:
+            routes.clear()
+        routes[id(edges)] = (edges, caps, out)
+        return out
+
+    def _renew_line(self, seq: int, kind: str, r: Reservation) -> str:
+        """A deadline move: ``{"seq", "kind", "app", "expires_at"}``."""
         return (
-            f'{head}"edges":[{",".join(edge_texts)}],'
-            f'"caps":[{",".join(cap_texts)}]{tail}'
+            f'{{"seq":{seq},"kind":{_text(kind)},"app":{_text(r.app_id)},'
+            f'"expires_at":{_text(r.expires_at)}}}'
+        )
+
+    def _release_line(self, seq: int, kind: str, r: Reservation) -> str:
+        """A capacity-returning end: ``{"seq", "kind", "app"}``."""
+        return (
+            f'{{"seq":{seq},"kind":{_text(kind)},"app":{_text(r.app_id)}}}'
         )
 
     # -- snapshot / compaction ------------------------------------------------
@@ -355,8 +425,9 @@ class LedgerWal:
         """Write the attached ledger's full state; truncate the log.
 
         Atomic: the snapshot lands via temp-file + ``os.replace`` before
-        the log is truncated, and sequence numbers keep a crash between
-        the two steps harmless (replay skips covered records).
+        the log is truncated (with ``fsync``, the directory is synced in
+        between), and sequence numbers keep a crash between the two
+        steps harmless (replay skips covered records).
         """
         ledger = self._ledger
         if ledger is None:
@@ -393,6 +464,11 @@ class LedgerWal:
             if self.fsync:
                 os.fsync(fh.fileno())
         os.replace(tmp, self.snapshot_path)
+        if self.fsync:
+            # The rename must be on disk before the truncation can be:
+            # else a power loss may keep an empty log and the old
+            # snapshot, losing every record since it.
+            _fsync_dir(self.state_dir)
         # Emptied through the open append-mode handle: closing and
         # re-opening with "w" costs ~0.5 ms on ext4 (truncate-on-open
         # forces the log's delayed blocks out), ``ftruncate`` ~40 us.

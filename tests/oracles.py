@@ -157,15 +157,22 @@ def reference_grant_payload(r: Reservation, caps: list) -> dict:
 
 
 class ReferenceWal(LedgerWal):
-    """The log with every grant encoded whole: a grant line is
-    ``json.dumps`` of its full record, and a snapshot's reservations are
+    """The log with every record encoded whole: each line is
+    ``json.dumps`` of its full record (a grant's caps read off the
+    ledger), and a snapshot's reservations are
     :func:`reference_grant_payload` rows."""
 
     def _grant_line(self, seq: int, r: Reservation) -> str:
         caps = [self._ledger._edge_caps[e] for e in r.edges]
-        record = {"seq": seq, "kind": "grant",
-                  **reference_grant_payload(r, caps)}
-        return json.dumps(record, separators=(",", ":"))
+        return _dumps({"seq": seq, "kind": "grant",
+                       **reference_grant_payload(r, caps)})
+
+    def _renew_line(self, seq: int, kind: str, r: Reservation) -> str:
+        return _dumps({"seq": seq, "kind": kind, "app": r.app_id,
+                       "expires_at": r.expires_at})
+
+    def _release_line(self, seq: int, kind: str, r: Reservation) -> str:
+        return _dumps({"seq": seq, "kind": kind, "app": r.app_id})
 
     def snapshot(self) -> None:
         def payload(r, _edges, caps):
@@ -173,6 +180,10 @@ class ReferenceWal(LedgerWal):
 
         with mock.patch.object(wal_module, "_encode_reservation", payload):
             super().snapshot()
+
+
+def _dumps(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":"))
 
 
 def reference_wal_service(*args, **kwargs) -> SelectionService:

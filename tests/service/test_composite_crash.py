@@ -60,11 +60,11 @@ def test_a_composite_is_whole_or_absent_after_a_crash_at_any_append(
         assert grant.admitted and len(grant.parts) >= spread
     appends, real_append = [], LedgerWal.append
 
-    def append(wal, record):
-        appends.append(record)
+    def append(wal, *event):
+        appends.append(event)
         if len(appends) >= at:
             raise _Crash
-        return real_append(wal, record)
+        return real_append(wal, *event)
 
     crashed = False
     with mock.patch.object(LedgerWal, "append", append):

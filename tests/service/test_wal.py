@@ -11,7 +11,9 @@ guarantee the residual graph's bit-identity rests on.
 import json
 import os
 import shutil
+import stat
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,9 @@ from repro.service import (
     WalCorruptError,
     WalError,
 )
+from repro.service.cache import _SELECTION_MEMO_LIMIT
 from repro.service.cli import main
+from repro.service.ledger import ledger_order, route_edges
 from repro.service.wal import SNAPSHOT_NAME, WAL_NAME, open_ledger
 from repro.topology import TopologyGraph, dumbbell, star, to_json
 from repro.units import Mbps
@@ -110,9 +114,10 @@ class TestWalBasics:
 
     def test_closed_wal_refuses_appends(self, tmp_path):
         ledger, wal = make_ledger_with_wal(tmp_path)
+        lease = grant(ledger, dumbbell(2, 2), "a", ("l0",), bw=0.0)
         wal.close()
         with pytest.raises(Exception, match="closed"):
-            wal.append({"kind": "release", "app": "a"})
+            wal.append("release", lease)
 
     def test_a_subscribed_but_unattached_wal_refuses_a_grant(self, tmp_path):
         """Subscribed without ``attach()``, the log has no ledger to read
@@ -126,6 +131,91 @@ class TestWalBasics:
         assert (tmp_path / WAL_NAME).read_bytes() == b""
         assert wal.appended == 0
         assert ReservationLedger.recover(str(tmp_path)).active == 0
+
+
+class _Syscalls:
+    """Records, in order, what reaches the disk's metadata: each
+    ``os.replace`` (its target's name), each ``os.fsync`` (of a file or
+    a directory), each ``os.open`` and each truncation of the log
+    handle."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real_replace, real_fsync, real_open = os.replace, os.fsync, os.open
+
+        def replace(src, dst):
+            self.calls.append(("replace", os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        def fsync(fd):
+            mode = os.fstat(fd).st_mode
+            self.calls.append(("fsync", "dir" if stat.S_ISDIR(mode) else "file"))
+            return real_fsync(fd)
+
+        def open_(path, *args, **kwargs):
+            self.calls.append(("open", os.path.basename(path)))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "open", open_)
+
+    def watch(self, wal):
+        """Record the truncations of ``wal``'s log handle too."""
+        calls, fh = self.calls, wal._fh
+
+        class Handle:
+            def truncate(self, size):
+                calls.append(("truncate", size))
+                return fh.truncate(size)
+
+            def __getattr__(self, name):
+                return getattr(fh, name)
+
+        wal._fh = Handle()
+
+
+class TestDurableCompaction:
+    """With ``fsync=True`` a compaction's rename reaches the disk before
+    the log's truncation can: otherwise a power loss may keep the empty
+    log and the old snapshot, and lose every lease logged since it."""
+
+    def test_the_directory_is_synced_between_rename_and_truncate(
+        self, tmp_path, monkeypatch
+    ):
+        ledger, wal = make_ledger_with_wal(tmp_path, fsync=True)
+        grant(ledger, dumbbell(2, 2), "a", ("l0", "r0"))
+        calls = _Syscalls(monkeypatch)
+        calls.watch(wal)
+        wal.snapshot()
+        moves = [c for c in calls.calls if c[0] != "open"]
+        assert moves == [
+            ("fsync", "file"),  # the snapshot's temp file
+            ("replace", SNAPSHOT_NAME),
+            ("fsync", "dir"),
+            ("truncate", 0),
+        ]
+        assert ReservationLedger.recover(str(tmp_path)).active == 1
+
+    def test_the_directory_is_synced_once_the_log_is_created(
+        self, tmp_path, monkeypatch
+    ):
+        calls = _Syscalls(monkeypatch)
+        wal = LedgerWal(str(tmp_path / "state"), fsync=True)
+        assert (tmp_path / "state" / WAL_NAME).exists()
+        assert ("fsync", "dir") in calls.calls
+        wal.close()
+
+    def test_without_fsync_no_call_is_added(self, tmp_path, monkeypatch):
+        """``fsync=False`` (the benchmark's path): opening, appending
+        and compacting make no ``os.open`` and no ``os.fsync``."""
+        calls = _Syscalls(monkeypatch)
+        ledger, wal = make_ledger_with_wal(tmp_path, snapshot_every=2)
+        calls.watch(wal)
+        grant(ledger, dumbbell(2, 2), "a", ("l0", "r0"))
+        ledger.release("a")
+        assert wal.snapshots == 1
+        assert calls.calls == [("replace", SNAPSHOT_NAME), ("truncate", 0)]
 
 
 class TestRecovery:
@@ -409,12 +499,21 @@ class TestCrashRecoveryProperty:
 #: non-ASCII characters.
 _NAMES = st.text(alphabet='ab"\\/\n\u00e9\u2603', min_size=1, max_size=4)
 
+#: Claims that take ``_text``'s fallback or its ``int`` path beside
+#: plain floats: a whole node as the ``int`` 1, ``numpy.float64`` claims
+#: (encoded by ``json`` as floats) and an ``int`` bandwidth.
+_CPUS = (0.0, 0.1, 1, np.float64(0.2))
+_BWS = (0.0, 1e6, np.float64(2e6), 3_000_000)
+
+#: The release kinds an ``"x"`` op ends a lease with.
+_ENDS = ("expire", "evict", "preempt")
+
 _LOG_OPS = st.lists(
     st.tuples(
-        st.sampled_from("ggrnc"),
+        st.sampled_from("ggrncx"),
         st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
-        st.sampled_from([0.0, 0.1]),
-        st.sampled_from([0.0, 1e6]),
+        st.sampled_from(_CPUS),
+        st.sampled_from(_BWS),
         st.integers(0, 2),
     ),
     min_size=1, max_size=30,
@@ -448,8 +547,9 @@ def _same_files(one, two):
 
 
 class TestGrantLineDifferential:
-    """A grant line is assembled from per-channel text; it must be the
-    bytes ``json.dumps`` of the whole record gives
+    """Every record's line is formatted directly and a grant's channels
+    are spliced from kept text; each line must be the bytes
+    ``json.dumps`` of the whole record gives
     (``tests/oracles.py::ReferenceWal``), and so must the snapshots."""
 
     @settings(max_examples=60, deadline=None)
@@ -487,6 +587,9 @@ class TestGrantLineDifferential:
                 ledger.renew(live[picks[0] % len(live)], now, 30.0)
             elif live and op == "c":  # a renew that lands earlier
                 ledger.renew(live[picks[0] % len(live)], now, 0.5)
+            elif live and op == "x":
+                ledger.release(live[picks[0] % len(live)],
+                               kind=_ENDS[picks[-1] % len(_ENDS)])
         _same_files(mine, theirs)
 
     def test_a_logged_set_on_other_caps_is_spliced_again(self, tmp_path):
@@ -501,6 +604,64 @@ class TestGrantLineDifferential:
         for i, graph in enumerate(graphs[k] for k in (0, 2, 1, 0, 2)):
             grant(ledger, graph, f"a{i}", ("h0", "h1"), bw=1e6, now=i)
             ledger.release(f"a{i}")
+        _same_files(mine, theirs)
+
+    def test_a_kept_route_on_other_caps_is_spliced_again(self, tmp_path):
+        """A route's kept text answers only while every cap is the object
+        it was made with: the *same* ``edges`` tuple granted again after
+        its trunk's cap became an equal-valued ``int`` (``1e8 ==
+        100000000``, yet one encodes ``1e8`` and the other
+        ``100000000``), then another float, logs the caps of that grant."""
+        graphs = [_two_hop(["sa", "sb", "h0", "h1"], bps) for bps in _TRUNKS]
+        edges = tuple(sorted(route_edges(graphs[0], ("h0", "h1")),
+                             key=ledger_order))
+        mine, theirs = tmp_path / "memo", tmp_path / "reference"
+        ledger, wal = make_ledger_with_wal(mine, snapshot_every=1000)
+        ReferenceWal(str(theirs), snapshot_every=1000).attach(ledger)
+        kept = None
+        # A float trunk twice (the second a hit), then an equal int one,
+        # then another float, then the first again.
+        for i, k in enumerate((0, 0, 2, 1, 0)):
+            ledger.reserve(f"a{i}", ("h0", "h1"), cpu_fraction=0.2,
+                           bw_bps=1e6, graph=graphs[k], now=i,
+                           lease_s=60.0, edges=edges)
+            ledger.release(f"a{i}")
+            if i == 0:
+                kept = wal._route_text[id(edges)]
+            elif i == 1:
+                assert wal._route_text[id(edges)] is kept
+        assert len(wal._route_text) == 1
+        _same_files(mine, theirs)
+        caps = [json.loads(line)["caps"]
+                for line in (mine / WAL_NAME).read_text().splitlines()
+                if '"grant"' in line]
+        trunk = [i for i, (key, _) in enumerate(edges)
+                 if key == frozenset(("sa", "sb"))]
+        assert len(trunk) == 2  # crossed both ways
+        logged = [{(type(c[i]), c[i]) for i in trunk} for c in caps]
+        assert logged == [{(float, 1e8)}, {(float, 1e8)},
+                          {(int, 100_000_000)}, {(float, 4e7)},
+                          {(float, 1e8)}]
+
+    def test_the_route_memo_stays_within_its_bound(self, tmp_path):
+        """More distinct route tuples than the memo's bound never grow it
+        past the bound, and every line stays the reference's."""
+        graph = _two_hop(["sa", "sb", "h0", "h1"], 100 * Mbps)
+        edges = tuple(sorted(route_edges(graph, ("h0", "h1")),
+                             key=ledger_order))
+        mine, theirs = tmp_path / "memo", tmp_path / "reference"
+        ledger, wal = make_ledger_with_wal(mine, snapshot_every=100)
+        ReferenceWal(str(theirs), snapshot_every=100).attach(ledger)
+        sizes = []
+        for i in range(_SELECTION_MEMO_LIMIT + 40):
+            route = tuple(list(edges))  # equal, but another object
+            ledger.reserve(f"a{i}", ("h0", "h1"), cpu_fraction=0.1,
+                           bw_bps=1e6, graph=graph, now=i, lease_s=60.0,
+                           edges=route)
+            ledger.release(f"a{i}")
+            sizes.append(len(wal._route_text))
+        assert max(sizes) == _SELECTION_MEMO_LIMIT
+        assert sizes[-1] < _SELECTION_MEMO_LIMIT
         _same_files(mine, theirs)
 
     def test_a_durable_service_writes_the_reference_bytes(self, tmp_path):

@@ -443,3 +443,49 @@ def test_claim_loops():
     graph = SRC / "repro" / "topology" / "graph.py"
     for cls, attr in (("Link", "available"), ("Node", "cpu")):
         assert not _calls_outside_raise(graph, cls, attr), (cls, attr)
+
+
+def _json_encoders(node):
+    """The ``_encode`` / ``json.dumps`` references under ``node``."""
+    return [
+        ast.unparse(n) for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and n.id == "_encode")
+        or (isinstance(n, ast.Attribute) and n.attr == "dumps"
+            and isinstance(n.value, ast.Name) and n.value.id == "json")
+    ]
+
+
+def test_one_wal_writer():
+    """The log has one writer, ``LedgerWal.append``, and each record
+    kind one formatter that builds its line as text: ``json``'s encoder
+    runs only as ``_text``'s fallback (a value no primitive encodes
+    exactly), never per record."""
+    wal = SERVICE / "wal.py"
+    writes = grep(r"self\._fh\.write\(", wal)
+    assert len(writes) == 1, ("LedgerWal.append is the one writer", writes)
+    tree = ast.parse(wal.read_text())
+    ledger_wal = next(
+        c for c in tree.body
+        if isinstance(c, ast.ClassDef) and c.name == "LedgerWal"
+    )
+    formatters = {
+        f.name: f for f in ledger_wal.body
+        if isinstance(f, ast.FunctionDef)
+        and f.name.endswith(("_line", "_text"))
+    }
+    assert set(formatters) == {
+        "_grant_line", "_channels_text", "_renew_line", "_release_line",
+    }, "a record kind's line is built by its own formatter"
+    for name, body in formatters.items():
+        assert not _json_encoders(body), (
+            f"LedgerWal.{name} formats through _text, not json", name
+        )
+    text = next(
+        f for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == "_text"
+    )
+    *shortcuts, fallback = text.body
+    assert not any(_json_encoders(stmt) for stmt in shortcuts) and \
+        _json_encoders(fallback) == ["_encode"], (
+            "_text's last statement is its one fallback to the encoder"
+        )
