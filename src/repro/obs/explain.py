@@ -187,11 +187,12 @@ def _peel_sequence(
     (:func:`repro.core.kernel.peel_order` — the same strict total order
     the kernel's reverse replay consumed), and ``selection.iterations``
     records how far the forward loop got, so the removal sequence is
-    exactly the order's first ``iterations`` entries.
+    exactly the order's first ``iterations`` entries.  A CPU floor is
+    Figure 2 over the hosts at or above it, so it peels the same order.
     """
     if selection.iterations <= 0:
         return [], False
-    if selection.algorithm == "max-bandwidth":
+    if selection.algorithm in ("max-bandwidth", "cpu-floor"):
         def metric(link):
             return link.available
     elif selection.algorithm == "balanced":

@@ -125,10 +125,9 @@ def _credit(
 
 
 #: Stale deadline-heap entries tolerated before :meth:`release`/
-#: :meth:`renew` trigger a compaction.  Below this the lazy-deletion
-#: arithmetic is cheaper than rebuilding; beyond it (and once stale
-#: entries outnumber live leases) a renew-heavy workload would otherwise
-#: grow the heap without bound.
+#: :meth:`renew` rebuild the heap.  Below this lazy deletion is cheaper
+#: than rebuilding; beyond it (and once stale entries outnumber live
+#: leases) a renew-heavy workload would grow the heap without bound.
 _HEAP_COMPACT_MIN = 64
 
 #: Listener kinds that return capacity to the pool (the reservation was
@@ -182,9 +181,9 @@ class Reservation:
     crosses (union over the routed paths between its node pairs); the
     bandwidth claim applies once per channel — the ledger models the
     application's bandwidth *floor* on every link it touches, not a
-    per-flow sum.  ``caps`` are those channels' peak capacities, aligned
-    with ``edges``: what a release measures each tally's remainder
-    against.
+    per-flow sum.  ``caps`` are those channels' peak capacities at grant
+    time, aligned with ``edges``: what a release measures each tally's
+    remainder against, and the one store of a claimed channel's cap.
     """
 
     app_id: str
@@ -228,21 +227,16 @@ class ReservationLedger:
         self.reservations: dict[str, Reservation] = {}
         self._node_claims: dict[str, float] = {}
         self._edge_claims: dict[ChannelId, float] = {}
-        #: Peak capacity of each claimed channel, learned at reserve time.
-        self._edge_caps: dict[ChannelId, float] = {}
         #: Entries releases deleted from each tally since it was last
         #: packed (see :meth:`claims_without`).
         self._deleted_nodes = self._deleted_edges = 0
         #: Min-heap of (expires_at, app_id) lease deadlines.  Entries are
         #: lazily deleted: release/renew leave them in place, and
         #: :meth:`expire` drops any popped entry whose deadline no longer
-        #: matches the live reservation.  Expiry is O(log n) per event
-        #: instead of a linear scan over all reservations.  Once stale
-        #: entries pile past :data:`_HEAP_COMPACT_MIN` *and* outnumber
-        #: live leases, the heap is rebuilt from the reservations — a
-        #: renew-heavy workload stays O(active), not O(history).
+        #: matches the live reservation.  Every live lease has exactly
+        #: one entry that reaps it, so ``len(_deadlines) - active`` are
+        #: stale; see :meth:`_compact_deadlines`.
         self._deadlines: list[tuple[float, str]] = []
-        self._stale_deadlines = 0
         #: Mutation observers, called as ``fn(kind, reservation)`` after
         #: the claim tallies (or lease deadlines) mutate.  The service's
         #: residual overlay subscribes so debits are applied in place,
@@ -374,8 +368,8 @@ class ReservationLedger:
     ) -> None:
         """The one grant write, of :meth:`reserve` and of replay: debit
         the CPU claim on every node, set each channel's new claim total
-        and cap (in ``reservation.edges`` order), file the deadline and
-        tell the listeners (none yet while a log replays)."""
+        (in ``reservation.edges`` order), file the deadline and tell the
+        listeners (none yet while a log replays)."""
         # A zero claim is no claim: recording 0.0 entries would collapse
         # to deletion when ANY overlapping reservation releases, stranding
         # the rest (bandwidth-only reservations share nodes freely).
@@ -385,7 +379,6 @@ class ReservationLedger:
             for name in reservation.nodes:
                 node_claims[name] = node_claims.get(name, 0.0) + cpu_fraction
         self._edge_claims.update(zip(reservation.edges, totals))
-        self._edge_caps.update(zip(reservation.edges, reservation.caps))
         self.reservations[reservation.app_id] = reservation
         heapq.heappush(
             self._deadlines, (reservation.expires_at, reservation.app_id)
@@ -410,14 +403,12 @@ class ReservationLedger:
         node_claims = self._node_claims
         held = len(node_claims)
         dropped = _credit(reservation, node_claims, self._edge_claims)
-        for edge in dropped:
-            del self._edge_caps[edge]
         self._deleted_nodes += held - len(node_claims)
         self._deleted_edges += len(dropped)
         # The deadline heap entry stays behind (lazy deletion): expire()
         # discards it because the app_id no longer resolves to a live
         # reservation with that deadline.
-        self._note_stale_deadline()
+        self._compact_deadlines()
         self._notify(kind, reservation)
         return reservation
 
@@ -437,7 +428,7 @@ class ReservationLedger:
         # The old heap entry is lazily deleted: when popped it no longer
         # matches the live reservation's deadline and is discarded.
         heapq.heappush(self._deadlines, (expires_at, app_id))
-        self._note_stale_deadline()
+        self._compact_deadlines()
         self._notify("renew", moved)
         return moved
 
@@ -454,12 +445,8 @@ class ReservationLedger:
             deadline, app_id = heapq.heappop(self._deadlines)
             r = self.reservations.get(app_id)
             if r is None or r.expires_at != deadline:
-                self._stale_deadlines = max(0, self._stale_deadlines - 1)
                 continue  # lazily-deleted entry (released/renewed)
             self.release(app_id, kind="expire")
-            # The release just counted a stranded heap entry, but this
-            # one was popped live — undo the overcount.
-            self._stale_deadlines = max(0, self._stale_deadlines - 1)
             lapsed.append(app_id)
         return sorted(lapsed)
 
@@ -471,20 +458,19 @@ class ReservationLedger:
         :meth:`expire` pops nothing."""
         return self._deadlines[0][0] if self._deadlines else None
 
-    def _note_stale_deadline(self) -> None:
-        """Count one lazily-deleted heap entry; compact past the threshold.
+    def _compact_deadlines(self) -> None:
+        """Rebuild the heap once its stale entries reach the fixed
+        threshold and outnumber the live leases.
 
-        Every release and renew strands exactly one heap entry.  Lazy
-        deletion alone lets a renew-heavy workload grow the heap without
-        bound, so once stale entries exceed both the fixed threshold and
-        the live lease count the heap is rebuilt from the reservations —
-        amortized O(1) per mutation, heap size O(active).
+        Every release and renew strands exactly one heap entry, and the
+        heap holds one live entry per lease, so the stale count is
+        ``len(_deadlines) - active``.  Lazy deletion alone lets a
+        renew-heavy workload grow the heap without bound; this keeps it
+        O(active) at amortized O(1) per mutation.
         """
-        self._stale_deadlines += 1
-        if (
-            self._stale_deadlines >= _HEAP_COMPACT_MIN
-            and self._stale_deadlines > len(self.reservations)
-        ):
+        live = len(self.reservations)
+        stale = len(self._deadlines) - live
+        if stale >= _HEAP_COMPACT_MIN and stale > live:
             self._rebuild_deadlines()
 
     def _rebuild_deadlines(self) -> None:
@@ -494,7 +480,6 @@ class ReservationLedger:
             for app_id, r in self.reservations.items()
         ]
         heapq.heapify(self._deadlines)
-        self._stale_deadlines = 0
 
     # -- durability (see repro.service.wal) ------------------------------------
     @classmethod
@@ -640,18 +625,30 @@ class ReservationLedger:
         """Number of live reservations."""
         return len(self.reservations)
 
+    def _channel_caps(self) -> dict[ChannelId, float]:
+        """Each claimed channel's cap, off the live lease granted on it
+        last (largest ``granted_at``, then ``app_id``): read from the
+        leases alone, so a recovered ledger reads what the live one did."""
+        caps: dict[ChannelId, float] = {}
+        for _, _, r in sorted(
+            (r.granted_at, app_id, r)
+            for app_id, r in self.reservations.items() if r.edges
+        ):
+            caps.update(zip(r.edges, r.caps))
+        return caps
+
     def utilization(self) -> dict[str, float]:
         """Summary load factors for metrics and reports.
 
         ``max_node_claim`` is the busiest node's claimed CPU fraction;
         ``max_edge_claim_fraction`` the busiest channel's claimed share of
-        its peak capacity; the means average over *claimed* resources only
-        (0.0 when nothing is claimed).
+        its cap (:meth:`_channel_caps`); the means average over *claimed*
+        resources only (0.0 when nothing is claimed).
         """
         nodes = list(self._node_claims.values())
+        caps = self._channel_caps()
         edge_fracs = [
-            self._edge_claims[e] / self._edge_caps[e]
-            for e in self._edge_claims
+            claim / caps[e] for e, claim in self._edge_claims.items()
         ]
         return {
             "active_reservations": float(len(self.reservations)),
@@ -696,8 +693,9 @@ class ReservationLedger:
             assert abs(total - tally) <= _slack(total, tally), (
                 f"node {name!r} tally drift"
             )
+        caps = self._channel_caps()
         for edge, total in edge_totals.items():
-            cap = self._edge_caps[edge]
+            cap = caps[edge]
             assert total <= cap + _slack(cap), (
                 f"channel {edge} oversubscribed: {total} > {cap}"
             )

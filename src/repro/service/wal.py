@@ -18,9 +18,12 @@ running.  This module makes the control plane restartable:
   grant encodes afresh is its own fields, not its channels.
 - Every ``snapshot_every`` records the WAL **compacts**: the full ledger
   state is written atomically to ``snapshot.json`` (temp file +
-  ``os.replace``) and the log is truncated.  Monotonic sequence numbers
-  make the pair crash-safe — a crash between snapshot and truncation
-  just leaves records the replay skips (``seq <= snapshot["seq"]``).
+  ``os.replace``) and the log is truncated.  A snapshot encodes a lease
+  as its grant line does (the same formatter, the lease's own caps) and
+  a channel's tally beside the channel text the grant lines keep.
+  Monotonic sequence numbers make the pair crash-safe — a crash between
+  snapshot and truncation just leaves records the replay skips
+  (``seq <= snapshot["seq"]``).
 - :meth:`ReservationLedger.recover` (implemented here as
   :func:`recover_ledger`) loads the snapshot, replays the surviving log,
   and reconstructs leases, deadlines, and the exact claim tallies.
@@ -53,7 +56,13 @@ from typing import Optional
 
 from ..topology.graph import ChannelId
 from .cache import _SELECTION_MEMO_LIMIT
-from .ledger import CAPACITY_RETURNING_KINDS, DEADLINE_KINDS, Reservation
+from .ledger import (
+    CAPACITY_RETURNING_KINDS,
+    DEADLINE_KINDS,
+    Reservation,
+    ReservationLedger,
+    ledger_order,
+)
 
 __all__ = [
     "LedgerWal",
@@ -83,41 +92,14 @@ class WalCorruptError(WalError):
     """
 
 
-def encode_edge(edge: ChannelId) -> list:
-    """JSON-safe form of a channel: ``[[u, v], tag]`` (ends sorted)."""
-    key, dst = edge
-    return [sorted(key), dst]
-
-
 def decode_edge(raw) -> ChannelId:
-    """Inverse of :func:`encode_edge`."""
+    """A channel from its logged form, ``[[u, v], tag]`` (ends sorted)."""
     ends, dst = raw
     return (frozenset(ends), dst)
 
 
-def _encode_reservation(r: Reservation, edges: list, caps: list) -> dict:
-    """The snapshot payload for one reservation, its fields in a grant
-    line's order.
-
-    ``edges`` are ``r.edges`` encoded (:func:`encode_edge`) and ``caps``
-    the claimed channels' peak capacities, aligned with them — recorded
-    so recovery never needs the topology graph.
-    """
-    return {
-        "app": r.app_id,
-        "nodes": list(r.nodes),
-        "cpu": r.cpu_fraction,
-        "bw": r.bw_bps,
-        "edges": edges,
-        "caps": caps,
-        "priority": r.priority,
-        "granted_at": r.granted_at,
-        "expires_at": r.expires_at,
-    }
-
-
-#: ``json.dumps(obj, separators=(",", ":"))``: a snapshot row's and a
-#: log value's encoder where :func:`_text` has no shortcut.
+#: ``json.dumps(obj, separators=(",", ":"))``: a logged value's encoder
+#: where :func:`_text` has no shortcut.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 _INF = float("inf")
@@ -138,6 +120,11 @@ def _text(value) -> str:
     elif kind is int:
         return repr(value)
     return _encode(value)
+
+
+def _fields(mapping: dict) -> str:
+    """The text between a JSON object's braces: ``"key":value,...``."""
+    return ",".join(f"{_text(k)}:{_text(v)}" for k, v in mapping.items())
 
 
 def _decode_reservation(payload: dict) -> Reservation:
@@ -298,9 +285,9 @@ class LedgerWal:
             _fsync_dir(state_dir)
         self._ledger = None
         #: Channel -> ``(text, cap, cap text)``: its JSON in a
-        #: grant line and its cap's, kept while grants carry the same
-        #: cap object for it.  One entry per channel logged, so
-        #: bounded by the topology's channels.
+        #: grant line (and a snapshot's tally row) and its cap's, kept
+        #: while grants carry the same cap object for it.  One entry per
+        #: channel logged, so bounded by the topology's channels.
         self._channel_text: dict[ChannelId, tuple[str, float, str]] = {}
         #: ``id(edges)`` -> ``(edges, caps, text)``: a grant's
         #: ``"edges":[…],"caps":[…]`` text, kept for the route tuple the
@@ -357,22 +344,29 @@ class LedgerWal:
         return seq
 
     def _grant_line(self, seq: int, r: Reservation) -> str:
-        """``r``'s grant record: the text of ``{"seq": seq, "kind":
-        "grant", **payload}`` (:func:`_encode_reservation`'s fields),
-        its channels from :meth:`_channels_text`."""
+        """``r``'s grant record: ``{"seq":…,"kind":"grant",`` then its
+        lease text (:meth:`_lease_text`)."""
         if self._ledger is None:
             raise WalError(
                 "a grant is logged into its ledger's snapshots: "
                 "attach() the WAL instead of subscribing it"
             )
+        return f'{{"seq":{seq},"kind":"grant",{self._lease_text(r)}}}'
+
+    def _lease_text(self, r: Reservation) -> str:
+        """``r``'s fields as JSON object members — ``app``, ``nodes``,
+        ``cpu``, ``bw``, ``edges``, ``caps`` (its own, aligned with
+        ``edges``, so recovery never needs the topology graph),
+        ``priority``, ``granted_at``, ``expires_at`` — the one lease
+        encoding, of a grant line and of a snapshot row."""
         text = _text
         return (
-            f'{{"seq":{seq},"kind":"grant","app":{text(r.app_id)},'
+            f'"app":{text(r.app_id)},'
             f'"nodes":[{",".join(map(text, r.nodes))}],'
             f'"cpu":{text(r.cpu_fraction)},"bw":{text(r.bw_bps)},'
             f'{self._channels_text(r)},"priority":{text(r.priority)},'
             f'"granted_at":{text(r.granted_at)},'
-            f'"expires_at":{text(r.expires_at)}}}'
+            f'"expires_at":{text(r.expires_at)}'
         )
 
     def _channels_text(self, r: Reservation) -> str:
@@ -434,32 +428,9 @@ class LedgerWal:
             raise WalError("no ledger attached; cannot snapshot")
         if self._fh is None:
             raise WalError("WAL is closed")
-        snap = {
-            "version": 1,
-            "seq": self._seq,
-            "cpu_cap": 1.0,  # the whole node; kept for the format
-            "reservations": [
-                _encode_reservation(
-                    r, [encode_edge(e) for e in r.edges],
-                    [ledger._edge_caps[e] for e in r.edges],
-                )
-                for _, r in sorted(ledger.reservations.items())
-            ],
-            "node_claims": dict(ledger.node_claims()),
-            # Encoded keys are unique, so sorting the encoded rows is
-            # sorting by key.
-            "edge_claims": sorted(
-                [encode_edge(e), v] for e, v in ledger.edge_claims().items()
-            ),
-            "edge_caps": sorted(
-                [encode_edge(e), v] for e, v in ledger._edge_caps.items()
-            ),
-        }
         tmp = self.snapshot_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            # ``dumps``, not ``dump``: same text from the C encoder
-            # (``dump`` streams through the pure-Python one, ~6x slower).
-            fh.write(json.dumps(snap))
+            fh.write(self._snapshot_text(ledger))
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())
@@ -476,6 +447,30 @@ class LedgerWal:
         self._fh.truncate(0)
         self._since_snapshot = 0
         self.snapshots += 1
+
+    def _snapshot_text(self, ledger: ReservationLedger) -> str:
+        """``ledger``'s state as one JSON object: a header, a row per
+        live lease (by app id) that is its grant line's
+        :meth:`_lease_text`, the node tallies, and ``[channel, tally]``
+        rows (in :func:`ledger_order`) whose channel is the text the
+        grant lines keep for it."""
+        header = {"version": 1, "seq": self._seq, "cpu_cap": 1.0}
+        leases = ",".join(
+            f"{{{self._lease_text(r)}}}"
+            for _, r in sorted(ledger.reservations.items())
+        )
+        # The lease rows just kept the text of every channel a live
+        # lease claims, and only those carry a tally.
+        memo, claims = self._channel_text, ledger._edge_claims
+        channels = ",".join(
+            f"[{memo[e][0]},{_text(claims[e])}]"
+            for e in sorted(claims, key=ledger_order)
+        )
+        return (
+            f'{{{_fields(header)},"reservations":[{leases}],'
+            f'"node_claims":{{{_fields(ledger._node_claims)}}},'
+            f'"edge_claims":[{channels}]}}'
+        )
 
     def close(self) -> None:
         """Final compaction (when a ledger is attached) and file close."""
@@ -500,8 +495,6 @@ def recover_ledger(state_dir: str):
     ``recovery`` attribute; a replayed state that breaks the ledger
     invariants fails the closing ``check_invariants()`` loudly.
     """
-    from .ledger import ReservationLedger
-
     snap = _read_snapshot(os.path.join(state_dir, SNAPSHOT_NAME))
     records, truncated, _ = _read_wal(os.path.join(state_dir, WAL_NAME))
     ledger = ReservationLedger()
@@ -518,9 +511,8 @@ def recover_ledger(state_dir: str):
             ledger._edge_claims = {
                 decode_edge(e): float(v) for e, v in snap["edge_claims"]
             }
-            ledger._edge_caps = {
-                decode_edge(e): float(v) for e, v in snap["edge_caps"]
-            }
+            # Snapshots from before a channel's cap lived only on its
+            # leases also carry "edge_caps" rows: they are not read.
         except (KeyError, TypeError, ValueError) as exc:
             raise WalCorruptError(
                 f"{state_dir}: malformed snapshot payload: {exc}"

@@ -6,6 +6,8 @@ import repro
 from repro.core import ApplicationSpec, NodeSelector, Objective
 from repro.core.types import ExtrasKey
 from repro.obs import bottleneck_edge, explain_rejection
+from repro.obs.explain import MAX_PEEL_STEPS
+from repro.service import SelectionService
 from repro.topology import dumbbell
 from repro.units import Mbps
 
@@ -61,6 +63,35 @@ class TestFigure2Explain:
         spec = ApplicationSpec(num_nodes=5, objective=Objective.BANDWIDTH)
         selection = NodeSelector(figure2_graph).select(spec)
         assert ExtrasKey.EXPLAIN not in selection.extras
+
+
+class TestCpuFloorExplain:
+    """A CPU floor is Figure 2 over the hosts at or above it: its record
+    carries the same peel as an unconstrained Figure 2 run."""
+
+    def test_a_cpu_floor_records_its_peel(self, figure2_graph):
+        figure2_graph.node("l0").load_average = 9.0  # CPU fraction 0.1
+        spec = ApplicationSpec(num_nodes=5, objective=Objective.BANDWIDTH,
+                               min_cpu_fraction=0.5)
+        selection = NodeSelector(figure2_graph).select(spec, explain=True)
+        record = selection.extras[ExtrasKey.EXPLAIN]
+        assert selection.algorithm == "cpu-floor"
+        assert "l0" not in selection.nodes
+        assert selection.iterations > 0
+        assert len(record.peel_sequence) == selection.iterations
+        first = record.peel_sequence[0]
+        assert {first.u, first.v} == {"sw-left", "sw-right"}
+
+    def test_a_cpu_only_claim_records_its_peel(self):
+        svc = SelectionService(dumbbell(4, 4), snapshot_ttl=1e9)
+        grant = svc.request("a", ApplicationSpec(num_nodes=4),
+                            cpu_fraction=0.2, explain=True)
+        assert grant.admitted
+        assert grant.selection.algorithm == "cpu-floor"
+        assert grant.selection.iterations > 0
+        assert len(grant.explain.peel_sequence) == min(
+            grant.selection.iterations, MAX_PEEL_STEPS
+        )
 
 
 class TestModuleLevelSelect:

@@ -139,17 +139,17 @@ def naive_rebuild_service(*args, **kwargs) -> SelectionService:
     return service
 
 
-def reference_grant_payload(r: Reservation, caps: list) -> dict:
+def reference_grant_payload(r: Reservation) -> dict:
     """A reservation's grant/snapshot payload as the log built it before
     grant lines were assembled from per-channel text: whole, every
-    channel encoded afresh."""
+    channel encoded afresh, the caps the lease's own."""
     return {
         "app": r.app_id,
         "nodes": list(r.nodes),
         "cpu": r.cpu_fraction,
         "bw": r.bw_bps,
         "edges": [[sorted(key), dst] for key, dst in r.edges],
-        "caps": caps,
+        "caps": list(r.caps),
         "priority": r.priority,
         "granted_at": r.granted_at,
         "expires_at": r.expires_at,
@@ -157,15 +157,13 @@ def reference_grant_payload(r: Reservation, caps: list) -> dict:
 
 
 class ReferenceWal(LedgerWal):
-    """The log with every record encoded whole: each line is
-    ``json.dumps`` of its full record (a grant's caps read off the
-    ledger), and a snapshot's reservations are
-    :func:`reference_grant_payload` rows."""
+    """The log with every record encoded whole: each line, and each
+    snapshot, is compact ``json.dumps`` of its full record, a lease
+    (a grant line's or a snapshot row) a :func:`reference_grant_payload`."""
 
     def _grant_line(self, seq: int, r: Reservation) -> str:
-        caps = [self._ledger._edge_caps[e] for e in r.edges]
         return _dumps({"seq": seq, "kind": "grant",
-                       **reference_grant_payload(r, caps)})
+                       **reference_grant_payload(r)})
 
     def _renew_line(self, seq: int, kind: str, r: Reservation) -> str:
         return _dumps({"seq": seq, "kind": kind, "app": r.app_id,
@@ -174,12 +172,23 @@ class ReferenceWal(LedgerWal):
     def _release_line(self, seq: int, kind: str, r: Reservation) -> str:
         return _dumps({"seq": seq, "kind": kind, "app": r.app_id})
 
-    def snapshot(self) -> None:
-        def payload(r, _edges, caps):
-            return reference_grant_payload(r, caps)
-
-        with mock.patch.object(wal_module, "_encode_reservation", payload):
-            super().snapshot()
+    def _snapshot_text(self, ledger) -> str:
+        return _dumps({
+            "version": 1,
+            "seq": self._seq,
+            "cpu_cap": 1.0,
+            "reservations": [
+                reference_grant_payload(r)
+                for _, r in sorted(ledger.reservations.items())
+            ],
+            "node_claims": ledger.node_claims(),
+            # Encoded channels are unique, so sorting the rows sorts by
+            # channel.
+            "edge_claims": sorted(
+                [[sorted(key), dst], v]
+                for (key, dst), v in ledger.edge_claims().items()
+            ),
+        })
 
 
 def _dumps(record: dict) -> str:

@@ -275,7 +275,9 @@ def test_durable_service_writes_the_same_wal_with_and_without_edges(tmp_path):
         ledger.check_invariants()
         assert ledger.reservations == svc.ledger.reservations
         assert ledger._edge_claims == svc.ledger._edge_claims
-        assert ledger._edge_caps == svc.ledger._edge_caps
+        assert {a: r.caps for a, r in ledger.reservations.items()} == {
+            a: r.caps for a, r in svc.ledger.reservations.items()
+        }
         assert ledger._node_claims == svc.ledger._node_claims
     assert recovered[0].reservations == recovered[1].reservations
 
@@ -323,7 +325,8 @@ def footprint_rig():
 
 def books(ledger, view):
     return (
-        dict(ledger._edge_claims), dict(ledger._edge_caps),
+        dict(ledger._edge_claims),
+        {a: r.caps for a, r in ledger.reservations.items()},
         dict(ledger._node_claims), sorted(ledger.reservations),
         [(l.available_fwd, l.available_rev) for l in view.graph.links()],
         [n.load_average for n in view.graph.nodes()],

@@ -200,7 +200,7 @@ class TestDeadlineHeapCompaction:
         # compaction rebuilds once stale entries pass the threshold and
         # outnumber the single live lease.
         assert len(ledger._deadlines) < 2 * _HEAP_COMPACT_MIN
-        assert ledger._stale_deadlines < _HEAP_COMPACT_MIN
+        assert len(ledger._deadlines) - ledger.active < _HEAP_COMPACT_MIN
 
     def test_release_heavy_workload_compacts_too(self, graph):
         ledger = ReservationLedger()
@@ -236,7 +236,7 @@ class TestDeadlineHeapCompaction:
         ledger.expire(6.0)
         # The expired lease's entry was popped live, not stranded: only
         # nothing should remain counted as stale.
-        assert ledger._stale_deadlines == 0
+        assert len(ledger._deadlines) - ledger.active == 0
 
 
 class TestZeroCpuClaims:

@@ -146,7 +146,8 @@ def test_the_ledger_keys_a_grant_by_the_cache_objects(case):
                            lease_s=60.0, edges=edges)
         assert r.edges is edges
         assert all(id(k) in handed for k in ledger._edge_claims)
-        assert all(id(k) in handed for k in ledger._edge_caps)
+        assert len(r.caps) == len(edges)
+        assert all(id(k) in handed for k in ledger._channel_caps())
     ledger.check_invariants()
 
 

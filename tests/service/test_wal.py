@@ -52,6 +52,18 @@ def grant(ledger, graph, app, nodes, *, cpu=0.2, bw=5e6, now=0.0, lease=60.0):
     )
 
 
+def lease_caps(ledger):
+    """Each live lease's caps: the one store of a claimed channel's cap."""
+    return {app: r.caps for app, r in ledger.reservations.items()}
+
+
+def assert_same_ledger(recovered, ledger):
+    assert recovered.reservations == ledger.reservations
+    assert lease_caps(recovered) == lease_caps(ledger)
+    assert recovered.node_claims() == ledger.node_claims()
+    assert recovered.edge_claims() == ledger.edge_claims()
+
+
 class TestWalBasics:
     def test_every_mutation_appends_one_record(self, tmp_path):
         graph = dumbbell(2, 2)
@@ -236,7 +248,7 @@ class TestRecovery:
         recovered = ReservationLedger.recover(str(tmp_path))
         assert recovered.node_claims() == ledger.node_claims()
         assert recovered.edge_claims() == ledger.edge_claims()
-        assert recovered._edge_caps == ledger._edge_caps
+        assert lease_caps(recovered) == lease_caps(ledger)
         assert recovered.reservations == ledger.reservations
         assert recovered.claims_fingerprint() == ledger.claims_fingerprint()
 
@@ -415,18 +427,65 @@ class TestServiceRecovery:
         assert ReservationLedger.recover(state).active == 1
 
 
+class TestRestartEqualsLive:
+    """A channel's cap may move between two grants over it (a reloaded
+    topology): each lease keeps the cap it was granted under, and a
+    restart from the snapshot or from the log alone equals the live
+    ledger."""
+
+    def two_caps(self, tmp_path):
+        ledger, wal = make_ledger_with_wal(tmp_path, snapshot_every=1000)
+        for i, trunk in enumerate((100 * Mbps, 40 * Mbps)):
+            grant(ledger, _two_hop(["sa", "sb", "h0", "h1"], trunk),
+                  f"x{i}", ("h0", "h1"), bw=5 * Mbps, now=float(i))
+        first, second = (ledger.reservations[a].caps for a in ("x0", "x1"))
+        # Both leases cross the trunk both ways, between two host links.
+        assert first == (1e8,) * 6 and sorted(second) == [4e7] * 2 + [1e8] * 4
+        return ledger, wal
+
+    def test_a_snapshot_keeps_each_lease_caps(self, tmp_path):
+        ledger, wal = self.two_caps(tmp_path)
+        wal.snapshot()
+        assert (tmp_path / WAL_NAME).read_text() == ""
+        assert_same_ledger(ReservationLedger.recover(str(tmp_path)), ledger)
+
+    def test_a_log_replay_keeps_each_lease_caps(self, tmp_path):
+        ledger, _wal = self.two_caps(tmp_path)
+        assert not (tmp_path / SNAPSHOT_NAME).exists()
+        assert_same_ledger(ReservationLedger.recover(str(tmp_path)), ledger)
+
+    def test_the_utilization_reads_the_last_grant(self, tmp_path):
+        ledger, wal = self.two_caps(tmp_path)
+        wal.snapshot()
+        util = ledger.utilization()
+        assert util["max_edge_claim_fraction"] == 1e7 / 4e7
+        assert ReservationLedger.recover(str(tmp_path)).utilization() == util
+
+    def test_a_snapshot_with_edge_caps_rows_still_recovers(self, tmp_path):
+        """The format that stored a cap per channel beside the leases:
+        ``json.dumps``'s default separators and ``edge_caps`` rows, which
+        recovery does not read."""
+        ledger, wal = self.two_caps(tmp_path)
+        wal.snapshot()
+        path = tmp_path / SNAPSHOT_NAME
+        snap = json.loads(path.read_text())
+        snap["edge_caps"] = [[e, 4e7] for e, _ in snap["edge_claims"]]
+        path.write_text(json.dumps(snap))
+        assert_same_ledger(ReservationLedger.recover(str(tmp_path)), ledger)
+
+
 def _state_snapshot(ledger):
     """Everything bit-identity covers, as plain comparable values."""
     return {
         "nodes": dict(ledger._node_claims),
         "edges": dict(ledger._edge_claims),
-        "caps": dict(ledger._edge_caps),
+        "caps": lease_caps(ledger),
         "leases": dict(ledger.reservations),
     }
 
 
 _OPS = st.lists(
-    st.tuples(st.sampled_from("ggrna"), st.integers(0, 7)),
+    st.tuples(st.sampled_from("ggrna"), st.integers(0, 7), st.booleans()),
     min_size=1, max_size=40,
 )
 
@@ -439,8 +498,10 @@ class TestCrashRecoveryProperty:
         self, tmp_path_factory, ops, cut, snapshot_every
     ):
         state_dir = tmp_path_factory.mktemp("wal-prop")
-        graph = dumbbell(3, 3)
-        names = sorted(n.name for n in graph.nodes())
+        # A grant reads the trunk at 100 or 40 Mbps: its cap moves
+        # between grants, as on a reloaded topology.
+        graphs = (dumbbell(3, 3), dumbbell(3, 3, cross_bandwidth=40 * Mbps))
+        names = sorted(n.name for n in graphs[0].nodes())
         ledger, wal = make_ledger_with_wal(
             state_dir, snapshot_every=snapshot_every
         )
@@ -454,12 +515,12 @@ class TestCrashRecoveryProperty:
             )
         )
         now = 0.0
-        for op, k in ops:
+        for op, k, thin in ops:
             app = f"t{k}"
             held = app in ledger.reservations
             if op == "g" and not held:
                 grant(
-                    ledger, graph, app,
+                    ledger, graphs[thin], app,
                     tuple(names[k % len(names):][: 1 + k % 3]),
                     cpu=0.05 + 0.03 * (k % 5),
                     bw=(k % 2) * 4.5e6,
@@ -591,6 +652,8 @@ class TestGrantLineDifferential:
                 ledger.release(live[picks[0] % len(live)],
                                kind=_ENDS[picks[-1] % len(_ENDS)])
         _same_files(mine, theirs)
+        # Caps moved between grants: a restart still equals the ledger.
+        assert_same_ledger(ReservationLedger.recover(str(mine)), ledger)
 
     def test_a_logged_set_on_other_caps_is_spliced_again(self, tmp_path):
         """The channel memo answers only for the cap object a channel

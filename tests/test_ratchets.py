@@ -455,30 +455,39 @@ def _json_encoders(node):
     ]
 
 
+def _ledger_wal(tree):
+    return next(
+        c for c in tree.body
+        if isinstance(c, ast.ClassDef) and c.name == "LedgerWal"
+    )
+
+
 def test_one_wal_writer():
     """The log has one writer, ``LedgerWal.append``, and each record
-    kind one formatter that builds its line as text: ``json``'s encoder
-    runs only as ``_text``'s fallback (a value no primitive encodes
-    exactly), never per record."""
+    kind one formatter that builds its line as text, the snapshot too:
+    ``json``'s encoder runs only as ``_text``'s fallback (a value no
+    primitive encodes exactly), never per record."""
     wal = SERVICE / "wal.py"
     writes = grep(r"self\._fh\.write\(", wal)
     assert len(writes) == 1, ("LedgerWal.append is the one writer", writes)
     tree = ast.parse(wal.read_text())
-    ledger_wal = next(
-        c for c in tree.body
-        if isinstance(c, ast.ClassDef) and c.name == "LedgerWal"
-    )
     formatters = {
-        f.name: f for f in ledger_wal.body
+        f.name: f for f in _ledger_wal(tree).body
         if isinstance(f, ast.FunctionDef)
         and f.name.endswith(("_line", "_text"))
     }
     assert set(formatters) == {
-        "_grant_line", "_channels_text", "_renew_line", "_release_line",
+        "_grant_line", "_lease_text", "_channels_text", "_renew_line",
+        "_release_line", "_snapshot_text",
     }, "a record kind's line is built by its own formatter"
-    for name, body in formatters.items():
+    fields = [
+        f for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == "_fields"
+    ]
+    assert len(fields) == 1, "an object's members, through _text"
+    for name, body in {**formatters, "_fields": fields[0]}.items():
         assert not _json_encoders(body), (
-            f"LedgerWal.{name} formats through _text, not json", name
+            f"{name} formats through _text, not json", name
         )
     text = next(
         f for f in tree.body
@@ -489,3 +498,22 @@ def test_one_wal_writer():
         _json_encoders(fallback) == ["_encode"], (
             "_text's last statement is its one fallback to the encoder"
         )
+
+
+def test_each_lease_fact_once():
+    """A claimed channel's cap is stored on its leases alone
+    (``Reservation.caps``), and a snapshot writes its leases through the
+    grant line's own encoder: no per-channel cap table, and no
+    ``json.dumps`` of a state dict."""
+    assert not grep(r"_edge_caps", SRC, py_only=False), (
+        "a channel's cap lives on the leases that claim it"
+    )
+    tree = ast.parse((SERVICE / "wal.py").read_text())
+    snapshot = [
+        f for f in _ledger_wal(tree).body
+        if isinstance(f, ast.FunctionDef)
+        and f.name in ("snapshot", "_snapshot_text")
+    ]
+    assert len(snapshot) == 2 and not any(map(_json_encoders, snapshot)), (
+        "LedgerWal.snapshot writes text, not json.dumps of a dict"
+    )
