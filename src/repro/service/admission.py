@@ -129,9 +129,10 @@ class SelectionRequest:
     #: Why the last admission attempt failed (set by the service's
     #: pipeline; feeds the rejection side of the explain record).
     last_reason: str = field(default="", compare=False)
-    #: The spec selection runs on (:meth:`fold`) and the selection memo's
-    #: name for it, its ``repr``: each derived when a placement first
-    #: needs it, once however often the request is re-attempted.
+    #: The spec selection runs on (:meth:`fold`, on a selection-memo
+    #: miss) and the memo's name for :attr:`spec`, its ``repr``: each
+    #: derived when a placement first needs it, once however often the
+    #: request is re-attempted.
     effective_spec: Optional[ApplicationSpec] = field(
         default=None, compare=False, repr=False
     )

@@ -174,15 +174,19 @@ class ResidualView:
                 self.graph.node(name).attrs["down"] = True
         #: In-place updates applied since construction (for metrics).
         self.deltas = 0
-        #: Selection memo: ``(spec key, claimed nodes, claimed channels)
-        #: -> (node claims, channel claims, Selection | None)`` (``None``
-        #: = proven infeasible).  The key is an O(1) signature; an entry
-        #: answers only while its two claim dicts equal the ledger's live
-        #: totals, and a miss overwrites it.  On one base a selection is
-        #: a pure function of the spec and the exact claim state — the
-        #: down set is fixed for the view's lifetime — so a confirmed
-        #: entry must yield the bit-identical selection; :meth:`rebase`
-        #: empties it.  Maintained by the service; bounded there.
+        #: Selection memo: ``(spec key, CPU claim, bandwidth claim,
+        #: claimed nodes, claimed channels) -> (node claims, channel
+        #: claims, Selection | None, (edges,) | None)`` — the whole
+        #: placement: ``None`` selection = proven infeasible, ``None``
+        #: channels = the claims do not fit the selected set.  The key
+        #: is an O(1) signature; an entry answers only while its two
+        #: claim dicts equal the ledger's live totals, and a miss
+        #: overwrites it.  On one base a placement is a pure function of
+        #: the spec, the request's claims and the exact claim state —
+        #: the down set is fixed for the view's lifetime — so a
+        #: confirmed entry must yield the bit-identical answer;
+        #: :meth:`rebase` empties it.  Maintained by the service;
+        #: bounded there.
         self.selections: dict = {}
         self.selection_hits = 0
 

@@ -90,6 +90,9 @@ _EPS = 1e-9
 #: The refusal a selection-memo entry of proven infeasibility answers.
 _MEMO_INFEASIBLE = "no feasible selection on residual capacity"
 
+#: The refusal of a selected set the request's claims do not fit.
+_CLAIMS_EXCEED = "claims exceed residual capacity on the selected set"
+
 def _copy_selection(selection: Selection) -> Selection:
     """An independent copy (memo entries must not alias caller state)."""
     return replace(
@@ -812,68 +815,73 @@ class SelectionService(FrontDoor):
     ) -> tuple[Optional[Selection], Optional[Collection], str]:
         """The one read-only placement every walker runs.
 
-        Effective spec → (memo lookup) → select → claim-verify on
+        (Memo lookup) → effective spec → select → claim-verify on
         ``graph``: the live overlay (pass its ``view``) or a trial
         residual.  Returns ``(selection, edges, reason)`` with
         ``selection`` ``None`` and ``reason`` set when infeasible;
         nothing is debited or recorded on the request.
 
         ``memo`` consults and feeds the view's selection memo: on one
-        base snapshot a selection is a pure function of the spec and
-        the exact claim state (the down set is fixed for the view's
-        lifetime, and a re-base empties the memo), infeasibility
-        included.  An entry is found by the spec and the two claim
-        counts, O(1), and answers only when the claim totals it was
-        stored with equal the ledger's; otherwise it is overwritten.  A
-        hit counts on the view's ``selection_hits``.  ``stage`` receives
-        the ``select`` / ``claim_verify`` stage boundaries.  Serial
-        admission passes both, probes ``memo`` alone, trials neither.
+        base snapshot the whole placement — selection, routed channels
+        and claim-check outcome — is a pure function of the spec, the
+        request's two claims and the exact claim state (the down set is
+        fixed for the view's lifetime, and a re-base empties the memo),
+        infeasibility included.  An entry is found by the spec, the two
+        claims and the two claim counts, O(1), and answers only when
+        the claim totals it was stored with equal the ledger's;
+        otherwise it is overwritten.  A hit answers without folding the
+        spec, routing or checking a claim, and counts on the view's
+        ``selection_hits``.  ``stage`` receives the ``select`` /
+        ``claim_verify`` stage boundaries.  Serial admission passes
+        both, probes ``memo`` alone, trials neither.
         """
-        spec = req.effective_spec or req.fold()
         start = perf_counter()
-        selection = None
-        entry = None
         if memo:
             selections, ledger = view.selections, self.ledger
             if not req.spec_key:
-                req.spec_key = repr(spec)
-            sel_key = (req.spec_key, *ledger.claim_counts())
+                req.spec_key = repr(req.spec)
+            sel_key = (
+                req.spec_key, req.cpu_fraction, req.bw_bps,
+                *ledger.claim_counts(),
+            )
             entry = selections.get(sel_key)
-            if entry is not None and not ledger.same_claims(
-                entry[0], entry[1]
-            ):
-                entry = None
-        if entry is None:
-            try:
-                selection = self.selector.select(spec, graph)
-            except NoFeasibleSelection as exc:
-                reason = f"no feasible selection: {exc}"
-                attrs = {"infeasible": str(exc)}
+            if entry is not None and ledger.same_claims(entry[0], entry[1]):
+                view.selection_hits += 1
+                kept, routed = entry[2], entry[3]
+                if kept is None:  # proven infeasible at this claim state
+                    stage("select", start, memo="negative-hit")
+                    return None, None, _MEMO_INFEASIBLE
+                start = stage("select", start, nodes=len(kept.nodes))
+                stage("claim_verify", start)
+                if routed is None:
+                    return None, None, _CLAIMS_EXCEED
+                return _copy_selection(kept), routed[0], ""
+        spec = req.effective_spec or req.fold()
+        try:
+            selection = self.selector.select(spec, graph)
+        except NoFeasibleSelection as exc:
+            stage("select", start, infeasible=str(exc))
             if memo:
-                if len(selections) >= _SELECTION_MEMO_LIMIT:
-                    selections.clear()
-                selections[sel_key] = (
-                    *ledger.claims_without(),
-                    None if selection is None else _copy_selection(selection),
-                )
-        else:
-            view.selection_hits += 1
-            if entry[2] is None:  # proven infeasible at this claim state
-                reason = _MEMO_INFEASIBLE
-                attrs = {"memo": "negative-hit"}
-            else:
-                selection = _copy_selection(entry[2])
-        if selection is None:
-            stage("select", start, **attrs)
-            return None, None, reason
+                self._remember(selections, sel_key, None, None)
+            return None, None, f"no feasible selection: {exc}"
         start = stage("select", start, nodes=len(selection.nodes))
         fits, edges = self._verify_claims(req, graph, selection.nodes, view)
         stage("claim_verify", start)
-        if not fits:
-            return None, None, (
-                "claims exceed residual capacity on the selected set"
+        if memo:
+            self._remember(
+                selections, sel_key, _copy_selection(selection),
+                (edges,) if fits else None,
             )
+        if not fits:
+            return None, None, _CLAIMS_EXCEED
         return selection, edges, ""
+
+    def _remember(self, selections: dict, key: tuple, selection, routed):
+        """File a placement under ``key`` with the claim state it holds
+        at (the memo is cleared wholesale when full)."""
+        if len(selections) >= _SELECTION_MEMO_LIMIT:
+            selections.clear()
+        selections[key] = (*self.ledger.claims_without(), selection, routed)
 
     def _commit(
         self,
@@ -891,8 +899,26 @@ class SelectionService(FrontDoor):
         A :class:`LedgerError` — claims fit measured availability but
         not the ledger caps, e.g. measured idle capacity on an already
         fully-claimed node — is treated exactly like infeasibility
-        (``None``, with ``req.last_reason`` saying so).
+        (``None``, with ``req.last_reason`` saying so).  An explain
+        record is read off the overlay before the reservation debits
+        it — the capacity the decision ran against — and attached only
+        to a grant.
         """
+        explain_record = None
+        if req.explain:
+            from ..obs.explain import explain_selection
+
+            age = self.cache.age
+            explain_record = explain_selection(
+                self._view.graph,
+                selection,
+                refs=References(
+                    compute_priority=req.spec.compute_priority,
+                    comm_priority=req.spec.comm_priority,
+                ),
+                snapshot_epoch=self.cache.epoch,
+                snapshot_age_s=age if age != float("inf") else None,
+            )
         start = perf_counter()
         try:
             reservation = self.ledger.reserve(
@@ -912,21 +938,7 @@ class SelectionService(FrontDoor):
             req.last_reason = f"ledger caps exceeded: {exc}"
             return None
         stage("ledger_commit", start)
-        explain_record = None
-        if req.explain:
-            from ..obs.explain import explain_selection
-
-            age = self.cache.age
-            explain_record = explain_selection(
-                self._view.graph,
-                selection,
-                refs=References(
-                    compute_priority=req.spec.compute_priority,
-                    comm_priority=req.spec.comm_priority,
-                ),
-                snapshot_epoch=self.cache.epoch,
-                snapshot_age_s=age if age != float("inf") else None,
-            )
+        if explain_record is not None:
             selection.extras[ExtrasKey.EXPLAIN] = explain_record
         return Grant(
             app_id=req.app_id,

@@ -61,7 +61,6 @@ from .ledger import (
     DEADLINE_KINDS,
     Reservation,
     ReservationLedger,
-    ledger_order,
 )
 
 __all__ = [
@@ -284,11 +283,15 @@ class LedgerWal:
         if created:
             _fsync_dir(state_dir)
         self._ledger = None
-        #: Channel -> ``(text, cap, cap text)``: its JSON in a
-        #: grant line (and a snapshot's tally row) and its cap's, kept
-        #: while grants carry the same cap object for it.  One entry per
-        #: channel logged, so bounded by the topology's channels.
-        self._channel_text: dict[ChannelId, tuple[str, float, str]] = {}
+        #: Channel -> ``(text, cap, cap text, order)``: its JSON in a
+        #: grant line (and a snapshot's tally row), its cap's, kept
+        #: while grants carry the same cap object for it, and its
+        #: :func:`ledger_order` as a flat ``(u, v, tag)`` tuple, which
+        #: sorts the snapshot's rows.  One entry per channel logged, so
+        #: bounded by the topology's channels.
+        self._channel_text: dict[
+            ChannelId, tuple[str, float, str, tuple[str, str, str]]
+        ] = {}
         #: ``id(edges)`` -> ``(edges, caps, text)``: a grant's
         #: ``"edges":[…],"caps":[…]`` text, kept for the route tuple the
         #: route cache hands out for its node set and reused while every
@@ -385,9 +388,10 @@ class LedgerWal:
             entry = memo.get(edge)
             if entry is None or entry[1] is not cap:
                 key, dst = edge
+                u, v = sorted(key)
                 entry = memo[edge] = (
-                    f'[[{",".join(map(_text, sorted(key)))}],{_text(dst)}]',
-                    cap, _text(cap),
+                    f'[[{_text(u)},{_text(v)}],{_text(dst)}]',
+                    cap, _text(cap), (u, v, dst),
                 )
             edge_texts.append(entry[0])
             cap_texts.append(entry[2])
@@ -459,12 +463,12 @@ class LedgerWal:
             f"{{{self._lease_text(r)}}}"
             for _, r in sorted(ledger.reservations.items())
         )
-        # The lease rows just kept the text of every channel a live
-        # lease claims, and only those carry a tally.
+        # The lease rows just kept the text (and order) of every
+        # channel a live lease claims, and only those carry a tally.
         memo, claims = self._channel_text, ledger._edge_claims
         channels = ",".join(
             f"[{memo[e][0]},{_text(claims[e])}]"
-            for e in sorted(claims, key=ledger_order)
+            for e in sorted(claims, key=lambda e: memo[e][3])
         )
         return (
             f'{{{_fields(header)},"reservations":[{leases}],'

@@ -10,8 +10,6 @@ invalidation is visible in both the cache counters and the metrics; and
 
 import logging
 
-import pytest
-
 from repro.core import ApplicationSpec
 from repro.des import Simulator
 from repro.faults import FaultInjector, LinkFlap, NodeCrash
@@ -252,6 +250,26 @@ class TestGrantExplain:
         assert record.snapshot_epoch == service.cache.epoch
         assert record.bottleneck is not None
         assert set(record.node_cpu) == set(grant.selection.nodes)
+
+    def test_the_record_reads_capacity_before_the_grant_debits_it(self):
+        """The record is the capacity the decision ran against: four
+        idle hosts read a whole CPU each, not what the grant's own
+        claim leaves, and the bottleneck carries the bandwidth the
+        selection scored, not that minus the claim."""
+        service = SelectionService(dumbbell(4, 4))
+        grant = service.request(
+            "app", spec(6), cpu_fraction=0.2, bw_bps=10 * Mbps,
+            explain=True,
+        )
+        assert grant.admitted
+        record, selection = grant.explain, grant.selection
+        assert record.node_cpu == dict.fromkeys(selection.nodes, 1.0)
+        assert min(record.node_cpu.values()) == selection.min_cpu_fraction
+        assert record.bottleneck.available_bps == 100 * Mbps
+        assert record.bottleneck.available_bps == selection.min_bw_bps
+        # The claim is on the books all the same.
+        after = service.view.graph
+        assert {after.node(n).cpu for n in selection.nodes} == {0.8}
 
     def test_infeasible_grant_carries_rejection_reason(self):
         service = SelectionService(dumbbell(2, 2), queue_limit=0)

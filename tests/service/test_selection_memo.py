@@ -1,15 +1,19 @@
 """The selection memo: found by an O(1) signature, confirmed exactly.
 
-``SelectionService._place`` files a memo entry under the spec key and
-the two claim counts and lets it answer only while the claim totals it
-was stored with equal the ledger's.  Four things must hold:
+``SelectionService._place`` files the whole placement — selection,
+routed channels, claim-check outcome — under the spec key, the
+request's two claims and the two claim counts, and lets it answer only
+while the claim totals it was stored with equal the ledger's.  These
+things must hold:
 
 (a) exactness — over a generated history of requests, releases,
     renewals (to later and earlier deadlines), expiries and node
     crashes, with CPU and bandwidth claims chosen so that
-    ``(a + x) - x != a`` happens, every grant and refusal equals that
-    of a twin that rebuilds its residual graph per attempt and keeps no
-    memo (:func:`tests.oracles.naive_rebuild_service`); and whenever an entry
+    ``(a + x) - x != a`` happens, and a spec with a floor of its own
+    so that some hits replay a stored claim-check refusal, every grant
+    and refusal equals that of a twin that rebuilds its residual graph
+    per attempt and keeps no memo
+    (:func:`tests.oracles.naive_rebuild_service`); and whenever an entry
     answers, the ledger's ``claims_fingerprint()`` equals the one
     recorded here when that entry was stored;
 (b) recurrence — admit + release over standing tenants returns to the
@@ -22,7 +26,15 @@ was stored with equal the ledger's.  Four things must hold:
 (e) probes — a probe reads and feeds the memo and nothing else: a hit
     and a miss, feasible or not, leave the claims, the outcomes, every
     counter and every stage count as they were, and a hit counts on the
-    view's ``selection_hits`` only.
+    view's ``selection_hits`` only;
+(f) an entry's claim copies stay the exact state they were stored at;
+(g) key completeness — a spec with its own bandwidth floor (``fold``
+    leaves it as it is), probed at one claim state with a claim that
+    fits the selected set and then with one that does not, is refused
+    the second time;
+(h) what a hit skips — no ``fold``, no ``edges_for``, no
+    ``_verify_claims``; ``reserve`` is handed the route cache's own
+    channel tuple.
 """
 
 import gc
@@ -39,9 +51,12 @@ from repro.service import (
     BatchRequest,
     LedgerError,
     ReservationLedger,
+    SelectionRequest,
     SelectionService,
 )
+from repro.service.cache import RouteCache
 from repro.service.metrics import COUNTERS
+from repro.service.service import _CLAIMS_EXCEED
 from repro.topology import dumbbell, random_tree
 from repro.units import Mbps
 
@@ -58,6 +73,9 @@ SHAPES = [
     ApplicationSpec(num_nodes=2),
     ApplicationSpec(num_nodes=3),
     ApplicationSpec(num_nodes=2, objective=Objective.BANDWIDTH),
+    # A floor of its own: no claim is folded in, so the kernel may pick
+    # hosts a CPU claim does not fit, and the claim check refuses them.
+    ApplicationSpec(num_nodes=2, min_bandwidth_bps=20 * Mbps),
 ]
 
 
@@ -106,6 +124,19 @@ class Rig:
         #: id(node-claims copy) -> (the copy, fingerprint when stored)
         self.stored = {}
         self.confirmed = 0
+        #: Hits that replayed a stored claim-check refusal.
+        self.replayed_refusals = 0
+        place = svc._place
+
+        def counted_place(req, graph, view=None, **kw):
+            hits = view.selection_hits if view is not None else 0
+            out = place(req, graph, view, **kw)
+            if (view is not None and view.selection_hits != hits
+                    and out[2] == _CLAIMS_EXCEED):
+                self.replayed_refusals += 1
+            return out
+
+        svc._place = counted_place
         ledger = svc.ledger
         copies, same = ledger.claims_without, ledger.same_claims
 
@@ -195,9 +226,12 @@ def test_every_answer_equals_the_memoless_twins(history):
 
 def test_scripted_history_hits_misses_and_drifts():
     """The branches a generated history may miss on a given day: a hit,
-    a negative hit, a drifted total of equal counts, a crash."""
+    a negative hit, a hit that replays a claim-check refusal (a CPU
+    claim the bandwidth floor it was folded under does not steer), a
+    drifted total of equal counts, a crash."""
     shipped = run_history([
-        ("request", 0, 1, 1), ("cycle", 1, 3, 3), ("cycle", 1, 3, 3),
+        ("request", 0, 1, 1), ("cycle", 1, 3, 1), ("cycle", 1, 3, 3),
+        ("cycle", 1, 3, 3),
         ("request", 1, 3, 3), ("request", 1, 3, 3), ("request", 1, 3, 3),
         ("cycle", 1, 3, 0), ("renew", 0), ("shorten", 1, 0.5),
         ("cycle", 0, 1, 1), ("advance", 1.0), ("cycle", 0, 1, 1),
@@ -207,6 +241,7 @@ def test_scripted_history_hits_misses_and_drifts():
     metrics = shipped.svc.metrics
     assert metrics.select_memo_hits >= 5
     assert metrics.select_memo_negative_hits >= 1
+    assert shipped.replayed_refusals >= 1
 
 
 # -- (b) recurrence ------------------------------------------------------------
@@ -481,3 +516,87 @@ def test_a_store_hands_out_a_packed_tally_or_copies_a_live_one():
     rig = run_stores(ops)
     assert rig.handed_live and rig.copied
     assert len({when for _, when in rig.held}) == len(rig.held)
+
+
+# -- (g) the claims are in the key ---------------------------------------------
+
+def test_a_claim_the_selected_set_cannot_carry_is_refused_on_the_same_spec():
+    svc = SelectionService(small_tree(), snapshot_ttl=1e9, lease_s=1e9)
+    assert svc.request("hold", SHAPES[0], cpu_fraction=CPU[1],
+                       bw_bps=BW[1]).admitted
+    spec = SHAPES[3]
+    assert SelectionRequest("x", spec, bw_bps=90 * Mbps).fold() is spec
+    fits = svc.probe(spec, bw_bps=10 * Mbps)  # under the spec's own floor
+    assert fits is not None
+    # More than any channel of the tree carries (80 Mbps at most): the
+    # same selection, refused by the claim check.
+    assert svc.probe(spec, bw_bps=90 * Mbps) is None
+    assert svc.view.selection_hits == 0
+    # Each claim finds its own answer at this claim state.
+    assert svc.probe(spec, bw_bps=10 * Mbps).nodes == fits.nodes
+    assert svc.probe(spec, bw_bps=90 * Mbps) is None
+    assert svc.view.selection_hits == 2
+    svc.check_invariants()
+
+
+# -- (h) what a hit skips --------------------------------------------------------
+
+def test_a_hit_neither_folds_nor_routes_nor_checks_a_claim(monkeypatch):
+    svc = SelectionService(small_tree(), snapshot_ttl=1e9, lease_s=1e9,
+                           queue_limit=0)
+    calls = dict.fromkeys(("fold", "edges_for", "_verify_claims"), 0)
+    for cls, name in ((SelectionRequest, "fold"), (RouteCache, "edges_for"),
+                      (SelectionService, "_verify_claims")):
+
+        def counted(*args, _real=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    handed = []
+    reserve = svc.ledger.reserve
+
+    def reserve_spy(*args, **kwargs):
+        handed.append(kwargs["edges"])
+        return reserve(*args, **kwargs)
+
+    monkeypatch.setattr(svc.ledger, "reserve", reserve_spy)
+    stages = svc.metrics.stages
+
+    def asked(app, spec, cpu, bw, misses):
+        """Request twice at one claim state: a miss, then a hit that
+        calls nothing a miss calls and times the stages a miss does."""
+        before = dict(calls)
+        grant = svc.request(f"{app}-miss", spec, cpu_fraction=cpu,
+                            bw_bps=bw)
+        if grant.admitted:
+            svc.release(grant.app_id)
+        assert {k: calls[k] - before[k] for k in calls} == misses
+        select, verify = stages["select"].count, stages["claim_verify"].count
+        again = svc.request(f"{app}-hit", spec, cpu_fraction=cpu, bw_bps=bw)
+        assert {k: calls[k] - before[k] for k in calls} == misses
+        assert stages["select"].count == select + 1
+        assert stages["claim_verify"].count == (
+            verify + misses["_verify_claims"]
+        )
+        assert again.admitted == grant.admitted
+        return again
+
+    hit = asked("fits", SHAPES[1], CPU[1], BW[1],
+                {"fold": 1, "edges_for": 1, "_verify_claims": 1})
+    assert svc.metrics.select_memo_hits == 1
+    # The hit hands the ledger the route cache's own channel tuple.
+    assert handed[1] is handed[0]
+    assert handed[1] is svc.view.routes.edges_for(hit.selection.nodes)
+    svc.release(hit.app_id)
+    # A CPU claim the folded bandwidth floor does not steer: the claim
+    # check refuses the selected set (on a CPU host, before routing),
+    # and the hit replays that refusal.
+    asked("refused", SHAPES[1], CPU[3], BW[1],
+          {"fold": 1, "edges_for": 0, "_verify_claims": 1})
+    # More hosts than the tree has: proven infeasible, a negative hit.
+    asked("none", ApplicationSpec(num_nodes=50), CPU[1], BW[1],
+          {"fold": 1, "edges_for": 0, "_verify_claims": 0})
+    assert svc.metrics.select_memo_hits == 3
+    assert svc.metrics.select_memo_negative_hits == 1
+    svc.check_invariants()
