@@ -147,32 +147,6 @@ def peel_order(
     return edges
 
 
-def _schedule(
-    graph: TopologyGraph, kind: str, refs: References,
-    metric: Callable[[Link], float],
-) -> list[tuple[float, Link]]:
-    """The peel schedule for ``graph``, via its provider hook if attached.
-
-    A graph may carry a ``peel_schedule_provider`` attribute — a callable
-    ``(kind, refs, metric) -> list[(metric_value, Link)]`` returning the
-    exact list :func:`peel_order` would build (only ``link.u``/``link.v``
-    and the metric value are consumed, so entries may reference link
-    objects of a structurally identical graph).  The selection service
-    attaches one backed by an epoch-keyed schedule cache
-    (:class:`repro.service.PeelScheduleCache`) so repeated selections
-    against one snapshot skip the O(E log E) sort; bare graphs sort as
-    before.  ``kind`` names the metric family (``"bw-fraction"`` for the
-    Figure 3 peel, ``"available"`` for Figure 2) so providers can key
-    their memoization without inspecting the closure.
-    """
-    provider = getattr(graph, "peel_schedule_provider", None)
-    if provider is not None:
-        schedule = provider(kind, refs, metric)
-        if schedule is not None:
-            return schedule
-    return peel_order(graph, metric)
-
-
 class _PeelState:
     """Union-find over the reverse peel with per-component selection stats.
 
@@ -386,10 +360,7 @@ def select_balanced(
             f"need {m} eligible compute nodes, "
             f"only {state.num_candidates} exist"
         )
-    edges = _schedule(
-        graph, "bw-fraction", refs,
-        lambda l: link_bandwidth_fraction(l, refs),
-    )
+    edges = peel_order(graph, lambda l: link_bandwidth_fraction(l, refs))
     k = len(edges)
 
     # Reverse replay: records[t] is the best feasible component of the
@@ -481,7 +452,7 @@ def select_max_bandwidth(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     state = _PeelState(graph, m, refs, eligible, track_scores=False)
-    edges = _schedule(graph, "available", refs, lambda l: l.available)
+    edges = peel_order(graph, lambda l: l.available)
     k = len(edges)
 
     best_root: Optional[int] = None

@@ -20,9 +20,8 @@ subpackage is the long-running layer that makes concurrent use sound:
   moves.
 - :class:`ResidualView` — the O(Δ) mutable residual overlay the ledger
   updates in place and a measured snapshot re-bases over what it
-  replaced, carrying :class:`RouteCache` and :class:`PeelScheduleCache`
-  memoization for the selection kernel; bit-identical to a from-scratch
-  rebuild by construction.
+  replaced, carrying the :class:`RouteCache` that routes each lease's
+  nodes; bit-identical to a from-scratch rebuild by construction.
 - :class:`LedgerWal` (:mod:`repro.service.wal`) — durability: a JSONL
   write-ahead log of every ledger mutation plus periodic compacted
   snapshots, replayed by :meth:`ReservationLedger.recover` into a
@@ -39,7 +38,7 @@ subpackage is the long-running layer that makes concurrent use sound:
 
 from .admission import AdmissionQueue, Decision, Priority, SelectionRequest
 from .api import BatchRequest, PlacementBackend, PlacementGrant, iter_batch
-from .cache import PeelScheduleCache, RouteCache, SnapshotCache
+from .cache import RouteCache, SnapshotCache
 from .ledger import (
     CAPACITY_RETURNING_KINDS,
     LedgerError,
@@ -69,7 +68,6 @@ __all__ = [
     "PlacementGrant",
     "LedgerError",
     "LedgerWal",
-    "PeelScheduleCache",
     "Priority",
     "RecoveryReport",
     "Reservation",

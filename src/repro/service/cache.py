@@ -22,13 +22,10 @@ Every sweep that answers a new graph and every invalidation advances
 :attr:`SnapshotCache.epoch`, the generation counter the rest of the hot
 path revalidates on.  When
 the new snapshot names what differs from the one the overlay stands on
-(:attr:`TopologyGraph.measurement`), the overlay is re-based:
+(:attr:`TopologyGraph.measurement`), the overlay is re-based and its
 :class:`RouteCache` (routed channel sets per node set — pure topology
-*structure*, unchanged by claims and measurements alike) is kept and
-:class:`PeelScheduleCache` (the kernel's pre-sorted peel schedules,
-reused across requests while no claimed link is in the overlay) forgets
-its schedules; otherwise, and after any invalidation, both are rebuilt
-with the overlay.
+*structure*, unchanged by claims and measurements alike) is kept;
+otherwise, and after any invalidation, it is rebuilt with the overlay.
 
 Callers must treat the returned graph as shared and immutable — debit
 views (:class:`repro.service.ResidualView`) copy it anyway.
@@ -37,15 +34,13 @@ views (:class:`repro.service.ResidualView`) copy it anyway.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Collection, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from ..core.kernel import peel_order
-from ..core.metrics import References
 from ..obs.trace import NULL_TRACER
 from ..topology.graph import ChannelId, Link, TopologyGraph
 from .ledger import ledger_order
 
-__all__ = ["PeelScheduleCache", "RouteCache", "SnapshotCache"]
+__all__ = ["RouteCache", "SnapshotCache"]
 
 
 class SnapshotCache:
@@ -85,7 +80,7 @@ class SnapshotCache:
         #: Snapshot generation: advances on every invalidation and every
         #: sweep whose answer is not the held graph.
         #: Anything memoized against a snapshot (residual overlays, route
-        #: and peel-schedule caches) revalidates when this moves.
+        #: caches) revalidates when this moves.
         self.epoch = 0
 
     def topology(self) -> TopologyGraph:
@@ -285,87 +280,3 @@ class RouteCache:
                         if hops:
                             edges.update(hops)
         return edges
-
-
-class PeelScheduleCache:
-    """Memoized kernel peel schedules against the base snapshot.
-
-    The incremental kernel's first step is sorting every link into peel
-    order — O(E log E) per selection, paid per admission attempt even
-    when nothing changed between requests.  While no claimed link is in
-    the residual overlay, its links read as the base snapshot's, so the
-    schedule against the *base* is sorted once per ``(metric kind,
-    references)`` and handed out as it is.  Once a claimed link is
-    there, the schedule is :func:`repro.core.kernel.peel_order` of the
-    residual itself, sorted on the spot — the kernel's bit-identical
-    guarantee holds by definition.
-
-    :meth:`rebase` forgets the base schedules: they are sorted afresh on
-    demand against the new snapshot.
-
-    Instances are handed to the kernel through the
-    ``peel_schedule_provider`` graph hook (see :mod:`repro.core.kernel`)
-    and discarded with the residual overlay when it is rebuilt.
-    """
-
-    def __init__(self, base: TopologyGraph) -> None:
-        self.base = base
-        #: ``(kind, reference bandwidth) -> base schedule``.
-        self._schedules: dict[tuple, list[tuple[float, Link]]] = {}
-        #: Schedules handed out from a base sort (the first one included).
-        self.reused = 0
-        #: Schedules sorted from the residual because a claimed link was in it.
-        self.adjusted = 0
-        self.builds = 0
-
-    @staticmethod
-    def _key(kind: str, refs: References) -> tuple:
-        # The only References field the kernel's peel metrics read is the
-        # reference link bandwidth (heterogeneous scaling); priorities
-        # scale scores, never the edge ordering.
-        return (kind, refs.link_bandwidth)
-
-    def schedule(
-        self,
-        kind: str,
-        refs: References,
-        metric: Callable[[Link], float],
-        residual: TopologyGraph,
-        dirty_keys: Collection[frozenset],
-    ) -> list[tuple[float, Link]]:
-        """The peel schedule for ``residual``: the base sort while none
-        of ``dirty_keys`` (the undirected link keys carrying claims) is
-        one of its links, else ``residual`` sorted afresh.  Keys absent
-        from the snapshot are ignored, exactly as the residual debit
-        ignores them.
-        """
-        link_by_key = residual.link_by_key
-        if any(link_by_key(key) is not None for key in dirty_keys):
-            self.adjusted += 1
-            return peel_order(residual, metric)
-        key = self._key(kind, refs)
-        sched = self._schedules.get(key)
-        if sched is None:
-            self.builds += 1
-            sched = self._schedules[key] = peel_order(self.base, metric)
-        self.reused += 1
-        return sched
-
-    def rebase(self, base: TopologyGraph) -> None:
-        """Adopt ``base``; the schedules of the old one are forgotten."""
-        self.base = base
-        self._schedules.clear()
-
-    def provider(
-        self,
-        residual: TopologyGraph,
-        dirty_keys: Callable[[], Collection[frozenset]],
-    ) -> Callable[[str, References, Callable[[Link], float]], list]:
-        """A ``peel_schedule_provider`` closure for ``residual``."""
-
-        def provide(
-            kind: str, refs: References, metric: Callable[[Link], float]
-        ) -> list[tuple[float, Link]]:
-            return self.schedule(kind, refs, metric, residual, dirty_keys())
-
-        return provide

@@ -611,15 +611,6 @@ class ReservationLedger:
             frozenset(self._edge_claims.items()),
         )
 
-    def claimed_link_keys(self) -> set[frozenset]:
-        """Undirected keys of every link carrying at least one claim.
-
-        This is the *dirty set* for schedule memoization: only these
-        links' availabilities can differ between the base snapshot and
-        the residual view.
-        """
-        return {key for key, _dst in self._edge_claims}
-
     @property
     def active(self) -> int:
         """Number of live reservations."""

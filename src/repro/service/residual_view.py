@@ -27,12 +27,9 @@ and across snapshots, and moves it in place:
 - the overlay carries its memoization with it: a
   :class:`~repro.service.cache.RouteCache` (routes are pure structure —
   neither claims nor measurements touch them; a lease's channels come
-  out of it in the ledger's order and are walked here as stored) and a
-  :class:`~repro.service.cache.PeelScheduleCache` exposed to the kernel
-  through the ``peel_schedule_provider`` graph hook, so selections
-  against the view skip the O(E log E) re-sort while no claimed link is
-  in it, a :class:`ChannelTable` resolving each channel to
-  its overlay and base links once, and a
+  out of it in the ledger's order and are walked here as stored), a
+  :class:`ChannelTable` resolving each channel to its overlay and base
+  links once, and a
   :class:`~repro.core.kernel.ComputeRanking` on the ``compute_ranking``
   hook — the candidates best first, for the bandwidth-floor procedure
   and the batch planner to walk.  A node update only names what moved;
@@ -41,7 +38,7 @@ and across snapshots, and moves it in place:
 - a new snapshot that says which resources it replaced
   (:attr:`TopologyGraph.measurement`; ``RemosAPI.topology()`` does) is
   adopted by :meth:`rebase`: the same recompute-from-base over those
-  nodes and links only, routes kept, peel schedules forgotten.
+  nodes and links only, routes kept.
 
 The service rebuilds the view only when it has no such delta to go by —
 the first snapshot, a provider that publishes none (static graph,
@@ -59,7 +56,7 @@ from ..topology.graph import (
     MAXBW_SLACK, SHARED, ChannelId, TopologyGraph, load_from_cpu_fraction,
 )
 from ..topology.residual import _MIN_RESIDUAL_CPU, residual_graph
-from .cache import PeelScheduleCache, RouteCache
+from .cache import RouteCache
 from .ledger import DEADLINE_KINDS, Reservation, ReservationLedger
 
 __all__ = ["ChannelTable", "ResidualView"]
@@ -156,15 +153,8 @@ class ResidualView:
         #: The overlay's channels, resolved once each to the overlay's
         #: link and the base link it is recomputed from.
         self.channels = ChannelTable(self.graph, base)
-        self.schedules = PeelScheduleCache(base)
-        # The kernel hook (see repro.core.kernel._schedule): selections
-        # against this overlay reuse the base peel sort while no claimed
-        # link is in it.
-        self.graph.peel_schedule_provider = self.schedules.provider(
-            self.graph, ledger.claimed_link_keys
-        )
-        # The other kernel hook: refresh_nodes() names what moved, the
-        # next reader (floor procedure, batch planner) re-keys it.
+        # The kernel hook: refresh_nodes() names what moved, the next
+        # reader (floor procedure, batch planner) re-keys it.
         self.ranking = self.graph.compute_ranking = ComputeRanking(self.graph)
         #: Nodes flagged ``down`` in the overlay's attrs, fixed for the
         #: view's life: a new down set is a new view.
@@ -280,7 +270,6 @@ class ResidualView:
         equals a view built on ``base`` from scratch
         (:meth:`assert_matches_rebuild`).
         """
-        self.schedules.rebase(base)
         self.base = base
         # Named by the route cache, as every lease's channels are.
         named = self.routes._named

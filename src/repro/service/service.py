@@ -24,11 +24,11 @@ Wiring (one instance per network):
 The request/release hot path is O(Δ), not O(V+E): a
 :class:`~repro.service.ResidualView` overlay is debited in place by
 ledger events instead of rebuilding a residual graph per attempt, and it
-carries epoch-keyed route and peel-schedule memoization for the
-selection kernel.  A new snapshot that names what it replaced
-(:attr:`TopologyGraph.measurement`) is adopted by re-basing the overlay
-over just that; the overlay is rebuilt only when there is no such delta
-or after a cache invalidation (every known-down change comes with one).
+carries the route memo each lease's channels come from.  A new snapshot
+that names what it replaced (:attr:`TopologyGraph.measurement`) is
+adopted by re-basing the overlay over just that; the overlay is rebuilt
+only when there is no such delta or after a cache invalidation (every
+known-down change comes with one).
 
 Every walker — serial admission, :meth:`~SelectionService.probe`,
 ``admit_batch``'s planner, preemption planning, push migration — is a
@@ -446,14 +446,10 @@ class SelectionService(FrontDoor):
         #: at the current epoch — an identical attempt would fail
         #: identically.
         self._residual_epoch = 0
-        #: Kernel/route cache counters harvested from retired residual
+        #: Route cache counters harvested from retired residual
         #: views (the live view's counters reset at each rebuild; totals
         #: here keep the registry's counters monotone).
-        self._view_totals = {
-            "schedule_reused": 0, "schedule_adjusted": 0,
-            "schedule_builds": 0,
-            "route_hits": 0, "route_misses": 0,
-        }
+        self._view_totals = {"route_hits": 0, "route_misses": 0}
         #: The spec each live lease was admitted with — proactive
         #: migration re-runs selection with the original shape.  Entries
         #: drop when the ledger returns the capacity.  (WAL-recovered
@@ -497,9 +493,6 @@ class SelectionService(FrontDoor):
 
     def _harvest_view_stats(self, view: ResidualView) -> None:
         t = self._view_totals
-        t["schedule_reused"] += view.schedules.reused
-        t["schedule_adjusted"] += view.schedules.adjusted
-        t["schedule_builds"] += view.schedules.builds
         t["route_hits"] += view.routes.hits
         t["route_misses"] += view.routes.misses
 
@@ -537,19 +530,6 @@ class SelectionService(FrontDoor):
         reg.gauge("repro_snapshot_age_seconds",
                   "Age of the cached snapshot (+Inf when empty).",
                   fn=lambda: cache.age)
-        reg.counter("repro_kernel_peel_schedule_reuses_total",
-                    "Peel schedules reused verbatim from the epoch cache.",
-                    fn=lambda: self._kernel_stat(
-                        "schedule_reused", lambda v: v.schedules.reused))
-        reg.counter("repro_kernel_peel_schedule_adjusts_total",
-                    "Peel schedules sorted afresh because a claimed link "
-                    "was in the residual.",
-                    fn=lambda: self._kernel_stat(
-                        "schedule_adjusted", lambda v: v.schedules.adjusted))
-        reg.counter("repro_kernel_peel_schedule_builds_total",
-                    "Peel schedules sorted from scratch (cache misses).",
-                    fn=lambda: self._kernel_stat(
-                        "schedule_builds", lambda v: v.schedules.builds))
         reg.counter("repro_kernel_route_cache_hits_total",
                     "Node-set route lookups answered from the route memo.",
                     fn=lambda: self._kernel_stat(
@@ -1102,12 +1082,12 @@ class SelectionService(FrontDoor):
         """Admit a whole arrival batch; returns per-request grants in order.
 
         Amortizes the admission pipeline across the batch: one
-        :meth:`tick`, one snapshot fetch, one residual view, and one peel
-        schedule serve every request.  The first request (and any
-        request the greedy planner cannot place — non-plain specs,
-        contended capacity) runs the exact serial pipeline; the rest are
-        packed by a claim-aware greedy planner reading the live residual
-        overlay, which the ledger updates in place after each commit.
+        :meth:`tick`, one snapshot fetch and one residual view serve every
+        request.  The first request (and any request the greedy planner
+        cannot place — non-plain specs, contended capacity) runs the
+        exact serial pipeline; the rest are packed by a claim-aware greedy
+        planner reading the live residual overlay, which the ledger
+        updates in place after each commit.
 
         A batch of one is **bit-identical** to :meth:`request`: it takes
         the serial path with the same selector, memo, and ledger

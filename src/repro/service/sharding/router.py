@@ -714,12 +714,12 @@ class ShardRouter(FrontDoor):
 
         The batch is routed shard-by-shard in headroom order: each shard
         receives the still-unplaced requests as *one*
-        :meth:`SelectionService.admit_batch` call (one snapshot fetch,
-        one peel schedule per shard, not per request).  Requests no
-        single shard admits fall back to the exact serial path, which
-        can split them across shards; requests nothing can host are
-        rejected.  Validation is atomic (duplicate ``app_id`` raises
-        ``ValueError`` with nothing admitted); admission is not — see
+        :meth:`SelectionService.admit_batch` call (one snapshot fetch
+        per shard, not per request).  Requests no single shard admits
+        fall back to the exact serial path, which can split them across
+        shards; requests nothing can host are rejected.  Validation is
+        atomic (duplicate ``app_id`` raises ``ValueError`` with nothing
+        admitted); admission is not — see
         :meth:`SelectionService.admit_batch`.
 
         Both executors run this same loop — a shard's sub-batch is one

@@ -201,27 +201,6 @@ def reference_wal_service(*args, **kwargs) -> SelectionService:
         return SelectionService(*args, **kwargs)
 
 
-def _no_schedule(_kind, _refs, _metric):
-    return None
-
-
-def scheduleless_service(*args, **kwargs) -> SelectionService:
-    """A service without the peel-schedule plane: every overlay's
-    ``peel_schedule_provider`` hook answers ``None``, so each Fig. 2 /
-    Fig. 3 peel sorts its links on the spot (``core.kernel.peel_order``),
-    as on a bare graph."""
-    service = SelectionService(*args, **kwargs)
-    overlay = service._residual
-
-    def residual(base: TopologyGraph) -> TopologyGraph:
-        graph = overlay(base)
-        graph.peel_schedule_provider = _no_schedule
-        return graph
-
-    service._residual = residual
-    return service
-
-
 class TickEveryShard(InprocExecutor):
     """``InprocExecutor.tick_all`` as it was before it read lease
     deadlines: every shard service is ticked on every call."""

@@ -52,6 +52,11 @@ REFS = [References(), References(node_capacity=1.0),
         References(node_capacity=2.5)]
 
 
+def claimed_links(ledger: ReservationLedger) -> list[tuple[str, str]]:
+    """Every link carrying a claim, as sorted endpoint pairs in order."""
+    return sorted({tuple(sorted(key)) for key, _dst in ledger.edge_claims()})
+
+
 def small_tree():
     """Nine hosts under three switches; loads on a three-value grid so
     equal CPU fractions across components are the common case."""
@@ -124,7 +129,7 @@ class Rig:
             return self.floor
         # Exactly at (``ulps`` off) a claimed link's residual availability.
         which, ulps = arg
-        keys = sorted(map(sorted, self.ledger.claimed_link_keys()))
+        keys = claimed_links(self.ledger)
         links = (
             [self.view.graph.link(*k) for k in keys]
             or list(self.view.graph.links())
@@ -271,7 +276,7 @@ def test_a_link_crosses_a_standing_floor_both_ways(build):
     assert rig.ledger.active == 1
     # A floor exactly at a claimed link: it meets the floor now ...
     at = rig.select((3, ("at", (0, 0)), everyone, 0))
-    key = sorted(map(sorted, rig.ledger.claimed_link_keys()))[0]
+    key = claimed_links(rig.ledger)[0]
     link = rig.view.graph.link(*key)
     assert link.available == rig.floor
     # ... a second claim over the same hosts takes it below ...

@@ -38,9 +38,6 @@ SEAMS = {
 
 #: Registry names ``workloads.py`` reads the kernel counters from.
 KERNEL_COUNTERS = {
-    "repro_kernel_peel_schedule_reuses_total",
-    "repro_kernel_peel_schedule_adjusts_total",
-    "repro_kernel_peel_schedule_builds_total",
     "repro_kernel_route_cache_hits_total",
     "repro_kernel_route_cache_misses_total",
 }

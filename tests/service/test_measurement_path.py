@@ -1,16 +1,15 @@
 """The measurement path pays for what changed — and answers the same.
 
-``RemosAPI.topology()`` patches its previous answer, ``SelectionService``
-re-bases its residual overlay over the patch and the peel-schedule cache
-re-inserts the moved links.  Every one of those has a from-scratch
-counterpart that is kept as the oracle: ``oracles.full_sweep_topology``
-(the sweep as it was), ``ResidualView.assert_matches_rebuild`` and
-``peel_order``.  One generated history — partial poll rounds, staleness
-crossings, crashes, invalidations, counter wraps, requests and releases
-between sweeps — is run on two independent, deterministic rigs: the
-shipped chain, and a service fed by the full sweep that rebuilds its
-view on every attempt.  Snapshots, overlays, schedules and grants must
-agree after every step.
+``RemosAPI.topology()`` patches its previous answer and
+``SelectionService`` re-bases its residual overlay over the patch.  Both
+have a from-scratch counterpart that is kept as the oracle:
+``oracles.full_sweep_topology`` (the sweep as it was) and
+``ResidualView.assert_matches_rebuild``.  One generated history —
+partial poll rounds, staleness crossings, crashes, invalidations,
+counter wraps, requests and releases between sweeps — is run on two
+independent, deterministic rigs: the shipped chain, and a service fed
+by the full sweep that rebuilds its view on every attempt.  Snapshots,
+overlays and grants must agree after every step.
 """
 
 import copy
@@ -22,8 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ApplicationSpec
-from repro.core.kernel import peel_order
-from repro.core.metrics import DEFAULT_REFERENCES
 from repro.des.simulator import Simulator
 from repro.faults import FaultInjector
 from repro.network.cluster import Cluster
@@ -37,7 +34,6 @@ from repro.remos import (
 )
 from repro.service import BatchRequest, SelectionService
 from repro.topology import TopologyGraph, dumbbell
-from repro.topology.residual import residual_graph
 from repro.units import MB, Mbps
 
 from ..oracles import (
@@ -141,28 +137,15 @@ class Rig:
 
 
 def check_chain(rig: Rig) -> None:
-    """Snapshot == full sweep, overlay == rebuild, schedule == re-sort."""
+    """Snapshot == full sweep, overlay == rebuild."""
     svc = rig.service
     assert_same_snapshot(rig.probe.topology(), full_sweep_topology(rig.probe))
     base = svc.cache.topology()
     if svc.cache.age == 0.0:  # swept just now: the oracle's instant
         assert_same_snapshot(base, full_sweep_topology(rig.api))
-    residual = svc._residual(base)
+    svc._residual(base)
     assert svc.view.base is base
     svc.check_invariants()  # ledger caps + view.assert_matches_rebuild()
-    rebuilt = residual_graph(
-        base, svc.ledger.node_claims(), svc.ledger.edge_claims()
-    )
-
-    def metric(link):
-        return link.available
-
-    scheduled = residual.peel_schedule_provider(
-        "available", DEFAULT_REFERENCES, metric
-    )
-    assert [(f, l.u, l.v) for f, l in scheduled] == [
-        (f, l.u, l.v) for f, l in peel_order(rebuilt, metric)
-    ]
 
 
 steps = st.one_of(

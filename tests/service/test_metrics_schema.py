@@ -204,7 +204,7 @@ class TestRouterSnapshotAndExposition:
             assert f'repro_shard_requests_total{{shard="{shard}"}}' in text
             assert f'repro_service_requests_total{{shard="{shard}"}}' in text
             assert (
-                f'repro_kernel_peel_schedule_builds_total{{shard="{shard}"}}'
+                f'repro_kernel_route_cache_hits_total{{shard="{shard}"}}'
                 in text
             )
         assert 'repro_slo_status{objective="admit_latency"}' in text

@@ -15,15 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ApplicationSpec
-from repro.core.kernel import peel_order
-from repro.core.metrics import DEFAULT_REFERENCES
 from repro.core.types import Selection
 from repro.des import Simulator
 from repro.faults import FaultInjector
 from repro.network import Cluster
 from repro.remos import Collector, RemosAPI
 from repro.service import (
-    PeelScheduleCache,
     ReservationLedger,
     ResidualView,
     RouteCache,
@@ -390,33 +387,6 @@ class TestEpochMemoization:
         assert want
         assert RouteCache(g).edges_for(nodes) == want
 
-    def test_schedule_cache_clean_reuse_and_dirty_merge(self):
-        from repro.core.metrics import References
-
-        g = dumbbell(3, 3)
-        refs = References()
-        metric = (lambda link: link.available)
-        cache = PeelScheduleCache(g)
-        base_sched = peel_order(g, metric)
-
-        clean = cache.schedule("available", refs, metric, g, set())
-        assert clean == base_sched
-        assert cache.reused == 1
-
-        # Debit one link, mark it dirty: the schedule is the debited
-        # graph's own peel_order, not the base's.
-        bottleneck = frozenset(("sw-left", "sw-right"))
-        debited = residual_graph(
-            g, {}, {(bottleneck, "sw-right"): 30 * Mbps},
-        )
-        dirty = {bottleneck}
-        merged = cache.schedule("available", refs, metric, debited, dirty)
-        expected = peel_order(debited, metric)
-        assert [(v, e.key) for v, e in merged] == [
-            (v, e.key) for v, e in expected
-        ]
-        assert cache.adjusted == 1
-
     def test_service_renew_leaves_the_overlay_alone(self):
         service = SelectionService(dumbbell(4, 4), snapshot_ttl=1e9)
         assert service.request(
@@ -537,48 +507,6 @@ class TestEpochMemoization:
         assert service.metrics.view_rebuilds == 1
         assert api.topology_sweeps == 2
         service.check_invariants()
-
-    def test_schedule_cache_resorts_after_rebase_or_claim(self):
-        """A re-based cache sorts the new base afresh; a residual holding
-        a claimed link is sorted on the spot.  Either way the schedule
-        is peel_order of the residual."""
-        g0 = dumbbell(4, 4)
-
-        def metric(link):
-            return link.available
-
-        def entries(schedule):
-            return [(f, l.u, l.v) for f, l in schedule]
-
-        cache = PeelScheduleCache(g0)
-        refs = DEFAULT_REFERENCES
-        first = cache.schedule("available", refs, metric, g0, ())
-        assert cache.schedule("available", refs, metric, g0, ()) is first
-        assert (cache.builds, cache.reused) == (1, 2)
-        moved = [g0.link("l1", "sw-left"), g0.link("sw-left", "sw-right")]
-        changed = []
-        for link, bw in zip(moved, (3 * Mbps, 99 * Mbps)):
-            link = link.copy()
-            link.set_available(bw, direction=link.u)
-            changed.append(link)
-        g1 = g0.replaced(links=changed)
-        cache.rebase(g1)
-        got = cache.schedule("available", refs, metric, g1, ())
-        assert (cache.builds, cache.reused) == (2, 3)
-        assert entries(got) == entries(peel_order(g1, metric))
-        assert all(l is g1.link(l.u, l.v) for _f, l in got)
-
-        trunk = frozenset(("sw-left", "sw-right"))
-        debited = residual_graph(g1, {}, {(trunk, "sw-right"): 30 * Mbps})
-        got = cache.schedule("available", refs, metric, debited, {trunk})
-        assert (cache.builds, cache.adjusted) == (2, 1)
-        assert entries(got) == entries(peel_order(debited, metric))
-        # A claimed key the residual lacks reads as no claim.
-        absent = frozenset(("x", "y"))
-        assert entries(
-            cache.schedule("available", refs, metric, g1, {absent})
-        ) == entries(peel_order(g1, metric))
-        assert (cache.builds, cache.reused, cache.adjusted) == (2, 4, 1)
 
     @staticmethod
     def _stream(service):

@@ -15,7 +15,9 @@ things must hold:
     per attempt and keeps no memo
     (:func:`tests.oracles.naive_rebuild_service`); and whenever an entry
     answers, the ledger's ``claims_fingerprint()`` equals the one
-    recorded here when that entry was stored;
+    recorded here when that entry was stored; plain Fig. 2 / Fig. 3
+    requests between moves of standing bandwidth tenants peel links
+    that carry claims and answer as the twin does;
 (b) recurrence — admit + release over standing tenants returns to the
     same claim state, so every cycle after the first hits, and a
     measured re-base empties the memo;
@@ -43,6 +45,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import selector
 from repro.core.spec import ApplicationSpec, Objective
 from repro.des import Simulator
 from repro.network import Cluster
@@ -242,6 +245,57 @@ def test_scripted_history_hits_misses_and_drifts():
     assert metrics.select_memo_hits >= 5
     assert metrics.select_memo_negative_hits >= 1
     assert shipped.replayed_refusals >= 1
+
+
+def test_peels_on_a_claimed_overlay_equal_the_memoless_twins(monkeypatch):
+    """Fig. 3 and Fig. 2 on links that carry claims: plain requests
+    (no claim to fold into a floor) alternate objectives between moves
+    of standing bandwidth tenants, so each misses the memo and peels
+    the live overlay.  Every grant equals the twin's."""
+    peeled = []
+
+    def counted(procedure):
+        def run(graph, m, **kw):
+            peeled.append((procedure.__name__, bool(ledger.edge_claims())))
+            return procedure(graph, m, **kw)
+        return run
+
+    for name in ("select_balanced", "select_max_bandwidth"):
+        monkeypatch.setattr(selector, name, counted(getattr(selector, name)))
+    rng = np.random.default_rng(7)
+    graph = random_tree(60, 12, rng, bandwidth=100 * Mbps)
+    for link in graph.links():
+        link.available_fwd = float(rng.uniform(5, 100)) * Mbps
+        link.available_rev = float(rng.uniform(5, 100)) * Mbps
+    for node in graph.compute_nodes():
+        node.load_average = float(rng.uniform(0, 0.5))
+    seen = []
+    for build in (SelectionService, naive_rebuild_service):
+        svc = build(graph, snapshot_ttl=1e9, lease_s=1e6, queue_limit=0)
+        ledger = svc.ledger
+        peeled.clear()
+        rng = np.random.default_rng(11)
+        tenants, out = [], []
+        for i in range(40):
+            tenant = svc.request(f"tenant-{i}", ApplicationSpec(num_nodes=2),
+                                 cpu_fraction=0.1, bw_bps=2 * Mbps)
+            assert tenant.admitted
+            tenants.append(tenant.app_id)
+            if len(tenants) > 4:
+                svc.release(tenants.pop(0))
+            spec = ApplicationSpec(
+                num_nodes=int(rng.integers(2, 6)),
+                objective=(Objective.BALANCED, Objective.BANDWIDTH)[i % 2],
+            )
+            out.append(outcome(svc.request(f"app-{i}", spec)))
+            if out[-1][2]:
+                svc.release(f"app-{i}")
+        svc.check_invariants()
+        seen.append((out, list(peeled)))
+    (got, shipped), (want, _) = seen
+    assert got == want
+    for name in ("select_balanced", "select_max_bandwidth"):
+        assert shipped.count((name, True)) >= 15
 
 
 # -- (b) recurrence ------------------------------------------------------------

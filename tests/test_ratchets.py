@@ -517,3 +517,15 @@ def test_each_lease_fact_once():
     assert len(snapshot) == 2 and not any(map(_json_encoders, snapshot)), (
         "LedgerWal.snapshot writes text, not json.dumps of a dict"
     )
+
+
+def test_one_peel_sort():
+    """The kernel sorts its own peel: no schedule plane in front of
+    ``peel_order`` and no duck-typed hook it reads off a graph."""
+    assert not grep(r"peel_schedule_provider|PeelScheduleCache", SRC,
+                    py_only=False), (
+        "select_balanced and select_max_bandwidth call peel_order "
+        "themselves; no cache hands them a schedule"
+    )
+    assert not grep(r"getattr\(graph", SRC / "repro" / "core" / "kernel.py"), \
+        "the kernel reads no provider hook off a graph"

@@ -574,14 +574,26 @@ class TestGraphRecords:
     def test_slotted_graph_round_trips_through_pickle(
         self, small_tree, protocol
     ):
+        from repro.core import ApplicationSpec
+        from repro.service import SelectionService
+
         small_tree.link("a", "sw0").set_available(42.0, direction="sw0")
         small_tree.node("c").load_average = 1.5
         small_tree.node("d").attrs["arch"] = "alpha"
-        loaded = pickle.loads(pickle.dumps(small_tree, protocol=protocol))
-        assert list(loaded.nodes()) == list(small_tree.nodes())
-        assert list(loaded.links()) == list(small_tree.links())
-        assert loaded.node_names() == small_tree.node_names()
-        for key, link in loaded._links.items():
-            assert link.key is key  # one key object per link, still
-        loaded.validate()
-        assert loaded.path("a", "d") == small_tree.path("a", "d")
+        # A live service's overlay after one grant: it carries the
+        # kernel's hook, which is derived state and not shipped.
+        svc = SelectionService(small_tree, snapshot_ttl=1e9)
+        assert svc.request("app", ApplicationSpec(num_nodes=2),
+                           cpu_fraction=0.25, bw_bps=5 * Mbps).admitted
+        overlay = svc.view.graph
+        assert overlay.compute_ranking is not None
+        for graph in (small_tree, overlay):
+            loaded = pickle.loads(pickle.dumps(graph, protocol=protocol))
+            assert list(loaded.nodes()) == list(graph.nodes())
+            assert list(loaded.links()) == list(graph.links())
+            assert loaded.node_names() == graph.node_names()
+            for key, link in loaded._links.items():
+                assert link.key is key  # one key object per link, still
+            assert loaded.compute_ranking is None
+            loaded.validate()
+            assert loaded.path("a", "d") == graph.path("a", "d")
