@@ -10,10 +10,24 @@ performance" keeps the measured 33 → 1000-host table).
 :class:`ResidualView` keeps **one** debited copy alive across claims
 and across snapshots, and moves it in place:
 
-- the service subscribes it to the ledger, so every grant, release,
-  expiry and crash eviction triggers :meth:`apply_delta` — O(Δ) in the
-  reservation's node/edge count (a renewal moves a deadline, no claim:
-  :data:`~repro.service.ledger.DEADLINE_KINDS` are passed over);
+- the service subscribes it to the ledger, and the overlay is brought
+  up to date when it is read, not when the ledger moves.  A grant only
+  files its reservation as stale.  A release (expiry, crash eviction,
+  preemption) of a lease whose grant is still stale joins that entry;
+  any other release refreshes at once.  Reading :attr:`graph` settles
+  every stale entry first, one :meth:`apply_delta` each — O(Δ) in the
+  reservation's node/edge count.  So a grant + release cycle the
+  selection memo answers refreshes nothing, while a release after the
+  overlay was read (``churn_1k``'s) is not pushed into the next
+  admission.  Entries are keyed by node set and routed-channel tuple
+  (by identity: the memo hands out one tuple per placement), so a
+  repeated placement is one entry.  They pile up only between reads:
+  every memo miss reads, and so does every other way to a grant (the
+  batch planner, ``admit_probed``, an explain record) before it
+  grants; a re-base settles first.  So they number at most the
+  placements the memo holds (at most 256), plus the one grant that
+  followed the last read.  A renewal moves a deadline, no claim:
+  :data:`~repro.service.ledger.DEADLINE_KINDS` are passed over;
 - updates are *recomputations from base*, never incremental arithmetic:
   a touched node or channel is reset to exactly what
   :func:`~repro.topology.residual.residual_graph` would compute from
@@ -33,8 +47,7 @@ and across snapshots, and moves it in place:
   :class:`~repro.core.kernel.ComputeRanking` on the ``compute_ranking``
   hook — the candidates best first, for the bandwidth-floor procedure
   and the batch planner to walk.  A node update only names what moved;
-  the next selection to read the ranking re-keys it, so a cycle the
-  selection memo answers pays nothing;
+  the next selection to read the ranking re-keys it;
 - a new snapshot that says which resources it replaced
   (:attr:`TopologyGraph.measurement`; ``RemosAPI.topology()`` does) is
   adopted by :meth:`rebase`: the same recompute-from-base over those
@@ -144,26 +157,33 @@ class ResidualView:
     ) -> None:
         self.base = base
         self.ledger = ledger
-        self.graph = residual_graph(
+        # The overlay itself, read through :attr:`graph` by everyone but
+        # the view's own methods.
+        self._overlay = overlay = residual_graph(
             base, ledger.node_claims(), ledger.edge_claims()
         )
         # Routed on the overlay the kernel selects on: the span a
         # selection is scored with is the one its lease is routed by.
-        self.routes = RouteCache(self.graph)
+        self.routes = RouteCache(overlay)
         #: The overlay's channels, resolved once each to the overlay's
         #: link and the base link it is recomputed from.
-        self.channels = ChannelTable(self.graph, base)
+        self.channels = ChannelTable(overlay, base)
         # The kernel hook: refresh_nodes() names what moved, the next
         # reader (floor procedure, batch planner) re-keys it.
-        self.ranking = self.graph.compute_ranking = ComputeRanking(self.graph)
+        self.ranking = overlay.compute_ranking = ComputeRanking(overlay)
         #: Nodes flagged ``down`` in the overlay's attrs, fixed for the
         #: view's life: a new down set is a new view.
         self._down = frozenset(down)
         for name in self._down:
-            if self.graph.has_node(name):
-                self.graph.node(name).attrs["down"] = True
-        #: In-place updates applied since construction (for metrics).
+            if overlay.has_node(name):
+                overlay.node(name).attrs["down"] = True
+        #: Claim moves (grants and releases) the ledger has reported.
         self.deltas = 0
+        #: Reservations whose claims the overlay does not show yet,
+        #: keyed by ``(nodes, id(edges))``: the next read of
+        #: :attr:`graph` refreshes each.  The entry holds its ``edges``
+        #: tuple alive, so the id names that one tuple while it waits.
+        self.stale: dict[tuple, Reservation] = {}
         #: Selection memo: ``(spec key, CPU claim, bandwidth claim,
         #: claimed nodes, claimed channels) -> (node claims, channel
         #: claims, Selection | None, (edges,) | None)`` — the whole
@@ -193,7 +213,7 @@ class ResidualView:
         # The graphs' name -> node dicts and the ledger's live totals,
         # bound once and only read: no ``has_node`` / ``node`` /
         # ``node_claim`` call per name.
-        nodes, base = self.graph._nodes, self.base._nodes
+        nodes, base = self._overlay._nodes, self.base._nodes
         claims = self.ledger._node_claims
         for name in names:
             node = nodes.get(name)
@@ -250,9 +270,20 @@ class ResidualView:
         The direction of the change is irrelevant — both sides recompute
         from base + current ledger totals.
         """
-        self.deltas += 1
         self.refresh_nodes(reservation.nodes)
         self.refresh_edges(reservation.edges)
+
+    @property
+    def graph(self) -> TopologyGraph:
+        """The overlay, every stale reservation refreshed first."""
+        if self.stale:
+            self._settle()
+        return self._overlay
+
+    def _settle(self) -> None:
+        stale, self.stale = self.stale, {}
+        for reservation in stale.values():
+            self.apply_delta(reservation)
 
     def rebase(
         self,
@@ -268,30 +299,42 @@ class ResidualView:
         (health marks); the rest, the route cache included, stands.  The
         selection memo is valid for one base and is emptied.  The result
         equals a view built on ``base`` from scratch
-        (:meth:`assert_matches_rebuild`).
+        (:meth:`assert_matches_rebuild`).  Stale reservations are
+        settled first: the memo that bounds their number is emptied.
         """
+        if self.stale:
+            self._settle()
         self.base = base
         # Named by the route cache, as every lease's channels are.
         named = self.routes._named
         channels = [c for k in links for c in named(base.link(*k))]
         self.channels.rebase(base, channels)
-        self.graph.measurement = base.measurement
+        overlay = self._overlay
+        overlay.measurement = base.measurement
         self.selections.clear()
         for name in nodes:
             attrs = dict(base.node(name).attrs)
             if name in self._down:
                 attrs["down"] = True
-            self.graph.node(name).attrs = attrs
+            overlay.node(name).attrs = attrs
         self.refresh_nodes(nodes)
         for key in links:
             u, v = key
-            self.graph.link(u, v).attrs = dict(base.link(u, v).attrs)
+            overlay.link(u, v).attrs = dict(base.link(u, v).attrs)
         self.refresh_edges(channels)
 
     def on_ledger_event(self, kind: str, reservation: Reservation) -> None:
-        """Ledger subscription hook (``subscribe(view.on_ledger_event)``)."""
-        if kind not in DEADLINE_KINDS:
-            self.apply_delta(reservation)  # grant or release, no matter
+        """Ledger subscription hook (``subscribe(view.on_ledger_event)``):
+        a grant waits for the next read; a release refreshes at once
+        unless its grant is still waiting, which then covers both."""
+        if kind in DEADLINE_KINDS:
+            return
+        self.deltas += 1
+        key = (reservation.nodes, id(reservation.edges))
+        if kind == "reserve":
+            self.stale[key] = reservation
+        elif key not in self.stale:
+            self.apply_delta(reservation)
 
     @property
     def down(self) -> frozenset:
@@ -307,14 +350,15 @@ class ResidualView:
         and so are the attrs (health marks among them) and the sample
         ages, which a re-base has to carry over.
         """
+        graph = self.graph
         rebuilt = residual_graph(
             self.base, self.ledger.node_claims(), self.ledger.edge_claims()
         )
-        assert set(self.graph.node_names()) == set(rebuilt.node_names()), (
+        assert set(graph.node_names()) == set(rebuilt.node_names()), (
             "overlay node set drifted from snapshot"
         )
         for node in rebuilt.nodes():
-            mine = self.graph.node(node.name)
+            mine = graph.node(node.name)
             assert mine.load_average == node.load_average, (
                 f"node {node.name!r}: overlay load {mine.load_average!r} != "
                 f"rebuild {node.load_average!r}"
@@ -327,17 +371,17 @@ class ResidualView:
                 f"node {node.name!r}: overlay down-flag "
                 f"{mine.attrs.get('down')!r} != expected {expected_down!r}"
             )
-            got = _sans_down(mine.attrs), self.graph.node_age(node.name)
+            got = _sans_down(mine.attrs), graph.node_age(node.name)
             want = _sans_down(node.attrs), rebuilt.node_age(node.name)
             assert got == want, (
                 f"node {node.name!r}: overlay attrs/age {got!r} != "
                 f"rebuild {want!r}"
             )
-        assert self.graph.num_links == rebuilt.num_links, (
+        assert graph.num_links == rebuilt.num_links, (
             "overlay link set drifted from snapshot"
         )
         for link in rebuilt.links():
-            mine = self.graph.link(link.u, link.v)
+            mine = graph.link(link.u, link.v)
             assert mine.available_fwd == link.available_fwd, (
                 f"link {link.u}--{link.v} fwd: overlay "
                 f"{mine.available_fwd!r} != rebuild {link.available_fwd!r}"
@@ -346,22 +390,23 @@ class ResidualView:
                 f"link {link.u}--{link.v} rev: overlay "
                 f"{mine.available_rev!r} != rebuild {link.available_rev!r}"
             )
-            got = mine.attrs, self.graph.link_age(link.u, link.v)
+            got = mine.attrs, graph.link_age(link.u, link.v)
             want = link.attrs, rebuilt.link_age(link.u, link.v)
             assert got == want, (
                 f"link {link.u}--{link.v}: overlay attrs/age {got!r} != "
                 f"rebuild {want!r}"
             )
         refs = self.ranking.refs
-        assert list(ComputeRanking.of(self.graph, refs)) == \
+        assert list(ComputeRanking.of(graph, refs)) == \
             list(ComputeRanking.of(rebuilt, refs)), (
                 "kept compute ranking drifted from the rebuild's"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<ResidualView {self.graph.num_nodes} nodes, "
-            f"{len(self._down)} down, {self.deltas} deltas applied>"
+            f"<ResidualView {self._overlay.num_nodes} nodes, "
+            f"{len(self._down)} down, {self.deltas} claim moves, "
+            f"{len(self.stale)} stale>"
         )
 
 

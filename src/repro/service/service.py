@@ -707,7 +707,9 @@ class SelectionService(FrontDoor):
         return g
 
     def _on_ledger_event(self, kind: str, reservation: Reservation) -> None:
-        """Ledger subscription: debit/credit the overlay in place, O(Δ)."""
+        """Ledger subscription: tell the overlay of the claim move (a
+        grant is refreshed at the overlay's next read, a release at
+        once unless its grant is still unread) and keep the books."""
         if self._view is not None:
             self._view.on_ledger_event(kind, reservation)
         if kind in CAPACITY_RETURNING_KINDS:
@@ -718,15 +720,19 @@ class SelectionService(FrontDoor):
                 cls = reservation.priority
                 by_class[cls] = by_class.get(cls, 0) + 1
 
-    def _residual(self, base: TopologyGraph) -> TopologyGraph:
-        """The residual graph admission runs on, O(Δ)-maintained: the
-        live overlay, moved to a new snapshot by re-basing over what the
+    def _residual(self, base: TopologyGraph) -> ResidualView:
+        """The overlay admission runs on, O(Δ)-maintained: the live
+        view, moved to a new snapshot by re-basing over what the
         snapshot says it replaced, and rebuilt only without such a delta
-        or after an invalidation (which every known-down change follows)."""
+        or after an invalidation (which every known-down change follows).
+
+        Its :attr:`~ResidualView.graph` is not read here: a placement
+        the selection memo answers never reads it, so claim moves it
+        has not caught up with wait for the next reader."""
         view = self._view
         key = (self.cache.epoch, self.cache.invalidations)
         if view is not None and view.base is base and self._view_key == key:
-            return view.graph
+            return view
         moved = None
         if (
             view is not None
@@ -748,7 +754,7 @@ class SelectionService(FrontDoor):
         self._view_key = key
         # A fresh snapshot can carry newly measured capacity.
         self._residual_epoch += 1
-        return view.graph
+        return view
 
     def _verify_claims(
         self,
@@ -787,19 +793,20 @@ class SelectionService(FrontDoor):
     def _place(
         self,
         req: SelectionRequest,
-        graph: TopologyGraph,
-        view: Optional[ResidualView] = None,
+        view: Optional[ResidualView],
+        trial: Optional[TopologyGraph] = None,
         *,
         memo: bool = False,
         stage=_untimed,
     ) -> tuple[Optional[Selection], Optional[Collection], str]:
         """The one read-only placement every walker runs.
 
-        (Memo lookup) → effective spec → select → claim-verify on
-        ``graph``: the live overlay (pass its ``view``) or a trial
-        residual.  Returns ``(selection, edges, reason)`` with
-        ``selection`` ``None`` and ``reason`` set when infeasible;
-        nothing is debited or recorded on the request.
+        (Memo lookup) → effective spec → select → claim-verify on the
+        live overlay ``view`` (its graph read only after a memo miss) or
+        on a ``trial`` residual (``view`` ``None``).  Returns
+        ``(selection, edges, reason)`` with ``selection`` ``None`` and
+        ``reason`` set when infeasible; nothing is debited or recorded
+        on the request.
 
         ``memo`` consults and feeds the view's selection memo: on one
         base snapshot the whole placement — selection, routed channels
@@ -836,6 +843,7 @@ class SelectionService(FrontDoor):
                 if routed is None:
                     return None, None, _CLAIMS_EXCEED
                 return _copy_selection(kept), routed[0], ""
+        graph = trial if view is None else view.graph
         spec = req.effective_spec or req.fold()
         try:
             selection = self.selector.select(spec, graph)
@@ -965,12 +973,11 @@ class SelectionService(FrontDoor):
         start = perf_counter()
         base = self.cache.topology()
         start = stage("snapshot_fetch", start)
-        residual = self._residual(base)
+        view = self._residual(base)
         stage("residual_view", start)
-        view = self._view
         hits = view.selection_hits
         selection, edges, reason = self._place(
-            req, residual, view, memo=True, stage=stage
+            req, view, memo=True, stage=stage
         )
         if view.selection_hits != hits:  # the memo answered this admission
             self.metrics.select_memo_hits += 1
@@ -1003,7 +1010,7 @@ class SelectionService(FrontDoor):
         partial claims to roll back, then hands each part's answer to
         :meth:`admit_probed` instead of selecting again.
         """
-        residual = self._residual(self.cache.topology())
+        view = self._residual(self.cache.topology())
         req = SelectionRequest(
             app_id="__probe__",
             spec=spec,
@@ -1011,7 +1018,7 @@ class SelectionService(FrontDoor):
             bw_bps=bw_bps,
             submitted_at=self.now,
         )
-        return self._place(req, residual, self._view, memo=True)[0]
+        return self._place(req, view, memo=True)[0]
 
     def admit_probed(
         self,
@@ -1044,10 +1051,10 @@ class SelectionService(FrontDoor):
         )
         self._open_request(app_id)
         base = self.cache.topology()
-        residual = self._residual(base)
+        view = self._residual(base)
         start = perf_counter()
         fits, edges = self._verify_claims(
-            req, residual, selection.nodes, self._view
+            req, view.graph, selection.nodes, view
         )
         self._stage("claim_verify", start)
         grant = (
@@ -1179,7 +1186,7 @@ class SelectionService(FrontDoor):
         for n in range(1, len(candidates) + 1):
             victims = candidates[:n]
             trial = self._capacity_view(base, without=victims)
-            if self._place(req, trial)[0] is not None:
+            if self._place(req, None, trial)[0] is not None:
                 return victims
         return None
 
@@ -1508,8 +1515,9 @@ class _BatchPlanner:
     One exact selection per batch is enough to validate the snapshot;
     the remaining plain requests are placed by walking the *live*
     overlay's compute ranking (:class:`~repro.core.kernel.ComputeRanking`,
-    the one the floor procedure reads, re-keyed by each commit's ledger
-    event) best first.  Per request: the candidates down to the ``m``-th
+    the one the floor procedure reads; each commit's grant is refreshed
+    into it when the next call reads the overlay) best first.  Per
+    request: the candidates down to the ``m``-th
     that fits, one connectivity memo probe per chosen node, and the same
     ledger ``reserve`` every serial admission ends in — the planner only
     replaces the selection, never the claim arithmetic, so its grants
@@ -1525,11 +1533,9 @@ class _BatchPlanner:
 
     def __init__(self, service: SelectionService) -> None:
         base = service.cache.topology()
-        service._residual(base)  # ensure the overlay exists and is current
         self.service = service
         self.base = base
-        self.view = service._view
-        assert self.view is not None
+        self.view = service._residual(base)
 
     def outdated(self) -> bool:
         """Whether the service moved to another overlay, or this one to
@@ -1575,5 +1581,5 @@ class _BatchPlanner:
             min_cpu_fraction=avail,
             algorithm="batch-greedy",
         )
-        # The commit's ledger event re-ranks the chosen for the next call.
+        # The next call's read of the overlay re-ranks what this commits.
         return service._commit(req, selection, edges, self.base)

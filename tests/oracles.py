@@ -26,7 +26,7 @@ from repro.service import (
 from repro.service import wal as wal_module
 from repro.service.admission import SelectionRequest
 from repro.service.ledger import Reservation, ledger_order
-from repro.service.residual_view import ChannelTable
+from repro.service.residual_view import ResidualView
 from repro.service.sharding.workers import InprocExecutor
 from repro.topology import TopologyGraph
 from repro.units import BITS_PER_BYTE
@@ -121,22 +121,30 @@ def pairwise_minima_by_paths(
 
 def naive_rebuild_service(*args, **kwargs) -> SelectionService:
     """The admission hot path as it was before the O(Δ) overlay: every
-    attempt drops the live view and places on ``ledger.apply()``'s
-    from-scratch rebuild, so no in-place delta, memo entry, cached route
-    or peel schedule outlives one attempt."""
+    attempt drops the live view and places on a view built from scratch
+    (``residual_graph`` over the ledger's totals), so no in-place delta,
+    memo entry, cached route or kept ranking outlives one attempt."""
     service = SelectionService(*args, **kwargs)
     overlay = service._residual
 
-    def rebuild(base: TopologyGraph) -> TopologyGraph:
+    def rebuild(base: TopologyGraph) -> ResidualView:
         service._view = None
-        overlay(base)
-        view = service._view
-        view.graph = service._capacity_view(base)
-        view.channels = ChannelTable(view.graph, base)
-        return view.graph
+        return overlay(base)
 
     service._residual = rebuild
     return service
+
+
+class EagerOverlayService(SelectionService):
+    """The service as it was before its overlay settled on read: every
+    claim move is refreshed into the view the moment the ledger reports
+    it (what a grant leaves stale is read at once), so no reader ever
+    finds a stale entry to settle."""
+
+    def _on_ledger_event(self, kind: str, reservation: Reservation) -> None:
+        super()._on_ledger_event(kind, reservation)
+        if self._view is not None:
+            self._view.graph  # a read: settles what the event left stale
 
 
 def reference_grant_payload(r: Reservation) -> dict:
@@ -236,12 +244,12 @@ def memoless_probe(service: SelectionService, spec, *,
                    cpu_fraction: float = 0.0, bw_bps: float = 0.0):
     """``SelectionService.probe`` as it was before it read the selection
     memo: every probe runs the kernel."""
-    residual = service._residual(service.cache.topology())
+    view = service._residual(service.cache.topology())
     req = SelectionRequest(
         app_id="__probe__", spec=spec, cpu_fraction=cpu_fraction,
         bw_bps=bw_bps, submitted_at=service.now,
     )
-    return service._place(req, residual, service._view)[0]
+    return service._place(req, view)[0]
 
 
 class PinnedCommit(InprocExecutor):

@@ -279,10 +279,12 @@ def test_a_link_crosses_a_standing_floor_both_ways(build):
     key = claimed_links(rig.ledger)[0]
     link = rig.view.graph.link(*key)
     assert link.available == rig.floor
-    # ... a second claim over the same hosts takes it below ...
+    # ... a second claim over the same hosts takes it below (the
+    # overlay shows a grant once it is read) ...
     rig.apply(("request", (3, ("far", 1.0), ("pinned", [
         rig.hosts.index(n) for n in first["nodes"]
     ]), 0), 0.1, 5.0))
+    assert rig.view.graph.link(*key) is link
     assert rig.ledger.active == 2 and link.available < rig.floor
     rig.select((3, ("again", None), everyone, 0))
     # ... and releasing it brings the link back above.

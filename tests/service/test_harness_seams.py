@@ -191,12 +191,23 @@ def test_seams_survive_a_long_lived_view():
         }
         assert {
             "service.residual_view:_residual",
-            "service.residual_view:apply_delta",
             "service.cache:edges_for",
             "service.cache:topology",
             "remos.api:topology",
         } <= fired, (round_no, sorted(fired))
+        # A grant is refreshed at the overlay's next read: the previous
+        # round's, by the re-base inside this round's ``_residual``.
+        settled = [
+            rec.spans[parent][1] if parent >= 0 else None
+            for _layer, entry, _t0, _t1, parent, op in rec.spans
+            if entry == "apply_delta" and op == round_no
+        ]
+        assert settled == (["_residual"] if round_no else []), (
+            round_no, settled,
+        )
     assert rebased_inside == ["_residual", "_residual"]
+    svc.check_invariants()  # a read: the last round's grant settles
+    assert sum(entry == "apply_delta" for _, entry, *_ in rec.spans) == 3
     assert api.topology_sweeps == svc.cache.misses == 3
     assert svc.metrics_snapshot()["view_rebuilds"] == 1
     rec.uninstall()

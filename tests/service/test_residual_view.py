@@ -9,18 +9,29 @@ latency timers surfaced by ``ServiceMetrics``.
 """
 
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.core import ApplicationSpec
+from repro.core.metrics import DEFAULT_REFERENCES, node_compute_fraction
+from repro.core.spec import Objective
 from repro.core.types import Selection
 from repro.des import Simulator
 from repro.faults import FaultInjector
 from repro.network import Cluster
 from repro.remos import Collector, RemosAPI
 from repro.service import (
+    BatchRequest,
     ReservationLedger,
     ResidualView,
     RouteCache,
@@ -28,15 +39,25 @@ from repro.service import (
     ServiceMetrics,
     ShardRouter,
 )
-from repro.service.admission import SelectionRequest
+from repro.service.admission import Priority, SelectionRequest
 from repro.service.cli import main as serve_main
 from repro.service.ledger import LedgerError, ledger_order, route_edges
-from repro.topology import dumbbell, grid, star, to_json, two_campus
+from repro.service.service import _SELECTION_MEMO_LIMIT, ManualClock
+from repro.topology import (
+    Measurement,
+    dumbbell,
+    grid,
+    random_tree,
+    star,
+    to_json,
+    two_campus,
+)
 from repro.topology.graph import MAXBW_SLACK, SHARED, TopologyGraph
 from repro.topology.residual import _MIN_RESIDUAL_CPU, residual_graph
 from repro.units import Mbps
 
-from ..oracles import naive_rebuild_service
+from ..core.cyclic_graphs import random_cyclic
+from ..oracles import EagerOverlayService, naive_rebuild_service
 
 
 def spec(n=2):
@@ -706,3 +727,274 @@ class TestStageProfiling:
         assert "stage latencies" not in plain
         assert "stage latencies" in profiled
         assert "ledger_commit" in profiled
+
+
+# -- the overlay settled on read ----------------------------------------------
+
+class Snapshots:
+    """A measured provider moved by hand: :meth:`publish` answers a patch
+    of the last snapshot that names what it replaced, as
+    ``RemosAPI.topology()`` does, so the service re-bases onto it."""
+
+    def __init__(self, graph: TopologyGraph) -> None:
+        self.source = object()
+        graph.measurement = Measurement(self.source, 0, None, None, 0.0, {})
+        self.graph = graph
+
+    def topology(self) -> TopologyGraph:
+        return self.graph
+
+    def publish(self, nodes, links) -> None:
+        patch = self.graph.replaced(nodes, links)
+        patch.measurement = Measurement(
+            self.source, self.graph.measurement.generation + 1,
+            frozenset(n.name for n in nodes), frozenset(l.key for l in links),
+            0.0, {},
+        )
+        self.graph = patch
+
+
+class Faults:
+    """What ``attach_injector`` needs of an injector: ``fire(t, kind,
+    target)`` delivers an event to the service."""
+
+    def subscribe(self, fn) -> None:
+        self.fire = fn
+
+
+def _measured_tree() -> TopologyGraph:
+    rng = np.random.default_rng(4)
+    g = random_tree(8, 3, rng, bandwidth=100 * Mbps)
+    for link in g.links():
+        link.available_fwd = float(rng.integers(1, 5)) * 20 * Mbps
+        link.available_rev = float(rng.integers(1, 5)) * 20 * Mbps
+    for node in g.compute_nodes():
+        node.load_average = float(rng.integers(0, 3)) * 0.5
+    return g
+
+
+def answer(grant) -> tuple:
+    """Everything a reader's grant says, the explain record included."""
+    s, r = grant.selection, grant.reservation
+    return (
+        grant.status, grant.reason,
+        # repr: an undefined minimum is NaN on both sides
+        s and (tuple(s.nodes), s.algorithm, repr((
+            s.objective, s.min_cpu_fraction, s.min_bw_fraction, s.min_bw_bps,
+        ))),
+        r and (r.nodes, r.edges, r.expires_at),
+        repr(grant.explain),
+    )
+
+
+_READ = ResidualView.graph.fget
+_SHAPES = [
+    ApplicationSpec(num_nodes=1),
+    ApplicationSpec(num_nodes=2),
+    ApplicationSpec(num_nodes=3),
+    ApplicationSpec(num_nodes=2, objective=Objective.BANDWIDTH),
+]
+_CPU = [0.0, 0.15, 0.4]
+_BW = [0.0, 2 * Mbps, 15 * Mbps]
+_CLAIMS = (st.integers(0, len(_SHAPES) - 1), st.integers(0, len(_CPU) - 1),
+           st.integers(0, len(_BW) - 1))
+_bandwidths = st.sampled_from([5.0, 40.0, 100.0])
+
+
+class OverlaySettledOnRead(RuleBasedStateMachine):
+    """The service, whose overlay settles on read, beside a twin whose
+    overlay settles at every claim move
+    (``tests/oracles.py::EagerOverlayService``), over one history of
+    grants, releases, renewals, expiries, crash evictions, preemptions,
+    measured re-bases and each of the five readers: a placement that
+    misses the memo, ``admit_probed``, the batch planner, an explain
+    record and ``check_invariants``.
+
+    Every read of the service's overlay — wherever a reader makes it —
+    is checked on the spot against a rebuild and its ranking against a
+    fresh sort; the history itself never reads, so what a grant left
+    stale stays stale until a reader comes.  Each step's answers equal
+    the twin's, and the stale entries stay within one more than the
+    placements the selection memo holds."""
+
+    @initialize(cyclic=st.booleans())
+    def start(self, cyclic):
+        graph = random_cyclic(5, 8, 4, 2) if cyclic else _measured_tree()
+        self.hosts = sorted(n.name for n in graph.compute_nodes())
+        self.snapshots = Snapshots(graph)
+        self.clock = ManualClock()
+        self.services, self.faults = [], []
+        for build in (SelectionService, EagerOverlayService):
+            svc = build(
+                self.snapshots, snapshot_ttl=0.0, lease_s=20.0,
+                queue_limit=2, preempt=True, clock=self.clock,
+            )
+            faults = Faults()
+            svc.attach_injector(faults)
+            self.services.append(svc)
+            self.faults.append(faults)
+        self.apps = 0
+        self.checking = False
+        self.patch = mock.patch.object(
+            ResidualView, "graph", property(self.checked_read)
+        )
+        self.patch.start()
+
+    def teardown(self):
+        patch = getattr(self, "patch", None)
+        if patch is not None:
+            patch.stop()
+
+    def checked_read(self, view: ResidualView) -> TopologyGraph:
+        graph = _READ(view)
+        if not self.checking and view is self.services[0].view:
+            self.checking = True
+            try:
+                view.assert_matches_rebuild()
+                refs = DEFAULT_REFERENCES
+                assert list(view.ranking.keys(refs)) == sorted(
+                    (-node_compute_fraction(node, refs), node.name)
+                    for node in graph.compute_nodes()
+                )
+            finally:
+                self.checking = False
+        return graph
+
+    def each(self, op):
+        got, want = (op(svc) for svc in self.services)
+        assert got == want
+        return got
+
+    def app(self) -> str:
+        self.apps += 1
+        return f"app-{self.apps}"
+
+    def live(self, i: int):
+        live = self.services[0].active_apps()
+        return live[i % len(live)] if live else None
+
+    @rule(claims=st.tuples(*_CLAIMS), explain=st.booleans(),
+          priority=st.sampled_from(Priority.ALL))
+    def request(self, claims, explain, priority):
+        shape, cpu, bw = claims
+        app = self.app()
+        self.each(lambda svc: answer(svc.request(
+            app, _SHAPES[shape], cpu_fraction=_CPU[cpu], bw_bps=_BW[bw],
+            priority=priority, explain=explain,
+        )))
+
+    @rule(wave=st.lists(st.tuples(*_CLAIMS), min_size=1, max_size=3))
+    def cycle(self, wave):
+        """Admit a wave and release it, twice: the recurrence the memo
+        answers, so the second round's grants wait unread."""
+        for _ in range(2):
+            admitted = []
+            for shape, cpu, bw in wave:
+                app = self.app()
+                grant = self.each(lambda svc: answer(svc.request(
+                    app, _SHAPES[shape], cpu_fraction=_CPU[cpu],
+                    bw_bps=_BW[bw],
+                )))
+                if grant[0] == "admitted":
+                    admitted.append(app)
+            for app in admitted:
+                self.each(lambda svc: answer(svc.release(app)))
+
+    @rule(claims=st.tuples(*_CLAIMS))
+    def probe_and_commit(self, claims):
+        shape, cpu, bw = claims
+        app = self.app()
+
+        def op(svc):
+            spec = _SHAPES[shape]
+            found = svc.probe(spec, cpu_fraction=_CPU[cpu], bw_bps=_BW[bw])
+            return found and answer(svc.admit_probed(
+                app, spec, found, cpu_fraction=_CPU[cpu], bw_bps=_BW[bw],
+            ))
+
+        self.each(op)
+
+    @rule(batch=st.lists(st.tuples(st.integers(1, 2), *_CLAIMS[1:]),
+                         min_size=2, max_size=4))
+    def batch(self, batch):
+        apps = [self.app() for _ in batch]
+        self.each(lambda svc: [answer(g) for g in svc.admit_batch([
+            BatchRequest(app, ApplicationSpec(num_nodes=m),
+                         cpu_fraction=_CPU[cpu], bw_bps=_BW[bw])
+            for app, (m, cpu, bw) in zip(apps, batch)
+        ])])
+
+    @rule()
+    def check(self):
+        for svc in self.services:
+            svc.check_invariants()
+
+    @rule(i=st.integers(0, 7))
+    def release(self, i):
+        app = self.live(i)
+        if app is not None:
+            self.each(lambda svc: answer(svc.release(app)))
+
+    @rule(i=st.integers(0, 7), extend=st.sampled_from([None, 1.0, 40.0]))
+    def renew(self, i, extend):
+        app = self.live(i)
+        if app is not None:
+            self.each(lambda svc: answer(svc.renew(app, extend=extend)))
+
+    @rule(dt=st.sampled_from([0.5, 5.0, 25.0]))
+    def advance(self, dt):
+        self.clock.now += dt
+        self.each(lambda svc: svc.tick())
+
+    @rule(i=st.integers(0, 63), kind=st.sampled_from(["crash", "recover"]))
+    def fault(self, i, kind):
+        host = self.hosts[i % len(self.hosts)]
+        for faults in self.faults:
+            faults.fire(self.clock.now, f"node-{kind}", host)
+
+    @rule(
+        loads=st.lists(st.tuples(st.integers(0, 63),
+                                 st.sampled_from([0.0, 0.7, 1.5])),
+                       max_size=3),
+        links=st.lists(st.tuples(st.integers(0, 63), _bandwidths, _bandwidths),
+                       max_size=2),
+    )
+    def rebase(self, loads, links):
+        """A measured snapshot moving some loads and some links; the
+        services sweep it at their next request."""
+        base = self.snapshots.graph
+        nodes, moved = {}, {}
+        for i, load in loads:
+            node = base.node(self.hosts[i % len(self.hosts)]).copy()
+            node.load_average = load
+            nodes[node.name] = node
+        every = list(base.links())
+        for i, fwd, rev in links:
+            link = every[i % len(every)].copy()
+            link.available_fwd, link.available_rev = fwd * Mbps, rev * Mbps
+            moved[link.key] = link
+        self.snapshots.publish(list(nodes.values()), list(moved.values()))
+        self.clock.now += 1e-3  # past the snapshot TTL
+
+    @invariant()
+    def twins_agree(self):
+        shipped, twin = self.services
+        assert shipped.active_apps() == twin.active_apps()
+        assert shipped.ledger.claims_fingerprint() == \
+            twin.ledger.claims_fingerprint()
+        assert {app: answer(g) for app, g in shipped.outcomes.items()} == \
+            {app: answer(g) for app, g in twin.outcomes.items()}
+        assert shipped.metrics.select_memo_hits == \
+            twin.metrics.select_memo_hits
+        view = shipped.view
+        if view is not None:
+            assert not twin.view.stale
+            assert view.deltas == twin.view.deltas
+            assert len(view.stale) <= len(view.selections) + 1
+            assert len(view.stale) <= _SELECTION_MEMO_LIMIT + 1
+
+
+TestOverlaySettledOnRead = OverlaySettledOnRead.TestCase
+TestOverlaySettledOnRead.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)

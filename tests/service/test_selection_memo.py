@@ -36,7 +36,11 @@ things must hold:
     the second time;
 (h) what a hit skips — no ``fold``, no ``edges_for``, no
     ``_verify_claims``; ``reserve`` is handed the route cache's own
-    channel tuple.
+    channel tuple;
+(i) where the overlay's refresh lands — a repeat cycle the memo
+    answers refreshes nothing; a release of a lease the overlay already
+    shows refreshes in the ``release`` call; and the next admission's
+    read then refreshes only the one grant nothing has read.
 """
 
 import gc
@@ -131,9 +135,9 @@ class Rig:
         self.replayed_refusals = 0
         place = svc._place
 
-        def counted_place(req, graph, view=None, **kw):
+        def counted_place(req, view, trial=None, **kw):
             hits = view.selection_hits if view is not None else 0
-            out = place(req, graph, view, **kw)
+            out = place(req, view, trial, **kw)
             if (view is not None and view.selection_hits != hits
                     and out[2] == _CLAIMS_EXCEED):
                 self.replayed_refusals += 1
@@ -653,4 +657,79 @@ def test_a_hit_neither_folds_nor_routes_nor_checks_a_claim(monkeypatch):
           {"fold": 1, "edges_for": 0, "_verify_claims": 0})
     assert svc.metrics.select_memo_hits == 3
     assert svc.metrics.select_memo_negative_hits == 1
+    svc.check_invariants()
+
+
+# -- (i) where the overlay's refresh lands ---------------------------------------
+
+def spy_refreshes(monkeypatch, view) -> list:
+    """``(method, names or channels)`` per refresh the view runs."""
+    calls = []
+    for name in ("refresh_nodes", "refresh_edges"):
+
+        def counted(arg, _real=getattr(view, name), _name=name):
+            calls.append((_name, tuple(arg)))
+            return _real(arg)
+
+        monkeypatch.setattr(view, name, counted)
+    return calls
+
+
+def test_a_cycle_the_memo_answers_refreshes_nothing(monkeypatch):
+    svc = SelectionService(tree_1k(), snapshot_ttl=1e9, lease_s=1e9)
+    hold_two(svc)
+    cycle(svc, 0)  # the miss: its read settles the tenants' grants
+    view = svc.view
+    calls = spy_refreshes(monkeypatch, view)
+    placed = {tuple(cycle(svc, i)) for i in range(1, 9)}
+    assert len(placed) == 1 and svc.metrics.select_memo_hits == 8
+    assert calls == []
+    # One entry stands for every cycle: the memo hands out one routed
+    # tuple per placement, and each release joined its grant's entry.
+    assert len(view.stale) == 1
+    svc.check_invariants()  # a read: one refresh covers all eight
+    assert [name for name, _ in calls] == ["refresh_nodes", "refresh_edges"]
+
+
+def test_a_release_the_overlay_shows_refreshes_in_the_call(monkeypatch):
+    svc = SelectionService(tree_1k(), snapshot_ttl=1e9, lease_s=1e9)
+    hold_two(svc)
+    view = svc.view
+    calls = spy_refreshes(monkeypatch, view)
+    grant = svc.request("a", ApplicationSpec(num_nodes=3),
+                        cpu_fraction=0.3, bw_bps=2 * Mbps)
+    r = grant.reservation
+    # The miss read the overlay (settling hold-1), and the grant waits.
+    hold = svc.ledger.reservations["hold-1"]
+    assert calls == [("refresh_nodes", hold.nodes),
+                     ("refresh_edges", hold.edges)]
+    assert list(view.stale.values()) == [r]
+    svc.check_invariants()
+    calls.clear()
+    svc.release("a")
+    assert calls == [("refresh_nodes", r.nodes), ("refresh_edges", r.edges)]
+    assert not view.stale
+    svc.check_invariants()
+    assert len(calls) == 2
+
+
+def test_the_next_admission_refreshes_only_the_unread_grant(monkeypatch):
+    """``churn_1k``'s shape: a release after the timed request, then the
+    next request, which misses.  The release refreshed what the overlay
+    showed in its own call, so the next read settles one grant, not a
+    grant and a release."""
+    svc = SelectionService(tree_1k(), snapshot_ttl=1e9, lease_s=1e9)
+    claims = {"cpu_fraction": 0.2, "bw_bps": 2 * Mbps}
+    assert svc.request("old", ApplicationSpec(num_nodes=3), **claims).admitted
+    new = svc.request("new", ApplicationSpec(num_nodes=4), **claims)
+    view = svc.view
+    calls = spy_refreshes(monkeypatch, view)
+    svc.release("old")  # the miss for "new" read it: refreshed now
+    assert [name for name, _ in calls] == ["refresh_nodes", "refresh_edges"]
+    calls.clear()
+    nxt = svc.request("next", ApplicationSpec(num_nodes=5), **claims)
+    assert nxt.admitted and svc.metrics.select_memo_hits == 0
+    r = new.reservation
+    assert calls == [("refresh_nodes", r.nodes), ("refresh_edges", r.edges)]
+    assert list(view.stale.values()) == [nxt.reservation]
     svc.check_invariants()

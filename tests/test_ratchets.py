@@ -529,3 +529,56 @@ def test_one_peel_sort():
     )
     assert not grep(r"getattr\(graph", SRC / "repro" / "core" / "kernel.py"), \
         "the kernel reads no provider hook off a graph"
+
+
+def _method(path, cls, name):
+    tree = ast.parse(Path(path).read_text())
+    owner = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == cls
+    )
+    return next(
+        node for node in owner.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_overlay_settles_on_read():
+    """The residual overlay is brought up to date when it is read: its
+    storage is private to ``residual_view.py`` (everyone else reads the
+    settling ``ResidualView.graph``), the service's ``_residual`` hands
+    out the view without reading it, and a grant only files its
+    reservation as stale."""
+    storage = r"\b_overlay\b"
+    assert grep(storage, SERVICE / "residual_view.py")
+    named = [
+        hit for hit in grep(storage, SRC, ROOT / "tests", ROOT / "benchmarks",
+                            ROOT / "examples")
+        if not hit.startswith(("src/repro/service/residual_view.py:",
+                               "tests/test_ratchets.py:"))
+    ]
+    assert not named, ("the overlay is read through ResidualView.graph",
+                       named)
+    residual = _method(SERVICE / "service.py", "SelectionService",
+                       "_residual")
+    assert not [
+        node.lineno for node in ast.walk(residual)
+        if isinstance(node, ast.Attribute) and node.attr == "graph"
+    ], "_residual returns the view; a placement the memo answers never reads"
+    hook = _method(SERVICE / "residual_view.py", "ResidualView",
+                   "on_ledger_event")
+    grants = [
+        node for node in ast.walk(hook)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and any(isinstance(c, ast.Constant) and c.value == "reserve"
+                for c in node.test.comparators)
+    ]
+    assert len(grants) == 1, "a grant has its own branch in on_ledger_event"
+    refreshes = [
+        node.lineno for stmt in grants[0].body for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("apply_delta", "refresh_nodes", "refresh_edges",
+                          "graph")
+    ]
+    assert not refreshes, ("a grant waits for the next read", refreshes)
