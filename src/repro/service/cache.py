@@ -65,8 +65,8 @@ class SnapshotCache:
         clock: Callable[[], float],
         tracer=None,
     ) -> None:
-        if ttl < 0:
-            raise ValueError(f"ttl cannot be negative: {ttl}")
+        if not ttl >= 0:  # NaN too: no age would compare within it
+            raise ValueError(f"ttl must be a non-negative number: {ttl}")
         self.provider = provider
         self.ttl = float(ttl)
         self.clock = clock

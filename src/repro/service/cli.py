@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 import threading
@@ -153,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "snapshot)")
     parser.add_argument("--wal-fsync", action="store_true",
                         help="fsync every WAL append (power-loss durability)")
-    parser.add_argument("--snapshot-every", type=int, default=256,
-                        metavar="N",
-                        help="WAL records between compacted snapshots "
-                             "(default: 256)")
     parser.add_argument("--preempt", action="store_true",
                         help="let infeasible gold requests preempt "
                              "bronze/silver leases")
@@ -275,13 +272,16 @@ def _steps(
     """The workload as ``(at, step)`` in file order: ``step`` is one op,
     or (``batch_max > 1``) a run of up to ``batch_max`` consecutive
     plain request ops, due at its last op's time.  An op without an
-    ``at`` is due with the op before it; one due earlier than that
-    raises ``ValueError``."""
+    ``at`` is due with the op before it; one due earlier than that, or
+    at a time that is not finite (``json`` reads ``NaN`` and
+    ``Infinity``), raises ``ValueError``."""
     batch: list[dict] = []
     batch_at = 0.0
     for op in ops:
         before = batch_at if batch else service.now
         at = float(op.get("at", before))
+        if not math.isfinite(at):
+            raise ValueError(f"an operation's time must be finite: {at}")
         if at < before:
             raise ValueError(
                 f"operations must be time-ordered: {at} < {before}"
@@ -367,7 +367,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 tracer=tracer,
                 state_dir=args.state_dir,
                 wal_fsync=args.wal_fsync,
-                wal_snapshot_every=args.snapshot_every,
                 executor=("process" if args.workers is not None
                           else "inproc"),
                 workers=args.workers,
@@ -380,7 +379,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 tracer=tracer,
                 state_dir=args.state_dir,
                 wal_fsync=args.wal_fsync,
-                wal_snapshot_every=args.snapshot_every,
                 preempt=args.preempt,
             )
     except WalCorruptError as exc:

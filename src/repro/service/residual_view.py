@@ -23,10 +23,9 @@ and across snapshots, and moves it in place:
   (by identity: the memo hands out one tuple per placement), so a
   repeated placement is one entry.  They pile up only between reads:
   every memo miss reads, and so does every other way to a grant (the
-  batch planner, ``admit_probed``, an explain record) before it
-  grants; a re-base settles first.  So they number at most the
-  placements the memo holds (at most 256), plus the one grant that
-  followed the last read.  A renewal moves a deadline, no claim:
+  batch planner, an explain record) before it grants; a re-base
+  settles first.  So they number at most the placements the memo holds
+  (at most 256), plus the one grant that followed the last read.  A renewal moves a deadline, no claim:
   :data:`~repro.service.ledger.DEADLINE_KINDS` are passed over;
 - updates are *recomputations from base*, never incremental arithmetic:
   a touched node or channel is reset to exactly what

@@ -40,6 +40,7 @@ caller of one read-only placement (``_place``) and one commit tail
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import replace
 from time import perf_counter
@@ -221,8 +222,10 @@ class FrontDoor:
                 "advance() only applies to the manual clock; this backend "
                 "follows its provider's simulator"
             )
-        if dt < 0:
-            raise ValueError(f"dt cannot be negative: {dt}")
+        # NaN or infinity would stamp every later grant's deadline with
+        # it (and the WAL with a lease that never lapses).
+        if not (dt >= 0 and math.isfinite(dt)):
+            raise ValueError(f"dt must be non-negative and finite: {dt}")
         self._manual_clock.now += dt
         self.tick()
 
@@ -1007,8 +1010,8 @@ class SelectionService(FrontDoor):
         an entry a later request or probe at that state finds.  The
         shard router's two-phase cross-shard grant probes every shard
         first, so a composite admission that cannot complete never has
-        partial claims to roll back, then hands each part's answer to
-        :meth:`admit_probed` instead of selecting again.
+        partial claims to roll back, then commits each part through
+        :meth:`request`, which the entry its probe filed answers.
         """
         view = self._residual(self.cache.topology())
         req = SelectionRequest(
@@ -1019,59 +1022,6 @@ class SelectionService(FrontDoor):
             submitted_at=self.now,
         )
         return self._place(req, view, memo=True)[0]
-
-    def admit_probed(
-        self,
-        app_id: str,
-        spec: ApplicationSpec,
-        selection: Selection,
-        *,
-        cpu_fraction: float = 0.0,
-        bw_bps: float = 0.0,
-        priority: str = Priority.SILVER,
-    ) -> Grant:
-        """Admit ``selection`` — what :meth:`probe` answered for ``spec``
-        and these claims — without selecting again.
-
-        The commit half of the shard router's cross-shard grant and the
-        tail of :meth:`request`: lease expiry and the duplicate check,
-        then the claims verified on the live overlay and reserved, with
-        the ``claim_verify`` / ``ledger_commit`` stages and the SLO
-        sample taken as :meth:`request` takes them.  Claims that no
-        longer fit are REJECTED, never queued.
-        """
-        t0 = perf_counter()
-        req = SelectionRequest(
-            app_id=app_id,
-            spec=spec,
-            cpu_fraction=cpu_fraction,
-            bw_bps=bw_bps,
-            priority=priority,
-            submitted_at=self.now,
-        )
-        self._open_request(app_id)
-        base = self.cache.topology()
-        view = self._residual(base)
-        start = perf_counter()
-        fits, edges = self._verify_claims(
-            req, view.graph, selection.nodes, view
-        )
-        self._stage("claim_verify", start)
-        grant = (
-            self._commit(req, selection, edges, base, self._stage)
-            if fits else None
-        )
-        if grant is None:
-            grant = self._note(Grant(
-                app_id=app_id,
-                status=Decision.REJECTED,
-                reason=req.last_reason
-                or "claims exceed residual capacity on the probed set",
-            ))
-        else:
-            self._record_admit(req, grant)
-        self.slo.observe_request(perf_counter() - t0, ok=grant.admitted)
-        return grant
 
     # -- batched admission --------------------------------------------------------
     def _plannable(self, req: SelectionRequest) -> bool:

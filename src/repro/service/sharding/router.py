@@ -23,9 +23,11 @@ Routing:
      trunk headroom for the bandwidth claim on every boundary channel
      the combined placement routes over.
   2. **Commit**: only after every probe and the trunk check pass, the
-     split's one trunk record is reserved, then each shard admits the
-     selection its probe found (:meth:`SelectionService.admit_probed` —
-     verify and reserve, no second select).
+     split's one trunk record is reserved, then each part is the
+     shard's own :meth:`SelectionService.request`.  No claim moves
+     between the phases, so the selection memo answers it with the
+     probed placement (no second select, route or verify); a part
+     admitted on any other node set aborts the commit.
 
   Every *reachable* failure happens in the probe phase, before anything
   is committed — a refused cross-shard request leaves all shard ledgers
@@ -776,7 +778,7 @@ class ShardRouter(FrontDoor):
         ``min_parts`` shards participate) and halved on probe failure.
         Returns ``[(shard, sub_spec, probed_selection), ...]`` covering
         the full node count — ``sub_spec`` is the part's spec as probed,
-        which the commit admits — or ``None``, without mutating anything.
+        which the commit requests — or ``None``, without mutating anything.
         """
         m = spec.num_nodes
         cap = math.ceil(m / min_parts)
@@ -862,8 +864,9 @@ class ShardRouter(FrontDoor):
                     )
         # Commit phase: first the trunk record, naming every node of the
         # split (parts a crash cuts from it never match it), then each
-        # shard admits the selection its probe found (``admit_probed``).
-        # No claim moves between the phases, so the rollback is defensive.
+        # part as the shard's own request, which the memo entry its probe
+        # filed answers.  No claim moves between the phases, so the
+        # rollback is defensive.
         nodes = [name for _, _, sel in split for name in sel.nodes]
         parts: dict[int, str] = {}
         subs = [(shard, f"{app_id}@{shard}") for shard, _spec, _sel in split]
@@ -880,27 +883,31 @@ class ShardRouter(FrontDoor):
             )
             # Out together: different workers commit concurrently.
             replies = self._exec.call_many([
-                (shard, "admit_probed", (sub, sub_spec, probed), claim)
-                for (shard, sub), (_shard, sub_spec, probed)
-                in zip(subs, split)
+                (shard, "request", (sub, sub_spec), claim)
+                for (shard, sub), (_, sub_spec, _) in zip(subs, split)
             ])
             failure: Optional[Exception] = None
-            for (shard, sub), (kind, g) in zip(subs, replies):
-                if kind == "ok" and g.admitted:
+            for (shard, sub), (kind, g), (_, _, sel) in zip(subs, replies, split):
+                if kind == "ok" and g.admitted and (
+                    set(g.selection.nodes) == set(sel.nodes)
+                ):
                     parts[shard] = sub
                     continue
                 failure = g if kind == "err" else _CommitAbort(
                     f"shard {shard} refused at commit: {g.reason}"
+                    if not g.admitted
+                    else f"shard {shard} admitted another set than its probe"
                 )
             if failure is not None:
                 raise failure
         except Exception as exc:
             # No part and no record outlives a failed commit; the parts
             # go first, as in release().  A refusal (a stale probe, a
-            # ledger cap, a mid-commit crash) is unreachable while probes
-            # are sound and workers stay up, and answers REJECTED; any
-            # other error (a shard's log append, a bug) propagates once
-            # the parts and the record are given back.
+            # part on another set, a ledger cap, a mid-commit crash) is
+            # unreachable while probes are sound and workers stay up, and
+            # answers REJECTED; any other error (a shard's log append, a
+            # bug) propagates once the parts and the record are given
+            # back.
             self._give_back(
                 (shard, sub)
                 for (shard, sub), (kind, g) in zip(subs, replies)

@@ -9,8 +9,8 @@ isolation and zero aggregate throughput.  This module supplies the
 by a small pickled command protocol mapped 1:1 onto the
 :class:`~repro.service.api.PlacementBackend` surface (``request`` /
 ``admit_batch`` / ``release`` / ``renew`` / ``tick`` / ``status`` /
-``metrics_snapshot`` / ``flush_state`` / ``probe`` / ``admit_probed``
-/ ``check_invariants`` — a shard's own service methods — plus four ops
+``metrics_snapshot`` / ``flush_state`` / ``probe`` /
+``check_invariants`` — a shard's own service methods — plus four ops
 answered beside them: ``reservation_map``, ``edge_claims``, ``ping``,
 ``metrics_state``).  The pool's call surface — :meth:`~ShardWorkerPool.call`,
 :meth:`~ShardWorkerPool.call_many`, :meth:`~ShardWorkerPool.tick_all`,
@@ -135,7 +135,7 @@ class WorkerCrashError(RuntimeError):
 
 #: Ops that are the shard service's own methods, arguments and all.
 _SERVICE_OPS = frozenset({
-    "request", "probe", "admit_probed", "admit_batch", "release",
+    "request", "probe", "admit_batch", "release",
     "renew", "tick", "status", "metrics_snapshot", "flush_state",
     "check_invariants",
 })

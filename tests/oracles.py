@@ -256,18 +256,22 @@ class PinnedCommit(InprocExecutor):
     """The cross-shard grant as it was before its commit reserved what
     the probe found: probes run the kernel (:func:`memoless_probe`), and
     each part commits through a whole ``request`` whose spec is pinned
-    to the probed nodes, so the commit selects again."""
+    to the nodes the last probe of that shard returned, so the commit
+    selects again."""
 
     def call(self, shard: int, op: str, *args, **kwargs):
         if op == "probe":
-            return memoless_probe(self.services[shard], *args, **kwargs)
+            found = memoless_probe(self.services[shard], *args, **kwargs)
+            vars(self).setdefault("probed", {})[shard] = found
+            return found
         return super().call(shard, op, *args, **kwargs)
 
     def call_many(self, calls, *, wait: bool = True):
+        # Only a cross-shard commit sends ``request`` through call_many.
         return super().call_many([
-            (shard, "request", (args[0], replace(
-                args[1], eligible=PinnedNodes(args[2].nodes),
-            )), kwargs) if op == "admit_probed" else (shard, op, args, kwargs)
+            (shard, op, (args[0], replace(
+                args[1], eligible=PinnedNodes(self.probed[shard].nodes),
+            )), kwargs) if op == "request" else (shard, op, args, kwargs)
             for shard, op, args, kwargs in calls
         ], wait=wait)
 

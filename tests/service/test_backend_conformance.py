@@ -157,7 +157,34 @@ def test_refused_lease_length(make, lease_s):
         make(_graph(), lease_s=float(lease_s))
 
 
+@pytest.mark.parametrize("make", [SelectionService, ShardRouter],
+                         ids=["service", "router"])
+def test_refused_snapshot_ttl(make):
+    """A NaN TTL compares false with every age: it would silently turn
+    the snapshot cache off."""
+    with pytest.raises(ValueError,
+                       match="ttl must be a non-negative number: nan"):
+        make(_graph(), snapshot_ttl=float("nan"))
+
+
 class TestLeaseClock:
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1.0],
+                             ids=["nan", "inf", "negative"])
+    def test_refused_advance_moves_no_clock(self, backend, dt):
+        """A clock step no deadline can follow is refused: the clock
+        stays, and the next grant is logged with a finite deadline and
+        lapses when it should."""
+        backend.request("a", ApplicationSpec(num_nodes=2))
+        now = backend.now
+        with pytest.raises(ValueError,
+                           match="dt must be non-negative and finite"):
+            backend.advance(dt)
+        assert backend.now == now
+        assert backend.request("b", ApplicationSpec(num_nodes=2)).admitted
+        backend.advance(11.0)  # lease_s=10
+        assert backend.active_apps() == []
+        assert backend.status("b").status == Decision.EXPIRED
+
     def test_expiry_after_lease_lapse(self, backend):
         backend.request("a", ApplicationSpec(num_nodes=2))
         backend.advance(11.0)  # lease_s=10

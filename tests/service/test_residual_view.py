@@ -25,7 +25,6 @@ from hypothesis.stateful import (
 from repro.core import ApplicationSpec
 from repro.core.metrics import DEFAULT_REFERENCES, node_compute_fraction
 from repro.core.spec import Objective
-from repro.core.types import Selection
 from repro.des import Simulator
 from repro.faults import FaultInjector
 from repro.network import Cluster
@@ -57,7 +56,7 @@ from repro.topology.residual import _MIN_RESIDUAL_CPU, residual_graph
 from repro.units import Mbps
 
 from ..core.cyclic_graphs import random_cyclic
-from ..oracles import EagerOverlayService, naive_rebuild_service
+from ..oracles import EagerOverlayService, PinnedNodes, naive_rebuild_service
 
 
 def spec(n=2):
@@ -348,11 +347,11 @@ class TestChannelTable:
         g = dumbbell(4, 4)
         svc = SelectionService(g, snapshot_ttl=1e9)
         nodes = ["l0", "r0"]
-        grant = svc.admit_probed(
-            "a", spec(2), Selection(nodes=nodes, objective=0.0),
+        grant = svc.request(
+            "a", ApplicationSpec(num_nodes=2, eligible=PinnedNodes(nodes)),
             bw_bps=10 * Mbps,
         )
-        assert grant.admitted
+        assert grant.admitted and sorted(grant.selection.nodes) == nodes
         view = svc.view
         table = view.channels
         assert set(table) == set(grant.reservation.edges)
@@ -806,9 +805,10 @@ class OverlaySettledOnRead(RuleBasedStateMachine):
     overlay settles at every claim move
     (``tests/oracles.py::EagerOverlayService``), over one history of
     grants, releases, renewals, expiries, crash evictions, preemptions,
-    measured re-bases and each of the five readers: a placement that
-    misses the memo, ``admit_probed``, the batch planner, an explain
-    record and ``check_invariants``.
+    measured re-bases and each of the four readers: a placement that
+    misses the memo, the batch planner, an explain record and
+    ``check_invariants``; and a probe followed by the request it
+    answers, as a cross-shard part commits.
 
     Every read of the service's overlay — wherever a reader makes it —
     is checked on the spot against a rebuild and its ranking against a
@@ -902,15 +902,23 @@ class OverlaySettledOnRead(RuleBasedStateMachine):
 
     @rule(claims=st.tuples(*_CLAIMS))
     def probe_and_commit(self, claims):
+        """A probe, then the request it answers: unless a lease lapses
+        at the request's tick, the memo entry the probe filed admits the
+        probed nodes."""
         shape, cpu, bw = claims
         app = self.app()
 
         def op(svc):
             spec = _SHAPES[shape]
             found = svc.probe(spec, cpu_fraction=_CPU[cpu], bw_bps=_BW[bw])
-            return found and answer(svc.admit_probed(
-                app, spec, found, cpu_fraction=_CPU[cpu], bw_bps=_BW[bw],
-            ))
+            deadline = svc.ledger.next_deadline
+            grant = svc.request(
+                app, spec, cpu_fraction=_CPU[cpu], bw_bps=_BW[bw],
+            )
+            if found is not None and (deadline is None or deadline > svc.now):
+                assert grant.admitted
+                assert grant.selection.nodes == found.nodes
+            return answer(grant)
 
         self.each(op)
 

@@ -3,11 +3,11 @@
 ``InprocExecutor.tick_all`` ticks the shard services only once some
 ledger's ``next_deadline`` has come, ``ShardRouter._shard_order`` sorts
 a kept list of keys, and a cross-shard grant probes through each
-shard's selection memo and commits what the probe found
-(``SelectionService.admit_probed``) without selecting again.  The
-router runs beside one whose executor ticks every shard on every call
-(``tests/oracles.py::TickEveryShard``) and one whose probes skip the
-memo and whose commits re-select under a pin
+shard's selection memo and commits each part as the shard's own
+``request``, which the entry its probe filed answers without selecting
+again.  The router runs beside one whose executor ticks every shard on
+every call (``tests/oracles.py::TickEveryShard``) and one whose probes
+skip the memo and whose commits re-select under a pin
 (``tests/oracles.py::PinnedCommitRouter``), over generated histories —
 requests local and split, refusals, releases, renewals, lapsing
 leases, explicit ticks — and all must agree on every grant, outcome,
@@ -213,8 +213,8 @@ TestProcessRouterTickHistory.settings = settings(
 
 def _count_ticks(monkeypatch, executor: type) -> dict:
     """Count ``SelectionService.tick`` calls by where they come from:
-    inside ``executor.tick_all``, inside a shard's own admission
-    (``request`` or ``admit_probed``), or anywhere else."""
+    inside ``executor.tick_all``, inside a shard's own admission (its
+    ``request``: a local grant or a committed part), or anywhere else."""
     counts = {"tick_all": 0, "admission": 0, "other": 0, "admissions": 0}
     inside: list[str] = []
 
@@ -240,10 +240,9 @@ def _count_ticks(monkeypatch, executor: type) -> dict:
         return counted
 
     monkeypatch.setattr(SelectionService, "tick", counted_tick)
-    for name in ("request", "admit_probed"):
-        monkeypatch.setattr(SelectionService, name, counted_admission(
-            getattr(SelectionService, name)
-        ))
+    monkeypatch.setattr(SelectionService, "request", counted_admission(
+        SelectionService.request
+    ))
     monkeypatch.setattr(
         executor, "tick_all", within("tick_all", executor.tick_all)
     )

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.service import SelectionService
+from repro.service import ReservationLedger, SelectionService
 from repro.service.cli import build_parser, main
 from repro.topology import dumbbell, to_json
 
@@ -123,6 +123,25 @@ class TestWorkloadFile:
         assert main([topo_file, "--requests", workload]) == 2
         assert "time-ordered" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at", [float("inf"), float("nan")],
+                             ids=["inf", "nan"])
+    def test_non_finite_time_rejected(self, topo_file, tmp_path, capsys, at):
+        """``json`` reads ``Infinity`` and ``NaN``: an op at such a time
+        is refused before the clock moves, so nothing is granted on a
+        deadline that never lapses and the state directory holds only
+        what came before it."""
+        workload = write_workload(tmp_path, [
+            {"op": "request", "app": "a", "at": 0, "cpu": 0.2},
+            {"op": "tick", "at": at},
+            {"op": "request", "app": "b", "cpu": 0.2},
+        ])
+        state = str(tmp_path / "state")
+        assert main([topo_file, "--requests", workload,
+                     "--state-dir", state]) == 2
+        err = capsys.readouterr().err
+        assert "time must be finite" in err and "Traceback" not in err
+        assert sorted(ReservationLedger.recover(state).reservations) == ["a"]
+
     def test_unknown_op_rejected(self, topo_file, tmp_path, capsys):
         workload = write_workload(tmp_path, [{"op": "explode", "app": "a"}])
         assert main([topo_file, "--requests", workload]) == 2
@@ -174,6 +193,13 @@ class TestErrors:
         assert f"error: cannot build the {built}: " in err
         assert "lease_s must be positive" in err
         assert "shard topology" not in err
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_nan_ttl_returns_2(self, topo_file, capsys, shards):
+        assert main([topo_file, "--demo", "2", "--ttl", "nan",
+                     "--shards", shards]) == 2
+        assert "ttl must be a non-negative number: nan" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("port", ["70000", "-5"])
     def test_metrics_port_out_of_range_returns_2(self, topo_file, tmp_path,

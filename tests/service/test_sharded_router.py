@@ -7,10 +7,13 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro.core.selector import NodeSelector
 from repro.core.spec import ApplicationSpec, GroupSpec
-from repro.service import Decision, PlacementGrant, ShardRouter
+from repro.service import Decision, PlacementGrant, ResidualView, ShardRouter
 from repro.topology import dumbbell, random_tree, two_campus
 from repro.units import Mbps
+
+from ..oracles import PinnedNodes
 
 
 def _router(**kwargs):
@@ -209,7 +212,9 @@ class TestAbortLeavesNoTrace:
         before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
         commits = []
         for svc in r.services:
-            def admit_probed(app_id, *args, _real=svc.admit_probed, **kw):
+            # A spread=3 request sends ``request`` to a shard only to
+            # commit a part.
+            def request(app_id, *args, _real=svc.request, **kw):
                 commits.append(app_id)
                 if len(commits) == 2:  # the probe said yes; say no
                     return PlacementGrant(
@@ -217,7 +222,7 @@ class TestAbortLeavesNoTrace:
                         reason="refused for the test",
                     )
                 return _real(app_id, *args, **kw)
-            svc.admit_probed = admit_probed
+            svc.request = request
         g = r.request("x", ApplicationSpec(num_nodes=3), cpu_fraction=0.2,
                       bw_bps=1 * Mbps, spread=3)
         # Every part is attempted, as under the pool; the two that
@@ -225,7 +230,7 @@ class TestAbortLeavesNoTrace:
         assert commits == ["x@0", "x@2", "x@1"]
         self._assert_aborted_without_trace(r, g, claims, before)
         for svc in r.services:
-            del svc.admit_probed
+            del svc.request
         assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
                          bw_bps=1 * Mbps, spread=2).admitted
         r.check_invariants()
@@ -243,14 +248,14 @@ class TestAbortLeavesNoTrace:
         before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
         failing = r.services[2]
 
-        def admit_probed(*_args, **_kwargs):
+        def request(*_args, **_kwargs):
             raise OSError("write-ahead log append failed")
 
-        failing.admit_probed = admit_probed
+        failing.request = request
         with pytest.raises(OSError, match="append failed"):
             r.request("x", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
                       bw_bps=1 * Mbps, spread=2)
-        del failing.admit_probed
+        del failing.request
         self._assert_left_as_before(r, claims, before)
         assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
                          bw_bps=1 * Mbps, spread=2).admitted
@@ -278,7 +283,7 @@ class TestAbortLeavesNoTrace:
 
         def send_then_kill(w, shard, op, args, kwargs, **kw):
             env = real_send(w, shard, op, args, kwargs, **kw)
-            if op == "admit_probed":
+            if op == "request":  # a commit: spread=2 sends no local one
                 commits.append(args[0])
                 if len(commits) == 1:
                     # Between the two sends of the commit fan-out: the
@@ -301,6 +306,149 @@ class TestAbortLeavesNoTrace:
                          bw_bps=1 * Mbps, spread=2).admitted
         r.check_invariants()
         r.close()
+
+
+class TestCommitIsTheShardsRequest:
+    """A cross-shard part commits through its shard's own ``request``.
+    Nothing moves a shard's claims between its probe and its commit, so
+    the memo entry the probe filed answers: no kernel run, no route, no
+    verify, no overlay read; a part admitted on any other node set
+    aborts the commit."""
+
+    SPEC = ApplicationSpec(num_nodes=4)
+    CLAIM = {"cpu_fraction": 0.1, "bw_bps": 0.5 * Mbps, "spread": 2}
+
+    @staticmethod
+    def _sixteen_shards():
+        graph = random_tree(
+            128, 32, np.random.default_rng(0), bandwidth=100 * Mbps
+        )
+        return ShardRouter(graph, shards=16, lease_s=1e9)
+
+    @staticmethod
+    def _spy(r, monkeypatch):
+        """Each shard's last probe answer, and the kernel runs and the
+        overlay refreshes (per view) made inside a commit fan-out."""
+        probed, seen = {}, {"select": 0, "apply_delta": {}}
+        inside = []
+        real_call, real_many = r._exec.call, r._exec.call_many
+
+        def call(shard, op, *args, **kwargs):
+            out = real_call(shard, op, *args, **kwargs)
+            if op == "probe":
+                probed[shard] = out
+            return out
+
+        def call_many(calls, **kwargs):
+            inside.append(any(op != "release" for _, op, _, _ in calls))
+            try:
+                return real_many(calls, **kwargs)
+            finally:
+                inside.pop()
+
+        select, apply_delta = NodeSelector.select, ResidualView.apply_delta
+
+        def counted_select(self, *args, **kwargs):
+            seen["select"] += bool(inside and inside[-1])
+            return select(self, *args, **kwargs)
+
+        def counted_apply_delta(view, reservation):
+            if inside and inside[-1]:
+                refreshes = seen["apply_delta"]
+                refreshes[id(view)] = refreshes.get(id(view), 0) + 1
+            return apply_delta(view, reservation)
+
+        r._exec.call, r._exec.call_many = call, call_many
+        monkeypatch.setattr(NodeSelector, "select", counted_select)
+        monkeypatch.setattr(ResidualView, "apply_delta", counted_apply_delta)
+        return probed, seen
+
+    def test_each_part_is_a_memo_hit_on_the_probed_nodes(self, monkeypatch):
+        r = self._sixteen_shards()
+        probed, seen = self._spy(r, monkeypatch)
+        for i in range(4):
+            hits = [s.metrics.select_memo_hits for s in r.services]
+            grant = r.request(f"x{i}", self.SPEC, **self.CLAIM)
+            assert grant.admitted and len(grant.parts) == 2
+            for shard, svc in enumerate(r.services):
+                assert svc.metrics.select_memo_hits - hits[shard] == (
+                    shard in grant.parts
+                )
+            for shard, sub in grant.parts.items():
+                held = r.services[shard].ledger.reservations[sub].nodes
+                assert sorted(held) == sorted(probed[shard].nodes)
+            r.release(f"x{i}")
+        assert seen["select"] == 0
+        r.check_invariants()
+
+    def test_the_commit_reads_no_overlay(self, monkeypatch):
+        r = self._sixteen_shards()
+        probed, seen = self._spy(r, monkeypatch)
+        svc = r.services[0]
+
+        def local(app):
+            grant = r.request(app, ApplicationSpec(num_nodes=2),
+                              cpu_fraction=0.1)
+            assert grant.admitted and grant.shards == (0,)
+            r.release(app)
+
+        def cross(i):
+            grant = r.request(f"x{i}", self.SPEC, **self.CLAIM)
+            assert grant.admitted and 0 in grant.parts
+            r.release(f"x{i}")
+
+        local("l0")  # a memo miss: the overlay is read
+        cross(0)  # the probes miss
+        cross(1)  # the probes hit
+        hits = svc.view.selection_hits
+        local("l1")  # memo-answered: its grant waits unread
+        assert svc.view.selection_hits == hits + 1
+        assert svc.view.stale
+        seen["apply_delta"].clear()
+        cross(2)  # the probe and the commit hit on shard 0
+        assert seen["apply_delta"].get(id(svc.view), 0) == 0
+        assert svc.view.selection_hits == hits + 3
+        assert seen["select"] == 0
+        r.check_invariants()
+
+    def test_a_part_on_another_set_aborts_the_commit(self, monkeypatch):
+        """A claim lands on one shard between its probe and its commit:
+        the part's request misses the memo and admits another set, so
+        the commit aborts and gives every part back."""
+        r = self._sixteen_shards()
+        probed, _seen = self._spy(r, monkeypatch)
+        trunk = r.trunk.claims_fingerprint()
+        at_commit = {}
+        spied_many = r._exec.call_many
+
+        def intrude_then_commit(calls, **kwargs):
+            if calls[0][1] != "release" and not at_commit:
+                shard = calls[0][0]
+                node = probed[shard].nodes[0]
+                intruder = r.services[shard].request(
+                    "intruder",
+                    ApplicationSpec(num_nodes=1, eligible=PinnedNodes([node])),
+                    cpu_fraction=0.95,
+                )
+                assert intruder.admitted
+                at_commit["shard"] = shard
+                at_commit["claims"] = [
+                    s.ledger.claims_fingerprint() for s in r.services
+                ]
+            return spied_many(calls, **kwargs)
+
+        r._exec.call_many = intrude_then_commit
+        grant = r.request("x", self.SPEC, **self.CLAIM)
+        del r._exec.call_many
+        assert grant.status == Decision.REJECTED
+        assert "another set" in grant.reason
+        assert [s.ledger.claims_fingerprint() for s in r.services] == \
+            at_commit["claims"]
+        assert r.trunk.claims_fingerprint() == trunk
+        assert r.active_apps() == [] and set(r._sub_count.values()) == {0}
+        r.services[at_commit["shard"]].release("intruder")
+        r.check_invariants()
+        assert r.request("y", self.SPEC, **self.CLAIM).admitted
 
 
 class TestLifecycle:
@@ -535,7 +683,7 @@ class TestCrashBetweenShardAndTrunkStep:
         real_call_many = r._exec.call_many
 
         def first_part_then_crash(calls, **kwargs):
-            if calls and calls[0][1] == "admit_probed":
+            if calls and calls[0][1] == "request":
                 # The record and the first part land; the router dies
                 # before the second part is sent.
                 assert [kind for kind, _ in real_call_many(calls[:1])] == [

@@ -476,7 +476,7 @@ class TestCrashRecovery:
 
         def call_many(calls, **kwargs):
             replies = real_many(calls, **kwargs)
-            if calls[0][1] == "admit_probed":
+            if calls[0][1] == "request":
                 assert [kind for kind, _ in replies] == ["ok", "ok"]
                 replies[0] = ("err", lose_reply(calls[0][0]))
             return replies

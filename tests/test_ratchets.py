@@ -204,8 +204,18 @@ def test_commit():
     """A cross-shard commit reserves what its probe found; nothing pins
     a second select."""
     assert not grep(r"PinnedNodes|eligible=", ROUTER), (
-        "the commit is SelectionService.admit_probed; the pinned re-select "
-        "lives on only as tests/oracles.py::PinnedCommitRouter"
+        "a part commits through the shard's request, which the memo entry "
+        "its probe filed answers; the pinned re-select lives on only as "
+        "tests/oracles.py::PinnedCommitRouter"
+    )
+
+
+def test_commit_is_a_request():
+    """A cross-shard part commits through the shard's own ``request``;
+    the side door that routed and verified it again is gone."""
+    assert not grep(r"admit_probed", SRC), (
+        "a part commits through SelectionService.request, answered by the "
+        "probe's memo entry"
     )
 
 
