@@ -116,13 +116,10 @@ def render_status(samples: list[tuple[str, dict, float]]) -> list[str]:
         restarts = view.scalar("repro_shard_worker_restarts_total", 0.0)
         out.append(f"workers: {int(workers)} (restarts: {int(restarts)})")
 
-    # Router-level SLO series only: worker shard services run their own
-    # monitors, and those arrive federated with a shard= label.
     statuses = {
         ls["objective"]: v
         for n, ls, v in view.samples
         if n == "repro_slo_status" and "objective" in ls
-        and "shard" not in ls
     }
     if statuses:
         out.append("slo: " + " | ".join(
@@ -135,7 +132,6 @@ def render_status(samples: list[tuple[str, dict, float]]) -> list[str]:
                 for n, ls, v in view.samples
                 if n == "repro_slo_burn_rate"
                 and ls.get("objective") == objective
-                and "shard" not in ls
             ]
             if any(v > 0.0 for _w, v in burns):
                 out.append(

@@ -65,6 +65,7 @@ from .admission import (
     Decision,
     Priority,
     SelectionRequest,
+    check_request,
     plain_spec,
 )
 from .api import BatchRequest, PlacementGrant, iter_batch
@@ -152,10 +153,10 @@ class ManualClock:
 
 class FrontDoor:
     """What every placement backend does around placing a request: the
-    clock, the count, expiry and duplicate check that open a request or
-    (atomically) a batch, the span and SLO sample around a request, the
-    release kinds and the standing outcome of every live application
-    (and of the last :data:`KEPT_ENDED_OUTCOMES` that ended).
+    clock, the count and duplicate check that open a request or
+    (atomically, after a tick) a batch, the span and SLO sample around a
+    request, the release kinds and the standing outcome of every live
+    application (and of the last :data:`KEPT_ENDED_OUTCOMES` that ended).
 
     A bare :class:`TopologyGraph` is served as a static provider on a
     hand-advanced :class:`ManualClock`; any other provider follows its
@@ -241,10 +242,9 @@ class FrontDoor:
         raise NotImplementedError
 
     def _open_request(self, app_id: str) -> None:
-        """Count one admission attempt, expire what lapsed, and refuse
-        an ``app_id`` that already has a live request."""
+        """Count one admission attempt and refuse an ``app_id`` that
+        already has a live request (the caller has ticked)."""
         self.metrics.requests += 1
-        self.tick()
         if self._holds(app_id):
             raise ValueError(
                 f"application {app_id!r} already has a live request; "
@@ -252,9 +252,10 @@ class FrontDoor:
             )
 
     def _open_batch(self, requests: Sequence[BatchRequest]) -> list:
-        """:meth:`_open_request` for a whole batch, atomically: a
-        duplicate ``app_id`` in the batch or against a live request raises
-        ``ValueError`` before anything is counted or admitted."""
+        """A tick, then :meth:`_open_request` for a whole batch,
+        atomically: a duplicate ``app_id`` in the batch or against a live
+        request raises ``ValueError`` before anything is counted or
+        admitted."""
         batch = list(iter_batch(requests))
         if not batch:
             return batch
@@ -605,26 +606,35 @@ class SelectionService(FrontDoor):
         :attr:`Grant.explain`): for admissions, the peel sequence and the
         bottleneck edge on the residual view the decision ran against;
         for queued/rejected requests, the failing pipeline stage.
+
+        The front door around :meth:`admit`, shaped like the router's:
+        the claim is checked before anything moves, then a tick, then
+        the admission inside the request's span and SLO sample.
         """
-        req = SelectionRequest(
-            app_id=app_id,
-            spec=spec,
-            cpu_fraction=cpu_fraction,
-            bw_bps=bw_bps,
-            priority=priority,
-            submitted_at=self.now,
-            explain=explain,
-        )
+        check_request(app_id, cpu_fraction=cpu_fraction, bw_bps=bw_bps,
+                      priority=priority)
+        self.tick()
         return self._serve(
-            self._request_inner, (req,),
+            self.admit,
+            (app_id, spec, cpu_fraction, bw_bps, priority, explain),
             app=app_id, m=spec.num_nodes, priority=priority,
         )
 
     def _holds(self, app_id: str) -> bool:
         return app_id in self.ledger.reservations or app_id in self.queue
 
-    def _request_inner(self, req: SelectionRequest) -> Grant:
-        self._open_request(req.app_id)
+    def admit(
+        self, app_id: str, spec: ApplicationSpec, cpu_fraction: float = 0.0,
+        bw_bps: float = 0.0, priority: str = Priority.SILVER,
+        explain: bool = False,
+    ) -> Grant:
+        """:meth:`request` without its front door: count the attempt,
+        refuse an ``app_id`` already held, place and record the outcome.
+        No tick, no request span, no SLO sample: the shard router reaches
+        a shard here, having ticked and opened the request itself."""
+        req = SelectionRequest(app_id, spec, cpu_fraction, bw_bps, priority,
+                               submitted_at=self.now, explain=explain)
+        self._open_request(app_id)
         grant = self._admit_serial(req)
         if grant is not None:
             self._record_admit(req, grant)
@@ -650,7 +660,7 @@ class SelectionService(FrontDoor):
     def _settle_failure(self, req: SelectionRequest) -> Grant:
         """Queue (or reject) a request admission could not place.
 
-        The shared failure tail of :meth:`request` and
+        The shared failure tail of :meth:`admit` and
         :meth:`admit_batch`: offer the request to the bounded priority
         queue, handling displacement, and record the standing outcome.
         """
@@ -1001,17 +1011,17 @@ class SelectionService(FrontDoor):
         """Read-only admission check: the selection this service *would*
         admit right now, or ``None`` when the request is infeasible.
 
-        Runs the same placement as :meth:`request` on the live overlay,
+        Runs the same placement as :meth:`admit` on the live overlay,
         selection memo included, but commits nothing: no ledger
         mutation, no queueing, no outcome, no counters (a memo hit
         counts on the view's ``selection_hits`` only).  An entry
         answers only at the exact claim state it was stored on, so a
         hit is the selection the kernel would return, and a miss leaves
-        an entry a later request or probe at that state finds.  The
+        an entry a later admission or probe at that state finds.  The
         shard router's two-phase cross-shard grant probes every shard
         first, so a composite admission that cannot complete never has
         partial claims to roll back, then commits each part through
-        :meth:`request`, which the entry its probe filed answers.
+        :meth:`admit`, which the entry its probe filed answers.
         """
         view = self._residual(self.cache.topology())
         req = SelectionRequest(

@@ -23,10 +23,10 @@ Routing:
      trunk headroom for the bandwidth claim on every boundary channel
      the combined placement routes over.
   2. **Commit**: only after every probe and the trunk check pass, the
-     split's one trunk record is reserved, then each part is the
-     shard's own :meth:`SelectionService.request`.  No claim moves
-     between the phases, so the selection memo answers it with the
-     probed placement (no second select, route or verify); a part
+     split's one trunk record is reserved, then each part is admitted
+     through the shard's :meth:`SelectionService.admit`.  No claim
+     moves between the phases, so the selection memo answers it with
+     the probed placement (no second select, route or verify); a part
      admitted on any other node set aborts the commit.
 
   Every *reachable* failure happens in the probe phase, before anything
@@ -37,6 +37,12 @@ Routing:
   purely as a defensive measure and logs an error if ever taken, and a
   commit error that is no refusal propagates only once every part is
   given back).
+
+A routed request passes one front door, the router's: it ticks, opens
+the request's span and takes its SLO sample.  A shard is reached only
+through :meth:`SelectionService.admit`, which counts the attempt on the
+shard and places it, with no tick, span or SLO sample of its own; the
+router's tick has already expired whatever lapsed at that ``now``.
 
 The trunk ledger (:attr:`ShardRouter.trunk`) is a plain
 :class:`~repro.service.ReservationLedger` holding one zero-CPU record
@@ -630,6 +636,7 @@ class ShardRouter(FrontDoor):
                  "priority": priority}
         check_request(app_id, **claim)  # before anything counts it
         # The tick stays outside the span and the SLO sample.
+        self.tick()
         self._open_request(app_id)
         spread = min(int(spread), self.plan.k)
         return self._serve(
@@ -673,7 +680,7 @@ class ShardRouter(FrontDoor):
             for shard in order:
                 sub = f"{app_id}@{shard}"
                 try:
-                    g = self._exec.call(shard, "request", sub, spec, **claim)
+                    g = self._exec.call(shard, "admit", sub, spec, **claim)
                 except WorkerCrashError as exc:
                     self._give_back([(shard, sub)])
                     return self._note(PlacementGrant(
@@ -778,7 +785,7 @@ class ShardRouter(FrontDoor):
         ``min_parts`` shards participate) and halved on probe failure.
         Returns ``[(shard, sub_spec, probed_selection), ...]`` covering
         the full node count — ``sub_spec`` is the part's spec as probed,
-        which the commit requests — or ``None``, without mutating anything.
+        which the commit admits — or ``None``, without mutating anything.
         """
         m = spec.num_nodes
         cap = math.ceil(m / min_parts)
@@ -864,7 +871,7 @@ class ShardRouter(FrontDoor):
                     )
         # Commit phase: first the trunk record, naming every node of the
         # split (parts a crash cuts from it never match it), then each
-        # part as the shard's own request, which the memo entry its probe
+        # part through the shard's admit, which the memo entry its probe
         # filed answers.  No claim moves between the phases, so the
         # rollback is defensive.
         nodes = [name for _, _, sel in split for name in sel.nodes]
@@ -883,7 +890,7 @@ class ShardRouter(FrontDoor):
             )
             # Out together: different workers commit concurrently.
             replies = self._exec.call_many([
-                (shard, "request", (sub, sub_spec), claim)
+                (shard, "admit", (sub, sub_spec), claim)
                 for (shard, sub), (_, sub_spec, _) in zip(subs, split)
             ])
             failure: Optional[Exception] = None

@@ -6,13 +6,13 @@ executor runs them all on a single core — sharding buys latency
 isolation and zero aggregate throughput.  This module supplies the
 ``executor="process"`` data plane: a :class:`ShardWorkerPool` of
 ``multiprocessing`` workers, each owning a set of shard services, driven
-by a small pickled command protocol mapped 1:1 onto the
-:class:`~repro.service.api.PlacementBackend` surface (``request`` /
-``admit_batch`` / ``release`` / ``renew`` / ``tick`` / ``status`` /
-``metrics_snapshot`` / ``flush_state`` / ``probe`` /
-``check_invariants`` — a shard's own service methods — plus four ops
+by a small pickled command protocol whose ops are a shard service's
+own methods (``admit`` — the backend entry a routed request reaches a
+shard through, with no front door of its own — ``admit_batch`` /
+``release`` / ``renew`` / ``tick`` / ``status`` / ``metrics_snapshot`` /
+``flush_state`` / ``probe`` / ``check_invariants``) plus four ops
 answered beside them: ``reservation_map``, ``edge_claims``, ``ping``,
-``metrics_state``).  The pool's call surface — :meth:`~ShardWorkerPool.call`,
+``metrics_state``.  The pool's call surface — :meth:`~ShardWorkerPool.call`,
 :meth:`~ShardWorkerPool.call_many`, :meth:`~ShardWorkerPool.tick_all`,
 :meth:`~ShardWorkerPool.sync`, :meth:`~ShardWorkerPool.drain`,
 :meth:`~ShardWorkerPool.close` — is the *only* way the router reaches a
@@ -57,7 +57,8 @@ Design points:
   the ``drain_spans`` op after every tick fan-out and on close.
   Worker metrics federate the same way: the ``metrics_state`` op dumps
   the shard services' registries for the router-side
-  :class:`~repro.obs.metrics.MetricsFederation`.
+  :class:`~repro.obs.metrics.MetricsFederation`, all but their SLO
+  series (a shard takes no SLO sample; the router does).
 * **Crash recovery** — workers answer health pings, and a dead worker
   (detected by a broken pipe or a failed liveness check before send) is
   restarted in place as a new *incarnation*.  With a ``state_dir``,
@@ -135,7 +136,7 @@ class WorkerCrashError(RuntimeError):
 
 #: Ops that are the shard service's own methods, arguments and all.
 _SERVICE_OPS = frozenset({
-    "request", "probe", "admit_batch", "release",
+    "admit", "probe", "admit_batch", "release",
     "renew", "tick", "status", "metrics_snapshot", "flush_state",
     "check_invariants",
 })
@@ -155,7 +156,8 @@ def _dispatch(service: SelectionService, op: str, args: tuple, kwargs: dict):
     if op == "ping":
         return os.getpid()
     if op == "metrics_state":
-        return service.registry.dump_state()
+        return [item for item in service.registry.dump_state()
+                if not item["name"].startswith("repro_slo_")]
     raise ValueError(f"unknown worker op {op!r}")
 
 
@@ -764,8 +766,7 @@ class InprocExecutor:
         replies = []
         for shard, op, args, kwargs in calls:
             try:
-                payload = _dispatch(self.services[shard], op, args, kwargs)
-                replies.append(("ok", payload))
+                replies.append(("ok", self.call(shard, op, *args, **kwargs)))
             except Exception as exc:
                 if not wait and not isinstance(exc, KeyError):
                     raise

@@ -255,7 +255,7 @@ def memoless_probe(service: SelectionService, spec, *,
 class PinnedCommit(InprocExecutor):
     """The cross-shard grant as it was before its commit reserved what
     the probe found: probes run the kernel (:func:`memoless_probe`), and
-    each part commits through a whole ``request`` whose spec is pinned
+    each part commits through a whole ``admit`` whose spec is pinned
     to the nodes the last probe of that shard returned, so the commit
     selects again."""
 
@@ -267,11 +267,11 @@ class PinnedCommit(InprocExecutor):
         return super().call(shard, op, *args, **kwargs)
 
     def call_many(self, calls, *, wait: bool = True):
-        # Only a cross-shard commit sends ``request`` through call_many.
+        # Only a cross-shard commit sends ``admit`` through call_many.
         return super().call_many([
             (shard, op, (args[0], replace(
                 args[1], eligible=PinnedNodes(self.probed[shard].nodes),
-            )), kwargs) if op == "request" else (shard, op, args, kwargs)
+            )), kwargs) if op == "admit" else (shard, op, args, kwargs)
             for shard, op, args, kwargs in calls
         ], wait=wait)
 

@@ -111,28 +111,34 @@ class TestGrantLifecycle:
         with pytest.raises(KeyError, match="ghost"):
             backend.status("ghost")
 
-    @pytest.mark.parametrize("bad, match", [
-        ({"cpu_fraction": 1.5}, r"must be in \[0, 1\]: 1.5"),
-        ({"bw_bps": -1.0}, "cannot be negative"),
-        ({"bw_bps": float("nan")}, "must be finite: nan"),
-        ({"bw_bps": float("inf")}, "must be finite: inf"),
-        ({"priority": "platinum"}, "unknown priority"),
-    ], ids=["cpu", "bw", "bw-nan", "bw-inf", "priority"])
-    def test_refused_request_counts_nothing(self, backend, bad, match):
+    @pytest.mark.parametrize("bad, match, lapsed", [
+        ({"cpu_fraction": 1.5}, r"must be in \[0, 1\]: 1.5", False),
+        ({"bw_bps": -1.0}, "cannot be negative", False),
+        ({"bw_bps": float("nan")}, "must be finite: nan", False),
+        ({"bw_bps": float("inf")}, "must be finite: inf", False),
+        ({"priority": "platinum"}, "unknown priority", False),
+        ({"cpu_fraction": 1.5}, r"must be in \[0, 1\]: 1.5", True),
+    ], ids=["cpu", "bw", "bw-nan", "bw-inf", "priority", "cpu-lapsed"])
+    def test_refused_request_counts_nothing(self, backend, bad, match,
+                                            lapsed):
         """A request no lease could hold is refused before any counter
-        moves, on the backend and on every shard."""
-        def requests():
+        moves, on the backend and on every shard: with a lease lapsed
+        but not yet ticked, it expires nothing either."""
+        if lapsed:
+            backend.request("b", ApplicationSpec(num_nodes=2))
+            backend._manual_clock.now += 11.0  # lease_s=10; no tick
+        def counts():
             snap = backend.metrics_snapshot()
-            return [snap["requests"], *(
-                part["requests"] for part in snap.get("per_shard", {})
-                .values()
+            return [snap["requests"], snap["expired"], *(
+                (part["requests"], part["active_leases"])
+                for part in snap.get("per_shard", {}).values()
             )]
 
-        before = requests()
+        before = counts()
         with pytest.raises(ValueError, match=match):
             backend.request("a", ApplicationSpec(num_nodes=2), **bad)
-        assert requests() == before
-        assert backend.active_apps() == []
+        assert counts() == before
+        assert backend.active_apps() == (["b"] if lapsed else [])
 
     @pytest.mark.parametrize("extend", [float("nan"), float("inf"), 0.0,
                                         -1.0],

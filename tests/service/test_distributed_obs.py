@@ -306,6 +306,70 @@ class TestFederatedExposition:
         assert ("repro_service_requests_total", "0") in names
 
 
+class TestOneFrontDoor:
+    """A routed request is served once: the router opens its span and
+    takes its SLO sample, and each shard it tries only admits.  The
+    scenario fills shard 0, which is tried first for every later
+    request and refuses it, while shard 1 admits them all."""
+
+    CLAIMS = [(4, 0.6), (1, 0.6)] + [(1, 0.5)] * 6
+
+    def _run(self, tracer=None):
+        router = ShardRouter(two_campus(fast_hosts=4, slow_hosts=4),
+                             shards=2, tracer=tracer)
+        grants = [
+            router.request(f"a{i}", ApplicationSpec(num_nodes=m),
+                           cpu_fraction=cpu)
+            for i, (m, cpu) in enumerate(self.CLAIMS)
+        ]
+        assert all(g.admitted for g in grants)
+        return router
+
+    def test_no_shard_availability_series_burns_for_a_healthy_router(self):
+        router = self._run()
+        try:
+            per_shard = router.metrics_snapshot()["per_shard"]
+            # Shard 0 refused most of what it was tried for...
+            assert per_shard["0"]["rejected"] >= 6
+            samples = parse_exposition(router.registry.expose_text())
+        finally:
+            router.close()
+        assert router.slo.evaluate()["status"] == "ok"
+        # ...and no {shard=} series turns a tried-first refusal into an
+        # alert: only the router's own objective speaks for availability.
+        burning = [
+            (name, labels, value) for name, labels, value in samples
+            if name in ("repro_slo_status", "repro_slo_burn_rate")
+            and labels.get("objective") == "availability"
+            and "shard" in labels and value > 0.0
+        ]
+        assert burning == []
+        # A shard takes no SLO sample, so none of its SLO series is
+        # federated at all.
+        assert [
+            (name, labels) for name, labels, _ in samples
+            if name.startswith("repro_slo_") and "shard" in labels
+        ] == []
+
+    def test_one_request_span_and_one_slo_sample_per_request(self):
+        tracer = Tracer()
+        router = self._run(tracer)
+        try:
+            assert router.slo._lat_n == len(self.CLAIMS)
+            assert [svc.slo._lat_n for svc in router.services] == [0, 0]
+        finally:
+            router.close()
+        spans = tracer.spans
+        by_id = {s["span"]: s for s in spans}
+        requests = [s for s in spans if s["name"].endswith(".request")]
+        assert [s["name"] for s in requests] == \
+            ["router.request"] * len(self.CLAIMS)
+        admits = [s for s in spans if s["name"] == "service.admit"]
+        assert len(admits) >= len(self.CLAIMS)
+        for span in admits:
+            assert by_id[span["parent"]]["name"] == "router.request"
+
+
 class TestHotPathOverhead:
     def test_disabled_tracer_sends_no_context(self):
         # With tracing off the pool has no tracer at all: the envelope

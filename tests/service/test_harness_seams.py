@@ -138,7 +138,7 @@ def test_pool_seams_fire_under_a_worker_pool_router():
             "sharding.workers:call", "sharding.workers:call_many",
             "sharding.router:request", "sharding.trunk:reserve",
         } <= fired, sorted(fired)
-        for op in ("request", "admit_batch", "probe", "release", "tick"):
+        for op in ("admit", "admit_batch", "probe", "release", "tick"):
             assert rec.counts[f"rpc.{op}"] > 0, (op, dict(rec.counts))
         # The tick after advance() is a fan-out; the repeat at the same
         # instant is answered inside the pool and sends nothing.

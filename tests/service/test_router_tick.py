@@ -3,9 +3,10 @@
 ``InprocExecutor.tick_all`` ticks the shard services only once some
 ledger's ``next_deadline`` has come, ``ShardRouter._shard_order`` sorts
 a kept list of keys, and a cross-shard grant probes through each
-shard's selection memo and commits each part as the shard's own
-``request``, which the entry its probe filed answers without selecting
-again.  The router runs beside one whose executor ticks every shard on
+shard's selection memo and commits each part through the shard's
+``admit``, which the entry its probe filed answers without selecting
+again.  A shard's ``admit`` ticks nothing: the router's tick is the
+only one.  The router runs beside one whose executor ticks every shard on
 every call (``tests/oracles.py::TickEveryShard``) and one whose probes
 skip the memo and whose commits re-select under a pin
 (``tests/oracles.py::PinnedCommitRouter``), over generated histories —
@@ -15,7 +16,8 @@ count, trunk claim, shard claim and deadline heap: on a manual clock,
 under a moving simulator clock, and with the router's shards in worker
 processes.  The exact-count tests pin what each saves: no
 ``SelectionService.tick`` from ``tick_all`` while no lease can lapse,
-against the 16 per request the ungated tick made; and a recurring
+against the 16 per request the ungated tick made, and none from a
+shard's admission, which ticked once per sub-request; and a recurring
 cross-shard request runs the kernel on its first cycle only, where the
 pinned commit ran it twice a cycle.
 """
@@ -213,8 +215,8 @@ TestProcessRouterTickHistory.settings = settings(
 
 def _count_ticks(monkeypatch, executor: type) -> dict:
     """Count ``SelectionService.tick`` calls by where they come from:
-    inside ``executor.tick_all``, inside a shard's own admission (its
-    ``request``: a local grant or a committed part), or anywhere else."""
+    inside ``executor.tick_all``, inside a shard's admission (its
+    ``admit``: a local grant or a committed part), or anywhere else."""
     counts = {"tick_all": 0, "admission": 0, "other": 0, "admissions": 0}
     inside: list[str] = []
 
@@ -240,8 +242,8 @@ def _count_ticks(monkeypatch, executor: type) -> dict:
         return counted
 
     monkeypatch.setattr(SelectionService, "tick", counted_tick)
-    monkeypatch.setattr(SelectionService, "request", counted_admission(
-        SelectionService.request
+    monkeypatch.setattr(SelectionService, "admit", counted_admission(
+        SelectionService.admit
     ))
     monkeypatch.setattr(
         executor, "tick_all", within("tick_all", executor.tick_all)
@@ -281,9 +283,9 @@ def test_tick_all_ticks_no_shard_while_no_lease_can_lapse(monkeypatch):
     assert router.metrics.routed_cross > 0
     assert counts["tick_all"] == 0
     assert counts["other"] == 0
-    # Each shard admission (a request or a committed part) ticks that
-    # shard, once.
-    assert counts["admission"] == counts["admissions"] > 200
+    # No shard admission (a local grant or a committed part) ticks its
+    # shard: the router's tick already expired what lapsed at ``now``.
+    assert counts["admission"] == 0 and counts["admissions"] > 200
     router.check_invariants()
 
 
@@ -292,7 +294,7 @@ def test_the_ungated_tick_ticked_every_shard_per_request(monkeypatch):
     counts = _count_ticks(monkeypatch, TickEveryShard)
     assert _drive(router) == 200
     assert counts["tick_all"] == 16 * 200
-    assert counts["admission"] == counts["admissions"]
+    assert counts["admission"] == 0 and counts["admissions"] > 200
 
 
 def test_a_lapsed_deadline_opens_the_gate_for_every_shard(monkeypatch):

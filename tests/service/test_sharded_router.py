@@ -212,9 +212,9 @@ class TestAbortLeavesNoTrace:
         before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
         commits = []
         for svc in r.services:
-            # A spread=3 request sends ``request`` to a shard only to
+            # A spread=3 request sends ``admit`` to a shard only to
             # commit a part.
-            def request(app_id, *args, _real=svc.request, **kw):
+            def admit(app_id, *args, _real=svc.admit, **kw):
                 commits.append(app_id)
                 if len(commits) == 2:  # the probe said yes; say no
                     return PlacementGrant(
@@ -222,7 +222,7 @@ class TestAbortLeavesNoTrace:
                         reason="refused for the test",
                     )
                 return _real(app_id, *args, **kw)
-            svc.request = request
+            svc.admit = admit
         g = r.request("x", ApplicationSpec(num_nodes=3), cpu_fraction=0.2,
                       bw_bps=1 * Mbps, spread=3)
         # Every part is attempted, as under the pool; the two that
@@ -230,7 +230,7 @@ class TestAbortLeavesNoTrace:
         assert commits == ["x@0", "x@2", "x@1"]
         self._assert_aborted_without_trace(r, g, claims, before)
         for svc in r.services:
-            del svc.request
+            del svc.admit
         assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
                          bw_bps=1 * Mbps, spread=2).admitted
         r.check_invariants()
@@ -248,14 +248,14 @@ class TestAbortLeavesNoTrace:
         before = (claims(), r.trunk.claims_fingerprint(), dict(r._sub_count))
         failing = r.services[2]
 
-        def request(*_args, **_kwargs):
+        def admit(*_args, **_kwargs):
             raise OSError("write-ahead log append failed")
 
-        failing.request = request
+        failing.admit = admit
         with pytest.raises(OSError, match="append failed"):
             r.request("x", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
                       bw_bps=1 * Mbps, spread=2)
-        del failing.request
+        del failing.admit
         self._assert_left_as_before(r, claims, before)
         assert r.request("y", ApplicationSpec(num_nodes=2), cpu_fraction=0.2,
                          bw_bps=1 * Mbps, spread=2).admitted
@@ -283,7 +283,7 @@ class TestAbortLeavesNoTrace:
 
         def send_then_kill(w, shard, op, args, kwargs, **kw):
             env = real_send(w, shard, op, args, kwargs, **kw)
-            if op == "request":  # a commit: spread=2 sends no local one
+            if op == "admit":  # a commit: spread=2 sends no local one
                 commits.append(args[0])
                 if len(commits) == 1:
                     # Between the two sends of the commit fan-out: the
@@ -309,7 +309,7 @@ class TestAbortLeavesNoTrace:
 
 
 class TestCommitIsTheShardsRequest:
-    """A cross-shard part commits through its shard's own ``request``.
+    """A cross-shard part commits through its shard's ``admit``.
     Nothing moves a shard's claims between its probe and its commit, so
     the memo entry the probe filed answers: no kernel run, no route, no
     verify, no overlay read; a part admitted on any other node set
@@ -413,7 +413,7 @@ class TestCommitIsTheShardsRequest:
 
     def test_a_part_on_another_set_aborts_the_commit(self, monkeypatch):
         """A claim lands on one shard between its probe and its commit:
-        the part's request misses the memo and admits another set, so
+        the part's admission misses the memo and takes another set, so
         the commit aborts and gives every part back."""
         r = self._sixteen_shards()
         probed, _seen = self._spy(r, monkeypatch)
@@ -683,7 +683,7 @@ class TestCrashBetweenShardAndTrunkStep:
         real_call_many = r._exec.call_many
 
         def first_part_then_crash(calls, **kwargs):
-            if calls and calls[0][1] == "request":
+            if calls and calls[0][1] == "admit":
                 # The record and the first part land; the router dies
                 # before the second part is sent.
                 assert [kind for kind, _ in real_call_many(calls[:1])] == [

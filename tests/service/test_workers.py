@@ -470,13 +470,13 @@ class TestCrashRecovery:
 
         def call(shard, op, *args, **kwargs):
             out = real_call(shard, op, *args, **kwargs)
-            if op == "request":
+            if op == "admit":
                 raise lose_reply(shard)
             return out
 
         def call_many(calls, **kwargs):
             replies = real_many(calls, **kwargs)
-            if calls[0][1] == "request":
+            if calls[0][1] == "admit":
                 assert [kind for kind, _ in replies] == ["ok", "ok"]
                 replies[0] = ("err", lose_reply(calls[0][0]))
             return replies
